@@ -9,8 +9,10 @@ import (
 )
 
 // The binary wire format is little-endian, one leading Kind byte, then
-// fixed-width fields in declaration order. Variable-length payloads and
-// WTSNP tables are length-prefixed with uint32 counts. The codec exists so
+// fixed-width fields in declaration order. Variable-length payloads are
+// length-prefixed with uint32 counts; the ordering token is the one
+// exception, a run-chained varint layout owned by internal/seq (wire.go)
+// because it is most of the control plane's bytes. The codec exists so
 // the simulated network can carry realistic byte counts and so the
 // concurrent runtime can move messages across real channels/sockets
 // without sharing memory.
@@ -132,80 +134,41 @@ func decodeAckBody(r *reader) *Ack {
 	return v
 }
 
+// encodeToken writes an optional token: a presence byte, then the layout
+// internal/seq owns.
 func encodeToken(w *writer, t *seq.Token) {
 	if t == nil {
 		w.u8(0)
 		return
 	}
 	w.u8(1)
-	w.u32(uint32(t.Group))
-	w.u64(uint64(t.NextGlobalSeq))
-	w.u64(t.Epoch)
-	w.u64(t.Hops)
-	w.u32(uint32(t.Table.Len()))
-	// Iterate the chunked table in place instead of materializing a
-	// []Pair copy of every entry just to serialize it.
-	t.Table.ForEachEntry(func(e seq.Pair) {
-		w.u32(uint32(e.SourceNode))
-		w.u32(uint32(e.OrderingNode))
-		w.u64(e.Local.Min)
-		w.u64(e.Local.Max)
-		w.u64(e.Global.Min)
-		w.u64(e.Global.Max)
-	})
-	// Per-source high-water marks survive compaction, so the entries
-	// alone cannot reconstruct them; without them a decoded table would
-	// accept duplicate assignment of already-ordered locals.
-	hws := t.Table.HighWaters()
-	w.u32(uint32(len(hws)))
-	for _, h := range hws {
-		w.u32(uint32(h.Source))
-		w.u64(uint64(h.Max))
-	}
+	w.buf = t.AppendWire(w.buf)
 }
 
 func decodeToken(r *reader) (*seq.Token, error) {
-	if r.u8() == 0 {
+	switch present := r.u8(); {
+	case r.err != nil || present == 0:
 		return nil, r.err
+	case present != 1:
+		return nil, fmt.Errorf("msg: decoding token: presence byte %d", present)
 	}
-	t := seq.NewToken(seq.GroupID(r.u32()))
-	t.NextGlobalSeq = seq.GlobalSeq(r.u64())
-	t.Epoch = r.u64()
-	t.Hops = r.u64()
-	n := int(r.u32())
-	for i := 0; i < n; i++ {
-		p := seq.Pair{
-			SourceNode:   seq.NodeID(r.u32()),
-			OrderingNode: seq.NodeID(r.u32()),
-		}
-		p.Local.Min = r.u64()
-		p.Local.Max = r.u64()
-		p.Global.Min = r.u64()
-		p.Global.Max = r.u64()
-		if r.err != nil {
-			return nil, r.err
-		}
-		// Insert, not Append: a compacted table's surviving runs need not
-		// start at the per-source high-water mark.
-		if err := t.Table.Insert(p); err != nil {
-			return nil, fmt.Errorf("msg: decoding token: %w", err)
-		}
+	t, n, err := seq.DecodeToken(r.buf[r.off:])
+	if err != nil {
+		return nil, fmt.Errorf("msg: decoding token: %w", err)
 	}
-	nh := int(r.u32())
-	for i := 0; i < nh; i++ {
-		src := seq.NodeID(r.u32())
-		hw := seq.LocalSeq(r.u64())
-		if r.err != nil {
-			return nil, r.err
-		}
-		t.Table.RestoreHighWater(src, hw)
-	}
-	return t, r.err
+	r.off += n
+	return t, nil
 }
 
 // Encode serializes m to a fresh byte slice.
 func Encode(m Message) []byte {
-	w := &writer{buf: make([]byte, 0, m.WireSize())}
+	return AppendEncode(make([]byte, 0, m.WireSize()), m)
+}
+
+// AppendEncode appends m's encoding to buf and returns the extended
+// slice, so a framer can encode a batch into one buffer.
+func AppendEncode(buf []byte, m Message) []byte {
+	w := &writer{buf: buf}
 	w.u8(uint8(m.Kind()))
 	switch v := m.(type) {
 	case *Data:

@@ -247,10 +247,21 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(seed)
 		f.Add(append([]byte{byte(k - 1)}, bytes.Repeat([]byte{0xff}, 150)...))
 	}
+	// One realistic circulating token, as raw bytes for the Decode half:
+	// a full wire-profile table, nearly every entry chained.
+	f.Add(Encode(&TokenMsg{From: 1, Token: wireProfileToken(f, 256)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode must never panic on arbitrary bytes.
-		if m, err := Decode(data); err == nil && m == nil {
+		// Decode must never panic on arbitrary bytes, and a token it does
+		// accept must be the one an honest encoder would have sent.
+		raw, err := Decode(data)
+		if err == nil && raw == nil {
 			t.Fatal("Decode returned nil message without error")
+		}
+		switch raw.(type) {
+		case *TokenMsg, *TokenRegen:
+			if enc := Encode(raw); !bytes.HasPrefix(data, enc) {
+				t.Fatalf("%v: accepted a non-canonical encoding:\n in  %x\n out %x", raw.Kind(), data, enc)
+			}
 		}
 
 		if len(data) == 0 {

@@ -232,14 +232,14 @@ type TokenMsg struct {
 func (*TokenMsg) Kind() Kind      { return KindToken }
 func (t *TokenMsg) WireSize() int { return 1 + 4 + tokenWireSize(t.Token) }
 
-// tokenWireSize is the encoded size of an optional token: presence byte,
-// header, 40 bytes per WTSNP entry, and count prefix plus 12 bytes per
-// high-water mark. It matches codec.go's encodeToken byte for byte.
+// tokenWireSize is the encoded size of an optional token: a presence
+// byte, then whatever internal/seq's layout takes. The table keeps that
+// size current as it grows, so this does not walk the entries.
 func tokenWireSize(t *seq.Token) int {
 	if t == nil {
 		return 1
 	}
-	return 1 + 4 + 8 + 8 + 8 + 4 + 40*t.Table.Len() + 4 + 12*t.Table.SourceCount()
+	return 1 + t.WireLen()
 }
 
 // TokenAck acknowledges reliable token transfer. Because the token and

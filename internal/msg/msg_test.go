@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -226,10 +227,158 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	// Truncate every valid message at every length and ensure no panic
 	// and an error (or success only at full length).
-	full := Encode(&Data{Group: 1, SourceNode: 2, LocalSeq: 3, Payload: []byte("abc")})
-	for i := 0; i < len(full); i++ {
-		if _, err := Decode(full[:i]); err == nil {
-			t.Fatalf("truncated decode at %d succeeded", i)
+	tok := wireProfileToken(t, 24)
+	for _, m := range []Message{
+		&Data{Group: 1, SourceNode: 2, LocalSeq: 3, Payload: []byte("abc")},
+		&TokenMsg{From: 1, Token: tok},
+		&TokenRegen{Origin: 1, From: 2, Token: tok},
+	} {
+		full := Encode(m)
+		for i := 0; i < len(full); i++ {
+			if _, err := Decode(full[:i]); err == nil {
+				t.Fatalf("%v: truncated decode at %d succeeded", m.Kind(), i)
+			}
+		}
+	}
+
+	// The presence byte is 0 or 1; anything else is not a token.
+	if m, err := Decode([]byte{byte(KindToken), 1, 0, 0, 0, 2}); err == nil {
+		t.Fatalf("presence byte 2 decoded as %v", m)
+	}
+
+	// Hostile token bodies. Each row is what follows a KindToken's From
+	// field and presence byte: the token header (group 1, next 9, epoch
+	// 0, hops 0), then the table. The decoder must refuse every one of
+	// them — an error, never a panic, a giant allocation, or a table that
+	// differs from what the bytes say.
+	const (
+		ordIsSrc    = 1 << 0
+		globalChain = 1 << 1
+		localChain  = 1 << 2
+	)
+	hdr := []byte{1, 9, 0, 0}
+	maxU64 := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	rows := []struct {
+		name, want string
+		body       []byte
+	}{
+		{"control: one entry, one mark", "", cat(hdr, []byte{1, ordIsSrc, 7, 2, 0, 1, 1, 7, 3})},
+		{"entry count beyond the bytes left", "entries in", cat(hdr, []byte{0xff, 0xff, 0x03, ordIsSrc, 7, 2, 0, 1, 1, 7, 3})},
+		{"entry count of 2^63", "entries in", cat(hdr, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})},
+		{"high-water count beyond the bytes left", "high-water marks in", cat(hdr, []byte{0, 0xc8, 0x01, 7, 3})},
+		{"unknown flag bits", "unknown flag bits", cat(hdr, []byte{1, ordIsSrc | 1<<3, 7, 2, 0, 1, 1, 7, 3})},
+		{"local chain with no predecessor", "local chain without a predecessor", cat(hdr, []byte{1, ordIsSrc | localChain, 7, 2, 0, 1, 7, 3})},
+		{"local chain from another source's entry", "local chain without a predecessor", cat(hdr, []byte{2, ordIsSrc, 7, 2, 0, 1, ordIsSrc | globalChain | localChain, 8, 0, 2, 7, 3, 8, 1})},
+		{"global chain with no predecessor", "global chain without a predecessor", cat(hdr, []byte{1, ordIsSrc | globalChain, 7, 2, 1, 1, 7, 3})},
+		{"global start plus run wraps", "wraps 64 bits", cat(hdr, []byte{1, ordIsSrc, 7}, maxU64, []byte{0, 1, 1, 7, 3})},
+		{"global gap wraps", "wraps 64 bits", cat(hdr, []byte{2, ordIsSrc, 7, 2, 0, 1, ordIsSrc | localChain, 7, 0}, maxU64, []byte{1, 7, 4})},
+		{"local start plus run wraps", "wraps 64 bits", cat(hdr, []byte{1, ordIsSrc, 7, 2, 0}, maxU64, []byte{1, 7, 3})},
+		{"overlong varint", "overlong varint", cat(hdr, []byte{1, ordIsSrc, 0x87, 0x00, 2, 0, 1, 1, 7, 3})},
+		{"varint past 64 bits", "overflows 64 bits", cat(hdr, []byte{1, ordIsSrc, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 1, 1, 7, 3})},
+		{"truncated varint", "truncated", cat(hdr, []byte{1, ordIsSrc, 7, 2, 0, 0x80})},
+		{"source id past 32 bits", "exceeds 32 bits", cat(hdr, []byte{1, ordIsSrc, 0x80, 0x80, 0x80, 0x80, 0x10, 2, 0, 1, 0})},
+		{"zero source", "invalid pair", cat(hdr, []byte{1, ordIsSrc, 0, 2, 0, 1, 0})},
+		{"zero local start", "invalid pair", cat(hdr, []byte{1, ordIsSrc, 7, 2, 0, 0, 1, 7, 3})},
+		{"ordering node not elided", "ordering node not elided", cat(hdr, []byte{1, 0, 7, 7, 2, 0, 1, 1, 7, 3})},
+		{"global start not elided", "global start not elided", cat(hdr, []byte{2, ordIsSrc, 7, 2, 0, 1, ordIsSrc | localChain, 7, 0, 0, 1, 7, 4})},
+		{"local start not elided", "local start not elided", cat(hdr, []byte{2, ordIsSrc, 7, 2, 0, 1, ordIsSrc | globalChain, 7, 0, 4, 1, 7, 4})},
+		{"local ranges overlap", "overlaps", cat(hdr, []byte{2, ordIsSrc, 7, 2, 0, 1, ordIsSrc | globalChain, 7, 0, 2, 1, 7, 3})},
+		{"high-water below the entries", "below its entries", cat(hdr, []byte{1, ordIsSrc, 7, 2, 0, 1, 1, 7, 2})},
+		{"entry source without a high-water", "high-water marks", cat(hdr, []byte{1, ordIsSrc, 7, 2, 0, 1, 1, 8, 3})},
+		{"high-water marks out of order", "ascending source order", cat(hdr, []byte{0, 2, 8, 3, 7, 3})},
+		{"zero high-water", "below its entries", cat(hdr, []byte{0, 1, 7, 0})},
+	}
+	for _, row := range rows {
+		for _, prefix := range [][]byte{
+			{byte(KindToken), 1, 0, 0, 0, 1},
+			{byte(KindTokenRegen), 1, 0, 0, 0, 2, 0, 0, 0, 1},
+		} {
+			m, err := Decode(cat(prefix, row.body))
+			if row.want == "" {
+				if err != nil {
+					t.Errorf("%s: %v", row.name, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s: decoded %v", row.name, m)
+			} else if !errors.Is(err, seq.ErrWire) || !strings.Contains(err.Error(), row.want) {
+				t.Errorf("%s: error %q, want a seq.ErrWire mentioning %q", row.name, err, row.want)
+			}
+		}
+	}
+}
+
+// TestTokenBytesBound states the token's size bound for the wire profile
+// (CompactAbove 256, one source per member): a chained entry is a flag
+// byte, a source and a run length, so a full table stays within 6 bytes
+// per entry plus a constant for header, unchained leaders and high-water
+// marks — against 40 per entry for fixed-width fields.
+func TestTokenBytesBound(t *testing.T) {
+	for _, entries := range []int{192, 224, 256} {
+		m := &TokenMsg{From: 1, Token: wireProfileToken(t, entries)}
+		if got := m.Token.Table.Len(); got != entries {
+			t.Fatalf("built %d entries, want %d", got, entries)
+		}
+		size, bound := len(Encode(m)), 6*entries+64
+		if size != m.WireSize() {
+			t.Fatalf("%d entries: encoded %d bytes, WireSize %d", entries, size, m.WireSize())
+		}
+		if size > bound {
+			t.Fatalf("%d entries encode in %d bytes, bound %d", entries, size, bound)
+		}
+		t.Logf("%d entries: %d bytes (%.2f per entry)", entries, size, float64(size)/float64(entries))
+	}
+}
+
+// TestRoundTripTokenLayouts drives the table shapes the chained layout
+// treats differently through the message codec: WireSize must be exact,
+// and the decoded token must carry the same table and re-encode to the
+// same bytes.
+func TestRoundTripTokenLayouts(t *testing.T) {
+	pair := func(src, ord seq.NodeID, lmin, gmin, run uint64) seq.Pair {
+		return seq.Pair{SourceNode: src, OrderingNode: ord,
+			Local: seq.Range{Min: lmin, Max: lmin + run - 1}, Global: seq.Range{Min: gmin, Max: gmin + run - 1}}
+	}
+	const big = 1 << 40
+	shapes := map[string][]seq.Pair{
+		"follows a compaction":      {pair(3, 3, 900, 5000, 4), pair(4, 4, 70, 5004, 1), pair(3, 3, 904, 5005, 2)},
+		"ordering node not source":  {pair(1, 9, 1, 1, 5), pair(2, 9, 1, 6, 3), pair(1, 2, 6, 9, 1)},
+		"locals non-monotone":       {pair(1, 1, 10, 1, 3), pair(1, 1, 1, 4, 2), pair(1, 1, 13, 6, 1), pair(1, 1, 5, 7, 1)},
+		"ids and numbers multibyte": {pair(128, 128, big-3, big, 200), pair(1<<31, 300, big, big+200, 1), pair(128, 128, big+197, big+300, 1<<20)},
+	}
+	for name, pairs := range shapes {
+		tok := seq.NewToken(1 << 24)
+		tok.Epoch, tok.Hops = 1<<33, 1<<50
+		for _, p := range pairs {
+			if err := tok.Table.Insert(p); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tok.NextGlobalSeq = seq.GlobalSeq(p.Global.Max + 1)
+		}
+		tok.Table.RestoreHighWater(77, 123456) // a source whose entries were compacted away
+		for _, m := range []Message{&TokenMsg{From: 8, Token: tok}, &TokenRegen{Origin: 1, From: 2, Token: tok}} {
+			got := roundTrip(t, m)
+			var dec *seq.Token
+			switch v := got.(type) {
+			case *TokenMsg:
+				dec = v.Token
+			case *TokenRegen:
+				dec = v.Token
+			}
+			if dec.Group != tok.Group || dec.NextGlobalSeq != tok.NextGlobalSeq || dec.Epoch != tok.Epoch || dec.Hops != tok.Hops {
+				t.Fatalf("%s: header %v, want %v", name, dec, tok)
+			}
+			if err := dec.Table.Validate(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(dec.Table.Entries(), tok.Table.Entries()) || !reflect.DeepEqual(dec.Table.HighWaters(), tok.Table.HighWaters()) {
+				t.Fatalf("%s: decoded %v, want %v", name, dec.Table, tok.Table)
+			}
+			if !bytes.Equal(Encode(got), Encode(m)) {
+				t.Fatalf("%s: re-encode differs", name)
+			}
 		}
 	}
 }

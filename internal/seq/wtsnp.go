@@ -1,7 +1,9 @@
 package seq
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,6 +46,10 @@ type WTSNP struct {
 	// token lineage global numbers only grow, so Absorb needs to examine
 	// only the entries above this mark. It survives Compact.
 	absorbed GlobalSeq
+	// wireLen caches the encoded size of the entries and high-water pairs
+	// (see wire.go). Tail appends keep it current in O(1); Compact and
+	// interior inserts set it to -1 and WireLen recomputes on demand.
+	wireLen int
 	// shared marks the maps, spines, and chunks as aliased with a clone;
 	// the first mutation forks them (see fork).
 	shared bool
@@ -101,7 +107,7 @@ func (w *WTSNP) Entries() []Pair {
 }
 
 // ForEachEntry calls fn for every entry in global order, without
-// materializing the table (the wire encoder's iteration path).
+// materializing the table.
 func (w *WTSNP) ForEachEntry(fn func(Pair)) {
 	for i, n := 0, w.entries.len(); i < n; i++ {
 		fn(w.entries.at(i))
@@ -127,12 +133,9 @@ func (w *WTSNP) HighWaters() []HighWater {
 	for src, hw := range w.maxLocal {
 		out = append(out, HighWater{Source: src, Max: hw})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
+	slices.SortFunc(out, func(a, b HighWater) int { return cmp.Compare(a.Source, b.Source) })
 	return out
 }
-
-// SourceCount returns the number of sources with a high-water mark.
-func (w *WTSNP) SourceCount() int { return len(w.maxLocal) }
 
 // RestoreHighWater raises src's high-water mark to at least hw (used when
 // rebuilding a table from the wire).
@@ -141,6 +144,19 @@ func (w *WTSNP) RestoreHighWater(src NodeID, hw LocalSeq) {
 		return
 	}
 	w.fork()
+	w.setHighWater(src, hw)
+}
+
+// setHighWater stores src's raised mark and keeps the cached wire size in
+// step with it.
+func (w *WTSNP) setHighWater(src NodeID, hw LocalSeq) {
+	if w.wireLen >= 0 {
+		if old, ok := w.maxLocal[src]; ok {
+			w.wireLen += uvarintLen(uint64(hw)) - uvarintLen(uint64(old))
+		} else {
+			w.wireLen += uvarintLen(uint64(src)) + uvarintLen(uint64(hw))
+		}
+	}
 	w.maxLocal[src] = hw
 }
 
@@ -188,16 +204,33 @@ func localConflict(s *pairList, j int, l Range) (Pair, bool) {
 	return Pair{}, false
 }
 
-// insert adds p at global index i, maintaining both indexes, the
-// high-water marks, and the absorb watermark.
-func (w *WTSNP) insert(i int, p Pair) {
+// insertAt adds p at global index i and at index j of its source's list,
+// maintaining both indexes, the high-water marks, the absorb watermark,
+// and the cached wire size.
+func (w *WTSNP) insertAt(i, j int, p Pair) {
 	w.fork()
-	w.entries.insert(i, p)
 	s := w.bySource[p.SourceNode]
-	s.insert(localPos(&s, p.Local.Min), p)
+	if w.wireLen >= 0 {
+		if i == w.entries.len() {
+			// A global-tail append chains from the entries already
+			// present, exactly as the encoder's walk will see them.
+			var prevMax, srcMax uint64
+			if i > 0 {
+				prevMax = w.entries.at(i - 1).Global.Max
+			}
+			if m := s.len(); m > 0 {
+				srcMax = s.at(m - 1).Local.Max
+			}
+			w.wireLen += entryWireLen(p, prevMax, srcMax)
+		} else {
+			w.wireLen = -1
+		}
+	}
+	w.entries.insert(i, p)
+	s.insert(j, p)
 	w.bySource[p.SourceNode] = s
 	if hw := w.maxLocal[p.SourceNode]; LocalSeq(p.Local.Max) > hw {
-		w.maxLocal[p.SourceNode] = LocalSeq(p.Local.Max)
+		w.setHighWater(p.SourceNode, LocalSeq(p.Local.Max))
 	}
 	if g := GlobalSeq(p.Global.Max); g > w.absorbed {
 		w.absorbed = g
@@ -225,19 +258,40 @@ func (w *WTSNP) Append(p Pair) error {
 // A table rebuilt from the wire may have had its older entries compacted
 // away, so the surviving runs need not start at the high-water mark.
 // Overlap invariants are still enforced.
+//
+// A pair that lies beyond the last entry both globally and in its source's
+// local order — every Assign, and every entry of a decoded token whose
+// sources' runs are monotone — is appended after two O(1) comparisons;
+// anything else takes the binary-search path (insertSearch). Both enforce
+// the same invariants.
 func (w *WTSNP) Insert(p Pair) error {
 	if !p.Valid() {
 		return fmt.Errorf("wtsnp: invalid pair %v", p)
 	}
+	s := w.bySource[p.SourceNode]
+	n, m := w.entries.len(), s.len()
+	if (n == 0 || w.entries.at(n-1).Global.Max < p.Global.Min) &&
+		(m == 0 || s.at(m-1).Local.Max < p.Local.Min) {
+		w.insertAt(n, m, p)
+		return nil
+	}
+	return w.insertSearch(p)
+}
+
+// insertSearch is Insert without the in-order shortcut: it locates an
+// already validated p in both indexes by binary search and rejects
+// overlaps with either neighbour.
+func (w *WTSNP) insertSearch(p Pair) error {
 	i := w.globalPos(p.Global.Min)
 	if e, ok := w.globalConflict(i, p.Global); ok {
 		return fmt.Errorf("wtsnp: global range %v overlaps existing %v", p.Global, e.Global)
 	}
 	s := w.bySource[p.SourceNode]
-	if e, ok := localConflict(&s, localPos(&s, p.Local.Min), p.Local); ok {
+	j := localPos(&s, p.Local.Min)
+	if e, ok := localConflict(&s, j, p.Local); ok {
 		return fmt.Errorf("wtsnp: local range %v overlaps existing %v for %v", p.Local, e.Local, p.SourceNode)
 	}
-	w.insert(i, p)
+	w.insertAt(i, j, p)
 	return nil
 }
 
@@ -301,14 +355,15 @@ func (w *WTSNP) Absorb(other *WTSNP) (int, error) {
 		i := w.globalPos(p.Global.Min)
 		_, gc := w.globalConflict(i, p.Global)
 		s := w.bySource[p.SourceNode]
-		_, lc := localConflict(&s, localPos(&s, p.Local.Min), p.Local)
+		j := localPos(&s, p.Local.Min)
+		_, lc := localConflict(&s, j, p.Local)
 		if gc || lc {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("wtsnp: entry %v conflicts during absorb", p)
 			}
 			continue
 		}
-		w.insert(i, p)
+		w.insertAt(i, j, p)
 		added++
 	}
 	return added, firstErr
@@ -327,6 +382,7 @@ func (w *WTSNP) Compact(horizon GlobalSeq) int {
 		return 0
 	}
 	w.fork()
+	w.wireLen = -1
 	touched := make(map[NodeID]struct{})
 	for i := 0; i < idx; i++ {
 		touched[w.entries.at(i).SourceNode] = struct{}{}

@@ -158,6 +158,10 @@ func (u *pairUnderTest) check(t *testing.T, step int) {
 	if err := u.fast.Validate(); err != nil {
 		t.Fatalf("step %d: Validate: %v", step, err)
 	}
+	// The incrementally maintained wire size must track every mutation —
+	// including ones made through a clone that shares this table's chunks
+	// — and the encoding must decode back to the same table.
+	checkWire(t, u.fast)
 	if u.fast.Len() != len(u.ref.entries) {
 		t.Fatalf("step %d: Len %d, ref %d\nfast: %v", step, u.fast.Len(), len(u.ref.entries), u.fast)
 	}
@@ -314,6 +318,7 @@ func TestDifferentialWTSNP(t *testing.T) {
 				for _, m := range pool {
 					m.check(t, step)
 				}
+				checkInsertPaths(t, u.fast)
 			}
 		})
 	}

@@ -47,7 +47,7 @@ import (
 	"repro/internal/seq"
 )
 
-// Datagram framing, version 2: a fixed header followed by group-tagged
+// Datagram framing, version 3: a fixed header followed by group-tagged
 // sections, each carrying length-prefixed encoded messages. Putting the
 // group id in a per-section tag rather than the frame header is what
 // lets one datagram carry traffic for many groups at once — the shared
@@ -55,7 +55,7 @@ import (
 // write. Little-endian, like the message codec.
 //
 //	magic    u16  0x524E ("RN")
-//	version  u8   2
+//	version  u8   3
 //	sections u8   section count (≥ 1)
 //	from     u32  sender NodeID
 //	seqno    u64  per-(sender→receiver) datagram sequence number
@@ -65,9 +65,15 @@ import (
 //	    count  u8   messages in this section (0 allowed only when flags≠0)
 //	    count × { len u32, len bytes of msg.Encode output }
 //	}
+//
+// The frame layout itself is unchanged since version 2. Version 3 marks
+// the ordering token's switch from fixed-width fields to the run-chained
+// varint layout (internal/seq wire.go): the two token layouts cannot
+// decode each other, so the version byte is what turns a mixed ring into
+// ErrBadVersion at the first datagram instead of corrupted tables.
 const (
 	frameMagic   = 0x524E
-	frameVersion = 2
+	frameVersion = 3
 	headerSize   = 2 + 1 + 1 + 4 + 8
 
 	// sectionOverhead is the per-section tag: group u32, flags u8,
@@ -136,10 +142,7 @@ type Frame struct {
 func frameSize(secs []Section) int {
 	n := headerSize
 	for _, s := range secs {
-		n += sectionOverhead
-		for _, m := range s.Msgs {
-			n += 4 + m.WireSize()
-		}
+		n += sectionBytes(s)
 	}
 	return n
 }
@@ -150,6 +153,12 @@ func frameSize(secs []Section) int {
 // under the transport's datagram budget; EncodeFrame only enforces the
 // structural count limits.
 func EncodeFrame(from seq.NodeID, seqno uint64, secs []Section) ([]byte, error) {
+	return encodeFrame(from, seqno, secs, frameSize(secs))
+}
+
+// encodeFrame is EncodeFrame for a caller that already knows the frame's
+// encoded size (SendSections sizes every message once, while planning).
+func encodeFrame(from seq.NodeID, seqno uint64, secs []Section, size int) ([]byte, error) {
 	if len(secs) == 0 {
 		return nil, ErrEmptyFrame
 	}
@@ -164,7 +173,7 @@ func EncodeFrame(from seq.NodeID, seqno uint64, secs []Section) ([]byte, error) 
 			return nil, ErrTooManyMsgs
 		}
 	}
-	buf := make([]byte, 0, frameSize(secs))
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint16(buf, frameMagic)
 	buf = append(buf, frameVersion, byte(len(secs)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(from))
@@ -173,17 +182,18 @@ func EncodeFrame(from seq.NodeID, seqno uint64, secs []Section) ([]byte, error) 
 		buf = binary.LittleEndian.AppendUint32(buf, s.Group)
 		buf = append(buf, s.Flags, byte(len(s.Msgs)))
 		for _, m := range s.Msgs {
-			enc := msg.Encode(m)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-			buf = append(buf, enc...)
+			// Encode in place: reserve the length prefix, then backfill it.
+			at := len(buf)
+			buf = msg.AppendEncode(append(buf, 0, 0, 0, 0), m)
+			binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 		}
 	}
 	return buf, nil
 }
 
-// DecodeFrame parses one datagram. A version other than 2 is rejected
-// with an error naming both versions, so a mixed-version deployment
-// fails loudly instead of corrupting state.
+// DecodeFrame parses one datagram. A version other than frameVersion is
+// rejected with an error naming both versions, so a mixed-version
+// deployment fails loudly instead of corrupting state.
 func DecodeFrame(buf []byte) (Frame, error) {
 	var f Frame
 	if len(buf) < headerSize {

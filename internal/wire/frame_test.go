@@ -157,6 +157,7 @@ func TestFrameErrors(t *testing.T) {
 		"magic":         append([]byte{0, 0}, good[2:]...),
 		"version":       append([]byte{good[0], good[1], 99}, good[3:]...),
 		"v1 header":     append([]byte{good[0], good[1], 1}, good[3:]...),
+		"v2 header":     append([]byte{good[0], good[1], 2}, good[3:]...),
 		"truncated":     good[:len(good)-3],
 		"trailing":      append(append([]byte(nil), good...), 1, 2, 3),
 		"zero sections": func() []byte { b := append([]byte(nil), good...); b[3] = 0; return b }(),
@@ -178,9 +179,12 @@ func TestFrameErrors(t *testing.T) {
 			t.Errorf("%s: decode accepted corrupt frame", name)
 		}
 	}
-	// A version error must say which versions disagree.
-	if _, err := DecodeFrame(cases["version"]); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("version mismatch not classified: %v", err)
+	// A version error must say which versions disagree — in particular
+	// for v2, whose frames differ only in the token layout inside them.
+	for _, name := range []string{"version", "v1 header", "v2 header"} {
+		if _, err := DecodeFrame(cases[name]); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("%s: version mismatch not classified: %v", name, err)
+		}
 	}
 	// A frame of garbage message bytes must error, not panic.
 	bad := append([]byte(nil), good[:headerSize]...)
@@ -192,7 +196,7 @@ func TestFrameErrors(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode throws arbitrary bytes at the v2 frame decoder (it
+// FuzzFrameDecode throws arbitrary bytes at the frame decoder (it
 // must reject garbage with an error, never panic) and, when the input
 // parses, pins the codec invariants: the decoded frame must re-encode
 // at exactly frameSize — the sum built from the messages' WireSize —
@@ -206,7 +210,7 @@ func FuzzFrameDecode(f *testing.F) {
 	if seed, err := EncodeFrame(1, 1, []Section{{Group: 2, Flags: FlagDone}, {Group: 3, Msgs: sampleMsgs()[:1]}}); err == nil {
 		f.Add(seed)
 	}
-	f.Add([]byte{0x4e, 0x52, 2, 1})
+	f.Add([]byte{0x4e, 0x52, frameVersion, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)
 		if err != nil {

@@ -21,9 +21,11 @@ import (
 
 // protocolConfig is the core tuning for a real-socket deployment:
 // unbounded per-hop retries (the acceptance criterion is exact total
-// order, not best-effort under give-up), a tight token-compaction cap so
-// the circulating token always fits one datagram with room to spare, and
-// a deep retained window plus ranged Nacks so a member that fell behind
+// order, not best-effort under give-up), a token-compaction cap of 256
+// entries over the last 1,024 globals — every hop re-encodes and rebuilds
+// the table, so the cap bounds that work; its bytes no longer matter much
+// (≤ 6 per entry, msg.TestTokenBytesBound: under 1.6 KB of a 60 KB
+// datagram budget) — and a deep retained window plus ranged Nacks so a member that fell behind
 // a reconfiguration (ring repair re-routed its WQ feed, or it just
 // joined) catches up from its predecessor's MQ in a few round trips.
 func protocolConfig() core.Config {

@@ -389,7 +389,7 @@ func (t *Transport) SendControl(group uint32, to seq.NodeID, flags uint8) error 
 // outbox flushes through. A section whose messages overflow one datagram
 // is split across several (its flags ride the first); a single message
 // larger than the budget is dropped and counted (the protocol's token
-// compaction is configured to keep every message far below it).
+// compaction caps the table, and so every message, far below it).
 //
 // The lock covers only peer lookup, sequence reservation, and stats;
 // encoding and the write syscalls run outside it so inbound dispatch
@@ -397,15 +397,21 @@ func (t *Transport) SendControl(group uint32, to seq.NodeID, flags uint8) error 
 // burst of sends.
 func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	// Plan datagram boundaries first: they depend only on the immutable
-	// budget, so this runs outside the lock.
-	var frames [][]Section
-	var cur []Section
-	curBytes := headerSize
+	// budget, so this runs outside the lock. The pass sizes every message
+	// exactly once; the byte totals it accumulates feed the stats block
+	// and the encoder below.
+	var frames []plannedFrame
+	cur := plannedFrame{size: headerSize}
 	flush := func() {
-		if len(cur) > 0 {
+		if len(cur.secs) > 0 {
 			frames = append(frames, cur)
-			cur, curBytes = nil, headerSize
+			cur = plannedFrame{size: headerSize}
 		}
+	}
+	openSection := func(group uint32, flags uint8) {
+		cur.secs = append(cur.secs, Section{Group: group, Flags: flags})
+		cur.secBytes = append(cur.secBytes, sectionOverhead)
+		cur.size += sectionOverhead
 	}
 	var firstErr error
 	oversize := 0
@@ -414,11 +420,10 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 			if s.Flags == 0 {
 				continue
 			}
-			if curBytes+sectionOverhead > t.max || len(cur) >= maxFrameSections {
+			if cur.size+sectionOverhead > t.max || len(cur.secs) >= maxFrameSections {
 				flush()
 			}
-			cur = append(cur, Section{Group: s.Group, Flags: s.Flags})
-			curBytes += sectionOverhead
+			openSection(s.Group, s.Flags)
 			continue
 		}
 		opened := false
@@ -431,29 +436,28 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 				}
 				continue
 			}
-			if !opened || curBytes+need > t.max || len(cur[len(cur)-1].Msgs) >= maxFrameMsgs {
-				if curBytes+sectionOverhead+need > t.max || len(cur) >= maxFrameSections {
+			if !opened || cur.size+need > t.max || len(cur.secs[len(cur.secs)-1].Msgs) >= maxFrameMsgs {
+				if cur.size+sectionOverhead+need > t.max || len(cur.secs) >= maxFrameSections {
 					flush()
 				}
 				var fl uint8
 				if !opened {
 					fl = s.Flags // flags ride the section's first chunk
 				}
-				cur = append(cur, Section{Group: s.Group, Flags: fl})
-				curBytes += sectionOverhead
+				openSection(s.Group, fl)
 				opened = true
 			}
-			last := &cur[len(cur)-1]
-			last.Msgs = append(last.Msgs, m)
-			curBytes += need
+			last := len(cur.secs) - 1
+			cur.secs[last].Msgs = append(cur.secs[last].Msgs, m)
+			cur.secBytes[last] += need
+			cur.size += need
 		}
 		if !opened && s.Flags != 0 {
 			// Every message was oversize; the flags still must travel.
-			if curBytes+sectionOverhead > t.max || len(cur) >= maxFrameSections {
+			if cur.size+sectionOverhead > t.max || len(cur.secs) >= maxFrameSections {
 				flush()
 			}
-			cur = append(cur, Section{Group: s.Group, Flags: s.Flags})
-			curBytes += sectionOverhead
+			openSection(s.Group, s.Flags)
 		}
 	}
 	flush()
@@ -475,11 +479,10 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	base := p.txSeq + 1
 	p.txSeq += uint64(len(frames))
 	addr := p.addr
-	for _, fsecs := range frames {
-		size := frameSize(fsecs)
+	for _, f := range frames {
 		p.st.SentDatagrams++
-		p.st.SentBytes += uint64(size)
-		for _, s := range fsecs {
+		p.st.SentBytes += uint64(f.size)
+		for i, s := range f.secs {
 			p.st.SentMsgs += uint64(len(s.Msgs))
 			gs := t.groupStats[s.Group]
 			if gs == nil {
@@ -487,14 +490,14 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 				t.groupStats[s.Group] = gs
 			}
 			gs.SentMsgs += uint64(len(s.Msgs))
-			gs.SentBytes += uint64(sectionBytes(s))
+			gs.SentBytes += uint64(f.secBytes[i])
 		}
 	}
 	t.mu.Unlock()
 
 	traced := t.tracer.Active()
-	for i, fsecs := range frames {
-		buf, err := EncodeFrame(t.self, base+uint64(i), fsecs)
+	for i, f := range frames {
+		buf, err := encodeFrame(t.self, base+uint64(i), f.secs, f.size)
 		if err == nil {
 			_, err = t.conn.WriteToUDP(buf, addr)
 		}
@@ -502,7 +505,7 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 			firstErr = err
 		}
 		if traced && err == nil {
-			for _, s := range fsecs {
+			for _, s := range f.secs {
 				for _, m := range s.Msgs {
 					if src, local, global, ok := traceKeyOf(m); ok {
 						t.tracer.Span(telemetry.StageTX, s.Group, src, local, global, uint32(to))
@@ -512,6 +515,14 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 		}
 	}
 	return firstErr
+}
+
+// plannedFrame is one datagram as SendSections laid it out: its sections,
+// each section's encoded size (tag included), and the frame's.
+type plannedFrame struct {
+	secs     []Section
+	secBytes []int
+	size     int
 }
 
 // sectionBytes is one section's encoded size: tag plus length-prefixed

@@ -184,8 +184,19 @@ func TestTransportGroupDemux(t *testing.T) {
 		}
 	}
 	// The coalesced pair shared one datagram.
-	if ps := a.Stats().Peers[2]; ps.SentDatagrams != 2 {
+	sent := a.Stats()
+	if ps := sent.Peers[2]; ps.SentDatagrams != 2 {
 		t.Fatalf("expected 2 datagrams (one coalesced + one single), sent %d", ps.SentDatagrams)
+	}
+	// The sender books bytes from its planning pass, the receiver from the
+	// datagrams and sections that arrived: the two must agree exactly.
+	if tx, rx := sent.Peers[2].SentBytes, st.Peers[1].RecvBytes; tx != rx {
+		t.Fatalf("sender booked %d datagram bytes, receiver read %d", tx, rx)
+	}
+	for g := range want {
+		if tx, rx := sent.Groups[g].SentBytes, st.Groups[g].RecvBytes; tx != rx || tx == 0 {
+			t.Fatalf("group %d: sender booked %d section bytes, receiver %d", g, tx, rx)
+		}
 	}
 }
 
