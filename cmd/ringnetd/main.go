@@ -10,7 +10,7 @@
 // A 4-node loopback ring:
 //
 //	for i in 1 2 3 4; do cat > /tmp/rn$i.json <<EOF
-//	{"group":1,"node":$i,"listen":"127.0.0.1:900$i","count":200,"rate_hz":400,
+//	{"groups":[{"id":1}],"node":$i,"listen":"127.0.0.1:900$i","count":200,"rate_hz":400,
 //	 "loss":0.02,"jitter_us":2000,"seed":7,"deadline_ms":30000,"peers":[
 //	  $(for j in 1 2 3 4; do [ $j != $i ] && echo -n "{\"node\":$j,\"addr\":\"127.0.0.1:900$j\"},"; done | sed 's/,$//')]}
 //	EOF
@@ -24,12 +24,12 @@
 // other, a crashed member is evicted and the ring repaired at a new
 // epoch (the token regenerated if it died with the member), SIGTERM
 // performs a graceful leave (announce, drain, hand off a held token),
-// and a fresh process with "join":true (whose peers are seed members)
-// splices into the running ring mid-stream.
+// and a fresh process with "join":true on its group entries (whose
+// peers are seed members) splices into the running ring mid-stream.
 //
 // One daemon can host many independent ordering groups over the same
-// socket (config schema v2): replace the flat "group" id with a
-// "groups" array —
+// socket: list them all in the "groups" array; stream fields an entry
+// leaves out inherit the top-level ones —
 //
 //	{"node":1,"listen":"127.0.0.1:9001","peers":[...],
 //	 "groups":[{"id":1,"count":200},{"id":2,"count":50,"rate_hz":100}]}
@@ -38,12 +38,12 @@
 // and token; inbound datagrams demultiplex by the group id carried in
 // every frame section, and outbound traffic from all groups coalesces
 // through a shared per-peer batching outbox. The report then carries
-// one entry per group plus the daemon aggregate. Legacy single-group
-// configs load unchanged (lifted to a one-element array).
+// one entry per group plus the daemon aggregate. A key the config
+// schema does not define is a load error.
 //
 // With -data-dir (or "data_dir" in the config) the delivery plane is
 // durable: every group appends its deliveries to a segmented ordered
-// log under DIR/g<ID>, batching fsyncs on the flush_ms cadence, and a
+// log under DIR/g<ID>, batching fsyncs on a 25 ms cadence, and a
 // process restarted with the same directory recovers its durable front
 // and resumes there — the coordinator splices it back in and peers
 // backfill the handshake gap — instead of rejoining fresh at the

@@ -65,12 +65,6 @@ type Config struct {
 	// FilterWindow is how long Multiple-Token filtering stays active
 	// after a Multiple-Token signal.
 	FilterWindow sim.Time
-	// StabilityGate delays Order-Assignment of a holder's own fresh
-	// assignments until the forwarded token is acknowledged by the next
-	// node, so no global sequence number can be delivered while it is
-	// known to only one node. This closes the duplicate-assignment
-	// window after a holder crash (refinement over the paper).
-	StabilityGate bool
 	// CompactAbove/CompactKeep bound the assignment tables. When a table
 	// exceeds CompactAbove entries it is compacted: a node's cumulative
 	// table drops below its MQ's valid front, and the circulating
@@ -141,7 +135,6 @@ func DefaultConfig() Config {
 		AckDelay:            transport.DefaultConfig.RTO / 4,
 		TokenLossThreshold:  500 * sim.Millisecond,
 		FilterWindow:        1 * sim.Second,
-		StabilityGate:       true,
 		CompactAbove:        4096,
 		CompactKeep:         1 << 16,
 		ReserveFor:          2 * sim.Second,

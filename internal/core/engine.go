@@ -683,5 +683,3 @@ func (e *Engine) Quiesced() bool {
 	}
 	return true
 }
-
-var _ = msg.KindData // keep msg imported for doc references

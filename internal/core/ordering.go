@@ -430,7 +430,12 @@ func (n *NE) orderAssignSource(src seq.NodeID) {
 			delete(n.stallRounds, src)
 			break
 		}
-		if n.e.Cfg.StabilityGate && g >= n.safeHorizon {
+		// Stability gate (refinement over the paper): a holder's own
+		// fresh assignments wait until the forwarded token is acknowledged
+		// by the next node, so no global sequence number is delivered
+		// while only one node knows it — this closes the duplicate-
+		// assignment window after a holder crash.
+		if g >= n.safeHorizon {
 			break
 		}
 		body := sq.Get(l)

@@ -64,21 +64,6 @@ func (s *Sample) Max() float64 {
 	return s.max
 }
 
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) by nearest-rank on the
 // sorted sample.
 func (s *Sample) Quantile(p float64) float64 {
@@ -112,7 +97,7 @@ func (s *Sample) Summary() string {
 		s.N(), s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max())
 }
 
-// Counter is a monotonically increasing event count with a rate helper.
+// Counter is a monotonically increasing event count.
 type Counter struct {
 	n uint64
 }
@@ -123,75 +108,3 @@ func (c *Counter) Addn(n uint64) { c.n += n }
 
 // Value returns the count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Rate returns events per virtual second over elapsed.
-func (c *Counter) Rate(elapsed sim.Time) float64 {
-	sec := elapsed.Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(c.n) / sec
-}
-
-// Gauge tracks a level and its observed peak.
-type Gauge struct {
-	cur  int64
-	peak int64
-}
-
-// Set assigns the current level.
-func (g *Gauge) Set(v int64) {
-	g.cur = v
-	if v > g.peak {
-		g.peak = v
-	}
-}
-
-// Add adjusts the current level by d.
-func (g *Gauge) Add(d int64) { g.Set(g.cur + d) }
-
-// Value and Peak return the current and maximum levels.
-func (g *Gauge) Value() int64 { return g.cur }
-func (g *Gauge) Peak() int64  { return g.peak }
-
-// Series records (time, value) pairs, e.g. buffer occupancy over time.
-type Series struct {
-	T []sim.Time
-	V []float64
-}
-
-// Record appends one point.
-func (s *Series) Record(t sim.Time, v float64) {
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.T) }
-
-// Max returns the maximum recorded value (0 when empty).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for i, v := range s.V {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MeanAfter averages values recorded at or after t0 (warm-up exclusion).
-func (s *Series) MeanAfter(t0 sim.Time) float64 {
-	var sum float64
-	var n int
-	for i, t := range s.T {
-		if t >= t0 {
-			sum += s.V[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

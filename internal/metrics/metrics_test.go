@@ -12,7 +12,7 @@ import (
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Stddev() != 0 || s.Quantile(0.5) != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
 		t.Fatal("empty sample should answer zeros")
 	}
 }
@@ -46,16 +46,6 @@ func TestSampleAddAfterQuantile(t *testing.T) {
 	s.Add(1)
 	if s.Quantile(0) != 1 {
 		t.Fatal("sample not re-sorted after Add")
-	}
-}
-
-func TestSampleStddev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if math.Abs(s.Stddev()-2) > 1e-12 {
-		t.Fatalf("Stddev = %v", s.Stddev())
 	}
 }
 
@@ -119,42 +109,6 @@ func TestCounter(t *testing.T) {
 	c.Addn(4)
 	if c.Value() != 5 {
 		t.Fatalf("Value = %d", c.Value())
-	}
-	if r := c.Rate(10 * sim.Second); math.Abs(r-0.5) > 1e-12 {
-		t.Fatalf("Rate = %v", r)
-	}
-	if c.Rate(0) != 0 {
-		t.Fatal("Rate over zero time")
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(5)
-	g.Add(-2)
-	g.Add(10)
-	if g.Value() != 13 || g.Peak() != 13 {
-		t.Fatalf("gauge %d/%d", g.Value(), g.Peak())
-	}
-	g.Set(1)
-	if g.Peak() != 13 {
-		t.Fatal("peak regressed")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Max() != 0 || s.MeanAfter(0) != 0 {
-		t.Fatal("empty series")
-	}
-	s.Record(1*sim.Second, 10)
-	s.Record(2*sim.Second, 30)
-	s.Record(3*sim.Second, 20)
-	if s.Len() != 3 || s.Max() != 30 {
-		t.Fatalf("series len=%d max=%v", s.Len(), s.Max())
-	}
-	if m := s.MeanAfter(2 * sim.Second); math.Abs(m-25) > 1e-12 {
-		t.Fatalf("MeanAfter = %v", m)
 	}
 }
 

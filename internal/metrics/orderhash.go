@@ -16,8 +16,8 @@ import (
 // whole delivery logs around.
 //
 // The byte format is "%d:%d:%d;" per delivery — shared by every user so
-// digests from the simulator, the live runtime, and the wire daemon are
-// directly comparable.
+// digests from the simulator and the wire daemon are directly
+// comparable.
 type OrderHash struct {
 	h interface {
 		Write(p []byte) (int, error)

@@ -496,7 +496,7 @@ func TestDLQTornTail(t *testing.T) {
 }
 
 // BenchmarkFileLogAppend sweeps the flush window: sync every k appends
-// emulates the wire group's flush_ms interval at a given delivery
+// emulates the wire group's 25 ms fsync window at a given delivery
 // rate. The ns/op spread between k=1 and k=∞ is the durability cost
 // PERFORMANCE.md reports.
 func BenchmarkFileLogAppend(b *testing.B) {

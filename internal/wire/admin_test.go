@@ -59,7 +59,7 @@ func TestDaemonAdminEndpoints(t *testing.T) {
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{
-			Group:      1,
+			Groups:     []GroupConfig{{ID: 1}},
 			Node:       uint32(i + 1),
 			Listen:     "127.0.0.1:0",
 			Seed:       uint64(2000 + i),
@@ -370,7 +370,7 @@ func TestDaemonAdminInheritedFD(t *testing.T) {
 	nodes := make([]*Node, 2)
 	for i := 0; i < 2; i++ {
 		cfg := Config{
-			Group:      1,
+			Groups:     []GroupConfig{{ID: 1}},
 			Node:       uint32(i + 1),
 			Listen:     "127.0.0.1:0",
 			Seed:       uint64(3000 + i),

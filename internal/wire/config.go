@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -15,10 +16,10 @@ type PeerAddr struct {
 	Addr string `json:"addr"`
 }
 
-// GroupConfig describes one ring group hosted by the daemon (config
-// schema v2). Every daemon in the deployment lists the same groups; each
-// group spans all configured daemons and runs its own engine, driver,
-// membership plane, and token over the shared socket.
+// GroupConfig describes one ring group hosted by the daemon. Every
+// daemon in the deployment lists the same groups; each group spans all
+// configured daemons and runs its own engine, driver, membership plane,
+// and token over the shared socket.
 type GroupConfig struct {
 	// ID is the group id carried in every frame section. Must be
 	// non-zero (0 is the transport's own control channel) and unique
@@ -39,15 +40,12 @@ type GroupConfig struct {
 	// Stream: this group sources Count messages of Payload bytes at
 	// RateHz, starting StartMS after launch. Zero values inherit the
 	// daemon-level defaults (Config.Count etc.); Count < 0 means
-	// "source nothing" explicitly.
+	// "source nothing" explicitly, and stays negative through Normalize
+	// so a second Normalize cannot mistake it for "inherit".
 	Count   int     `json:"count,omitempty"`
 	RateHz  float64 `json:"rate_hz,omitempty"`
 	Payload int     `json:"payload,omitempty"`
 	StartMS int64   `json:"start_ms,omitempty"`
-
-	// Expect is the total deliveries this group waits for; 0 means
-	// Count × members (the symmetric-workload default).
-	Expect uint64 `json:"expect,omitempty"`
 
 	// TracePath, when set, dumps this group's delivery trace ("global
 	// source local" per line) for offline suffix/equality checks.
@@ -64,16 +62,10 @@ type GroupConfig struct {
 }
 
 // Config is a ringnetd daemon's deployment description, read from a
-// small JSON file — schema v2: one daemon, one socket, N groups. Every
-// daemon of the deployment runs the same member list (self included via
-// Node); within each group the sorted member IDs form the top ring and
-// the lowest ID is the ring leader, which injects that group's ordering
-// token.
-//
-// Schema v1 (a top-level "group" id plus flat stream fields) still
-// loads: Normalize lifts it into a one-element Groups array. Mixing the
-// two — a "groups" array next to v1-only fields like "group" or "join"
-// — is rejected, so a half-migrated file fails loudly.
+// small JSON file: one daemon, one socket, N groups. Every daemon of the
+// deployment runs the same member list (self included via Node); within
+// each group the sorted member IDs form the top ring and the lowest ID
+// is the ring leader, which injects that group's ordering token.
 //
 // With Live set, the static list is only the bootstrap epoch of each
 // group: members heartbeat each other per group, a crashed member is
@@ -83,7 +75,6 @@ type GroupConfig struct {
 // solicit).
 type Config struct {
 	Node     uint32     `json:"node"`
-	Role     string     `json:"role"` // "ring" (top-ring ordering member) — the only role today
 	Listen   string     `json:"listen"`
 	ListenFD int        `json:"listen_fd,omitempty"`
 	Peers    []PeerAddr `json:"peers"`
@@ -98,26 +89,18 @@ type Config struct {
 	AdminFD          int    `json:"admin_fd,omitempty"`
 	ReportIntervalMS int64  `json:"report_interval_ms,omitempty"`
 
-	// Groups lists the ring groups this daemon hosts (schema v2). Empty
-	// means a v1 config: the legacy flat fields are lifted into one
-	// group by Normalize.
-	Groups []GroupConfig `json:"groups,omitempty"`
-
-	// Group is the legacy (v1) single-group id. Exclusive with Groups.
-	Group uint32 `json:"group,omitempty"`
+	// Groups lists the ring groups this daemon hosts; at least one.
+	Groups []GroupConfig `json:"groups"`
 
 	// Live enables the membership plane (heartbeats, failure detection,
-	// ring repair, join/leave) for every group. Join is the legacy (v1)
-	// flat join flag; v2 configs set it per group.
+	// ring repair, join/leave) for every group.
 	Live bool `json:"live,omitempty"`
-	Join bool `json:"join,omitempty"`
 
-	// Membership timers (defaults: 150/900/3000/500 ms), shared by all
+	// Membership timers (defaults: 150/900/3000 ms), shared by all
 	// groups.
-	HeartbeatMS  int64 `json:"heartbeat_ms,omitempty"`
-	SuspectMS    int64 `json:"suspect_ms,omitempty"`
-	LameMS       int64 `json:"lame_ms,omitempty"`
-	TokenWatchMS int64 `json:"token_watch_ms,omitempty"`
+	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
+	SuspectMS   int64 `json:"suspect_ms,omitempty"`
+	LameMS      int64 `json:"lame_ms,omitempty"`
 
 	// Fault injection on inbound datagrams (socket layer). DropRules is
 	// the programmable per-peer, time-windowed drop matrix the partition
@@ -128,22 +111,14 @@ type Config struct {
 	DropRules []DropRule `json:"drop_rules,omitempty"`
 
 	// Daemon-level stream defaults, inherited by groups that leave the
-	// matching field zero (and the v1 flat stream fields).
+	// matching field zero.
 	Count   int     `json:"count"`
 	RateHz  float64 `json:"rate_hz"`
 	Payload int     `json:"payload"`
 	StartMS int64   `json:"start_ms"`
 
-	// Expect is the legacy (v1) flat delivery target; v2 configs set it
-	// per group. DeadlineMS bounds the whole run in wall-clock time;
-	// QuiesceMS bounds each group's post-barrier drain (outstanding
-	// retransmissions, token transfer); LingerMS is the minimum time a
-	// member keeps gossiping Done after a group's cluster-wide barrier
-	// before giving up its socket.
-	Expect     uint64 `json:"expect,omitempty"`
-	DeadlineMS int64  `json:"deadline_ms"`
-	QuiesceMS  int64  `json:"quiesce_ms,omitempty"`
-	LingerMS   int64  `json:"linger_ms,omitempty"`
+	// DeadlineMS bounds the whole run in wall-clock time.
+	DeadlineMS int64 `json:"deadline_ms"`
 
 	// IdleMS is the live-mode convergence criterion: with dynamic
 	// membership the exact delivery count is unknowable (a crashed
@@ -152,33 +127,10 @@ type Config struct {
 	// senders drained, and no delivery arrived for IdleMS.
 	IdleMS int64 `json:"idle_ms,omitempty"`
 
-	// BatchUS is the shared outbox's aggregation window in microseconds:
-	// data frames from every group wait up to this long so contiguous
-	// delivery runs produced by different scheduler events — and by
-	// different groups — share datagrams. 0 means the 1000µs default;
-	// negative disables batching (one flush per event).
-	BatchUS int64 `json:"batch_us,omitempty"`
-
 	// DataDir is the daemon-level durability root: groups that leave
 	// their own data_dir empty inherit "<DataDir>/g<ID>". Empty disables
 	// persistence for groups that do not set their own.
 	DataDir string `json:"data_dir,omitempty"`
-
-	// FlushMS is the durable log's fsync cadence in milliseconds: dirty
-	// appends are batched and synced on this timer, bounding the
-	// crash-loss window without paying one fsync per delivery. 0 means
-	// the 25 ms default; negative syncs after every append (maximum
-	// durability, bench the cost before choosing it).
-	FlushMS int64 `json:"flush_ms,omitempty"`
-
-	// SyncRounds is the number of clock-offset ping rounds run against
-	// every configured peer at spawn (0 means the default 4; negative
-	// disables). One daemon-level calibration serves every group.
-	SyncRounds int `json:"sync_rounds,omitempty"`
-
-	// TracePath is the legacy (v1) flat trace path; v2 configs set it
-	// per group.
-	TracePath string `json:"trace_path,omitempty"`
 
 	// TraceSampleMod enables the per-message lifecycle trace plane: a
 	// message whose FNV-1a key hash (group, source, local seq) is
@@ -195,9 +147,6 @@ type Config struct {
 
 // defaults fills zero-valued daemon-level tunables.
 func (c *Config) defaults() {
-	if c.Role == "" {
-		c.Role = "ring"
-	}
 	if c.RateHz <= 0 {
 		c.RateHz = 200
 	}
@@ -210,12 +159,6 @@ func (c *Config) defaults() {
 	if c.DeadlineMS <= 0 {
 		c.DeadlineMS = 30000
 	}
-	if c.QuiesceMS <= 0 {
-		c.QuiesceMS = 500
-	}
-	if c.LingerMS <= 0 {
-		c.LingerMS = 300
-	}
 	if c.HeartbeatMS <= 0 {
 		c.HeartbeatMS = 150
 	}
@@ -225,64 +168,23 @@ func (c *Config) defaults() {
 	if c.LameMS <= 0 {
 		c.LameMS = 3000
 	}
-	if c.TokenWatchMS <= 0 {
-		c.TokenWatchMS = 500
-	}
 	if c.IdleMS <= 0 {
 		c.IdleMS = 1500
 	}
-	if c.BatchUS == 0 {
-		c.BatchUS = 1000
-	}
-	if c.SyncRounds == 0 {
-		c.SyncRounds = 4
-	}
-	if c.FlushMS == 0 {
-		c.FlushMS = 25
-	}
 }
 
-// Normalize validates the config shape and brings it to canonical v2
-// form: daemon defaults filled, a legacy v1 single-group file lifted
-// into a one-element Groups array, and per-group stream fields resolved
-// against the daemon-level defaults. Idempotent; NewNode calls it, but
-// tools that inspect configs may call it directly. Errors name the
-// offending field and what to do about it.
+// Normalize validates the config shape and brings it to canonical form:
+// daemon defaults filled and per-group stream fields resolved against
+// the daemon-level defaults. Idempotent; NewNode calls it, but tools
+// that inspect configs may call it directly. Errors name the offending
+// field and what to do about it.
 func (c *Config) Normalize() error {
 	c.defaults()
-	if c.Role != "ring" {
-		return fmt.Errorf("wire: unsupported role %q (only \"ring\")", c.Role)
-	}
 	if c.Node == 0 {
 		return fmt.Errorf("wire: node id must be non-zero")
 	}
-	if len(c.Groups) > 0 {
-		// v2 shape: the v1-only flat fields must not also be set.
-		switch {
-		case c.Group != 0:
-			return fmt.Errorf("wire: config mixes schemas: top-level \"group\": %d alongside a \"groups\" array — move it into the array as {\"id\": %d, ...}", c.Group, c.Group)
-		case c.Join:
-			return fmt.Errorf("wire: config mixes schemas: top-level \"join\" alongside a \"groups\" array — set \"join\" on the group entries that join")
-		case c.Expect != 0:
-			return fmt.Errorf("wire: config mixes schemas: top-level \"expect\" alongside a \"groups\" array — set \"expect\" per group")
-		case c.TracePath != "":
-			return fmt.Errorf("wire: config mixes schemas: top-level \"trace_path\" alongside a \"groups\" array — set \"trace_path\" per group")
-		}
-	} else {
-		// v1 shape: lift the flat fields into one group. A missing
-		// legacy "group" id defaults to 1.
-		id := c.Group
-		if id == 0 {
-			id = 1
-		}
-		c.Groups = []GroupConfig{{
-			ID:        id,
-			Join:      c.Join,
-			Count:     c.Count,
-			Expect:    c.Expect,
-			TracePath: c.TracePath,
-		}}
-		c.Group, c.Join, c.Expect, c.TracePath = 0, false, 0, ""
+	if len(c.Groups) == 0 {
+		return fmt.Errorf("wire: config hosts no groups: list them in a \"groups\" array, e.g. \"groups\": [{\"id\": 1}] — stream fields a group leaves out inherit the daemon-level count, rate_hz, payload and start_ms")
 	}
 
 	seen := make(map[uint32]int, len(c.Groups))
@@ -321,12 +223,9 @@ func (c *Config) Normalize() error {
 				return fmt.Errorf("wire: group %d: leader %d conflicts with ring election — the lowest member id (%d) leads", g.ID, g.Leader, memberLow)
 			}
 		}
-		// Stream fields: inherit the daemon defaults, then floor.
+		// Stream fields: inherit the daemon defaults.
 		if g.Count == 0 {
 			g.Count = c.Count
-		}
-		if g.Count < 0 {
-			g.Count = 0
 		}
 		if g.RateHz <= 0 {
 			g.RateHz = c.RateHz
@@ -352,16 +251,22 @@ func peerIDs(peers []PeerAddr) []uint32 {
 	return ids
 }
 
-// LoadConfig reads a JSON config file (either schema version; Normalize
-// runs at NewNode).
+// LoadConfig reads a JSON config file (Normalize runs at NewNode). A key
+// the schema does not define is an error, not ignored: a misspelt or
+// retired setting must not silently run with its default.
 func LoadConfig(path string) (Config, error) {
 	var c Config
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return c, err
 	}
-	if err := json.Unmarshal(b, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return c, fmt.Errorf("wire: config %s: %w", path, err)
+	}
+	if dec.More() {
+		return c, fmt.Errorf("wire: config %s: trailing data after the config object", path)
 	}
 	return c, nil
 }

@@ -7,61 +7,11 @@ import (
 	"testing"
 )
 
-// TestConfigV1Lift: a legacy flat config normalizes into the canonical
-// one-element Groups array with the flat fields moved over and cleared,
-// and normalizing again is a no-op (Normalize is idempotent — NewNode
-// and tools may both call it).
-func TestConfigV1Lift(t *testing.T) {
-	c := Config{
-		Node:      3,
-		Group:     7,
-		Listen:    "127.0.0.1:0",
-		Count:     120,
-		Expect:    360,
-		TracePath: "/tmp/trace",
-		Peers:     []PeerAddr{{Node: 1}, {Node: 2}},
-	}
-	if err := c.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Groups) != 1 {
-		t.Fatalf("lifted into %d groups, want 1", len(c.Groups))
-	}
-	g := c.Groups[0]
-	if g.ID != 7 || g.Count != 120 || g.Expect != 360 || g.TracePath != "/tmp/trace" {
-		t.Fatalf("lift lost fields: %+v", g)
-	}
-	if c.Group != 0 || c.Expect != 0 || c.TracePath != "" {
-		t.Fatalf("legacy fields not cleared after lift: Group=%d Expect=%d TracePath=%q",
-			c.Group, c.Expect, c.TracePath)
-	}
-	// Inherited stream defaults land on the group.
-	if g.RateHz != 200 || g.Payload != 64 || g.StartMS != 250 {
-		t.Fatalf("daemon defaults not inherited: %+v", g)
-	}
-	if err := c.Normalize(); err != nil {
-		t.Fatalf("second Normalize: %v", err)
-	}
-	if len(c.Groups) != 1 || c.Groups[0].ID != 7 {
-		t.Fatalf("Normalize not idempotent: %+v", c.Groups)
-	}
-}
-
-// TestConfigV1DefaultGroup: a v1 config with no group id at all gets
-// group 1 — the pre-v2 wire default.
-func TestConfigV1DefaultGroup(t *testing.T) {
-	c := Config{Node: 1, Listen: "127.0.0.1:0", Count: 10}
-	if err := c.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Groups) != 1 || c.Groups[0].ID != 1 {
-		t.Fatalf("default lift: %+v", c.Groups)
-	}
-}
-
 // TestConfigGroupInheritance: per-group stream fields override the
-// daemon-level defaults field by field; Count < 0 means "source
-// nothing" explicitly, distinct from 0 = inherit.
+// daemon-level defaults field by field, which in turn default to
+// 200 msg/s, 64 bytes, 250 ms; Count < 0 means "source nothing"
+// explicitly, distinct from 0 = inherit — and stays distinct through a
+// second Normalize (NewNode and tools may both call it).
 func TestConfigGroupInheritance(t *testing.T) {
 	c := Config{
 		Node:    1,
@@ -76,17 +26,27 @@ func TestConfigGroupInheritance(t *testing.T) {
 			{ID: 3, Count: -1},
 		},
 	}
-	if err := c.Normalize(); err != nil {
+	for call := 1; call <= 2; call++ {
+		if err := c.Normalize(); err != nil {
+			t.Fatalf("Normalize call %d: %v", call, err)
+		}
+		if g := c.Groups[0]; g.Count != 100 || g.RateHz != 500 || g.Payload != 32 || g.StartMS != 400 {
+			t.Fatalf("call %d: group 1 did not inherit daemon defaults: %+v", call, g)
+		}
+		if g := c.Groups[1]; g.Count != 7 || g.RateHz != 50 || g.Payload != 16 || g.StartMS != 10 {
+			t.Fatalf("call %d: group 2 overrides lost: %+v", call, g)
+		}
+		if g := c.Groups[2]; g.Count > 0 {
+			t.Fatalf("call %d: group 3 Count=-1 should mean source-nothing, got Count=%d", call, g.Count)
+		}
+	}
+
+	d := Config{Node: 1, Listen: "127.0.0.1:0", Count: 120, Groups: []GroupConfig{{ID: 7}}}
+	if err := d.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if g := c.Groups[0]; g.Count != 100 || g.RateHz != 500 || g.Payload != 32 || g.StartMS != 400 {
-		t.Fatalf("group 1 did not inherit daemon defaults: %+v", g)
-	}
-	if g := c.Groups[1]; g.Count != 7 || g.RateHz != 50 || g.Payload != 16 || g.StartMS != 10 {
-		t.Fatalf("group 2 overrides lost: %+v", g)
-	}
-	if g := c.Groups[2]; g.Count != 0 {
-		t.Fatalf("group 3 Count=-1 should mean source-nothing, got Count=%d", g.Count)
+	if g := d.Groups[0]; g.ID != 7 || g.Count != 120 || g.RateHz != 200 || g.Payload != 64 || g.StartMS != 250 {
+		t.Fatalf("built-in stream defaults not inherited: %+v", g)
 	}
 }
 
@@ -94,7 +54,8 @@ func TestConfigGroupInheritance(t *testing.T) {
 // that names the problem and the fix.
 func TestConfigValidation(t *testing.T) {
 	base := func() Config {
-		return Config{Node: 1, Listen: "127.0.0.1:0", Peers: []PeerAddr{{Node: 2}, {Node: 3}}}
+		return Config{Node: 1, Listen: "127.0.0.1:0", Peers: []PeerAddr{{Node: 2}, {Node: 3}},
+			Groups: []GroupConfig{{ID: 1}}}
 	}
 	cases := []struct {
 		name    string
@@ -107,46 +68,14 @@ func TestConfigValidation(t *testing.T) {
 			wantSub: "node id",
 		},
 		{
-			name:    "unsupported role",
-			mutate:  func(c *Config) { c.Role = "observer" },
-			wantSub: "unsupported role",
-		},
-		{
 			name:    "duplicate peer",
 			mutate:  func(c *Config) { c.Peers = append(c.Peers, PeerAddr{Node: 2}) },
 			wantSub: "duplicate peer",
 		},
 		{
-			name: "mixed schemas: flat group id",
-			mutate: func(c *Config) {
-				c.Group = 4
-				c.Groups = []GroupConfig{{ID: 4}}
-			},
-			wantSub: "mixes schemas",
-		},
-		{
-			name: "mixed schemas: flat join",
-			mutate: func(c *Config) {
-				c.Live, c.Join = true, true
-				c.Groups = []GroupConfig{{ID: 1}}
-			},
-			wantSub: "mixes schemas",
-		},
-		{
-			name: "mixed schemas: flat expect",
-			mutate: func(c *Config) {
-				c.Expect = 99
-				c.Groups = []GroupConfig{{ID: 1}}
-			},
-			wantSub: "mixes schemas",
-		},
-		{
-			name: "mixed schemas: flat trace path",
-			mutate: func(c *Config) {
-				c.TracePath = "/tmp/t"
-				c.Groups = []GroupConfig{{ID: 1}}
-			},
-			wantSub: "mixes schemas",
+			name:    "no groups",
+			mutate:  func(c *Config) { c.Groups = nil },
+			wantSub: `"groups": [{"id": 1}]`,
 		},
 		{
 			name: "duplicate group ids",
@@ -223,37 +152,60 @@ func TestConfigLeaderAssertionAccepted(t *testing.T) {
 	}
 }
 
-// TestLoadConfigSchemas: both schema versions load from disk; the lift
-// happens at Normalize, so a JSON v1 file and its v2 rewrite normalize
-// to the same canonical shape.
-func TestLoadConfigSchemas(t *testing.T) {
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.json")
-	v2 := filepath.Join(dir, "v2.json")
-	if err := os.WriteFile(v1, []byte(`{"node":1,"listen":"127.0.0.1:0","group":4,"count":50,
-		"peers":[{"node":2,"addr":"127.0.0.1:9002"}]}`), 0o644); err != nil {
-		t.Fatal(err)
+// TestLoadConfigRejectsUnknownKeys: a key the schema does not define —
+// here every key this schema once had and dropped — fails the load with
+// the file and the key named, instead of being ignored and running on a
+// default; and a file that hosts no groups is refused with what to write.
+func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
+	const flat = `"node":1,"listen":"127.0.0.1:0","count":50`
+	const valid = flat + `,"groups":[{"id":4,"join":false}]`
+	load := func(t *testing.T, body string) error {
+		path := filepath.Join(t.TempDir(), "node.json")
+		if err := os.WriteFile(path, []byte("{"+body+"}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := LoadConfig(path)
+		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("load error %q does not name the file", err)
+			}
+			return err
+		}
+		return c.Normalize()
 	}
-	if err := os.WriteFile(v2, []byte(`{"node":1,"listen":"127.0.0.1:0","count":50,
-		"peers":[{"node":2,"addr":"127.0.0.1:9002"}],
-		"groups":[{"id":4}]}`), 0o644); err != nil {
-		t.Fatal(err)
+	if err := load(t, valid); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
-	a, err := LoadConfig(v1)
-	if err != nil {
-		t.Fatal(err)
+	if err := load(t, valid+"} {"); err == nil {
+		t.Fatal("accepted a second JSON value after the config object")
 	}
-	b, err := LoadConfig(v2)
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		key, body string
+	}{
+		// The retired flat schema: no "groups", one ring described at
+		// the top level.
+		{"group", flat + `,"group":4`},
+		{"join", flat + `,"live":true,"join":true`},
+		{"expect", flat + `,"expect":100`},
+		{"trace_path", flat + `,"trace_path":"/tmp/t"`},
+		{"role", valid + `,"role":"ring"`},
+		{"batch_us", valid + `,"batch_us":500`},
+		{"flush_ms", valid + `,"flush_ms":-1`},
+		{"sync_rounds", valid + `,"sync_rounds":2`},
+		{"quiesce_ms", valid + `,"quiesce_ms":100`},
+		{"linger_ms", valid + `,"linger_ms":100`},
+		{"token_watch_ms", valid + `,"token_watch_ms":900`},
+		{"groups", flat},
 	}
-	if err := a.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Groups) != 1 || len(b.Groups) != 1 || a.Groups[0] != b.Groups[0] {
-		t.Fatalf("v1 lift %+v != v2 %+v", a.Groups, b.Groups)
+	for _, r := range rows {
+		t.Run(r.key, func(t *testing.T) {
+			err := load(t, r.body)
+			if err == nil {
+				t.Fatalf("accepted {%s}", r.body)
+			}
+			if want := `"` + r.key + `"`; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		})
 	}
 }

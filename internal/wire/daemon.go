@@ -66,15 +66,15 @@ func NewNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	var window sim.Time
-	if cfg.BatchUS > 0 {
-		window = sim.Time(cfg.BatchUS) // sim.Time is microseconds
-	}
+	// outboxWindow is how long data frames from every group wait in the
+	// shared outbox, so contiguous delivery runs produced by different
+	// scheduler events — and by different groups — share datagrams.
+	const outboxWindow = 1 * sim.Millisecond
 	nd := &Node{
 		cfg:       cfg,
 		self:      self,
 		tr:        tr,
-		ob:        NewSharedOutbox(tr, window),
+		ob:        NewSharedOutbox(tr, outboxWindow),
 		tel:       newNodeTelemetry(cfg.Node, cfg.TraceSampleMod),
 		wallStart: time.Now(),
 		killed:    make(chan struct{}),
@@ -222,10 +222,11 @@ func (nd *Node) Run() (Report, error) {
 	for _, g := range groups {
 		g.start()
 	}
-	if cfg.SyncRounds > 0 && len(cfg.Peers) > 0 {
+	if len(cfg.Peers) > 0 {
 		// Clock-offset calibration against the spawn-time peers; pongs
 		// are folded in at the transport layer while the rings warm up.
-		go nd.tr.SyncClocks(cfg.SyncRounds, 25*time.Millisecond)
+		const clockSyncRounds = 4
+		go nd.tr.SyncClocks(clockSyncRounds, 25*time.Millisecond)
 	}
 
 	// The deadline is shared: a broadcast channel, not time.After, so
@@ -237,8 +238,11 @@ func (nd *Node) Run() (Report, error) {
 	// Periodic live report: the /status snapshot path, one JSON line to
 	// stderr per interval (operators tail it; the harness parses it).
 	reportDone := make(chan struct{})
+	var reporter sync.WaitGroup
 	if cfg.ReportIntervalMS > 0 {
+		reporter.Add(1)
 		go func() {
+			defer reporter.Done()
 			t := time.NewTicker(time.Duration(cfg.ReportIntervalMS) * time.Millisecond)
 			defer t.Stop()
 			for {
@@ -268,6 +272,7 @@ func (nd *Node) Run() (Report, error) {
 	}
 	wg.Wait()
 	close(reportDone)
+	reporter.Wait() // no report line is written after Run returns
 
 	// Teardown only after EVERY group finished: a finished group's
 	// driver may still hold armed shared-outbox flush timers carrying a

@@ -10,14 +10,12 @@ import (
 // UDP sockets and runs them to convergence concurrently. This is the
 // single-process variant of the harness's multi-process cluster test:
 // same engine assembly, same wire path, just shared address space.
-// Configs use the legacy flat "group" field so every in-process cluster
-// test also exercises the v1→v2 compat shim.
 func launchCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []Report {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{
-			Group:      1,
+			Groups:     []GroupConfig{{ID: 1}},
 			Node:       uint32(i + 1),
 			Listen:     "127.0.0.1:0",
 			Seed:       uint64(1000 + i),

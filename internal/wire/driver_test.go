@@ -72,6 +72,7 @@ func TestDriverCallSerialization(t *testing.T) {
 	if now <= 0 {
 		t.Fatal("virtual clock did not advance")
 	}
+	drv.Stop() // joins the loop: the read below is ordered after every racy++
 	_ = racy
 }
 

@@ -22,8 +22,7 @@
 //   - bridge.go:    the splice between one group's internal/core instance
 //     and the shared outbox — remote ring members appear as
 //     forwarding endpoints on the group's netsim substrate;
-//   - config.go:    the groups-first daemon config (schema v2) and the
-//     legacy single-group shim;
+//   - config.go:    the groups-first daemon config;
 //   - report.go:    the per-group + daemon-aggregate status report
 //     (schema v2);
 //   - group.go:     one hosted ring group: engine, driver, bridge,

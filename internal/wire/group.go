@@ -54,8 +54,7 @@ func protocolConfig() core.Config {
 
 // ringGroup is one hosted ring group: its own engine, scheduler, driver
 // goroutine, bridge onto the shared outbox, membership plane, workload,
-// and convergence barrier — the single-group daemon of earlier schema
-// versions, now N-per-process. Everything below the transport is
+// and convergence barrier. Everything below the transport is
 // group-private; the federation (daemon.go) owns what is shared.
 type ringGroup struct {
 	nd      *Node
@@ -89,7 +88,6 @@ type ringGroup struct {
 	// only, except the final Close at federation teardown.
 	dlog           *store.FileLog
 	dlq            *store.DLQ
-	syncEach       bool // flush_ms < 0: fsync after every append
 	storeErr       error
 	resumedAt      seq.GlobalSeq
 	discLo, discHi seq.GlobalSeq
@@ -112,7 +110,7 @@ type ringGroup struct {
 // the group's receive hooks on the transport. The driver is built but
 // not started — the federation starts every group after the transport
 // reader is up.
-func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, error) {
+func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, err error) {
 	cfg := nd.cfg
 	g := &ringGroup{
 		nd:        nd,
@@ -129,6 +127,12 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 		wallStart: wallStart,
 		tel:       nd.tel.group(gc.ID),
 	}
+	defer func() {
+		if err != nil {
+			g.closeStore()
+			g.closeTrace()
+		}
+	}()
 
 	// Identical hierarchy in every process: one top ring of all members.
 	// A joiner starts ringless; its first RingUpdate splices it in.
@@ -179,25 +183,20 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 	// checks would reject a correct resume.
 	if gc.DataDir != "" {
 		if err := os.MkdirAll(gc.DataDir, 0o755); err != nil {
-			g.closeTrace()
 			return nil, err
 		}
 		dl, err := store.OpenFileLog(gc.DataDir, store.FileLogOptions{})
 		if err != nil {
-			g.closeTrace()
 			return nil, err
 		}
 		g.dlog = dl
 		dl.SetTelemetry(g.tel.storeTel)
 		dq, err := store.OpenDLQ(gc.DataDir)
 		if err != nil {
-			dl.Close()
-			g.closeTrace()
 			return nil, fmt.Errorf("wire: group %d dead-letter queue: %w", gc.ID, err)
 		}
 		g.dlq = dq
 		dq.SetDepthGauge(g.tel.dlqDepth)
-		g.syncEach = cfg.FlushMS < 0
 		if err := dl.Replay(func(r store.Record) error {
 			g.oh.Note(r.Global, r.Source, r.Local)
 			if g.trace != nil {
@@ -205,8 +204,6 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 			}
 			return nil
 		}); err != nil {
-			g.closeStore()
-			g.closeTrace()
 			return nil, fmt.Errorf("wire: group %d log replay: %w", gc.ID, err)
 		}
 	}
@@ -222,15 +219,6 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 			err := g.dlog.Append(store.Record{
 				Global: d.GlobalSeq, Source: d.SourceNode, Local: d.LocalSeq, Payload: d.Payload,
 			})
-			if err == nil && g.syncEach {
-				if tr := g.tel.tracer; tr.Active() {
-					t0 := time.Now()
-					err = g.dlog.Sync()
-					tr.Annotate(telemetry.StageFsync, g.gid, uint64(d.GlobalSeq), time.Since(t0).Nanoseconds(), "sync-each")
-				} else {
-					err = g.dlog.Sync()
-				}
-			}
 			if err != nil && g.storeErr == nil {
 				g.storeErr = err
 				fmt.Fprintf(os.Stderr, "wire: group %d durable log: %v\n", g.gid, err)
@@ -301,29 +289,22 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 	g.br.Expose(g.peers)
 	for _, p := range cfg.Peers {
 		if p.Addr == "" {
-			g.closeStore()
-			g.closeTrace()
 			return nil, fmt.Errorf("wire: peer %d has no address", p.Node)
 		}
 		if err := g.port.AddPeer(seq.NodeID(p.Node), p.Addr); err != nil {
-			g.closeStore()
-			g.closeTrace()
 			return nil, err
 		}
 	}
 	if err := g.e.StartLocal(g.self); err != nil {
-		g.closeStore()
-		g.closeTrace()
 		return nil, err
 	}
 
 	// Live membership plane.
 	if cfg.Live {
 		tun := MemberTunables{
-			Heartbeat:  sim.Time(cfg.HeartbeatMS) * sim.Millisecond,
-			Suspect:    sim.Time(cfg.SuspectMS) * sim.Millisecond,
-			Lame:       sim.Time(cfg.LameMS) * sim.Millisecond,
-			TokenWatch: sim.Time(cfg.TokenWatchMS) * sim.Millisecond,
+			Heartbeat: sim.Time(cfg.HeartbeatMS) * sim.Millisecond,
+			Suspect:   sim.Time(cfg.SuspectMS) * sim.Millisecond,
+			Lame:      sim.Time(cfg.LameMS) * sim.Millisecond,
 		}
 		var initial map[seq.NodeID]string
 		var seeds []PeerAddr
@@ -358,8 +339,9 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 		}
 	}
 
-	g.expected = gc.Expect
-	if g.expected == 0 && !cfg.Live {
+	// The symmetric-workload delivery target; with live membership the
+	// count is unknowable and convergence is by quiescence instead.
+	if !cfg.Live && gc.Count > 0 {
 		g.expected = uint64(gc.Count) * uint64(len(g.members))
 	}
 
@@ -412,8 +394,6 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (*ringGroup, er
 		}
 	}
 	if err := nd.tr.Register(g.gid, hooks); err != nil {
-		g.closeStore()
-		g.closeTrace()
 		return nil, err
 	}
 	return g, nil
@@ -495,9 +475,11 @@ func (g *ringGroup) start() {
 		// Batched durability: dirty appends ride one fsync per flush
 		// window instead of one per delivery. Sync is a no-op while the
 		// log is clean, so idle groups cost nothing.
-		if g.dlog != nil && !g.syncEach {
-			flush := sim.Time(cfg.FlushMS) * sim.Millisecond
-			g.sched.Every(flush, func() {
+		if g.dlog != nil {
+			// 25 ms bounds the crash-loss window; BenchmarkFileLogAppend
+			// (internal/store) measures what other cadences would cost.
+			const fsyncWindow = 25 * sim.Millisecond
+			g.sched.Every(fsyncWindow, func() {
 				var err error
 				tr := g.tel.tracer
 				var t0 time.Time
@@ -611,7 +593,9 @@ func (g *ringGroup) start() {
 		evictedAt := sim.Time(0)
 		phase := 0 // 0 = converging, 1 = draining
 		var barrierAt sim.Time
-		quiesce := sim.Time(cfg.QuiesceMS) * sim.Millisecond
+		// quiesce bounds the post-barrier (and post-eviction) drain of
+		// outstanding retransmissions and the token transfer.
+		const quiesce = 500 * sim.Millisecond
 		var tick, beaconTick *sim.Ticker
 		lastDelivered := uint64(0)
 		// The convergence check backs off to 100ms while nothing is
@@ -625,7 +609,7 @@ func (g *ringGroup) start() {
 			lastDelivered = g.delivered
 			if g.ms != nil && g.ms.Evicted() {
 				// Graceful leave (or eviction): serve retransmissions
-				// until our couriers drain — bounded by QuiesceMS, so a
+				// until our couriers drain — bounded by quiesce, so a
 				// transfer stuck on an unreachable peer cannot pin the
 				// process to its deadline.
 				if evictedAt == 0 {
@@ -660,7 +644,7 @@ func (g *ringGroup) start() {
 					active = true
 				}
 				// Post-barrier drain (trailing retransmissions, the token
-				// settling between rotations), bounded by QuiesceMS.
+				// settling between rotations), bounded by quiesce.
 				if (g.e.Quiesced() && g.e.NE(g.self).TokenIdle()) ||
 					g.sched.Now()-barrierAt >= quiesce {
 					tick.Stop() // no further ticks fire after Stop
@@ -691,8 +675,11 @@ func (g *ringGroup) run(deadline <-chan struct{}) (GroupReport, error) {
 	cfg := g.nd.cfg
 	ok := false
 	didLeave := false
+	// lingerFor is the minimum time a member keeps gossiping Done after
+	// the group's cluster-wide barrier before giving up its socket.
+	const lingerFor = 300 * time.Millisecond
 	linger := func() {
-		lt := time.After(time.Duration(cfg.LingerMS) * time.Millisecond)
+		lt := time.After(lingerFor)
 		select {
 		case <-lt:
 		case <-deadline:

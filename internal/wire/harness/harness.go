@@ -94,11 +94,9 @@ type Options struct {
 	StartMS    int64
 	DeadlineMS int64
 
-	// Groups lists the ring groups every member hosts (config schema
-	// v2): each entry's zero stream fields inherit the cluster-level
-	// Count/RateHz/Payload/StartMS. Empty means one group — emitted as a
-	// legacy v1 flat config, so single-group clusters keep exercising
-	// the compat shim end to end.
+	// Groups lists the ring groups every member hosts: each entry's zero
+	// stream fields inherit the cluster-level Count/RateHz/Payload/
+	// StartMS. Empty means one group, id 1.
 	Groups []wire.GroupConfig
 
 	// Admin serves each member's observability endpoint (/metrics,
@@ -176,9 +174,10 @@ type Member struct {
 	// live for every incarnation of the member: the listener is bound by
 	// the harness and inherited, so it survives kill+restart.
 	AdminAddr string
-	// TracePath is the single-group delivery trace (legacy runs);
-	// TracePaths keys each hosted group's trace by group id (always
-	// populated when Options.Trace is set, single-group included).
+	// TracePath is the delivery trace of a single-group run
+	// (Options.Groups empty); TracePaths keys each hosted group's trace
+	// by group id (always populated when Options.Trace is set,
+	// single-group included).
 	TracePath  string
 	TracePaths map[uint32]string
 	// SpanPath is the member's lifecycle-span dump (Options.SpanSample),
@@ -277,148 +276,27 @@ func Run(opts Options) ([]Member, error) {
 	members := make([]Member, n)
 	cfgPaths := make([]string, n)
 	restartPaths := make([]string, n)
+	writeConfig := func(cfg wire.Config, name string) (string, error) {
+		b, err := json.MarshalIndent(cfg, "", "  ")
+		if err != nil {
+			return "", err
+		}
+		path := filepath.Join(opts.Dir, name)
+		return path, os.WriteFile(path, b, 0o644)
+	}
 	for i := 0; i < n; i++ {
-		spec := opts.Specs[i]
-		if spec.Join && !opts.Live {
-			return nil, fmt.Errorf("harness: member %d joins but Options.Live is off", i+1)
-		}
-		if spec.RestartAfterMS > 0 {
-			switch {
-			case !opts.Live:
-				return nil, fmt.Errorf("harness: member %d restarts but Options.Live is off", i+1)
-			case spec.KillAfterMS <= 0:
-				return nil, fmt.Errorf("harness: member %d: RestartAfterMS requires KillAfterMS (the first incarnation must die first)", i+1)
-			case spec.RestartAfterMS <= spec.KillAfterMS:
-				return nil, fmt.Errorf("harness: member %d: RestartAfterMS (%d) must exceed KillAfterMS (%d)", i+1, spec.RestartAfterMS, spec.KillAfterMS)
-			}
-		}
-		cfg := wire.Config{
-			Node:        uint32(i + 1),
-			ListenFD:    3,
-			Live:        opts.Live,
-			HeartbeatMS: opts.HeartbeatMS,
-			SuspectMS:   opts.SuspectMS,
-			LameMS:      opts.LameMS,
-			IdleMS:      opts.IdleMS,
-			Seed:        opts.Seed + uint64(i)*7919,
-			Loss:        opts.Loss,
-			JitterUS:    opts.JitterUS,
-			Count:       opts.Count,
-			RateHz:      opts.RateHz,
-			Payload:     opts.Payload,
-			StartMS:     opts.StartMS,
-			DeadlineMS:  opts.DeadlineMS,
-		}
 		if opts.Admin {
-			cfg.AdminFD = 4 // ExtraFiles[1]
 			members[i].AdminAddr = adminAddrs[i]
 		}
-		cfg.ReportIntervalMS = opts.ReportIntervalMS
-		if spec.Count > 0 {
-			cfg.Count = spec.Count
-		} else if spec.Count < 0 {
-			cfg.Count = 0
-		}
-		cfg.DataDir = spec.DataDir
-		if len(opts.Groups) > 0 {
-			// Schema v2: one entry per hosted group, with per-(member,
-			// group) overrides folded in. Group fields left zero inherit
-			// the daemon-level stream defaults above.
-			gs := make([]wire.GroupConfig, len(opts.Groups))
-			copy(gs, opts.Groups)
-			members[i].TracePaths = make(map[uint32]string)
-			for gi := range gs {
-				g := &gs[gi]
-				g.Join = g.Join || spec.Join
-				if ov, ok := spec.Groups[g.ID]; ok {
-					if ov.Count != 0 {
-						g.Count = ov.Count
-					}
-				}
-				if opts.Trace {
-					p := filepath.Join(opts.Dir, fmt.Sprintf("trace%d_g%d", i+1, g.ID))
-					g.TracePath = p
-					members[i].TracePaths[g.ID] = p
-				}
-			}
-			cfg.Groups = gs
-		} else {
-			// Legacy v1 flat schema — deliberate: every single-group
-			// cluster run also exercises the config compat shim.
-			cfg.Group = 1
-			cfg.Join = spec.Join
-		}
-		cfg.DropRules = append(cfg.DropRules, spec.Drops...)
-		for _, sw := range opts.Splits {
-			if !opts.Live {
-				return nil, fmt.Errorf("harness: Splits require Options.Live")
-			}
-			var far []int
-			if containsIndex(sw.A, i) {
-				far = sw.B
-			} else if containsIndex(sw.B, i) {
-				far = sw.A
-			}
-			for _, j := range far {
-				cfg.DropRules = append(cfg.DropRules, wire.DropRule{
-					From: uint32(j + 1), FromMS: sw.FromMS, UntilMS: sw.UntilMS, Prob: 1,
-				})
-			}
-		}
-		if opts.Trace && len(opts.Groups) == 0 {
-			members[i].TracePath = filepath.Join(opts.Dir, fmt.Sprintf("trace%d", i+1))
-			cfg.TracePath = members[i].TracePath
-			members[i].TracePaths = map[uint32]string{1: members[i].TracePath}
-		}
-		if opts.SpanSample > 0 {
-			cfg.TraceSampleMod = opts.SpanSample
-			members[i].SpanPath = filepath.Join(opts.Dir, fmt.Sprintf("spans%d.ndjson", i+1))
-			cfg.SpanPath = members[i].SpanPath
-		}
-		// A bootstrap member's peers are the other bootstrap members; a
-		// joiner's peers are its seeds — the whole bootstrap ring.
-		for _, j := range initial {
-			if j != i {
-				cfg.Peers = append(cfg.Peers, wire.PeerAddr{Node: uint32(j + 1), Addr: addrs[j]})
-			}
-		}
-		b, err := json.MarshalIndent(cfg, "", "  ")
+		cfg, err := memberConfig(opts, i, initial, addrs, &members[i])
 		if err != nil {
 			return nil, err
 		}
-		cfgPaths[i] = filepath.Join(opts.Dir, fmt.Sprintf("node%d.json", i+1))
-		if err := os.WriteFile(cfgPaths[i], b, 0o644); err != nil {
+		if cfgPaths[i], err = writeConfig(cfg, fmt.Sprintf("node%d.json", i+1)); err != nil {
 			return nil, err
 		}
-		if spec.RestartAfterMS > 0 {
-			// The restarted incarnation rejoins the running ring in join
-			// mode (its bootstrap peers are the seeds) and sources
-			// nothing: its local-sequence space was consumed by the
-			// killed incarnation and is not recovered, so re-sourcing
-			// would collide with the peers' high-water marks. Same
-			// DataDir, so it recovers the durable front and asks to
-			// resume there; same TracePath — the recovered prefix is
-			// replayed into the fresh trace, so the final file is the
-			// full stream, not just the second incarnation's suffix.
-			rc := cfg
-			if len(rc.Groups) > 0 {
-				gs := make([]wire.GroupConfig, len(rc.Groups))
-				copy(gs, rc.Groups)
-				for gi := range gs {
-					gs[gi].Join = true
-					gs[gi].Count = -1
-				}
-				rc.Groups = gs
-			} else {
-				rc.Join = true
-				rc.Count = -1
-			}
-			rb, err := json.MarshalIndent(rc, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			restartPaths[i] = filepath.Join(opts.Dir, fmt.Sprintf("node%d.restart.json", i+1))
-			if err := os.WriteFile(restartPaths[i], rb, 0o644); err != nil {
+		if opts.Specs[i].RestartAfterMS > 0 {
+			if restartPaths[i], err = writeConfig(restartConfig(cfg), fmt.Sprintf("node%d.restart.json", i+1)); err != nil {
 				return nil, err
 			}
 		}
@@ -607,6 +485,130 @@ func Run(opts Options) ([]Member, error) {
 	}
 	wg.Wait()
 	return members, firstErr
+}
+
+// memberConfig builds the daemon config of member i (0-based) and
+// records on m the trace and span paths the config names. initial lists
+// the bootstrap members' indexes, addrs every member's bound socket
+// address.
+func memberConfig(opts Options, i int, initial []int, addrs []string, m *Member) (wire.Config, error) {
+	spec := opts.Specs[i]
+	if spec.Join && !opts.Live {
+		return wire.Config{}, fmt.Errorf("harness: member %d joins but Options.Live is off", i+1)
+	}
+	if spec.RestartAfterMS > 0 {
+		switch {
+		case !opts.Live:
+			return wire.Config{}, fmt.Errorf("harness: member %d restarts but Options.Live is off", i+1)
+		case spec.KillAfterMS <= 0:
+			return wire.Config{}, fmt.Errorf("harness: member %d: RestartAfterMS requires KillAfterMS (the first incarnation must die first)", i+1)
+		case spec.RestartAfterMS <= spec.KillAfterMS:
+			return wire.Config{}, fmt.Errorf("harness: member %d: RestartAfterMS (%d) must exceed KillAfterMS (%d)", i+1, spec.RestartAfterMS, spec.KillAfterMS)
+		}
+	}
+	cfg := wire.Config{
+		Node:             uint32(i + 1),
+		ListenFD:         3,
+		Live:             opts.Live,
+		HeartbeatMS:      opts.HeartbeatMS,
+		SuspectMS:        opts.SuspectMS,
+		LameMS:           opts.LameMS,
+		IdleMS:           opts.IdleMS,
+		Seed:             opts.Seed + uint64(i)*7919,
+		Loss:             opts.Loss,
+		JitterUS:         opts.JitterUS,
+		Count:            opts.Count,
+		RateHz:           opts.RateHz,
+		Payload:          opts.Payload,
+		StartMS:          opts.StartMS,
+		DeadlineMS:       opts.DeadlineMS,
+		ReportIntervalMS: opts.ReportIntervalMS,
+		DataDir:          spec.DataDir,
+	}
+	if opts.Admin {
+		cfg.AdminFD = 4 // ExtraFiles[1]
+	}
+	if spec.Count > 0 {
+		cfg.Count = spec.Count
+	} else if spec.Count < 0 {
+		cfg.Count = 0
+	}
+	// One entry per hosted group, with per-(member, group) overrides
+	// folded in. Group fields left zero inherit the daemon-level stream
+	// defaults above. A single-group cluster hosts group 1 and keeps the
+	// trace file name without a group suffix.
+	single := len(opts.Groups) == 0
+	if single {
+		cfg.Groups = []wire.GroupConfig{{ID: 1}}
+	} else {
+		cfg.Groups = append([]wire.GroupConfig(nil), opts.Groups...)
+	}
+	if opts.Trace {
+		m.TracePaths = make(map[uint32]string)
+	}
+	for gi := range cfg.Groups {
+		g := &cfg.Groups[gi]
+		g.Join = g.Join || spec.Join
+		if ov := spec.Groups[g.ID]; ov.Count != 0 {
+			g.Count = ov.Count
+		}
+		if opts.Trace {
+			g.TracePath = filepath.Join(opts.Dir, fmt.Sprintf("trace%d_g%d", i+1, g.ID))
+			if single {
+				g.TracePath = filepath.Join(opts.Dir, fmt.Sprintf("trace%d", i+1))
+				m.TracePath = g.TracePath
+			}
+			m.TracePaths[g.ID] = g.TracePath
+		}
+	}
+	cfg.DropRules = append(cfg.DropRules, spec.Drops...)
+	for _, sw := range opts.Splits {
+		if !opts.Live {
+			return wire.Config{}, fmt.Errorf("harness: Splits require Options.Live")
+		}
+		var far []int
+		if containsIndex(sw.A, i) {
+			far = sw.B
+		} else if containsIndex(sw.B, i) {
+			far = sw.A
+		}
+		for _, j := range far {
+			cfg.DropRules = append(cfg.DropRules, wire.DropRule{
+				From: uint32(j + 1), FromMS: sw.FromMS, UntilMS: sw.UntilMS, Prob: 1,
+			})
+		}
+	}
+	if opts.SpanSample > 0 {
+		cfg.TraceSampleMod = opts.SpanSample
+		m.SpanPath = filepath.Join(opts.Dir, fmt.Sprintf("spans%d.ndjson", i+1))
+		cfg.SpanPath = m.SpanPath
+	}
+	// A bootstrap member's peers are the other bootstrap members; a
+	// joiner's peers are its seeds — the whole bootstrap ring.
+	for _, j := range initial {
+		if j != i {
+			cfg.Peers = append(cfg.Peers, wire.PeerAddr{Node: uint32(j + 1), Addr: addrs[j]})
+		}
+	}
+	return cfg, nil
+}
+
+// restartConfig derives a killed member's second-incarnation config: it
+// rejoins the running ring in join mode (its bootstrap peers are the
+// seeds) and sources nothing — its local-sequence space was consumed by
+// the killed incarnation and is not recovered, so re-sourcing would
+// collide with the peers' high-water marks. Same DataDir, so it recovers
+// the durable front and asks to resume there; same TracePath — the
+// recovered prefix is replayed into the fresh trace, so the final file
+// is the full stream, not just the second incarnation's suffix.
+func restartConfig(cfg wire.Config) wire.Config {
+	gs := append([]wire.GroupConfig(nil), cfg.Groups...)
+	for gi := range gs {
+		gs[gi].Join = true
+		gs[gi].Count = -1
+	}
+	cfg.Groups = gs
+	return cfg
 }
 
 // proc supervises one member slot across its incarnations: cur is the

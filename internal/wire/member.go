@@ -110,21 +110,12 @@ type MemberTunables struct {
 	// peer set so in-flight drains (token handoff acks, Nack service)
 	// complete before the endpoint vanishes.
 	Lame sim.Time
-	// TokenWatch re-emits the Token-Loss signal after this much token
-	// silence at a member that has seen the token before. It must be at
-	// least the core's TokenLossThreshold or the signal is ignored.
-	TokenWatch sim.Time
 }
 
-// DefaultMemberTunables suits loopback/LAN rings.
-func DefaultMemberTunables() MemberTunables {
-	return MemberTunables{
-		Heartbeat:  150 * sim.Millisecond,
-		Suspect:    900 * sim.Millisecond,
-		Lame:       3 * sim.Second,
-		TokenWatch: 500 * sim.Millisecond,
-	}
-}
+// tokenWatch is how much token silence, at a member that has seen the
+// token before, re-emits the Token-Loss signal. It must be at least the
+// core's TokenLossThreshold or the signal is ignored.
+const tokenWatch = 500 * sim.Millisecond
 
 // proposal is a staged next-epoch reconfiguration awaiting quorum. The
 // voter set is the membership of the PREVIOUS epoch (the one being
@@ -658,7 +649,7 @@ func (m *Membership) tokenWatchdog(now sim.Time) {
 	if !seen {
 		return
 	}
-	if now-last > m.cfg.TokenWatch && now-m.lastTokenSignal > m.cfg.TokenWatch {
+	if now-last > tokenWatch && now-m.lastTokenSignal > tokenWatch {
 		m.lastTokenSignal = now
 		m.TokenSignals++
 		m.tel.tokenSignals.Inc()

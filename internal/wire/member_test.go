@@ -19,7 +19,7 @@ func launchLive(t *testing.T, n int, mutate func(i int, cfg *Config), delays map
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{
-			Group:      1,
+			Groups:     []GroupConfig{{ID: 1}},
 			Node:       uint32(i + 1),
 			Listen:     "127.0.0.1:0",
 			Live:       true,
@@ -147,7 +147,7 @@ func TestLiveGracefulLeave(t *testing.T) {
 	}
 	dir := t.TempDir()
 	reports, errs := launchLive(t, 3, func(i int, cfg *Config) {
-		cfg.TracePath = filepath.Join(dir, fmt.Sprintf("trace%d", i+1))
+		cfg.Groups[0].TracePath = filepath.Join(dir, fmt.Sprintf("trace%d", i+1))
 		if i == 2 {
 			cfg.Count = 30 // the leaver sources less, then departs
 		}
@@ -210,9 +210,9 @@ func TestLiveJoinInProcess(t *testing.T) {
 	}
 	dir := t.TempDir()
 	reports, errs := launchLive(t, 3, func(i int, cfg *Config) {
-		cfg.TracePath = filepath.Join(dir, fmt.Sprintf("trace%d", i+1))
+		cfg.Groups[0].TracePath = filepath.Join(dir, fmt.Sprintf("trace%d", i+1))
 		if i == 2 {
-			cfg.Join = true
+			cfg.Groups[0].Join = true
 			cfg.Count = 20
 			cfg.StartMS = 100
 			cfg.Peers = []PeerAddr{{Node: 1}, {Node: 2}}
@@ -280,7 +280,7 @@ func TestLiveJoinerLeaves(t *testing.T) {
 	}
 	reports, errs := launchLive(t, 3, func(i int, cfg *Config) {
 		if i == 2 {
-			cfg.Join = true
+			cfg.Groups[0].Join = true
 			cfg.Count = 15
 			cfg.StartMS = 100
 			cfg.Peers = []PeerAddr{{Node: 1}, {Node: 2}}

@@ -138,11 +138,10 @@ func (r *Report) ByGroup(id uint32) *GroupReport {
 	return nil
 }
 
-// Single returns the report entry of a single-group daemon — the natural
-// accessor for legacy (v1) deployments lifted through the compat shim.
-// It panics if the daemon hosts more than one group (callers wanting a
-// specific one should use ByGroup) and returns an empty zero-group entry
-// if the run died before producing any.
+// Single returns the report entry of a single-group daemon. It panics
+// if the daemon hosts more than one group (callers wanting a specific
+// one should use ByGroup) and returns an empty zero-group entry if the
+// run died before producing any.
 func (r *Report) Single() *GroupReport {
 	if len(r.Groups) > 1 {
 		panic("wire: Report.Single on a multi-group daemon")
