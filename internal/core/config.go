@@ -2,12 +2,13 @@
 // multicast protocol (paper §4): the Message-Ordering, Order-Assignment,
 // Message-Forwarding, and Message-Delivering algorithms, plus
 // Token-Regeneration and Multiple-Token resolution, running over the
-// topology, transport, and netsim substrates.
+// topology and transport packages and whatever Network the engine is given
+// (the simulator's netsim, or the wire plane's outbox substrate).
 //
 // Every network entity (NE) is an independent state machine holding only
-// its local neighbor view; the engine wires NEs to the simulated network
-// and injects workload. Mobile hosts (MHs) are lightweight receivers
-// beneath the bottom APs.
+// its local neighbor view; the engine registers NEs on its Network and
+// injects workload. Mobile hosts (MHs) are lightweight receivers beneath
+// the bottom APs.
 package core
 
 import (

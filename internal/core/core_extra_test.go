@@ -242,7 +242,7 @@ func TestChurnPropertyRandomOps(t *testing.T) {
 			return false
 		}
 		for _, id := range e.NEs() {
-			if err := e.QueueOf(id).Validate(); err != nil {
+			if err := e.NE(id).MQ().Validate(); err != nil {
 				t.Logf("MQ %v: %v", id, err)
 				return false
 			}

@@ -162,7 +162,7 @@ func TestBuffersBoundedAndReleased(t *testing.T) {
 	// After quiescence every MQ must have been garbage-collected down
 	// to the retention margin.
 	for _, id := range r.e.NEs() {
-		q := r.e.QueueOf(id)
+		q := r.e.NE(id).MQ()
 		if q.Len() > r.e.Cfg.RetainExtra {
 			t.Fatalf("node %v MQ not released: %v", id, q)
 		}
@@ -177,7 +177,7 @@ func TestMQValidateEverywhere(t *testing.T) {
 	r.pump([]seq.NodeID{r.b.BRs[0]}, 50, 1*sim.Millisecond, 10*sim.Millisecond)
 	r.run(5 * sim.Second)
 	for _, id := range r.e.NEs() {
-		if err := r.e.QueueOf(id).Validate(); err != nil {
+		if err := r.e.NE(id).MQ().Validate(); err != nil {
 			t.Fatalf("node %v: %v", id, err)
 		}
 	}

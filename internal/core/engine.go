@@ -2,17 +2,37 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/netsim"
-	"repro/internal/queue"
 	"repro/internal/seq"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
+
+// Network is everything the protocol core asks of whatever carries it,
+// written down once: the three message-path calls a reliable hop uses
+// (transport.Network), endpoint and link bookkeeping for the nodes the
+// engine spawns, crash injection, and the send accounting behind
+// ControlReport. *netsim.Network is the simulated implementation; the
+// wire plane supplies the other over its shared outbox, where every peer
+// is one socket hop away and the link and crash calls have nothing to do.
+type Network interface {
+	transport.Network
+	Register(id seq.NodeID, h netsim.Handler)
+	Unregister(id seq.NodeID)
+	Connect(a, b seq.NodeID, p netsim.LinkParams)
+	Disconnect(a, b seq.NodeID)
+	Linked(from, to seq.NodeID) bool
+	Crash(id seq.NodeID)
+	Recover(id seq.NodeID)
+	Stats() netsim.Stats
+}
+
+var _ Network = (*netsim.Network)(nil)
 
 // Telemetry is the engine's live-instrumentation bundle: a set of
 // possibly-nil instruments owned by an external registry (the wire
@@ -70,13 +90,13 @@ func HostOf(id seq.NodeID) seq.HostID {
 	return 0
 }
 
-// Engine owns one protocol instance: the hierarchy, the simulated
-// network, all NE state machines and MH receivers, and the workload
+// Engine owns one protocol instance: the hierarchy, the network it runs
+// over, all NE state machines and MH receivers, and the workload
 // interface. It is the unit the benchmarks and examples drive.
 type Engine struct {
 	Group seq.GroupID
 	Cfg   Config
-	Net   *netsim.Network
+	Net   Network
 	H     *topology.Hierarchy
 	Log   *metrics.DeliveryLog
 
@@ -116,7 +136,7 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over an existing hierarchy and network.
-func NewEngine(group seq.GroupID, cfg Config, net *netsim.Network, h *topology.Hierarchy) *Engine {
+func NewEngine(group seq.GroupID, cfg Config, net Network, h *topology.Hierarchy) *Engine {
 	return &Engine{
 		Group:        group,
 		Cfg:          cfg,
@@ -213,41 +233,20 @@ func (e *Engine) Start() error {
 // StartLocal instantiates ONLY the network entity for id — the
 // single-process slice of a multi-process deployment (cmd/ringnetd).
 // Every process builds the identical hierarchy from the shared ring
-// config and spawns just its own node; the remaining members must be
-// registered on the local network substrate as forwarding endpoints (the
-// wire bridge's job) before any traffic flows. Links are wired for the
-// hops incident to id; the ordering token is injected only in the
-// top-ring leader's process, so exactly one token is born cluster-wide.
+// config and spawns just its own node; the engine's Network carries sends
+// to the other members, which live in other processes. The ordering token
+// is injected only in the top-ring leader's process, so exactly one token
+// is born cluster-wide.
 func (e *Engine) StartLocal(id seq.NodeID) error {
 	if e.started {
 		return fmt.Errorf("core: engine already started")
 	}
-	node := e.H.Node(id)
-	if node == nil {
+	if e.H.Node(id) == nil {
 		return fmt.Errorf("core: unknown node %v", id)
 	}
 	e.started = true
 	if err := e.spawnNE(id); err != nil {
 		return err
-	}
-	// Wire the links this node's hops use; the remote ends are bridge
-	// endpoints, not local NEs.
-	if r := e.H.RingOf(id); r != nil {
-		if nx, ok := r.Next(id); ok && nx != id {
-			e.Net.Connect(id, nx, e.WiredLink)
-		}
-		if pv, ok := r.Prev(id); ok && pv != id {
-			e.Net.Connect(id, pv, e.WiredLink)
-		}
-	}
-	if node.Parent != seq.None {
-		e.Net.Connect(id, node.Parent, e.WiredLink)
-	}
-	for _, c := range node.Candidates {
-		e.Net.Connect(id, c, e.WiredLink)
-	}
-	for _, c := range node.Children {
-		e.Net.Connect(id, c, e.WiredLink)
 	}
 	e.nes[id].refreshNeighbors()
 	if top := e.H.TopRing(); top != nil && top.Leader() == id {
@@ -371,7 +370,7 @@ func (e *Engine) Submit(corr seq.NodeID, payload []byte) (seq.LocalSeq, error) {
 	e.local[corr]++
 	l := e.local[corr]
 	e.Tel.Trace.Span(telemetry.StagePublish, uint32(e.Group), uint32(corr), uint64(l), 0, 0)
-	e.Log.Sent(corr, l, e.Net.Now())
+	e.Log.Sent(corr, l, e.Scheduler().Now())
 	e.Scheduler().After(0, func() { ne.acceptSource(l, payload) })
 	return l, nil
 }
@@ -406,72 +405,11 @@ func (e *Engine) OnTopologyChanged(affected ...seq.NodeID) {
 	}
 }
 
-// OrdersWell reports whether Message-Ordering at the node sees recent
-// token activity (or holds the token right now) — i.e. the ring is
-// token-alive from its vantage point. The wire daemon's convergence
-// gate uses this: a node must not declare itself done on a token-dead
-// ring, where pending repair could still change what it delivers.
-func (e *Engine) OrdersWell(id seq.NodeID) bool {
-	if ne := e.nes[id]; ne != nil && !ne.failed {
-		return ne.ordersWell()
-	}
-	return false
-}
-
-// DropPeer cancels reliable-delivery state at node `at` that targets a
-// member removed from the ring. Topology must already reflect the
-// removal (and `at` must have refreshed its neighbor view): a token
-// transfer in flight to the removed member is canceled (presumed
-// delivered-or-lost; regeneration recovers a genuinely lost token at a
-// bumped epoch), a token-regeneration traversal stuck on it restarts
-// from here, and pending acknowledgements owed to it are discarded.
-// Without this, the wire deployment's unbounded-retry couriers would
-// retransmit to the corpse forever.
-func (e *Engine) DropPeer(at, dead seq.NodeID) {
-	if ne := e.nes[at]; ne != nil && !ne.failed {
-		ne.dropPeer(dead)
-	}
-}
-
-// JumpTo force-releases a virgin node's MQ to global position g: the
-// stream baseline for a member that joins the ring mid-stream (it
-// receives and delivers the total order from g+1 onward). No-op once the
-// node has received any ordered traffic.
-func (e *Engine) JumpTo(at seq.NodeID, g seq.GlobalSeq) {
-	if ne := e.nes[at]; ne != nil && ne.mq.Rear() == 0 && g > 0 {
-		ne.mq.ForceRelease(g)
-	}
-}
-
 // OnTokenLoss delivers the membership protocol's Token-Loss signal
 // (paper §4.2.1) to a top-ring node.
 func (e *Engine) OnTokenLoss(at seq.NodeID) {
 	if ne := e.nes[at]; ne != nil && !ne.failed {
 		ne.onTokenLoss()
-	}
-}
-
-// ParkToken retires a node from token circulation: the next token (or
-// regeneration traversal) it sees is acknowledged — stopping the
-// sender's courier — and swallowed, and the node never signals or
-// answers Token-Loss again. A group whose run is complete (every member
-// delivered everything, group-wide barrier passed, couriers quiesced)
-// calls this so a federated daemon hosting hundreds of finished rings
-// stops burning CPU and sockets on circulation that can never order
-// another message. MQ retransmission service is untouched — only the
-// token dies. Irreversible for the node; callers park only rings they
-// know are done.
-func (e *Engine) ParkToken(at seq.NodeID) {
-	ne := e.nes[at]
-	if ne == nil {
-		return
-	}
-	ne.tokenParked = true
-	e.Tel.Emit("token-park", uint64(at), "")
-	if ne.held != nil {
-		ne.held = nil
-		ne.holding = false
-		ne.countTokenDestroy()
 	}
 }
 
@@ -481,68 +419,6 @@ func (e *Engine) OnMultipleToken(at seq.NodeID) {
 	if ne := e.nes[at]; ne != nil && !ne.failed {
 		ne.onMultipleToken()
 	}
-}
-
-// SetDeliveryHold parks (or resumes) delivery at a node without touching
-// its ordered state: the MQ keeps accepting and repairing bodies but the
-// delivery front never advances and no really-lost verdicts are issued.
-// The wire membership plane holds a partition minority's delivery while
-// it sits in the lame ring, so nothing the quorum side might contradict
-// is ever handed to the application.
-func (e *Engine) SetDeliveryHold(at seq.NodeID, hold bool) {
-	if ne := e.nes[at]; ne != nil && !ne.failed {
-		ne.setDeliveryHold(hold)
-	}
-}
-
-// DiscardTokenBelow destroys a token held (or awaiting forward ack) at
-// node `at` whose epoch is strictly below epoch. Returns whether a token
-// was destroyed. Used during partition merge: the minority's parked
-// token must die before its members rejoin the quorum ring.
-func (e *Engine) DiscardTokenBelow(at seq.NodeID, epoch uint64) bool {
-	ne := e.nes[at]
-	if ne == nil || ne.failed {
-		return false
-	}
-	return ne.discardTokenBelow(epoch)
-}
-
-// Readmit resets node `at`'s repair clocks for re-admission into the
-// ring with retained pre-partition state, and releases any delivery
-// hold. A virgin queue with baseline > 0 force-releases like JumpTo.
-func (e *Engine) Readmit(at seq.NodeID, baseline seq.GlobalSeq) {
-	if ne := e.nes[at]; ne != nil && !ne.failed {
-		ne.readmit(baseline)
-	}
-}
-
-// RejoinFresh abandons node `at`'s position in the stream and re-enters
-// at baseline, delivering from baseline+1 onward. This is the
-// readmission path for a member whose gap fell below the ring's
-// retained windows (CompactKeep/RetainExtra): no live member holds the
-// bodies it is missing, so repair can never complete — instead of
-// grinding give-up rounds forever, the member discards the range
-// (front, baseline] and resumes. Unlike JumpTo this acts on a
-// non-virgin queue; the caller reports the discarded range. Returns the
-// range abandoned (lo > hi when nothing was discarded).
-func (e *Engine) RejoinFresh(at seq.NodeID, baseline seq.GlobalSeq) (lo, hi seq.GlobalSeq) {
-	ne := e.nes[at]
-	if ne == nil || ne.failed {
-		return 1, 0
-	}
-	return ne.rejoinFresh(baseline)
-}
-
-// TokenStamp reports the highest (epoch, hops) token stamp node `at` has
-// witnessed, and whether it has witnessed any token at all. The wire
-// membership plane embeds it in ring summaries so merging sides can run
-// Multiple-Token resolution before any member rejoins.
-func (e *Engine) TokenStamp(at seq.NodeID) (epoch, hops uint64, ok bool) {
-	ne := e.nes[at]
-	if ne == nil || !ne.stampSet {
-		return 0, 0, false
-	}
-	return ne.stampEpoch, ne.stampHops, true
 }
 
 // EnsureLink wires a link with tier-appropriate parameters if absent
@@ -618,51 +494,6 @@ func (e *Engine) TokenRounds(at seq.NodeID) uint64 {
 		return ne.newToken.Hops
 	}
 	return 0
-}
-
-// QueueOf exposes a node's MQ for tests and metrics.
-func (e *Engine) QueueOf(id seq.NodeID) *queue.MQ {
-	if ne := e.nes[id]; ne != nil {
-		return ne.mq
-	}
-	return nil
-}
-
-// DebugState renders one NE's ordering/repair state — the first thing to
-// read when a wire deployment fails to converge.
-func (e *Engine) DebugState(id seq.NodeID) string {
-	ne := e.nes[id]
-	if ne == nil {
-		return fmt.Sprintf("core: no NE %v", id)
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "NE %v: mq front=%d rear=%d validFront=%d nacks=%d frontRounds=%d regens=%d destroys=%d tokenSeen=%v lastToken=%v holding=%v held=%v safeHorizon=%d\n",
-		id, ne.mq.Front(), ne.mq.Rear(), ne.mq.ValidFront(), ne.ctrNacks, ne.frontRounds, ne.ctrRegens, ne.ctrTokenDestroys,
-		ne.tokenSeen, ne.lastToken, ne.holding, ne.held != nil, ne.safeHorizon)
-	if src, l, ok := ne.sourceForGlobal(ne.mq.Front() + 1); ok {
-		fmt.Fprintf(&sb, "  front+1 assigned to src %v local %d (in hierarchy: %v)\n", src, l, e.H.Node(src) != nil)
-	} else {
-		fmt.Fprintf(&sb, "  front+1 assignment unresolvable here\n")
-	}
-	for g, n := ne.mq.Front()+1, 0; g <= ne.mq.Rear() && n < 8; g, n = g+1, n+1 {
-		sl := ne.mq.Get(g)
-		if sl == nil {
-			fmt.Fprintf(&sb, "  g=%d: outside window\n", g)
-			continue
-		}
-		fmt.Fprintf(&sb, "  g=%d: received=%v delivered=%v waiting=%v\n", g, sl.Received, sl.Delivered, sl.Waiting)
-	}
-	if ne.wq != nil {
-		for _, src := range ne.wq.Sources() {
-			sq := ne.wq.ForSource(src)
-			hw := ne.assignedHighWater(src)
-			l := sq.MaxOrdered() + 1
-			g, ord, ok := ne.lookupAssignment(src, l)
-			fmt.Fprintf(&sb, "  src %v: ordered=%d cum=%d maxRecv=%d buffered=%d assignedHW=%d next(l=%d): g=%d ord=%v known=%v stallRounds=%d\n",
-				src, sq.MaxOrdered(), sq.CumReceived(), sq.MaxReceived(), sq.Len(), hw, l, g, ord, ok, ne.stallRounds[src])
-		}
-	}
-	return sb.String()
 }
 
 // Quiesced reports whether all senders are drained and all MH receivers

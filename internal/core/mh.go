@@ -65,9 +65,6 @@ func (m *MH) ID() seq.HostID { return m.id }
 // AP returns the currently attached access proxy.
 func (m *MH) AP() seq.NodeID { return m.ap }
 
-// Last returns the delivered high-water mark.
-func (m *MH) Last() seq.GlobalSeq { return m.last }
-
 func (m *MH) close() {
 	m.closed = true
 	m.handoffCourier.Confirm()
@@ -136,7 +133,7 @@ func (m *MH) drain() {
 			delete(m.pending, next)
 			m.last = next
 			m.Delivered++
-			m.e.Log.Deliver(uint32(m.id), d.GlobalSeq, d.SourceNode, d.LocalSeq, m.e.Net.Now())
+			m.e.Log.Deliver(uint32(m.id), d.GlobalSeq, d.SourceNode, d.LocalSeq, m.e.Scheduler().Now())
 			if m.OnDeliver != nil {
 				m.OnDeliver(d)
 			}

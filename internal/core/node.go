@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/queue"
@@ -235,7 +238,7 @@ func (n *NE) reset() {
 	n.refreshNeighbors()
 }
 
-func (n *NE) now() sim.Time { return n.e.Net.Now() }
+func (n *NE) now() sim.Time { return n.e.Scheduler().Now() }
 
 // Recv implements netsim.Handler: the protocol dispatch loop.
 func (n *NE) Recv(from seq.NodeID, m msg.Message) {
@@ -301,8 +304,12 @@ func (n *NE) ID() seq.NodeID { return n.id }
 // tree (always true for non-AP entities).
 func (n *NE) Active() bool { return !n.isAP || n.active }
 
-// Failed reports whether the node is crashed.
-func (n *NE) Failed() bool { return n.failed }
+// Failed reports whether the node is crashed (false for a node the
+// engine never spawned).
+func (n *NE) Failed() bool { return n != nil && n.failed }
+
+// MQ exposes the node's message queue for tests and metrics.
+func (n *NE) MQ() *queue.MQ { return n.mq }
 
 // TokenIdle reports whether this node neither holds the ordering token
 // nor has a token or regeneration transfer awaiting acknowledgement —
@@ -318,9 +325,58 @@ func (n *NE) TokenIdle() bool {
 // token independently of topology-maintenance signals.
 func (n *NE) TokenActivity() (last sim.Time, seen bool) { return n.lastToken, n.tokenSeen }
 
-// setDeliveryHold parks or resumes delivery. Clearing the hold flushes
-// whatever contiguous run accumulated while parked.
-func (n *NE) setDeliveryHold(hold bool) {
+// TokenStamp reports the highest (epoch, hops) token stamp this node has
+// witnessed, and whether it has witnessed any token at all. The wire
+// membership plane embeds it in ring summaries so merging sides can run
+// Multiple-Token resolution before any member rejoins.
+func (n *NE) TokenStamp() (epoch, hops uint64, ok bool) {
+	if !n.stampSet {
+		return 0, 0, false
+	}
+	return n.stampEpoch, n.stampHops, true
+}
+
+// JumpTo force-releases a virgin node's MQ to global position g: the
+// stream baseline for a member that joins the ring mid-stream (it
+// receives and delivers the total order from g+1 onward). No-op once the
+// node has received any ordered traffic.
+func (n *NE) JumpTo(g seq.GlobalSeq) {
+	if n.mq.Rear() == 0 && g > 0 {
+		n.mq.ForceRelease(g)
+	}
+}
+
+// ParkToken retires the node from token circulation: the next token (or
+// regeneration traversal) it sees is acknowledged — stopping the
+// sender's courier — and swallowed, and the node never signals or
+// answers Token-Loss again. A group whose run is complete (every member
+// delivered everything, group-wide barrier passed, couriers quiesced)
+// calls this so a federated daemon hosting hundreds of finished rings
+// stops burning CPU and sockets on circulation that can never order
+// another message. MQ retransmission service is untouched — only the
+// token dies. Irreversible for the node; callers park only rings they
+// know are done.
+func (n *NE) ParkToken() {
+	n.tokenParked = true
+	n.e.Tel.Emit("token-park", uint64(n.id), "")
+	if n.held != nil {
+		n.held = nil
+		n.holding = false
+		n.countTokenDestroy()
+	}
+}
+
+// SetDeliveryHold parks (or resumes) delivery without touching the
+// node's ordered state: the MQ keeps accepting and repairing bodies but
+// the delivery front never advances and no really-lost verdicts are
+// issued. Clearing the hold flushes whatever contiguous run accumulated
+// while parked. The wire membership plane holds a partition minority's
+// delivery while it sits in the lame ring, so nothing the quorum side
+// might contradict is ever handed to the application.
+func (n *NE) SetDeliveryHold(hold bool) {
+	if n.failed {
+		return
+	}
 	if n.deliveryHold == hold {
 		return
 	}
@@ -330,12 +386,15 @@ func (n *NE) setDeliveryHold(hold bool) {
 	}
 }
 
-// discardTokenBelow destroys a held or in-flight token whose epoch
-// predates epoch (strict less-than). A partition minority re-admitted
-// into the quorum ring calls this so the token it parked during the
-// split can never re-enter circulation and dispute assignments the
-// surviving token already made.
-func (n *NE) discardTokenBelow(epoch uint64) bool {
+// DiscardTokenBelow destroys a held or in-flight token whose epoch
+// predates epoch (strict less-than) and reports whether one was
+// destroyed. A partition minority re-admitted into the quorum ring calls
+// this so the token it parked during the split can never re-enter
+// circulation and dispute assignments the surviving token already made.
+func (n *NE) DiscardTokenBelow(epoch uint64) bool {
+	if n.failed {
+		return false
+	}
 	if n.held == nil || n.held.Epoch >= epoch {
 		return false
 	}
@@ -349,13 +408,17 @@ func (n *NE) discardTokenBelow(epoch uint64) bool {
 	return true
 }
 
-// readmit resets the repair clocks of a member rejoining the ring with
-// retained pre-partition state. Its stall counters accumulated against
-// unreachable peers and would otherwise trigger spurious give-ups the
-// moment repair resumes; the token clock is refreshed so the watchdog
-// measures from re-admission, not from before the split. A virgin queue
-// with a baseline force-releases exactly like a fresh join.
-func (n *NE) readmit(baseline seq.GlobalSeq) {
+// Readmit resets the repair clocks of a member rejoining the ring with
+// retained pre-partition state, and releases any delivery hold. Its
+// stall counters accumulated against unreachable peers and would
+// otherwise trigger spurious give-ups the moment repair resumes; the
+// token clock is refreshed so the watchdog measures from re-admission,
+// not from before the split. A virgin queue with a baseline
+// force-releases exactly like JumpTo.
+func (n *NE) Readmit(baseline seq.GlobalSeq) {
+	if n.failed {
+		return
+	}
 	if baseline > 0 && n.mq.Rear() == 0 {
 		n.mq.ForceRelease(baseline)
 	}
@@ -365,15 +428,23 @@ func (n *NE) readmit(baseline seq.GlobalSeq) {
 	if n.tokenSeen {
 		n.lastToken = n.now()
 	}
-	n.setDeliveryHold(false)
+	n.SetDeliveryHold(false)
 }
 
-// rejoinFresh re-enters the stream at baseline on a non-virgin queue,
-// abandoning the unrepairable gap (front, baseline]: slots in that
-// range are neither delivered nor repaired again. Repair clocks reset
-// and any delivery hold clears, exactly like readmit. Returns the
-// abandoned range (lo > hi when the queue was already at baseline).
-func (n *NE) rejoinFresh(baseline seq.GlobalSeq) (lo, hi seq.GlobalSeq) {
+// RejoinFresh abandons the node's position in the stream and re-enters
+// at baseline, delivering from baseline+1 onward. This is the
+// readmission path for a member whose gap fell below the ring's
+// retained windows (CompactKeep/RetainExtra): no live member holds the
+// bodies it is missing, so repair can never complete — instead of
+// grinding give-up rounds forever, the member abandons (front, baseline]:
+// slots in that range are neither delivered nor repaired again. Unlike
+// JumpTo this acts on a non-virgin queue. Repair clocks reset and any
+// delivery hold clears, exactly like Readmit. Returns the abandoned
+// range for the caller to report (lo > hi when nothing was discarded).
+func (n *NE) RejoinFresh(baseline seq.GlobalSeq) (lo, hi seq.GlobalSeq) {
+	if n.failed {
+		return 1, 0
+	}
 	lo, hi = n.mq.Front()+1, baseline
 	if baseline > n.mq.Front() {
 		n.mq.ForceRelease(baseline)
@@ -386,7 +457,7 @@ func (n *NE) rejoinFresh(baseline seq.GlobalSeq) (lo, hi seq.GlobalSeq) {
 	if n.tokenSeen {
 		n.lastToken = n.now()
 	}
-	n.setDeliveryHold(false)
+	n.SetDeliveryHold(false)
 	n.deliverLoop()
 	return lo, hi
 }
@@ -400,10 +471,17 @@ func (n *NE) noteLost(g seq.GlobalSeq, src seq.NodeID, local seq.LocalSeq, reaso
 	}
 }
 
-// dropPeer severs reliable-delivery state targeting a member that was
+// DropPeer severs reliable-delivery state targeting a member that was
 // removed from the ring. The caller has already repaired the topology
-// and refreshed this node's neighbor view.
-func (n *NE) dropPeer(dead seq.NodeID) {
+// and refreshed this node's neighbor view: a token transfer in flight to
+// the removed member is canceled, a regeneration traversal stuck on it
+// is abandoned, and pending acknowledgements owed to it are discarded.
+// Without this, the wire deployment's unbounded-retry couriers would
+// retransmit to the corpse forever.
+func (n *NE) DropPeer(dead seq.NodeID) {
+	if n.failed {
+		return
+	}
 	// Pending acknowledgements owed to the corpse are moot.
 	if n.ack.to == dead {
 		n.ack.timer.Stop()
@@ -460,7 +538,7 @@ func (n *NE) dropPeer(dead seq.NodeID) {
 	// membership plane legitimately re-raises Token-Loss right after a
 	// commit, and that fresh traversal must not be mistaken for a courier
 	// retransmit of one that died on the old ring. A true duplicate that
-	// slips through dies at its origin's ordersWell gate.
+	// slips through dies at its origin's OrdersWell gate.
 	n.lastRegen = regenStamp{}
 	if n.joinCourier.Busy() && n.joinCourier.To() == dead {
 		n.joinCourier.Confirm()
@@ -1559,4 +1637,37 @@ func (n *NE) retransmissions() uint64 {
 		total += s.Retransmissions
 	}
 	return total
+}
+
+// DebugState renders the node's ordering/repair state — the first thing
+// to read when a wire deployment fails to converge.
+func (n *NE) DebugState() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "NE %v: mq front=%d rear=%d validFront=%d nacks=%d frontRounds=%d regens=%d destroys=%d tokenSeen=%v lastToken=%v holding=%v held=%v safeHorizon=%d\n",
+		n.id, n.mq.Front(), n.mq.Rear(), n.mq.ValidFront(), n.ctrNacks, n.frontRounds, n.ctrRegens, n.ctrTokenDestroys,
+		n.tokenSeen, n.lastToken, n.holding, n.held != nil, n.safeHorizon)
+	if src, l, ok := n.sourceForGlobal(n.mq.Front() + 1); ok {
+		fmt.Fprintf(&sb, "  front+1 assigned to src %v local %d (in hierarchy: %v)\n", src, l, n.e.H.Node(src) != nil)
+	} else {
+		fmt.Fprintf(&sb, "  front+1 assignment unresolvable here\n")
+	}
+	for g, k := n.mq.Front()+1, 0; g <= n.mq.Rear() && k < 8; g, k = g+1, k+1 {
+		sl := n.mq.Get(g)
+		if sl == nil {
+			fmt.Fprintf(&sb, "  g=%d: outside window\n", g)
+			continue
+		}
+		fmt.Fprintf(&sb, "  g=%d: received=%v delivered=%v waiting=%v\n", g, sl.Received, sl.Delivered, sl.Waiting)
+	}
+	if n.wq != nil {
+		for _, src := range n.wq.Sources() {
+			sq := n.wq.ForSource(src)
+			hw := n.assignedHighWater(src)
+			l := sq.MaxOrdered() + 1
+			g, ord, ok := n.lookupAssignment(src, l)
+			fmt.Fprintf(&sb, "  src %v: ordered=%d cum=%d maxRecv=%d buffered=%d assignedHW=%d next(l=%d): g=%d ord=%v known=%v stallRounds=%d\n",
+				src, sq.MaxOrdered(), sq.CumReceived(), sq.MaxReceived(), sq.Len(), hw, l, g, ord, ok, n.stallRounds[src])
+		}
+	}
+	return sb.String()
 }

@@ -595,7 +595,7 @@ func (n *NE) onTokenLoss() {
 	if n.failed || !n.view.IsTop || n.tokenParked {
 		return
 	}
-	if n.ordersWell() {
+	if n.OrdersWell() {
 		return
 	}
 	tok := n.bestLocalToken()
@@ -616,9 +616,16 @@ func (n *NE) onTokenLoss() {
 	n.regenCourier.Deliver(nx, rg)
 }
 
-// ordersWell reports whether this node has seen token activity recently
-// (or is holding the token right now).
-func (n *NE) ordersWell() bool {
+// OrdersWell reports whether Message-Ordering here has seen token
+// activity recently (or holds the token right now) — i.e. the ring is
+// token-alive from this node's vantage point. The wire daemon's
+// convergence gate uses it too: a node must not declare itself done on a
+// token-dead ring, where pending repair could still change what it
+// delivers.
+func (n *NE) OrdersWell() bool {
+	if n.failed {
+		return false
+	}
 	if n.holding || n.held != nil {
 		return true
 	}
@@ -675,7 +682,7 @@ func (n *NE) handleTokenRegen(from seq.NodeID, rg *msg.TokenRegen) {
 	n.lastRegen = stamp
 	n.lastRegenAt = n.now()
 
-	if n.ordersWell() {
+	if n.OrdersWell() {
 		n.countTokenDestroy()
 		return
 	}

@@ -221,7 +221,7 @@ func (m *Manager) watchSet(id seq.NodeID) []seq.NodeID {
 // order: beacon to the watch set, check for suspects, flush batched
 // membership updates.
 func (m *Manager) tick() {
-	now := m.e.Net.Now()
+	now := m.e.Scheduler().Now()
 	ids := m.e.H.NodeIDs()
 	for _, id := range ids {
 		ne := m.e.NE(id)
@@ -261,7 +261,7 @@ func (m *Manager) recv(at, from seq.NodeID, message msg.Message) {
 	}
 	switch v := message.(type) {
 	case *msg.Heartbeat:
-		ns.det.Heard(v.From, m.e.Net.Now())
+		ns.det.Heard(v.From, m.e.Scheduler().Now())
 	case *msg.Join:
 		ns.pendingJoin += v.Batch
 		ns.members += int64(v.Batch)
@@ -349,7 +349,7 @@ func (m *Manager) declareFailed(observer, peer seq.NodeID) {
 	// If the peer recovered in the meantime (heartbeats will flow
 	// again), a live node must not be amputated: only proceed when the
 	// network-level view agrees it is unreachable.
-	if !m.e.Net.Crashed(peer) {
+	if !m.e.NE(peer).Failed() {
 		return
 	}
 	m.Repairs++
@@ -427,7 +427,7 @@ func (m *Manager) declareFailed(observer, peer seq.NodeID) {
 // pickCandidate returns the first live candidate contactor of n.
 func (m *Manager) pickCandidate(n *topology.Node) seq.NodeID {
 	for _, c := range n.Candidates {
-		if cn := m.e.H.Node(c); cn != nil && !m.e.Net.Crashed(c) {
+		if cn := m.e.H.Node(c); cn != nil && !m.e.NE(c).Failed() {
 			return c
 		}
 	}

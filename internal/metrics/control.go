@@ -38,14 +38,6 @@ func (r ControlReport) AckPerDelivered() float64 {
 	return float64(r.AckPlane()) / float64(r.Delivered)
 }
 
-// ControlPerDelivered returns all control messages per delivered payload.
-func (r ControlReport) ControlPerDelivered() float64 {
-	if r.Delivered == 0 {
-		return 0
-	}
-	return float64(r.ControlMsgs) / float64(r.Delivered)
-}
-
 // ControlByteShare returns the control-plane fraction of all bytes sent.
 func (r ControlReport) ControlByteShare() float64 {
 	total := r.ControlBytes + r.DataBytes

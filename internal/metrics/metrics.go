@@ -102,9 +102,8 @@ type Counter struct {
 	n uint64
 }
 
-// Inc adds one; Addn adds n.
-func (c *Counter) Inc()          { c.n++ }
-func (c *Counter) Addn(n uint64) { c.n += n }
+// Inc adds one.
+func (c *Counter) Inc() { c.n++ }
 
 // Value returns the count.
 func (c *Counter) Value() uint64 { return c.n }

@@ -138,7 +138,7 @@ func (mv *Mover) neighbors(ap seq.NodeID) []seq.NodeID {
 	}
 	out := make([]seq.NodeID, 0, len(cand))
 	for _, c := range cand {
-		if c != ap && !mv.e.Net.Crashed(c) {
+		if c != ap && !mv.e.NE(c).Failed() {
 			out = append(out, c)
 		}
 	}
@@ -167,7 +167,7 @@ func (mv *Mover) rescueOrphans() {
 	}
 	for _, h := range mv.hosts() {
 		ap := mv.e.H.APOf(h)
-		if ap == seq.None || !mv.e.Net.Crashed(ap) {
+		if ap == seq.None || !mv.e.NE(ap).Failed() {
 			continue
 		}
 		nbrs := mv.neighbors(ap)

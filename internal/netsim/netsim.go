@@ -169,13 +169,47 @@ func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 func (n *Network) Now() sim.Time { return n.sched.Now() }
 
 // Stats returns a snapshot of the counters.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	s.ByKind = make(map[msg.Kind]uint64, len(n.stats.ByKind))
-	for k, v := range n.stats.ByKind {
-		s.ByKind[k] = v
+func (n *Network) Stats() Stats { return n.stats.Snapshot() }
+
+// Snapshot returns a copy of s that shares nothing with it.
+func (s *Stats) Snapshot() Stats {
+	c := *s
+	c.ByKind = make(map[msg.Kind]uint64, len(s.ByKind))
+	for k, v := range s.ByKind {
+		c.ByKind[k] = v
 	}
-	return s
+	return c
+}
+
+// Count is the accounting rule for one send, shared by every substrate
+// the protocol core runs on (Network here, the wire plane's outbox
+// substrate) so a ControlReport means the same over either: every send
+// counts toward Sent and its kind; only a send that entered its link adds
+// its wire size to Bytes and to its plane — Data and SourceData frames are
+// the data plane, every other kind is control. Count returns the size it
+// charged (0 when the send did not enter). It must run on the sender's
+// event loop at send time: WireSize fills the token's lazily cached
+// length, which only the token's owner may write.
+func (s *Stats) Count(m msg.Message, entered bool) int {
+	s.Sent++
+	if s.ByKind == nil {
+		s.ByKind = make(map[msg.Kind]uint64)
+	}
+	s.ByKind[m.Kind()]++
+	if !entered {
+		return 0
+	}
+	size := m.WireSize()
+	s.Bytes += uint64(size)
+	switch m.Kind() {
+	case msg.KindData, msg.KindSourceData:
+		s.DataMsgs++
+		s.DataBytes += uint64(size)
+	default:
+		s.CtrlMsgs++
+		s.CtrlBytes += uint64(size)
+	}
+	return size
 }
 
 // Register attaches a handler to a node identity. Registering an existing
@@ -202,12 +236,6 @@ func (n *Network) Recover(id seq.NodeID) {
 	if ep, ok := n.nodes[id]; ok {
 		ep.crashed = false
 	}
-}
-
-// Crashed reports whether a node is down.
-func (n *Network) Crashed(id seq.NodeID) bool {
-	ep, ok := n.nodes[id]
-	return ok && ep.crashed
 }
 
 // Connect installs a bidirectional link with the same parameters each way.
@@ -258,35 +286,11 @@ func (n *Network) LinkParamsOf(from, to seq.NodeID) (LinkParams, bool) {
 // (false when there is no route, the link is down, or either node is
 // crashed — the sender learns nothing either way, exactly like UDP).
 func (n *Network) Send(from, to seq.NodeID, m msg.Message) bool {
-	n.stats.Sent++
-	if n.stats.ByKind == nil {
-		n.stats.ByKind = make(map[msg.Kind]uint64)
-	}
-	n.stats.ByKind[m.Kind()]++
-
-	src, ok := n.nodes[from]
-	if !ok || src.crashed {
-		n.stats.DroppedNodeDown++
+	dst, l := n.route(from, to)
+	size := n.stats.Count(m, l != nil)
+	if l == nil {
 		return false
 	}
-	dst, ok := n.nodes[to]
-	if !ok {
-		n.stats.DroppedNoRoute++
-		return false
-	}
-	l, ok := n.links[[2]seq.NodeID{from, to}]
-	if !ok {
-		n.stats.DroppedNoRoute++
-		return false
-	}
-	if !l.up {
-		n.stats.DroppedLinkDown++
-		return false
-	}
-
-	size := m.WireSize()
-	n.stats.Bytes += uint64(size)
-	n.countPlane(m, size)
 
 	// Serialization delay occupies the sender side of the link.
 	start := n.sched.Now()
@@ -327,17 +331,29 @@ func (n *Network) Send(from, to seq.NodeID, m msg.Message) bool {
 	return true
 }
 
-// countPlane attributes one transmission that entered a link to the data
-// or control plane.
-func (n *Network) countPlane(m msg.Message, size int) {
-	switch m.Kind() {
-	case msg.KindData, msg.KindSourceData:
-		n.stats.DataMsgs++
-		n.stats.DataBytes += uint64(size)
-	default:
-		n.stats.CtrlMsgs++
-		n.stats.CtrlBytes += uint64(size)
+// route resolves the destination endpoint and the usable link of a
+// transmission from→to, or charges the drop counter that explains why
+// there is none and returns nils.
+func (n *Network) route(from, to seq.NodeID) (*endpoint, *link) {
+	if src, ok := n.nodes[from]; !ok || src.crashed {
+		n.stats.DroppedNodeDown++
+		return nil, nil
 	}
+	dst, ok := n.nodes[to]
+	if !ok {
+		n.stats.DroppedNoRoute++
+		return nil, nil
+	}
+	l, ok := n.links[[2]seq.NodeID{from, to}]
+	if !ok {
+		n.stats.DroppedNoRoute++
+		return nil, nil
+	}
+	if !l.up {
+		n.stats.DroppedLinkDown++
+		return nil, nil
+	}
+	return dst, l
 }
 
 // SendBurst transmits a run of messages from→to as one link burst: on a
@@ -387,14 +403,7 @@ func (n *Network) SendBurst(from, to seq.NodeID, msgs []msg.Message) {
 		n.runFree = n.runFree[:k-1]
 	}
 	for _, m := range msgs {
-		n.stats.Sent++
-		if n.stats.ByKind == nil {
-			n.stats.ByKind = make(map[msg.Kind]uint64)
-		}
-		n.stats.ByKind[m.Kind()]++
-		size := m.WireSize()
-		n.stats.Bytes += uint64(size)
-		n.countPlane(m, size)
+		n.stats.Count(m, true)
 		if n.rng.Bool(l.params.Loss) {
 			n.stats.DroppedLoss++
 			continue
@@ -422,13 +431,6 @@ func (n *Network) SendBurst(from, to seq.NodeID, msgs []msg.Message) {
 	}
 	d.net, d.dst, d.from, d.to, d.run = n, dst, from, to, run
 	n.sched.AtCall(arrival, deliver, d)
-}
-
-// Broadcast sends m from one node to each of the given destinations.
-func (n *Network) Broadcast(from seq.NodeID, to []seq.NodeID, m msg.Message) {
-	for _, t := range to {
-		n.Send(from, t, m)
-	}
 }
 
 // NodeIDs returns all registered node IDs (unsorted).

@@ -56,7 +56,6 @@ type FileLog struct {
 	recov   seq.GlobalSeq // front as recovered at open, before new appends
 	dups    uint64
 	dirty   bool
-	syncs   uint64
 	appends uint64
 	tel     Telemetry
 }
@@ -365,7 +364,6 @@ func (l *FileLog) syncLocked() error {
 		return err
 	}
 	l.dirty = false
-	l.syncs++
 	if l.tel.SyncSeconds != nil {
 		l.tel.SyncSeconds.ObserveSince(t0)
 	}
@@ -437,14 +435,6 @@ func (l *FileLog) Duplicates() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dups
-}
-
-// Syncs reports how many fsync batches have been issued (flush-window
-// accounting for the durability-cost benchmarks).
-func (l *FileLog) Syncs() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncs
 }
 
 // Appends reports how many records were accepted since open.

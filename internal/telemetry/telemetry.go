@@ -235,9 +235,13 @@ func renderLabels(labels []string) string {
 	return sb.String()
 }
 
-// lookup returns (creating if needed) the series for name+labels,
-// asserting the family's type stays consistent.
-func (r *Registry) lookup(name, help string, typ metricType, labels []string) *series {
+// lookup finds (creating if needed) the series for name+labels, asserts
+// the family's type stays consistent, and runs init on it — all under the
+// registry lock, so an instrument is published together with its series:
+// a concurrent scrape or a second first-registration sees either no
+// series or a complete one, never two instruments for one. It returns a
+// copy taken under the same lock.
+func (r *Registry) lookup(name, help string, typ metricType, labels []string, init func(f *family, s *series)) series {
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -256,7 +260,8 @@ func (r *Registry) lookup(name, help string, typ metricType, labels []string) *s
 		f.byKey[key] = s
 		f.order = append(f.order, key)
 	}
-	return s
+	init(f, s)
+	return *s
 }
 
 // Counter returns the counter named name with the given k,v label
@@ -266,11 +271,11 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, typeCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.lookup(name, help, typeCounter, labels, func(_ *family, s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the gauge named name with the given k,v label pairs.
@@ -278,11 +283,11 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, typeGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.lookup(name, help, typeGauge, labels, func(_ *family, s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
@@ -292,8 +297,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	if r == nil {
 		return
 	}
-	s := r.lookup(name, help, typeGauge, labels)
-	s.fn = fn
+	r.lookup(name, help, typeGauge, labels, func(_ *family, s *series) { s.fn = fn })
 }
 
 // Histogram returns the histogram named name over bounds with the given
@@ -303,18 +307,14 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, typeHistogram, labels)
-	r.mu.Lock()
-	f := r.fams[name]
-	if f.bounds == nil {
-		f.bounds = bounds
-	}
-	bounds = f.bounds
-	r.mu.Unlock()
-	if s.h == nil {
-		s.h = NewHistogram(bounds)
-	}
-	return s.h
+	return r.lookup(name, help, typeHistogram, labels, func(f *family, s *series) {
+		if f.bounds == nil {
+			f.bounds = bounds
+		}
+		if s.h == nil {
+			s.h = NewHistogram(f.bounds)
+		}
+	}).h
 }
 
 // Value returns the current value of the series name+labels (counters
@@ -326,15 +326,13 @@ func (r *Registry) Value(name string, labels ...string) (float64, bool) {
 	}
 	key := renderLabels(labels)
 	r.mu.Lock()
-	f := r.fams[name]
-	var s *series
-	if f != nil {
-		s = f.byKey[key]
+	var s series
+	if f := r.fams[name]; f != nil {
+		if p := f.byKey[key]; p != nil {
+			s = *p
+		}
 	}
 	r.mu.Unlock()
-	if s == nil {
-		return 0, false
-	}
 	switch {
 	case s.c != nil:
 		return float64(s.c.Value()), true
@@ -355,19 +353,20 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	// Snapshot the family structure under the lock; instrument reads are
-	// atomic and happen outside it.
+	// Snapshot the family structure — series by value, so a GaugeFunc
+	// re-registration cannot race the render — under the lock; instrument
+	// reads are atomic and happen outside it.
 	r.mu.Lock()
 	type famSnap struct {
 		f    *family
-		rows []*series
+		rows []series
 	}
 	fams := make([]famSnap, 0, len(r.order))
 	for _, name := range r.order {
 		f := r.fams[name]
-		fs := famSnap{f: f, rows: make([]*series, 0, len(f.order))}
+		fs := famSnap{f: f, rows: make([]series, 0, len(f.order))}
 		for _, key := range f.order {
-			fs.rows = append(fs.rows, f.byKey[key])
+			fs.rows = append(fs.rows, *f.byKey[key])
 		}
 		fams = append(fams, fs)
 	}

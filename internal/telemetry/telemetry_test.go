@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -219,4 +220,80 @@ func TestConcurrentWritersAndScraper(t *testing.T) {
 	if ring.Emitted() != writers*perWriter/50 {
 		t.Fatalf("ring emitted = %d, want %d", ring.Emitted(), writers*perWriter/50)
 	}
+}
+
+// TestRegistryConcurrentRegistration: first registrations of one series
+// race each other and a scraper. Every goroutine must get the same
+// instrument for the same series (none lost, so the increments add up),
+// and — under -race — no instrument may be published outside the lock
+// WriteProm and Value read it under.
+func TestRegistryConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	const workers = 8
+	const rounds = 200
+
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if err := r.WriteProm(&buf); err != nil {
+				t.Errorf("WriteProm: %v", err)
+				return
+			}
+			r.Value("ringnet_reg_total", "round", "0")
+		}
+	}()
+
+	type got struct {
+		c *Counter
+		g *Gauge
+		h *Histogram
+	}
+	for round := 0; round < rounds; round++ {
+		label := strconv.Itoa(round)
+		start := make(chan struct{})
+		res := make([]got, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				own := r.Counter("ringnet_reg_own_total", "distinct", "round", label, "worker", strconv.Itoa(w))
+				own.Inc()
+				res[w].c = r.Counter("ringnet_reg_total", "shared", "round", label)
+				res[w].c.Inc()
+				res[w].g = r.Gauge("ringnet_reg_level", "shared", "round", label)
+				res[w].g.Add(1)
+				res[w].h = r.Histogram("ringnet_reg_seconds", "shared", LatencyBuckets(), "round", label)
+				res[w].h.Observe(1e-3)
+				r.GaugeFunc("ringnet_reg_fn", "shared", func() float64 { return 1 }, "round", label)
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if res[w] != res[0] {
+				t.Fatalf("round %d: worker %d got different instruments for the same series", round, w)
+			}
+		}
+		if c, g, h := res[0].c.Value(), res[0].g.Value(), res[0].h.Count(); c != workers || g != workers || h != workers {
+			t.Fatalf("round %d: lost updates: counter=%d gauge=%d histogram=%d, want %d each", round, c, g, h, workers)
+		}
+		for w := 0; w < workers; w++ {
+			if v, ok := r.Value("ringnet_reg_own_total", "round", label, "worker", strconv.Itoa(w)); !ok || v != 1 {
+				t.Fatalf("round %d: worker %d's own series reads %v (present=%v), want 1", round, w, v, ok)
+			}
+		}
+	}
+	close(stop)
+	scraper.Wait()
 }

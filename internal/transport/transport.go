@@ -12,10 +12,20 @@ import (
 	"fmt"
 
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/seq"
 	"repro/internal/sim"
 )
+
+// Network is what a reliable hop needs from whatever carries it: a timer
+// source and fire-and-forget sends. Send reports whether the message
+// entered the path at all; like UDP, nothing is learned about delivery.
+// SendBurst is len(msgs) Sends the carrier may deliver as one unit; the
+// caller keeps ownership of msgs.
+type Network interface {
+	Scheduler() *sim.Scheduler
+	Send(from, to seq.NodeID, m msg.Message) bool
+	SendBurst(from, to seq.NodeID, msgs []msg.Message)
+}
 
 // Config tunes one reliable hop.
 type Config struct {
@@ -85,7 +95,7 @@ func pendingTimeout(v any) {
 // retransmits on timeout. OnGiveUp fires when a message exhausts its
 // retries — the caller then applies the really-lost rule.
 type Sender struct {
-	net   *netsim.Network
+	net   Network
 	cfg   Config
 	from  seq.NodeID
 	to    seq.NodeID
@@ -110,7 +120,7 @@ type Sender struct {
 }
 
 // NewSender builds a sender for one directed hop.
-func NewSender(net *netsim.Network, from, to seq.NodeID, cfg Config) *Sender {
+func NewSender(net Network, from, to seq.NodeID, cfg Config) *Sender {
 	if cfg.RTO <= 0 {
 		cfg.RTO = DefaultConfig.RTO
 	}
@@ -282,7 +292,7 @@ func (s *Sender) Close() {
 // until Confirm is called or retries are exhausted, at which point OnFail
 // fires (the basis of the Token-Loss case when the next node is dead).
 type Courier struct {
-	net  *netsim.Network
+	net  Network
 	cfg  Config
 	from seq.NodeID
 
@@ -299,7 +309,7 @@ type Courier struct {
 }
 
 // NewCourier builds a single-message reliable sender.
-func NewCourier(net *netsim.Network, from seq.NodeID, cfg Config) *Courier {
+func NewCourier(net Network, from seq.NodeID, cfg Config) *Courier {
 	if cfg.RTO <= 0 {
 		cfg.RTO = DefaultConfig.RTO
 	}

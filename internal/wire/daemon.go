@@ -17,7 +17,7 @@ import (
 // Node is one assembled ringnetd daemon: the federation of every ring
 // group the config hosts. The daemon owns exactly one UDP transport
 // (socket, peer table, clock sync) and one shared per-peer batching
-// outbox; each group owns its engine, driver goroutine, bridge, and
+// outbox; each group owns its engine, driver goroutine, substrate, and
 // membership plane. Inbound datagrams demultiplex by the group id in
 // each frame section; outbound traffic from all groups coalesces in the
 // outbox. Build with NewNode, optionally patch late-bound peer

@@ -19,22 +19,21 @@
 //     traffic from every hosted group coalesces into shared
 //     multi-section datagrams, so N groups do not mean N×
 //     the datagrams;
-//   - bridge.go:    the splice between one group's internal/core instance
-//     and the shared outbox — remote ring members appear as
-//     forwarding endpoints on the group's netsim substrate;
+//   - substrate.go: one group's core.Network over the shared outbox — a
+//     send from the local node to a ring member is an enqueue
+//     in the same call stack;
 //   - config.go:    the groups-first daemon config;
 //   - report.go:    the per-group + daemon-aggregate status report
 //     (schema v2);
-//   - group.go:     one hosted ring group: engine, driver, bridge,
+//   - group.go:     one hosted ring group: engine, driver, substrate,
 //     membership plane, workload, and convergence barrier;
 //   - daemon.go:    the federation orchestrator for cmd/ringnetd and the
 //     multi-process harness: one transport + clock-sync per
 //     process, N groups demuxed over it.
 //
 // The paper's local-scope retransmission machinery (transport.Sender,
-// couriers, Nack repair, token recovery) is reused as-is: the simulator's
-// network is reduced to a zero-latency in-process dispatch layer and the
-// real network supplies latency, jitter, loss, and reordering.
+// couriers, Nack repair, token recovery) is reused as-is; the real
+// network supplies latency, jitter, loss, and reordering.
 package wire
 
 import (

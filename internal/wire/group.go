@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/msg"
-	"repro/internal/netsim"
 	"repro/internal/seq"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -53,7 +52,7 @@ func protocolConfig() core.Config {
 }
 
 // ringGroup is one hosted ring group: its own engine, scheduler, driver
-// goroutine, bridge onto the shared outbox, membership plane, workload,
+// goroutine, substrate over the shared outbox, membership plane, workload,
 // and convergence barrier. Everything below the transport is
 // group-private; the federation (daemon.go) owns what is shared.
 type ringGroup struct {
@@ -65,10 +64,10 @@ type ringGroup struct {
 	port    *Port
 
 	sched *sim.Scheduler
-	net   *netsim.Network
+	net   *outboxNet
 	e     *core.Engine
+	ne    *core.NE // the local node: the one NE this process runs
 	drv   *Driver
-	br    *Bridge
 	ms    *Membership
 	oh    *metrics.OrderHash
 	peers []seq.NodeID
@@ -106,7 +105,7 @@ type ringGroup struct {
 }
 
 // newRingGroup assembles one group against the daemon's shared transport
-// and outbox: topology, engine, bridge endpoints, membership plane, and
+// and outbox: topology, engine, substrate peers, membership plane, and
 // the group's receive hooks on the transport. The driver is built but
 // not started — the federation starts every group after the transport
 // reader is up.
@@ -159,11 +158,8 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 	}
 
 	g.sched = sim.NewScheduler()
-	// Group-distinct streams from the daemon seed, so sibling groups do
-	// not share fault/backoff draws.
-	g.net = netsim.New(g.sched, sim.NewRNG(cfg.Seed+1+uint64(gc.ID)*0x9e3779b9))
+	g.net = newOutboxNet(g.sched, nd.ob, g.gid, g.self)
 	g.e = core.NewEngine(seq.GroupID(gc.ID), protocolConfig(), g.net, h)
-	g.e.WiredLink = netsim.LinkParams{} // zero latency: the socket is the link
 	g.e.Tel = g.tel.coreTel(nd.tel.reg)
 
 	if gc.TracePath != "" {
@@ -214,7 +210,7 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 	// the trace when asked.
 	g.e.OnDeliver = func(at seq.NodeID, d *msg.Data) {
 		g.oh.Note(d.GlobalSeq, d.SourceNode, d.LocalSeq)
-		g.e.Log.Deliver(uint32(at), d.GlobalSeq, d.SourceNode, d.LocalSeq, g.net.Now())
+		g.e.Log.Deliver(uint32(at), d.GlobalSeq, d.SourceNode, d.LocalSeq, g.sched.Now())
 		if g.dlog != nil {
 			err := g.dlog.Append(store.Record{
 				Global: d.GlobalSeq, Source: d.SourceNode, Local: d.LocalSeq, Payload: d.Payload,
@@ -233,7 +229,7 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 			g.firstG = d.GlobalSeq
 		}
 		g.lastG = d.GlobalSeq
-		now := g.net.Now()
+		now := g.sched.Now()
 		if g.lastDeliverAt > 0 && now-g.lastDeliverAt > g.maxGap {
 			g.maxGap = now - g.lastDeliverAt
 		}
@@ -279,14 +275,13 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 	}
 
 	g.drv = NewDriver(g.sched)
-	g.br = NewBridge(g.drv, nd.ob, g.net, g.self, g.gid)
 	g.peers = make([]seq.NodeID, 0, len(g.members)-1)
 	for _, id := range g.members {
 		if id != g.self {
 			g.peers = append(g.peers, id)
+			g.net.expose(id)
 		}
 	}
-	g.br.Expose(g.peers)
 	for _, p := range cfg.Peers {
 		if p.Addr == "" {
 			return nil, fmt.Errorf("wire: peer %d has no address", p.Node)
@@ -298,6 +293,7 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 	if err := g.e.StartLocal(g.self); err != nil {
 		return nil, err
 	}
+	g.ne = g.e.NE(g.self)
 
 	// Live membership plane.
 	if cfg.Live {
@@ -317,7 +313,7 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 				initial[seq.NodeID(p.Node)] = p.Addr
 			}
 		}
-		g.ms = NewMembership(g.e, g.port, g.br, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
+		g.ms = NewMembership(g.e, g.port, g.net, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
 		g.ms.SetTelemetry(g.tel.memberTel())
 		g.ms.OrderHash = g.oh.Sum64 // RingSummary/MergeReq carry the live order fingerprint
 		if g.dlog != nil {
@@ -345,18 +341,18 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 		g.expected = uint64(gc.Count) * uint64(len(g.members))
 	}
 
-	// Receive surface. The sink feeds the engine's local NE; a joiner
+	// Receive surface. Inbound sections feed the local NE; a joiner
 	// gates non-membership traffic until its first splice: ordered
 	// traffic or a token arriving early (a peer applied the grant
 	// before our copy of it landed) would fill the virgin MQ and defeat
 	// the baseline jump, stranding the delivery front at the
 	// unreachable stream prefix forever. Dropped frames are simply
 	// retransmitted by their senders until we join and ack.
-	sink := netsim.Handler(g.e.NE(g.self))
+	recv := g.ne.Recv
 	if gc.Join {
-		inner := sink
+		inner := recv
 		gate := g.ms
-		sink = netsim.HandlerFunc(func(from seq.NodeID, m msg.Message) {
+		recv = func(from seq.NodeID, m msg.Message) {
 			// Gate only until the FIRST splice: an evicted leaver must
 			// keep receiving acks/Nacks to drain and serve stragglers.
 			if gate != nil && !gate.Spliced() {
@@ -366,10 +362,18 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 					return
 				}
 			}
-			inner.Recv(from, m)
-		})
+			inner(from, m)
+		}
 	}
-	hooks := GroupHooks{Handler: g.br.Attach(sink)}
+	// The transport's reader goroutine hands each section to the driver,
+	// which dispatches it to the NE as one more event between its own.
+	hooks := GroupHooks{Handler: func(from seq.NodeID, msgs []msg.Message) {
+		g.drv.Call(func() {
+			for _, m := range msgs {
+				recv(from, m)
+			}
+		})
+	}}
 	hooks.OnControl = func(from seq.NodeID, flags uint8) {
 		if flags&FlagDone == 0 {
 			return
@@ -539,11 +543,10 @@ func (g *ringGroup) start() {
 				// a pending regeneration may order messages this node
 				// has not yet seen, so leaving now could strand a
 				// divergent delivery prefix.
-				if !g.e.OrdersWell(g.self) {
+				if !g.ne.OrdersWell() {
 					return false
 				}
-				q := g.e.QueueOf(g.self)
-				if q == nil || q.Front() != q.Rear() {
+				if q := g.ne.MQ(); q.Front() != q.Rear() {
 					return false
 				}
 				idleFor := g.sched.Now() - g.lastDeliverAt
@@ -577,11 +580,7 @@ func (g *ringGroup) start() {
 			// ring never trips it.
 			var lastSignal sim.Time
 			watchTick = g.sched.Every(250*sim.Millisecond, func() {
-				ne := g.e.NE(g.self)
-				if ne == nil {
-					return
-				}
-				last, seen := ne.TokenActivity()
+				last, seen := g.ne.TokenActivity()
 				now := g.sched.Now()
 				if seen && now-last > sim.Second && now-lastSignal > sim.Second {
 					lastSignal = now
@@ -616,7 +615,7 @@ func (g *ringGroup) start() {
 					evictedAt = g.sched.Now()
 					active = true
 				}
-				drainedOut := g.e.Quiesced() && g.e.NE(g.self).TokenIdle()
+				drainedOut := g.e.Quiesced() && g.ne.TokenIdle()
 				if !leftClosed && (drainedOut || g.sched.Now()-evictedAt >= quiesce) {
 					leftClosed = true
 					tick.Stop()
@@ -645,7 +644,7 @@ func (g *ringGroup) start() {
 				}
 				// Post-barrier drain (trailing retransmissions, the token
 				// settling between rotations), bounded by quiesce.
-				if (g.e.Quiesced() && g.e.NE(g.self).TokenIdle()) ||
+				if (g.e.Quiesced() && g.ne.TokenIdle()) ||
 					g.sched.Now()-barrierAt >= quiesce {
 					tick.Stop() // no further ticks fire after Stop
 					beaconTick.Stop()
@@ -656,7 +655,7 @@ func (g *ringGroup) start() {
 						// (Live groups leave the token to the membership
 						// plane, which owns its liveness until Stop.)
 						watchTick.Stop()
-						g.e.ParkToken(g.self)
+						g.ne.ParkToken()
 					}
 					close(g.drained)
 				}
@@ -714,7 +713,7 @@ func (g *ringGroup) run(deadline <-chan struct{}) (GroupReport, error) {
 	var rep GroupReport
 	var debugState string
 	g.drv.CallWait(func() {
-		debugState = g.e.DebugState(g.self)
+		debugState = g.ne.DebugState()
 		g.finish()
 		rep = g.snapshot()
 	})
@@ -794,10 +793,10 @@ func (g *ringGroup) snapshot() GroupReport {
 	}
 	if g.ms != nil {
 		rep.Lame = g.ms.Lame()
-		rep.LameEntries = g.tel.lameEntries.Value() // registry-derived; == ms.LameEntries
+		rep.LameEntries = g.tel.lameEntries.Value()
 		rep.LameMS = int64(g.ms.LameTime() / sim.Millisecond)
 		rep.LameDeliveries = g.lameDeliveries
-		rep.Merges = g.tel.merges.Value() // registry-derived; == ms.Merges
+		rep.Merges = g.tel.merges.Value()
 		rep.HealUS = int64(g.ms.HealLatency() / sim.Microsecond)
 	}
 	rep.ResumedAt = uint64(g.resumedAt)
@@ -849,7 +848,7 @@ func (g *ringGroup) ready() bool {
 			return false
 		}
 	}
-	return chanClosed(g.converged) || g.e.OrdersWell(g.self)
+	return chanClosed(g.converged) || g.ne.OrdersWell()
 }
 
 // closeTrace flushes and closes the group's trace file. Idempotent; call

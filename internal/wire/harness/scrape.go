@@ -8,48 +8,14 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // The scraper half of the chaos rig: with Options.Admin the harness owns
 // every member's admin listener, so tests can hit /metrics, /events,
 // /status, and /readyz mid-run and assert live protocol invariants —
-// not just exit reports. Every fetch retries briefly: the listener is
-// bound (and backlogging connects) before the member process serves it,
-// and a member mid-restart leaves backlogged connects parked until the
-// second incarnation attaches.
-
-const (
-	scrapeTimeout = 2 * time.Second
-	scrapeRetries = 20
-	scrapeBackoff = 250 * time.Millisecond
-)
-
-func fetch(addr, path string) ([]byte, int, error) {
-	cl := &http.Client{Timeout: scrapeTimeout}
-	var lastErr error
-	for try := 0; try < scrapeRetries; try++ {
-		if try > 0 {
-			time.Sleep(scrapeBackoff)
-		}
-		resp, err := cl.Get("http://" + addr + path)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return b, resp.StatusCode, nil
-	}
-	return nil, 0, fmt.Errorf("harness: scrape %s%s: %w", addr, path, lastErr)
-}
+// not just exit reports. These decode what such a poll returns.
 
 // errUnreachable marks a single-attempt poll that never connected —
 // expected while a member is dead and its inherited listener backlogs.
@@ -95,108 +61,4 @@ func decodeEvents(resp *http.Response) ([]telemetry.Event, error) {
 		evs = append(evs, ev)
 	}
 	return evs, sc.Err()
-}
-
-// ScrapeMetrics fetches and lint-checks one member's /metrics, returning
-// the parsed samples keyed by `name{labels}` (and bare `name`).
-func ScrapeMetrics(addr string) (map[string]float64, error) {
-	b, code, err := fetch(addr, "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("harness: scrape %s/metrics: HTTP %d", addr, code)
-	}
-	if err := telemetry.LintExposition(bytes.NewReader(b)); err != nil {
-		return nil, fmt.Errorf("harness: %s/metrics malformed: %w", addr, err)
-	}
-	return telemetry.ParseExposition(bytes.NewReader(b))
-}
-
-// ScrapeEvents fetches one member's /events NDJSON ring, oldest first.
-func ScrapeEvents(addr string) ([]telemetry.Event, error) {
-	b, code, err := fetch(addr, "/events")
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("harness: scrape %s/events: HTTP %d", addr, code)
-	}
-	var evs []telemetry.Event
-	sc := bufio.NewScanner(strings.NewReader(string(b)))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev telemetry.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, fmt.Errorf("harness: %s/events line %q: %w", addr, line, err)
-		}
-		evs = append(evs, ev)
-	}
-	return evs, sc.Err()
-}
-
-// ScrapeTrace fetches one member's /trace span dump: the clock-offset
-// header followed by the sampled lifecycle spans, oldest first — the
-// same NDJSON document the member writes to span_path at exit.
-func ScrapeTrace(addr string) (wire.TraceHeader, []telemetry.Span, error) {
-	b, code, err := fetch(addr, "/trace")
-	if err != nil {
-		return wire.TraceHeader{}, nil, err
-	}
-	if code != http.StatusOK {
-		return wire.TraceHeader{}, nil, fmt.Errorf("harness: scrape %s/trace: HTTP %d", addr, code)
-	}
-	hdr, spans, err := wire.ParseTraceDump(bytes.NewReader(b))
-	if err != nil {
-		return hdr, spans, fmt.Errorf("harness: %s/trace: %w", addr, err)
-	}
-	return hdr, spans, nil
-}
-
-// ScrapeStatus fetches one member's /status live report.
-func ScrapeStatus(addr string) (wire.Report, error) {
-	var rep wire.Report
-	b, code, err := fetch(addr, "/status")
-	if err != nil {
-		return rep, err
-	}
-	if code != http.StatusOK {
-		return rep, fmt.Errorf("harness: scrape %s/status: HTTP %d", addr, code)
-	}
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return rep, fmt.Errorf("harness: %s/status: %w", addr, err)
-	}
-	return rep, nil
-}
-
-// Ready probes one member's /readyz once (after connection retries) and
-// reports the verdict.
-func Ready(addr string) (bool, error) {
-	_, code, err := fetch(addr, "/readyz")
-	if err != nil {
-		return false, err
-	}
-	return code == http.StatusOK, nil
-}
-
-// WaitReady polls /readyz until it reports ready or the timeout lapses.
-func WaitReady(addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok, err := Ready(addr)
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			if err == nil {
-				err = fmt.Errorf("still not ready")
-			}
-			return fmt.Errorf("harness: %s/readyz: not ready after %v: %w", addr, timeout, err)
-		}
-		time.Sleep(scrapeBackoff)
-	}
 }

@@ -18,7 +18,7 @@ import (
 // dynamic joins and graceful leaves, instead of freezing the moment its
 // static JSON ring config stops matching reality.
 //
-// Design: full-mesh heartbeats (they ride the protocol bridge, so they
+// Design: full-mesh heartbeats (they ride the protocol substrate, so they
 // coalesce into data datagrams and are counted in the control-plane
 // split) feed per-member suspect timers on the real-time driver. All
 // reconfiguration is decided by one deterministic coordinator — the
@@ -39,8 +39,8 @@ import (
 // by exponential backoff with jitter and a per-epoch attempt cap, so a
 // dead peer stops costing datagrams (a heartbeat from a written-off
 // peer revives its resends). Members apply an update by reforming the
-// topology ring in place, splicing transport peers and bridge
-// endpoints, refreshing the local NE's neighbor view, and severing
+// topology ring in place, splicing transport and substrate peers,
+// refreshing the local NE's neighbor view, and severing
 // reliable-delivery state aimed at removed members. A token watchdog
 // re-emits the paper's Token-Loss signal whenever token circulation
 // stays silent past the threshold — raised only at the coordinator, so
@@ -77,7 +77,7 @@ import (
 // the leaver at the next quorum epoch; the leaver keeps serving
 // retransmissions (and forwards any held token through the normal
 // courier path) until its couriers drain, then exits. Members removed
-// from the ring stay reachable as transport/bridge "lame ducks" for a
+// from the ring stay reachable as transport/substrate "lame ducks" for a
 // grace period so exactly that drain traffic can complete.
 
 const (
@@ -106,7 +106,7 @@ type MemberTunables struct {
 	Heartbeat sim.Time
 	// Suspect declares a member failed after this much heartbeat silence.
 	Suspect sim.Time
-	// Lame is how long a removed member stays in the transport/bridge
+	// Lame is how long a removed member stays in the transport/substrate
 	// peer set so in-flight drains (token handoff acks, Nack service)
 	// complete before the endpoint vanishes.
 	Lame sim.Time
@@ -129,7 +129,6 @@ type proposal struct {
 	removed  []seq.NodeID // sorted
 	added    map[seq.NodeID]string
 	hadDead  bool
-	hadJoin  bool
 	isMerge  bool
 	voters   []seq.NodeID
 	voterSet map[seq.NodeID]bool
@@ -152,8 +151,9 @@ type resendState struct {
 // External goroutines use Driver.Call to enter (see Node.Shutdown).
 type Membership struct {
 	e    *core.Engine
+	ne   *core.NE // the local node; every per-node operation goes through it
 	tr   *Port
-	br   *Bridge
+	net  *outboxNet
 	self seq.NodeID
 	addr string
 	cfg  MemberTunables
@@ -232,33 +232,22 @@ type Membership struct {
 	// verbose daemons).
 	Trace func(format string, args ...any)
 
-	// tel mirrors the counters below into the daemon's live registry and
+	// tel counts membership transitions in the daemon's live registry and
 	// event ring. The zero value is fully inert (sim and unit tests).
 	tel memberTelemetry
 	// prevSuspect is the failure detector's verdict at the last tick,
 	// kept to emit suspect/unsuspect transition events.
 	prevSuspect map[seq.NodeID]bool
-
-	// Counters for reports and tests.
-	Epochs           uint64 // updates applied (exceeding the initial epoch)
-	Failovers        uint64 // eviction epochs this node coordinated
-	JoinsGranted     uint64 // join epochs this node coordinated
-	TokenSignals     uint64 // watchdog Token-Loss signals raised
-	VotesRequested   uint64 // quorum vote requests sent (proposer side)
-	VotesGranted     uint64 // quorum grants received (proposer side)
-	ProposalsAborted uint64 // proposals dropped (delta emptied / superseded)
-	Merges           uint64 // merge epochs this node coordinated
-	LameEntries      uint64 // times this node parked in the lame ring
 }
 
-// NewMembership builds the manager for an assembled node. For an initial
-// ring member, members lists the configured ring (epoch 1, already in
-// topology); for a joiner, members is nil and seeds names the processes
-// to solicit.
-func NewMembership(e *core.Engine, tr *Port, br *Bridge, self seq.NodeID, selfAddr string,
+// NewMembership builds the manager for an assembled node whose local NE
+// is already started. For an initial ring member, members lists the
+// configured ring (epoch 1, already in topology); for a joiner, members
+// is nil and seeds names the processes to solicit.
+func NewMembership(e *core.Engine, tr *Port, net *outboxNet, self seq.NodeID, selfAddr string,
 	cfg MemberTunables, members map[seq.NodeID]string, ringID topology.RingID, seeds []PeerAddr) *Membership {
 	m := &Membership{
-		e: e, tr: tr, br: br, self: self, addr: selfAddr, cfg: cfg,
+		e: e, ne: e.NE(self), tr: tr, net: net, self: self, addr: selfAddr, cfg: cfg,
 		members:          make(map[seq.NodeID]string),
 		det:              membership.NewDetector(cfg.Suspect),
 		peerEpoch:        make(map[seq.NodeID]uint64),
@@ -288,10 +277,8 @@ func NewMembership(e *core.Engine, tr *Port, br *Bridge, self seq.NodeID, selfAd
 // Start installs the aux handler on the local NE and arms the ticker.
 // Must run on the driver goroutine.
 func (m *Membership) Start() {
-	if ne := m.e.NE(m.self); ne != nil {
-		ne.SetAux(m)
-	}
-	now := m.e.Net.Now()
+	m.ne.SetAux(m)
+	now := m.e.Scheduler().Now()
 	for _, p := range m.order {
 		if p != m.self {
 			m.det.Watch(p, now)
@@ -336,7 +323,7 @@ func (m *Membership) Lame() bool { return m.lame }
 // LameTime returns cumulative time spent parked in the lame ring.
 func (m *Membership) LameTime() sim.Time {
 	if m.lame {
-		return m.lameTotal + (m.e.Net.Now() - m.lameSince)
+		return m.lameTotal + (m.e.Scheduler().Now() - m.lameSince)
 	}
 	return m.lameTotal
 }
@@ -391,7 +378,7 @@ func (m *Membership) announceLeave() {
 	if m.coordinator() == m.self {
 		if !m.pendingLeave[m.self] {
 			m.pendingLeave[m.self] = true
-			m.coordinate(m.e.Net.Now())
+			m.coordinate(m.e.Scheduler().Now())
 		}
 		return
 	}
@@ -422,7 +409,7 @@ func (m *Membership) Recv(from seq.NodeID, message msg.Message) {
 	switch v := message.(type) {
 	case *msg.Heartbeat:
 		if _, ok := m.members[v.From]; ok {
-			m.det.Heard(v.From, m.e.Net.Now())
+			m.det.Heard(v.From, m.e.Scheduler().Now())
 			m.peerEpoch[v.From] = v.Epoch
 			// A heartbeat from a written-off laggard proves it is alive:
 			// revive its resends with a fresh attempt budget.
@@ -483,13 +470,13 @@ func (m *Membership) tick() {
 	if m.evicted {
 		return
 	}
-	now := m.e.Net.Now()
+	now := m.e.Scheduler().Now()
 	if !m.joined {
 		// Joiner: solicit membership from every seed, offering our
 		// durable front so the coordinator can grant a resume.
 		jr := &msg.JoinReq{Group: m.e.Group, Node: m.self, Addr: m.addr, Front: m.ResumeFront}
 		for _, s := range m.seeds {
-			m.tr.Send(seq.NodeID(s.Node), jr) // direct: we are nobody's netsim endpoint yet
+			m.tr.Send(seq.NodeID(s.Node), jr) // direct: no member exposes us yet
 		}
 		return
 	}
@@ -575,15 +562,11 @@ func (m *Membership) updateLame(now sim.Time) {
 	case !m.lame && !quorate:
 		m.lame = true
 		m.lameSince = now
-		m.LameEntries++
 		m.tel.lameEntries.Inc()
 		m.tel.lame.Set(1)
 		m.tel.emit("lame-enter", uint64(live), fmt.Sprintf("%d/%d live", live, len(m.order)))
-		if m.prop != nil {
-			m.ProposalsAborted++
-			m.prop = nil
-		}
-		m.e.SetDeliveryHold(m.self, true)
+		m.prop = nil
+		m.ne.SetDeliveryHold(true)
 		m.trace("entering lame ring: %d/%d live, parking read-only", live, len(m.order))
 	}
 }
@@ -599,19 +582,16 @@ func (m *Membership) exitLame(now sim.Time, baseline seq.GlobalSeq) {
 	m.lameTotal += now - m.lameSince
 	m.tel.lame.Set(0)
 	m.tel.emit("lame-exit", uint64(baseline), (now - m.lameSince).String())
-	front := seq.GlobalSeq(0)
-	if q := m.e.QueueOf(m.self); q != nil {
-		front = q.Front()
-	}
+	front := m.ne.MQ().Front()
 	if h := m.resumeHorizon(); baseline > front && h > 0 && baseline-front > h {
-		lo, hi := m.e.RejoinFresh(m.self, baseline)
+		lo, hi := m.ne.RejoinFresh(baseline)
 		m.tel.emit("fresh-rejoin", uint64(baseline), fmt.Sprintf("front %d horizon %d", front, h))
 		m.trace("merge gap (%d, %d] exceeds retained horizon %d: rejoining fresh, range discarded", front, baseline, h)
 		if lo <= hi && m.OnDiscarded != nil {
 			m.OnDiscarded(lo, hi)
 		}
 	} else {
-		m.e.Readmit(m.self, baseline)
+		m.ne.Readmit(baseline)
 	}
 	if m.healStartAt != 0 && m.healDoneAt == 0 {
 		m.healDoneAt = now
@@ -641,17 +621,12 @@ func (m *Membership) tokenWatchdog(now sim.Time) {
 	if m.coordinator() != m.self {
 		return
 	}
-	ne := m.e.NE(m.self)
-	if ne == nil {
-		return
-	}
-	last, seen := ne.TokenActivity()
+	last, seen := m.ne.TokenActivity()
 	if !seen {
 		return
 	}
 	if now-last > tokenWatch && now-m.lastTokenSignal > tokenWatch {
 		m.lastTokenSignal = now
-		m.TokenSignals++
 		m.tel.tokenSignals.Inc()
 		m.tel.emit("token-loss-signal", uint64(m.epoch), (now - last).String())
 		m.e.OnTokenLoss(m.self)
@@ -672,7 +647,6 @@ func (m *Membership) coordinate(now sim.Time) {
 		p := m.prop
 		m.trace("proposal for epoch %d timed out at %d/%d votes; retrying at a higher number",
 			p.epoch, len(p.votes), p.need)
-		m.ProposalsAborted++
 		m.tel.quorumRetries.Inc()
 		m.tel.emit("quorum-retry", p.epoch, fmt.Sprintf("%d/%d votes", len(p.votes), p.need))
 		m.skew = p.epoch - m.epoch
@@ -721,13 +695,12 @@ func (m *Membership) buildProposal(now sim.Time) *proposal {
 		}
 	}
 	added := make(map[seq.NodeID]string)
-	hadJoin, isMerge := false, false
+	isMerge := false
 	for n, a := range m.pendingJoin {
 		if _, ok := m.members[n]; ok || removedSet[n] || a == "" {
 			continue
 		}
 		added[n] = a
-		hadJoin = true
 	}
 	for n, a := range m.pendingMerge {
 		if _, ok := m.members[n]; ok || removedSet[n] || a == "" {
@@ -771,7 +744,7 @@ func (m *Membership) buildProposal(now sim.Time) *proposal {
 	}
 	if isMerge {
 		u.Merge = true
-		if te, _, ok := m.e.TokenStamp(m.self); ok {
+		if te, _, ok := m.ne.TokenStamp(); ok {
 			u.MergeTokenEpoch = te
 		}
 	}
@@ -783,7 +756,6 @@ func (m *Membership) buildProposal(now sim.Time) *proposal {
 		removed:  removed,
 		added:    added,
 		hadDead:  hadDead,
-		hadJoin:  hadJoin,
 		isMerge:  isMerge,
 		voters:   append([]seq.NodeID(nil), m.order...),
 		voterSet: make(map[seq.NodeID]bool, len(m.order)),
@@ -807,7 +779,6 @@ func (m *Membership) refreshProposal(now sim.Time) {
 	fresh := m.buildProposal(now)
 	if fresh == nil {
 		m.trace("aborting proposal for epoch %d: delta emptied", old.epoch)
-		m.ProposalsAborted++
 		m.prop = nil
 		return
 	}
@@ -875,7 +846,6 @@ func (m *Membership) pushVotes() {
 			Group: m.e.Group, Epoch: m.prop.epoch, Base: m.prop.base,
 			Proposer: m.self, Voter: p,
 		})
-		m.VotesRequested++
 	}
 }
 
@@ -937,7 +907,6 @@ func (m *Membership) handleVoteGrant(v *msg.QuorumVote) {
 		return
 	}
 	p.votes[v.Voter] = true
-	m.VotesGranted++
 	m.checkQuorum()
 }
 
@@ -991,17 +960,10 @@ func (m *Membership) commit(p *proposal) {
 		delete(m.pendingMerge, n)
 		delete(m.pendingJoinFront, n)
 	}
-	if p.hadDead {
-		m.Failovers++
-	}
-	if p.hadJoin {
-		m.JoinsGranted++
-	}
 	if p.isMerge {
-		m.Merges++
 		m.tel.merges.Inc()
 		if m.healStartAt != 0 && m.healDoneAt == 0 {
-			m.healDoneAt = m.e.Net.Now()
+			m.healDoneAt = m.e.Scheduler().Now()
 			m.tel.emit("merge-heal", u.Epoch, (m.healDoneAt - m.healStartAt).String())
 		}
 	}
@@ -1027,12 +989,12 @@ func (m *Membership) commit(p *proposal) {
 		// AT the stamped epoch, DiscardTokenBelow is strictly below — and
 		// the filter window arms against the minority's stale token.
 		if u.MergeTokenEpoch != 0 {
-			m.e.DiscardTokenBelow(m.self, u.MergeTokenEpoch)
+			m.ne.DiscardTokenBelow(u.MergeTokenEpoch)
 		}
 		m.e.OnMultipleToken(m.self)
 	}
 	if p.hadDead {
-		// The departed may have held the token; ordersWell() filters the
+		// The departed may have held the token; OrdersWell filters the
 		// signal when circulation is demonstrably healthy.
 		m.e.OnTokenLoss(m.self)
 	}
@@ -1093,10 +1055,7 @@ func (m *Membership) currentUpdate() *msg.RingUpdate {
 }
 
 func (m *Membership) buildUpdateFor(epoch uint64, members map[seq.NodeID]string) *msg.RingUpdate {
-	u := &msg.RingUpdate{Group: m.e.Group, Epoch: epoch, Coord: m.self}
-	if q := m.e.QueueOf(m.self); q != nil {
-		u.Baseline = q.Front()
-	}
+	u := &msg.RingUpdate{Group: m.e.Group, Epoch: epoch, Coord: m.self, Baseline: m.ne.MQ().Front()}
 	ids := make([]seq.NodeID, 0, len(members))
 	for id := range members {
 		ids = append(ids, id)
@@ -1125,7 +1084,7 @@ func (m *Membership) sendUpdate(to seq.NodeID) {
 }
 
 // sendUpdateTo delivers one RingUpdate, establishing the transport peer
-// and bridge endpoint first (the recipient may be a brand-new joiner).
+// and substrate peer first (the recipient may be a brand-new joiner).
 func (m *Membership) sendUpdateTo(to seq.NodeID, addr string, u *msg.RingUpdate) {
 	if !m.tr.HasPeer(to) {
 		if addr == "" {
@@ -1135,7 +1094,7 @@ func (m *Membership) sendUpdateTo(to seq.NodeID, addr string, u *msg.RingUpdate)
 			return
 		}
 	}
-	m.br.ExposePeer(to)
+	m.net.expose(to)
 	m.e.Net.Send(m.self, to, u)
 }
 
@@ -1154,7 +1113,7 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 	if addr == "" {
 		return // a stranger, not a former member: ignore
 	}
-	now := m.e.Net.Now()
+	now := m.e.Scheduler().Now()
 	if last := m.lastSummary[from]; last != 0 && now-last < 2*m.cfg.Heartbeat {
 		return
 	}
@@ -1164,16 +1123,13 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 			return
 		}
 	}
-	m.br.ExposePeer(from)
+	m.net.expose(from)
 	m.markHealStart(now)
-	rs := &msg.RingSummary{Group: m.e.Group, From: m.self, Epoch: m.epoch}
-	if q := m.e.QueueOf(m.self); q != nil {
-		rs.Front = q.Front()
-	}
+	rs := &msg.RingSummary{Group: m.e.Group, From: m.self, Epoch: m.epoch, Front: m.ne.MQ().Front()}
 	if m.OrderHash != nil {
 		rs.OrderHash = m.OrderHash()
 	}
-	if te, th, ok := m.e.TokenStamp(m.self); ok {
+	if te, th, ok := m.ne.TokenStamp(); ok {
 		rs.TokenEpoch, rs.TokenHops = te, th
 	}
 	m.trace("probe from evicted %v (epoch %d < %d): offering merge summary", from, epoch, m.epoch)
@@ -1192,18 +1148,15 @@ func (m *Membership) handleRingSummary(rs *msg.RingSummary) {
 		return
 	}
 	if rs.TokenEpoch != 0 {
-		m.e.DiscardTokenBelow(m.self, rs.TokenEpoch)
+		m.ne.DiscardTokenBelow(rs.TokenEpoch)
 	}
 	m.e.OnMultipleToken(m.self)
-	m.markHealStart(m.e.Net.Now())
-	mr := &msg.MergeReq{Group: m.e.Group, Node: m.self, Addr: m.addr, Epoch: m.epoch}
-	if q := m.e.QueueOf(m.self); q != nil {
-		mr.Front = q.Front()
-	}
+	m.markHealStart(m.e.Scheduler().Now())
+	mr := &msg.MergeReq{Group: m.e.Group, Node: m.self, Addr: m.addr, Epoch: m.epoch, Front: m.ne.MQ().Front()}
 	if m.OrderHash != nil {
 		mr.OrderHash = m.OrderHash()
 	}
-	if te, th, ok := m.e.TokenStamp(m.self); ok {
+	if te, th, ok := m.ne.TokenStamp(); ok {
 		mr.TokenEpoch, mr.TokenHops = te, th
 	}
 	m.trace("ring summary from %v (epoch %d > %d, front=%d): requesting merge",
@@ -1233,7 +1186,7 @@ func (m *Membership) handleMergeReq(mr *msg.MergeReq) {
 			mr.Node, mr.Epoch, mr.Front, mr.OrderHash)
 	}
 	m.pendingMerge[mr.Node] = mr.Addr
-	m.coordinate(m.e.Net.Now())
+	m.coordinate(m.e.Scheduler().Now())
 }
 
 // handleJoinReq stages a joiner for the next quorum epoch (coordinator)
@@ -1262,7 +1215,7 @@ func (m *Membership) handleJoinReq(jr *msg.JoinReq) {
 	}
 	m.pendingJoin[jr.Node] = jr.Addr
 	m.pendingJoinFront[jr.Node] = jr.Front
-	m.coordinate(m.e.Net.Now())
+	m.coordinate(m.e.Scheduler().Now())
 }
 
 // handleLeaveReq stages a gracefully-departing member's eviction
@@ -1279,7 +1232,7 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 		// Already evicted: the farewell may have been lost — answer the
 		// retry with the excluding epoch so the leaver can stand down.
 		if m.tr.HasPeer(lr.Node) {
-			m.br.ExposePeer(lr.Node)
+			m.net.expose(lr.Node)
 			m.e.Net.Send(m.self, lr.Node, m.currentUpdate())
 		}
 		return
@@ -1288,7 +1241,7 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 		m.trace("staging leave of %v for epoch %d", lr.Node, m.epoch+1)
 	}
 	m.pendingLeave[lr.Node] = true
-	m.coordinate(m.e.Net.Now())
+	m.coordinate(m.e.Scheduler().Now())
 }
 
 // applyUpdate applies a received epoch if it is newer than ours.
@@ -1297,7 +1250,6 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 		return
 	}
 	if m.prop != nil && u.Epoch >= m.prop.epoch {
-		m.ProposalsAborted++
 		m.prop = nil // someone else committed first
 	}
 	inRing := false
@@ -1360,12 +1312,12 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 			// from the peers' retained windows.
 			m.trace("resuming at durable front %d (baseline %d)", resumed, u.Baseline)
 			m.tel.emit("resume", uint64(resumed), fmt.Sprintf("baseline %d", u.Baseline))
-			m.e.JumpTo(m.self, resumed)
+			m.ne.JumpTo(resumed)
 		} else {
 			// Set the stream baseline before the splice makes this node
 			// a top-ring member: delivery starts at Baseline+1.
 			m.tel.emit("fresh-join", uint64(u.Baseline), "")
-			m.e.JumpTo(m.self, u.Baseline)
+			m.ne.JumpTo(u.Baseline)
 			if f := m.ResumeFront; f > 0 && f < u.Baseline && m.OnDiscarded != nil {
 				// We held a durable log but the coordinator saw the gap
 				// as beyond the retained horizon: the range between our
@@ -1380,12 +1332,12 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 		// the surviving stamp die, and the filter window arms so the
 		// dead ring's stragglers are absorbed, not double-assigned.
 		if u.MergeTokenEpoch != 0 {
-			m.e.DiscardTokenBelow(m.self, u.MergeTokenEpoch)
+			m.ne.DiscardTokenBelow(u.MergeTokenEpoch)
 		}
 		m.e.OnMultipleToken(m.self)
 	}
 	if wasLame {
-		now := m.e.Net.Now()
+		now := m.e.Scheduler().Now()
 		m.trace("rejoined quorum ring at epoch %d after %v lame", u.Epoch, now-m.lameSince)
 		m.exitLame(now, u.Baseline)
 	}
@@ -1412,14 +1364,14 @@ func (m *Membership) calibrate(peer seq.NodeID) {
 }
 
 // applyLocal makes the current member set real: topology ring, transport
-// peers, bridge endpoints, neighbor refresh, and severed state toward
+// and substrate peers, neighbor refresh, and severed state toward
 // removed members (who linger as lame ducks before retirement). Every
 // member's failure detector restarts with a fresh window — without
 // this, a merged-back member would be instantly re-suspected off its
 // pre-partition lastHeard.
 func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 	h := m.e.H
-	now := m.e.Net.Now()
+	now := m.e.Scheduler().Now()
 	wasVirgin := m.ringID == 0 || h.Ring(m.ringID) == nil
 	for _, id := range m.order {
 		if id == m.self {
@@ -1437,7 +1389,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 				m.calibrate(id)
 			}
 		}
-		m.br.ExposePeer(id)
+		m.net.expose(id)
 		m.det.Forget(id)
 		m.det.Watch(id, now)
 		delete(m.graves, id)
@@ -1459,7 +1411,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 	for _, dead := range removed {
 		m.tel.evictions.Inc()
 		m.tel.emit("evict", uint64(dead), fmt.Sprintf("epoch %d", u.Epoch))
-		m.e.DropPeer(m.self, dead)
+		m.ne.DropPeer(dead)
 		m.det.Forget(dead)
 		delete(m.peerEpoch, dead)
 		delete(m.resend, dead)
@@ -1470,11 +1422,10 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 			if _, back := m.members[dead]; back {
 				return // rejoined meanwhile
 			}
-			m.br.RetirePeer(dead)
+			m.net.retire(dead)
 			m.tr.RemovePeer(dead)
 		})
 	}
-	m.Epochs++
 	m.tel.epochsApplied.Inc()
 	m.tel.epoch.Set(int64(u.Epoch))
 	m.tel.emit("epoch-commit", u.Epoch, fmt.Sprintf("%d members, %d removed", len(m.order), len(removed)))

@@ -153,8 +153,8 @@ func (b *peerBox) shard(group uint32) *groupShard {
 
 // Enqueue adds one message from group for peer to, arming a flush on
 // sched — the enqueuing group's scheduler — if the box needs one. Must
-// run on that group's driver goroutine (inside a scheduler event), like
-// any scheduler use.
+// run on that group's driver goroutine — inside a scheduler event or a
+// call the driver injected between events — like any scheduler use.
 func (o *SharedOutbox) Enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID, m msg.Message) {
 	b := o.box(to)
 	s := b.shard(group)
@@ -257,8 +257,8 @@ func (o *SharedOutbox) flush(sched *sim.Scheduler, b *peerBox) {
 }
 
 // Drop discards group's unflushed messages for peer to (the member left
-// that group's ring; reliability state pointing at it is the engine's
-// DropPeer business). Other groups' pending traffic is untouched. The
+// that group's ring; reliability state pointing at it is NE.DropPeer's
+// business). Other groups' pending traffic is untouched. The
 // shard may stay on the dirty stack; the next flush skips it empty.
 func (o *SharedOutbox) Drop(group uint32, to seq.NodeID) {
 	b, ok := o.boxes.Load(to)

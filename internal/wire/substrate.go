@@ -1,0 +1,89 @@
+package wire
+
+import (
+	"repro/internal/core"
+	"repro/internal/msg"
+	"repro/internal/netsim"
+	"repro/internal/seq"
+	"repro/internal/sim"
+)
+
+// outboxNet is the wire plane's core.Network for one hosted group: a send
+// from the local NE to an exposed peer is a shared-outbox enqueue in the
+// call stack of the protocol event that produced it, tagged with the
+// group's id so it coalesces with sibling groups' traffic for the same
+// peer. The real network supplies latency, jitter, loss and reordering,
+// so there is nothing here to simulate: no links, no endpoint table, no
+// RNG — only the set of peers currently exposed (ring members, plus
+// removed ones still draining) and the simulator's own send accounting,
+// so a ControlReport reads the same over either substrate. Inbound
+// sections do not pass through here; newRingGroup hands them to the local
+// NE from the transport's receive hook. Driver goroutine only.
+type outboxNet struct {
+	sched *sim.Scheduler
+	ob    *SharedOutbox
+	group uint32
+	local seq.NodeID
+	peers map[seq.NodeID]bool
+	stats netsim.Stats
+}
+
+var _ core.Network = (*outboxNet)(nil)
+
+func newOutboxNet(sched *sim.Scheduler, ob *SharedOutbox, group uint32, local seq.NodeID) *outboxNet {
+	return &outboxNet{sched: sched, ob: ob, group: group, local: local, peers: make(map[seq.NodeID]bool)}
+}
+
+// expose makes p a destination sends reach (idempotent).
+func (n *outboxNet) expose(p seq.NodeID) {
+	if p != n.local {
+		n.peers[p] = true
+	}
+}
+
+// retire removes p: later sends to it are dropped, and so is this group's
+// unflushed backlog for it (the member is gone; reliability state
+// pointing at it is NE.DropPeer's business).
+func (n *outboxNet) retire(p seq.NodeID) {
+	if n.peers[p] {
+		delete(n.peers, p)
+		n.ob.Drop(n.group, p)
+	}
+}
+
+func (n *outboxNet) Scheduler() *sim.Scheduler { return n.sched }
+
+// Send enqueues m for an exposed peer and reports whether it did. A send
+// to anything else — a retired peer, the local node — is counted and
+// dropped, the sender learning nothing, like a simulated send with no
+// route.
+func (n *outboxNet) Send(from, to seq.NodeID, m msg.Message) bool {
+	ok := from == n.local && n.peers[to]
+	n.stats.Count(m, ok)
+	if ok {
+		n.ob.Enqueue(n.sched, n.group, to, m)
+	}
+	return ok
+}
+
+func (n *outboxNet) SendBurst(from, to seq.NodeID, msgs []msg.Message) {
+	for _, m := range msgs {
+		n.Send(from, to, m)
+	}
+}
+
+func (n *outboxNet) Stats() netsim.Stats { return n.stats.Snapshot() }
+
+// The rest of core.Network has nothing to do here. The only endpoint is
+// the local NE, which the transport hook feeds directly; every exposed
+// peer is one socket hop away, so there are no links to wire and every
+// pair counts as linked; and a crash on this substrate is a process
+// exit, not an injected fault.
+
+func (n *outboxNet) Register(seq.NodeID, netsim.Handler)               {}
+func (n *outboxNet) Unregister(seq.NodeID)                             {}
+func (n *outboxNet) Connect(seq.NodeID, seq.NodeID, netsim.LinkParams) {}
+func (n *outboxNet) Disconnect(seq.NodeID, seq.NodeID)                 {}
+func (n *outboxNet) Linked(seq.NodeID, seq.NodeID) bool                { return true }
+func (n *outboxNet) Crash(seq.NodeID)                                  {}
+func (n *outboxNet) Recover(seq.NodeID)                                {}

@@ -17,7 +17,7 @@ import (
 // Handler consumes the messages of one received section. It is invoked
 // from the transport's reader goroutine (or a delay-injection timer
 // goroutine); serializing onto the group's protocol thread is the
-// caller's job (see Bridge).
+// caller's job (see newRingGroup).
 type Handler func(from seq.NodeID, msgs []msg.Message)
 
 // GroupHooks is one hosted group's receive surface, installed with

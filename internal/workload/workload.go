@@ -129,63 +129,3 @@ func (g *Group) Sent() uint64 {
 	}
 	return n
 }
-
-// Churn generates membership joins and leaves at given rates.
-type Churn struct {
-	sched *sim.Scheduler
-	rng   *sim.RNG
-	// Join attaches a fresh host and returns its id; Leave removes one.
-	Join  func() seq.HostID
-	Leave func(seq.HostID)
-
-	alive []seq.HostID
-	stop  bool
-
-	Joins  uint64
-	Leaves uint64
-}
-
-// NewChurn builds a churner over the given callbacks.
-func NewChurn(sched *sim.Scheduler, rng *sim.RNG, join func() seq.HostID, leave func(seq.HostID)) *Churn {
-	return &Churn{sched: sched, rng: rng, Join: join, Leave: leave}
-}
-
-// Start arms exponential join and leave processes with the given mean
-// gaps (0 disables that process).
-func (c *Churn) Start(meanJoinGap, meanLeaveGap sim.Time) {
-	if meanJoinGap > 0 {
-		var j func()
-		j = func() {
-			if c.stop {
-				return
-			}
-			h := c.Join()
-			if h != 0 {
-				c.alive = append(c.alive, h)
-				c.Joins++
-			}
-			c.sched.After(c.rng.ExpDuration(meanJoinGap), j)
-		}
-		c.sched.After(c.rng.ExpDuration(meanJoinGap), j)
-	}
-	if meanLeaveGap > 0 {
-		var l func()
-		l = func() {
-			if c.stop {
-				return
-			}
-			if len(c.alive) > 0 {
-				i := c.rng.Intn(len(c.alive))
-				h := c.alive[i]
-				c.alive = append(c.alive[:i], c.alive[i+1:]...)
-				c.Leave(h)
-				c.Leaves++
-			}
-			c.sched.After(c.rng.ExpDuration(meanLeaveGap), l)
-		}
-		c.sched.After(c.rng.ExpDuration(meanLeaveGap), l)
-	}
-}
-
-// Stop halts churn.
-func (c *Churn) Stop() { c.stop = true }

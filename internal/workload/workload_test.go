@@ -112,27 +112,3 @@ func TestGroupPoisson(t *testing.T) {
 		t.Fatalf("group poisson sent %d", g.Sent())
 	}
 }
-
-func TestChurn(t *testing.T) {
-	sched := sim.NewScheduler()
-	rng := sim.NewRNG(3)
-	next := seq.HostID(100)
-	alive := map[seq.HostID]bool{}
-	c := NewChurn(sched, rng,
-		func() seq.HostID { next++; alive[next] = true; return next },
-		func(h seq.HostID) { delete(alive, h) })
-	c.Start(20*sim.Millisecond, 50*sim.Millisecond)
-	if _, err := sched.Run(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	c.Stop()
-	if c.Joins < 100 {
-		t.Fatalf("joins = %d", c.Joins)
-	}
-	if c.Leaves == 0 || c.Leaves > c.Joins {
-		t.Fatalf("leaves = %d (joins %d)", c.Leaves, c.Joins)
-	}
-	if int(c.Joins-c.Leaves) != len(alive) {
-		t.Fatalf("alive accounting: %d vs %d", c.Joins-c.Leaves, len(alive))
-	}
-}
