@@ -98,7 +98,11 @@ type Engine struct {
 	Cfg   Config
 	Net   Network
 	H     *topology.Hierarchy
-	Log   *metrics.DeliveryLog
+	// Log is the simulator's exact delivery oracle: every MH's stream
+	// cross-checked against every other's. StartLocal clears it — a
+	// single-process slice has no MHs to cross-check, and its delivery
+	// stream is accounted by whoever hooks OnDeliver.
+	Log *metrics.DeliveryLog
 
 	nes   map[seq.NodeID]*NE
 	mhs   map[seq.HostID]*MH
@@ -245,6 +249,7 @@ func (e *Engine) StartLocal(id seq.NodeID) error {
 		return fmt.Errorf("core: unknown node %v", id)
 	}
 	e.started = true
+	e.Log = nil
 	if err := e.spawnNE(id); err != nil {
 		return err
 	}
@@ -370,7 +375,9 @@ func (e *Engine) Submit(corr seq.NodeID, payload []byte) (seq.LocalSeq, error) {
 	e.local[corr]++
 	l := e.local[corr]
 	e.Tel.Trace.Span(telemetry.StagePublish, uint32(e.Group), uint32(corr), uint64(l), 0, 0)
-	e.Log.Sent(corr, l, e.Scheduler().Now())
+	if e.Log != nil {
+		e.Log.Sent(corr, l, e.Scheduler().Now())
+	}
 	e.Scheduler().After(0, func() { ne.acceptSource(l, payload) })
 	return l, nil
 }
@@ -474,7 +481,7 @@ func (e *Engine) Buffers() BufferReport {
 // message volume (acks, progress, nacks; control vs payload bytes).
 func (e *Engine) ControlReport() metrics.ControlReport {
 	st := e.Net.Stats()
-	return metrics.ControlReport{
+	r := metrics.ControlReport{
 		Acks:         st.ByKind[msg.KindAck],
 		Progress:     st.ByKind[msg.KindProgress],
 		Nacks:        st.ByKind[msg.KindNack],
@@ -483,8 +490,11 @@ func (e *Engine) ControlReport() metrics.ControlReport {
 		ControlBytes: st.CtrlBytes,
 		DataMsgs:     st.DataMsgs,
 		DataBytes:    st.DataBytes,
-		Delivered:    e.Log.Delivered.Value(),
 	}
+	if e.Log != nil {
+		r.Delivered = e.Log.Delivered.Value()
+	}
+	return r
 }
 
 // TokenRounds returns the hop count of the token observed at the given

@@ -282,10 +282,7 @@ func (n *NE) Recv(from seq.NodeID, m msg.Message) {
 		n.handleHandoffNotify(from, v)
 	case *msg.Reserve:
 		n.handleReserve(from, v)
-	case *msg.SourceData:
-		n.acceptSource(v.LocalSeq, v.Payload)
-	case *msg.Heartbeat, *msg.TokenLoss, *msg.MultipleToken, *msg.HandoffLeave,
-		*msg.JoinReq, *msg.LeaveReq, *msg.RingUpdate,
+	case *msg.Heartbeat, *msg.JoinReq, *msg.LeaveReq, *msg.RingUpdate,
 		*msg.QuorumVote, *msg.RingSummary, *msg.MergeReq:
 		// Membership-plane messages belong to the membership manager.
 		if n.aux != nil {

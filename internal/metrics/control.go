@@ -4,8 +4,8 @@ import "fmt"
 
 // ControlReport summarizes control-plane versus data-plane message
 // volume for one run — the quantity the ack-coalescing and piggybacking
-// work optimizes. Data and SourceData frames (payload carriers,
-// including any piggybacked acknowledgements) are the data plane;
+// work optimizes. Data frames (payload carriers, including any
+// piggybacked acknowledgements) are the data plane;
 // everything else is control. Acks, Progress, and Nacks are the
 // "ack plane": the standalone per-hop reliability traffic that delayed
 // cumulative acknowledgements batch away.

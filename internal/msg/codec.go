@@ -179,11 +179,6 @@ func AppendEncode(buf []byte, m Message) []byte {
 		w.u64(uint64(v.GlobalSeq))
 		w.optSeq(uint64(v.AckCum))
 		w.bytes(v.Payload)
-	case *SourceData:
-		w.u32(uint32(v.Group))
-		w.u32(uint32(v.SourceNode))
-		w.u64(uint64(v.LocalSeq))
-		w.bytes(v.Payload)
 	case *Ack:
 		encodeAckBody(w, v)
 	case *Nack:
@@ -205,14 +200,10 @@ func AppendEncode(buf []byte, m Message) []byte {
 		} else {
 			w.u8(0)
 		}
-	case *TokenLoss:
-		w.u32(uint32(v.Group))
 	case *TokenRegen:
 		w.u32(uint32(v.Origin))
 		w.u32(uint32(v.From))
 		encodeToken(w, v.Token)
-	case *MultipleToken:
-		w.u32(uint32(v.Group))
 	case *Join:
 		w.u32(uint32(v.Group))
 		w.u32(uint32(v.Host))
@@ -234,10 +225,6 @@ func AppendEncode(buf []byte, m Message) []byte {
 		w.u32(uint32(v.Host))
 		w.u32(uint32(v.OldAP))
 		w.u64(uint64(v.Delivered))
-	case *HandoffLeave:
-		w.u32(uint32(v.Group))
-		w.u32(uint32(v.Host))
-		w.u32(uint32(v.NewAP))
 	case *Reserve:
 		w.u32(uint32(v.Group))
 		w.u32(uint32(v.From))
@@ -344,13 +331,6 @@ func Decode(buf []byte) (Message, error) {
 		v.AckCum = seq.GlobalSeq(r.optSeq())
 		v.Payload = r.bytes()
 		m = v
-	case KindSourceData:
-		v := &SourceData{}
-		v.Group = seq.GroupID(r.u32())
-		v.SourceNode = seq.NodeID(r.u32())
-		v.LocalSeq = seq.LocalSeq(r.u64())
-		v.Payload = r.bytes()
-		m = v
 	case KindAck:
 		m = decodeAckBody(r)
 	case KindNack:
@@ -379,8 +359,6 @@ func Decode(buf []byte) (Message, error) {
 			v.Cum = decodeAckBody(r)
 		}
 		m = v
-	case KindTokenLoss:
-		m = &TokenLoss{Group: seq.GroupID(r.u32())}
 	case KindTokenRegen:
 		v := &TokenRegen{}
 		v.Origin = seq.NodeID(r.u32())
@@ -391,8 +369,6 @@ func Decode(buf []byte) (Message, error) {
 		}
 		v.Token = tok
 		m = v
-	case KindMultipleToken:
-		m = &MultipleToken{Group: seq.GroupID(r.u32())}
 	case KindJoin:
 		v := &Join{}
 		v.Group = seq.GroupID(r.u32())
@@ -415,12 +391,6 @@ func Decode(buf []byte) (Message, error) {
 		v.Host = seq.HostID(r.u32())
 		v.OldAP = seq.NodeID(r.u32())
 		v.Delivered = seq.GlobalSeq(r.u64())
-		m = v
-	case KindHandoffLeave:
-		v := &HandoffLeave{}
-		v.Group = seq.GroupID(r.u32())
-		v.Host = seq.HostID(r.u32())
-		v.NewAP = seq.NodeID(r.u32())
 		m = v
 	case KindReserve:
 		v := &Reserve{}

@@ -29,23 +29,18 @@ const (
 	KindToken
 	// KindTokenAck acknowledges token receipt (reliable token transfer).
 	KindTokenAck
-	// KindTokenLoss is the membership protocol's Token-Loss signal
-	// (paper §4.2.1), sent to a top-ring node after topology maintenance.
-	KindTokenLoss
+	_ // 6, retired: the Token-Loss signal is a call (Engine.OnTokenLoss), never a message
 	// KindTokenRegen is the Token-Regeneration message that traverses
 	// the top ring encapsulating a NewOrderingToken.
 	KindTokenRegen
-	// KindMultipleToken is the membership protocol's Multiple-Token
-	// signal after two top rings merge.
-	KindMultipleToken
+	_ // 8, retired: the Multiple-Token signal is Engine.OnMultipleToken
 	// KindJoin/KindLeave propagate membership changes up the hierarchy.
 	KindJoin
 	KindLeave
 	// KindHandoffNotify tells an AP that an MH arrived, carrying the
 	// MH's delivery high-water mark so delivery resumes without gaps.
 	KindHandoffNotify
-	// KindHandoffLeave tells the old AP that an MH departed.
-	KindHandoffLeave
+	_ // 12, retired: handoff-leave; a handoff is announced to the new AP only (HandoffNotify)
 	// KindReserve asks a nearby AP to pre-build a multicast path
 	// (multicast-based smooth handoff, paper §3).
 	KindReserve
@@ -54,9 +49,7 @@ const (
 	KindProgress
 	// KindHeartbeat keeps failure detectors informed.
 	KindHeartbeat
-	// KindSourceData carries a source's message to its corresponding
-	// top-ring node (the paper's "interface mechanism").
-	KindSourceData
+	_ // 16, retired: sources enter through Engine.Submit
 	// KindSkip tells a downstream neighbor that a global-sequence range
 	// was abandoned after retry exhaustion: the receiver applies the
 	// really-lost rule (Received=false, Waiting=false ⇒ Delivered) so
@@ -104,17 +97,13 @@ var kindNames = map[Kind]string{
 	KindNack:          "nack",
 	KindToken:         "token",
 	KindTokenAck:      "token-ack",
-	KindTokenLoss:     "token-loss",
 	KindTokenRegen:    "token-regen",
-	KindMultipleToken: "multiple-token",
 	KindJoin:          "join",
 	KindLeave:         "leave",
 	KindHandoffNotify: "handoff-notify",
-	KindHandoffLeave:  "handoff-leave",
 	KindReserve:       "reserve",
 	KindProgress:      "progress",
 	KindHeartbeat:     "heartbeat",
-	KindSourceData:    "source-data",
 	KindSkip:          "skip",
 	KindJoinReq:       "join-req",
 	KindLeaveReq:      "leave-req",
@@ -176,17 +165,6 @@ func (d *Data) Clone() *Data {
 	c := *d
 	return &c
 }
-
-// SourceData is a source's submission to its corresponding top-ring node.
-type SourceData struct {
-	Group      seq.GroupID
-	SourceNode seq.NodeID // the corresponding node's identity (at most one source per node)
-	LocalSeq   seq.LocalSeq
-	Payload    []byte
-}
-
-func (*SourceData) Kind() Kind      { return KindSourceData }
-func (s *SourceData) WireSize() int { return 1 + 4 + 4 + 8 + 4 + len(s.Payload) }
 
 // SourceCum is one per-source cumulative acknowledgement inside a
 // batched Ack: every message of Source's stream up to Cum was received.
@@ -274,15 +252,6 @@ func (t *TokenAck) WireSize() int {
 	return n
 }
 
-// TokenLoss is the membership protocol's signal that the token may have
-// been lost during topology maintenance.
-type TokenLoss struct {
-	Group seq.GroupID
-}
-
-func (*TokenLoss) Kind() Kind      { return KindTokenLoss }
-func (t *TokenLoss) WireSize() int { return 1 + 4 }
-
 // TokenRegen traverses the top ring during Token-Regeneration,
 // encapsulating the best NewOrderingToken seen so far. Origin detects a
 // full circulation.
@@ -294,15 +263,6 @@ type TokenRegen struct {
 
 func (*TokenRegen) Kind() Kind      { return KindTokenRegen }
 func (t *TokenRegen) WireSize() int { return 1 + 4 + 4 + tokenWireSize(t.Token) }
-
-// MultipleToken is the membership protocol's signal that ring merging may
-// have produced multiple live tokens.
-type MultipleToken struct {
-	Group seq.GroupID
-}
-
-func (*MultipleToken) Kind() Kind      { return KindMultipleToken }
-func (m *MultipleToken) WireSize() int { return 1 + 4 }
 
 // Join propagates a membership join up the hierarchy. Host is set for MH
 // joins; Node for NE attachments. When an AP (re)attaches itself to the
@@ -344,16 +304,6 @@ type HandoffNotify struct {
 
 func (*HandoffNotify) Kind() Kind      { return KindHandoffNotify }
 func (h *HandoffNotify) WireSize() int { return 1 + 4 + 4 + 4 + 8 }
-
-// HandoffLeave tells the old AP that Host departed toward NewAP.
-type HandoffLeave struct {
-	Group seq.GroupID
-	Host  seq.HostID
-	NewAP seq.NodeID
-}
-
-func (*HandoffLeave) Kind() Kind      { return KindHandoffLeave }
-func (h *HandoffLeave) WireSize() int { return 1 + 4 + 4 + 4 }
 
 // Reserve asks an AP near a handoff target to pre-establish a multicast
 // path so an arriving MH finds the flow already present (paper §3).
@@ -586,18 +536,14 @@ var (
 	_ Message = (*RingUpdate)(nil)
 	_ Message = (*TimeSync)(nil)
 	_ Message = (*Data)(nil)
-	_ Message = (*SourceData)(nil)
 	_ Message = (*Ack)(nil)
 	_ Message = (*Nack)(nil)
 	_ Message = (*TokenMsg)(nil)
 	_ Message = (*TokenAck)(nil)
-	_ Message = (*TokenLoss)(nil)
 	_ Message = (*TokenRegen)(nil)
-	_ Message = (*MultipleToken)(nil)
 	_ Message = (*Join)(nil)
 	_ Message = (*Leave)(nil)
 	_ Message = (*HandoffNotify)(nil)
-	_ Message = (*HandoffLeave)(nil)
 	_ Message = (*Reserve)(nil)
 	_ Message = (*Progress)(nil)
 	_ Message = (*Heartbeat)(nil)

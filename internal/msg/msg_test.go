@@ -52,11 +52,34 @@ func TestRoundTripDataEmptyPayload(t *testing.T) {
 	}
 }
 
-func TestRoundTripSourceData(t *testing.T) {
-	s := &SourceData{Group: 1, SourceNode: 5, LocalSeq: 9, Payload: []byte{1, 2, 3}}
-	got := roundTrip(t, s).(*SourceData)
-	if !reflect.DeepEqual(s, got) {
-		t.Fatalf("got %+v want %+v", got, s)
+// TestKindBytes pins every kind's byte on the wire — frames from
+// different builds of the same frame version must agree on them — and
+// that the four bytes retired with the kinds nothing ever sent
+// (token-loss 6, multiple-token 8, handoff-leave 12, source-data 16) are
+// refused as unknown, whatever body follows.
+func TestKindBytes(t *testing.T) {
+	want := map[Kind]uint8{
+		KindData: 1, KindAck: 2, KindNack: 3, KindToken: 4, KindTokenAck: 5,
+		KindTokenRegen: 7, KindJoin: 9, KindLeave: 10, KindHandoffNotify: 11,
+		KindReserve: 13, KindProgress: 14, KindHeartbeat: 15, KindSkip: 17,
+		KindJoinReq: 18, KindLeaveReq: 19, KindRingUpdate: 20, KindTimeSync: 21,
+		KindQuorumVote: 22, KindRingSummary: 23, KindMergeReq: 24,
+	}
+	for k, b := range want {
+		if uint8(k) != b {
+			t.Errorf("%v is byte %d, want %d", k, uint8(k), b)
+		}
+	}
+	if len(kindNames) != len(want)+1 { // + KindInvalid
+		t.Errorf("%d named kinds, %d pinned", len(kindNames), len(want)+1)
+	}
+	for _, b := range []byte{6, 8, 12, 16} {
+		if _, named := kindNames[Kind(b)]; named {
+			t.Errorf("retired kind byte %d still has a name", b)
+		}
+		if m, err := Decode(append([]byte{b}, make([]byte, 32)...)); err == nil {
+			t.Errorf("retired kind byte %d decoded as %v", b, m.Kind())
+		}
 	}
 }
 
@@ -174,13 +197,10 @@ func TestRoundTripNilToken(t *testing.T) {
 func TestRoundTripControl(t *testing.T) {
 	msgs := []Message{
 		&TokenAck{From: 1, Epoch: 2, Next: 3},
-		&TokenLoss{Group: 4},
-		&MultipleToken{Group: 5},
 		&Join{Group: 1, Host: 2, Node: 3, Batch: 4},
 		&Leave{Group: 1, Host: 2, Node: 3, Failure: true, Batch: 7},
 		&Leave{Group: 1, Host: 2, Node: 3, Failure: false},
 		&HandoffNotify{Group: 1, Host: 2, OldAP: 3, Delivered: 99},
-		&HandoffLeave{Group: 1, Host: 2, NewAP: 3},
 		&Reserve{Group: 1, From: 2, TTL: 3},
 		&Progress{Group: 1, Child: 2, Host: 3, Max: 1234},
 		&Heartbeat{From: 6, Epoch: 42},
@@ -390,8 +410,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 	msgs := []Message{
 		&Data{Group: 1, SourceNode: 2, LocalSeq: 3, Payload: make([]byte, 100)},
 		&Ack{}, &Nack{}, &Heartbeat{}, &Join{}, &Leave{},
-		&HandoffNotify{}, &HandoffLeave{}, &Reserve{}, &Progress{},
-		&TokenLoss{}, &MultipleToken{}, &TokenAck{}, &SourceData{Payload: []byte("xy")},
+		&HandoffNotify{}, &Reserve{}, &Progress{}, &TokenAck{},
 		&JoinReq{Addr: "127.0.0.1:4242"}, &LeaveReq{}, &TimeSync{},
 		&RingUpdate{Members: []MemberAddr{{Node: 1, Addr: "127.0.0.1:1"}, {Node: 2, Addr: "10.0.0.2:99"}}},
 	}

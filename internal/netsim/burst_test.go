@@ -119,7 +119,7 @@ func TestSendBurstLossPerMessage(t *testing.T) {
 	}
 }
 
-// TestControlDataAccounting: Data/SourceData land in the data-plane
+// TestControlDataAccounting: Data frames land in the data-plane
 // counters, everything else in control, and bytes follow WireSize.
 func TestControlDataAccounting(t *testing.T) {
 	sched := sim.NewScheduler()

@@ -115,9 +115,9 @@ func (n *Network) deliverOne(dst *endpoint, from, to seq.NodeID, m msg.Message) 
 }
 
 // Stats aggregates network-wide counters. Control/data classification:
-// Data and SourceData frames are the data plane (they carry payloads —
-// including any piggybacked acknowledgements, which is the point of
-// piggybacking); every other kind is control plane.
+// Data frames are the data plane (they carry payloads — including any
+// piggybacked acknowledgements, which is the point of piggybacking);
+// every other kind is control plane.
 type Stats struct {
 	Sent            uint64
 	Delivered       uint64
@@ -185,8 +185,8 @@ func (s *Stats) Snapshot() Stats {
 // the protocol core runs on (Network here, the wire plane's outbox
 // substrate) so a ControlReport means the same over either: every send
 // counts toward Sent and its kind; only a send that entered its link adds
-// its wire size to Bytes and to its plane — Data and SourceData frames are
-// the data plane, every other kind is control. Count returns the size it
+// its wire size to Bytes and to its plane — Data frames are the data
+// plane, every other kind is control. Count returns the size it
 // charged (0 when the send did not enter). It must run on the sender's
 // event loop at send time: WireSize fills the token's lazily cached
 // length, which only the token's owner may write.
@@ -201,11 +201,10 @@ func (s *Stats) Count(m msg.Message, entered bool) int {
 	}
 	size := m.WireSize()
 	s.Bytes += uint64(size)
-	switch m.Kind() {
-	case msg.KindData, msg.KindSourceData:
+	if m.Kind() == msg.KindData {
 		s.DataMsgs++
 		s.DataBytes += uint64(size)
-	default:
+	} else {
 		s.CtrlMsgs++
 		s.CtrlBytes += uint64(size)
 	}

@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -26,18 +23,16 @@ import (
 // audit exactly which positions a member skipped and reconcile them
 // out of band (cmd/ringnet-dlq).
 //
-// The queue is one CRC-framed append-only file (dlq.rlog) plus a
-// replay cursor (dlq.cursor, written atomically via rename): Replay
-// emits entries past the cursor and advances it, so re-running a
-// replay is idempotent; Purge removes both.
+// The queue is one CRC-framed append-only file (dlq.rlog, a recFile
+// with magic "QDLQ") plus a replay cursor (dlq.cursor, written
+// atomically via rename): Replay emits entries past the cursor and
+// advances it, so re-running a replay is idempotent; Purge removes both.
 type DLQ struct {
 	mu     sync.Mutex
 	dir    string
-	f      *os.File
-	w      *bufio.Writer
+	rf     *recFile // nil once closed
 	count  int
 	cursor int
-	dirty  bool
 	depth  *telemetry.Gauge // live tombstone count; nil-safe
 }
 
@@ -67,6 +62,7 @@ const (
 	dlqFile    = "dlq.rlog"
 	dlqCursor  = "dlq.cursor"
 	dlqBodyMin = 8 + 4 + 8 + 8 + 2
+	dlqBufSize = 1 << 14
 )
 
 // OpenDLQ opens (creating if needed) the dead-letter queue in dir,
@@ -78,38 +74,17 @@ func OpenDLQ(dir string) (*DLQ, error) {
 	}
 	q := &DLQ{dir: dir}
 	path := filepath.Join(dir, dlqFile)
-	count, truncAt, err := scanDLQ(path)
+	truncAt, err := scanDLQ(path, func(DLQEntry) { q.count++ })
 	if err != nil {
 		return nil, err
 	}
-	if truncAt >= 0 {
-		if truncAt < segHdrLen {
-			truncAt = 0 // header torn: rewrite it below
-		}
-		if err := os.Truncate(path, truncAt); err != nil && !os.IsNotExist(err) {
+	if truncAt >= 0 { // torn tail, or a torn header openRecFile rewrites
+		if err := os.Truncate(path, truncAt); err != nil {
 			return nil, err
 		}
 	}
-	q.count = count
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
+	if q.rf, _, err = openRecFile(path, 0, dlqMagic, dlqBufSize); err != nil {
 		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	q.f, q.w = f, bufio.NewWriterSize(f, 1<<14)
-	if st.Size() < segHdrLen {
-		var hdr [segHdrLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], dlqMagic)
-		binary.LittleEndian.PutUint32(hdr[4:8], logVersion)
-		if _, err := q.w.Write(hdr[:]); err != nil {
-			f.Close()
-			return nil, err
-		}
-		q.dirty = true
 	}
 	if cur, err := os.ReadFile(filepath.Join(dir, dlqCursor)); err == nil {
 		if n, err := strconv.Atoi(strings.TrimSpace(string(cur))); err == nil && n >= 0 {
@@ -122,103 +97,67 @@ func OpenDLQ(dir string) (*DLQ, error) {
 	return q, nil
 }
 
-// scanDLQ counts valid entries and returns the truncation offset for
-// a torn tail (-1 when the file is sound or absent).
-func scanDLQ(path string) (count int, truncAt int64, err error) {
-	f, err := os.Open(path)
+// scanDLQ hands every valid entry of the queue file to fn and returns
+// the truncation offset for a torn tail (-1 when the file is sound or
+// absent).
+func scanDLQ(path string, fn func(DLQEntry)) (truncAt int64, err error) {
+	truncAt, err = scanFile(path, dlqMagic, func(body []byte) error {
+		var e DLQEntry
+		if !e.parseBody(body) {
+			return errBadBody
+		}
+		fn(e)
+		return nil
+	})
 	if os.IsNotExist(err) {
-		return 0, -1, nil
+		return -1, nil
 	}
-	if err != nil {
-		return 0, -1, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<14)
-	var hdr [segHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != dlqMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != logVersion {
-		return 0, 0, nil
-	}
-	off := int64(segHdrLen)
-	for {
-		_, n, ok := readDLQEntry(r)
-		if !ok {
-			if n == 0 {
-				return count, -1, nil
-			}
-			return count, off, nil
-		}
-		off += n
-		count++
-	}
+	return truncAt, err
 }
 
-func readDLQEntry(r *bufio.Reader) (e DLQEntry, n int64, ok bool) {
-	var hdr [recHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return e, 0, false
-		}
-		return e, 1, false
-	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if bodyLen < dlqBodyMin || bodyLen > recBodyMax {
-		return e, 1, false
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return e, 1, false
-	}
-	if crc32.Checksum(body, crcTab) != want {
-		return e, 1, false
-	}
-	e.Global = seq.GlobalSeq(binary.LittleEndian.Uint64(body[0:8]))
-	e.Source = seq.NodeID(binary.LittleEndian.Uint32(body[8:12]))
-	e.Local = seq.LocalSeq(binary.LittleEndian.Uint64(body[12:20]))
-	e.WallNS = int64(binary.LittleEndian.Uint64(body[20:28]))
-	rl := int(binary.LittleEndian.Uint16(body[28:30]))
-	if 30+rl > int(bodyLen) {
-		return e, 1, false
-	}
-	e.Reason = string(body[30 : 30+rl])
-	return e, int64(recHdrLen) + int64(bodyLen), true
-}
-
-func appendDLQEntry(buf []byte, e DLQEntry) []byte {
-	if len(e.Reason) > 1<<15 {
-		e.Reason = e.Reason[:1<<15]
-	}
-	bodyLen := dlqBodyMin + len(e.Reason)
-	start := len(buf)
-	buf = append(buf, make([]byte, recHdrLen+bodyLen)...)
-	body := buf[start+recHdrLen:]
+func (e DLQEntry) putBody(body []byte) {
 	binary.LittleEndian.PutUint64(body[0:8], uint64(e.Global))
 	binary.LittleEndian.PutUint32(body[8:12], uint32(e.Source))
 	binary.LittleEndian.PutUint64(body[12:20], uint64(e.Local))
 	binary.LittleEndian.PutUint64(body[20:28], uint64(e.WallNS))
 	binary.LittleEndian.PutUint16(body[28:30], uint16(len(e.Reason)))
 	copy(body[30:], e.Reason)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(bodyLen))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(body, crcTab))
-	return buf
+}
+
+func (e *DLQEntry) parseBody(body []byte) bool {
+	if len(body) < dlqBodyMin {
+		return false
+	}
+	rl := int(binary.LittleEndian.Uint16(body[28:30]))
+	if 30+rl > len(body) {
+		return false
+	}
+	e.Global = seq.GlobalSeq(binary.LittleEndian.Uint64(body[0:8]))
+	e.Source = seq.NodeID(binary.LittleEndian.Uint32(body[8:12]))
+	e.Local = seq.LocalSeq(binary.LittleEndian.Uint64(body[12:20]))
+	e.WallNS = int64(binary.LittleEndian.Uint64(body[20:28]))
+	e.Reason = string(body[30 : 30+rl])
+	return true
+}
+
+func appendDLQEntry(buf []byte, e DLQEntry) []byte {
+	if len(e.Reason) > 1<<15 {
+		e.Reason = e.Reason[:1<<15]
+	}
+	return appendFrame(buf, dlqBodyMin+len(e.Reason), e.putBody)
 }
 
 // Add appends one condemned slot; durable after the next Sync.
 func (q *DLQ) Add(e DLQEntry) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.f == nil {
+	if q.rf == nil {
 		return errors.New("store: add on closed dlq")
 	}
-	if _, err := q.w.Write(appendDLQEntry(nil, e)); err != nil {
+	if err := q.rf.write(appendDLQEntry(nil, e)); err != nil {
 		return err
 	}
 	q.count++
-	q.dirty = true
 	q.depth.Set(int64(q.count))
 	return nil
 }
@@ -227,21 +166,10 @@ func (q *DLQ) Add(e DLQEntry) error {
 func (q *DLQ) Sync() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.syncLocked()
-}
-
-func (q *DLQ) syncLocked() error {
-	if q.f == nil || !q.dirty {
+	if q.rf == nil {
 		return nil
 	}
-	if err := q.w.Flush(); err != nil {
-		return err
-	}
-	if err := q.f.Sync(); err != nil {
-		return err
-	}
-	q.dirty = false
-	return nil
+	return q.rf.sync()
 }
 
 // Len reports the number of entries in the queue.
@@ -261,35 +189,17 @@ func (q *DLQ) Cursor() int {
 // Entries reads every entry from disk (flushing pending writes first).
 func (q *DLQ) Entries() ([]DLQEntry, error) {
 	q.mu.Lock()
-	if q.f != nil {
-		if err := q.w.Flush(); err != nil {
+	if q.rf != nil {
+		if err := q.rf.flush(); err != nil {
 			q.mu.Unlock()
 			return nil, err
 		}
 	}
 	dir := q.dir
 	q.mu.Unlock()
-	f, err := os.Open(filepath.Join(dir, dlqFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<14)
-	var hdr [segHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil
-	}
 	var out []DLQEntry
-	for {
-		e, _, ok := readDLQEntry(r)
-		if !ok {
-			return out, nil
-		}
-		out = append(out, e)
-	}
+	_, err := scanDLQ(filepath.Join(dir, dlqFile), func(e DLQEntry) { out = append(out, e) })
+	return out, err
 }
 
 // Replay emits every entry past the replay cursor, then durably
@@ -340,11 +250,10 @@ func (q *DLQ) setCursor(n int) error {
 func (q *DLQ) Purge() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.f != nil {
-		if err := q.w.Flush(); err != nil {
-			return err
-		}
-		if err := q.f.Close(); err != nil {
+	if q.rf != nil {
+		err := q.rf.close()
+		q.rf = nil
+		if err != nil {
 			return err
 		}
 	}
@@ -354,18 +263,12 @@ func (q *DLQ) Purge() error {
 	if err := os.Remove(filepath.Join(q.dir, dlqCursor)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(q.dir, dlqFile), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	rf, _, err := openRecFile(filepath.Join(q.dir, dlqFile), 0, dlqMagic, dlqBufSize)
 	if err != nil {
 		return err
 	}
-	q.f, q.w = f, bufio.NewWriterSize(f, 1<<14)
-	var hdr [segHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], dlqMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], logVersion)
-	if _, err := q.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	q.count, q.cursor, q.dirty = 0, 0, true
+	q.rf = rf
+	q.count, q.cursor = 0, 0
 	q.depth.Set(0)
 	return nil
 }
@@ -374,14 +277,10 @@ func (q *DLQ) Purge() error {
 func (q *DLQ) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.f == nil {
+	if q.rf == nil {
 		return nil
 	}
-	err := q.syncLocked()
-	if cerr := q.f.Close(); err == nil {
-		err = cerr
-	}
-	q.f = nil
-	q.w = nil
+	err := q.rf.close()
+	q.rf = nil
 	return err
 }

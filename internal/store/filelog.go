@@ -1,12 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -36,10 +33,9 @@ type Telemetry struct {
 // torn or corrupt record and discards everything after it, so the log
 // always reopens to a consistent prefix of the total order.
 //
-// On-disk format, per segment (little-endian throughout):
+// Each segment is a recFile (recfile.go owns the framing) with magic
+// "GLOG" and this record body, little-endian:
 //
-//	header:  magic "GLOG" (4B) | version u32
-//	record:  bodyLen u32 | crc32c(body) u32 | body
 //	body:    global u64 | source u32 | local u64 | payload …
 //
 // Segment files are named seg-%08d.rlog in creation order; a segment
@@ -48,14 +44,12 @@ type FileLog struct {
 	mu      sync.Mutex
 	dir     string
 	segMax  int64
-	f       *os.File
-	w       *bufio.Writer
+	rf      *recFile // active segment; nil once closed
 	size    int64
 	segIdx  int
 	front   seq.GlobalSeq
 	recov   seq.GlobalSeq // front as recovered at open, before new appends
 	dups    uint64
-	dirty   bool
 	appends uint64
 	tel     Telemetry
 }
@@ -69,21 +63,14 @@ func (l *FileLog) SetTelemetry(t Telemetry) {
 
 const (
 	logMagic   = 0x474C4F47 // "GLOG"
-	logVersion = 1
-	segHdrLen  = 8
-	recHdrLen  = 8
 	recBodyMin = 8 + 4 + 8
-	// recBodyMax bounds a single record body so a corrupt length field
-	// cannot drive recovery into a multi-GB allocation.
-	recBodyMax = 1 << 26
+	logBufSize = 1 << 16
 
 	// DefaultSegmentBytes rolls segments at 8 MB — small enough that
 	// the DLQ CLI and recovery touch bounded files, large enough that
 	// a steady 200 Hz stream rolls rarely.
 	DefaultSegmentBytes = 8 << 20
 )
-
-var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // FileLogOptions tune a FileLog; zero values take defaults.
 type FileLogOptions struct {
@@ -110,11 +97,17 @@ func OpenFileLog(dir string, opts FileLogOptions) (*FileLog, error) {
 	// Scan forward; on the first bad record, truncate that segment at
 	// the last good offset and drop every later segment.
 	for i, s := range segs {
-		good, front, err := scanSegment(filepath.Join(dir, s.name), l.front)
+		// Globals at or below the front (duplicates re-appended across a
+		// crash window) leave it alone, matching Append's dedup rule.
+		good, err := walkSegment(filepath.Join(dir, s.name), func(r Record) error {
+			if r.Global > l.front {
+				l.front = r.Global
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		l.front = front
 		l.segIdx = s.idx
 		if good >= 0 { // torn/corrupt tail: truncate here, drop the rest
 			if err := os.Truncate(filepath.Join(dir, s.name), good); err != nil {
@@ -135,16 +128,14 @@ func OpenFileLog(dir string, opts FileLogOptions) (*FileLog, error) {
 	if l.segIdx > 0 {
 		path := filepath.Join(dir, segName(l.segIdx))
 		if st, serr := os.Stat(path); serr == nil && st.Size() >= segHdrLen {
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
+			if l.rf, l.size, err = openRecFile(path, 0, logMagic, logBufSize); err != nil {
 				return nil, err
 			}
-			l.f, l.w, l.size = f, bufio.NewWriterSize(f, 1<<16), st.Size()
 		} else if err := os.Remove(path); err != nil {
 			return nil, err
 		}
 	}
-	if l.f == nil {
+	if l.rf == nil {
 		if err := l.roll(); err != nil {
 			return nil, err
 		}
@@ -175,114 +166,57 @@ func listSegments(dir string) ([]segRef, error) {
 	return segs, nil
 }
 
-// scanSegment validates path record by record. It returns the offset
-// to truncate at (-1 if the whole segment is sound) and the highest
-// global seen; records at or below prevFront (duplicates re-appended
-// across a crash window) are skipped, matching Append's dedup rule.
-func scanSegment(path string, prevFront seq.GlobalSeq) (truncAt int64, front seq.GlobalSeq, err error) {
-	front = prevFront
-	f, err := os.Open(path)
-	if err != nil {
-		return -1, front, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [segHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, front, nil // header torn: truncate to empty
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != logMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != logVersion {
-		return 0, front, nil
-	}
-	off := int64(segHdrLen)
-	for {
-		rec, n, ok := readRecord(r)
-		if !ok {
-			if n == 0 {
-				return -1, front, nil // clean EOF
-			}
-			return off, front, nil // torn or corrupt: truncate here
+// walkSegment calls fn for every valid record, stopping silently at
+// the first torn or corrupt one (recovery semantics) and returning its
+// offset as scanFrames does.
+func walkSegment(path string, fn func(Record) error) (truncAt int64, err error) {
+	return scanFile(path, logMagic, func(body []byte) error {
+		var r Record
+		if !r.parseBody(body) {
+			return errBadBody
 		}
-		off += n
-		if rec.Global > front {
-			front = rec.Global
-		}
-	}
+		return fn(r)
+	})
 }
 
-// readRecord decodes one frame. ok=false with n=0 means clean EOF;
-// ok=false with n>0 means a torn or corrupt record was detected.
-func readRecord(r *bufio.Reader) (rec Record, n int64, ok bool) {
-	var hdr [recHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return rec, 0, false
-		}
-		return rec, 1, false // partial header: torn
-	}
-	bodyLen := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if bodyLen < recBodyMin || bodyLen > recBodyMax {
-		return rec, 1, false
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return rec, 1, false
-	}
-	if crc32.Checksum(body, crcTab) != want {
-		return rec, 1, false
-	}
-	rec.Global = seq.GlobalSeq(binary.LittleEndian.Uint64(body[0:8]))
-	rec.Source = seq.NodeID(binary.LittleEndian.Uint32(body[8:12]))
-	rec.Local = seq.LocalSeq(binary.LittleEndian.Uint64(body[12:20]))
-	if bodyLen > recBodyMin {
-		rec.Payload = body[recBodyMin:]
-	}
-	return rec, int64(recHdrLen) + int64(bodyLen), true
-}
-
-func appendRecord(buf []byte, r Record) []byte {
-	bodyLen := recBodyMin + len(r.Payload)
-	start := len(buf)
-	buf = append(buf, make([]byte, recHdrLen+bodyLen)...)
-	body := buf[start+recHdrLen:]
+func (r Record) putBody(body []byte) {
 	binary.LittleEndian.PutUint64(body[0:8], uint64(r.Global))
 	binary.LittleEndian.PutUint32(body[8:12], uint32(r.Source))
 	binary.LittleEndian.PutUint64(body[12:20], uint64(r.Local))
 	copy(body[recBodyMin:], r.Payload)
-	binary.LittleEndian.PutUint32(buf[start:], uint32(bodyLen))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(body, crcTab))
-	return buf
+}
+
+// parseBody decodes a record body; Payload aliases body.
+func (r *Record) parseBody(body []byte) bool {
+	if len(body) < recBodyMin {
+		return false
+	}
+	r.Global = seq.GlobalSeq(binary.LittleEndian.Uint64(body[0:8]))
+	r.Source = seq.NodeID(binary.LittleEndian.Uint32(body[8:12]))
+	r.Local = seq.LocalSeq(binary.LittleEndian.Uint64(body[12:20]))
+	if len(body) > recBodyMin {
+		r.Payload = body[recBodyMin:]
+	}
+	return true
+}
+
+func appendRecord(buf []byte, r Record) []byte {
+	return appendFrame(buf, recBodyMin+len(r.Payload), r.putBody)
 }
 
 // roll flushes and fsyncs the active segment and starts the next one.
 func (l *FileLog) roll() error {
-	if l.f != nil {
-		if err := l.w.Flush(); err != nil {
-			return err
-		}
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-		if err := l.f.Close(); err != nil {
+	if l.rf != nil {
+		if err := l.rf.close(); err != nil {
 			return err
 		}
 	}
 	l.segIdx++
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.segIdx)),
-		os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	rf, size, err := openRecFile(filepath.Join(l.dir, segName(l.segIdx)), os.O_EXCL, logMagic, logBufSize)
 	if err != nil {
 		return err
 	}
-	var hdr [segHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], logVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
-	l.f, l.w, l.size = f, bufio.NewWriterSize(f, 1<<16), segHdrLen
+	l.rf, l.size = rf, size
 	l.tel.SegmentRolls.Inc()
 	return nil
 }
@@ -292,7 +226,7 @@ func (l *FileLog) roll() error {
 func (l *FileLog) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.rf == nil {
 		return errors.New("store: append on closed log")
 	}
 	if r.Global == 0 {
@@ -307,12 +241,11 @@ func (l *FileLog) Append(r Record) error {
 		t0 = time.Now()
 	}
 	frame := appendRecord(nil, r)
-	if _, err := l.w.Write(frame); err != nil {
+	if err := l.rf.write(frame); err != nil {
 		return err
 	}
 	l.front = r.Global
 	l.size += int64(len(frame))
-	l.dirty = true
 	l.appends++
 	if l.size >= l.segMax {
 		if err := l.roll(); err != nil {
@@ -350,20 +283,16 @@ func (l *FileLog) Sync() error {
 }
 
 func (l *FileLog) syncLocked() error {
-	if l.f == nil || !l.dirty {
+	if l.rf == nil || !l.rf.dirty {
 		return nil
 	}
 	var t0 time.Time
 	if l.tel.SyncSeconds != nil {
 		t0 = time.Now()
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.rf.sync(); err != nil {
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.dirty = false
 	if l.tel.SyncSeconds != nil {
 		l.tel.SyncSeconds.ObserveSince(t0)
 	}
@@ -374,8 +303,8 @@ func (l *FileLog) syncLocked() error {
 // every record on disk in order (skipping cross-segment duplicates).
 func (l *FileLog) Replay(fn func(Record) error) error {
 	l.mu.Lock()
-	if l.f != nil {
-		if err := l.w.Flush(); err != nil {
+	if l.rf != nil {
+		if err := l.rf.flush(); err != nil {
 			l.mu.Unlock()
 			return err
 		}
@@ -388,7 +317,7 @@ func (l *FileLog) Replay(fn func(Record) error) error {
 	}
 	var front seq.GlobalSeq
 	for _, s := range segs {
-		err := walkSegment(filepath.Join(dir, s.name), func(r Record) error {
+		_, err := walkSegment(filepath.Join(dir, s.name), func(r Record) error {
 			if r.Global <= front {
 				return nil
 			}
@@ -400,34 +329,6 @@ func (l *FileLog) Replay(fn func(Record) error) error {
 		}
 	}
 	return nil
-}
-
-// walkSegment calls fn for every valid record, stopping silently at
-// the first torn or corrupt one (recovery semantics).
-func walkSegment(path string, fn func(Record) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [segHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != logMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != logVersion {
-		return nil
-	}
-	for {
-		rec, _, ok := readRecord(r)
-		if !ok {
-			return nil
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
 }
 
 // Duplicates implements DeliveryLog.
@@ -448,14 +349,13 @@ func (l *FileLog) Appends() uint64 {
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.rf == nil {
 		return nil
 	}
 	err := l.syncLocked()
-	if cerr := l.f.Close(); err == nil {
+	if cerr := l.rf.close(); err == nil {
 		err = cerr
 	}
-	l.f = nil
-	l.w = nil
+	l.rf = nil
 	return err
 }

@@ -252,7 +252,7 @@ func TestCourierRedeliverCancelsPrevious(t *testing.T) {
 	sched, net, s := rig(0)
 	c := NewCourier(net, 1, Config{RTO: 5 * sim.Millisecond, MaxRetries: 10})
 	c.Deliver(2, &msg.Heartbeat{From: 1})
-	c.Deliver(2, &msg.TokenLoss{Group: 9}) // replaces
+	c.Deliver(2, &msg.LeaveReq{Group: 9}) // replaces
 	sched.After(2*sim.Millisecond, func() { c.Confirm() })
 	if _, err := sched.RunAll(); err != nil {
 		t.Fatal(err)

@@ -199,15 +199,14 @@ func (nd *Node) Run() (Report, error) {
 	groups := make([]*ringGroup, 0, len(cfg.Groups))
 	fail := func(err error) (Report, error) {
 		for _, g := range groups {
-			g.closeStore()
-			g.closeTrace()
+			g.sink.close()
 		}
 		nd.admin.close()
 		nd.tr.Close()
 		return Report{}, err
 	}
 	for _, gc := range cfg.Groups {
-		g, err := newRingGroup(nd, gc, wallStart)
+		g, err := newRingGroup(nd, gc)
 		if err != nil {
 			return fail(err)
 		}
@@ -283,8 +282,7 @@ func (nd *Node) Run() (Report, error) {
 	nd.admin.close()
 	nd.tr.Close()
 	for _, g := range groups {
-		g.closeStore()
-		g.closeTrace()
+		g.sink.close()
 	}
 	nd.writeSpanDump()
 

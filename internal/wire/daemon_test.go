@@ -2,6 +2,7 @@ package wire
 
 import (
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -11,6 +12,14 @@ import (
 // single-process variant of the harness's multi-process cluster test:
 // same engine assembly, same wire path, just shared address space.
 func launchCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []Report {
+	t.Helper()
+	_, reports := runCluster(t, n, mutate)
+	return reports
+}
+
+// runCluster is launchCluster that also hands back the finished nodes,
+// which keep their groups — engine, sink, queues — reachable.
+func runCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*Node, []Report) {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -67,7 +76,7 @@ func launchCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []Repor
 		t.Logf("node %d: delivered %d/%d order=%s wall=%dms",
 			reports[i].Node, g.Delivered, g.Expected, g.OrderHash, reports[i].WallMS)
 	}
-	return reports
+	return nodes, reports
 }
 
 func assertIdenticalOrder(t *testing.T, reports []Report) {
@@ -98,6 +107,55 @@ func TestDaemonPairLossless(t *testing.T) {
 	ctl := reports[0].Single().Control
 	if ctl.DataBytes == 0 || ctl.ControlBytes == 0 {
 		t.Fatalf("control/data byte split not measured: %+v", ctl)
+	}
+}
+
+// TestDaemonRetainedBytesPerDelivery: what a member still holds once its
+// ring is quiescent must not grow with the number of messages it
+// delivered. A pair runs N messages per member, then a fresh pair runs
+// 4N; both are long enough to fill every bounded buffer (the retained
+// repair window is 4,096 bodies), so the difference in live heap is what
+// the daemon keeps per delivery. The two exact latency samples cost 8 B
+// an observation plus slice headroom; the bound of 16 B leaves room for
+// those and nothing else — the simulator's delivery oracle, which this
+// path fed until PR 22, kept about 46.
+func TestDaemonRetainedBytesPerDelivery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two multi-second clusters in -short")
+	}
+	const n = 3000
+	retained := func(count int) (live uint64, delivered uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		nodes, reports := runCluster(t, 2, func(i int, cfg *Config) {
+			cfg.Count = count
+			cfg.RateHz = 3000
+		})
+		assertIdenticalOrder(t, reports)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		for _, nd := range nodes {
+			s := nd.groups[0].sink
+			if pending := len(s.own) - s.ownHead; pending != 0 || s.ownDropped != 0 {
+				t.Errorf("node %d: own-latency FIFO holds %d entries at quiescence (%d dropped)",
+					nd.cfg.Node, pending, s.ownDropped)
+			}
+			delivered += s.delivered()
+		}
+		runtime.KeepAlive(nodes)
+		if after.HeapAlloc < before.HeapAlloc {
+			return 0, delivered
+		}
+		return after.HeapAlloc - before.HeapAlloc, delivered
+	}
+	live1, d1 := retained(n)
+	live4, d4 := retained(4 * n)
+	perDelivery := (float64(live4) - float64(live1)) / float64(d4-d1)
+	t.Logf("live heap %d B after %d deliveries, %d B after %d: %.1f B per extra delivery",
+		live1, d1, live4, d4, perDelivery)
+	if perDelivery > 16 {
+		t.Fatalf("daemon retains %.1f B per delivery, bound 16", perDelivery)
 	}
 }
 

@@ -25,8 +25,14 @@
 //   - config.go:    the groups-first daemon config;
 //   - report.go:    the per-group + daemon-aggregate status report
 //     (schema v2);
+//   - sink.go:      one group's delivery sink — the only place a delivery
+//     is accounted (order hash and online order check,
+//     delivered range and rate, latency, durable log and
+//     dead-letter queue, delivery trace, the delivered
+//     counter), driver-goroutine-only and bounded;
 //   - group.go:     one hosted ring group: engine, driver, substrate,
-//     membership plane, workload, and convergence barrier;
+//     membership plane, delivery sink, workload, and
+//     convergence barrier;
 //   - daemon.go:    the federation orchestrator for cmd/ringnetd and the
 //     multi-process harness: one transport + clock-sync per
 //     process, N groups demuxed over it.

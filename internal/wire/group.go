@@ -1,18 +1,15 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/seq"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -52,9 +49,10 @@ func protocolConfig() core.Config {
 }
 
 // ringGroup is one hosted ring group: its own engine, scheduler, driver
-// goroutine, substrate over the shared outbox, membership plane, workload,
-// and convergence barrier. Everything below the transport is
-// group-private; the federation (daemon.go) owns what is shared.
+// goroutine, substrate over the shared outbox, membership plane, delivery
+// sink (sink.go), workload, and convergence barrier. Everything below the
+// transport is group-private; the federation (daemon.go) owns what is
+// shared.
 type ringGroup struct {
 	nd      *Node
 	gc      GroupConfig
@@ -69,25 +67,11 @@ type ringGroup struct {
 	ne    *core.NE // the local node: the one NE this process runs
 	drv   *Driver
 	ms    *Membership
-	oh    *metrics.OrderHash
+	sink  *deliverySink // every delivery is accounted here and nowhere else
 	peers []seq.NodeID
 	tel   *groupTelemetry
 
-	// Delivery accounting. Driver goroutine only.
-	delivered      uint64
-	lameDeliveries uint64
-	firstG, lastG  seq.GlobalSeq
-	lastDeliverAt  sim.Time
-	maxGap         sim.Time
-	crossLat       metrics.Sample
-	trace          *bufio.Writer
-	traceFile      *os.File
-
-	// Durable delivery plane (nil without a data_dir). Driver goroutine
-	// only, except the final Close at federation teardown.
-	dlog           *store.FileLog
-	dlq            *store.DLQ
-	storeErr       error
+	// Resume outcome. Driver goroutine only.
 	resumedAt      seq.GlobalSeq
 	discLo, discHi seq.GlobalSeq
 
@@ -100,8 +84,7 @@ type ringGroup struct {
 	drained   chan struct{}
 	left      chan struct{}
 
-	expected  uint64
-	wallStart time.Time
+	expected uint64
 }
 
 // newRingGroup assembles one group against the daemon's shared transport
@@ -109,7 +92,7 @@ type ringGroup struct {
 // the group's receive hooks on the transport. The driver is built but
 // not started — the federation starts every group after the transport
 // reader is up.
-func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, err error) {
+func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	cfg := nd.cfg
 	g := &ringGroup{
 		nd:        nd,
@@ -117,21 +100,23 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 		gid:       gc.ID,
 		self:      nd.self,
 		port:      NewPort(nd.tr, gc.ID),
-		oh:        metrics.NewOrderHash(),
 		doneFrom:  make(map[seq.NodeID]bool),
 		lastReply: make(map[seq.NodeID]sim.Time),
 		converged: make(chan struct{}),
 		drained:   make(chan struct{}),
 		left:      make(chan struct{}),
-		wallStart: wallStart,
 		tel:       nd.tel.group(gc.ID),
+		sched:     sim.NewScheduler(),
+	}
+	if g.sink, err = newDeliverySink(gc.ID, g.self, g.sched, g.tel, gc.TracePath, gc.DataDir); err != nil {
+		return nil, err
 	}
 	defer func() {
 		if err != nil {
-			g.closeStore()
-			g.closeTrace()
+			g.sink.close()
 		}
 	}()
+	g.sink.offsetOf = g.port.OffsetOf
 
 	// Identical hierarchy in every process: one top ring of all members.
 	// A joiner starts ringless; its first RingUpdate splices it in.
@@ -157,121 +142,13 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 		ringID = top.ID
 	}
 
-	g.sched = sim.NewScheduler()
 	g.net = newOutboxNet(g.sched, nd.ob, g.gid, g.self)
 	g.e = core.NewEngine(seq.GroupID(gc.ID), protocolConfig(), g.net, h)
 	g.e.Tel = g.tel.coreTel(nd.tel.reg)
 
-	if gc.TracePath != "" {
-		f, err := os.Create(gc.TracePath)
-		if err != nil {
-			return nil, err
-		}
-		g.traceFile = f
-		g.trace = bufio.NewWriter(f)
-	}
-
-	// Durable delivery plane: recover the ordered log (torn tails are
-	// truncated on open), then seed the order fingerprint — and the
-	// trace — from the recovered prefix. After a crash-restart the
-	// member's final hash and trace must cover the full stream it ever
-	// delivered, not just this incarnation, or cross-member convergence
-	// checks would reject a correct resume.
-	if gc.DataDir != "" {
-		if err := os.MkdirAll(gc.DataDir, 0o755); err != nil {
-			return nil, err
-		}
-		dl, err := store.OpenFileLog(gc.DataDir, store.FileLogOptions{})
-		if err != nil {
-			return nil, err
-		}
-		g.dlog = dl
-		dl.SetTelemetry(g.tel.storeTel)
-		dq, err := store.OpenDLQ(gc.DataDir)
-		if err != nil {
-			return nil, fmt.Errorf("wire: group %d dead-letter queue: %w", gc.ID, err)
-		}
-		g.dlq = dq
-		dq.SetDepthGauge(g.tel.dlqDepth)
-		if err := dl.Replay(func(r store.Record) error {
-			g.oh.Note(r.Global, r.Source, r.Local)
-			if g.trace != nil {
-				fmt.Fprintf(g.trace, "%d %d %d\n", r.Global, uint32(r.Source), r.Local)
-			}
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("wire: group %d log replay: %w", gc.ID, err)
-		}
-	}
-
-	// Delivery stream: hash the total order, feed the delivery log
-	// (online order/duplicate checking + latency for our own messages),
-	// measure cross-process latency and inter-delivery gaps, and dump
-	// the trace when asked.
-	g.e.OnDeliver = func(at seq.NodeID, d *msg.Data) {
-		g.oh.Note(d.GlobalSeq, d.SourceNode, d.LocalSeq)
-		g.e.Log.Deliver(uint32(at), d.GlobalSeq, d.SourceNode, d.LocalSeq, g.sched.Now())
-		if g.dlog != nil {
-			err := g.dlog.Append(store.Record{
-				Global: d.GlobalSeq, Source: d.SourceNode, Local: d.LocalSeq, Payload: d.Payload,
-			})
-			if err != nil && g.storeErr == nil {
-				g.storeErr = err
-				fmt.Fprintf(os.Stderr, "wire: group %d durable log: %v\n", g.gid, err)
-			}
-		}
-		g.delivered++
-		g.tel.delivered.Inc() // mirrors g.delivered exactly: one per trace line
-		if g.ms != nil && g.ms.Lame() {
-			g.lameDeliveries++ // must stay 0: the lame ring is read-only
-		}
-		if g.firstG == 0 {
-			g.firstG = d.GlobalSeq
-		}
-		g.lastG = d.GlobalSeq
-		now := g.sched.Now()
-		if g.lastDeliverAt > 0 && now-g.lastDeliverAt > g.maxGap {
-			g.maxGap = now - g.lastDeliverAt
-		}
-		g.lastDeliverAt = now
-		if g.trace != nil {
-			fmt.Fprintf(g.trace, "%d %d %d\n", d.GlobalSeq, uint32(d.SourceNode), d.LocalSeq)
-		}
-		if d.SourceNode != g.self && len(d.Payload) >= 8 {
-			if ts := int64(binary.LittleEndian.Uint64(d.Payload)); ts > 0 {
-				// Only offset-corrected samples count: without an estimate
-				// the "latency" would silently include the full clock skew.
-				if off, ok := g.port.OffsetOf(d.SourceNode); ok {
-					lat := time.Duration(time.Now().UnixNano()-ts) + off
-					if lat > 0 && lat < time.Minute {
-						g.crossLat.Add(lat.Seconds())
-						g.tel.crossLat.Observe(lat.Seconds())
-					}
-				}
-			}
-		}
-	}
-
-	// Really-lost bodies — the engine gave up repair and inserted a
-	// loss marker to keep the stream moving — are tombstoned in the
-	// member's dead-letter queue for offline inspection and replay.
-	// Peers' verdicts applied via Skip land here too, so every member
-	// records the same holes it actually has.
-	if g.dlq != nil {
-		g.e.OnLost = func(at seq.NodeID, gl seq.GlobalSeq, src seq.NodeID, local seq.LocalSeq, reason string) {
-			if at != g.self {
-				return
-			}
-			g.tel.emit("dlq-tombstone", uint64(gl), reason)
-			err := g.dlq.Add(store.DLQEntry{
-				Global: gl, Source: src, Local: local, Reason: reason,
-				WallNS: time.Now().UnixNano(),
-			})
-			if err != nil && g.storeErr == nil {
-				g.storeErr = err
-				fmt.Fprintf(os.Stderr, "wire: group %d dead-letter queue: %v\n", g.gid, err)
-			}
-		}
+	g.e.OnDeliver = g.sink.deliver
+	if g.sink.dlq != nil {
+		g.e.OnLost = g.sink.lost
 	}
 
 	g.drv = NewDriver(g.sched)
@@ -315,23 +192,16 @@ func newRingGroup(nd *Node, gc GroupConfig, wallStart time.Time) (_ *ringGroup, 
 		}
 		g.ms = NewMembership(g.e, g.port, g.net, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
 		g.ms.SetTelemetry(g.tel.memberTel())
-		g.ms.OrderHash = g.oh.Sum64 // RingSummary/MergeReq carry the live order fingerprint
-		if g.dlog != nil {
-			// Ask the coordinator to resume at the recovered durable
-			// front instead of joining fresh at the quorum baseline.
-			g.ms.ResumeFront = g.dlog.RecoveredFront()
-		}
+		g.sink.lame = g.ms.Lame
+		g.ms.OrderHash = g.sink.oh.Sum64 // RingSummary/MergeReq carry the live order fingerprint
+		// Ask the coordinator to resume at the recovered durable front
+		// (if any) instead of joining fresh at the quorum baseline.
+		g.ms.ResumeFront = g.sink.recoveredFront()
 		g.ms.OnDiscarded = func(lo, hi seq.GlobalSeq) {
 			g.discLo, g.discHi = lo, hi
 			g.tel.emit("discard", uint64(hi), fmt.Sprintf("globals [%d, %d]", lo, hi))
 			fmt.Fprintf(os.Stderr, "wire: node %d group %d discarded globals [%d, %d]: durable front below the resume horizon, rejoining fresh at the baseline\n",
 				cfg.Node, g.gid, lo, hi)
-		}
-		if os.Getenv("RINGNET_MEMBER_TRACE") != "" {
-			g.ms.Trace = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "member[%d/g%d@%v]: %s\n", cfg.Node, g.gid,
-					time.Since(wallStart).Round(time.Millisecond), fmt.Sprintf(format, args...))
-			}
 		}
 	}
 
@@ -449,7 +319,10 @@ func (g *ringGroup) start() {
 					binary.LittleEndian.PutUint64(buf, uint64(time.Now().UnixNano()))
 					payload = buf
 				}
-				_, err := g.e.Submit(corr, payload)
+				local, err := g.e.Submit(corr, payload)
+				if err == nil {
+					g.sink.submitted(local)
+				}
 				return err
 			}, g.self, gc.Payload)
 			gap := sim.Time(float64(sim.Second) / gc.RateHz)
@@ -479,26 +352,19 @@ func (g *ringGroup) start() {
 		// Batched durability: dirty appends ride one fsync per flush
 		// window instead of one per delivery. Sync is a no-op while the
 		// log is clean, so idle groups cost nothing.
-		if g.dlog != nil {
+		if g.sink.dlog != nil {
 			// 25 ms bounds the crash-loss window; BenchmarkFileLogAppend
 			// (internal/store) measures what other cadences would cost.
 			const fsyncWindow = 25 * sim.Millisecond
 			g.sched.Every(fsyncWindow, func() {
-				var err error
 				tr := g.tel.tracer
 				var t0 time.Time
 				if tr.Active() {
 					t0 = time.Now()
 				}
-				if err = g.dlog.Sync(); err == nil && g.dlq != nil {
-					err = g.dlq.Sync()
-				}
+				g.sink.sync()
 				if tr.Active() {
 					tr.Annotate(telemetry.StageFsync, g.gid, 0, time.Since(t0).Nanoseconds(), "flush-window")
-				}
-				if err != nil && g.storeErr == nil {
-					g.storeErr = err
-					fmt.Fprintf(os.Stderr, "wire: group %d durable log sync: %v\n", g.gid, err)
 				}
 			})
 		}
@@ -549,13 +415,10 @@ func (g *ringGroup) start() {
 				if q := g.ne.MQ(); q.Front() != q.Rear() {
 					return false
 				}
-				idleFor := g.sched.Now() - g.lastDeliverAt
-				if g.lastDeliverAt == 0 {
-					idleFor = g.sched.Now()
-				}
-				return idleFor >= sim.Time(cfg.IdleMS)*sim.Millisecond
+				// lastAt is 0 until the first delivery: idle since start.
+				return g.sched.Now()-g.sink.lastAt >= sim.Time(cfg.IdleMS)*sim.Millisecond
 			}
-			return g.delivered >= g.expected && sent()
+			return g.sink.delivered() >= g.expected && sent()
 		}
 		barrier := func() bool {
 			for _, p := range livePeers() {
@@ -604,8 +467,9 @@ func (g *ringGroup) start() {
 		// progress or a phase transition snaps it back to 10ms, so the
 		// convergence timestamp a report records stays sharp.
 		tick = g.sched.EveryBackoff(10*sim.Millisecond, 100*sim.Millisecond, func() bool {
-			active := g.delivered != lastDelivered
-			lastDelivered = g.delivered
+			delivered := g.sink.delivered()
+			active := delivered != lastDelivered
+			lastDelivered = delivered
 			if g.ms != nil && g.ms.Evicted() {
 				// Graceful leave (or eviction): serve retransmissions
 				// until our couriers drain — bounded by quiesce, so a
@@ -746,7 +610,6 @@ func chanClosed(ch chan struct{}) bool {
 // and the periodic -report-interval line. Driver goroutine only;
 // side-effect-free, so it is safe to call mid-run.
 func (g *ringGroup) snapshot() GroupReport {
-	lat := &g.e.Log.Latency
 	memberCount := len(g.members)
 	var epoch uint64
 	if g.ms != nil {
@@ -766,73 +629,32 @@ func (g *ringGroup) snapshot() GroupReport {
 		// exactly what run() observed.
 		Converged: chanClosed(g.converged),
 		Left:      chanClosed(g.left),
-		// Delivered is read back from the registry instrument, not the
-		// driver-local counter: both increment together in OnDeliver (one
-		// per trace line), and deriving the report from the registry
-		// guarantees /metrics and the exit report can never disagree — a
-		// test pins the equality.
-		Delivered:     g.tel.delivered.Value(),
-		Expected:      g.expected,
-		Epoch:         epoch,
-		OrderHash:     g.oh.Hex(),
-		FirstGlobal:   uint64(g.firstG),
-		LastGlobal:    uint64(g.lastG),
-		ThroughputPS:  g.e.Log.Throughput(),
-		LatencyMeanMS: lat.Mean() * 1000,
-		LatencyP99MS:  lat.Quantile(0.99) * 1000,
-		MaxGapMS:      float64(g.maxGap) / float64(sim.Millisecond),
-		Control:       g.e.ControlReport(),
+		Expected:  g.expected,
+		Epoch:     epoch,
+		Control:   g.e.ControlReport(),
 	}
-	if g.crossLat.N() > 0 {
-		rep.CrossLatMeanMS = g.crossLat.Mean() * 1000
-		rep.CrossLatP99MS = g.crossLat.Quantile(0.99) * 1000
-		rep.CrossLatN = g.crossLat.N()
-	}
-	if err := g.e.Log.Err(); err != nil {
-		rep.OrderErr = err.Error()
-	}
+	g.sink.fill(&rep)
 	if g.ms != nil {
 		rep.Lame = g.ms.Lame()
 		rep.LameEntries = g.tel.lameEntries.Value()
 		rep.LameMS = int64(g.ms.LameTime() / sim.Millisecond)
-		rep.LameDeliveries = g.lameDeliveries
 		rep.Merges = g.tel.merges.Value()
 		rep.HealUS = int64(g.ms.HealLatency() / sim.Microsecond)
 	}
 	rep.ResumedAt = uint64(g.resumedAt)
-	if g.dlq != nil {
-		rep.DLQEntries = g.dlq.Len()
-	}
 	if g.discLo > 0 && g.discLo <= g.discHi {
 		rep.DiscardedRange = &SeqRange{Lo: uint64(g.discLo), Hi: uint64(g.discHi)}
-	}
-	if g.storeErr != nil {
-		rep.StoreErr = g.storeErr.Error()
 	}
 	return rep
 }
 
 // finish ends the group's live phase before the exit snapshot: stop the
-// membership ticker, fsync the durable plane (so the report never claims
-// more than the disk holds), and flush the trace while serialized with
-// OnDeliver. Driver goroutine only.
+// membership ticker and settle the sink's files. Driver goroutine only.
 func (g *ringGroup) finish() {
 	if g.ms != nil {
 		g.ms.Stop()
 	}
-	if g.dlog != nil {
-		if err := g.dlog.Sync(); err != nil && g.storeErr == nil {
-			g.storeErr = err
-		}
-	}
-	if g.dlq != nil {
-		if err := g.dlq.Sync(); err != nil && g.storeErr == nil {
-			g.storeErr = err
-		}
-	}
-	if g.trace != nil {
-		g.trace.Flush()
-	}
+	g.sink.finish()
 }
 
 // ready reports whether this group is serving its part of /readyz:
@@ -840,7 +662,7 @@ func (g *ringGroup) finish() {
 // case not parked lame and not sitting on a store error. Driver
 // goroutine only.
 func (g *ringGroup) ready() bool {
-	if g.storeErr != nil {
+	if g.sink.storeErr != nil {
 		return false
 	}
 	if g.ms != nil {
@@ -849,31 +671,4 @@ func (g *ringGroup) ready() bool {
 		}
 	}
 	return chanClosed(g.converged) || g.ne.OrdersWell()
-}
-
-// closeTrace flushes and closes the group's trace file. Idempotent; call
-// only after the group's driver has stopped (or before it starts).
-func (g *ringGroup) closeTrace() {
-	if g.trace != nil {
-		g.trace.Flush()
-		g.trace = nil
-	}
-	if g.traceFile != nil {
-		g.traceFile.Close()
-		g.traceFile = nil
-	}
-}
-
-// closeStore syncs and closes the group's durable log and dead-letter
-// queue. Idempotent; call only after the group's driver has stopped (or
-// before it starts).
-func (g *ringGroup) closeStore() {
-	if g.dlog != nil {
-		g.dlog.Close()
-		g.dlog = nil
-	}
-	if g.dlq != nil {
-		g.dlq.Close()
-		g.dlq = nil
-	}
 }

@@ -228,10 +228,6 @@ type Membership struct {
 	// RingSummary/MergeReq exchanges (wired to the daemon's tracker).
 	OrderHash func() uint64
 
-	// Trace, when set, receives one line per membership event (tests,
-	// verbose daemons).
-	Trace func(format string, args ...any)
-
 	// tel counts membership transitions in the daemon's live registry and
 	// event ring. The zero value is fully inert (sim and unit tests).
 	tel memberTelemetry
@@ -456,12 +452,6 @@ func (m *Membership) HandleUnknown(from seq.NodeID, msgs []msg.Message) {
 	}
 }
 
-func (m *Membership) trace(format string, args ...any) {
-	if m.Trace != nil {
-		m.Trace(format, args...)
-	}
-}
-
 // tick is one heartbeat round: beacon, detect, re-evaluate quorum,
 // coordinate, watch the token. The order is load-bearing: suspicion is
 // swept and the lame decision taken BEFORE any coordination, so a node
@@ -557,7 +547,6 @@ func (m *Membership) updateLame(now sim.Time) {
 	quorate := live*2 > len(m.order)
 	switch {
 	case m.lame && quorate:
-		m.trace("lame ring over: %d/%d live again", live, len(m.order))
 		m.exitLame(now, 0)
 	case !m.lame && !quorate:
 		m.lame = true
@@ -567,7 +556,6 @@ func (m *Membership) updateLame(now sim.Time) {
 		m.tel.emit("lame-enter", uint64(live), fmt.Sprintf("%d/%d live", live, len(m.order)))
 		m.prop = nil
 		m.ne.SetDeliveryHold(true)
-		m.trace("entering lame ring: %d/%d live, parking read-only", live, len(m.order))
 	}
 }
 
@@ -586,7 +574,6 @@ func (m *Membership) exitLame(now sim.Time, baseline seq.GlobalSeq) {
 	if h := m.resumeHorizon(); baseline > front && h > 0 && baseline-front > h {
 		lo, hi := m.ne.RejoinFresh(baseline)
 		m.tel.emit("fresh-rejoin", uint64(baseline), fmt.Sprintf("front %d horizon %d", front, h))
-		m.trace("merge gap (%d, %d] exceeds retained horizon %d: rejoining fresh, range discarded", front, baseline, h)
 		if lo <= hi && m.OnDiscarded != nil {
 			m.OnDiscarded(lo, hi)
 		}
@@ -645,8 +632,6 @@ func (m *Membership) coordinate(now sim.Time) {
 		// grants for it that will never be released. Burn it and retry
 		// one higher.
 		p := m.prop
-		m.trace("proposal for epoch %d timed out at %d/%d votes; retrying at a higher number",
-			p.epoch, len(p.votes), p.need)
 		m.tel.quorumRetries.Inc()
 		m.tel.emit("quorum-retry", p.epoch, fmt.Sprintf("%d/%d votes", len(p.votes), p.need))
 		m.skew = p.epoch - m.epoch
@@ -654,13 +639,8 @@ func (m *Membership) coordinate(now sim.Time) {
 	}
 	if m.prop == nil {
 		m.prop = m.buildProposal(now)
-		if m.prop != nil {
-			p := m.prop
-			m.trace("proposing epoch %d: remove=%v add=%d merge=%v need=%d/%d",
-				p.epoch, p.removed, len(p.added), p.isMerge, p.need, len(p.voters))
-			if m.checkQuorum() {
-				return // single-member ring (or cached grants): instant commit
-			}
+		if m.prop != nil && m.checkQuorum() {
+			return // single-member ring (or cached grants): instant commit
 		}
 	} else {
 		m.refreshProposal(now)
@@ -778,7 +758,6 @@ func (m *Membership) refreshProposal(now sim.Time) {
 	old := m.prop
 	fresh := m.buildProposal(now)
 	if fresh == nil {
-		m.trace("aborting proposal for epoch %d: delta emptied", old.epoch)
 		m.prop = nil
 		return
 	}
@@ -791,8 +770,6 @@ func (m *Membership) refreshProposal(now sim.Time) {
 		fresh.born = old.born
 	}
 	m.prop = fresh
-	m.trace("reproposing epoch %d: remove=%v add=%d merge=%v",
-		fresh.epoch, fresh.removed, len(fresh.added), fresh.isMerge)
 	m.checkQuorum()
 }
 
@@ -967,8 +944,6 @@ func (m *Membership) commit(p *proposal) {
 			m.tel.emit("merge-heal", u.Epoch, (m.healDoneAt - m.healStartAt).String())
 		}
 	}
-	m.trace("committing epoch %d members=%v removed=%v merge=%v votes=%d/%d",
-		u.Epoch, m.order, p.removed, p.isMerge, len(p.votes), len(p.voters))
 	m.sendAll(u)
 	if selfLeave {
 		// Coordinator leaving: don't reform our own topology (the old
@@ -1020,7 +995,7 @@ func (m *Membership) resendUpdates(now sim.Time) {
 		if rs.attempts >= maxResendAttempts {
 			if !rs.written {
 				rs.written = true
-				m.trace("writing off %v after %d epoch-%d resends", p, rs.attempts, m.epoch)
+				m.tel.emit("resend-write-off", uint64(p), fmt.Sprintf("epoch %d after %d resends", m.epoch, rs.attempts))
 			}
 			continue
 		}
@@ -1132,7 +1107,6 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 	if te, th, ok := m.ne.TokenStamp(); ok {
 		rs.TokenEpoch, rs.TokenHops = te, th
 	}
-	m.trace("probe from evicted %v (epoch %d < %d): offering merge summary", from, epoch, m.epoch)
 	m.e.Net.Send(m.self, from, rs)
 }
 
@@ -1159,8 +1133,6 @@ func (m *Membership) handleRingSummary(rs *msg.RingSummary) {
 	if te, th, ok := m.ne.TokenStamp(); ok {
 		mr.TokenEpoch, mr.TokenHops = te, th
 	}
-	m.trace("ring summary from %v (epoch %d > %d, front=%d): requesting merge",
-		rs.From, rs.Epoch, m.epoch, rs.Front)
 	m.e.Net.Send(m.self, rs.From, mr)
 }
 
@@ -1181,10 +1153,6 @@ func (m *Membership) handleMergeReq(mr *msg.MergeReq) {
 	if mr.Addr == "" {
 		return
 	}
-	if m.pendingMerge[mr.Node] == "" {
-		m.trace("merge request from %v (epoch %d front=%d hash=%016x): staging readmission",
-			mr.Node, mr.Epoch, mr.Front, mr.OrderHash)
-	}
 	m.pendingMerge[mr.Node] = mr.Addr
 	m.coordinate(m.e.Scheduler().Now())
 }
@@ -1203,15 +1171,11 @@ func (m *Membership) handleJoinReq(jr *msg.JoinReq) {
 	if _, ok := m.members[jr.Node]; ok {
 		// Duplicate solicitation: the grant (or its ack) is still in
 		// flight — resend the current epoch to the joiner.
-		m.trace("dup joinreq from %v, resending epoch %d", jr.Node, m.epoch)
 		m.sendUpdate(jr.Node)
 		return
 	}
 	if jr.Addr == "" {
 		return
-	}
-	if m.pendingJoin[jr.Node] == "" {
-		m.trace("staging join of %v for epoch %d (durable front %d)", jr.Node, m.epoch+1, jr.Front)
 	}
 	m.pendingJoin[jr.Node] = jr.Addr
 	m.pendingJoinFront[jr.Node] = jr.Front
@@ -1236,9 +1200,6 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 			m.e.Net.Send(m.self, lr.Node, m.currentUpdate())
 		}
 		return
-	}
-	if !m.pendingLeave[lr.Node] {
-		m.trace("staging leave of %v for epoch %d", lr.Node, m.epoch+1)
 	}
 	m.pendingLeave[lr.Node] = true
 	m.coordinate(m.e.Scheduler().Now())
@@ -1268,8 +1229,6 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 	m.skew = 0
 	m.reorder()
 	m.lastUpdate = u
-	m.trace("applying epoch %d members=%v baseline=%d inRing=%v merge=%v",
-		u.Epoch, m.order, u.Baseline, inRing, u.Merge)
 	if !inRing {
 		m.evicted = true
 		if m.OnEvicted != nil {
@@ -1310,7 +1269,6 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 			// front — delivery continues at resumed+1 and the gap up to
 			// the ring's live position backfills through Nack repair
 			// from the peers' retained windows.
-			m.trace("resuming at durable front %d (baseline %d)", resumed, u.Baseline)
 			m.tel.emit("resume", uint64(resumed), fmt.Sprintf("baseline %d", u.Baseline))
 			m.ne.JumpTo(resumed)
 		} else {
@@ -1338,7 +1296,6 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 	}
 	if wasLame {
 		now := m.e.Scheduler().Now()
-		m.trace("rejoined quorum ring at epoch %d after %v lame", u.Epoch, now-m.lameSince)
 		m.exitLame(now, u.Baseline)
 	}
 	if !wasJoined {

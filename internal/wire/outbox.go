@@ -128,7 +128,7 @@ func NewSharedOutbox(tr *Transport, window sim.Time) *SharedOutbox {
 // window: everything except bulk data-plane and coalescable control.
 func urgentKind(k msg.Kind) bool {
 	switch k {
-	case msg.KindData, msg.KindSourceData, msg.KindSkip, msg.KindAck,
+	case msg.KindData, msg.KindSkip, msg.KindAck,
 		msg.KindProgress, msg.KindHeartbeat:
 		return false
 	}

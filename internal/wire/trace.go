@@ -91,11 +91,8 @@ func ParseTraceDump(r io.Reader) (TraceHeader, []telemetry.Span, error) {
 // whether the message carries one (only Data bodies do — the trace key
 // is the message's protocol identity, never an added field).
 func traceKeyOf(m msg.Message) (source uint32, local, global uint64, ok bool) {
-	switch d := m.(type) {
-	case *msg.Data:
+	if d, ok := m.(*msg.Data); ok {
 		return uint32(d.SourceNode), uint64(d.LocalSeq), uint64(d.GlobalSeq), true
-	case *msg.SourceData:
-		return uint32(d.SourceNode), uint64(d.LocalSeq), 0, true
 	}
 	return 0, 0, 0, false
 }
