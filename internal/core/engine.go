@@ -50,6 +50,14 @@ type Telemetry struct {
 	TokenRegens   *telemetry.Counter // Token-Regeneration traversals started
 	TokenDestroys *telemetry.Counter // token copies swallowed (dup/park/filter)
 
+	// Token deltas (tokendelta.go): hops that carried the whole table and
+	// deltas refused, by reason (indexed by TokenResync; SenderResyncs and
+	// ReceiverResyncs list the reasons each can have), and the encoded
+	// bytes of every hop's first transmission.
+	TokenFullSends    [NumTokenResyncs]*telemetry.Counter
+	TokenDeltaRefused [NumTokenResyncs]*telemetry.Counter
+	TokenHopBytes     *telemetry.Counter
+
 	// Repair escalation tiers: ranged Nacks to the predecessor,
 	// broadcast Nacks to the whole ring, Nacks served for peers, and
 	// really-lost verdicts (the give-up end of the escalation).

@@ -72,6 +72,11 @@ type NE struct {
 	lastRegen    regenStamp
 	lastRegenAt  sim.Time
 
+	// Token delta state (tokendelta.go): the version in flight, the one
+	// the successor acknowledged (the next hop's base), and the one last
+	// accepted from the predecessor (what its deltas rebuild against).
+	tokenSent, txBase, rxBase *tokenBase
+
 	// AP activity: an AP is attached to the delivery tree only while it
 	// has members or a live reservation (paper §3).
 	isAP          bool
@@ -177,6 +182,7 @@ func newNE(e *Engine, id seq.NodeID) *NE {
 	n.ackFlush = n.flushAcks
 	n.tokenCourier = transport.NewCourier(e.Net, id, e.Cfg.Hop)
 	n.tokenCourier.OnFail = func(to seq.NodeID, m msg.Message) { n.onTokenCourierFail() }
+	n.tokenCourier.Resend = n.resendWholeToken
 	n.regenCourier = transport.NewCourier(e.Net, id, e.Cfg.Hop)
 	// Join retries are paced slower than data RTO (an idle parent has
 	// nothing to send back to confirm with) but fast enough that a
@@ -224,6 +230,7 @@ func (n *NE) reset() {
 	n.regenCourier.Confirm()
 	n.joinCourier.Confirm()
 	n.tokenExpect, n.regenExpect = ackExpect{}, ackExpect{}
+	n.tokenSent, n.txBase, n.rxBase = nil, nil, nil
 	n.ack.timer.Stop()
 	n.ack = ackPending{}
 	n.active = false
@@ -259,7 +266,7 @@ func (n *NE) Recv(from seq.NodeID, m msg.Message) {
 	case *msg.Nack:
 		n.handleNack(from, v)
 	case *msg.TokenMsg:
-		n.handleToken(from, v.Token)
+		n.handleToken(from, n.tokenOf(from, v))
 	case *msg.TokenAck:
 		n.handleTokenAck(from, v)
 	case *msg.TokenRegen:
@@ -485,6 +492,12 @@ func (n *NE) DropPeer(dead seq.NodeID) {
 		n.ack = ackPending{}
 	}
 	n.wt.Remove(wtNode(dead))
+	if n.txBase != nil && n.txBase.peer == dead {
+		n.txBase = nil
+	}
+	if n.rxBase != nil && n.rxBase.peer == dead {
+		n.rxBase = nil
+	}
 	delete(n.stallSince, dead)
 	delete(n.stallRounds, dead)
 	if s := n.childSenders[dead]; s != nil {

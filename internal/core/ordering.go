@@ -23,33 +23,20 @@ func (n *NE) handleToken(from seq.NodeID, tok *seq.Token) {
 		return
 	}
 	// Acknowledge receipt to the sender so its courier stops
-	// retransmitting (even for duplicates we then discard). The token
-	// arrives from the same neighbor that forwards WQ data to us, so any
-	// pending acknowledgements owed to it piggyback here — on a
-	// token-active ring the steady state needs no standalone Acks.
+	// retransmitting (even for duplicates we then discard), and keep the
+	// version acknowledged as the base of the sender's next delta.
 	if from != n.id {
-		n.e.Net.Send(n.id, from, &msg.TokenAck{
-			From: n.id, Epoch: tok.Epoch, Hops: tok.Hops, Next: tok.NextGlobalSeq,
-			Cum: n.takePendingAck(from),
-		})
+		n.ackToken(from, tok.Epoch, tok.Hops, tok.NextGlobalSeq)
+		n.keepRxBase(from, tok)
 	}
-	// A parked node retires the ring: the group is done — every member
-	// delivered everything and quiesced — so circulation serves nothing.
-	// The ack above already stopped the sender's courier; swallowing the
-	// copy here (instead of forwarding) ends rotation at the first parked
-	// receiver. Stragglers still get MQ retransmissions; only the token
-	// dies.
-	if n.tokenParked {
+	if n.swallowsToken(tok.Epoch, tok.Hops) {
 		n.countTokenDestroy()
 		return
 	}
-	// Duplicate suppression: Hops strictly increases within an epoch, so
-	// anything not strictly newer is a courier retransmit or a stale
-	// copy.
-	if n.stampSet && (tok.Epoch < n.stampEpoch ||
-		(tok.Epoch == n.stampEpoch && tok.Hops <= n.stampHops)) {
-		n.countTokenDestroy()
-		return
+	// Back around the ring, the token proves the successor received the
+	// version sent last, even if its acknowledgement has not arrived.
+	if s := n.tokenSent; s != nil && tok.Epoch == s.tok.Epoch && tok.Hops > s.tok.Hops {
+		n.txBase, n.tokenSent = s, nil
 	}
 	// Multiple-Token filtering: during the filter window only the
 	// superseding token survives (paper: "keep only one OrderingToken
@@ -174,6 +161,27 @@ func (n *NE) handleToken(from seq.NodeID, tok *seq.Token) {
 	n.e.Scheduler().After(hold, func() { n.forwardHeldToken() })
 }
 
+// ackToken acknowledges a token (or regeneration) transfer. The token
+// arrives from the same neighbor that forwards WQ data to us, so any
+// pending acknowledgements owed to it piggyback here — on a token-active
+// ring the steady state needs no standalone Acks.
+func (n *NE) ackToken(to seq.NodeID, epoch, hops uint64, next seq.GlobalSeq) {
+	n.e.Net.Send(n.id, to, &msg.TokenAck{From: n.id, Epoch: epoch, Hops: hops, Next: next, Cum: n.takePendingAck(to)})
+}
+
+// swallowsToken reports whether an arriving token of this (epoch, hops)
+// dies here without further processing — which its header alone decides.
+// A parked node retires the ring: the group is done — every member
+// delivered everything and quiesced — so circulation serves nothing; the
+// acknowledgement already stopped the sender's courier, so swallowing the
+// copy ends rotation at the first parked receiver (stragglers still get
+// MQ retransmissions; only the token dies). And Hops strictly increases
+// within an epoch, so anything not strictly newer than the last token
+// processed is a courier retransmit or a stale copy.
+func (n *NE) swallowsToken(epoch, hops uint64) bool {
+	return n.tokenParked || n.stampSet && (epoch < n.stampEpoch || epoch == n.stampEpoch && hops <= n.stampHops)
+}
+
 // forwardHeldToken sends the held token to the current ring successor.
 func (n *NE) forwardHeldToken() {
 	if n.failed || n.held == nil {
@@ -206,7 +214,7 @@ func (n *NE) forwardHeldToken() {
 	send.Hops++
 	n.tokenExpect = ackExpect{active: true, epoch: send.Epoch, hops: send.Hops, next: send.NextGlobalSeq}
 	n.countTokenForward()
-	n.tokenCourier.Deliver(nx, &msg.TokenMsg{From: n.id, Token: send})
+	n.tokenCourier.Deliver(nx, n.tokenMsg(nx, send))
 }
 
 // onTokenCourierFail retries token forwarding after topology repair (the
@@ -216,6 +224,9 @@ func (n *NE) onTokenCourierFail() {
 		return
 	}
 	n.tokenExpect = ackExpect{}
+	// Whether the successor got the last copy is unknown: send the next
+	// one whole.
+	n.txBase = nil
 	n.e.Scheduler().After(n.e.Cfg.Hop.RTO, func() {
 		if n.held != nil && !n.failed {
 			n.forwardHeldToken()
@@ -235,6 +246,9 @@ func (n *NE) handleTokenAck(from seq.NodeID, a *msg.TokenAck) {
 		a.Hops == n.tokenExpect.hops && a.Next == n.tokenExpect.next {
 		n.tokenCourier.Confirm()
 		n.tokenExpect = ackExpect{}
+		if n.tokenSent != nil {
+			n.txBase, n.tokenSent = n.tokenSent, nil
+		}
 		// The forwarded token now exists at two nodes: its assignments
 		// are stable and may be delivered (stability gate).
 		if a.Next > n.safeHorizon {
@@ -658,10 +672,7 @@ func (n *NE) handleTokenRegen(from seq.NodeID, rg *msg.TokenRegen) {
 		return
 	}
 	if from != n.id {
-		n.e.Net.Send(n.id, from, &msg.TokenAck{
-			From: n.id, Epoch: rg.Token.Epoch, Hops: rg.Token.Hops, Next: rg.Token.NextGlobalSeq,
-			Cum: n.takePendingAck(from),
-		})
+		n.ackToken(from, rg.Token.Epoch, rg.Token.Hops, rg.Token.NextGlobalSeq)
 	}
 	// Duplicate suppression for courier retransmits — time-bounded to
 	// the retransmission scale: a re-raised traversal (the coordinator

@@ -4,27 +4,35 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/seq"
 )
 
-// The binary wire format is little-endian, one leading Kind byte, then
-// fixed-width fields in declaration order. Variable-length payloads are
-// length-prefixed with uint32 counts; the ordering token is the one
-// exception, a run-chained varint layout owned by internal/seq (wire.go)
-// because it is most of the control plane's bytes. The codec exists so
-// the simulated network can carry realistic byte counts and so the
-// concurrent runtime can move messages across real channels/sockets
-// without sharing memory.
+// The binary wire format is one leading Kind byte, then the fields in
+// declaration order. Most kinds use little-endian fixed-width fields, with
+// variable-length payloads prefixed by uint32 counts. The messages every
+// token hop carries are the exceptions, because together they are most of
+// the control plane's bytes: the ordering token is a run-chained varint
+// layout owned by internal/seq (wire.go, delta.go), and Ack and TokenAck
+// are canonical unsigned varints. The codec exists so the simulated
+// network can carry realistic byte counts and so the wire path can move
+// messages across real sockets.
 
 // ErrTruncated is returned when a buffer ends before the message does.
 var ErrTruncated = errors.New("msg: truncated message")
+
+// ErrVarint is returned for a varint that is not canonical: padded with
+// zero groups, past 64 bits, or an identifier past 32.
+var ErrVarint = errors.New("msg: malformed varint")
 
 type writer struct{ buf []byte }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) uv(v uint64)  { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *writer) bytes(b []byte) {
 	w.u32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
@@ -36,9 +44,16 @@ type reader struct {
 	err error
 }
 
+// truncated latches ErrTruncated unless an earlier error is latched.
+func (r *reader) truncated() {
+	if r.err == nil {
+		r.err = ErrTruncated
+	}
+}
+
 func (r *reader) u8() uint8 {
 	if r.err != nil || r.off+1 > len(r.buf) {
-		r.err = ErrTruncated
+		r.truncated()
 		return 0
 	}
 	v := r.buf[r.off]
@@ -48,7 +63,7 @@ func (r *reader) u8() uint8 {
 
 func (r *reader) u32() uint32 {
 	if r.err != nil || r.off+4 > len(r.buf) {
-		r.err = ErrTruncated
+		r.truncated()
 		return 0
 	}
 	v := binary.LittleEndian.Uint32(r.buf[r.off:])
@@ -58,7 +73,7 @@ func (r *reader) u32() uint32 {
 
 func (r *reader) u64() uint64 {
 	if r.err != nil || r.off+8 > len(r.buf) {
-		r.err = ErrTruncated
+		r.truncated()
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
@@ -66,10 +81,39 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
+// uv reads one canonical uvarint: the encoding binary.AppendUvarint
+// produces, so decode∘encode is the identity on bytes.
+func (r *reader) uv() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
+		r.truncated()
+		return 0
+	case n < 0 || (n > 1 && r.buf[r.off+n-1] == 0):
+		r.err = ErrVarint
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// uv32 reads a uvarint that must fit an identifier.
+func (r *reader) uv32() uint32 {
+	v := r.uv()
+	if v > math.MaxUint32 {
+		r.err = ErrVarint
+		return 0
+	}
+	return uint32(v)
+}
+
 func (r *reader) bytes() []byte {
 	n := int(r.u32())
 	if r.err != nil || r.off+n > len(r.buf) {
-		r.err = ErrTruncated
+		r.truncated()
 		return nil
 	}
 	b := make([]byte, n)
@@ -100,64 +144,96 @@ func (r *reader) optSeq() uint64 {
 // encodeAckBody writes an Ack's fields sans Kind byte, shared between the
 // standalone KindAck frame and the TokenAck piggyback slot.
 func encodeAckBody(w *writer, v *Ack) {
-	w.u32(uint32(v.Group))
-	w.u32(uint32(v.From))
-	w.u32(uint32(v.Source))
-	w.u64(uint64(v.CumLocal))
-	w.u64(uint64(v.CumGlobal))
-	w.u32(uint32(len(v.Batch)))
+	w.uv(uint64(v.Group))
+	w.uv(uint64(v.From))
+	w.uv(uint64(v.Source))
+	w.uv(uint64(v.CumLocal))
+	w.uv(uint64(v.CumGlobal))
+	w.uv(uint64(len(v.Batch)))
 	for _, sc := range v.Batch {
-		w.u32(uint32(sc.Source))
-		w.u64(uint64(sc.Cum))
+		w.uv(uint64(sc.Source))
+		w.uv(uint64(sc.Cum))
 	}
 }
 
 func decodeAckBody(r *reader) *Ack {
 	v := &Ack{}
-	v.Group = seq.GroupID(r.u32())
-	v.From = seq.NodeID(r.u32())
-	v.Source = seq.NodeID(r.u32())
-	v.CumLocal = seq.LocalSeq(r.u64())
-	v.CumGlobal = seq.GlobalSeq(r.u64())
-	if n := int(r.u32()); n > 0 && r.err == nil {
-		if r.off+12*n > len(r.buf) {
+	v.Group = seq.GroupID(r.uv32())
+	v.From = seq.NodeID(r.uv32())
+	v.Source = seq.NodeID(r.uv32())
+	v.CumLocal = seq.LocalSeq(r.uv())
+	v.CumGlobal = seq.GlobalSeq(r.uv())
+	if n := r.uv(); n > 0 && r.err == nil {
+		if n > uint64(len(r.buf)-r.off)/2 { // each pair costs ≥ 2 bytes
 			r.err = ErrTruncated
 			return v
 		}
 		v.Batch = make([]SourceCum, 0, n)
-		for i := 0; i < n; i++ {
-			sc := SourceCum{Source: seq.NodeID(r.u32())}
-			sc.Cum = seq.LocalSeq(r.u64())
+		for i := uint64(0); i < n; i++ {
+			sc := SourceCum{Source: seq.NodeID(r.uv32())}
+			sc.Cum = seq.LocalSeq(r.uv())
 			v.Batch = append(v.Batch, sc)
 		}
 	}
 	return v
 }
 
+// ackBodySize is the encoded size of encodeAckBody's output.
+func ackBodySize(v *Ack) int {
+	n := uvarintLen(uint64(v.Group)) + uvarintLen(uint64(v.From)) + uvarintLen(uint64(v.Source)) +
+		uvarintLen(uint64(v.CumLocal)) + uvarintLen(uint64(v.CumGlobal)) + uvarintLen(uint64(len(v.Batch)))
+	for _, sc := range v.Batch {
+		n += uvarintLen(uint64(sc.Source)) + uvarintLen(uint64(sc.Cum))
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Token presence bytes: no token, the whole token, or a delta from the
+// base the receiver acknowledged (TokenMsg only).
+const (
+	tokenNone  = 0
+	tokenWhole = 1
+	tokenDelta = 2
+)
+
 // encodeToken writes an optional token: a presence byte, then the layout
 // internal/seq owns.
 func encodeToken(w *writer, t *seq.Token) {
 	if t == nil {
-		w.u8(0)
+		w.u8(tokenNone)
 		return
 	}
-	w.u8(1)
+	w.u8(tokenWhole)
 	w.buf = t.AppendWire(w.buf)
 }
 
-func decodeToken(r *reader) (*seq.Token, error) {
-	switch present := r.u8(); {
-	case r.err != nil || present == 0:
-		return nil, r.err
-	case present != 1:
-		return nil, fmt.Errorf("msg: decoding token: presence byte %d", present)
+// decodeToken reads an optional token. A delta, legal only where
+// withDelta (a TokenMsg), comes back as such for the receiver to rebuild
+// against its base.
+func decodeToken(r *reader, withDelta bool) (*seq.Token, *seq.Delta, error) {
+	present := r.u8()
+	if r.err != nil || present == tokenNone {
+		return nil, nil, r.err
 	}
-	t, n, err := seq.DecodeToken(r.buf[r.off:])
+	var t *seq.Token
+	var d *seq.Delta
+	var n int
+	var err error
+	switch {
+	case present == tokenWhole:
+		t, n, err = seq.DecodeToken(r.buf[r.off:])
+	case present == tokenDelta && withDelta:
+		d, n, err = seq.DecodeDelta(r.buf[r.off:])
+	default:
+		return nil, nil, fmt.Errorf("msg: decoding token: presence byte %d", present)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("msg: decoding token: %w", err)
+		return nil, nil, fmt.Errorf("msg: decoding token: %w", err)
 	}
 	r.off += n
-	return t, nil
+	return t, d, nil
 }
 
 // Encode serializes m to a fresh byte slice.
@@ -188,12 +264,21 @@ func AppendEncode(buf []byte, m Message) []byte {
 		w.u64(v.Range.Max)
 	case *TokenMsg:
 		w.u32(uint32(v.From))
-		encodeToken(w, v.Token)
+		switch {
+		case v.Delta != nil:
+			w.u8(tokenDelta)
+			w.buf = v.Delta.AppendWire(w.buf)
+		case v.Base != nil:
+			w.u8(tokenDelta)
+			w.buf = v.Token.AppendDelta(w.buf, v.Base)
+		default:
+			encodeToken(w, v.Token)
+		}
 	case *TokenAck:
-		w.u32(uint32(v.From))
-		w.u64(v.Epoch)
-		w.u64(v.Hops)
-		w.u64(uint64(v.Next))
+		w.uv(uint64(v.From))
+		w.uv(v.Epoch)
+		w.uv(v.Hops)
+		w.uv(uint64(v.Next))
 		if v.Cum != nil {
 			w.u8(1)
 			encodeAckBody(w, v.Cum)
@@ -343,31 +428,35 @@ func Decode(buf []byte) (Message, error) {
 	case KindToken:
 		v := &TokenMsg{}
 		v.From = seq.NodeID(r.u32())
-		tok, err := decodeToken(r)
-		if err != nil {
+		var err error
+		if v.Token, v.Delta, err = decodeToken(r, true); err != nil {
 			return nil, err
 		}
-		v.Token = tok
 		m = v
 	case KindTokenAck:
 		v := &TokenAck{}
-		v.From = seq.NodeID(r.u32())
-		v.Epoch = r.u64()
-		v.Hops = r.u64()
-		v.Next = seq.GlobalSeq(r.u64())
-		if r.u8() == 1 {
+		v.From = seq.NodeID(r.uv32())
+		v.Epoch = r.uv()
+		v.Hops = r.uv()
+		v.Next = seq.GlobalSeq(r.uv())
+		switch r.u8() {
+		case 0:
+		case 1:
 			v.Cum = decodeAckBody(r)
+		default:
+			if r.err == nil {
+				r.err = fmt.Errorf("msg: TokenAck ack presence byte %d", r.buf[r.off-1])
+			}
 		}
 		m = v
 	case KindTokenRegen:
 		v := &TokenRegen{}
 		v.Origin = seq.NodeID(r.u32())
 		v.From = seq.NodeID(r.u32())
-		tok, err := decodeToken(r)
-		if err != nil {
+		var err error
+		if v.Token, _, err = decodeToken(r, false); err != nil {
 			return nil, err
 		}
-		v.Token = tok
 		m = v
 	case KindJoin:
 		v := &Join{}

@@ -110,11 +110,31 @@ func build(data []byte) Message {
 	case KindNack:
 		return &Nack{Group: seq.GroupID(t.u32()), From: seq.NodeID(t.u32()), Range: t.rng()}
 	case KindToken:
-		return &TokenMsg{From: seq.NodeID(t.u32()), Token: t.token()}
+		m := &TokenMsg{From: seq.NodeID(t.u32()), Token: t.token()}
+		if t.u8()%2 == 1 {
+			// A later version of the token, sent as a delta from it.
+			later := m.Token.Clone()
+			later.Hops += uint64(t.u8()%8) + 1
+			for j := int(t.u8()) % 6; j > 0; j-- {
+				src := seq.NodeID(t.u32()%16 + 1)
+				lo := later.Table.MaxAssignedLocal(src) + 1
+				_, _ = later.Assign(src, src, lo, lo+seq.LocalSeq(t.u8()%4))
+			}
+			if k := int(t.u8()) % 16; k > 0 {
+				later.Table.Compact(later.Table.HorizonForSize(k))
+			}
+			if later.DeltaFrom(m.Token) {
+				m.Token, m.Base = later, m.Token
+			}
+		}
+		return m
 	case KindTokenAck:
 		ta := &TokenAck{From: seq.NodeID(t.u32()), Epoch: t.u64(), Hops: t.u64(), Next: seq.GlobalSeq(t.u64())}
 		if t.u8()%2 == 1 {
 			ta.Cum = &Ack{From: ta.From, Source: seq.NodeID(t.u32()), CumGlobal: seq.GlobalSeq(t.u64())}
+			for j := int(t.u8()) % 4; j > 0; j-- { // nil when 0, matching Decode
+				ta.Cum.Batch = append(ta.Cum.Batch, SourceCum{Source: seq.NodeID(t.u32()), Cum: seq.LocalSeq(t.u64())})
+			}
 		}
 		return ta
 	case KindTokenRegen:
@@ -227,8 +247,11 @@ func build(data []byte) Message {
 // depends on it), decode(encode(m)) must reproduce m, and re-encoding
 // the decoded message must be byte-identical (canonical encoding —
 // tokens are rebuilt through table Inserts, so this also checks the
-// rebuild is faithful). The raw fuzz input is additionally thrown at
-// Decode, which must reject garbage with an error, never a panic.
+// rebuild is faithful, and a delta token must rebuild against its base
+// into the sender's token). The raw fuzz input is additionally thrown at
+// Decode, which must reject garbage with an error, never a panic; for the
+// varint and token kinds whatever it accepts must re-encode to the bytes
+// it read.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for k := 1; k <= int(KindMergeReq); k++ {
 		seed := append([]byte{byte(k - 1)}, bytes.Repeat([]byte{0x5a, 3, 0xc1, 7}, 40)...)
@@ -238,6 +261,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	// One realistic circulating token, as raw bytes for the Decode half:
 	// a full wire-profile table, nearly every entry chained.
 	f.Add(Encode(&TokenMsg{From: 1, Token: wireProfileToken(f, 256)}))
+	base := wireProfileToken(f, 224)
+	later := base.Clone()
+	later.Hops += 4
+	for src := seq.NodeID(1); src <= 4; src++ {
+		lo := later.Table.MaxAssignedLocal(src) + 1
+		if _, err := later.Assign(src, src, lo, lo+1); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(Encode(&TokenMsg{From: 1, Token: later, Base: base}))
+	f.Add(Encode(&TokenAck{From: 3, Epoch: 2, Hops: 1 << 20, Next: 5000,
+		Cum: &Ack{From: 3, CumGlobal: 4999, Batch: []SourceCum{{Source: 1, Cum: 70}, {Source: 2, Cum: 300}}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode must never panic on arbitrary bytes, and a token it does
 		// accept must be the one an honest encoder would have sent.
@@ -246,7 +281,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatal("Decode returned nil message without error")
 		}
 		switch raw.(type) {
-		case *TokenMsg, *TokenRegen:
+		case *TokenMsg, *TokenRegen, *Ack, *TokenAck:
 			if enc := Encode(raw); !bytes.HasPrefix(data, enc) {
 				t.Fatalf("%v: accepted a non-canonical encoding:\n in  %x\n out %x", raw.Kind(), data, enc)
 			}
@@ -283,11 +318,22 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("%v: re-encode not canonical:\n %x\n %x", m.Kind(), enc, enc2)
 		}
-		switch m.(type) {
-		case *TokenMsg, *TokenRegen:
+		switch v := m.(type) {
+		case *TokenMsg:
 			// Tokens carry a chunked table whose in-memory layout is not
 			// unique; byte-level canonical re-encoding above is the
-			// equality check.
+			// equality check. A delta must also rebuild, against the base
+			// it was cut from, into the token the sender holds.
+			if v.Base != nil {
+				got, err := dec.(*TokenMsg).Delta.Rebuild(v.Base)
+				if err != nil {
+					t.Fatalf("delta does not rebuild against its base: %v", err)
+				}
+				if !bytes.Equal(got.AppendWire(nil), v.Token.AppendWire(nil)) {
+					t.Fatalf("delta rebuilt %v, sender holds %v", got.Table, v.Token.Table)
+				}
+			}
+		case *TokenRegen:
 		default:
 			if !reflect.DeepEqual(m, dec) {
 				t.Fatalf("%v: decode(encode(m)) != m:\n%#v\n%#v", m.Kind(), m, dec)

@@ -189,7 +189,7 @@ type Ack struct {
 }
 
 func (*Ack) Kind() Kind      { return KindAck }
-func (a *Ack) WireSize() int { return 1 + 4 + 4 + 4 + 8 + 8 + 4 + 12*len(a.Batch) }
+func (a *Ack) WireSize() int { return 1 + ackBodySize(a) }
 
 // Nack requests retransmission of a specific global sequence range.
 type Nack struct {
@@ -202,13 +202,31 @@ func (*Nack) Kind() Kind      { return KindNack }
 func (n *Nack) WireSize() int { return 1 + 4 + 4 + 16 }
 
 // TokenMsg carries the ordering token to the next top-ring node.
+//
+// Base, when set by the sender, is the token version the receiver last
+// acknowledged, and the hop travels as a delta from it (seq.Delta): only
+// what Token added since, against ~700 bytes for a wire-profile table.
+// The sender sets it only when Token.DeltaFrom(Base). A decoded delta
+// leaves Token nil and carries Delta instead, which the receiver resolves
+// against its own copy of the base; the simulator hands the receiver the
+// sender's Token itself, so it never needs to.
 type TokenMsg struct {
 	From  seq.NodeID
 	Token *seq.Token
+	Base  *seq.Token
+	Delta *seq.Delta
 }
 
-func (*TokenMsg) Kind() Kind      { return KindToken }
-func (t *TokenMsg) WireSize() int { return 1 + 4 + tokenWireSize(t.Token) }
+func (*TokenMsg) Kind() Kind { return KindToken }
+func (t *TokenMsg) WireSize() int {
+	switch {
+	case t.Delta != nil:
+		return 1 + 4 + 1 + t.Delta.WireLen()
+	case t.Base != nil:
+		return 1 + 4 + 1 + t.Token.DeltaLen(t.Base)
+	}
+	return 1 + 4 + tokenWireSize(t.Token)
+}
 
 // tokenWireSize is the encoded size of an optional token: a presence
 // byte, then whatever internal/seq's layout takes. The table keeps that
@@ -245,9 +263,9 @@ type TokenAck struct {
 
 func (*TokenAck) Kind() Kind { return KindTokenAck }
 func (t *TokenAck) WireSize() int {
-	n := 1 + 4 + 8 + 8 + 8 + 1
+	n := 1 + uvarintLen(uint64(t.From)) + uvarintLen(t.Epoch) + uvarintLen(t.Hops) + uvarintLen(uint64(t.Next)) + 1
 	if t.Cum != nil {
-		n += t.Cum.WireSize() - 1 // embedded without the leading Kind byte
+		n += ackBodySize(t.Cum)
 	}
 	return n
 }

@@ -248,10 +248,18 @@ func TestDecodeErrors(t *testing.T) {
 	// Truncate every valid message at every length and ensure no panic
 	// and an error (or success only at full length).
 	tok := wireProfileToken(t, 24)
+	later := tok.Clone()
+	later.Hops++
+	if _, err := later.Assign(2, 2, later.Table.MaxAssignedLocal(2)+1, later.Table.MaxAssignedLocal(2)+3); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []Message{
 		&Data{Group: 1, SourceNode: 2, LocalSeq: 3, Payload: []byte("abc")},
 		&TokenMsg{From: 1, Token: tok},
+		&TokenMsg{From: 1, Token: later, Base: tok},
 		&TokenRegen{Origin: 1, From: 2, Token: tok},
+		&Ack{Group: 300, From: 2, CumGlobal: 1 << 40, Batch: []SourceCum{{Source: 1, Cum: 9}}},
+		&TokenAck{From: 2, Epoch: 1, Hops: 500, Next: 70000, Cum: &Ack{From: 2, CumGlobal: 69999}},
 	} {
 		full := Encode(m)
 		for i := 0; i < len(full); i++ {
@@ -261,9 +269,34 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	}
 
-	// The presence byte is 0 or 1; anything else is not a token.
-	if m, err := Decode([]byte{byte(KindToken), 1, 0, 0, 0, 2}); err == nil {
-		t.Fatalf("presence byte 2 decoded as %v", m)
+	// A token's presence byte is 0, 1, or — for a TokenMsg only — 2 (a
+	// delta); anything else is not a token.
+	delta := Encode(&TokenMsg{From: 1, Token: later, Base: tok})
+	for name, b := range map[string][]byte{
+		"token presence 3":        {byte(KindToken), 1, 0, 0, 0, 3},
+		"regen presence 2":        append([]byte{byte(KindTokenRegen), 1, 0, 0, 0, 2, 0, 0, 0}, delta[5:]...),
+		"tokenack ack presence":   {byte(KindTokenAck), 1, 1, 1, 1, 2},
+		"delta names a later hop": {byte(KindToken), 1, 0, 0, 0, 2, 1, 9, 0, 4, 5, 0},
+		"delta digest truncated":  delta[:6+6+2+7],
+		"delta body truncated":    delta[:len(delta)-1],
+	} {
+		if m, err := Decode(b); err == nil {
+			t.Errorf("%s: decoded as %v", name, m)
+		}
+	}
+	// Ack and TokenAck are canonical varints: a zero-padded varint, one
+	// past 64 bits, or an identifier past 32 bits is refused.
+	for name, b := range map[string][]byte{
+		"ack overlong group":      {byte(KindAck), 0x81, 0x00, 2, 0, 1, 1, 0},
+		"ack overlong batch cum":  {byte(KindAck), 1, 2, 0, 1, 1, 1, 5, 0x85, 0x80, 0x00},
+		"ack from past 32 bits":   {byte(KindAck), 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 1, 1, 0},
+		"ack cum past 64 bits":    {byte(KindAck), 1, 2, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 1, 0},
+		"tokenack overlong hops":  {byte(KindTokenAck), 2, 1, 0xf4, 0x83, 0x00, 9, 0},
+		"tokenack overlong epoch": {byte(KindTokenAck), 2, 0x80, 0x00, 3, 9, 0},
+	} {
+		if m, err := Decode(b); !errors.Is(err, ErrVarint) {
+			t.Errorf("%s: decoded as %v, err %v; want ErrVarint", name, m, err)
+		}
 	}
 
 	// Hostile token bodies. Each row is what follows a KindToken's From

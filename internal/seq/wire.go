@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // This file owns the wire layout of a token and its WTSNP. The table is
@@ -28,14 +27,16 @@ import (
 //	flagGlobalChain  Global.Min == previous entry's Global.Max+1; gap elided.
 //	                 Otherwise gap = Global.Min − previous Global.Max − 1
 //	                 (previous Global.Max = 0 for the first entry)
-//	flagLocalChain   Local.Min == 1 + the highest Local.Max among this
-//	                 source's earlier entries in the message; field elided
+//	flagLocalChain   Local.Min == 1 + the source's high-water mark so far —
+//	                 the highest Local.Max among its earlier entries in
+//	                 the message; field elided
 //
-// A chain flag needs a predecessor to chain from. The layout is stateless
-// (nothing outside the message is consulted) and canonical: the encoder
-// always elides what it can, and the decoder rejects an encoding that did
-// not — so a table has exactly one encoding and decode∘encode is the
-// identity on bytes.
+// A chain flag needs a predecessor to chain from. A whole token's layout
+// is stateless (nothing outside the message is consulted); a delta
+// (delta.go) is the same layout with its first entries chained from the
+// base both ends hold. Both are canonical: the encoder always elides what
+// it can, and the decoder rejects an encoding that did not — so a table
+// has exactly one encoding and decode∘encode is the identity on bytes.
 const (
 	flagOrdIsSrc uint8 = 1 << iota
 	flagGlobalChain
@@ -98,38 +99,84 @@ func appendEntry(buf []byte, p Pair, prevMax, srcMax uint64) []byte {
 	return buf
 }
 
-// chainWalk tracks, across a walk of the entries in global order, the two
-// values each entry chains from (see entryWireLen). hws is the table's
-// HighWaters: sorted by source, it doubles as the index of the per-source
-// running maxima in run.
+// chainWalk tracks, across a walk of entries in global order, the two
+// values each entry chains from (see entryWireLen): the previous entry's
+// Global.Max and the source's high-water mark so far — the highest
+// Local.Max among its earlier entries. A walk over a whole table starts
+// from nothing; a delta's walk (delta.go) starts from its base's last
+// entry and high-water marks. The marks of the sources met so far sit in
+// an inline array (a table has a handful of sources) and are searched
+// linearly; the walk holds no pointer into itself, so it stays on the
+// stack.
 type chainWalk struct {
-	hws     []HighWater
-	run     []uint64
+	base    *WTSNP
 	prevMax uint64
+	n       int // sources met
+	seen    [8]HighWater
+	more    []HighWater // sources past len(seen)
 }
 
-func (w *WTSNP) newChainWalk() chainWalk {
-	hws := w.HighWaters()
-	return chainWalk{hws: hws, run: make([]uint64, len(hws))}
+// startWalk begins a walk that chains from base (nil: from nothing).
+func (c *chainWalk) startWalk(base *WTSNP) {
+	*c = chainWalk{base: base, prevMax: base.lastGlobal()}
 }
 
 // step returns what p chains from and advances past it.
 func (c *chainWalk) step(p Pair) (prevMax, srcMax uint64) {
-	k := sort.Search(len(c.hws), func(k int) bool { return c.hws[k].Source >= p.SourceNode })
-	prevMax, srcMax = c.prevMax, c.run[k]
-	c.prevMax = p.Global.Max
+	prevMax, c.prevMax = c.prevMax, p.Global.Max
+	h := c.mark(p.SourceNode)
+	srcMax = uint64(h.Max)
 	if p.Local.Max > srcMax {
-		c.run[k] = p.Local.Max
+		h.Max = LocalSeq(p.Local.Max)
 	}
 	return prevMax, srcMax
 }
 
-// AppendWire appends the table's encoding to buf.
-func (w *WTSNP) AppendWire(buf []byte) []byte {
-	c := w.newChainWalk()
+// mark returns src's running mark, starting it at the base's when src is
+// met for the first time.
+func (c *chainWalk) mark(src NodeID) *HighWater {
+	seen := c.seen[:min(c.n, len(c.seen))]
+	for k := range seen {
+		if seen[k].Source == src {
+			return &seen[k]
+		}
+	}
+	for k := range c.more {
+		if c.more[k].Source == src {
+			return &c.more[k]
+		}
+	}
+	h := HighWater{Source: src}
+	if c.base != nil {
+		h.Max = c.base.maxLocal[src]
+	}
+	c.n++
+	if c.n <= len(c.seen) {
+		c.seen[c.n-1] = h
+		return &c.seen[c.n-1]
+	}
+	c.more = append(c.more, h)
+	return &c.more[len(c.more)-1]
+}
+
+// lastGlobal returns the last entry's Global.Max (0 for an empty or nil
+// table): what the first entry encoded after this table chains from.
+func (w *WTSNP) lastGlobal() uint64 {
+	if w == nil || w.entries.len() == 0 {
+		return 0
+	}
+	return w.entries.at(w.entries.len() - 1).Global.Max
+}
+
+// appendTable appends the table from entry keep on, chained from base
+// (nil: the whole table, chained from nothing), then every high-water
+// mark.
+func (w *WTSNP) appendTable(buf []byte, base *WTSNP, keep int) []byte {
+	var c chainWalk
+	c.startWalk(base)
 	n := w.entries.len()
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := 0; i < n; i++ {
+	buf = binary.AppendUvarint(buf, uint64(n-keep))
+	for i := keep; i < n; i++ {
 		p := w.entries.at(i)
 		prevMax, srcMax := c.step(p)
 		buf = appendEntry(buf, p, prevMax, srcMax)
@@ -137,13 +184,35 @@ func (w *WTSNP) AppendWire(buf []byte) []byte {
 	// Per-source high-water marks survive compaction, so the entries alone
 	// cannot reconstruct them; without them a decoded table would accept
 	// duplicate assignment of already-ordered locals.
-	buf = binary.AppendUvarint(buf, uint64(len(c.hws)))
-	for _, h := range c.hws {
+	hws := w.HighWaters()
+	buf = binary.AppendUvarint(buf, uint64(len(hws)))
+	for _, h := range hws {
 		buf = binary.AppendUvarint(buf, uint64(h.Source))
 		buf = binary.AppendUvarint(buf, uint64(h.Max))
 	}
 	return buf
 }
+
+// tableLen returns the length appendTable(nil, base, keep) would produce:
+// the entry walk, without sorting or allocating.
+func (w *WTSNP) tableLen(base *WTSNP, keep int) int {
+	var c chainWalk
+	c.startWalk(base)
+	n := w.entries.len()
+	size := uvarintLen(uint64(n-keep)) + uvarintLen(uint64(len(w.maxLocal)))
+	for i := keep; i < n; i++ {
+		p := w.entries.at(i)
+		prevMax, srcMax := c.step(p)
+		size += entryWireLen(p, prevMax, srcMax)
+	}
+	for src, hw := range w.maxLocal {
+		size += uvarintLen(uint64(src)) + uvarintLen(uint64(hw))
+	}
+	return size
+}
+
+// AppendWire appends the table's encoding to buf.
+func (w *WTSNP) AppendWire(buf []byte) []byte { return w.appendTable(buf, nil, 0) }
 
 // WireLen returns len(w.AppendWire(nil)) without encoding. It is O(1)
 // while the table only grows at its tail (Assign, in-order decode); the
@@ -152,19 +221,9 @@ func (w *WTSNP) AppendWire(buf []byte) []byte {
 // another use of the same table value.
 func (w *WTSNP) WireLen() int {
 	if w.wireLen < 0 {
-		c := w.newChainWalk()
-		size := 0
-		for i, n := 0, w.entries.len(); i < n; i++ {
-			p := w.entries.at(i)
-			prevMax, srcMax := c.step(p)
-			size += entryWireLen(p, prevMax, srcMax)
-		}
-		for _, h := range c.hws {
-			size += uvarintLen(uint64(h.Source)) + uvarintLen(uint64(h.Max))
-		}
-		w.wireLen = size
+		w.wireLen = int32(w.tableLen(nil, 0) - uvarintLen(uint64(w.entries.len())) - uvarintLen(uint64(len(w.maxLocal))))
 	}
-	return uvarintLen(uint64(w.entries.len())) + uvarintLen(uint64(len(w.maxLocal))) + w.wireLen
+	return uvarintLen(uint64(w.entries.len())) + uvarintLen(uint64(len(w.maxLocal))) + int(w.wireLen)
 }
 
 // wireReader consumes canonical uvarints, latching the first error.
@@ -233,57 +292,93 @@ func (r *wireReader) count(minEach int, what string) int {
 	return int(n)
 }
 
-// decodeTable parses a table produced by AppendWire. Every invariant
-// Insert enforces holds for the result.
-func decodeTable(r *wireReader) (*WTSNP, error) {
-	w := NewWTSNP()
-	var prevMax uint64
+// rawEntry is one entry as the layout carries it, before it is resolved
+// against what it chains from.
+type rawEntry struct {
+	flags    uint8
+	src, ord NodeID
+	run      uint64
+	gap      uint64 // unless flagGlobalChain
+	local    uint64 // Local.Min, unless flagLocalChain
+}
+
+// entry reads one entry's fields into e; which are present depends on the
+// flag bits alone, so a reader without the table can still find its end.
+func (r *wireReader) entry(i int, e *rawEntry) {
+	*e = rawEntry{flags: r.u8()}
+	if e.flags&^flagMask != 0 {
+		r.fail("entry %d: unknown flag bits %#x", i, e.flags)
+	}
+	e.src = NodeID(r.uv32())
+	e.ord = e.src
+	if e.flags&flagOrdIsSrc == 0 {
+		if e.ord = NodeID(r.uv32()); e.ord == e.src {
+			r.fail("entry %d: ordering node not elided", i)
+		}
+	}
+	e.run = r.uv()
+	if e.flags&flagGlobalChain == 0 {
+		e.gap = r.uv()
+	}
+	if e.flags&flagLocalChain == 0 {
+		e.local = r.uv()
+	}
+}
+
+// skipTable reads past a table encoding without resolving it: what a
+// delta's decoder does with the part only the base can resolve.
+func skipTable(r *wireReader) {
+	var e rawEntry
+	for i, n := 0, r.count(minEntryWire, "entries"); i < n && r.err == nil; i++ {
+		r.entry(i, &e)
+	}
+	for i, n := 0, r.count(minHighWaterWire, "high-water marks"); i < n && r.err == nil; i++ {
+		r.uv32()
+		r.uv()
+	}
+}
+
+// decodeTable parses the table part of an encoding into w: the whole
+// table when w is empty and prevMax 0, or a delta's entries on top of
+// what its base left in w, chained from prevMax — the base's last
+// Global.Max — and w's high-water marks. Every invariant Insert enforces
+// holds for the result.
+func decodeTable(r *wireReader, w *WTSNP, prevMax uint64) error {
+	var e rawEntry
 	for i, n := 0, r.count(minEntryWire, "entries"); i < n; i++ {
-		flags := r.u8()
-		if flags&^flagMask != 0 {
-			r.fail("entry %d: unknown flag bits %#x", i, flags)
+		r.entry(i, &e)
+		if r.err != nil {
+			return r.err
 		}
-		p := Pair{SourceNode: NodeID(r.uv32())}
-		p.OrderingNode = p.SourceNode
-		if flags&flagOrdIsSrc == 0 {
-			if p.OrderingNode = NodeID(r.uv32()); p.OrderingNode == p.SourceNode {
-				r.fail("entry %d: ordering node not elided", i)
-			}
-		}
-		run := r.uv()
-		var gap uint64
-		if flags&flagGlobalChain == 0 {
-			if gap = r.uv(); gap == 0 && prevMax != 0 {
+		if e.flags&flagGlobalChain == 0 {
+			if e.gap == 0 && prevMax != 0 {
 				r.fail("entry %d: global start not elided", i)
 			}
 		} else if prevMax == 0 {
 			r.fail("entry %d: global chain without a predecessor", i)
 		}
-		var srcMax uint64
-		if s := w.bySource[p.SourceNode]; s.len() > 0 {
-			srcMax = s.at(s.len() - 1).Local.Max
-		}
-		p.Local.Min = srcMax + 1
-		if flags&flagLocalChain == 0 {
-			if p.Local.Min = r.uv(); p.Local.Min == srcMax+1 && srcMax != 0 {
+		srcMax := uint64(w.maxLocal[e.src])
+		p := Pair{SourceNode: e.src, OrderingNode: e.ord, Local: Range{Min: srcMax + 1}}
+		if e.flags&flagLocalChain == 0 {
+			if p.Local.Min = e.local; p.Local.Min == srcMax+1 && srcMax != 0 {
 				r.fail("entry %d: local start not elided", i)
 			}
 		} else if srcMax == 0 {
-			r.fail("entry %d: local chain without a predecessor for %v", i, p.SourceNode)
+			r.fail("entry %d: local chain without a predecessor for %v", i, e.src)
 		}
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-		p.Global.Min = prevMax + 1 + gap
-		p.Global.Max = p.Global.Min + run
-		p.Local.Max = p.Local.Min + run
+		p.Global.Min = prevMax + 1 + e.gap
+		p.Global.Max = p.Global.Min + e.run
+		p.Local.Max = p.Local.Min + e.run
 		if p.Global.Min <= prevMax || p.Global.Max < p.Global.Min || p.Local.Max < p.Local.Min {
-			return nil, fmt.Errorf("%w: entry %d: range wraps 64 bits", ErrWire, i)
+			return fmt.Errorf("%w: entry %d: range wraps 64 bits", ErrWire, i)
 		}
 		// Insert, not Append: a compacted table's surviving runs need not
 		// start at the per-source high-water mark.
 		if err := w.Insert(p); err != nil {
-			return nil, fmt.Errorf("%w: entry %d: %v", ErrWire, i, err)
+			return fmt.Errorf("%w: entry %d: %v", ErrWire, i, err)
 		}
 		prevMax = p.Global.Max
 	}
@@ -292,56 +387,67 @@ func decodeTable(r *wireReader) (*WTSNP, error) {
 	for i := 0; i < nh; i++ {
 		src, hw := NodeID(r.uv32()), LocalSeq(r.uv())
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if i > 0 && src <= prevSrc {
-			return nil, fmt.Errorf("%w: high-water marks not in ascending source order", ErrWire)
+			return fmt.Errorf("%w: high-water marks not in ascending source order", ErrWire)
 		}
 		if hw == 0 || hw < w.maxLocal[src] {
-			return nil, fmt.Errorf("%w: high-water %d for %v below its entries", ErrWire, hw, src)
+			return fmt.Errorf("%w: high-water %d for %v below its entries", ErrWire, hw, src)
 		}
 		w.RestoreHighWater(src, hw)
 		prevSrc = src
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(w.maxLocal) != nh {
-		return nil, fmt.Errorf("%w: %d sources but %d high-water marks", ErrWire, len(w.maxLocal), nh)
+		return fmt.Errorf("%w: %d sources but %d high-water marks", ErrWire, len(w.maxLocal), nh)
 	}
-	return w, nil
+	return nil
+}
+
+// appendHeader appends a token's header fields.
+func appendHeader(buf []byte, g GroupID, next GlobalSeq, epoch, hops uint64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(g))
+	buf = binary.AppendUvarint(buf, uint64(next))
+	buf = binary.AppendUvarint(buf, epoch)
+	return binary.AppendUvarint(buf, hops)
+}
+
+func headerLen(g GroupID, next GlobalSeq, epoch, hops uint64) int {
+	return uvarintLen(uint64(g)) + uvarintLen(uint64(next)) + uvarintLen(epoch) + uvarintLen(hops)
+}
+
+// header reads the token header fields into a table-less token.
+func (r *wireReader) header() Token {
+	t := Token{Group: GroupID(r.uv32())}
+	t.NextGlobalSeq = GlobalSeq(r.uv())
+	t.Epoch = r.uv()
+	t.Hops = r.uv()
+	return t
 }
 
 // AppendWire appends the token's encoding — header fields, then the
-// table — to buf.
-func (t *Token) AppendWire(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(t.Group))
-	buf = binary.AppendUvarint(buf, uint64(t.NextGlobalSeq))
-	buf = binary.AppendUvarint(buf, t.Epoch)
-	buf = binary.AppendUvarint(buf, t.Hops)
-	return t.Table.AppendWire(buf)
-}
+// table — to buf. It is AppendDelta from no base.
+func (t *Token) AppendWire(buf []byte) []byte { return t.AppendDelta(buf, nil) }
 
 // WireLen returns len(t.AppendWire(nil)); see WTSNP.WireLen for its cost.
 func (t *Token) WireLen() int {
-	return uvarintLen(uint64(t.Group)) + uvarintLen(uint64(t.NextGlobalSeq)) +
-		uvarintLen(t.Epoch) + uvarintLen(t.Hops) + t.Table.WireLen()
+	return headerLen(t.Group, t.NextGlobalSeq, t.Epoch, t.Hops) + t.Table.WireLen()
 }
 
 // DecodeToken parses a token produced by Token.AppendWire from the front
 // of buf and returns it with the number of bytes consumed.
 func DecodeToken(buf []byte) (*Token, int, error) {
 	r := &wireReader{buf: buf}
-	t := &Token{Group: GroupID(r.uv32())}
-	t.NextGlobalSeq = GlobalSeq(r.uv())
-	t.Epoch = r.uv()
-	t.Hops = r.uv()
+	t := r.header()
 	if r.err != nil {
 		return nil, 0, r.err
 	}
-	var err error
-	if t.Table, err = decodeTable(r); err != nil {
+	t.Table = NewWTSNP()
+	if err := decodeTable(r, t.Table, 0); err != nil {
 		return nil, 0, err
 	}
-	return t, r.off, nil
+	return &t, r.off, nil
 }

@@ -9,8 +9,11 @@ import (
 // decodeTableBytes is decodeTable over a whole buffer, for tests.
 func decodeTableBytes(b []byte) (*WTSNP, int, error) {
 	r := &wireReader{buf: b}
-	w, err := decodeTable(r)
-	return w, r.off, err
+	w := NewWTSNP()
+	if err := decodeTable(r, w, 0); err != nil {
+		return nil, 0, err
+	}
+	return w, r.off, nil
 }
 
 // checkWire asserts the layout's contract on one table: WireLen is the

@@ -46,10 +46,15 @@ type WTSNP struct {
 	// token lineage global numbers only grow, so Absorb needs to examine
 	// only the entries above this mark. It survives Compact.
 	absorbed GlobalSeq
+	// digest is the table's running digest (delta.go): the sum of
+	// pairDigest over the entries and markDigest over the high-water
+	// marks, kept current by every mutation so a token's digest costs
+	// O(1) however large the table is.
+	digest uint64
 	// wireLen caches the encoded size of the entries and high-water pairs
 	// (see wire.go). Tail appends keep it current in O(1); Compact and
 	// interior inserts set it to -1 and WireLen recomputes on demand.
-	wireLen int
+	wireLen int32
 	// shared marks the maps, spines, and chunks as aliased with a clone;
 	// the first mutation forks them (see fork).
 	shared bool
@@ -150,11 +155,16 @@ func (w *WTSNP) RestoreHighWater(src NodeID, hw LocalSeq) {
 // setHighWater stores src's raised mark and keeps the cached wire size in
 // step with it.
 func (w *WTSNP) setHighWater(src NodeID, hw LocalSeq) {
+	old, ok := w.maxLocal[src]
+	if ok {
+		w.digest -= markDigest(src, old)
+	}
+	w.digest += markDigest(src, hw)
 	if w.wireLen >= 0 {
-		if old, ok := w.maxLocal[src]; ok {
-			w.wireLen += uvarintLen(uint64(hw)) - uvarintLen(uint64(old))
+		if ok {
+			w.wireLen += int32(uvarintLen(uint64(hw)) - uvarintLen(uint64(old)))
 		} else {
-			w.wireLen += uvarintLen(uint64(src)) + uvarintLen(uint64(hw))
+			w.wireLen += int32(uvarintLen(uint64(src)) + uvarintLen(uint64(hw)))
 		}
 	}
 	w.maxLocal[src] = hw
@@ -221,7 +231,7 @@ func (w *WTSNP) insertAt(i, j int, p Pair) {
 			if m := s.len(); m > 0 {
 				srcMax = s.at(m - 1).Local.Max
 			}
-			w.wireLen += entryWireLen(p, prevMax, srcMax)
+			w.wireLen += int32(entryWireLen(p, prevMax, srcMax))
 		} else {
 			w.wireLen = -1
 		}
@@ -229,6 +239,7 @@ func (w *WTSNP) insertAt(i, j int, p Pair) {
 	w.entries.insert(i, p)
 	s.insert(j, p)
 	w.bySource[p.SourceNode] = s
+	w.digest += pairDigest(p)
 	if hw := w.maxLocal[p.SourceNode]; LocalSeq(p.Local.Max) > hw {
 		w.setHighWater(p.SourceNode, LocalSeq(p.Local.Max))
 	}
@@ -385,7 +396,9 @@ func (w *WTSNP) Compact(horizon GlobalSeq) int {
 	w.wireLen = -1
 	touched := make(map[NodeID]struct{})
 	for i := 0; i < idx; i++ {
-		touched[w.entries.at(i).SourceNode] = struct{}{}
+		e := w.entries.at(i)
+		touched[e.SourceNode] = struct{}{}
+		w.digest -= pairDigest(e)
 	}
 	// Dropping a prefix shares the surviving chunks with clones.
 	w.entries.dropPrefix(idx)
@@ -466,6 +479,13 @@ func (w *WTSNP) Validate() error {
 	}
 	if total != n {
 		return fmt.Errorf("wtsnp: index holds %d entries, table %d", total, n)
+	}
+	digest := w.markDigests()
+	for i := 0; i < n; i++ {
+		digest += pairDigest(w.entries.at(i))
+	}
+	if digest != w.digest {
+		return fmt.Errorf("wtsnp: running digest does not match the table")
 	}
 	return nil
 }

@@ -260,12 +260,25 @@ func retryDelay(cfg Config, retries int) sim.Time {
 	return d
 }
 
-// Ack releases every outstanding message with seqno ≤ cum.
+// Ack releases every outstanding message with seqno ≤ cum, walking
+// whichever is shorter: the newly acknowledged seqno range (streams are
+// dense, so each probe releases a message) or the window (a sparse
+// stream, or a cum that leapt far ahead). A cumulative ack behind a long
+// backlog costs what it releases, not the backlog.
 func (s *Sender) Ack(cum uint64) {
 	if cum <= s.acked {
 		return
 	}
+	from := s.acked
 	s.acked = cum
+	if cum-from <= uint64(len(s.out)) {
+		for n := from + 1; n <= cum; n++ {
+			if p, ok := s.out[n]; ok {
+				s.release(p)
+			}
+		}
+		return
+	}
 	for n, p := range s.out {
 		if n <= cum {
 			s.release(p)
@@ -304,6 +317,11 @@ type Courier struct {
 	// OnFail is invoked when delivery of the current message is
 	// abandoned.
 	OnFail func(to seq.NodeID, m msg.Message)
+	// Resend, when set, maps the in-flight message to what a timeout
+	// retransmission sends instead. The token hop uses it to resend its
+	// whole table: a receiver that refused the first copy's delta lacks
+	// the base the delta was cut from.
+	Resend func(m msg.Message) msg.Message
 
 	Retransmissions uint64
 }
@@ -350,6 +368,9 @@ func (c *Courier) armCourier(sn uint64) {
 		}
 		c.retries++
 		c.Retransmissions++
+		if c.Resend != nil {
+			c.m = c.Resend(c.m)
+		}
 		c.net.Send(c.from, c.to, c.m)
 		c.armCourier(sn)
 	})

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/msg"
@@ -284,5 +285,75 @@ func TestCourierLossyEventuallyDelivers(t *testing.T) {
 	}
 	if len(s.got) == 0 {
 		t.Fatal("never delivered over lossy link")
+	}
+}
+
+// TestSenderAckReleasesExactlyTheCumulativePrefix drives both release
+// paths of Ack against a 4,096-message window: dense single-step and
+// ranged acks (the walk over the acknowledged range), and a sparse window
+// with a cum that leaps past it (the walk over the window). After every
+// ack exactly the seqnos above cum stay outstanding, and they still
+// retransmit.
+func TestSenderAckReleasesExactlyTheCumulativePrefix(t *testing.T) {
+	const window = 4096
+	sched, net, s := rig(0)
+	net.SetLinkUp(1, 2, false)
+	snd := NewSender(net, 1, 2, Config{RTO: 10 * sim.Millisecond})
+	for n := uint64(1); n <= window; n++ {
+		snd.Send(n, &msg.Heartbeat{From: 1})
+	}
+	for _, cum := range []uint64{1, 2, 3, 100, 101, 2000} {
+		snd.Ack(cum)
+		if got := snd.Outstanding(); got != window-int(cum) {
+			t.Fatalf("after Ack(%d): %d outstanding, want %d", cum, got, window-int(cum))
+		}
+	}
+	// Sparse: only every 64th seqno above the window is outstanding, and
+	// the cumulative ack leaps a thousand seqnos ahead.
+	for n := uint64(window + 64); n <= 4*window; n += 64 {
+		snd.Send(n, &msg.Heartbeat{From: 1})
+	}
+	before := snd.Outstanding()
+	snd.Ack(window + 1000)
+	released := window - 2000 + 15 // the dense remainder, then 64·1..64·15 past the window
+	if got := snd.Outstanding(); got != before-released {
+		t.Fatalf("after leaping Ack: %d outstanding, want %d", got, before-released)
+	}
+	net.SetLinkUp(1, 2, true)
+	if _, err := sched.Run(15 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.got) != snd.Outstanding() {
+		t.Fatalf("one RTO after healing, %d retransmissions arrived for %d outstanding", len(s.got), snd.Outstanding())
+	}
+	for _, m := range s.got {
+		if m.(*msg.Heartbeat).From != 1 {
+			t.Fatal("unexpected message")
+		}
+	}
+}
+
+// BenchmarkSenderAckBacklog is one cumulative ack releasing one message
+// behind a backlog of outstanding ones — a lagging successor's window.
+// The cost must not grow with the backlog.
+func BenchmarkSenderAckBacklog(b *testing.B) {
+	for _, backlog := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("outstanding=%d", backlog), func(b *testing.B) {
+			_, net, _ := rig(0)
+			net.SetLinkUp(1, 2, false)
+			snd := NewSender(net, 1, 2, Config{RTO: sim.Second})
+			m := &msg.Heartbeat{From: 1}
+			next := uint64(1)
+			for ; next <= uint64(backlog); next++ {
+				snd.Send(next, m)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snd.Ack(snd.Acked() + 1)
+				snd.Send(next, m)
+				next++
+			}
+		})
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // launchCluster assembles n in-process daemon nodes over real loopback
@@ -20,6 +23,14 @@ func launchCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []Repor
 // runCluster is launchCluster that also hands back the finished nodes,
 // which keep their groups — engine, sink, queues — reachable.
 func runCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*Node, []Report) {
+	t.Helper()
+	nodes := newCluster(t, n, mutate)
+	return nodes, runNodes(t, nodes)
+}
+
+// newCluster assembles n in-process daemon nodes over loopback UDP that
+// know each other's addresses, ready to Run.
+func newCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -57,6 +68,13 @@ func runCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*Node, 
 			}
 		}
 	}
+	return nodes
+}
+
+// runNodes runs the nodes to convergence concurrently.
+func runNodes(t *testing.T, nodes []*Node) []Report {
+	t.Helper()
+	n := len(nodes)
 	reports := make([]Report, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -76,7 +94,7 @@ func runCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*Node, 
 		t.Logf("node %d: delivered %d/%d order=%s wall=%dms",
 			reports[i].Node, g.Delivered, g.Expected, g.OrderHash, reports[i].WallMS)
 	}
-	return nodes, reports
+	return reports
 }
 
 func assertIdenticalOrder(t *testing.T, reports []Report) {
@@ -156,6 +174,85 @@ func TestDaemonRetainedBytesPerDelivery(t *testing.T) {
 		live1, d1, live4, d4, perDelivery)
 	if perDelivery > 16 {
 		t.Fatalf("daemon retains %.1f B per delivery, bound 16", perDelivery)
+	}
+}
+
+// TestDaemonTokenHopBytes: on a live four-member ring whose token table
+// fills to the wire profile's compaction cap, every hop after the first
+// rotation travels as a delta from the version its successor
+// acknowledged, so the mean encoded TokenMsg is a few entries, not the
+// table (about 700 B when each hop carried all of it). Each member sends
+// its first hop — to a successor that acknowledged nothing yet — whole,
+// and no hop refuses a delta.
+func TestDaemonTokenHopBytes(t *testing.T) {
+	nodes := newCluster(t, 4, func(i int, cfg *Config) {
+		cfg.Count = 1500
+		cfg.RateHz = 1500
+	})
+	counter := func(nd *Node, name string, labels ...string) float64 {
+		v, _ := nd.tel.reg.Value(name, append([]string{"group", "1"}, labels...)...)
+		return v
+	}
+	hops := func(nd *Node) float64 { return counter(nd, "ringnet_token_hops_total") }
+	hopBytes := func(nd *Node) float64 { return counter(nd, "ringnet_token_hop_bytes_total") }
+	// Snapshot every member once each has forwarded the token: the first
+	// rotation is then behind the ring.
+	var snapHops, snapBytes float64
+	snapped := make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		defer close(snapped)
+		for {
+			rotated := true
+			for _, nd := range nodes {
+				rotated = rotated && hops(nd) >= 1
+			}
+			if rotated {
+				for _, nd := range nodes {
+					snapHops += hops(nd)
+					snapBytes += hopBytes(nd)
+				}
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	reports := runNodes(t, nodes)
+	close(stop)
+	<-snapped
+	assertIdenticalOrder(t, reports)
+	if snapHops == 0 {
+		t.Fatal("the token never completed a rotation")
+	}
+	var allHops, allBytes float64
+	for _, nd := range nodes {
+		allHops += hops(nd)
+		allBytes += hopBytes(nd)
+		if whole := counter(nd, "ringnet_token_full_sends_total", "reason", "no-base"); whole != 1 {
+			t.Errorf("node %d sent %v first hops without a base, want 1", nd.cfg.Node, whole)
+		}
+		for _, r := range core.SenderResyncs {
+			if n := counter(nd, "ringnet_token_full_sends_total", "reason", r.String()); r != core.ResyncNoBase && r != core.ResyncRetransmit && n != 0 {
+				t.Errorf("node %d: %v whole-table hops for %v on a fault-free ring", nd.cfg.Node, n, r)
+			}
+		}
+		for _, r := range core.ReceiverResyncs {
+			if n := counter(nd, "ringnet_token_delta_refused_total", "reason", r.String()); n != 0 {
+				t.Errorf("node %d refused %v deltas for %v", nd.cfg.Node, n, r)
+			}
+		}
+	}
+	mean := (allBytes - snapBytes) / (allHops - snapHops)
+	t.Logf("%.0f hops after the first rotation, mean TokenMsg %.1f B", allHops-snapHops, mean)
+	if allHops-snapHops < 20 {
+		t.Fatalf("only %.0f hops after the first rotation", allHops-snapHops)
+	}
+	if mean > 96 {
+		t.Fatalf("mean TokenMsg after the first rotation is %.1f B, bound 96", mean)
 	}
 }
 

@@ -51,7 +51,7 @@ import (
 	"repro/internal/seq"
 )
 
-// Datagram framing, version 3: a fixed header followed by group-tagged
+// Datagram framing, version 4: a fixed header followed by group-tagged
 // sections, each carrying length-prefixed encoded messages. Putting the
 // group id in a per-section tag rather than the frame header is what
 // lets one datagram carry traffic for many groups at once — the shared
@@ -59,7 +59,7 @@ import (
 // write. Little-endian, like the message codec.
 //
 //	magic    u16  0x524E ("RN")
-//	version  u8   3
+//	version  u8   4
 //	sections u8   section count (≥ 1)
 //	from     u32  sender NodeID
 //	seqno    u64  per-(sender→receiver) datagram sequence number
@@ -70,14 +70,17 @@ import (
 //	    count × { len u32, len bytes of msg.Encode output }
 //	}
 //
-// The frame layout itself is unchanged since version 2. Version 3 marks
-// the ordering token's switch from fixed-width fields to the run-chained
-// varint layout (internal/seq wire.go): the two token layouts cannot
-// decode each other, so the version byte is what turns a mixed ring into
-// ErrBadVersion at the first datagram instead of corrupted tables.
+// The frame layout itself is unchanged since version 2; the version
+// marks changes to the message layouts inside it, which a peer of another
+// version would misread. Version 3 switched the ordering token from
+// fixed-width fields to the run-chained varint layout (internal/seq
+// wire.go); version 4 adds the token delta (internal/seq delta.go) and
+// moves Ack and TokenAck to varints. The version byte is what turns a
+// mixed ring into ErrBadVersion at the first datagram instead of
+// corrupted tables.
 const (
 	frameMagic   = 0x524E
-	frameVersion = 3
+	frameVersion = 4
 	headerSize   = 2 + 1 + 1 + 4 + 8
 
 	// sectionOverhead is the per-section tag: group u32, flags u8,

@@ -15,11 +15,18 @@ func sampleMsgs() []msg.Message {
 	if _, err := tok.Assign(3, 9, 1, 5); err != nil {
 		panic(err)
 	}
+	later := tok.Clone()
+	later.Hops += 3
+	if _, err := later.Assign(4, 4, 1, 2); err != nil {
+		panic(err)
+	}
 	return []msg.Message{
 		&msg.Data{Group: 1, SourceNode: 3, LocalSeq: 7, OrderingNode: 2, GlobalSeq: 11, Payload: []byte("payload")},
 		&msg.Ack{Group: 1, From: 2, Source: 3, CumLocal: 7, CumGlobal: 11,
 			Batch: []msg.SourceCum{{Source: 4, Cum: 2}}},
 		&msg.TokenMsg{From: 2, Token: tok},
+		&msg.TokenMsg{From: 2, Token: later, Base: tok},
+		&msg.TokenAck{From: 3, Epoch: 1, Hops: 3, Next: 48, Cum: &msg.Ack{From: 3, CumGlobal: 47}},
 		&msg.Skip{Group: 1, From: 2, Range: seq.Range{Min: 5, Max: 6}, AckCum: 4},
 	}
 }
@@ -158,6 +165,7 @@ func TestFrameErrors(t *testing.T) {
 		"version":       append([]byte{good[0], good[1], 99}, good[3:]...),
 		"v1 header":     append([]byte{good[0], good[1], 1}, good[3:]...),
 		"v2 header":     append([]byte{good[0], good[1], 2}, good[3:]...),
+		"v3 header":     append([]byte{good[0], good[1], 3}, good[3:]...),
 		"truncated":     good[:len(good)-3],
 		"trailing":      append(append([]byte(nil), good...), 1, 2, 3),
 		"zero sections": func() []byte { b := append([]byte(nil), good...); b[3] = 0; return b }(),
@@ -180,8 +188,9 @@ func TestFrameErrors(t *testing.T) {
 		}
 	}
 	// A version error must say which versions disagree — in particular
-	// for v2, whose frames differ only in the token layout inside them.
-	for _, name := range []string{"version", "v1 header", "v2 header"} {
+	// for v2 and v3, whose frames differ only in the message layouts
+	// inside them.
+	for _, name := range []string{"version", "v1 header", "v2 header", "v3 header"} {
 		if _, err := DecodeFrame(cases[name]); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("%s: version mismatch not classified: %v", name, err)
 		}

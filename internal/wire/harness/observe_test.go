@@ -94,6 +94,9 @@ func (w *memberWatch) observe(cl *http.Client, addr string, restarts bool) {
 			byType := map[string]int{}
 			for _, ev := range evs {
 				byType[ev.Type]++
+				if ev.Type == "token-resync" {
+					byType[ev.Type+"/"+ev.Detail]++ // by reason
+				}
 			}
 			w.mu.Lock()
 			w.events = byType
@@ -136,7 +139,8 @@ func ScrapeMetricsOnce(cl *http.Client, addr string) (map[string]float64, error)
 // must rise and clear, its /readyz must flip 200→503→200, delivered
 // counters must never regress on steady members, and the event rings
 // must carry the full fault narrative (suspect, evict, epoch-commit,
-// lame-enter/exit, merge-heal, resume). At exit, each steady member's
+// lame-enter/exit, merge-heal, resume, and the token resyncs the ring
+// repairs cause). At exit, each steady member's
 // registry-derived delivered count must equal its trace line count.
 // The lifecycle trace plane rides along at sampling mod 8: /trace must
 // serve spans mid-run, and at exit every delivered sampled key must
@@ -281,6 +285,12 @@ func TestClusterObservabilityUnderChaos(t *testing.T) {
 		if union[typ] == 0 {
 			t.Errorf("no member's event ring carried a %q event; union: %v", typ, union)
 		}
+	}
+	// The token's history reached the members the faults re-linked: a
+	// ring repaired around the corpse, or a token regenerated at a new
+	// epoch, sends its next hop whole.
+	if union["token-resync/successor"]+union["token-resync/epoch"] == 0 {
+		t.Errorf("no member resynchronised a successor's token history across the faults; union: %v", union)
 	}
 
 	// Registry-vs-trace equality: the exit report's delivered counter is

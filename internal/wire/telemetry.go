@@ -148,7 +148,7 @@ func (nt *nodeTelemetry) group(gid uint32) *groupTelemetry {
 // coreTel builds the engine instrumentation bundle for this group.
 func (gt *groupTelemetry) coreTel(reg *telemetry.Registry) core.Telemetry {
 	g := fmt.Sprintf("%d", gt.gid)
-	return core.Telemetry{
+	t := core.Telemetry{
 		Front: gt.front,
 		TokenHops: reg.Counter("ringnet_token_hops_total",
 			"Ordering-token forwards to the ring successor.", "group", g),
@@ -164,11 +164,22 @@ func (gt *groupTelemetry) coreTel(reg *telemetry.Registry) core.Telemetry {
 			"Repair Nacks by escalation tier.", "group", g, "tier", "served"),
 		ReallyLost: reg.Counter("ringnet_really_lost_total",
 			"Slots condemned by the really-lost rule.", "group", g),
+		TokenHopBytes: reg.Counter("ringnet_token_hop_bytes_total",
+			"Encoded bytes of ordering-token hops (first transmissions).", "group", g),
 		Events: gt.events,
 		Node:   gt.node,
 		Group:  gt.gid,
 		Trace:  gt.tracer,
 	}
+	for _, r := range core.SenderResyncs {
+		t.TokenFullSends[r] = reg.Counter("ringnet_token_full_sends_total",
+			"Token transmissions that carried the whole table instead of a delta, by reason (retransmit: every courier resend).", "group", g, "reason", r.String())
+	}
+	for _, r := range core.ReceiverResyncs {
+		t.TokenDeltaRefused[r] = reg.Counter("ringnet_token_delta_refused_total",
+			"Token deltas this member could not rebuild and dropped, by reason.", "group", g, "reason", r.String())
+	}
+	return t
 }
 
 // memberTel builds the membership-plane instrumentation bundle.
