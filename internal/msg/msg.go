@@ -90,33 +90,39 @@ const (
 	KindMergeReq
 )
 
-var kindNames = map[Kind]string{
-	KindInvalid:       "invalid",
-	KindData:          "data",
-	KindAck:           "ack",
-	KindNack:          "nack",
-	KindToken:         "token",
-	KindTokenAck:      "token-ack",
-	KindTokenRegen:    "token-regen",
-	KindJoin:          "join",
-	KindLeave:         "leave",
-	KindHandoffNotify: "handoff-notify",
-	KindReserve:       "reserve",
-	KindProgress:      "progress",
-	KindHeartbeat:     "heartbeat",
-	KindSkip:          "skip",
-	KindJoinReq:       "join-req",
-	KindLeaveReq:      "leave-req",
-	KindRingUpdate:    "ring-update",
-	KindTimeSync:      "time-sync",
-	KindQuorumVote:    "quorum-vote",
-	KindRingSummary:   "ring-summary",
-	KindMergeReq:      "merge-req",
+// kinds is indexed by the kind byte: each kind's name and the
+// constructor Decode fills through the kind's layout (codec.go). A
+// retired byte has neither.
+var kinds = [...]struct {
+	name string
+	new  func() Message
+}{
+	KindInvalid:       {name: "invalid"},
+	KindData:          {"data", func() Message { return new(Data) }},
+	KindAck:           {"ack", func() Message { return new(Ack) }},
+	KindNack:          {"nack", func() Message { return new(Nack) }},
+	KindToken:         {"token", func() Message { return new(TokenMsg) }},
+	KindTokenAck:      {"token-ack", func() Message { return new(TokenAck) }},
+	KindTokenRegen:    {"token-regen", func() Message { return new(TokenRegen) }},
+	KindJoin:          {"join", func() Message { return new(Join) }},
+	KindLeave:         {"leave", func() Message { return new(Leave) }},
+	KindHandoffNotify: {"handoff-notify", func() Message { return new(HandoffNotify) }},
+	KindReserve:       {"reserve", func() Message { return new(Reserve) }},
+	KindProgress:      {"progress", func() Message { return new(Progress) }},
+	KindHeartbeat:     {"heartbeat", func() Message { return new(Heartbeat) }},
+	KindSkip:          {"skip", func() Message { return new(Skip) }},
+	KindJoinReq:       {"join-req", func() Message { return new(JoinReq) }},
+	KindLeaveReq:      {"leave-req", func() Message { return new(LeaveReq) }},
+	KindRingUpdate:    {"ring-update", func() Message { return new(RingUpdate) }},
+	KindTimeSync:      {"time-sync", func() Message { return new(TimeSync) }},
+	KindQuorumVote:    {"quorum-vote", func() Message { return new(QuorumVote) }},
+	KindRingSummary:   {"ring-summary", func() Message { return new(RingSummary) }},
+	KindMergeReq:      {"merge-req", func() Message { return new(MergeReq) }},
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -125,6 +131,7 @@ func (k Kind) String() string {
 type Message interface {
 	Kind() Kind
 	// WireSize is the encoded size in bytes, used by the bandwidth model.
+	// For the kinds this package defines it is exactly len(Encode(m)).
 	WireSize() int
 }
 
@@ -145,14 +152,8 @@ type Data struct {
 	Payload      []byte
 }
 
-func (*Data) Kind() Kind { return KindData }
-func (d *Data) WireSize() int {
-	n := 1 + 4 + 4 + 8 + 4 + 8 + 1 + 4 + len(d.Payload)
-	if d.AckCum != 0 {
-		n += 8
-	}
-	return n
-}
+func (*Data) Kind() Kind      { return KindData }
+func (d *Data) WireSize() int { return wireSize(d) }
 func (d *Data) Ordered() bool { return d.GlobalSeq != 0 }
 func (d *Data) String() string {
 	return fmt.Sprintf("data{g=%d src=%v l=%d ord=%v G=%d |p|=%d}",
@@ -189,7 +190,7 @@ type Ack struct {
 }
 
 func (*Ack) Kind() Kind      { return KindAck }
-func (a *Ack) WireSize() int { return 1 + ackBodySize(a) }
+func (a *Ack) WireSize() int { return wireSize(a) }
 
 // Nack requests retransmission of a specific global sequence range.
 type Nack struct {
@@ -199,7 +200,7 @@ type Nack struct {
 }
 
 func (*Nack) Kind() Kind      { return KindNack }
-func (n *Nack) WireSize() int { return 1 + 4 + 4 + 16 }
+func (n *Nack) WireSize() int { return wireSize(n) }
 
 // TokenMsg carries the ordering token to the next top-ring node.
 //
@@ -217,26 +218,8 @@ type TokenMsg struct {
 	Delta *seq.Delta
 }
 
-func (*TokenMsg) Kind() Kind { return KindToken }
-func (t *TokenMsg) WireSize() int {
-	switch {
-	case t.Delta != nil:
-		return 1 + 4 + 1 + t.Delta.WireLen()
-	case t.Base != nil:
-		return 1 + 4 + 1 + t.Token.DeltaLen(t.Base)
-	}
-	return 1 + 4 + tokenWireSize(t.Token)
-}
-
-// tokenWireSize is the encoded size of an optional token: a presence
-// byte, then whatever internal/seq's layout takes. The table keeps that
-// size current as it grows, so this does not walk the entries.
-func tokenWireSize(t *seq.Token) int {
-	if t == nil {
-		return 1
-	}
-	return 1 + t.WireLen()
-}
+func (*TokenMsg) Kind() Kind      { return KindToken }
+func (t *TokenMsg) WireSize() int { return wireSize(t) }
 
 // TokenAck acknowledges reliable token transfer. Because the token and
 // the WQ data streams circulate the top ring in the same direction, a
@@ -261,14 +244,8 @@ type TokenAck struct {
 	Cum   *Ack
 }
 
-func (*TokenAck) Kind() Kind { return KindTokenAck }
-func (t *TokenAck) WireSize() int {
-	n := 1 + uvarintLen(uint64(t.From)) + uvarintLen(t.Epoch) + uvarintLen(t.Hops) + uvarintLen(uint64(t.Next)) + 1
-	if t.Cum != nil {
-		n += ackBodySize(t.Cum)
-	}
-	return n
-}
+func (*TokenAck) Kind() Kind      { return KindTokenAck }
+func (t *TokenAck) WireSize() int { return wireSize(t) }
 
 // TokenRegen traverses the top ring during Token-Regeneration,
 // encapsulating the best NewOrderingToken seen so far. Origin detects a
@@ -280,7 +257,7 @@ type TokenRegen struct {
 }
 
 func (*TokenRegen) Kind() Kind      { return KindTokenRegen }
-func (t *TokenRegen) WireSize() int { return 1 + 4 + 4 + tokenWireSize(t.Token) }
+func (t *TokenRegen) WireSize() int { return wireSize(t) }
 
 // Join propagates a membership join up the hierarchy. Host is set for MH
 // joins; Node for NE attachments. When an AP (re)attaches itself to the
@@ -297,7 +274,7 @@ type Join struct {
 }
 
 func (*Join) Kind() Kind      { return KindJoin }
-func (j *Join) WireSize() int { return 1 + 4 + 4 + 4 + 4 + 8 }
+func (j *Join) WireSize() int { return wireSize(j) }
 
 // Leave propagates a membership leave (or failure) up the hierarchy.
 type Leave struct {
@@ -309,7 +286,7 @@ type Leave struct {
 }
 
 func (*Leave) Kind() Kind      { return KindLeave }
-func (l *Leave) WireSize() int { return 1 + 4 + 4 + 4 + 1 + 4 }
+func (l *Leave) WireSize() int { return wireSize(l) }
 
 // HandoffNotify tells the new AP that Host is now attached and has
 // delivered everything up to Delivered.
@@ -321,7 +298,7 @@ type HandoffNotify struct {
 }
 
 func (*HandoffNotify) Kind() Kind      { return KindHandoffNotify }
-func (h *HandoffNotify) WireSize() int { return 1 + 4 + 4 + 4 + 8 }
+func (h *HandoffNotify) WireSize() int { return wireSize(h) }
 
 // Reserve asks an AP near a handoff target to pre-establish a multicast
 // path so an arriving MH finds the flow already present (paper §3).
@@ -332,7 +309,7 @@ type Reserve struct {
 }
 
 func (*Reserve) Kind() Kind      { return KindReserve }
-func (r *Reserve) WireSize() int { return 1 + 4 + 4 + 1 }
+func (r *Reserve) WireSize() int { return wireSize(r) }
 
 // Progress reports a child's (or MH's, via its AP) delivery high-water
 // mark to its parent; parents record it in WT for garbage collection.
@@ -344,7 +321,7 @@ type Progress struct {
 }
 
 func (*Progress) Kind() Kind      { return KindProgress }
-func (p *Progress) WireSize() int { return 1 + 4 + 4 + 4 + 8 }
+func (p *Progress) WireSize() int { return wireSize(p) }
 
 // Heartbeat keeps neighbor failure detectors alive. Epoch carries the
 // sender's current ring-membership epoch (0 in the simulator's
@@ -357,7 +334,7 @@ type Heartbeat struct {
 }
 
 func (*Heartbeat) Kind() Kind      { return KindHeartbeat }
-func (h *Heartbeat) WireSize() int { return 1 + 4 + 8 }
+func (h *Heartbeat) WireSize() int { return wireSize(h) }
 
 // Skip abandons a global-sequence range on one hop: either the sender
 // exhausted its retransmission budget for it (really lost), or — with
@@ -373,14 +350,8 @@ type Skip struct {
 	AckCum seq.GlobalSeq
 }
 
-func (*Skip) Kind() Kind { return KindSkip }
-func (s *Skip) WireSize() int {
-	n := 1 + 4 + 4 + 16 + 1 + 1
-	if s.AckCum != 0 {
-		n += 8
-	}
-	return n
-}
+func (*Skip) Kind() Kind      { return KindSkip }
+func (s *Skip) WireSize() int { return wireSize(s) }
 
 // MemberAddr names one ring member and its transport address inside a
 // RingUpdate.
@@ -405,14 +376,8 @@ type JoinReq struct {
 	Front seq.GlobalSeq
 }
 
-func (*JoinReq) Kind() Kind { return KindJoinReq }
-func (j *JoinReq) WireSize() int {
-	n := 1 + 4 + 4 + 4 + len(j.Addr) + 1
-	if j.Front != 0 {
-		n += 8
-	}
-	return n
-}
+func (*JoinReq) Kind() Kind      { return KindJoinReq }
+func (j *JoinReq) WireSize() int { return wireSize(j) }
 
 // LeaveReq announces Node's graceful departure to the coordinator.
 type LeaveReq struct {
@@ -421,7 +386,7 @@ type LeaveReq struct {
 }
 
 func (*LeaveReq) Kind() Kind      { return KindLeaveReq }
-func (l *LeaveReq) WireSize() int { return 1 + 4 + 4 }
+func (l *LeaveReq) WireSize() int { return wireSize(l) }
 
 // RingUpdate is one versioned top-ring membership epoch: the complete
 // member list (with transport addresses) computed by coordinator Coord.
@@ -459,18 +424,8 @@ type ResumeEntry struct {
 	Front seq.GlobalSeq
 }
 
-func (*RingUpdate) Kind() Kind { return KindRingUpdate }
-func (r *RingUpdate) WireSize() int {
-	n := 1 + 4 + 8 + 4 + 8 + 4 + 1 + 1 + 4
-	if r.MergeTokenEpoch != 0 {
-		n += 8
-	}
-	for _, m := range r.Members {
-		n += 4 + 4 + len(m.Addr)
-	}
-	n += 12 * len(r.Resume)
-	return n
-}
+func (*RingUpdate) Kind() Kind      { return KindRingUpdate }
+func (r *RingUpdate) WireSize() int { return wireSize(r) }
 
 // TimeSync is the clock-offset probe: a ping carries the sender's wall
 // clock T1 (unix nanoseconds); the pong echoes T1 and adds the
@@ -483,7 +438,7 @@ type TimeSync struct {
 }
 
 func (*TimeSync) Kind() Kind      { return KindTimeSync }
-func (t *TimeSync) WireSize() int { return 1 + 1 + 8 + 8 }
+func (t *TimeSync) WireSize() int { return wireSize(t) }
 
 // QuorumVote is one leg of the wire membership plane's epoch quorum.
 // With Granted false it is the proposer's request: Proposer, whose last
@@ -506,7 +461,7 @@ type QuorumVote struct {
 }
 
 func (*QuorumVote) Kind() Kind      { return KindQuorumVote }
-func (q *QuorumVote) WireSize() int { return 1 + 4 + 8 + 8 + 4 + 4 + 1 }
+func (q *QuorumVote) WireSize() int { return wireSize(q) }
 
 // RingSummary is the quorum side's merge offer across a healed
 // partition: when a probe heartbeat from a member the ring evicted while
@@ -525,7 +480,7 @@ type RingSummary struct {
 }
 
 func (*RingSummary) Kind() Kind      { return KindRingSummary }
-func (r *RingSummary) WireSize() int { return 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 }
+func (r *RingSummary) WireSize() int { return wireSize(r) }
 
 // MergeReq is the minority member's answer to a RingSummary: its own
 // epoch/front/hash/token summary plus its transport address, asking the
@@ -541,31 +496,5 @@ type MergeReq struct {
 	TokenHops  uint64
 }
 
-func (*MergeReq) Kind() Kind { return KindMergeReq }
-func (m *MergeReq) WireSize() int {
-	return 1 + 4 + 4 + 4 + len(m.Addr) + 8 + 8 + 8 + 8 + 8
-}
-
-// Compile-time interface checks.
-var (
-	_ Message = (*Skip)(nil)
-	_ Message = (*JoinReq)(nil)
-	_ Message = (*LeaveReq)(nil)
-	_ Message = (*RingUpdate)(nil)
-	_ Message = (*TimeSync)(nil)
-	_ Message = (*Data)(nil)
-	_ Message = (*Ack)(nil)
-	_ Message = (*Nack)(nil)
-	_ Message = (*TokenMsg)(nil)
-	_ Message = (*TokenAck)(nil)
-	_ Message = (*TokenRegen)(nil)
-	_ Message = (*Join)(nil)
-	_ Message = (*Leave)(nil)
-	_ Message = (*HandoffNotify)(nil)
-	_ Message = (*Reserve)(nil)
-	_ Message = (*Progress)(nil)
-	_ Message = (*Heartbeat)(nil)
-	_ Message = (*QuorumVote)(nil)
-	_ Message = (*RingSummary)(nil)
-	_ Message = (*MergeReq)(nil)
-)
+func (*MergeReq) Kind() Kind      { return KindMergeReq }
+func (m *MergeReq) WireSize() int { return wireSize(m) }

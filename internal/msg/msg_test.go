@@ -70,11 +70,17 @@ func TestKindBytes(t *testing.T) {
 			t.Errorf("%v is byte %d, want %d", k, uint8(k), b)
 		}
 	}
-	if len(kindNames) != len(want)+1 { // + KindInvalid
-		t.Errorf("%d named kinds, %d pinned", len(kindNames), len(want)+1)
+	named := 0
+	for _, k := range kinds {
+		if k.name != "" {
+			named++
+		}
+	}
+	if named != len(want)+1 { // + KindInvalid
+		t.Errorf("%d named kinds, %d pinned", named, len(want)+1)
 	}
 	for _, b := range []byte{6, 8, 12, 16} {
-		if _, named := kindNames[Kind(b)]; named {
+		if kinds[b].name != "" || kinds[b].new != nil {
 			t.Errorf("retired kind byte %d still has a name", b)
 		}
 		if m, err := Decode(append([]byte{b}, make([]byte, 32)...)); err == nil {
@@ -299,6 +305,43 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	}
 
+	// Every kind decodes only what its layout encodes: a flag byte is 0
+	// or 1, an optional field marked present is non-zero, and the message
+	// fills the buffer.
+	mutate := func(m Message, at int, b ...byte) []byte {
+		enc := Encode(m)
+		copy(enc[at:], b)
+		return enc
+	}
+	zero8 := make([]byte, 8)
+	for name, b := range map[string][]byte{
+		"leave failure flag 2":            mutate(&Leave{Group: 1, Failure: true}, 1+4+4+4, 2),
+		"quorum vote granted flag 0xff":   mutate(&QuorumVote{Granted: true}, 1+4+8+8+4+4, 0xff),
+		"data ack presence 2":             mutate(&Data{AckCum: 5}, 1+4+4+8+4+8, 2),
+		"data ack present but zero":       mutate(&Data{AckCum: 5}, 1+4+4+8+4+8+1, zero8...),
+		"join-req front present but zero": mutate(&JoinReq{Front: 1}, 1+4+4+4+1, zero8...),
+		"heartbeat trailing byte":         append(Encode(&Heartbeat{From: 1}), 0),
+		"token trailing byte":             append(Encode(&TokenMsg{From: 1, Token: tok}), 0),
+		"ack trailing byte":               append(Encode(&Ack{From: 1}), 0),
+	} {
+		if m, err := Decode(b); !errors.Is(err, errNonCanonical) {
+			t.Errorf("%s: decoded as %v, err %v; want a non-canonical refusal", name, m, err)
+		}
+	}
+	// A count or length the bytes left cannot hold is refused before any
+	// loop or allocation.
+	for name, b := range map[string][]byte{
+		"ring-update members":   mutate(&RingUpdate{Members: []MemberAddr{{Node: 1}}}, 1+4+8+4+8, 2),
+		"ring-update resume":    mutate(&RingUpdate{Resume: []ResumeEntry{{Node: 1}}}, 1+4+8+4+8+4+1+1, 0xff, 0xff, 0xff, 0x7f),
+		"ack batch":             mutate(&Ack{Batch: []SourceCum{{Source: 1}}}, 1+5, 2),
+		"data payload length":   mutate(&Data{Payload: []byte("ab")}, 1+4+4+8+4+8+1, 3),
+		"join-req address size": mutate(&JoinReq{Addr: "a"}, 1+4+4, 0xff, 0xff, 0xff, 0xff),
+	} {
+		if m, err := Decode(b); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: decoded as %v, err %v; want ErrTruncated", name, m, err)
+		}
+	}
+
 	// Hostile token bodies. Each row is what follows a KindToken's From
 	// field and presence byte: the token header (group 1, next 9, epoch
 	// 0, hops 0), then the table. The decoder must refuse every one of
@@ -437,9 +480,8 @@ func TestRoundTripTokenLayouts(t *testing.T) {
 }
 
 func TestWireSizeMatchesEncoding(t *testing.T) {
-	// WireSize is the bandwidth model's estimate; it must be within a
-	// few bytes of the real encoding (exactness is not required, but
-	// gross divergence would skew bandwidth simulation).
+	// WireSize is what the bandwidth model charges; it is the encoded
+	// length, zero values and variable-length fields included.
 	msgs := []Message{
 		&Data{Group: 1, SourceNode: 2, LocalSeq: 3, Payload: make([]byte, 100)},
 		&Ack{}, &Nack{}, &Heartbeat{}, &Join{}, &Leave{},
@@ -448,14 +490,8 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 		&RingUpdate{Members: []MemberAddr{{Node: 1, Addr: "127.0.0.1:1"}, {Node: 2, Addr: "10.0.0.2:99"}}},
 	}
 	for _, m := range msgs {
-		enc := len(Encode(m))
-		est := m.WireSize()
-		diff := enc - est
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 8 {
-			t.Errorf("%v: encoded %d bytes, WireSize %d", m.Kind(), enc, est)
+		if enc, size := len(Encode(m)), m.WireSize(); enc != size {
+			t.Errorf("%v: encoded %d bytes, WireSize %d", m.Kind(), enc, size)
 		}
 	}
 }

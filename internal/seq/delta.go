@@ -130,15 +130,13 @@ func (t *Token) DeltaFrom(base *Token) bool {
 // AppendDelta appends t's encoding as a delta from base, which must
 // satisfy t.DeltaFrom(base). A nil base appends the whole token.
 func (t *Token) AppendDelta(buf []byte, base *Token) []byte {
-	buf = appendHeader(buf, t.Group, t.NextGlobalSeq, t.Epoch, t.Hops)
 	if base == nil {
+		buf = appendHeader(buf, t.Group, t.NextGlobalSeq, t.Epoch, t.Hops)
 		return t.Table.appendTable(buf, nil, 0)
 	}
 	keep := t.Table.kept(base.Table)
-	buf = binary.AppendUvarint(buf, t.Hops-base.Hops)
-	buf = binary.AppendUvarint(buf, uint64(t.NextGlobalSeq-base.NextGlobalSeq))
-	buf = binary.LittleEndian.AppendUint64(buf, base.digest())
-	buf = binary.AppendUvarint(buf, uint64(base.Table.entries.len()-keep))
+	head := t.deltaHead(base)
+	buf = binary.AppendUvarint(head.appendHead(buf), uint64(base.Table.entries.len()-keep))
 	return t.Table.appendTable(buf, base.Table, keep)
 }
 
@@ -149,9 +147,15 @@ func (t *Token) DeltaLen(base *Token) int {
 		return t.WireLen()
 	}
 	keep := t.Table.kept(base.Table)
-	return headerLen(t.Group, t.NextGlobalSeq, t.Epoch, t.Hops) + uvarintLen(t.Hops-base.Hops) +
-		uvarintLen(uint64(t.NextGlobalSeq-base.NextGlobalSeq)) + 8 +
-		uvarintLen(uint64(base.Table.entries.len()-keep)) + t.Table.tableLen(base.Table, keep)
+	head := t.deltaHead(base)
+	return head.headLen() + uvarintLen(uint64(base.Table.entries.len()-keep)) + t.Table.tableLen(base.Table, keep)
+}
+
+// deltaHead returns the head of t's delta from base: all of it but the
+// body.
+func (t *Token) deltaHead(base *Token) Delta {
+	return Delta{Group: t.Group, NextGlobalSeq: t.NextGlobalSeq, Epoch: t.Epoch, Hops: t.Hops,
+		BaseHops: base.Hops, BaseNext: base.NextGlobalSeq, Digest: base.digest()}
 }
 
 // Delta is a token hop decoded without the base it was cut from: the
@@ -202,20 +206,26 @@ func DecodeDelta(buf []byte) (*Delta, int, error) {
 	}, r.off, nil
 }
 
-// AppendWire appends the delta's encoding, exactly as it was decoded.
-func (d *Delta) AppendWire(buf []byte) []byte {
+// appendHead appends the delta's head: the token header, the base
+// reference, the base's digest.
+func (d *Delta) appendHead(buf []byte) []byte {
 	buf = appendHeader(buf, d.Group, d.NextGlobalSeq, d.Epoch, d.Hops)
 	buf = binary.AppendUvarint(buf, d.Hops-d.BaseHops)
 	buf = binary.AppendUvarint(buf, uint64(d.NextGlobalSeq-d.BaseNext))
-	buf = binary.LittleEndian.AppendUint64(buf, d.Digest)
-	return append(buf, d.body...)
+	return binary.LittleEndian.AppendUint64(buf, d.Digest)
 }
 
-// WireLen returns len(d.AppendWire(nil)).
-func (d *Delta) WireLen() int {
-	return headerLen(d.Group, d.NextGlobalSeq, d.Epoch, d.Hops) + uvarintLen(d.Hops-d.BaseHops) +
-		uvarintLen(uint64(d.NextGlobalSeq-d.BaseNext)) + 8 + len(d.body)
+// headLen is len(d.appendHead(nil)), measured by encoding onto the stack.
+func (d *Delta) headLen() int {
+	var b [maxHeaderWire + 2*10 + 8]byte
+	return len(d.appendHead(b[:0]))
 }
+
+// AppendWire appends the delta's encoding, exactly as it was decoded.
+func (d *Delta) AppendWire(buf []byte) []byte { return append(d.appendHead(buf), d.body...) }
+
+// WireLen returns len(d.AppendWire(nil)).
+func (d *Delta) WireLen() int { return d.headLen() + len(d.body) }
 
 // Rebuild returns the token the delta encodes, resolved against base —
 // the receiver's copy of the version the sender cut it from. It refuses

@@ -55,24 +55,10 @@ var ErrWire = errors.New("seq: malformed token encoding")
 
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// entryWireLen is the encoded size of p given what it chains from: prevMax
-// is the previous entry's Global.Max and srcMax the highest Local.Max among
+// appendEntry appends p's encoding given what it chains from: prevMax is
+// the previous entry's Global.Max and srcMax the highest Local.Max among
 // the source's earlier entries, each 0 when there is none (valid sequence
-// numbers start at 1). It mirrors appendEntry.
-func entryWireLen(p Pair, prevMax, srcMax uint64) int {
-	n := 1 + uvarintLen(uint64(p.SourceNode)) + uvarintLen(p.Global.Max-p.Global.Min)
-	if p.OrderingNode != p.SourceNode {
-		n += uvarintLen(uint64(p.OrderingNode))
-	}
-	if prevMax == 0 || p.Global.Min != prevMax+1 {
-		n += uvarintLen(p.Global.Min - prevMax - 1)
-	}
-	if srcMax == 0 || p.Local.Min != srcMax+1 {
-		n += uvarintLen(p.Local.Min)
-	}
-	return n
-}
-
+// numbers start at 1).
 func appendEntry(buf []byte, p Pair, prevMax, srcMax uint64) []byte {
 	var flags uint8
 	if p.OrderingNode == p.SourceNode {
@@ -99,8 +85,19 @@ func appendEntry(buf []byte, p Pair, prevMax, srcMax uint64) []byte {
 	return buf
 }
 
+// maxEntryWire bounds one entry's encoding: a flag byte, two 32-bit
+// identifiers and three 64-bit numbers as uvarints.
+const maxEntryWire = 1 + 2*5 + 3*10
+
+// entryWireLen is len(appendEntry(nil, p, prevMax, srcMax)), measured by
+// encoding onto the stack so the layout is written once.
+func entryWireLen(p Pair, prevMax, srcMax uint64) int {
+	var b [maxEntryWire]byte
+	return len(appendEntry(b[:0], p, prevMax, srcMax))
+}
+
 // chainWalk tracks, across a walk of entries in global order, the two
-// values each entry chains from (see entryWireLen): the previous entry's
+// values each entry chains from (see appendEntry): the previous entry's
 // Global.Max and the source's high-water mark so far — the highest
 // Local.Max among its earlier entries. A walk over a whole table starts
 // from nothing; a delta's walk (delta.go) starts from its base's last
@@ -415,8 +412,12 @@ func appendHeader(buf []byte, g GroupID, next GlobalSeq, epoch, hops uint64) []b
 	return binary.AppendUvarint(buf, hops)
 }
 
+// maxHeaderWire bounds a token header's encoding.
+const maxHeaderWire = 5 + 3*10
+
 func headerLen(g GroupID, next GlobalSeq, epoch, hops uint64) int {
-	return uvarintLen(uint64(g)) + uvarintLen(uint64(next)) + uvarintLen(epoch) + uvarintLen(hops)
+	var b [maxHeaderWire]byte
+	return len(appendHeader(b[:0], g, next, epoch, hops))
 }
 
 // header reads the token header fields into a table-less token.
