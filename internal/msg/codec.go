@@ -11,14 +11,18 @@ import (
 )
 
 // The binary wire format is one leading Kind byte, then the message's
-// fields in the order its layout lists them (layout, below). A field is
-// little-endian fixed-width, a canonical unsigned varint, a u32-prefixed
-// byte string, a 0/1 flag byte, a flag followed by a value only when it
-// is non-zero, a count followed by that many elements, or a token. The
-// messages every token hop carries use varints because together they are
-// most of the control plane's bytes: the ordering token is a run-chained
-// varint layout owned by internal/seq (wire.go, delta.go), and Ack and
-// TokenAck are varints throughout.
+// fields in the order its layout lists them (layout, below). Every
+// unsigned integer is a canonical uvarint (LEB128, as binary.AppendUvarint
+// writes it), so a sequence number costs what its magnitude needs and an
+// id or a group costs one byte on a small deployment: a Data message
+// around a 64 B payload is at most 76 bytes while its sequence numbers
+// stay below 2^21, where fixed-width fields made it 98.
+// The other field shapes are a byte, a 0/1 flag byte, a flag followed by
+// a value only when it is non-zero, a uvarint-length byte string, a
+// uvarint count followed by that many elements, a token — the run-chained
+// varint layout owned by internal/seq (wire.go, delta.go) — and eight
+// fixed little-endian bytes for an order hash or a signed wall-clock
+// timestamp, which a varint would only lengthen.
 //
 // Each kind's layout is written down once. Encode, Decode and WireSize
 // are three passes of a walker over it, so the size the bandwidth model
@@ -90,20 +94,9 @@ func u8(w *walker, v *uint8) {
 	}
 }
 
-func u32[T ~uint32](w *walker, v *T) {
-	switch w.pass {
-	case sizing:
-		w.n += 4
-	case encoding:
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(*v))
-	default:
-		if b := w.take(4); b != nil {
-			*v = T(binary.LittleEndian.Uint32(b))
-		}
-	}
-}
-
-func u64[T ~uint64 | ~int64](w *walker, v *T) {
+// fixed64 is eight little-endian bytes, for the values a varint would
+// lengthen: hashes, and signed wall-clock timestamps.
+func fixed64[T ~uint64 | ~int64](w *walker, v *T) {
 	switch w.pass {
 	case sizing:
 		w.n += 8
@@ -121,27 +114,50 @@ func u64[T ~uint64 | ~int64](w *walker, v *T) {
 func uv[T ~uint32 | ~uint64](w *walker, v *T) {
 	switch w.pass {
 	case sizing:
-		w.n += uvarintLen(uint64(*v))
+		w.n += UvarintLen(uint64(*v))
 	case encoding:
 		w.buf = binary.AppendUvarint(w.buf, uint64(*v))
 	default:
 		if w.err != nil {
 			return
 		}
-		x, n := binary.Uvarint(w.buf[w.off:])
-		switch {
-		case n == 0:
-			w.fail(ErrTruncated)
-		case n < 0 || (n > 1 && w.buf[w.off+n-1] == 0) || uint64(T(x)) != x:
-			w.fail(ErrVarint)
-		default:
-			w.off += n
-			*v = T(x)
+		if w.off < len(w.buf) && w.buf[w.off] < 0x80 {
+			// One byte — most ids and counts — is canonical and fits any
+			// T: skip the general reader's call.
+			*v = T(w.buf[w.off])
+			w.off++
+			return
 		}
+		x, n, err := ReadUvarint(w.buf[w.off:])
+		if err == nil && uint64(T(x)) != x {
+			err = ErrVarint
+		}
+		if err != nil {
+			w.fail(err)
+			return
+		}
+		w.off += n
+		*v = T(x)
 	}
 }
 
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+// UvarintLen is the length of v's uvarint encoding.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// ReadUvarint reads the canonical uvarint at the start of b: ErrTruncated
+// if b ends inside it, ErrVarint if it is padded with zero groups or runs
+// past 64 bits. The frame layer reads its varints with it too, so a
+// datagram decodes only from the bytes the encoder writes.
+func ReadUvarint(b []byte) (v uint64, n int, err error) {
+	v, n = binary.Uvarint(b)
+	switch {
+	case n == 0:
+		return 0, 0, ErrTruncated
+	case n < 0 || (n > 1 && b[n-1] == 0):
+		return 0, 0, ErrVarint
+	}
+	return v, n, nil
+}
 
 // flag is a bool as one byte, 0 or 1.
 func flag(w *walker, v *bool) {
@@ -164,41 +180,25 @@ func flag(w *walker, v *bool) {
 	}
 }
 
-// opt is a flag, then v when it is non-zero. Most Data/Skip/JoinReq
-// frames carry no value here, so the absent case costs one byte instead
-// of nine.
+// opt is a flag, then v as a uvarint when it is non-zero.
 func opt[T ~uint64](w *walker, v *T) {
-	switch w.pass {
-	case sizing:
-		w.n++
-		if *v != 0 {
-			w.n += 8
-		}
-	case encoding:
-		if *v == 0 {
-			w.buf = append(w.buf, 0)
-		} else {
-			w.buf = binary.LittleEndian.AppendUint64(append(w.buf, 1), uint64(*v))
-		}
-	default:
-		var present bool
-		if flag(w, &present); present {
-			u64(w, v)
-			if w.err == nil && *v == 0 {
-				w.fail(fmt.Errorf("%w: optional field present but zero", errNonCanonical))
-			}
+	present := *v != 0
+	if flag(w, &present); present {
+		uv(w, v)
+		if w.pass == decoding && w.err == nil && *v == 0 {
+			w.fail(fmt.Errorf("%w: optional field present but zero", errNonCanonical))
 		}
 	}
 }
 
-// blob is a u32 length, then that many bytes. A decoded blob is a copy,
-// never nil.
+// blob is a uvarint length, then that many bytes. A decoded blob is a
+// copy, never nil.
 func blob(w *walker, v *[]byte) {
 	switch w.pass {
 	case sizing:
-		w.n += 4 + len(*v)
+		w.n += UvarintLen(uint64(len(*v))) + len(*v)
 	case encoding:
-		w.buf = append(binary.LittleEndian.AppendUint32(w.buf, uint32(len(*v))), *v...)
+		w.buf = append(binary.AppendUvarint(w.buf, uint64(len(*v))), *v...)
 	default:
 		if b := w.span(); b != nil {
 			*v = bytes.Clone(b)
@@ -210,9 +210,9 @@ func blob(w *walker, v *[]byte) {
 func text(w *walker, v *string) {
 	switch w.pass {
 	case sizing:
-		w.n += 4 + len(*v)
+		w.n += UvarintLen(uint64(len(*v))) + len(*v)
 	case encoding:
-		w.buf = append(binary.LittleEndian.AppendUint32(w.buf, uint32(len(*v))), *v...)
+		w.buf = append(binary.AppendUvarint(w.buf, uint64(len(*v))), *v...)
 	default:
 		if b := w.span(); b != nil {
 			*v = string(b)
@@ -220,32 +220,24 @@ func text(w *walker, v *string) {
 	}
 }
 
-// span reads a blob's u32 length and returns that many input bytes, or
-// nil.
+// span reads a blob's uvarint length and returns that many input bytes,
+// or nil.
 func (w *walker) span() []byte {
-	var n uint32
-	u32(w, &n)
+	var n uint64
+	if uv(w, &n); w.err == nil && n > uint64(len(w.buf)-w.off) {
+		w.fail(ErrTruncated)
+		return nil
+	}
 	return w.take(int(n))
 }
 
-// list32 and listUv are a slice's element count, as a u32 or a uvarint;
-// the caller walks the elements after it. Decoding, they size the slice
-// to the count (nil for none) and refuse a count the bytes left cannot
-// hold at minEach bytes an element, so a hostile count costs neither a
-// loop nor an allocation.
-func list32[E any](w *walker, s *[]E, minEach int) {
-	n := uint32(len(*s))
-	u32(w, &n)
-	grow(w, s, uint64(n), minEach)
-}
-
-func listUv[E any](w *walker, s *[]E, minEach int) {
+// list is a slice's element count as a uvarint; the caller walks the
+// elements after it. Decoding, it sizes the slice to the count (nil for
+// none) and refuses a count the bytes left cannot hold at minEach bytes
+// an element, so a hostile count costs neither a loop nor an allocation.
+func list[E any](w *walker, s *[]E, minEach int) {
 	n := uint64(len(*s))
 	uv(w, &n)
-	grow(w, s, n, minEach)
-}
-
-func grow[E any](w *walker, s *[]E, n uint64, minEach int) {
 	if w.pass != decoding || w.err != nil || n == 0 {
 		return
 	}
@@ -325,7 +317,7 @@ func ackFields(w *walker, a *Ack) {
 	uv(w, &a.Source)
 	uv(w, &a.CumLocal)
 	uv(w, &a.CumGlobal)
-	listUv(w, &a.Batch, 2)
+	list(w, &a.Batch, 2)
 	for i := range a.Batch {
 		uv(w, &a.Batch[i].Source)
 		uv(w, &a.Batch[i].Cum)
@@ -337,22 +329,22 @@ func ackFields(w *walker, a *Ack) {
 func layout(w *walker, m Message) {
 	switch v := m.(type) {
 	case *Data:
-		u32(w, &v.Group)
-		u32(w, &v.SourceNode)
-		u64(w, &v.LocalSeq)
-		u32(w, &v.OrderingNode)
-		u64(w, &v.GlobalSeq)
+		uv(w, &v.Group)
+		uv(w, &v.SourceNode)
+		uv(w, &v.LocalSeq)
+		uv(w, &v.OrderingNode)
+		uv(w, &v.GlobalSeq)
 		opt(w, &v.AckCum)
 		blob(w, &v.Payload)
 	case *Ack:
 		ackFields(w, v)
 	case *Nack:
-		u32(w, &v.Group)
-		u32(w, &v.From)
-		u64(w, &v.Range.Min)
-		u64(w, &v.Range.Max)
+		uv(w, &v.Group)
+		uv(w, &v.From)
+		uv(w, &v.Range.Min)
+		uv(w, &v.Range.Max)
 	case *TokenMsg:
-		u32(w, &v.From)
+		uv(w, &v.From)
 		token(w, &v.Token, v.Base, &v.Delta)
 	case *TokenAck:
 		uv(w, &v.From)
@@ -367,96 +359,96 @@ func layout(w *walker, m Message) {
 			ackFields(w, v.Cum)
 		}
 	case *TokenRegen:
-		u32(w, &v.Origin)
-		u32(w, &v.From)
+		uv(w, &v.Origin)
+		uv(w, &v.From)
 		token(w, &v.Token, nil, nil)
 	case *Join:
-		u32(w, &v.Group)
-		u32(w, &v.Host)
-		u32(w, &v.Node)
-		u32(w, &v.Batch)
-		u64(w, &v.Resume)
+		uv(w, &v.Group)
+		uv(w, &v.Host)
+		uv(w, &v.Node)
+		uv(w, &v.Batch)
+		uv(w, &v.Resume)
 	case *Leave:
-		u32(w, &v.Group)
-		u32(w, &v.Host)
-		u32(w, &v.Node)
+		uv(w, &v.Group)
+		uv(w, &v.Host)
+		uv(w, &v.Node)
 		flag(w, &v.Failure)
-		u32(w, &v.Batch)
+		uv(w, &v.Batch)
 	case *HandoffNotify:
-		u32(w, &v.Group)
-		u32(w, &v.Host)
-		u32(w, &v.OldAP)
-		u64(w, &v.Delivered)
+		uv(w, &v.Group)
+		uv(w, &v.Host)
+		uv(w, &v.OldAP)
+		uv(w, &v.Delivered)
 	case *Reserve:
-		u32(w, &v.Group)
-		u32(w, &v.From)
+		uv(w, &v.Group)
+		uv(w, &v.From)
 		u8(w, &v.TTL)
 	case *Progress:
-		u32(w, &v.Group)
-		u32(w, &v.Child)
-		u32(w, &v.Host)
-		u64(w, &v.Max)
+		uv(w, &v.Group)
+		uv(w, &v.Child)
+		uv(w, &v.Host)
+		uv(w, &v.Max)
 	case *Heartbeat:
-		u32(w, &v.From)
-		u64(w, &v.Epoch)
+		uv(w, &v.From)
+		uv(w, &v.Epoch)
 	case *JoinReq:
-		u32(w, &v.Group)
-		u32(w, &v.Node)
+		uv(w, &v.Group)
+		uv(w, &v.Node)
 		text(w, &v.Addr)
 		opt(w, &v.Front)
 	case *LeaveReq:
-		u32(w, &v.Group)
-		u32(w, &v.Node)
+		uv(w, &v.Group)
+		uv(w, &v.Node)
 	case *RingUpdate:
-		u32(w, &v.Group)
-		u64(w, &v.Epoch)
-		u32(w, &v.Coord)
-		u64(w, &v.Baseline)
-		list32(w, &v.Members, 4+4)
+		uv(w, &v.Group)
+		uv(w, &v.Epoch)
+		uv(w, &v.Coord)
+		uv(w, &v.Baseline)
+		list(w, &v.Members, 2)
 		for i := range v.Members {
-			u32(w, &v.Members[i].Node)
+			uv(w, &v.Members[i].Node)
 			text(w, &v.Members[i].Addr)
 		}
 		flag(w, &v.Merge)
 		opt(w, &v.MergeTokenEpoch)
-		list32(w, &v.Resume, 4+8)
+		list(w, &v.Resume, 2)
 		for i := range v.Resume {
-			u32(w, &v.Resume[i].Node)
-			u64(w, &v.Resume[i].Front)
+			uv(w, &v.Resume[i].Node)
+			uv(w, &v.Resume[i].Front)
 		}
 	case *QuorumVote:
-		u32(w, &v.Group)
-		u64(w, &v.Epoch)
-		u64(w, &v.Base)
-		u32(w, &v.Proposer)
-		u32(w, &v.Voter)
+		uv(w, &v.Group)
+		uv(w, &v.Epoch)
+		uv(w, &v.Base)
+		uv(w, &v.Proposer)
+		uv(w, &v.Voter)
 		flag(w, &v.Granted)
 	case *RingSummary:
-		u32(w, &v.Group)
-		u32(w, &v.From)
-		u64(w, &v.Epoch)
-		u64(w, &v.Front)
-		u64(w, &v.OrderHash)
-		u64(w, &v.TokenEpoch)
-		u64(w, &v.TokenHops)
+		uv(w, &v.Group)
+		uv(w, &v.From)
+		uv(w, &v.Epoch)
+		uv(w, &v.Front)
+		fixed64(w, &v.OrderHash)
+		uv(w, &v.TokenEpoch)
+		uv(w, &v.TokenHops)
 	case *MergeReq:
-		u32(w, &v.Group)
-		u32(w, &v.Node)
+		uv(w, &v.Group)
+		uv(w, &v.Node)
 		text(w, &v.Addr)
-		u64(w, &v.Epoch)
-		u64(w, &v.Front)
-		u64(w, &v.OrderHash)
-		u64(w, &v.TokenEpoch)
-		u64(w, &v.TokenHops)
+		uv(w, &v.Epoch)
+		uv(w, &v.Front)
+		fixed64(w, &v.OrderHash)
+		uv(w, &v.TokenEpoch)
+		uv(w, &v.TokenHops)
 	case *TimeSync:
 		u8(w, &v.Phase)
-		u64(w, &v.T1)
-		u64(w, &v.T2)
+		fixed64(w, &v.T1)
+		fixed64(w, &v.T2)
 	case *Skip:
-		u32(w, &v.Group)
-		u32(w, &v.From)
-		u64(w, &v.Range.Min)
-		u64(w, &v.Range.Max)
+		uv(w, &v.Group)
+		uv(w, &v.From)
+		uv(w, &v.Range.Min)
+		uv(w, &v.Range.Max)
 		flag(w, &v.Jump)
 		opt(w, &v.AckCum)
 	default:

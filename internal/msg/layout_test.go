@@ -63,39 +63,39 @@ func pinnedMessages(tb testing.TB) []Message {
 	}
 }
 
-// pinnedHex is what frame version 4 puts on the wire for pinnedMessages,
+// pinnedHex is what frame version 5 puts on the wire for pinnedMessages,
 // in order.
 var pinnedHex = []string{
-	"0107000000030000002a0000000000000009000000e80300000000000000020000006869",
-	"0107000000030000002b0000000000000000000000000000000000000001e70300000000000000000000",
+	"0107032a09e80700026869",
+	"0107032b000001e70700",
 	"020102030480804000",
 	"02ac020200004d020309c8018080808020",
-	"03010000000200000003000000000000000900000000000000",
-	"040800000000",
-	"04080000000104ca0102ac0203010102000102020900010701c4010201c8010201",
-	"04080000000204ce0102ad020104370c94aa47a52a2700010702030201c8010205",
+	"0301020309",
+	"040800",
+	"04080104ca0102ac0203010102000102020900010701c4010201c8010201",
+	"04080204ce0102ad020104370c94aa47a52a2700010702030201c8010205",
 	"050402ad026400",
 	"050402ad0264010104000058010121",
-	"07010000000200000000",
-	"0701000000020000000104ca0102ac0203010102000102020900010701c4010201c8010201",
-	"09010000000200000003000000040000000500000000000000",
-	"0a0100000002000000030000000107000000",
-	"0a0100000002000000030000000000000000",
-	"0b0100000002000000030000006300000000000000",
-	"0d010000000200000003",
-	"0e010000000200000003000000d204000000000000",
-	"0f060000002a00000000000000",
-	"110100000002000000030000000000000009000000000000000000",
-	"1101000000020000000300000000000000090000000000000001010700000000000000",
-	"1201000000090000000e0000003132372e302e302e313a39303039019210000000000000",
-	"1201000000090000000000000000",
-	"130100000004000000",
-	"1401000000090000000000000001000000f40100000000000002000000010000000b0000003132372e302e302e313a3104000000000000000101030000000000000001000000040000004101000000000000",
-	"1401000000010000000000000003000000000000000000000000000000000000000000",
+	"07010200",
+	"0701020104ca0102ac0203010102000102020900010701c4010201c8010201",
+	"090102030405",
+	"0a0102030107",
+	"0a0102030000",
+	"0b01020363",
+	"0d010203",
+	"0e010203d209",
+	"0f062a",
+	"11010203090000",
+	"1101020309010107",
+	"1201090e3132372e302e302e313a39303039019221",
+	"1201090000",
+	"130104",
+	"14010901f40302010b3132372e302e302e313a3104000101030104c102",
+	"140101030000000000",
 	"150115cd5b0700000000fbffffffffffffff",
-	"160100000005000000000000000400000000000000020000000300000001",
-	"17010000000200000003000000000000000400000000000000efbeadde0000000005000000000000000600000000000000",
-	"1801000000020000000b00000031302e302e302e323a393903000000000000000400000000000000050000000000000006000000000000000700000000000000",
+	"16010504020301",
+	"1701020304efbeadde000000000506",
+	"1801020b31302e302e302e323a3939030405000000000000000607",
 }
 
 // TestLayoutBytesPinned pins every kind's encoding byte for byte: peers of

@@ -279,18 +279,18 @@ func TestDecodeErrors(t *testing.T) {
 	// delta); anything else is not a token.
 	delta := Encode(&TokenMsg{From: 1, Token: later, Base: tok})
 	for name, b := range map[string][]byte{
-		"token presence 3":        {byte(KindToken), 1, 0, 0, 0, 3},
-		"regen presence 2":        append([]byte{byte(KindTokenRegen), 1, 0, 0, 0, 2, 0, 0, 0}, delta[5:]...),
+		"token presence 3":        {byte(KindToken), 1, 3},
+		"regen presence 2":        append([]byte{byte(KindTokenRegen), 1, 2}, delta[2:]...),
 		"tokenack ack presence":   {byte(KindTokenAck), 1, 1, 1, 1, 2},
-		"delta names a later hop": {byte(KindToken), 1, 0, 0, 0, 2, 1, 9, 0, 4, 5, 0},
-		"delta digest truncated":  delta[:6+6+2+7],
+		"delta names a later hop": {byte(KindToken), 1, 2, 1, 9, 0, 4, 5, 0},
+		"delta digest truncated":  delta[:3+6+2+7],
 		"delta body truncated":    delta[:len(delta)-1],
 	} {
 		if m, err := Decode(b); err == nil {
 			t.Errorf("%s: decoded as %v", name, m)
 		}
 	}
-	// Ack and TokenAck are canonical varints: a zero-padded varint, one
+	// Every integer field is a canonical varint: a zero-padded varint, one
 	// past 64 bits, or an identifier past 32 bits is refused.
 	for name, b := range map[string][]byte{
 		"ack overlong group":      {byte(KindAck), 0x81, 0x00, 2, 0, 1, 1, 0},
@@ -299,6 +299,11 @@ func TestDecodeErrors(t *testing.T) {
 		"ack cum past 64 bits":    {byte(KindAck), 1, 2, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 1, 0},
 		"tokenack overlong hops":  {byte(KindTokenAck), 2, 1, 0xf4, 0x83, 0x00, 9, 0},
 		"tokenack overlong epoch": {byte(KindTokenAck), 2, 0x80, 0x00, 3, 9, 0},
+		"data overlong local seq": {byte(KindData), 1, 2, 0x83, 0x00, 0, 0, 0, 0},
+		"data group past 32 bits": {byte(KindData), 0x80, 0x80, 0x80, 0x80, 0x10, 2, 3, 0, 0, 0, 0},
+		"data overlong length":    {byte(KindData), 1, 2, 3, 0, 0, 0, 0x80, 0x00},
+		"skip overlong range":     {byte(KindSkip), 1, 2, 0x83, 0x80, 0x00, 4, 0, 0},
+		"heartbeat from past 32":  {byte(KindHeartbeat), 0xff, 0xff, 0xff, 0xff, 0x7f, 1},
 	} {
 		if m, err := Decode(b); !errors.Is(err, ErrVarint) {
 			t.Errorf("%s: decoded as %v, err %v; want ErrVarint", name, m, err)
@@ -313,13 +318,12 @@ func TestDecodeErrors(t *testing.T) {
 		copy(enc[at:], b)
 		return enc
 	}
-	zero8 := make([]byte, 8)
 	for name, b := range map[string][]byte{
-		"leave failure flag 2":            mutate(&Leave{Group: 1, Failure: true}, 1+4+4+4, 2),
-		"quorum vote granted flag 0xff":   mutate(&QuorumVote{Granted: true}, 1+4+8+8+4+4, 0xff),
-		"data ack presence 2":             mutate(&Data{AckCum: 5}, 1+4+4+8+4+8, 2),
-		"data ack present but zero":       mutate(&Data{AckCum: 5}, 1+4+4+8+4+8+1, zero8...),
-		"join-req front present but zero": mutate(&JoinReq{Front: 1}, 1+4+4+4+1, zero8...),
+		"leave failure flag 2":            mutate(&Leave{Group: 1, Failure: true}, 1+1+1+1, 2),
+		"quorum vote granted flag 0xff":   mutate(&QuorumVote{Granted: true}, 1+5, 0xff),
+		"data ack presence 2":             mutate(&Data{AckCum: 5}, 1+5, 2),
+		"data ack present but zero":       mutate(&Data{AckCum: 5}, 1+5+1, 0),
+		"join-req front present but zero": mutate(&JoinReq{Front: 1}, 1+3+1, 0),
 		"heartbeat trailing byte":         append(Encode(&Heartbeat{From: 1}), 0),
 		"token trailing byte":             append(Encode(&TokenMsg{From: 1, Token: tok}), 0),
 		"ack trailing byte":               append(Encode(&Ack{From: 1}), 0),
@@ -331,11 +335,11 @@ func TestDecodeErrors(t *testing.T) {
 	// A count or length the bytes left cannot hold is refused before any
 	// loop or allocation.
 	for name, b := range map[string][]byte{
-		"ring-update members":   mutate(&RingUpdate{Members: []MemberAddr{{Node: 1}}}, 1+4+8+4+8, 2),
-		"ring-update resume":    mutate(&RingUpdate{Resume: []ResumeEntry{{Node: 1}}}, 1+4+8+4+8+4+1+1, 0xff, 0xff, 0xff, 0x7f),
+		"ring-update members":   mutate(&RingUpdate{Members: []MemberAddr{{Node: 1}}}, 1+4, 0x7f),
+		"ring-update resume":    mutate(&RingUpdate{Resume: []ResumeEntry{{Node: 1}}}, 1+4+1+1+1, 0x7f),
 		"ack batch":             mutate(&Ack{Batch: []SourceCum{{Source: 1}}}, 1+5, 2),
-		"data payload length":   mutate(&Data{Payload: []byte("ab")}, 1+4+4+8+4+8+1, 3),
-		"join-req address size": mutate(&JoinReq{Addr: "a"}, 1+4+4, 0xff, 0xff, 0xff, 0xff),
+		"data payload length":   mutate(&Data{Payload: []byte("ab")}, 1+5+1, 3),
+		"join-req address size": mutate(&JoinReq{Addr: "a"}, 1+2, 0x7f),
 	} {
 		if m, err := Decode(b); !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: decoded as %v, err %v; want ErrTruncated", name, m, err)
@@ -387,8 +391,8 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	for _, row := range rows {
 		for _, prefix := range [][]byte{
-			{byte(KindToken), 1, 0, 0, 0, 1},
-			{byte(KindTokenRegen), 1, 0, 0, 0, 2, 0, 0, 0, 1},
+			{byte(KindToken), 1, 1},
+			{byte(KindTokenRegen), 1, 2, 1},
 		} {
 			m, err := Decode(cat(prefix, row.body))
 			if row.want == "" {

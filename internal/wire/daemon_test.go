@@ -183,7 +183,14 @@ func TestDaemonRetainedBytesPerDelivery(t *testing.T) {
 // acknowledged, so the mean encoded TokenMsg is a few entries, not the
 // table (about 700 B when each hop carried all of it). Each member sends
 // its first hop — to a successor that acknowledged nothing yet — whole,
-// and no hop refuses a delta.
+// and no hop refuses a delta for a reason a fault-free ring can cause. A
+// slow host (the race detector on a loaded machine) can still starve the
+// token past the loss watchdog. Every regeneration traversal restarts the
+// token at most once, in a new epoch whose first hop from each member
+// travels whole and whose stale deltas are refused — and watchdogs firing
+// together restart same-epoch twins, so the highest epoch undercounts the
+// restarts. Each member may therefore count as many epoch resyncs as the
+// ring started traversals; on a run that never starved, that is none.
 func TestDaemonTokenHopBytes(t *testing.T) {
 	nodes := newCluster(t, 4, func(i int, cfg *Config) {
 		cfg.Count = 1500
@@ -228,6 +235,16 @@ func TestDaemonTokenHopBytes(t *testing.T) {
 	if snapHops == 0 {
 		t.Fatal("the token never completed a rotation")
 	}
+	var regens float64
+	for _, nd := range nodes {
+		regens += counter(nd, "ringnet_token_regens_total")
+	}
+	allowed := func(r core.TokenResync) float64 {
+		if r == core.ResyncEpoch {
+			return regens
+		}
+		return 0
+	}
 	var allHops, allBytes float64
 	for _, nd := range nodes {
 		allHops += hops(nd)
@@ -236,13 +253,13 @@ func TestDaemonTokenHopBytes(t *testing.T) {
 			t.Errorf("node %d sent %v first hops without a base, want 1", nd.cfg.Node, whole)
 		}
 		for _, r := range core.SenderResyncs {
-			if n := counter(nd, "ringnet_token_full_sends_total", "reason", r.String()); r != core.ResyncNoBase && r != core.ResyncRetransmit && n != 0 {
-				t.Errorf("node %d: %v whole-table hops for %v on a fault-free ring", nd.cfg.Node, n, r)
+			if n := counter(nd, "ringnet_token_full_sends_total", "reason", r.String()); r != core.ResyncNoBase && r != core.ResyncRetransmit && n > allowed(r) {
+				t.Errorf("node %d: %v whole-table hops for %v, %v regeneration traversals", nd.cfg.Node, n, r, regens)
 			}
 		}
 		for _, r := range core.ReceiverResyncs {
-			if n := counter(nd, "ringnet_token_delta_refused_total", "reason", r.String()); n != 0 {
-				t.Errorf("node %d refused %v deltas for %v", nd.cfg.Node, n, r)
+			if n := counter(nd, "ringnet_token_delta_refused_total", "reason", r.String()); n > allowed(r) {
+				t.Errorf("node %d refused %v deltas for %v, %v regeneration traversals", nd.cfg.Node, n, r, regens)
 			}
 		}
 	}

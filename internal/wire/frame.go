@@ -51,41 +51,45 @@ import (
 	"repro/internal/seq"
 )
 
-// Datagram framing, version 4: a fixed header followed by group-tagged
+// Datagram framing, version 5: a short header followed by group-tagged
 // sections, each carrying length-prefixed encoded messages. Putting the
 // group id in a per-section tag rather than the frame header is what
 // lets one datagram carry traffic for many groups at once — the shared
 // outbox coalesces every group's backlog for a peer into one socket
-// write. Little-endian, like the message codec.
+// write. Integers are canonical uvarints (msg.ReadUvarint) except the
+// fixed magic, version and count bytes.
 //
-//	magic    u16  0x524E ("RN")
-//	version  u8   4
+//	magic    u16  0x524E ("RN"), little-endian
+//	version  u8   5
 //	sections u8   section count (≥ 1)
-//	from     u32  sender NodeID
-//	seqno    u64  per-(sender→receiver) datagram sequence number
+//	from     uv   sender NodeID (≤ 32 bits)
+//	seqno    uv   per-(sender→receiver) datagram sequence number
 //	sections × {
-//	    group  u32  destination group id (0 = transport-internal)
+//	    group  uv   destination group id (≤ 32 bits; 0 = transport-internal)
 //	    flags  u8   group-level control bits (FlagDone, ...)
 //	    count  u8   messages in this section (0 allowed only when flags≠0)
-//	    count × { len u32, len bytes of msg.Encode output }
+//	    count × { len uv, len bytes of msg.Encode output }
 //	}
 //
-// The frame layout itself is unchanged since version 2; the version
-// marks changes to the message layouts inside it, which a peer of another
-// version would misread. Version 3 switched the ordering token from
-// fixed-width fields to the run-chained varint layout (internal/seq
-// wire.go); version 4 adds the token delta (internal/seq delta.go) and
-// moves Ack and TokenAck to varints. The version byte is what turns a
-// mixed ring into ErrBadVersion at the first datagram instead of
-// corrupted tables.
+// A one-group datagram around one 64 B-payload Data is then under 90
+// bytes; version 4 spent a fixed 16-byte header, a 6-byte tag and a
+// 4-byte length prefix on it, around a message of fixed-width fields.
+// The version byte is what turns a mixed ring into ErrBadVersion at the
+// first datagram instead of misread fields: 3 switched the ordering token
+// to the run-chained varint layout (internal/seq wire.go), 4 added the
+// token delta (internal/seq delta.go) and varint Ack/TokenAck, 5 made
+// every message's integers and the frame's own header, tags and length
+// prefixes varints.
 const (
 	frameMagic   = 0x524E
-	frameVersion = 4
-	headerSize   = 2 + 1 + 1 + 4 + 8
+	frameVersion = 5
 
-	// sectionOverhead is the per-section tag: group u32, flags u8,
-	// count u8.
-	sectionOverhead = 4 + 1 + 1
+	// fixedHeader is the magic, version and section-count bytes;
+	// maxHeader adds the longest from and seqno varints. SendSections
+	// plans datagrams against maxHeader, since the seqno is reserved
+	// after the plan.
+	fixedHeader = 2 + 1 + 1
+	maxHeader   = fixedHeader + 5 + 10
 
 	// MaxDatagram is the default frame-size budget: safely under the
 	// 65507-byte UDP payload ceiling, with headroom for the header.
@@ -126,6 +130,7 @@ var (
 	ErrEmptySection    = errors.New("wire: empty section")
 	ErrTooManyMsgs     = errors.New("wire: too many messages for one section")
 	ErrTooManySections = errors.New("wire: too many sections for one frame")
+	ErrNonCanonical    = errors.New("wire: non-canonical frame encoding")
 )
 
 // Section is one group's slice of a datagram: its messages and control
@@ -134,6 +139,14 @@ type Section struct {
 	Group uint32
 	Flags uint8
 	Msgs  []msg.Message
+
+	// sizes, when set, holds each message's encoded size as its sender
+	// measured it (the shared outbox records the size the substrate's
+	// send accounting charged), so planning a datagram sizes nothing
+	// again. wireLen is the bytes a decoded section occupied in its
+	// datagram, tag and length prefixes included.
+	sizes   []int
+	wireLen int
 }
 
 // Frame is one decoded datagram: the sender, its per-peer sequence
@@ -144,10 +157,35 @@ type Frame struct {
 	Sections []Section
 }
 
-// frameSize returns the encoded size of a frame carrying secs, using the
-// messages' WireSize (which the codec tests pin to len(Encode)).
-func frameSize(secs []Section) int {
-	n := headerSize
+// headerSize is the encoded size of a frame header from from with seqno.
+func headerSize(from seq.NodeID, seqno uint64) int {
+	return fixedHeader + msg.UvarintLen(uint64(from)) + msg.UvarintLen(seqno)
+}
+
+// tagSize is the encoded size of a section tag for group.
+func tagSize(group uint32) int { return msg.UvarintLen(uint64(group)) + 1 + 1 }
+
+// framedSize is the bytes a message of n encoded bytes occupies in a
+// section: its length prefix and itself.
+func framedSize(n int) int { return msg.UvarintLen(uint64(n)) + n }
+
+// sectionBytes is one section's encoded size: tag plus length-prefixed
+// messages.
+func sectionBytes(s Section) int {
+	n := tagSize(s.Group)
+	for i, m := range s.Msgs {
+		if s.sizes != nil {
+			n += framedSize(s.sizes[i])
+		} else {
+			n += framedSize(m.WireSize())
+		}
+	}
+	return n
+}
+
+// frameSize returns the encoded size of a frame carrying secs.
+func frameSize(from seq.NodeID, seqno uint64, secs []Section) int {
+	n := headerSize(from, seqno)
 	for _, s := range secs {
 		n += sectionBytes(s)
 	}
@@ -160,11 +198,13 @@ func frameSize(secs []Section) int {
 // under the transport's datagram budget; EncodeFrame only enforces the
 // structural count limits.
 func EncodeFrame(from seq.NodeID, seqno uint64, secs []Section) ([]byte, error) {
-	return encodeFrame(from, seqno, secs, frameSize(secs))
+	return encodeFrame(from, seqno, secs, frameSize(from, seqno, secs))
 }
 
 // encodeFrame is EncodeFrame for a caller that already knows the frame's
 // encoded size (SendSections sizes every message once, while planning).
+// The size only reserves capacity: each length prefix is written from the
+// bytes the message actually encoded to.
 func encodeFrame(from seq.NodeID, seqno uint64, secs []Section, size int) ([]byte, error) {
 	if len(secs) == 0 {
 		return nil, ErrEmptyFrame
@@ -183,27 +223,76 @@ func encodeFrame(from seq.NodeID, seqno uint64, secs []Section, size int) ([]byt
 	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint16(buf, frameMagic)
 	buf = append(buf, frameVersion, byte(len(secs)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(from))
-	buf = binary.LittleEndian.AppendUint64(buf, seqno)
+	buf = binary.AppendUvarint(buf, uint64(from))
+	buf = binary.AppendUvarint(buf, seqno)
 	for _, s := range secs {
-		buf = binary.LittleEndian.AppendUint32(buf, s.Group)
+		buf = binary.AppendUvarint(buf, uint64(s.Group))
 		buf = append(buf, s.Flags, byte(len(s.Msgs)))
 		for _, m := range s.Msgs {
-			// Encode in place: reserve the length prefix, then backfill it.
+			// Encode in place behind a one-byte length prefix — enough
+			// below 128 bytes — and widen the prefix for a longer message.
 			at := len(buf)
-			buf = msg.AppendEncode(append(buf, 0, 0, 0, 0), m)
-			binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+			buf = msg.AppendEncode(append(buf, 0), m)
+			n := len(buf) - at - 1
+			if k := msg.UvarintLen(uint64(n)); k > 1 {
+				buf = append(buf, make([]byte, k-1)...)
+				copy(buf[at+k:], buf[at+1:at+1+n])
+			}
+			binary.PutUvarint(buf[at:], uint64(n))
 		}
 	}
 	return buf, nil
 }
 
+// frameReader walks a datagram, latching the first error.
+type frameReader struct {
+	buf []byte
+	off int
+	err error
+}
+
+func (r *frameReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *frameReader) u8() uint8 {
+	if r.err != nil || r.off >= len(r.buf) {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	r.off++
+	return r.buf[r.off-1]
+}
+
+// uv reads a canonical uvarint of at most bits bits.
+func (r *frameReader) uv(bits int) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n, err := msg.ReadUvarint(r.buf[r.off:])
+	switch {
+	case errors.Is(err, msg.ErrTruncated):
+		r.fail(ErrTruncated)
+	case err != nil || bits < 64 && v>>bits != 0:
+		r.fail(fmt.Errorf("%w: varint at byte %d", ErrNonCanonical, r.off))
+	}
+	if r.err != nil {
+		return 0
+	}
+	r.off += n
+	return v
+}
+
 // DecodeFrame parses one datagram. A version other than frameVersion is
 // rejected with an error naming both versions, so a mixed-version
-// deployment fails loudly instead of corrupting state.
+// deployment fails loudly instead of corrupting state. It accepts exactly
+// the bytes EncodeFrame writes: a padded or oversized varint, or bytes
+// after the last section, are refused.
 func DecodeFrame(buf []byte) (Frame, error) {
 	var f Frame
-	if len(buf) < headerSize {
+	if len(buf) < fixedHeader+2 {
 		return f, ErrTruncated
 	}
 	if binary.LittleEndian.Uint16(buf) != frameMagic {
@@ -216,20 +305,20 @@ func DecodeFrame(buf []byte) (Frame, error) {
 	if sections == 0 {
 		return f, ErrEmptyFrame
 	}
-	f.From = seq.NodeID(binary.LittleEndian.Uint32(buf[4:]))
-	f.Seqno = binary.LittleEndian.Uint64(buf[8:])
-	off := headerSize
+	r := frameReader{buf: buf, off: fixedHeader}
+	f.From = seq.NodeID(r.uv(32))
+	f.Seqno = r.uv(64)
+	if r.err != nil {
+		return f, r.err
+	}
 	f.Sections = make([]Section, 0, sections)
 	for si := 0; si < sections; si++ {
-		if off+sectionOverhead > len(buf) {
-			return f, ErrTruncated
+		start := r.off
+		s := Section{Group: uint32(r.uv(32)), Flags: r.u8()}
+		count := int(r.u8())
+		if r.err != nil {
+			return f, r.err
 		}
-		s := Section{
-			Group: binary.LittleEndian.Uint32(buf[off:]),
-			Flags: buf[off+4],
-		}
-		count := int(buf[off+5])
-		off += sectionOverhead
 		if count == 0 && s.Flags == 0 {
 			return f, ErrEmptySection
 		}
@@ -237,25 +326,25 @@ func DecodeFrame(buf []byte) (Frame, error) {
 			s.Msgs = make([]msg.Message, 0, count)
 		}
 		for i := 0; i < count; i++ {
-			if off+4 > len(buf) {
-				return f, ErrTruncated
+			n := r.uv(64)
+			if r.err == nil && n > uint64(len(buf)-r.off) {
+				r.fail(ErrTruncated)
 			}
-			n := int(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-			if n < 0 || off+n > len(buf) {
-				return f, ErrTruncated
+			if r.err != nil {
+				return f, r.err
 			}
-			m, err := msg.Decode(buf[off : off+n])
+			m, err := msg.Decode(buf[r.off : r.off+int(n)])
 			if err != nil {
 				return f, fmt.Errorf("wire: section %d message %d: %w", si, i, err)
 			}
 			s.Msgs = append(s.Msgs, m)
-			off += n
+			r.off += int(n)
 		}
+		s.wireLen = r.off - start
 		f.Sections = append(f.Sections, s)
 	}
-	if off != len(buf) {
-		return f, fmt.Errorf("wire: %d trailing bytes after frame", len(buf)-off)
+	if r.off != len(buf) {
+		return f, fmt.Errorf("%w: %d trailing bytes after frame", ErrNonCanonical, len(buf)-r.off)
 	}
 	return f, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -37,8 +38,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != frameSize(secs) {
-		t.Fatalf("encoded %d bytes, frameSize says %d", len(buf), frameSize(secs))
+	if len(buf) != frameSize(9, 77, secs) {
+		t.Fatalf("encoded %d bytes, frameSize says %d", len(buf), frameSize(9, 77, secs))
 	}
 	f, err := DecodeFrame(buf)
 	if err != nil {
@@ -83,11 +84,13 @@ func TestFrameMixedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != frameSize(secs) {
-		t.Fatalf("encoded %d bytes, frameSize says %d", len(buf), frameSize(secs))
+	if len(buf) != frameSize(3, 15, secs) {
+		t.Fatalf("encoded %d bytes, frameSize says %d", len(buf), frameSize(3, 15, secs))
 	}
-	// The per-section accounting must tile the frame exactly.
-	total := headerSize
+	// The per-section accounting must tile the frame exactly, on the
+	// sending side from the messages' sizes and on the receiving side from
+	// the offsets the decoder walked.
+	total := headerSize(3, 15)
 	for _, s := range secs {
 		total += sectionBytes(s)
 	}
@@ -103,6 +106,9 @@ func TestFrameMixedGroups(t *testing.T) {
 	}
 	for i, want := range secs {
 		got := f.Sections[i]
+		if got.wireLen != sectionBytes(want) {
+			t.Fatalf("section %d: decoder walked %d bytes, sectionBytes says %d", i, got.wireLen, sectionBytes(want))
+		}
 		if got.Group != want.Group || got.Flags != want.Flags || len(got.Msgs) != len(want.Msgs) {
 			t.Fatalf("section %d: got {group %d flags %d, %d msgs}, want {group %d flags %d, %d msgs}",
 				i, got.Group, got.Flags, len(got.Msgs), want.Group, want.Flags, len(want.Msgs))
@@ -122,8 +128,8 @@ func TestFrameControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != headerSize+sectionOverhead {
-		t.Fatalf("control frame is %d bytes, want %d", len(buf), headerSize+sectionOverhead)
+	if len(buf) != headerSize(4, 9)+tagSize(6) {
+		t.Fatalf("control frame is %d bytes, want %d", len(buf), headerSize(4, 9)+tagSize(6))
 	}
 	f, err := DecodeFrame(buf)
 	if err != nil {
@@ -159,22 +165,24 @@ func TestFrameErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hdr := headerSize(1, 1)
 	cases := map[string][]byte{
-		"short":         good[:headerSize-1],
+		"short":         good[:hdr-1],
 		"magic":         append([]byte{0, 0}, good[2:]...),
 		"version":       append([]byte{good[0], good[1], 99}, good[3:]...),
 		"v1 header":     append([]byte{good[0], good[1], 1}, good[3:]...),
 		"v2 header":     append([]byte{good[0], good[1], 2}, good[3:]...),
 		"v3 header":     append([]byte{good[0], good[1], 3}, good[3:]...),
+		"v4 header":     append([]byte{good[0], good[1], 4}, good[3:]...),
 		"truncated":     good[:len(good)-3],
 		"trailing":      append(append([]byte(nil), good...), 1, 2, 3),
 		"zero sections": func() []byte { b := append([]byte(nil), good...); b[3] = 0; return b }(),
 		"empty section": func() []byte {
-			// Section count says 2 but the second section (group, flags 0,
-			// count 0) is structurally empty.
+			// Section count says 2 but the second section (group 5, flags
+			// 0, count 0) is structurally empty.
 			b := append([]byte(nil), good...)
 			b[3] = 2
-			return append(b, 5, 0, 0, 0, 0, 0)
+			return append(b, 5, 0, 0)
 		}(),
 		"section overflows buffer": func() []byte {
 			b := append([]byte(nil), good...)
@@ -188,30 +196,126 @@ func TestFrameErrors(t *testing.T) {
 		}
 	}
 	// A version error must say which versions disagree — in particular
-	// for v2 and v3, whose frames differ only in the message layouts
-	// inside them.
-	for _, name := range []string{"version", "v1 header", "v2 header", "v3 header"} {
+	// for v2 through v4, whose frames a v5 reader would otherwise misread.
+	for _, name := range []string{"version", "v1 header", "v2 header", "v3 header", "v4 header"} {
 		if _, err := DecodeFrame(cases[name]); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("%s: version mismatch not classified: %v", name, err)
 		}
 	}
 	// A frame of garbage message bytes must error, not panic.
-	bad := append([]byte(nil), good[:headerSize]...)
-	bad = append(bad, 1, 0, 0, 0, 0, 1)                   // section: group 1, flags 0, count 1
-	bad = append(bad, 4, 0, 0, 0, 0xff, 0xff, 0xff, 0xff) // garbage message
+	bad := append([]byte(nil), good[:hdr]...)
+	bad = append(bad, 1, 0, 1)                      // section: group 1, flags 0, count 1
+	bad = append(bad, 4, 4, 0xff, 0xff, 0xff, 0xff) // garbage message
 	bad[3] = 1
 	if _, err := DecodeFrame(bad); err == nil {
 		t.Error("garbage message accepted")
 	}
 }
 
-// FuzzFrameDecode throws arbitrary bytes at the frame decoder (it
-// must reject garbage with an error, never panic) and, when the input
-// parses, pins the codec invariants: the decoded frame must re-encode
-// at exactly frameSize — the sum built from the messages' WireSize —
-// and encoding must be canonical after one normalization pass (the msg
-// layer tolerates some non-canonical inputs, so raw fuzz bytes may
-// re-encode shorter; encode∘decode must then be a fixed point).
+// TestFrameV4Refused: a datagram a version-4 daemon sent — captured from
+// that encoder, one section around one Data — is refused by version, not
+// misread as a v5 frame.
+func TestFrameV4Refused(t *testing.T) {
+	v4, err := hex.DecodeString("4e520401030000000700000000000000010000000001290000000101000000030000000700000000000000020000000b0000000000000000070000007061796c6f6164")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFrame(v4); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v4 datagram: %v, want ErrBadVersion", err)
+	}
+}
+
+// TestFrameCanonical: the decoder accepts only what the encoder writes. A
+// varint padded with a zero group, an id past 32 bits, a length prefix
+// padded the same way, or bytes after the last section are refused, so
+// EncodeFrame(DecodeFrame(b)) == b for every b DecodeFrame accepts.
+func TestFrameCanonical(t *testing.T) {
+	body := msg.Encode(&msg.Heartbeat{From: 3, Epoch: 4})
+	frame := func(from, seqno, group []byte, length []byte) []byte {
+		b := []byte{0x4e, 0x52, frameVersion, 1}
+		b = append(append(append(b, from...), seqno...), group...)
+		b = append(append(b, 0, 1), length...)
+		return append(b, body...)
+	}
+	one, n := []byte{1}, []byte{byte(len(body))}
+	if _, err := DecodeFrame(frame(one, one, one, n)); err != nil {
+		t.Fatalf("control frame refused: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"overlong from":        frame([]byte{0x81, 0x00}, one, one, n),
+		"from past 32 bits":    frame([]byte{0x80, 0x80, 0x80, 0x80, 0x10}, one, one, n),
+		"overlong seqno":       frame(one, []byte{0x81, 0x80, 0x00}, one, n),
+		"seqno past 64 bits":   frame(one, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, one, n),
+		"overlong group":       frame(one, one, []byte{0x81, 0x00}, n),
+		"group past 32 bits":   frame(one, one, []byte{0xff, 0xff, 0xff, 0xff, 0x1f}, n),
+		"overlong length":      frame(one, one, one, []byte{n[0] | 0x80, 0x00}),
+		"trailing after frame": append(frame(one, one, one, n), 0),
+	} {
+		if _, err := DecodeFrame(b); !errors.Is(err, ErrNonCanonical) {
+			t.Errorf("%s: %v, want ErrNonCanonical", name, err)
+		}
+	}
+}
+
+// TestFrameBytesPinned pins a two-section v5 datagram byte for byte: a
+// control-flag section for one group, then a Data and a Heartbeat for a
+// group whose id takes two varint bytes. Peers of one frame version must
+// agree on it; if this fails the change altered the wire.
+func TestFrameBytesPinned(t *testing.T) {
+	secs := []Section{
+		{Group: 2, Flags: FlagDone},
+		{Group: 300, Msgs: []msg.Message{
+			&msg.Data{Group: 300, SourceNode: 3, LocalSeq: 200, OrderingNode: 1, GlobalSeq: 1000, Payload: []byte("hi")},
+			&msg.Heartbeat{From: 3, Epoch: 9},
+		}},
+	}
+	buf, err := EncodeFrame(3, 70000, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "4e52" + "05" + "02" + "03" + "f0a204" + // magic, version, 2 sections, from 3, seqno 70000
+		"02" + "01" + "00" + // group 2, FlagDone, no messages
+		"ac02" + "00" + "02" + // group 300, no flags, 2 messages
+		"0d" + "01ac0203c80101e807000268" + "69" + // 13-byte Data
+		"03" + "0f0309" // 3-byte Heartbeat
+	if got := hex.EncodeToString(buf); got != want {
+		t.Fatalf("frame encodes as\n %s, pinned\n %s", got, want)
+	}
+	if len(buf) != frameSize(3, 70000, secs) {
+		t.Fatalf("%d bytes, frameSize %d", len(buf), frameSize(3, 70000, secs))
+	}
+	f, err := DecodeFrame(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeFrame(f.From, f.Seqno, f.Sections)
+	if err != nil || !bytes.Equal(again, buf) {
+		t.Fatalf("re-encodes as %x (%v)", again, err)
+	}
+}
+
+// TestDataPlaneOverheadBound: one datagram holding one 64 B-payload Data
+// on a work-queue hop (source and ordering node small ids, LocalSeq and
+// the datagram seqno below 2^21, not yet ordered) costs at most 90 bytes
+// on the wire — 26 bytes of framing and fields around the payload. At
+// frame version 4 the same datagram was 124 bytes.
+func TestDataPlaneOverheadBound(t *testing.T) {
+	d := &msg.Data{Group: 1, SourceNode: 4, LocalSeq: 1<<21 - 1, Payload: make([]byte, 64)}
+	buf, err := EncodeFrame(4, 1<<21-1, []Section{{Group: 1, Msgs: []msg.Message{d}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one 64 B-payload WQ Data: %d-byte datagram, %d-byte message", len(buf), d.WireSize())
+	if len(buf) > 90 {
+		t.Fatalf("datagram is %d bytes, bound 90", len(buf))
+	}
+}
+
+// FuzzFrameDecode throws arbitrary bytes at the frame decoder: it must
+// reject garbage with an error, never panic, and accept only canonical
+// frames — whatever it decodes re-encodes to exactly the input, at
+// exactly frameSize, and the byte count the decoder walked per section is
+// the size the sender's accounting gives it.
 func FuzzFrameDecode(f *testing.F) {
 	if seed, err := EncodeFrame(3, 7, []Section{{Group: 1, Msgs: sampleMsgs()}}); err == nil {
 		f.Add(seed)
@@ -229,19 +333,16 @@ func FuzzFrameDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v", err)
 		}
-		if len(enc) != frameSize(fr.Sections) {
-			t.Fatalf("re-encode %d bytes, frameSize says %d", len(enc), frameSize(fr.Sections))
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("encode∘decode is not the identity:\n %x\n %x", data, enc)
 		}
-		fr2, err := DecodeFrame(enc)
-		if err != nil {
-			t.Fatalf("normalized frame does not decode: %v", err)
+		if len(enc) != frameSize(fr.From, fr.Seqno, fr.Sections) {
+			t.Fatalf("re-encode %d bytes, frameSize says %d", len(enc), frameSize(fr.From, fr.Seqno, fr.Sections))
 		}
-		enc2, err := EncodeFrame(fr2.From, fr2.Seqno, fr2.Sections)
-		if err != nil {
-			t.Fatalf("normalized frame does not re-encode: %v", err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("encode∘decode is not a fixed point:\n %x\n %x", enc, enc2)
+		for i, s := range fr.Sections {
+			if s.wireLen != sectionBytes(s) {
+				t.Fatalf("section %d: decoder walked %d bytes, sectionBytes says %d", i, s.wireLen, sectionBytes(s))
+			}
 		}
 	})
 }

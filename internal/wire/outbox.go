@@ -112,6 +112,7 @@ type groupShard struct {
 
 	mu    sync.Mutex
 	msgs  []msg.Message
+	sizes []int // each message's encoded size, beside it
 	bytes int
 
 	queued atomic.Bool                // on the peer's dirty stack
@@ -156,6 +157,13 @@ func (b *peerBox) shard(group uint32) *groupShard {
 // run on that group's driver goroutine — inside a scheduler event or a
 // call the driver injected between events — like any scheduler use.
 func (o *SharedOutbox) Enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID, m msg.Message) {
+	o.enqueue(sched, group, to, m, m.WireSize())
+}
+
+// enqueue is Enqueue for a caller that has already sized m (the substrate's
+// send accounting does): size is len(msg.Encode(m)), and travels beside m
+// to the frame planner, so nothing on the send path sizes m again.
+func (o *SharedOutbox) enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID, m msg.Message, size int) {
 	b := o.box(to)
 	s := b.shard(group)
 	if o.tracer.Active() {
@@ -163,15 +171,16 @@ func (o *SharedOutbox) Enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID
 			o.tracer.Span(telemetry.StageEnqueue, group, src, local, global, uint32(to))
 		}
 	}
-	size := 4 + m.WireSize()
+	framed := framedSize(size)
 	s.mu.Lock()
 	s.msgs = append(s.msgs, m)
-	s.bytes += size
+	s.sizes = append(s.sizes, size)
+	s.bytes += framed
 	s.mu.Unlock()
 	if s.queued.CompareAndSwap(false, true) {
 		b.pushDirty(s)
 	}
-	total := b.bytes.Add(int64(size))
+	total := b.bytes.Add(int64(framed))
 	asap := o.window <= 0 || urgentKind(m.Kind()) || total >= batchFlushBytes
 	arm := false
 	var delay sim.Time
@@ -211,9 +220,9 @@ func (o *SharedOutbox) flush(sched *sim.Scheduler, b *peerBox) {
 		next := s.next.Load()
 		s.next.Store(nil)
 		s.mu.Lock()
-		msgs := s.msgs
+		msgs, sizes := s.msgs, s.sizes
 		stolen += int64(s.bytes)
-		s.msgs, s.bytes = nil, 0
+		s.msgs, s.sizes, s.bytes = nil, nil, 0
 		s.mu.Unlock()
 		s.queued.Store(false)
 		// An append that slipped in between the steal and the queued
@@ -233,7 +242,7 @@ func (o *SharedOutbox) flush(sched *sim.Scheduler, b *peerBox) {
 					}
 				}
 			}
-			secs = append(secs, Section{Group: s.group, Msgs: msgs})
+			secs = append(secs, Section{Group: s.group, Msgs: msgs, sizes: sizes})
 		}
 		s = next
 	}
@@ -272,7 +281,7 @@ func (o *SharedOutbox) Drop(group uint32, to seq.NodeID) {
 	sh := s.(*groupShard)
 	sh.mu.Lock()
 	dropped := int64(sh.bytes)
-	sh.msgs, sh.bytes = nil, 0
+	sh.msgs, sh.sizes, sh.bytes = nil, nil, 0
 	sh.mu.Unlock()
 	if dropped != 0 {
 		b.(*peerBox).bytes.Add(-dropped)

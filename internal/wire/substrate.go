@@ -59,9 +59,8 @@ func (n *outboxNet) Scheduler() *sim.Scheduler { return n.sched }
 // route.
 func (n *outboxNet) Send(from, to seq.NodeID, m msg.Message) bool {
 	ok := from == n.local && n.peers[to]
-	n.stats.Count(m, ok)
-	if ok {
-		n.ob.Enqueue(n.sched, n.group, to, m)
+	if size := n.stats.Count(m, ok); ok {
+		n.ob.enqueue(n.sched, n.group, to, m, size)
 	}
 	return ok
 }

@@ -397,67 +397,67 @@ func (t *Transport) SendControl(group uint32, to seq.NodeID, flags uint8) error 
 // burst of sends.
 func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	// Plan datagram boundaries first: they depend only on the immutable
-	// budget, so this runs outside the lock. The pass sizes every message
-	// exactly once; the byte totals it accumulates feed the stats block
-	// and the encoder below.
+	// budget, so this runs outside the lock. Each message is sized once —
+	// or not at all, when its section carries the size the outbox
+	// recorded — and the plan counts the longest header, since the seqno
+	// it will carry is reserved below. A planned section is a sub-slice
+	// of its input: splitting one costs no copy.
 	var frames []plannedFrame
-	cur := plannedFrame{size: headerSize}
+	cur := plannedFrame{size: maxHeader}
 	flush := func() {
 		if len(cur.secs) > 0 {
 			frames = append(frames, cur)
-			cur = plannedFrame{size: headerSize}
+			cur = plannedFrame{size: maxHeader}
 		}
 	}
-	openSection := func(group uint32, flags uint8) {
+	openSection := func(group uint32, flags uint8, tag int) {
+		if cur.size+tag > t.max || len(cur.secs) >= maxFrameSections {
+			flush()
+		}
 		cur.secs = append(cur.secs, Section{Group: group, Flags: flags})
-		cur.secBytes = append(cur.secBytes, sectionOverhead)
-		cur.size += sectionOverhead
+		cur.secBytes = append(cur.secBytes, tag)
+		cur.size += tag
 	}
 	var firstErr error
 	oversize := 0
 	for _, s := range secs {
-		if len(s.Msgs) == 0 {
-			if s.Flags == 0 {
-				continue
+		sizes := s.sizes
+		if sizes == nil && len(s.Msgs) > 0 {
+			sizes = make([]int, len(s.Msgs))
+			for i, m := range s.Msgs {
+				sizes[i] = m.WireSize()
 			}
-			if cur.size+sectionOverhead > t.max || len(cur.secs) >= maxFrameSections {
-				flush()
-			}
-			openSection(s.Group, s.Flags)
-			continue
 		}
-		opened := false
-		for _, m := range s.Msgs {
-			need := 4 + m.WireSize()
-			if need > t.max-headerSize-sectionOverhead {
+		tag := tagSize(s.Group)
+		flags := s.Flags // rides the section's first chunk
+		chunk := -1      // index in s.Msgs where the open chunk starts
+		for i, m := range s.Msgs {
+			need := framedSize(sizes[i])
+			if need > t.max-maxHeader-tag {
 				oversize++
 				if firstErr == nil {
 					firstErr = fmt.Errorf("%w: %v is %d bytes", ErrOversize, m.Kind(), need)
 				}
+				chunk = -1
 				continue
 			}
-			if !opened || cur.size+need > t.max || len(cur.secs[len(cur.secs)-1].Msgs) >= maxFrameMsgs {
-				if cur.size+sectionOverhead+need > t.max || len(cur.secs) >= maxFrameSections {
+			if chunk < 0 || cur.size+need > t.max || i-chunk >= maxFrameMsgs {
+				if cur.size+tag+need > t.max {
 					flush()
 				}
-				var fl uint8
-				if !opened {
-					fl = s.Flags // flags ride the section's first chunk
-				}
-				openSection(s.Group, fl)
-				opened = true
+				openSection(s.Group, flags, tag)
+				flags, chunk = 0, i
 			}
 			last := len(cur.secs) - 1
-			cur.secs[last].Msgs = append(cur.secs[last].Msgs, m)
+			cur.secs[last].Msgs = s.Msgs[chunk : i+1]
+			cur.secs[last].sizes = sizes[chunk : i+1]
 			cur.secBytes[last] += need
 			cur.size += need
 		}
-		if !opened && s.Flags != 0 {
-			// Every message was oversize; the flags still must travel.
-			if cur.size+sectionOverhead > t.max || len(cur.secs) >= maxFrameSections {
-				flush()
-			}
-			openSection(s.Group, s.Flags)
+		if flags != 0 {
+			// A message-less section, or every message was oversize: the
+			// flags still must travel.
+			openSection(s.Group, flags, tag)
 		}
 	}
 	flush()
@@ -479,6 +479,9 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	base := p.txSeq + 1
 	p.txSeq += uint64(len(frames))
 	addr := p.addr
+	for i := range frames {
+		frames[i].size += headerSize(t.self, base+uint64(i)) - maxHeader
+	}
 	for _, f := range frames {
 		p.st.SentDatagrams++
 		p.st.SentBytes += uint64(f.size)
@@ -518,21 +521,12 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 }
 
 // plannedFrame is one datagram as SendSections laid it out: its sections,
-// each section's encoded size (tag included), and the frame's.
+// each section's encoded size (tag included), and the frame's (counting
+// maxHeader until the datagram's seqno is reserved).
 type plannedFrame struct {
 	secs     []Section
 	secBytes []int
 	size     int
-}
-
-// sectionBytes is one section's encoded size: tag plus length-prefixed
-// messages.
-func sectionBytes(s Section) int {
-	n := sectionOverhead
-	for _, m := range s.Msgs {
-		n += 4 + m.WireSize()
-	}
-	return n
 }
 
 // Stats returns a snapshot of all counters.
@@ -849,7 +843,7 @@ func (t *Transport) receive(pkt []byte) {
 			t.groupStats[sec.Group] = gs
 		}
 		gs.RecvMsgs += uint64(len(sec.Msgs))
-		gs.RecvBytes += uint64(sectionBytes(sec))
+		gs.RecvBytes += uint64(sec.wireLen)
 		_, reffed := p.refs[sec.Group]
 		if !reffed {
 			// Known socket peer, but a stranger to this group
