@@ -37,7 +37,9 @@ type Config struct {
 	// membership plane's token watchdog. 0 disables (the simulator
 	// default — constant-rate circulation, the paper's model).
 	TokenIdleBackoff sim.Time
-	// MQSize is the MaxNo of every NE's message queue, in slots.
+	// MQSize is the MaxNo of every NE's message queue, in slots: the
+	// cap the queue's ring grows to as its window needs, not an
+	// up-front allocation.
 	MQSize int
 	// MHWindow is the reassembly window of a mobile host.
 	MHWindow int

@@ -136,9 +136,15 @@ func (n *NE) handleToken(from seq.NodeID, tok *seq.Token) {
 	// Forward after the (small) holding time — stretched exponentially
 	// on an idle ring when TokenIdleBackoff is enabled, so a quiet
 	// group's token does not spin the CPU and the sockets at full rate.
-	// Assignments made during the stretched hold (a τ tick ordering
-	// freshly arrived data) advance Next, so the next sighting resets
-	// every holder back to full speed.
+	// Nothing is assigned to a held token: the holder assigns its own
+	// messages only on arrival (above), and τ ticks only stamp
+	// already-assigned messages from WQ into MQ. A holder's streak
+	// therefore resets only when the token's NextGlobalSeq, after this
+	// arrival's own assignment, differs from the one it saw on its
+	// previous visit — some holder assigned since. A message submitted
+	// during a stretched hold waits the hold out and gets its global
+	// number when the token next reaches its top-ring node: the "one
+	// stretched rotation" wake-up cost protocolConfig states.
 	hold := n.e.Cfg.TokenHold
 	if max := n.e.Cfg.TokenIdleBackoff; max > 0 && n.held != nil {
 		if next := n.held.NextGlobalSeq; next != n.idleNext {

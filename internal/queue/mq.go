@@ -32,7 +32,10 @@ type Slot struct {
 
 // MQ is the message queue of totally-ordered messages, a sliding window
 // over global sequence numbers backed by a circular buffer (the paper's
-// "sequential storage allocation scheme" with MaxNo slots).
+// "sequential storage allocation scheme" with MaxNo slots). MaxNo is the
+// hard cap on the window, not an up-front allocation: the ring starts at
+// mqInitialSlots and doubles, up to MaxNo, only when a message lands past
+// its current length, so an entity pays for the window it actually holds.
 //
 // Pointer semantics follow the paper:
 //
@@ -43,10 +46,11 @@ type Slot struct {
 //
 // Here the pointers are global sequence numbers: the window of live slots
 // is (validFront, rear]; front ∈ [validFront, rear]. A slot for global
-// sequence g lives at buf[g % MaxNo].
+// sequence g lives at buf[g % len(buf)], and every slot outside the
+// window is zero.
 type MQ struct {
 	maxNo      int
-	buf        []Slot
+	buf        []Slot        // len grows by doubling to maxNo as the window needs
 	validFront seq.GlobalSeq // all slots ≤ validFront are released
 	front      seq.GlobalSeq // all slots ≤ front are delivered
 	rear       seq.GlobalSeq // highest slot ever written
@@ -59,15 +63,20 @@ type MQ struct {
 // ErrMQFull is returned when inserting would overwrite an unreleased slot.
 var ErrMQFull = fmt.Errorf("queue: MQ full")
 
-// NewMQ allocates an MQ with maxNo slots. maxNo must be positive.
+// mqInitialSlots is the ring length a new MQ starts with (or MaxNo,
+// if smaller).
+const mqInitialSlots = 64
+
+// NewMQ returns an MQ whose window may hold up to maxNo slots. maxNo
+// must be positive.
 func NewMQ(maxNo int) *MQ {
 	if maxNo <= 0 {
 		panic("queue: non-positive MQ size")
 	}
-	return &MQ{maxNo: maxNo, buf: make([]Slot, maxNo)}
+	return &MQ{maxNo: maxNo, buf: make([]Slot, min(maxNo, mqInitialSlots))}
 }
 
-// MaxNo returns the allocated capacity.
+// MaxNo returns the window's hard cap.
 func (q *MQ) MaxNo() int { return q.maxNo }
 
 // ValidFront, Front, and Rear expose the three pointers.
@@ -84,7 +93,28 @@ func (q *MQ) PeakLen() int { return q.peakLen }
 // Overflows returns how many inserts failed for lack of space.
 func (q *MQ) Overflows() uint64 { return q.overflow }
 
-func (q *MQ) slot(g seq.GlobalSeq) *Slot { return &q.buf[uint64(g)%uint64(q.maxNo)] }
+func (q *MQ) slot(g seq.GlobalSeq) *Slot { return &q.buf[uint64(g)%uint64(len(q.buf))] }
+
+// reserve makes the ring long enough for the window (validFront, g]:
+// it doubles the length until the window fits, caps it at maxNo, and
+// moves the live slots to their places in the new ring. The caller has
+// already checked g against maxNo.
+func (q *MQ) reserve(g seq.GlobalSeq) {
+	need := int(g - q.validFront)
+	n := len(q.buf)
+	if need <= n {
+		return
+	}
+	for n < need {
+		n *= 2
+	}
+	n = min(n, q.maxNo)
+	buf := make([]Slot, n)
+	for s := q.validFront + 1; s <= q.rear; s++ {
+		buf[uint64(s)%uint64(n)] = *q.slot(s)
+	}
+	q.buf = buf
+}
 
 // inWindow reports whether g is a live slot index.
 func (q *MQ) inWindow(g seq.GlobalSeq) bool { return g > q.validFront && g <= q.rear }
@@ -106,6 +136,7 @@ func (q *MQ) Insert(d *msg.Data) (bool, error) {
 		return false, ErrMQFull
 	}
 	if g > q.rear {
+		q.reserve(g)
 		// Initialize any skipped slots as awaited (Waiting).
 		for s := q.rear + 1; s < g; s++ {
 			*q.slot(s) = Slot{Waiting: true}
@@ -125,6 +156,8 @@ func (q *MQ) Insert(d *msg.Data) (bool, error) {
 }
 
 // Get returns the slot for g, or nil if g is outside the live window.
+// The pointer is valid only until the next Insert or InsertLost, which
+// may move the window to a longer ring.
 func (q *MQ) Get(g seq.GlobalSeq) *Slot {
 	if !q.inWindow(g) {
 		return nil
@@ -170,6 +203,7 @@ func (q *MQ) InsertLost(g seq.GlobalSeq) error {
 		return ErrMQFull
 	}
 	if g > q.rear {
+		q.reserve(g)
 		for s := q.rear + 1; s <= g; s++ {
 			*q.slot(s) = Slot{Waiting: true}
 		}

@@ -195,8 +195,12 @@ type Tracer struct {
 
 // NewTracer builds a tracer for node with the given sampling modulus
 // and span-ring capacity. mod<=0 returns an inert tracer (Active false)
-// so gating stays uniform at call sites.
+// so gating stays uniform at call sites; it records nothing, so it
+// allocates no span ring and no key map.
 func NewTracer(node uint32, mod, capacity int, clock *Clock) *Tracer {
+	if mod <= 0 {
+		return &Tracer{node: node, clock: clock}
+	}
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -131,6 +132,36 @@ func TestTracerSpanRing(t *testing.T) {
 	nilTr.Annotate(StageFsync, 1, 0, 0, "")
 	if nilTr.Active() || nilTr.Sampled(1, 1, 1) || nilTr.Emitted() != 0 || nilTr.Snapshot() != nil {
 		t.Fatal("nil tracer is not inert")
+	}
+}
+
+var tracerSink *Tracer
+
+// TestInertTracerHoldsNothing: a daemon with sampling off builds its
+// tracer with the full span-ring capacity (16,384 spans, ~1.5 MB if
+// allocated); the inert tracer allocates neither the ring nor the key
+// map, and every read method reports an empty trace.
+func TestInertTracerHoldsNothing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tracerSink = NewTracer(3, 0, 1<<14, nil)
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<10 {
+		t.Fatalf("inert NewTracer allocated %d B, want ≤ 1024", d)
+	}
+	tr := tracerSink
+	if tr.buf != nil || tr.last != nil {
+		t.Fatalf("inert tracer holds a span ring (%d) or key map", len(tr.buf))
+	}
+	tr.Span(StagePublish, 1, 3, 7, 0, 0)
+	tr.Annotate(StageFsync, 1, 0, 0, "")
+	if tr.Active() || tr.Emitted() != 0 || tr.Overwritten() != 0 || len(tr.Snapshot()) != 0 {
+		t.Fatalf("inert tracer: active %v, emitted %d, overwritten %d, %d spans",
+			tr.Active(), tr.Emitted(), tr.Overwritten(), len(tr.Snapshot()))
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteNDJSON(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("inert WriteNDJSON = %q, %v; want nothing", buf.String(), err)
 	}
 }
 

@@ -18,6 +18,15 @@ import (
 // The protocol core is unchanged: its RTO retransmission timers, τ
 // ordering ticks, and ack-delay timers are ordinary scheduler events
 // that now fire in real time.
+//
+// Real time has a quantum. The driver sleeps on a Go timer, and Go's
+// Linux netpoller waits in whole milliseconds, so an event due less
+// than a millisecond ahead on an otherwise idle driver fires about
+// 1.1 ms late: a standalone 200 µs timer measured p50 1.1 ms and p99
+// 2.6–4.0 ms on a 2-core Linux host. The wire profile's TokenHold of
+// 200 µs therefore runs at roughly 0.8–0.9 ms on a steady ring, and
+// shorter whenever other traffic (a datagram, an injected Call) wakes
+// the loop first — which is why token-driven metrics drift with load.
 type Driver struct {
 	sched *sim.Scheduler
 	calls chan func()

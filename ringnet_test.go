@@ -1,6 +1,7 @@
 package ringnet
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,30 @@ func TestNewSimAndRun(t *testing.T) {
 	}
 	if x.Engine.Log.MinDelivered() != 20 {
 		t.Fatalf("MinDelivered = %d", x.Engine.Log.MinDelivered())
+	}
+}
+
+// TestNewSimHeldHeapBounded guards what a freshly built simulation
+// holds, on the benchmark's sim_mobile hierarchy (40 NEs, 48 MHs). Each
+// NE's MQ and every other per-entity buffer must be sized by what it
+// holds, not by its cap: allocating all MaxNo MQ slots up front costs
+// 10.6 MB here (about 0.2 MB without), so an eager per-entity
+// allocation cannot creep back unnoticed under a 1 MB bound.
+func TestNewSimHeldHeapBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x, err := NewSim(Config{Topology: Spec{BRs: 4, AGRings: 4, AGSize: 3, APsPerAG: 2, MHsPerAP: 2}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(x)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("NewSim(sim_mobile spec) holds %d B", held)
+	if held >= 1<<20 {
+		t.Fatalf("a new sim_mobile simulation holds %d B of heap, want < 1 MB", held)
 	}
 }
 
