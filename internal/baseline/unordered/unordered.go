@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/queue"
@@ -37,7 +38,7 @@ type Log struct {
 	perStream map[streamKey]seq.LocalSeq
 	delivered map[uint32]uint64
 
-	Latency   metricsSample
+	Latency   metrics.Sample // seconds
 	Delivered uint64
 	violation error
 }
@@ -51,33 +52,6 @@ type streamKey struct {
 	recv uint32
 	src  seq.NodeID
 }
-
-// metricsSample is a minimal latency accumulator (mean/max), avoiding a
-// dependency cycle with the metrics package's ordered-delivery log.
-type metricsSample struct {
-	N    int
-	Sum  float64
-	MaxV float64
-}
-
-func (s *metricsSample) add(v float64) {
-	s.N++
-	s.Sum += v
-	if v > s.MaxV {
-		s.MaxV = v
-	}
-}
-
-// Mean returns the average latency in seconds.
-func (s *metricsSample) Mean() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.N)
-}
-
-// Max returns the maximum latency in seconds.
-func (s *metricsSample) Max() float64 { return s.MaxV }
 
 func newLog() *Log {
 	return &Log{
@@ -121,7 +95,7 @@ func (l *Log) deliver(recv uint32, src seq.NodeID, ls seq.LocalSeq, at sim.Time)
 	l.delivered[recv]++
 	l.Delivered++
 	if t, ok := l.sendTime[key{src, ls}]; ok {
-		l.Latency.add((at - t).Seconds())
+		l.Latency.AddTime(at - t)
 	}
 }
 

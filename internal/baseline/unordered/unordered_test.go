@@ -43,7 +43,7 @@ func TestUnorderedDelivery(t *testing.T) {
 	if e.Log.MinDelivered() != 100 {
 		t.Fatalf("MinDelivered = %d, want 100", e.Log.MinDelivered())
 	}
-	if e.Log.Latency.N == 0 {
+	if e.Log.Latency.N() == 0 {
 		t.Fatal("no latency samples")
 	}
 }

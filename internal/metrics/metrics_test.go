@@ -34,8 +34,10 @@ func TestSampleBasics(t *testing.T) {
 	if s.Quantile(0) != 1 || s.Quantile(1) != 9 {
 		t.Fatalf("extreme quantiles: %v %v", s.Quantile(0), s.Quantile(1))
 	}
-	if q := s.Quantile(0.5); q != 3 && q != 4 {
-		t.Fatalf("median = %v", q)
+	// Nearest rank: the 4th of 1 1 2 3 4 5 6 9 is 3; the histogram
+	// answers its bucket's midpoint, within alpha of it.
+	if q := s.Quantile(0.5); math.Abs(q-3) > alpha*3 {
+		t.Fatalf("median = %v, want 3 within %v", q, alpha)
 	}
 }
 

@@ -25,8 +25,9 @@ import (
 // Everything here runs on the group's driver goroutine (no locks), and
 // everything it retains is bounded — the paper's Theorem 5.1 bounds the
 // protocol's own buffers; a daemon whose accounting grew with every
-// message would undo that — with one stated exception: the two exact
-// latency samples, 8 B per observation.
+// message would undo that. The two latency samples are fixed-memory
+// histograms (a few KB each, 129 KB at most), and the own-latency FIFO
+// is capped at ownPendingMax entries.
 type deliverySink struct {
 	gid   uint32
 	self  seq.NodeID

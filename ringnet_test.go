@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/mobility"
 )
 
 func TestNewSimAndRun(t *testing.T) {
@@ -49,6 +51,53 @@ func TestNewSimHeldHeapBounded(t *testing.T) {
 	t.Logf("NewSim(sim_mobile spec) holds %d B", held)
 	if held >= 1<<20 {
 		t.Fatalf("a new sim_mobile simulation holds %d B of heap, want < 1 MB", held)
+	}
+}
+
+// TestOracleHeldHeapPerMessage guards what the simulator's delivery
+// oracle (Engine.Log) holds on the benchmark's sim_mobile workload. Run
+// at 1x and 4x virtual length, it must grow by less than 32 B per extra
+// message: it keeps a send time and a content entry per message, 24 B,
+// and nothing per delivery. An exact latency sample (8 B per delivery,
+// so 384 B per message to 48 hosts) and two maps keyed per message held
+// about 540 B per message here.
+func TestOracleHeldHeapPerMessage(t *testing.T) {
+	held := func(virtualS int) (oracle int64, msgs uint64) {
+		wireless := LinkParams{Latency: 2 * Millisecond}
+		x, err := NewSim(Config{Topology: Spec{BRs: 4, AGRings: 4, AGSize: 3, APsPerAG: 2, MHsPerAP: 2}, Seed: 1000, Wireless: &wireless})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := x.NewTrafficGroup(x.Sources(), 64)
+		tg.CBR(50*Millisecond, Second/500, Millisecond, 500*virtualS)
+		mover := x.NewMover(mobility.Config{MeanDwell: 2 * Second, Reserve: true})
+		mover.Start(x.Hosts())
+		if _, err := x.RunQuiet(250*Millisecond, Time(virtualS+600)*Second); err != nil {
+			t.Fatal(err)
+		}
+		mover.Stop()
+		if err := x.CheckOrder(); err != nil {
+			t.Fatal(err)
+		}
+		msgs = tg.Sent()
+		if d, want := x.Engine.Log.Delivered.Value(), msgs*uint64(len(x.Hosts())); d != want {
+			t.Fatalf("%d s: delivered %d of %d", virtualS, d, want)
+		}
+		var with, without runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&with)
+		x.Engine.Log = nil
+		runtime.GC()
+		runtime.ReadMemStats(&without)
+		runtime.KeepAlive(x)
+		return int64(with.HeapAlloc) - int64(without.HeapAlloc), msgs
+	}
+	o1, m1 := held(1)
+	o4, m4 := held(4)
+	per := float64(o4-o1) / float64(m4-m1)
+	t.Logf("oracle holds %d B after %d messages, %d B after %d: %.1f B per extra message", o1, m1, o4, m4, per)
+	if per >= 32 {
+		t.Fatalf("the delivery oracle holds %.1f B per extra message, want < 32", per)
 	}
 }
 
