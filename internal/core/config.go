@@ -68,17 +68,19 @@ type Config struct {
 	// FilterWindow is how long Multiple-Token filtering stays active
 	// after a Multiple-Token signal.
 	FilterWindow sim.Time
-	// CompactAbove/CompactKeep bound the assignment tables. When a table
-	// exceeds CompactAbove entries it is compacted: a node's cumulative
-	// table drops below its MQ's valid front, and the circulating
-	// token's WTSNP drops below (NextGlobalSeq − CompactKeep) — or, when
-	// the global sequence has not yet passed CompactKeep, down to the
-	// newest ¾·CompactAbove entries, capping the token's wire size from
-	// the first rotation. The size cap never cuts below two top-ring
-	// rotations' worth of entries (2 × ring size), so with CompactAbove
-	// smaller than the ring the table is bounded by the rotation floor,
-	// not CompactAbove itself — entries must survive one circulation for
-	// every node to absorb them. Zero values disable compaction.
+	// CompactAbove/CompactKeep bound the circulating token's table. When
+	// it exceeds CompactAbove entries, the token's WTSNP drops below
+	// (NextGlobalSeq − CompactKeep) — or, when the global sequence has
+	// not yet passed CompactKeep, down to the newest ¾·CompactAbove
+	// entries, capping the token's wire size from the first rotation.
+	// The size cap never cuts below two top-ring rotations' worth of
+	// entries (2 × ring size), so with CompactAbove smaller than the ring
+	// the table is bounded by the rotation floor, not CompactAbove itself
+	// — entries must survive one circulation for every node to absorb
+	// them. A node's cumulative table is not sized by these knobs: it
+	// follows the delivery front, keeping only assignments some reader
+	// can still ask about (compactAssign), so it holds what is in flight.
+	// Zero CompactAbove disables compaction of both tables.
 	CompactAbove int
 	CompactKeep  uint64
 	// ReserveFor is how long a multicast path reservation keeps a

@@ -31,8 +31,12 @@ type NE struct {
 
 	// Top-ring state: the working queues of messages awaiting ordering,
 	// the cumulative assignment table, and the stored token versions.
-	wq          *queue.WQ
-	assign      *seq.WTSNP
+	wq     *queue.WQ
+	assign *seq.WTSNP
+	// assignFloor is, per source, the highest local whose assignment
+	// compactAssign dropped from assign; it survives compaction as the
+	// table's high-water marks do.
+	assignFloor map[seq.NodeID]seq.LocalSeq
 	oldToken    *seq.Token
 	newToken    *seq.Token
 	held        *seq.Token // token currently held (pre-forward) or awaiting forward ack
@@ -200,7 +204,7 @@ func (n *NE) reset() {
 	n.mq = queue.NewMQ(n.e.Cfg.MQSize)
 	n.wt = queue.NewWT()
 	n.wq = nil
-	n.assign = nil
+	n.assign, n.assignFloor = nil, nil
 	n.oldToken, n.newToken, n.held = nil, nil, nil
 	n.holding = false
 	n.tokenParked = false
@@ -576,7 +580,7 @@ func (n *NE) refreshNeighbors() {
 	if v.IsTop {
 		if n.wq == nil {
 			n.wq = queue.NewWQ()
-			n.assign = seq.NewWTSNP()
+			n.assign, n.assignFloor = seq.NewWTSNP(), nil
 		}
 		if n.tauTicker == nil {
 			if max := n.e.Cfg.TokenIdleBackoff; max > n.e.Cfg.Tau {
@@ -1675,8 +1679,8 @@ func (n *NE) DebugState() string {
 			hw := n.assignedHighWater(src)
 			l := sq.MaxOrdered() + 1
 			g, ord, ok := n.lookupAssignment(src, l)
-			fmt.Fprintf(&sb, "  src %v: ordered=%d cum=%d maxRecv=%d buffered=%d assignedHW=%d next(l=%d): g=%d ord=%v known=%v stallRounds=%d\n",
-				src, sq.MaxOrdered(), sq.CumReceived(), sq.MaxReceived(), sq.Len(), hw, l, g, ord, ok, n.stallRounds[src])
+			fmt.Fprintf(&sb, "  src %v: ordered=%d cum=%d maxRecv=%d buffered=%d assignedHW=%d compacted=%d next(l=%d): g=%d ord=%v known=%v stallRounds=%d\n",
+				src, sq.MaxOrdered(), sq.CumReceived(), sq.MaxReceived(), sq.Len(), hw, n.assignFloor[src], l, g, ord, ok, n.stallRounds[src])
 		}
 	}
 	return sb.String()

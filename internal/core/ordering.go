@@ -290,14 +290,51 @@ func (n *NE) orderAssign() {
 	for _, src := range n.wq.Sources() {
 		n.orderAssignSource(src)
 	}
-	if n.e.Cfg.CompactAbove > 0 && n.assign != nil && n.assign.Len() > n.e.Cfg.CompactAbove {
-		vf := n.mq.ValidFront()
-		if vf > 0 {
-			n.assign.Compact(vf)
-		}
-	}
+	n.compactAssign()
 	n.maybeNackFront()
 	n.deliverLoop()
+}
+
+// compactAssign drops the cumulative assignments no reader can still ask
+// about, so the table holds what is in flight rather than the retained
+// window. Every reader asks either about a global above the MQ front
+// (handleSkip, maybeNackFront, the repair branch of handleWQData,
+// advanceWQOrdered's slot check) or about a local above its source
+// queue's ordered mark (orderAssignSource, giveUpSource,
+// advanceWQOrdered). Globals are assigned to a source's locals in
+// increasing order, so the horizon
+//
+//	H = min(front, for each source queue: global(next unordered local) − 1)
+//
+// keeps every entry either kind of reader needs. A source whose next
+// local has no entry in the table adds no bound: there is no entry of
+// that local to keep. What compaction drops for such a source, or for
+// one with no queue yet, is remembered in assignFloor, so a body of
+// those locals that arrives later is still consumed.
+func (n *NE) compactAssign() {
+	if n.e.Cfg.CompactAbove <= 0 || n.assign == nil || n.assign.Len() == 0 {
+		return
+	}
+	h := n.mq.Front()
+	for _, src := range n.wq.Sources() {
+		l := n.wq.ForSource(src).MaxOrdered() + 1
+		if g, _, ok := n.assign.GlobalFor(src, l); ok && g <= h {
+			h = g - 1
+		}
+	}
+	n.assign.CompactFunc(h, n.noteCompacted)
+}
+
+// noteCompacted raises src's compacted-local mark: every local of src at
+// or below l was assigned a global at or below some earlier delivery
+// front (a source's globals grow with its locals), so it is delivered.
+func (n *NE) noteCompacted(src seq.NodeID, l seq.LocalSeq) {
+	if n.assignFloor == nil {
+		n.assignFloor = make(map[seq.NodeID]seq.LocalSeq)
+	}
+	if l > n.assignFloor[src] {
+		n.assignFloor[src] = l
+	}
 }
 
 // maybeNackFront is the MQ-level repair backstop for deployments with
@@ -441,6 +478,20 @@ func (n *NE) orderAssignSource(src seq.NodeID) {
 	for {
 		l := sq.MaxOrdered() + 1
 		g, ord, ok := n.lookupAssignment(src, l)
+		if !ok && l <= n.assignFloor[src] {
+			// Delivered, and its assignment compacted away since (see
+			// noteCompacted): consume it as a stamped duplicate would be.
+			if sq.Get(l) == nil {
+				sq.SkipTo(l)
+				continue
+			}
+			sq.Drop(l, l)
+			n.wqAligned[src] = true
+			delete(n.stallSince, src)
+			delete(n.stallRounds, src)
+			progressed = true
+			continue
+		}
 		if !ok {
 			if aligning && l <= n.assignedHighWater(src) && sq.Get(l) == nil {
 				sq.SkipTo(l)

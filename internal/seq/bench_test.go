@@ -7,7 +7,7 @@ import (
 
 // buildToken returns a token whose table holds n entries spread over
 // nSources sources, mimicking a steady-state WTSNP.
-func buildToken(b *testing.B, n, nSources int) *Token {
+func buildToken(b testing.TB, n, nSources int) *Token {
 	b.Helper()
 	tok := NewToken(1)
 	next := make(map[NodeID]LocalSeq, nSources)
@@ -124,6 +124,31 @@ func BenchmarkTokenCloneMutate(b *testing.B) {
 				c := tok.Clone()
 				if _, err := c.Assign(1, 9, assignNext(c, 1), assignNext(c, 1)+3); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWTSNPCompact measures the cumulative table's steady state: one
+// fresh assignment in, the oldest one compacted out, at a constant table
+// size. Dropping a prefix costs what it drops, so B/op and ns/op must not
+// grow with the table.
+func BenchmarkWTSNPCompact(b *testing.B) {
+	for _, n := range tableSizes[1:] {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			tok := buildToken(b, n, 8)
+			w := tok.Table
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src := NodeID(i%8 + 1)
+				lo := assignNext(tok, src)
+				if _, err := tok.Assign(src, 9, lo, lo); err != nil {
+					b.Fatal(err)
+				}
+				if dropped := w.Compact(GlobalSeq(w.entries.at(0).Global.Max)); dropped != 1 {
+					b.Fatalf("compacted %d entries, want 1", dropped)
 				}
 			}
 		})

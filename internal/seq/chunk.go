@@ -31,10 +31,15 @@ type chunk [chunkCap]Pair
 // set when a mutation copies them, cleared by WTSNP.fork when the
 // enclosing table is cloned. Appends on a priv list write in place;
 // appends on a shared list first copy the spine and the tail chunk.
+//
+// dead counts the spine slots a prefix drop stepped over: they still sit
+// in the backing array before spine[0], where the GC sees them, so the
+// chunks they point to stay alive until the spine is copied.
 type pairList struct {
 	spine []*chunk
 	head  int32 // index of the first live pair within spine[0]
 	count int32 // number of live pairs
+	dead  int32 // dropped chunk pointers before spine[0] in the backing array
 	priv  bool  // spine array and tail chunk exclusively owned
 }
 
@@ -55,7 +60,7 @@ func (l *pairList) append(p Pair) {
 	if !l.priv {
 		spine := make([]*chunk, len(l.spine), len(l.spine)+1)
 		copy(spine, l.spine)
-		l.spine = spine
+		l.spine, l.dead = spine, 0
 		if ci < len(l.spine) {
 			c := *l.spine[ci]
 			l.spine[ci] = &c
@@ -63,6 +68,9 @@ func (l *pairList) append(p Pair) {
 		l.priv = true
 	}
 	if ci == len(l.spine) {
+		if len(l.spine) == cap(l.spine) {
+			l.dead = 0 // append moves the live spine to a new array
+		}
 		l.spine = append(l.spine, &chunk{})
 	}
 	l.spine[ci][pos&chunkMask] = p
@@ -103,19 +111,39 @@ func (l *pairList) insert(i int, p Pair) {
 }
 
 // dropPrefix removes the first k pairs by advancing past whole chunks
-// and bumping head, sharing the surviving chunks with any clones.
+// and bumping head, sharing the surviving chunks with any clones. Once
+// the dead prefix of the spine's array is as long as the live spine, the
+// live part is copied to a fresh array so the dropped chunks can be
+// freed; each copy moves no more pointers than were dropped since the
+// last one, so this is amortised O(1) per dropped chunk. The old array
+// is only abandoned, never written, so a clone sharing it is unaffected.
+//
+// Dropping every pair keeps the tail chunk while it has free slots, with
+// head at the first of them: a list that drains and refills — the
+// cumulative table at the delivery front — goes on writing into it
+// instead of allocating a fresh chunk on every refill.
 func (l *pairList) dropPrefix(k int) {
 	if k <= 0 {
 		return
 	}
 	if k >= int(l.count) {
-		*l = pairList{}
-		return
+		k = int(l.count)
+		if (int(l.head)+k)&chunkMask == 0 {
+			*l = pairList{}
+			return
+		}
 	}
 	p := int(l.head) + k
-	l.spine = l.spine[p>>chunkShift:]
+	drop := p >> chunkShift
+	l.spine = l.spine[drop:]
+	l.dead += int32(drop)
 	l.head = int32(p & chunkMask)
 	l.count -= int32(k)
+	if l.dead > 0 && int(l.dead) >= len(l.spine) {
+		// One spare slot: a sliding window appends a chunk for each
+		// one it drops, and the next append then needs no new array.
+		l.spine, l.dead = append(make([]*chunk, 0, len(l.spine)+1), l.spine...), 0
+	}
 }
 
 // appendTo copies the pairs onto dst in order.
@@ -130,15 +158,6 @@ func (l *pairList) appendTo(dst []Pair) []Pair {
 func (l *pairList) check() error {
 	if l.count < 0 || l.head < 0 {
 		return errPairList("negative head or count")
-	}
-	if l.count == 0 {
-		if l.head != 0 {
-			return errPairList("empty list with non-zero head")
-		}
-		if len(l.spine) != 0 {
-			return errPairList("empty list with chunks")
-		}
-		return nil
 	}
 	if int(l.head) >= chunkCap {
 		return errPairList("head beyond first chunk")

@@ -2,7 +2,10 @@ package seq
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func mkPair(i int) Pair {
@@ -131,4 +134,61 @@ func TestCloneIsolationAcrossChunkBoundary(t *testing.T) {
 			t.Fatalf("fill=%d: parent: %v", fill, err)
 		}
 	}
+}
+
+// TestPairListSpineBounded: a list that is appended to and compacted
+// forever — the cumulative table's life — keeps a spine array
+// proportional to its live chunks. A prefix drop only steps over the
+// dropped chunk pointers, so the array must be re-copied once those dead
+// slots outnumber the live ones.
+func TestPairListSpineBounded(t *testing.T) {
+	var l pairList
+	i := 0
+	for ; i < 3*chunkCap+5; i++ {
+		l.append(mkPair(i))
+	}
+	for cycle := 0; cycle < 5000; cycle++ {
+		for k := 0; k < 40; k++ {
+			l.append(mkPair(i))
+			i++
+		}
+		l.dropPrefix(40)
+		if err := l.check(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if array := int(l.dead) + cap(l.spine); array > 3*len(l.spine)+4 {
+			t.Fatalf("cycle %d: spine array holds %d pointers (%d dead) for %d live chunks",
+				cycle, array, l.dead, len(l.spine))
+		}
+	}
+	if l.len() != 3*chunkCap+5 || l.at(0) != mkPair(i-l.len()) {
+		t.Fatalf("list lost track of its pairs: len %d, first %v", l.len(), l.at(0))
+	}
+}
+
+// TestPairListDropFreesChunks: chunks a prefix drop removed must become
+// garbage once no clone holds them, not stay pinned by the spine's
+// backing array until its next reallocation.
+func TestPairListDropFreesChunks(t *testing.T) {
+	const total, drop = 64, 48
+	var l pairList
+	for i := 0; i < total*chunkCap; i++ {
+		l.append(mkPair(i))
+	}
+	var freed atomic.Int32
+	for _, c := range l.spine[:drop] {
+		runtime.SetFinalizer(c, func(*chunk) { freed.Add(1) })
+	}
+	l.dropPrefix(drop * chunkCap)
+	for try := 0; try < 50 && freed.Load() < drop; try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := freed.Load(); n < drop {
+		t.Fatalf("%d of %d dropped chunks freed", n, drop)
+	}
+	if l.len() != (total-drop)*chunkCap || l.at(0) != mkPair(drop*chunkCap) {
+		t.Fatalf("surviving pairs disturbed: len %d, first %v", l.len(), l.at(0))
+	}
+	runtime.KeepAlive(&l)
 }

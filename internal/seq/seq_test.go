@@ -193,6 +193,59 @@ func TestWTSNPCompactKeepsHighWater(t *testing.T) {
 	}
 }
 
+// TestWTSNPCompactPrefixAllocatesNothing: compacting an unshared table
+// whose sources were assigned in order drops a prefix of every list it
+// touches, so it allocates nothing — with or without a report callback.
+func TestWTSNPCompactPrefixAllocatesNothing(t *testing.T) {
+	w := buildToken(t, 4096, 8).Table
+	var h GlobalSeq
+	reported := 0
+	report := func(NodeID, LocalSeq) { reported++ }
+	for _, fn := range []func(NodeID, LocalSeq){nil, report} {
+		allocs := testing.AllocsPerRun(50, func() {
+			before := w.Len()
+			h += 4 * 8 // eight 4-global entries, one per source
+			if w.CompactFunc(h, fn) != 8 || w.Len() != before-8 {
+				t.Fatalf("Compact(%d) did not drop eight entries", h)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("prefix compaction allocated %.1f times per call", allocs)
+		}
+	}
+	if reported != 51*8 {
+		t.Fatalf("callback reported %d sources, want %d", reported, 51*8)
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWTSNPDrainRefillReusesChunks: a table compacted empty after every
+// assignment — a cumulative table right at the delivery front — keeps
+// writing into its tail chunks instead of allocating two fresh chunks
+// (global list and source list) per assignment.
+func TestWTSNPDrainRefillReusesChunks(t *testing.T) {
+	w := NewWTSNP()
+	var l LocalSeq
+	allocs := testing.AllocsPerRun(1000, func() {
+		l++
+		g := uint64(l)
+		if err := w.Append(Pair{SourceNode: 1, OrderingNode: 1, Local: Range{uint64(l), uint64(l)}, Global: Range{g, g}}); err != nil {
+			t.Fatal(err)
+		}
+		if w.Compact(GlobalSeq(g)) != 1 || w.Len() != 0 {
+			t.Fatalf("Compact(%d) did not drain the table", g)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("drain and refill allocated %.1f times per assignment", allocs)
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWTSNPClone(t *testing.T) {
 	w := NewWTSNP()
 	if err := w.Append(Pair{SourceNode: 1, OrderingNode: 9, Local: Range{1, 5}, Global: Range{1, 5}}); err != nil {

@@ -383,41 +383,89 @@ func (w *WTSNP) Absorb(other *WTSNP) (int, error) {
 // Compact drops entries whose entire global range lies at or below
 // horizon. High-water marks and the absorb watermark are retained. It
 // returns the number of entries removed.
-func (w *WTSNP) Compact(horizon GlobalSeq) int {
-	// Disjoint sorted global ranges mean Global.Max is sorted too, so the
-	// removable entries are exactly a prefix.
-	idx := sort.Search(w.entries.len(), func(i int) bool {
-		return GlobalSeq(w.entries.at(i).Global.Max) > horizon
-	})
-	if idx == 0 {
+func (w *WTSNP) Compact(horizon GlobalSeq) int { return w.CompactFunc(horizon, nil) }
+
+// compactedRun counts one source's entries in a compacted prefix.
+type compactedRun struct {
+	src  NodeID
+	n    int    // entries of src dropped
+	maxL uint64 // highest Local.Max among them
+}
+
+// CompactFunc is Compact that also calls dropped, when non-nil, once per
+// source it removed entries of, with the highest local sequence number
+// among them.
+//
+// Its cost is O(dropped), not O(table): the removed entries are a prefix
+// of the global order, and a source whose runs were assigned in
+// increasing order (every Append) loses a prefix of its own list too, so
+// both lists only advance past the dropped pairs and keep sharing their
+// surviving chunks. Only a source whose dropped entries are not a prefix
+// of its list — possible after out-of-order Inserts — is rebuilt.
+func (w *WTSNP) CompactFunc(horizon GlobalSeq, dropped func(src NodeID, maxLocal LocalSeq)) int {
+	n := w.entries.len()
+	if n == 0 || GlobalSeq(w.entries.at(0).Global.Max) > horizon {
 		return 0
 	}
+	// Disjoint sorted global ranges mean Global.Max is sorted too, so the
+	// removable entries are exactly a prefix.
+	idx := sort.Search(n, func(i int) bool {
+		return GlobalSeq(w.entries.at(i).Global.Max) > horizon
+	})
 	w.fork()
 	w.wireLen = -1
-	touched := make(map[NodeID]struct{})
+	// A handful of sources share a table, so a linear scan of a small
+	// stack array finds each one's count without allocating.
+	var buf [8]compactedRun
+	touched := buf[:0]
 	for i := 0; i < idx; i++ {
 		e := w.entries.at(i)
-		touched[e.SourceNode] = struct{}{}
 		w.digest -= pairDigest(e)
-	}
-	// Dropping a prefix shares the surviving chunks with clones.
-	w.entries.dropPrefix(idx)
-	for src := range touched {
-		old := w.bySource[src]
-		var kept pairList
-		for i, n := 0, old.len(); i < n; i++ {
-			e := old.at(i)
-			if GlobalSeq(e.Global.Max) > horizon {
-				kept.append(e)
-			}
+		k := 0
+		for k < len(touched) && touched[k].src != e.SourceNode {
+			k++
 		}
-		if kept.len() == 0 {
-			delete(w.bySource, src)
+		if k == len(touched) {
+			touched = append(touched, compactedRun{src: e.SourceNode})
+		}
+		touched[k].n++
+		touched[k].maxL = max(touched[k].maxL, e.Local.Max)
+	}
+	w.entries.dropPrefix(idx)
+	for _, t := range touched {
+		s := w.bySource[t.src]
+		if isGlobalPrefix(&s, t.n, horizon) {
+			s.dropPrefix(t.n)
 		} else {
-			w.bySource[src] = kept
+			var kept pairList
+			for i, m := 0, s.len(); i < m; i++ {
+				if e := s.at(i); GlobalSeq(e.Global.Max) > horizon {
+					kept.append(e)
+				}
+			}
+			s = kept
+		}
+		if s.len() == 0 && len(s.spine) == 0 {
+			delete(w.bySource, t.src)
+		} else {
+			w.bySource[t.src] = s // a drained list keeps its tail chunk for refills
+		}
+		if dropped != nil {
+			dropped(t.src, LocalSeq(t.maxL))
 		}
 	}
 	return idx
+}
+
+// isGlobalPrefix reports whether s's first k entries all end at or below
+// horizon. When s holds exactly k such entries, they are then its first k.
+func isGlobalPrefix(s *pairList, k int, horizon GlobalSeq) bool {
+	for i := 0; i < k; i++ {
+		if GlobalSeq(s.at(i).Global.Max) > horizon {
+			return false
+		}
+	}
+	return true
 }
 
 // HorizonForSize returns the compaction horizon that keeps only the

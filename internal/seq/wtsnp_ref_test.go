@@ -101,18 +101,24 @@ func (w *refWTSNP) absorb(other *refWTSNP) int {
 	return added
 }
 
-func (w *refWTSNP) compact(horizon GlobalSeq) int {
+// compact drops the entries at or below horizon and returns how many it
+// dropped and, per source, the highest local among them.
+func (w *refWTSNP) compact(horizon GlobalSeq) (int, map[NodeID]LocalSeq) {
 	kept := w.entries[:0]
 	removed := 0
+	maxDropped := map[NodeID]LocalSeq{}
 	for _, e := range w.entries {
 		if GlobalSeq(e.Global.Max) <= horizon {
 			removed++
+			if l := LocalSeq(e.Local.Max); l > maxDropped[e.SourceNode] {
+				maxDropped[e.SourceNode] = l
+			}
 			continue
 		}
 		kept = append(kept, e)
 	}
 	w.entries = kept
-	return removed
+	return removed, maxDropped
 }
 
 // horizonForSize mirrors WTSNP.HorizonForSize on the unsorted reference:
@@ -199,122 +205,193 @@ func (u *pairUnderTest) check(t *testing.T, step int) {
 	})
 }
 
+// chooser supplies the random decisions of a differential run: a seeded
+// RNG for TestDifferentialWTSNP, fuzz bytes for FuzzWTSNP.
+type chooser interface {
+	intn(n int) int
+}
+
+type rngChooser struct{ *rand.Rand }
+
+func (c rngChooser) intn(n int) int { return c.Intn(n) }
+
+// byteChooser answers from fuzz bytes, then zeros once they run out.
+type byteChooser struct{ b []byte }
+
+func (c *byteChooser) intn(n int) int {
+	if len(c.b) == 0 {
+		return 0
+	}
+	v := int(c.b[0])
+	c.b = c.b[1:]
+	return v % n
+}
+
+// compactBoth compacts both sides of u at h and requires the same entries
+// removed and the same per-source highest dropped locals reported.
+func compactBoth(t *testing.T, step int, u *pairUnderTest, h GlobalSeq) {
+	t.Helper()
+	got := map[NodeID]LocalSeq{}
+	remFast := u.fast.CompactFunc(h, func(src NodeID, l LocalSeq) {
+		if _, dup := got[src]; dup {
+			t.Fatalf("step %d: Compact(%d) reported source %v twice", step, h, src)
+		}
+		got[src] = l
+	})
+	remRef, want := u.ref.compact(h)
+	if remFast != remRef {
+		t.Fatalf("step %d: Compact(%d) removed %d, ref %d", step, h, remFast, remRef)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("step %d: Compact(%d) reported %v, ref %v", step, h, got, want)
+	}
+	for src, l := range want {
+		if got[src] != l {
+			t.Fatalf("step %d: Compact(%d) reported %v, ref %v", step, h, got, want)
+		}
+	}
+}
+
+// differentialStep applies one random operation to a random member of
+// the pool, on the fast table and its reference alike. It returns the
+// (possibly grown) pool and the member it operated on.
+func differentialStep(t *testing.T, pool []*pairUnderTest, c chooser, step int) ([]*pairUnderTest, *pairUnderTest) {
+	t.Helper()
+	u := pool[c.intn(len(pool))]
+	switch op := c.intn(13); {
+	case op < 4: // Append a contiguous run for a random source
+		src := NodeID(c.intn(5) + 1)
+		n := uint64(c.intn(4) + 1)
+		lo := u.nextLocal[src] + 1
+		p := Pair{
+			SourceNode:   src,
+			OrderingNode: NodeID(c.intn(3) + 10),
+			Local:        Range{Min: lo, Max: lo + n - 1},
+			Global:       Range{Min: u.nextGlobal, Max: u.nextGlobal + n - 1},
+		}
+		errFast := u.fast.Append(p)
+		errRef := u.ref.appendPair(p)
+		if (errFast == nil) != (errRef == nil) {
+			t.Fatalf("step %d: Append(%v) fast err %v, ref err %v", step, p, errFast, errRef)
+		}
+		if errFast == nil {
+			u.nextGlobal += n
+			u.nextLocal[src] = p.Local.Max
+		}
+	case op < 5: // Insert a detached (post-compaction style) run
+		src := NodeID(c.intn(5) + 1)
+		n := uint64(c.intn(3) + 1)
+		lo := u.nextLocal[src] + 1 + uint64(c.intn(3)) // may skip locals
+		p := Pair{
+			SourceNode:   src,
+			OrderingNode: NodeID(c.intn(3) + 10),
+			Local:        Range{Min: lo, Max: lo + n - 1},
+			Global:       Range{Min: u.nextGlobal, Max: u.nextGlobal + n - 1},
+		}
+		errFast := u.fast.Insert(p)
+		errRef := u.ref.insertPair(p)
+		if (errFast == nil) != (errRef == nil) {
+			t.Fatalf("step %d: Insert(%v) fast err %v, ref err %v", step, p, errFast, errRef)
+		}
+		if errFast == nil {
+			u.nextGlobal += n
+			u.nextLocal[src] = p.Local.Max
+		}
+	case op < 6: // Insert below a source's high-water: its local order
+		// then disagrees with the global order, which forces Compact's
+		// non-prefix fallback. Most attempts overlap and must be
+		// rejected identically; the ones that land fill a skipped gap.
+		src := NodeID(c.intn(5) + 1)
+		lo := uint64(c.intn(int(u.nextLocal[src])+1) + 1)
+		n := uint64(c.intn(2) + 1)
+		p := Pair{
+			SourceNode:   src,
+			OrderingNode: NodeID(c.intn(3) + 10),
+			Local:        Range{Min: lo, Max: lo + n - 1},
+			Global:       Range{Min: u.nextGlobal, Max: u.nextGlobal + n - 1},
+		}
+		errFast := u.fast.Insert(p)
+		errRef := u.ref.insertPair(p)
+		if (errFast == nil) != (errRef == nil) {
+			t.Fatalf("step %d: out-of-order Insert(%v) fast err %v, ref err %v", step, p, errFast, errRef)
+		}
+		if errFast == nil {
+			u.nextGlobal += n
+			u.nextLocal[src] = max(u.nextLocal[src], p.Local.Max)
+		}
+	case op < 7: // Compact at a random horizon
+		compactBoth(t, step, u, GlobalSeq(c.intn(int(u.nextGlobal)+1)))
+	case op < 8: // Compact to a size cap (the token wire-size bound)
+		max := c.intn(u.fast.Len() + 2)
+		hFast := u.fast.HorizonForSize(max)
+		if hRef := u.ref.horizonForSize(max); hFast != hRef {
+			t.Fatalf("step %d: HorizonForSize(%d) = %d, ref %d", step, max, hFast, hRef)
+		}
+		compactBoth(t, step, u, hFast)
+	case op < 10: // Clone (of any member, to any depth)
+		cl := u.clonePair()
+		if len(pool) < 8 {
+			pool = append(pool, cl)
+		} else {
+			pool[c.intn(len(pool))] = cl
+		}
+	case op < 11: // Absorb another member's table into this one
+		o := pool[c.intn(len(pool))]
+		if o == u {
+			break
+		}
+		addFast, _ := u.fast.Absorb(o.fast)
+		addRef := u.ref.absorb(o.ref)
+		if addFast != addRef {
+			t.Fatalf("step %d: Absorb added %d, ref %d", step, addFast, addRef)
+		}
+		// Future appends on u must clear everything absorbed.
+		if o.nextGlobal > u.nextGlobal {
+			u.nextGlobal = o.nextGlobal
+		}
+		for src, hw := range o.nextLocal {
+			if hw > u.nextLocal[src] {
+				u.nextLocal[src] = hw
+			}
+		}
+	default: // Random GlobalFor probes, hit or miss
+		src := NodeID(c.intn(6) + 1)
+		l := LocalSeq(c.intn(int(u.nextLocal[src]) + 3))
+		gF, oF, okF := u.fast.GlobalFor(src, l)
+		gR, oR, okR := u.ref.globalFor(src, l)
+		if gF != gR || oF != oR || okF != okR {
+			t.Fatalf("step %d: GlobalFor(%v,%d) = (%d,%v,%v), ref (%d,%v,%v)",
+				step, src, l, gF, oF, okF, gR, oR, okR)
+		}
+	}
+	return pool, u
+}
+
 // TestDifferentialWTSNP fuzzes random Append/Insert/Absorb/Compact/
 // GlobalFor/Clone sequences against the naive reference and requires
 // identical observable behavior after every step.
 //
 // Unlike a snapshot-only fuzz, every member of the clone pool is a live
 // table: clones of clones are taken at arbitrary depths, every member is
-// mutated (appends, detached inserts, compaction at both random and
-// size-capped horizons), and absorbs run in both directions between
-// randomly chosen members. With the chunked entry store this attacks
-// exactly the dangerous surface: chunks and spines shared across many
-// generations of diverging tables, interleaved with prefix-dropping
-// compaction and suffix-rebuilding interior inserts. After every step,
-// every pool member is revalidated against its own reference.
+// mutated (appends, detached and out-of-order inserts, compaction at
+// both random and size-capped horizons), and absorbs run in both
+// directions between randomly chosen members. With the chunked entry
+// store this attacks exactly the dangerous surface: chunks and spines
+// shared across many generations of diverging tables, interleaved with
+// prefix-dropping compaction and suffix-rebuilding interior inserts.
+// After every step, every pool member is revalidated against its own
+// reference.
 func TestDifferentialWTSNP(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
+			c := rngChooser{rand.New(rand.NewSource(seed))}
 			pool := []*pairUnderTest{newPairUnderTest()}
 			for step := 0; step < 400; step++ {
-				u := pool[rng.Intn(len(pool))]
-				switch op := rng.Intn(12); {
-				case op < 4: // Append a contiguous run for a random source
-					src := NodeID(rng.Intn(5) + 1)
-					n := uint64(rng.Intn(4) + 1)
-					lo := u.nextLocal[src] + 1
-					p := Pair{
-						SourceNode:   src,
-						OrderingNode: NodeID(rng.Intn(3) + 10),
-						Local:        Range{Min: lo, Max: lo + n - 1},
-						Global:       Range{Min: u.nextGlobal, Max: u.nextGlobal + n - 1},
-					}
-					errFast := u.fast.Append(p)
-					errRef := u.ref.appendPair(p)
-					if (errFast == nil) != (errRef == nil) {
-						t.Fatalf("step %d: Append(%v) fast err %v, ref err %v", step, p, errFast, errRef)
-					}
-					if errFast == nil {
-						u.nextGlobal += n
-						u.nextLocal[src] = p.Local.Max
-					}
-				case op < 5: // Insert a detached (post-compaction style) run
-					src := NodeID(rng.Intn(5) + 1)
-					n := uint64(rng.Intn(3) + 1)
-					lo := u.nextLocal[src] + 1 + uint64(rng.Intn(3)) // may skip locals
-					p := Pair{
-						SourceNode:   src,
-						OrderingNode: NodeID(rng.Intn(3) + 10),
-						Local:        Range{Min: lo, Max: lo + n - 1},
-						Global:       Range{Min: u.nextGlobal, Max: u.nextGlobal + n - 1},
-					}
-					errFast := u.fast.Insert(p)
-					errRef := u.ref.insertPair(p)
-					if (errFast == nil) != (errRef == nil) {
-						t.Fatalf("step %d: Insert(%v) fast err %v, ref err %v", step, p, errFast, errRef)
-					}
-					if errFast == nil {
-						u.nextGlobal += n
-						u.nextLocal[src] = p.Local.Max
-					}
-				case op < 6: // Compact at a random horizon
-					h := GlobalSeq(rng.Int63n(int64(u.nextGlobal) + 1))
-					remFast := u.fast.Compact(h)
-					remRef := u.ref.compact(h)
-					if remFast != remRef {
-						t.Fatalf("step %d: Compact(%d) removed %d, ref %d", step, h, remFast, remRef)
-					}
-				case op < 7: // Compact to a size cap (the token wire-size bound)
-					max := rng.Intn(u.fast.Len() + 2)
-					hFast := u.fast.HorizonForSize(max)
-					if hRef := u.ref.horizonForSize(max); hFast != hRef {
-						t.Fatalf("step %d: HorizonForSize(%d) = %d, ref %d", step, max, hFast, hRef)
-					}
-					remFast := u.fast.Compact(hFast)
-					remRef := u.ref.compact(hFast)
-					if remFast != remRef {
-						t.Fatalf("step %d: size-capped Compact(%d) removed %d, ref %d", step, hFast, remFast, remRef)
-					}
-				case op < 9: // Clone (of any member, to any depth)
-					c := u.clonePair()
-					if len(pool) < 8 {
-						pool = append(pool, c)
-					} else {
-						pool[rng.Intn(len(pool))] = c
-					}
-				case op < 10: // Absorb another member's table into this one
-					o := pool[rng.Intn(len(pool))]
-					if o == u {
-						break
-					}
-					addFast, _ := u.fast.Absorb(o.fast)
-					addRef := u.ref.absorb(o.ref)
-					if addFast != addRef {
-						t.Fatalf("step %d: Absorb added %d, ref %d", step, addFast, addRef)
-					}
-					// Future appends on u must clear everything absorbed.
-					if o.nextGlobal > u.nextGlobal {
-						u.nextGlobal = o.nextGlobal
-					}
-					for src, hw := range o.nextLocal {
-						if hw > u.nextLocal[src] {
-							u.nextLocal[src] = hw
-						}
-					}
-				default: // Random GlobalFor probes, hit or miss
-					src := NodeID(rng.Intn(6) + 1)
-					l := LocalSeq(rng.Int63n(int64(u.nextLocal[src]) + 3))
-					gF, oF, okF := u.fast.GlobalFor(src, l)
-					gR, oR, okR := u.ref.globalFor(src, l)
-					if gF != gR || oF != oR || okF != okR {
-						t.Fatalf("step %d: GlobalFor(%v,%d) = (%d,%v,%v), ref (%d,%v,%v)",
-							step, src, l, gF, oF, okF, gR, oR, okR)
-					}
-				}
-				// A mutation through shared chunks must never perturb any
-				// other pool member: revalidate everyone.
+				var u *pairUnderTest
+				pool, u = differentialStep(t, pool, c, step)
+				// A mutation through shared chunks must never perturb
+				// any other pool member: revalidate everyone.
 				for _, m := range pool {
 					m.check(t, step)
 				}
@@ -322,4 +399,34 @@ func TestDifferentialWTSNP(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzWTSNP drives TestDifferentialWTSNP's operations from fuzz bytes:
+// each step reads its choices — member, operation, source, run length,
+// horizon — one byte at a time. To keep an execution cheap enough for the
+// fuzzer to explore (and minimize), each step checks only the member it
+// mutated; every member is checked once at the end, where a perturbation
+// through shared chunks still shows.
+func FuzzWTSNP(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 0, 0, 0, 1, 1, 0, 0, 5, 3, 0, 0, 6, 0})
+	f.Add([]byte{0, 1, 2, 3, 0, 0, 5, 2, 0, 1, 0, 0, 0, 0, 7, 2, 0, 8, 0, 0, 9, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 160 {
+			// Longer inputs only repeat the same operations, and the
+			// fuzzer's minimizer is quadratic in the input length.
+			return
+		}
+		c := &byteChooser{b: data}
+		pool := []*pairUnderTest{newPairUnderTest()}
+		step := 0
+		for ; len(c.b) > 0; step++ {
+			var u *pairUnderTest
+			pool, u = differentialStep(t, pool, c, step)
+			u.check(t, step)
+		}
+		for _, m := range pool {
+			m.check(t, step)
+			checkInsertPaths(t, m.fast)
+		}
+	})
 }

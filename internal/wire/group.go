@@ -21,9 +21,12 @@ import (
 // entries over the last 1,024 globals — every hop re-encodes and rebuilds
 // the table, so the cap bounds that work; its bytes no longer matter much
 // (≤ 6 per entry, msg.TestTokenBytesBound: under 1.6 KB of a 60 KB
-// datagram budget) — and a deep retained window plus ranged Nacks so a member that fell behind
-// a reconfiguration (ring repair re-routed its WQ feed, or it just
-// joined) catches up from its predecessor's MQ in a few round trips.
+// datagram budget) — and a deep retained window plus ranged Nacks so a
+// member that fell behind a reconfiguration (ring repair re-routed its WQ
+// feed, or it just joined) catches up from its predecessor's MQ in a few
+// round trips. The retained window holds bodies only: each member's
+// cumulative assignment table follows its delivery front, so it stays at
+// the undelivered window however deep RetainExtra is.
 func protocolConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Hop.MaxRetries = 0
