@@ -5,9 +5,9 @@
 // Each member daemon hosts TWO independent ordering groups over one
 // shared socket (config schema v2): every group runs the full protocol
 // core (token ordering, WQ forwarding, delayed cumulative acks, Nack
-// repair) on its own driver goroutine, while inbound datagrams demux by
-// the group id in each frame section and outbound traffic from both
-// groups coalesces through the shared per-peer outbox. Here the three
+// repair) on the daemon's one driver goroutine, while inbound datagrams
+// demux by the group id in each frame section and outbound traffic from
+// both groups coalesces through the shared per-peer outbox. Here the three
 // members share one process for a self-contained demo; the standalone
 // ringnetd daemon assembles the same pieces. Every member must report
 // the identical delivery-order hash per group.

@@ -15,8 +15,8 @@ import (
 // per daemon serving the live metrics registry, the protocol event ring,
 // the v2 status snapshot, health/readiness probes, and pprof. It is
 // strictly read-only — nothing here mutates protocol state; snapshots
-// enter driver goroutines through the same CallWait gate as everything
-// else.
+// enter the driver goroutine through the same CallWait gate as
+// everything else.
 //
 //	/metrics  Prometheus text exposition (registry + transport-derived)
 //	/status   live Report (the exit report's schema, mid-run)

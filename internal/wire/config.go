@@ -18,8 +18,8 @@ type PeerAddr struct {
 
 // GroupConfig describes one ring group hosted by the daemon. Every
 // daemon in the deployment lists the same groups; each group spans all
-// configured daemons and runs its own engine, driver, membership plane,
-// and token over the shared socket.
+// configured daemons and runs its own engine, membership plane, and
+// token over the daemon's shared socket and event loop.
 type GroupConfig struct {
 	// ID is the group id carried in every frame section. Must be
 	// non-zero (0 is the transport's own control channel) and unique

@@ -16,17 +16,20 @@ import (
 
 // Node is one assembled ringnetd daemon: the federation of every ring
 // group the config hosts. The daemon owns exactly one UDP transport
-// (socket, peer table, clock sync) and one shared per-peer batching
-// outbox; each group owns its engine, driver goroutine, substrate, and
-// membership plane. Inbound datagrams demultiplex by the group id in
-// each frame section; outbound traffic from all groups coalesces in the
-// outbox. Build with NewNode, optionally patch late-bound peer
-// addresses, then Run.
+// (socket, peer table, clock sync), one shared per-peer batching outbox,
+// and one event loop: a scheduler and the driver that paces it against
+// the wall clock. Every group's engine, substrate, membership plane,
+// sink, workload and timers run on that loop, so all protocol state in
+// the process is touched from one goroutine. Inbound datagrams
+// demultiplex by the group id in each frame section; outbound traffic
+// from all groups coalesces in the outbox. Build with NewNode,
+// optionally patch late-bound peer addresses, then Run.
 type Node struct {
 	cfg  Config
 	self seq.NodeID
 	tr   *Transport
 	ob   *SharedOutbox
+	drv  *Driver // over the scheduler every group shares
 
 	// tel is the daemon's live telemetry plane — always present, whether
 	// or not an admin listener is configured: the exit report derives its
@@ -75,6 +78,7 @@ func NewNode(cfg Config) (*Node, error) {
 		self:      self,
 		tr:        tr,
 		ob:        NewSharedOutbox(tr, outboxWindow),
+		drv:       NewDriver(sim.NewScheduler()),
 		tel:       newNodeTelemetry(cfg.Node, cfg.TraceSampleMod),
 		wallStart: time.Now(),
 		killed:    make(chan struct{}),
@@ -104,9 +108,9 @@ func (nd *Node) AdminAddr() string {
 
 // Snapshot collects a live report from every hosted group — the same v2
 // schema the exit report uses, served by /status and the periodic
-// -report-interval line. Safe from any goroutine; groups whose driver
-// has already stopped (or not yet started) report their last-known
-// static identity only.
+// -report-interval line. Safe from any goroutine; before Run assembles
+// the groups it reports none, and once the driver has stopped each
+// group reports its static identity only.
 func (nd *Node) Snapshot() Report {
 	nd.mu.Lock()
 	groups := nd.groups
@@ -120,9 +124,16 @@ func (nd *Node) Snapshot() Report {
 		WallMS:    time.Since(nd.wallStart).Milliseconds(),
 	}
 	for _, g := range groups {
-		gr := GroupReport{Group: g.gid}
-		g.drv.CallWait(func() { gr = g.snapshot() }) // false after Stop: keep the stub
-		rep.Groups = append(rep.Groups, gr)
+		rep.Groups = append(rep.Groups, GroupReport{Group: g.gid}) // kept once the driver stops
+	}
+	if len(groups) > 0 {
+		nd.drv.CallWait(func() {
+			for i, g := range groups {
+				rep.Groups[i] = g.snapshot()
+			}
+		})
+	}
+	for _, gr := range rep.Groups {
 		rep.Converged = rep.Converged && gr.Converged
 		rep.Delivered += gr.Delivered
 		rep.ThroughputPS += gr.ThroughputPS
@@ -132,7 +143,7 @@ func (nd *Node) Snapshot() Report {
 
 // Ready reports the daemon-wide /readyz verdict: every hosted group
 // converged-or-ordering, none lame, stores healthy. False before Run
-// assembles the groups and after their drivers stop.
+// assembles the groups and after the driver stops.
 func (nd *Node) Ready() bool {
 	nd.mu.Lock()
 	groups := nd.groups
@@ -140,13 +151,14 @@ func (nd *Node) Ready() bool {
 	if len(groups) == 0 {
 		return false
 	}
-	for _, g := range groups {
-		ok := false
-		if !g.drv.CallWait(func() { ok = g.ready() }) || !ok {
-			return false
+	ok := false
+	nd.drv.CallWait(func() {
+		ok = true
+		for _, g := range groups {
+			ok = ok && g.ready()
 		}
-	}
-	return true
+	})
+	return ok
 }
 
 // LocalAddr returns the bound socket address ("127.0.0.1:port").
@@ -165,8 +177,8 @@ func (nd *Node) SetPeerAddr(id uint32, addr string) error {
 
 // Kill terminates the daemon abruptly mid-run — the in-process
 // equivalent of a process crash for live-membership tests. Unlike
-// Shutdown nothing is announced: the socket dies, every group's driver
-// halts, Run returns an error. Safe from any goroutine.
+// Shutdown nothing is announced: the socket dies, the driver halts, Run
+// returns an error. Safe from any goroutine.
 func (nd *Node) Kill() {
 	nd.killOnce.Do(func() { close(nd.killed) })
 }
@@ -180,17 +192,18 @@ func (nd *Node) Shutdown() {
 	nd.mu.Lock()
 	groups := nd.groups
 	nd.mu.Unlock()
-	for _, g := range groups {
-		if g.ms != nil {
-			ms := g.ms
-			g.drv.Call(func() { ms.Leave() })
+	nd.drv.Call(func() {
+		for _, g := range groups {
+			if g.ms != nil {
+				g.ms.Leave()
+			}
 		}
-	}
+	})
 }
 
 // Run assembles every hosted group, drives their workloads concurrently
-// — one driver goroutine per group — waits for each to converge (or for
-// the shared deadline), drains, and reports. It blocks for the life of
+// on the one driver, waits for each to converge (or for the shared
+// deadline), drains, and reports. It blocks for the life of
 // the process's membership in its rings.
 func (nd *Node) Run() (Report, error) {
 	cfg := nd.cfg
@@ -216,11 +229,15 @@ func (nd *Node) Run() (Report, error) {
 	nd.groups = groups
 	nd.mu.Unlock()
 
-	// One reader, one clock calibration — shared by every group.
+	// One reader, one driver, one clock calibration — shared by every
+	// group.
 	nd.tr.Start()
-	for _, g := range groups {
-		g.start()
-	}
+	nd.drv.Start()
+	nd.drv.CallWait(func() {
+		for _, g := range groups {
+			g.start()
+		}
+	})
 	if len(cfg.Peers) > 0 {
 		// Clock-offset calibration against the spawn-time peers; pongs
 		// are folded in at the transport layer while the rings warm up.
@@ -259,26 +276,37 @@ func (nd *Node) Run() (Report, error) {
 		}()
 	}
 
+	// Wait for every group in turn: the daemon leaves only when all are
+	// done, so the order does not matter. A finished group keeps running
+	// meanwhile, serving straggler repairs and answering Done beacons.
+	// Then linger, cut short by the deadline: a floor during which
+	// beacons (and Done replies) keep flowing, so a peer that lost our
+	// earlier beacons to the same faults we gossip about still hears one
+	// before the daemon exits.
+	const lingerFor = 300 * time.Millisecond
 	reps := make([]GroupReport, len(groups))
 	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		wg.Add(1)
-		go func(i int, g *ringGroup) {
-			defer wg.Done()
-			reps[i], errs[i] = g.run(deadlineCh)
-		}(i, g)
+	killed := false
+	for _, g := range groups {
+		if killed = !g.wait(deadlineCh); killed {
+			break
+		}
 	}
-	wg.Wait()
+	if !killed {
+		select {
+		case <-time.After(lingerFor):
+		case <-deadlineCh:
+		}
+		nd.drv.CallWait(func() {
+			for i, g := range groups {
+				reps[i], errs[i] = g.collect()
+			}
+		})
+	}
 	close(reportDone)
 	reporter.Wait() // no report line is written after Run returns
 
-	// Teardown only after EVERY group finished: a finished group's
-	// driver may still hold armed shared-outbox flush timers carrying a
-	// sibling group's traffic, so drivers stop together.
-	for _, g := range groups {
-		g.drv.Stop()
-	}
+	nd.drv.Stop()
 	nd.admin.close()
 	nd.tr.Close()
 	for _, g := range groups {

@@ -404,6 +404,83 @@ func TestDaemonMultiGroupFederation(t *testing.T) {
 	}
 }
 
+// TestDaemonGoroutinesIndependentOfGroups: a daemon runs every hosted
+// group on one event loop, so the goroutines a cluster runs mid-stream
+// are the same whether each daemon hosts one group or sixteen.
+func TestDaemonGoroutinesIndependentOfGroups(t *testing.T) {
+	midRun := func(groups int) int {
+		t.Helper()
+		nodes := newCluster(t, 2, func(_ int, cfg *Config) {
+			cfg.Groups = make([]GroupConfig, groups)
+			for i := range cfg.Groups {
+				cfg.Groups[i] = GroupConfig{ID: uint32(i + 1)}
+			}
+			cfg.Count = 100
+			cfg.RateHz = 200
+			cfg.StartMS = 300
+		})
+		reports := make([]Report, len(nodes))
+		errs := make([]error, len(nodes))
+		var wg sync.WaitGroup
+		for i, nd := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reports[i], errs[i] = nd.Run()
+			}()
+		}
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
+
+		// Mid-stream: every group on both daemons has delivered. The
+		// workload starts at 300 ms, well after the start-up clock
+		// calibration (one goroutine per daemon, ~100 ms) is over.
+		streaming := func() bool {
+			for _, nd := range nodes {
+				rep := nd.Snapshot()
+				if len(rep.Groups) != groups {
+					return false
+				}
+				for _, g := range rep.Groups {
+					if g.Delivered == 0 {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !streaming() {
+			if time.Now().After(deadline) {
+				t.Fatalf("groups=%d: not every group delivered", groups)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		// The least of a few samples, so a goroutine that is only
+		// passing through does not count.
+		n := runtime.NumGoroutine()
+		for i := 0; i < 5; i++ {
+			time.Sleep(10 * time.Millisecond)
+			n = min(n, runtime.NumGoroutine())
+		}
+		if chanClosed(finished) {
+			t.Fatalf("groups=%d: the run ended before the goroutines were counted", groups)
+		}
+		<-finished
+		for i, err := range errs {
+			if err != nil || !reports[i].Converged || len(reports[i].Groups) != groups {
+				t.Fatalf("groups=%d node %d: %v (report %+v)", groups, i+1, err, reports[i])
+			}
+		}
+		return n
+	}
+	one, sixteen := midRun(1), midRun(16)
+	t.Logf("goroutines mid-run: %d with 1 group per daemon, %d with 16", one, sixteen)
+	if sixteen > one {
+		t.Fatalf("goroutines grew with the group count: %d with 1 group, %d with 16", one, sixteen)
+	}
+}
+
 // sentDatagrams sums the per-peer datagram counters in a stats snapshot.
 func sentDatagrams(st Stats) uint64 {
 	var n uint64

@@ -8,7 +8,8 @@ import (
 )
 
 // Driver executes a deterministic sim.Scheduler against the wall clock —
-// the real-time interpreter for the event-driven protocol core. Virtual
+// the real-time interpreter for the event-driven protocol core. A daemon
+// runs exactly one, over the scheduler every hosted group shares. Virtual
 // microseconds are anchored at Start: an event scheduled for virtual
 // time T runs once the wall clock passes Start+T. All protocol state is
 // touched only from the driver goroutine; external goroutines (socket

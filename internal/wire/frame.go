@@ -18,7 +18,7 @@
 //   - outbox.go:    the daemon-wide per-peer batching outbox: outbound
 //     traffic from every hosted group coalesces into shared
 //     multi-section datagrams, so N groups do not mean N×
-//     the datagrams;
+//     the datagrams; driver-goroutine-only, no locks;
 //   - substrate.go: one group's core.Network over the shared outbox — a
 //     send from the local node to a ring member is an enqueue
 //     in the same call stack;
@@ -30,12 +30,13 @@
 //     delivered range and rate, latency, durable log and
 //     dead-letter queue, delivery trace, the delivered
 //     counter), driver-goroutine-only and bounded;
-//   - group.go:     one hosted ring group: engine, driver, substrate,
-//     membership plane, delivery sink, workload, and
-//     convergence barrier;
+//   - group.go:     one hosted ring group: engine, substrate, membership
+//     plane, delivery sink, workload, and convergence
+//     barrier;
 //   - daemon.go:    the federation orchestrator for cmd/ringnetd and the
-//     multi-process harness: one transport + clock-sync per
-//     process, N groups demuxed over it.
+//     multi-process harness: one transport + clock-sync and
+//     one scheduler + driver per process, N groups demuxed
+//     over them.
 //
 // The paper's local-scope retransmission machinery (transport.Sender,
 // couriers, Nack repair, token recovery) is reused as-is; the real

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -51,11 +52,11 @@ func protocolConfig() core.Config {
 	return cfg
 }
 
-// ringGroup is one hosted ring group: its own engine, scheduler, driver
-// goroutine, substrate over the shared outbox, membership plane, delivery
-// sink (sink.go), workload, and convergence barrier. Everything below the
-// transport is group-private; the federation (daemon.go) owns what is
-// shared.
+// ringGroup is one hosted ring group: its own engine, substrate over the
+// shared outbox, membership plane, delivery sink (sink.go), workload, and
+// convergence barrier, all running on the daemon's one scheduler and
+// driver. The federation (daemon.go) owns what is shared: the transport,
+// the outbox, the scheduler and the driver.
 type ringGroup struct {
 	nd      *Node
 	gc      GroupConfig
@@ -64,11 +65,10 @@ type ringGroup struct {
 	members []seq.NodeID
 	port    *Port
 
-	sched *sim.Scheduler
+	sched *sim.Scheduler // the daemon's, shared by every group
 	net   *outboxNet
 	e     *core.Engine
 	ne    *core.NE // the local node: the one NE this process runs
-	drv   *Driver
 	ms    *Membership
 	sink  *deliverySink // every delivery is accounted here and nowhere else
 	peers []seq.NodeID
@@ -90,11 +90,10 @@ type ringGroup struct {
 	expected uint64
 }
 
-// newRingGroup assembles one group against the daemon's shared transport
-// and outbox: topology, engine, substrate peers, membership plane, and
-// the group's receive hooks on the transport. The driver is built but
-// not started — the federation starts every group after the transport
-// reader is up.
+// newRingGroup assembles one group against the daemon's shared transport,
+// outbox and scheduler: topology, engine, substrate peers, membership
+// plane, and the group's receive hooks on the transport. The federation
+// starts every group after the transport reader and the driver are up.
 func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	cfg := nd.cfg
 	g := &ringGroup{
@@ -109,7 +108,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		drained:   make(chan struct{}),
 		left:      make(chan struct{}),
 		tel:       nd.tel.group(gc.ID),
-		sched:     sim.NewScheduler(),
+		sched:     nd.drv.sched,
 	}
 	if g.sink, err = newDeliverySink(gc.ID, g.self, g.sched, g.tel, gc.TracePath, gc.DataDir); err != nil {
 		return nil, err
@@ -129,7 +128,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 			g.members = append(g.members, seq.NodeID(p.Node))
 		}
 	}
-	sortNodeIDs(g.members)
+	slices.Sort(g.members)
 	h := topology.New()
 	var ringID topology.RingID
 	for _, id := range g.members {
@@ -154,7 +153,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		g.e.OnLost = g.sink.lost
 	}
 
-	g.drv = NewDriver(g.sched)
 	g.peers = make([]seq.NodeID, 0, len(g.members)-1)
 	for _, id := range g.members {
 		if id != g.self {
@@ -241,7 +239,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	// The transport's reader goroutine hands each section to the driver,
 	// which dispatches it to the NE as one more event between its own.
 	hooks := GroupHooks{Handler: func(from seq.NodeID, msgs []msg.Message) {
-		g.drv.Call(func() {
+		nd.drv.Call(func() {
 			for _, m := range msgs {
 				recv(from, m)
 			}
@@ -251,7 +249,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		if flags&FlagDone == 0 {
 			return
 		}
-		g.drv.Call(func() {
+		nd.drv.Call(func() {
 			// A converged member answers Done with Done (rate-limited):
 			// beacons ride the same lossy socket they gossip about, so
 			// a straggler that missed our periodic beacons re-learns we
@@ -267,7 +265,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	if g.ms != nil {
 		ms := g.ms
 		hooks.OnUnknown = func(from seq.NodeID, msgs []msg.Message) {
-			g.drv.Call(func() { ms.HandleUnknown(from, msgs) })
+			nd.drv.Call(func() { ms.HandleUnknown(from, msgs) })
 		}
 	}
 	if err := nd.tr.Register(g.gid, hooks); err != nil {
@@ -276,17 +274,8 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	return g, nil
 }
 
-func sortNodeIDs(ids []seq.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-// start launches the group's driver goroutine and installs the workload
-// and the convergence/termination state machine on its scheduler, so all
-// protocol state stays on the driver goroutine.
+// start installs the workload and the convergence/termination state
+// machine on the scheduler. Driver goroutine only.
 //
 // Termination barrier: local convergence is NOT exit-safe — gap repair
 // (Nack) is pull-based, so this member may be the only reachable holder
@@ -300,302 +289,276 @@ func sortNodeIDs(ids []seq.NodeID) {
 func (g *ringGroup) start() {
 	cfg := g.nd.cfg
 	gc := g.gc
-	g.drv.Start()
-	g.drv.CallWait(func() {
-		var src *workload.Source
-		startWorkload := func() {
-			// Post-Normalize, Count <= 0 means this member sources
-			// nothing for the group (inheritance already resolved) —
-			// don't build a source at all: CBR's count == 0 contract is
-			// "unbounded until Stop", which would turn a silent member
-			// into an infinite sender with no convergence criterion.
-			if gc.Count <= 0 {
-				return
-			}
-			// Stamp each payload with the send wall clock (fresh buffer
-			// per message: payload slices are shared by reference all the
-			// way to retransmission buffers).
-			src = workload.NewSource(g.sched, func(corr seq.NodeID, payload []byte) error {
-				if len(payload) >= 8 {
-					buf := make([]byte, len(payload))
-					copy(buf, payload)
-					binary.LittleEndian.PutUint64(buf, uint64(time.Now().UnixNano()))
-					payload = buf
-				}
-				local, err := g.e.Submit(corr, payload)
-				if err == nil {
-					g.sink.submitted(local)
-				}
-				return err
-			}, g.self, gc.Payload)
-			gap := sim.Time(float64(sim.Second) / gc.RateHz)
-			if gap < 1 {
-				gap = 1
-			}
-			src.CBR(g.sched.Now()+sim.Time(gc.StartMS)*sim.Millisecond, gap, gc.Count)
+	var src *workload.Source
+	startWorkload := func() {
+		// Post-Normalize, Count <= 0 means this member sources
+		// nothing for the group (inheritance already resolved) —
+		// don't build a source at all: CBR's count == 0 contract is
+		// "unbounded until Stop", which would turn a silent member
+		// into an infinite sender with no convergence criterion.
+		if gc.Count <= 0 {
+			return
 		}
-		if g.ms != nil {
-			g.ms.OnJoined = func(baseline, resumed seq.GlobalSeq) {
-				if resumed > 0 {
-					g.resumedAt = resumed
-				}
-				startWorkload()
+		// Stamp each payload with the send wall clock (fresh buffer
+		// per message: payload slices are shared by reference all the
+		// way to retransmission buffers).
+		src = workload.NewSource(g.sched, func(corr seq.NodeID, payload []byte) error {
+			if len(payload) >= 8 {
+				buf := make([]byte, len(payload))
+				copy(buf, payload)
+				binary.LittleEndian.PutUint64(buf, uint64(time.Now().UnixNano()))
+				payload = buf
 			}
-			g.ms.OnEvicted = func() {
-				if src != nil {
-					src.Stop()
-				}
+			local, err := g.e.Submit(corr, payload)
+			if err == nil {
+				g.sink.submitted(local)
 			}
-			g.ms.Start()
+			return err
+		}, g.self, gc.Payload)
+		gap := sim.Time(float64(sim.Second) / gc.RateHz)
+		if gap < 1 {
+			gap = 1
 		}
-		if !gc.Join {
+		src.CBR(g.sched.Now()+sim.Time(gc.StartMS)*sim.Millisecond, gap, gc.Count)
+	}
+	if g.ms != nil {
+		g.ms.OnJoined = func(baseline, resumed seq.GlobalSeq) {
+			if resumed > 0 {
+				g.resumedAt = resumed
+			}
 			startWorkload()
 		}
+		g.ms.OnEvicted = func() {
+			if src != nil {
+				src.Stop()
+			}
+		}
+		g.ms.Start()
+	}
+	if !gc.Join {
+		startWorkload()
+	}
 
-		// Batched durability: dirty appends ride one fsync per flush
-		// window instead of one per delivery. Sync is a no-op while the
-		// log is clean, so idle groups cost nothing.
-		if g.sink.dlog != nil {
-			// 25 ms bounds the crash-loss window; BenchmarkFileLogAppend
-			// (internal/store) measures what other cadences would cost.
-			const fsyncWindow = 25 * sim.Millisecond
-			g.sched.Every(fsyncWindow, func() {
-				tr := g.tel.tracer
-				var t0 time.Time
-				if tr.Active() {
-					t0 = time.Now()
-				}
-				g.sink.sync()
-				if tr.Active() {
-					tr.Annotate(telemetry.StageFsync, g.gid, 0, time.Since(t0).Nanoseconds(), "flush-window")
-				}
-			})
-		}
+	// Batched durability: dirty appends ride one fsync per flush
+	// window instead of one per delivery. Sync is a no-op while the
+	// log is clean, so idle groups cost nothing.
+	if g.sink.dlog != nil {
+		// 25 ms bounds the crash-loss window; BenchmarkFileLogAppend
+		// (internal/store) measures what other cadences would cost.
+		const fsyncWindow = 25 * sim.Millisecond
+		g.sched.Every(fsyncWindow, func() {
+			tr := g.tel.tracer
+			var t0 time.Time
+			if tr.Active() {
+				t0 = time.Now()
+			}
+			g.sink.sync()
+			if tr.Active() {
+				tr.Annotate(telemetry.StageFsync, g.gid, 0, time.Since(t0).Nanoseconds(), "flush-window")
+			}
+		})
+	}
 
-		livePeers := func() []seq.NodeID {
-			if g.ms != nil {
-				return g.ms.LivePeers()
-			}
-			return g.peers
+	livePeers := func() []seq.NodeID {
+		if g.ms != nil {
+			return g.ms.LivePeers()
 		}
-		beacon := func() {
-			// Gossip only toward peers we have not heard Done from: a
-			// peer that missed our beacons but has itself converged will
-			// keep beaconing us, and the rate-limited Done reply above
-			// closes that asymmetry. Once the barrier holds everywhere
-			// the beacons stop entirely — a federated daemon hosting
-			// hundreds of converged groups must not keep flooding its
-			// shared socket with Done chatter while stragglers finish.
-			for _, p := range livePeers() {
-				if !g.doneFrom[p] {
-					g.port.SendControl(p, FlagDone) // best-effort; repeated
-				}
+		return g.peers
+	}
+	beacon := func() {
+		// Gossip only toward peers we have not heard Done from: a
+		// peer that missed our beacons but has itself converged will
+		// keep beaconing us, and the rate-limited Done reply above
+		// closes that asymmetry. Once the barrier holds everywhere
+		// the beacons stop entirely — a federated daemon hosting
+		// hundreds of converged groups must not keep flooding its
+		// shared socket with Done chatter while stragglers finish.
+		for _, p := range livePeers() {
+			if !g.doneFrom[p] {
+				g.port.SendControl(p, FlagDone) // best-effort; repeated
 			}
 		}
-		sent := func() bool {
-			if gc.Count <= 0 {
-				return true // nothing to source, nothing to drain
-			}
-			return src != nil && src.Sent+src.Errors >= uint64(gc.Count)
+	}
+	sent := func() bool {
+		if gc.Count <= 0 {
+			return true // nothing to source, nothing to drain
 		}
-		locallyConverged := func() bool {
-			if cfg.Live {
-				// Dynamic membership: the exact delivery count is
-				// unknowable, so converge on quiescence — everything
-				// sent, no undelivered slot in the MQ (an open gap means
-				// repair is still running), senders drained, and the
-				// delivery stream idle.
-				if !g.ms.Joined() || g.ms.Lame() || !sent() || !g.e.Quiesced() {
-					return false
-				}
-				// A token-dead ring is never converged, however idle:
-				// a pending regeneration may order messages this node
-				// has not yet seen, so leaving now could strand a
-				// divergent delivery prefix.
-				if !g.ne.OrdersWell() {
-					return false
-				}
-				if q := g.ne.MQ(); q.Front() != q.Rear() {
-					return false
-				}
-				// lastAt is 0 until the first delivery: idle since start.
-				return g.sched.Now()-g.sink.lastAt >= sim.Time(cfg.IdleMS)*sim.Millisecond
+		return src != nil && src.Sent+src.Errors >= uint64(gc.Count)
+	}
+	locallyConverged := func() bool {
+		if cfg.Live {
+			// Dynamic membership: the exact delivery count is
+			// unknowable, so converge on quiescence — everything
+			// sent, no undelivered slot in the MQ (an open gap means
+			// repair is still running), senders drained, and the
+			// delivery stream idle.
+			if !g.ms.Joined() || g.ms.Lame() || !sent() || !g.e.Quiesced() {
+				return false
 			}
-			return g.sink.delivered() >= g.expected && sent()
-		}
-		barrier := func() bool {
-			for _, p := range livePeers() {
-				if !g.doneFrom[p] {
-					return false
-				}
+			// A token-dead ring is never converged, however idle:
+			// a pending regeneration may order messages this node
+			// has not yet seen, so leaving now could strand a
+			// divergent delivery prefix.
+			if !g.ne.OrdersWell() {
+				return false
 			}
-			return true
-		}
-		var watchTick *sim.Ticker
-		if g.ms == nil {
-			// Static membership has no failure detector, but the token
-			// can still die under extreme overload (an assign conflict
-			// destroys the only copy after its sender was already
-			// acked), and with nobody watching, the ring stays dead
-			// forever. Re-emit the paper's Token-Loss signal after a
-			// second of token silence; the core's TokenLossThreshold
-			// filters the signal whenever circulation is demonstrably
-			// healthy, and Multiple-Token filtering resolves the rare
-			// concurrent regeneration. A second dwarfs the worst idle-
-			// backoff rotation (ring size × 50 ms), so a merely slow
-			// ring never trips it.
-			var lastSignal sim.Time
-			watchTick = g.sched.Every(250*sim.Millisecond, func() {
-				last, seen := g.ne.TokenActivity()
-				now := g.sched.Now()
-				if seen && now-last > sim.Second && now-lastSignal > sim.Second {
-					lastSignal = now
-					g.e.OnTokenLoss(g.self)
-				}
-			})
-		}
-		leftClosed := false
-		evictedAt := sim.Time(0)
-		phase := 0 // 0 = converging, 1 = draining
-		var barrierAt sim.Time
-		// quiesce bounds the post-barrier (and post-eviction) drain of
-		// outstanding retransmissions and the token transfer.
-		const quiesce = 500 * sim.Millisecond
-		var tick, beaconTick *sim.Ticker
-		lastDelivered := uint64(0)
-		// The convergence check backs off to 100ms while nothing is
-		// happening: a daemon hosting hundreds of groups cannot afford a
-		// 10ms poll per group while most of them sit quietly waiting for
-		// their workload to start or for a sibling's barrier. Delivery
-		// progress or a phase transition snaps it back to 10ms, so the
-		// convergence timestamp a report records stays sharp.
-		tick = g.sched.EveryBackoff(10*sim.Millisecond, 100*sim.Millisecond, func() bool {
-			delivered := g.sink.delivered()
-			active := delivered != lastDelivered
-			lastDelivered = delivered
-			if g.ms != nil && g.ms.Evicted() {
-				// Graceful leave (or eviction): serve retransmissions
-				// until our couriers drain — bounded by quiesce, so a
-				// transfer stuck on an unreachable peer cannot pin the
-				// process to its deadline.
-				if evictedAt == 0 {
-					evictedAt = g.sched.Now()
-					active = true
-				}
-				drainedOut := g.e.Quiesced() && g.ne.TokenIdle()
-				if !leftClosed && (drainedOut || g.sched.Now()-evictedAt >= quiesce) {
-					leftClosed = true
-					tick.Stop()
-					close(g.left)
-				}
-				return active
+			if q := g.ne.MQ(); q.Front() != q.Rear() {
+				return false
 			}
-			switch phase {
-			case 0:
-				if locallyConverged() {
-					phase = 1
-					g.localDone = true
-					close(g.converged)
-					beacon()
-					beaconTick = g.sched.Every(100*sim.Millisecond, beacon)
-					active = true
-				}
-			case 1:
-				if !barrier() {
-					barrierAt = 0
-					return active
-				}
-				if barrierAt == 0 {
-					barrierAt = g.sched.Now()
-					active = true
-				}
-				// Post-barrier drain (trailing retransmissions, the token
-				// settling between rotations), bounded by quiesce.
-				if (g.e.Quiesced() && g.ne.TokenIdle()) ||
-					g.sched.Now()-barrierAt >= quiesce {
-					tick.Stop() // no further ticks fire after Stop
-					beaconTick.Stop()
-					if g.ms == nil {
-						// The static group is done everywhere: retire the
-						// ring so a daemon hosting hundreds of finished
-						// groups stops paying for their idle circulation.
-						// (Live groups leave the token to the membership
-						// plane, which owns its liveness until Stop.)
-						watchTick.Stop()
-						g.ne.ParkToken()
-					}
-					close(g.drained)
-				}
+			// lastAt is 0 until the first delivery: idle since start.
+			return g.sched.Now()-g.sink.lastAt >= sim.Time(cfg.IdleMS)*sim.Millisecond
+		}
+		return g.sink.delivered() >= g.expected && sent()
+	}
+	barrier := func() bool {
+		for _, p := range livePeers() {
+			if !g.doneFrom[p] {
+				return false
+			}
+		}
+		return true
+	}
+	var watchTick *sim.Ticker
+	if g.ms == nil {
+		// Static membership has no failure detector, but the token
+		// can still die under extreme overload (an assign conflict
+		// destroys the only copy after its sender was already
+		// acked), and with nobody watching, the ring stays dead
+		// forever. Re-emit the paper's Token-Loss signal after a
+		// second of token silence; the core's TokenLossThreshold
+		// filters the signal whenever circulation is demonstrably
+		// healthy, and Multiple-Token filtering resolves the rare
+		// concurrent regeneration. A second dwarfs the worst idle-
+		// backoff rotation (ring size × 50 ms), so a merely slow
+		// ring never trips it.
+		var lastSignal sim.Time
+		watchTick = g.sched.Every(250*sim.Millisecond, func() {
+			last, seen := g.ne.TokenActivity()
+			now := g.sched.Now()
+			if seen && now-last > sim.Second && now-lastSignal > sim.Second {
+				lastSignal = now
+				g.e.OnTokenLoss(g.self)
+			}
+		})
+	}
+	leftClosed := false
+	evictedAt := sim.Time(0)
+	phase := 0 // 0 = converging, 1 = draining
+	var barrierAt sim.Time
+	// quiesce bounds the post-barrier (and post-eviction) drain of
+	// outstanding retransmissions and the token transfer.
+	const quiesce = 500 * sim.Millisecond
+	var tick, beaconTick *sim.Ticker
+	lastDelivered := uint64(0)
+	// The convergence check backs off to 100ms while nothing is
+	// happening: a daemon hosting hundreds of groups cannot afford a
+	// 10ms poll per group while most of them sit quietly waiting for
+	// their workload to start or for a sibling's barrier. Delivery
+	// progress or a phase transition snaps it back to 10ms, so the
+	// convergence timestamp a report records stays sharp.
+	tick = g.sched.EveryBackoff(10*sim.Millisecond, 100*sim.Millisecond, func() bool {
+		delivered := g.sink.delivered()
+		active := delivered != lastDelivered
+		lastDelivered = delivered
+		if g.ms != nil && g.ms.Evicted() {
+			// Graceful leave (or eviction): serve retransmissions
+			// until our couriers drain — bounded by quiesce, so a
+			// transfer stuck on an unreachable peer cannot pin the
+			// process to its deadline.
+			if evictedAt == 0 {
+				evictedAt = g.sched.Now()
+				active = true
+			}
+			drainedOut := g.e.Quiesced() && g.ne.TokenIdle()
+			if !leftClosed && (drainedOut || g.sched.Now()-evictedAt >= quiesce) {
+				leftClosed = true
+				tick.Stop()
+				close(g.left)
 			}
 			return active
-		})
+		}
+		switch phase {
+		case 0:
+			if locallyConverged() {
+				phase = 1
+				g.localDone = true
+				close(g.converged)
+				beacon()
+				beaconTick = g.sched.Every(100*sim.Millisecond, beacon)
+				active = true
+			}
+		case 1:
+			if !barrier() {
+				barrierAt = 0
+				return active
+			}
+			if barrierAt == 0 {
+				barrierAt = g.sched.Now()
+				active = true
+			}
+			// Post-barrier drain (trailing retransmissions, the token
+			// settling between rotations), bounded by quiesce.
+			if (g.e.Quiesced() && g.ne.TokenIdle()) ||
+				g.sched.Now()-barrierAt >= quiesce {
+				tick.Stop() // no further ticks fire after Stop
+				beaconTick.Stop()
+				if g.ms == nil {
+					// The static group is done everywhere: retire the
+					// ring so a daemon hosting hundreds of finished
+					// groups stops paying for their idle circulation.
+					// (Live groups leave the token to the membership
+					// plane, which owns its liveness until Stop.)
+					watchTick.Stop()
+					g.ne.ParkToken()
+				}
+				close(g.drained)
+			}
+		}
+		return active
 	})
 }
 
-// run blocks until this group converges (or leaves, is killed, or hits
-// the shared deadline), then collects the group's report. The driver is
-// left running — a finished group must keep serving shared-outbox flush
-// timers and straggler repairs until every sibling group is done; the
-// federation stops all drivers together.
-func (g *ringGroup) run(deadline <-chan struct{}) (GroupReport, error) {
-	cfg := g.nd.cfg
-	ok := false
-	didLeave := false
-	// lingerFor is the minimum time a member keeps gossiping Done after
-	// the group's cluster-wide barrier before giving up its socket.
-	const lingerFor = 300 * time.Millisecond
-	linger := func() {
-		lt := time.After(lingerFor)
-		select {
-		case <-lt:
-		case <-deadline:
-		}
-	}
+// wait blocks until this group is done with the daemon — converged and
+// past the group-wide barrier and its bounded drain, or left — or the
+// shared deadline passes. It reports false if the node is killed first.
+func (g *ringGroup) wait(deadline <-chan struct{}) bool {
 	select {
 	case <-g.converged:
-		ok = true
-		// Wait for the group-wide barrier, then a bounded drain so
-		// trailing retransmissions and the token settle, then a linger
-		// floor during which beacons (and Done replies) keep flowing —
-		// so a peer that lost our earlier beacons to the same faults we
-		// are gossiping about still hears one before the daemon exits.
 		select {
 		case <-g.drained:
-			linger()
 		case <-g.left:
-			didLeave = true
-			linger()
 		case <-g.nd.killed:
-			return GroupReport{Group: g.gid}, fmt.Errorf("wire: node %d killed", cfg.Node)
+			return false
 		case <-deadline:
 		}
 	case <-g.left:
-		didLeave = true
-		linger()
 	case <-g.nd.killed:
-		return GroupReport{Group: g.gid}, fmt.Errorf("wire: node %d killed", cfg.Node)
+		return false
 	case <-deadline:
 	}
+	return true
+}
 
-	var rep GroupReport
+// collect ends the group's live phase and builds its exit report, with
+// the error its outcome earns: a total-order violation, or neither
+// converging nor leaving before the deadline. Driver goroutine only.
+func (g *ringGroup) collect() (GroupReport, error) {
+	cfg := g.nd.cfg
 	var debugState string
-	g.drv.CallWait(func() {
+	if !chanClosed(g.converged) && !chanClosed(g.left) {
 		debugState = g.ne.DebugState()
-		g.finish()
-		rep = g.snapshot()
-	})
-	if rep.OrderErr != "" {
-		return rep, fmt.Errorf("wire: node %d group %d total-order violation: %s", cfg.Node, g.gid, rep.OrderErr)
 	}
-	if didLeave {
+	g.finish()
+	rep := g.snapshot()
+	switch {
+	case rep.OrderErr != "":
+		return rep, fmt.Errorf("wire: node %d group %d total-order violation: %s", cfg.Node, g.gid, rep.OrderErr)
+	case rep.Converged || rep.Left:
 		return rep, nil
 	}
-	if !ok {
-		fmt.Fprintln(os.Stderr, debugState)
-		return rep, fmt.Errorf("wire: node %d group %d did not converge: delivered %d/%d within %dms",
-			cfg.Node, g.gid, rep.Delivered, g.expected, cfg.DeadlineMS)
-	}
-	return rep, nil
+	fmt.Fprintln(os.Stderr, debugState)
+	return rep, fmt.Errorf("wire: node %d group %d did not converge: delivered %d/%d within %dms",
+		cfg.Node, g.gid, rep.Delivered, g.expected, cfg.DeadlineMS)
 }
 
 // chanClosed reports whether ch has been closed, without blocking.
@@ -628,8 +591,8 @@ func (g *ringGroup) snapshot() GroupReport {
 		Members: memberCount,
 		Leader:  leader,
 		// Converged/Left mirror the barrier channels, so a mid-run
-		// snapshot reports the live phase and the exit snapshot reports
-		// exactly what run() observed.
+		// snapshot reports the live phase and the exit snapshot the
+		// outcome collect() judges.
 		Converged: chanClosed(g.converged),
 		Left:      chanClosed(g.left),
 		Expected:  g.expected,

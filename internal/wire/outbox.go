@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/msg"
@@ -15,31 +15,21 @@ import (
 const batchFlushBytes = 48_000
 
 // SharedOutbox batches outbound traffic from every group a daemon hosts
-// into per-peer, multi-section datagrams. Each hosted group runs on its
-// own driver goroutine, but they all funnel sends for a given peer into
-// one box here, so one socket write carries many groups' messages — the
-// reason 100 groups do not cost 100× the datagrams.
+// into per-peer, multi-section datagrams. Every group sends for a given
+// peer into one box here, so one socket write carries many groups'
+// messages — the reason 100 groups do not cost 100× the datagrams.
 //
-// Concurrency model: the box is sharded per (peer, group). A group's
-// enqueues touch only its own shard, whose mutex is contended by exactly
-// two parties — that group's driver and whichever driver flushes the
-// box — never by the other 99 groups. A shard that turns non-empty
-// pushes itself onto the peer's lock-free dirty stack, so a flush steals
-// only shards that actually hold traffic instead of sweeping every
-// hosted group. Peer-level state (arming, byte pressure) is atomics.
-// Earlier designs serialized all drivers through per-peer mutexes — on
-// either the enqueue or the sweep path — and profiling a 100-group
-// daemon showed that convoy collapsing throughput to the goroutine
-// context-switch rate.
+// Every group runs on the daemon's one driver, so the outbox is touched
+// from that goroutine only and needs no locks. Only sendErrs is atomic:
+// /metrics and /status read it from other goroutines.
 //
-// Timing model: a flush is an event on the *enqueuing group's* scheduler
-// (After(0) for urgent traffic — end of the current protocol event — or
-// After(window) for coalescable data-plane traffic), so each group keeps
-// the single-threaded, event-driven batching semantics it had with a
-// private outbox. A flush drains the whole box, whichever groups filled
-// it; a flush that finds the box already drained by a sibling group's
-// timer is a no-op. Timers are never cancelled across schedulers —
-// stale ones fire into an empty box.
+// Timing model: a flush is a scheduler event — After(0) for urgent
+// traffic (end of the current protocol event), After(window) for
+// coalescable data-plane traffic. A flush drains the whole box,
+// whichever groups filled it. An urgent enqueue into a box already armed
+// for its window arms a second, immediate flush and leaves the window
+// timer standing: it fires on time and drains whatever the box gathered
+// after the urgent flush.
 type SharedOutbox struct {
 	tr *Transport
 
@@ -48,10 +38,9 @@ type SharedOutbox struct {
 	// the enqueuing event.
 	window sim.Time
 
-	boxes sync.Map // seq.NodeID -> *peerBox
+	boxes map[seq.NodeID]*peerBox
 
-	// sendErrs counts flushes the transport rejected; atomic because
-	// flushes run on every group's driver goroutine.
+	// sendErrs counts flushes the transport rejected.
 	sendErrs atomic.Uint64
 
 	// flushBytes, when attached, observes the bytes drained per
@@ -72,57 +61,34 @@ func (o *SharedOutbox) SetFlushHistogram(h *telemetry.Histogram) { o.flushBytes 
 // enqueuing.
 func (o *SharedOutbox) SetTracer(t *telemetry.Tracer) { o.tracer = t }
 
-// peerBox accumulates one peer's outbound messages, segregated by
-// originating group so the flush emits well-formed sections.
+// peerBox accumulates one peer's outbound messages, one section per
+// originating group in the order each group first enqueued, so a flush
+// emits well-formed sections.
 type peerBox struct {
-	to seq.NodeID
+	to    seq.NodeID
+	secs  []Section
+	bytes int // framed backlog, driving the size cap
 
-	shards sync.Map                   // uint32 (group id) -> *groupShard
-	dirty  atomic.Pointer[groupShard] // stack of shards with pending messages
-
-	// bytes is the box-wide backlog estimate driving the size cap.
-	bytes atomic.Int64
-	// armed marks a pending flush; asap marks it end-of-event rather
-	// than end-of-window. A flush clears both BEFORE stealing the
-	// shards, so an enqueue racing with the drain can never strand a
-	// message: if its append lost the race it re-arms, if it won the
-	// steal picks it up.
-	armed atomic.Bool
-	asap  atomic.Bool
+	// armed marks a pending flush; asap marks one due at the end of the
+	// current event rather than at the end of the window.
+	armed, asap bool
 }
 
-// pushDirty adds s to the peer's dirty stack. Callers must have won
-// s.queued, so each shard appears at most once and its link field is
-// exclusively theirs until a flush detaches the whole stack.
-func (b *peerBox) pushDirty(s *groupShard) {
-	for {
-		head := b.dirty.Load()
-		s.next.Store(head)
-		if b.dirty.CompareAndSwap(head, s) {
-			return
+// section returns group's section in the box, opening one at the end.
+func (b *peerBox) section(group uint32) *Section {
+	for i := range b.secs {
+		if b.secs[i].Group == group {
+			return &b.secs[i]
 		}
 	}
-}
-
-// groupShard is one group's pending messages for one peer. Appends come
-// from the owning group's driver goroutine only; the mutex exists solely
-// to synchronize with the stealing flush.
-type groupShard struct {
-	group uint32
-
-	mu    sync.Mutex
-	msgs  []msg.Message
-	sizes []int // each message's encoded size, beside it
-	bytes int
-
-	queued atomic.Bool                // on the peer's dirty stack
-	next   atomic.Pointer[groupShard] // dirty-stack link
+	b.secs = append(b.secs, Section{Group: group})
+	return &b.secs[len(b.secs)-1]
 }
 
 // NewSharedOutbox builds the daemon-wide outbox over tr. window is the
 // data-plane aggregation window (0 = flush per event).
 func NewSharedOutbox(tr *Transport, window sim.Time) *SharedOutbox {
-	return &SharedOutbox{tr: tr, window: window}
+	return &SharedOutbox{tr: tr, window: window, boxes: make(map[seq.NodeID]*peerBox)}
 }
 
 // urgentKind reports whether a message must not wait for the batch
@@ -136,26 +102,10 @@ func urgentKind(k msg.Kind) bool {
 	return true
 }
 
-func (o *SharedOutbox) box(to seq.NodeID) *peerBox {
-	if b, ok := o.boxes.Load(to); ok {
-		return b.(*peerBox)
-	}
-	b, _ := o.boxes.LoadOrStore(to, &peerBox{to: to})
-	return b.(*peerBox)
-}
-
-func (b *peerBox) shard(group uint32) *groupShard {
-	if s, ok := b.shards.Load(group); ok {
-		return s.(*groupShard)
-	}
-	s, _ := b.shards.LoadOrStore(group, &groupShard{group: group})
-	return s.(*groupShard)
-}
-
 // Enqueue adds one message from group for peer to, arming a flush on
-// sched — the enqueuing group's scheduler — if the box needs one. Must
-// run on that group's driver goroutine — inside a scheduler event or a
-// call the driver injected between events — like any scheduler use.
+// sched if the box needs one. Must run on the goroutine that drives
+// sched — inside a scheduler event or a call the driver injected between
+// events — like any scheduler use.
 func (o *SharedOutbox) Enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID, m msg.Message) {
 	o.enqueue(sched, group, to, m, m.WireSize())
 }
@@ -164,128 +114,80 @@ func (o *SharedOutbox) Enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID
 // send accounting does): size is len(msg.Encode(m)), and travels beside m
 // to the frame planner, so nothing on the send path sizes m again.
 func (o *SharedOutbox) enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID, m msg.Message, size int) {
-	b := o.box(to)
-	s := b.shard(group)
+	b := o.boxes[to]
+	if b == nil {
+		b = &peerBox{to: to}
+		o.boxes[to] = b
+	}
 	if o.tracer.Active() {
 		if src, local, global, ok := traceKeyOf(m); ok {
 			o.tracer.Span(telemetry.StageEnqueue, group, src, local, global, uint32(to))
 		}
 	}
-	framed := framedSize(size)
-	s.mu.Lock()
-	s.msgs = append(s.msgs, m)
+	s := b.section(group)
+	s.Msgs = append(s.Msgs, m)
 	s.sizes = append(s.sizes, size)
-	s.bytes += framed
-	s.mu.Unlock()
-	if s.queued.CompareAndSwap(false, true) {
-		b.pushDirty(s)
-	}
-	total := b.bytes.Add(int64(framed))
-	asap := o.window <= 0 || urgentKind(m.Kind()) || total >= batchFlushBytes
-	arm := false
-	var delay sim.Time
-	if b.armed.CompareAndSwap(false, true) {
-		arm = true
+	b.bytes += framedSize(size)
+	asap := o.window <= 0 || urgentKind(m.Kind()) || b.bytes >= batchFlushBytes
+	switch {
+	case !b.armed:
+		b.armed, b.asap = true, asap
+		delay := o.window
 		if asap {
-			b.asap.Store(true)
-		} else {
-			delay = o.window
+			delay = 0
 		}
-	} else if asap && b.asap.CompareAndSwap(false, true) {
-		// Upgrade a windowed flush: something latency-critical joined
-		// the box. The windowed timer (possibly on another group's
-		// scheduler, where we cannot cancel it) will fire into an empty
-		// box and no-op. In the window where the arming racer has not
-		// yet recorded its urgency, both schedule — the loser's flush
-		// finds nothing.
-		arm = true
-	}
-	if arm {
-		sched.After(delay, func() { o.flush(sched, b) })
+		sched.After(delay, func() { o.flush(b) })
+	case asap && !b.asap:
+		// Something latency-critical joined a windowed box: flush at the
+		// end of this event. The window timer stays armed and later
+		// drains what arrives in between.
+		b.asap = true
+		sched.After(0, func() { o.flush(b) })
 	}
 }
 
-// flush drains the box's dirty shards into one SendSections call. Runs
-// on whichever group's driver armed it; sched is that driver's
-// scheduler, used to arm a follow-up flush when a racing append lands
-// behind the steal.
-func (o *SharedOutbox) flush(sched *sim.Scheduler, b *peerBox) {
-	// Disarm before stealing (see peerBox.armed).
-	b.asap.Store(false)
-	b.armed.Store(false)
-	head := b.dirty.Swap(nil)
-	var secs []Section
-	var stolen int64
-	for s := head; s != nil; {
-		next := s.next.Load()
-		s.next.Store(nil)
-		s.mu.Lock()
-		msgs, sizes := s.msgs, s.sizes
-		stolen += int64(s.bytes)
-		s.msgs, s.sizes, s.bytes = nil, nil, 0
-		s.mu.Unlock()
-		s.queued.Store(false)
-		// An append that slipped in between the steal and the queued
-		// reset saw queued==true and skipped its push: re-queue the
-		// shard for the next flush.
-		s.mu.Lock()
-		pending := len(s.msgs) > 0
-		s.mu.Unlock()
-		if pending && s.queued.CompareAndSwap(false, true) {
-			b.pushDirty(s)
-		}
-		if len(msgs) > 0 {
-			if o.tracer.Active() {
-				for _, m := range msgs {
-					if src, local, global, ok := traceKeyOf(m); ok {
-						o.tracer.Span(telemetry.StageFlush, s.group, src, local, global, uint32(b.to))
-					}
-				}
-			}
-			secs = append(secs, Section{Group: s.group, Msgs: msgs, sizes: sizes})
-		}
-		s = next
-	}
-	if stolen != 0 {
-		b.bytes.Add(-stolen)
-		o.flushBytes.Observe(float64(stolen))
-	}
-	// A shard re-queued above (or pushed by a racer whose arm lost to
-	// our disarm) must not wait for unrelated traffic: make sure a
-	// flush is armed whenever the dirty stack is non-empty.
-	if b.dirty.Load() != nil && b.armed.CompareAndSwap(false, true) {
-		b.asap.Store(true)
-		sched.After(0, func() { o.flush(sched, b) })
-	}
-	if len(secs) == 0 {
+// flush drains the box into one SendSections call and disarms it, so
+// the next enqueue arms afresh. A flush that finds the box empty (an
+// overtaken window timer with nothing new) does nothing.
+func (o *SharedOutbox) flush(b *peerBox) {
+	b.armed, b.asap = false, false
+	if len(b.secs) == 0 {
 		return
 	}
-	if err := o.tr.SendSections(b.to, secs); err != nil {
+	o.flushBytes.Observe(float64(b.bytes))
+	if o.tracer.Active() {
+		for _, s := range b.secs {
+			for _, m := range s.Msgs {
+				if src, local, global, ok := traceKeyOf(m); ok {
+					o.tracer.Span(telemetry.StageFlush, s.Group, src, local, global, uint32(b.to))
+				}
+			}
+		}
+	}
+	if err := o.tr.SendSections(b.to, b.secs); err != nil {
 		o.sendErrs.Add(1)
 	}
+	// SendSections keeps nothing: the section slots are free for reuse.
+	clear(b.secs)
+	b.secs, b.bytes = b.secs[:0], 0
 }
 
 // Drop discards group's unflushed messages for peer to (the member left
 // that group's ring; reliability state pointing at it is NE.DropPeer's
-// business). Other groups' pending traffic is untouched. The
-// shard may stay on the dirty stack; the next flush skips it empty.
+// business). Other groups' pending traffic is untouched.
 func (o *SharedOutbox) Drop(group uint32, to seq.NodeID) {
-	b, ok := o.boxes.Load(to)
-	if !ok {
+	b := o.boxes[to]
+	if b == nil {
 		return
 	}
-	s, ok := b.(*peerBox).shards.Load(group)
-	if !ok {
+	i := slices.IndexFunc(b.secs, func(s Section) bool { return s.Group == group })
+	if i < 0 {
 		return
 	}
-	sh := s.(*groupShard)
-	sh.mu.Lock()
-	dropped := int64(sh.bytes)
-	sh.msgs, sh.sizes, sh.bytes = nil, nil, 0
-	sh.mu.Unlock()
-	if dropped != 0 {
-		b.(*peerBox).bytes.Add(-dropped)
+	for _, n := range b.secs[i].sizes {
+		b.bytes -= framedSize(n)
 	}
+	b.secs = slices.Delete(b.secs, i, i+1)
 }
 
 // SendErrs returns the number of flushes the transport rejected.

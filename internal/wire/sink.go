@@ -22,7 +22,7 @@ import (
 // delivery trace, and the one ringnet_delivered_total counter every
 // report reads back.
 //
-// Everything here runs on the group's driver goroutine (no locks), and
+// Everything here runs on the daemon's driver goroutine (no locks), and
 // everything it retains is bounded — the paper's Theorem 5.1 bounds the
 // protocol's own buffers; a daemon whose accounting grew with every
 // message would undo that. The two latency samples are fixed-memory
@@ -31,7 +31,7 @@ import (
 type deliverySink struct {
 	gid   uint32
 	self  seq.NodeID
-	sched *sim.Scheduler // the group's clock
+	sched *sim.Scheduler // the daemon's clock
 	tel   *groupTelemetry
 
 	// What the sink reads from its surroundings; nil means none (static
@@ -296,7 +296,7 @@ func (s *deliverySink) finish() {
 }
 
 // close flushes and closes the trace and the durable plane. Idempotent;
-// call only after the group's driver has stopped (or before it starts).
+// call only after the daemon's driver has stopped (or before it starts).
 func (s *deliverySink) close() {
 	if s.trace != nil {
 		s.trace.Flush()

@@ -20,7 +20,7 @@ import (
 // sections do not pass through here; newRingGroup hands them to the local
 // NE from the transport's receive hook. Driver goroutine only.
 type outboxNet struct {
-	sched *sim.Scheduler
+	sched *sim.Scheduler // the daemon's, shared by every group
 	ob    *SharedOutbox
 	group uint32
 	local seq.NodeID

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 // transport pair, with peer 2 exposed and recording what it receives. The
 // test goroutine plays the driver: it steps the scheduler itself.
 type substrateRig struct {
-	a     *Transport
+	a, b  *Transport
 	ob    *SharedOutbox
 	sched *sim.Scheduler
 	net   *outboxNet
@@ -30,12 +31,8 @@ type substrateRig struct {
 func newSubstrateRig(t *testing.T, window sim.Time) *substrateRig {
 	t.Helper()
 	a, b := pairUp(t, Faults{}, Faults{})
-	r := &substrateRig{a: a, sched: sim.NewScheduler()}
-	register(t, b, 1, GroupHooks{Handler: func(_ seq.NodeID, ms []msg.Message) {
-		r.mu.Lock()
-		r.recv = append(r.recv, ms...)
-		r.mu.Unlock()
-	}})
+	r := &substrateRig{a: a, b: b, sched: sim.NewScheduler()}
+	r.listen(t, 1)
 	b.Start()
 	a.Start()
 	r.ob = NewSharedOutbox(a, window)
@@ -44,12 +41,35 @@ func newSubstrateRig(t *testing.T, window sim.Time) *substrateRig {
 	return r
 }
 
+// listen makes peer 2 record what it receives for group, in arrival order.
+func (r *substrateRig) listen(t *testing.T, group uint32) {
+	t.Helper()
+	if err := r.b.AddPeer(group, 1, r.a.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	register(t, r.b, group, GroupHooks{Handler: func(_ seq.NodeID, ms []msg.Message) {
+		r.mu.Lock()
+		r.recv = append(r.recv, ms...)
+		r.mu.Unlock()
+	}})
+}
+
+// datagrams returns how many datagrams node 1 has sent peer 2.
+func (r *substrateRig) datagrams() uint64 { return r.a.Stats().Peers[2].SentDatagrams }
+
 // shard returns group 1's unflushed messages for peer 2.
-func (r *substrateRig) shard() []msg.Message {
-	s := r.ob.box(2).shard(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]msg.Message(nil), s.msgs...)
+func (r *substrateRig) shard() []msg.Message { return pending(r.ob, 1, 2) }
+
+// pending returns group's unflushed messages for peer to.
+func pending(o *SharedOutbox, group uint32, to seq.NodeID) []msg.Message {
+	if b := o.boxes[to]; b != nil {
+		for _, s := range b.secs {
+			if s.Group == group {
+				return slices.Clone(s.Msgs)
+			}
+		}
+	}
+	return nil
 }
 
 // received waits until peer 2 has been handed n messages.
@@ -116,7 +136,7 @@ func TestSubstrateAccountsLikeNetsim(t *testing.T) {
 }
 
 // TestSubstrateSendIsAnEnqueue: a send to an exposed peer is in the
-// peer's shard when Send returns, and costs the group's scheduler exactly
+// peer's shard when Send returns, and costs the scheduler exactly
 // one new event — the outbox flush that carries it to the socket.
 func TestSubstrateSendIsAnEnqueue(t *testing.T) {
 	r := newSubstrateRig(t, sim.Millisecond)
@@ -151,7 +171,7 @@ func TestSubstrateRetireDropsBacklog(t *testing.T) {
 		t.Fatalf("backlog before retire = %d, want 3 (data waits for its window)", n)
 	}
 	r.net.retire(2)
-	if n, b := len(r.shard()), r.ob.box(2).bytes.Load(); n != 0 || b != 0 {
+	if n, b := len(r.shard()), r.ob.boxes[2].bytes; n != 0 || b != 0 {
 		t.Fatalf("retire left %d messages / %d bytes in the box", n, b)
 	}
 	pending := r.sched.Len()
@@ -195,4 +215,98 @@ func TestSubstratePeerFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	inOrder("peer", r.received(t, 5))
+}
+
+// TestOutboxUrgentOvertakesWindow: an urgent message joining a windowed
+// box flushes it at the end of the enqueuing event, and the window timer
+// it overtook still fires on time and drains what arrived since.
+func TestOutboxUrgentOvertakesWindow(t *testing.T) {
+	r := newSubstrateRig(t, sim.Millisecond)
+	r.sched.At(0, func() {
+		r.net.Send(1, 2, dataMsg(1)) // arms the window: due at 1 ms
+		r.net.Send(1, 2, &msg.Nack{Group: 1, From: 1, Range: seq.Range{Min: 1, Max: 2}})
+	})
+	r.sched.At(300*sim.Microsecond, func() { r.net.Send(1, 2, dataMsg(2)) })
+	step := func(until sim.Time) {
+		t.Helper()
+		if _, err := r.sched.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	step(0)
+	if n, d := len(r.shard()), r.datagrams(); n != 0 || d != 1 {
+		t.Fatalf("after the urgent event: %d pending, %d datagrams; want 0 and 1", n, d)
+	}
+	step(sim.Millisecond - 1)
+	if n, d := len(r.shard()), r.datagrams(); n != 1 || d != 1 {
+		t.Fatalf("inside the window: %d pending, %d datagrams; want 1 and 1", n, d)
+	}
+	step(sim.Millisecond)
+	if n, d := len(r.shard()), r.datagrams(); n != 0 || d != 2 {
+		t.Fatalf("at the overtaken window's end: %d pending, %d datagrams; want 0 and 2", n, d)
+	}
+	// The window the later message armed itself finds the box empty.
+	if _, err := r.sched.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if d := r.datagrams(); d != 2 {
+		t.Fatalf("%d datagrams in all, want 2", d)
+	}
+	got := r.received(t, 3)
+	if l := got[2].(*msg.Data).LocalSeq; l != 2 {
+		t.Fatalf("last message received is local %d, want 2", l)
+	}
+}
+
+// TestOutboxGroupsShareADatagram: one peer's sections from several groups
+// leave in one datagram, in the order the groups first enqueued, and
+// Drop(group, to) takes out that group's section and bytes only.
+func TestOutboxGroupsShareADatagram(t *testing.T) {
+	r := newSubstrateRig(t, sim.Millisecond)
+	r.listen(t, 2)
+	r.listen(t, 3)
+	kept := map[uint32][]seq.LocalSeq{2: {21, 22}, 1: {11, 12}}
+	r.sched.At(0, func() {
+		for _, e := range []struct {
+			group uint32
+			local seq.LocalSeq
+		}{{2, 21}, {1, 11}, {3, 31}, {2, 22}, {1, 12}} {
+			r.ob.Enqueue(r.sched, e.group, 2, dataMsg(e.local))
+		}
+	})
+	if _, err := r.sched.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	r.ob.Drop(3, 2)
+	if m := pending(r.ob, 3, 2); len(m) != 0 {
+		t.Fatalf("Drop left group 3 holding %v", m)
+	}
+	want := 0
+	for _, g := range []uint32{2, 1} {
+		if got := len(pending(r.ob, g, 2)); got != len(kept[g]) {
+			t.Fatalf("Drop(3) left group %d %d messages, want %d", g, got, len(kept[g]))
+		}
+		for _, l := range kept[g] {
+			want += framedSize(dataMsg(l).WireSize())
+		}
+	}
+	if b := r.ob.boxes[2].bytes; b != want {
+		t.Fatalf("box holds %d bytes after Drop, want %d", b, want)
+	}
+	if _, err := r.sched.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	got := r.received(t, 4)
+	for i, l := range []seq.LocalSeq{21, 22, 11, 12} {
+		if g := got[i].(*msg.Data).LocalSeq; g != l {
+			t.Fatalf("position %d received local %d, want %d (group 2's section first)", i, g, l)
+		}
+	}
+	if d := r.datagrams(); d != 1 {
+		t.Fatalf("%d datagrams, want 1", d)
+	}
+	if st := r.b.Stats().Groups[3]; st.RecvMsgs != 0 {
+		t.Fatalf("dropped group 3 still reached the peer: %+v", st)
+	}
 }

@@ -152,6 +152,10 @@ type Stats struct {
 }
 
 type peer struct {
+	// tx holds a sender from its seqno reservation through its last
+	// write, so datagrams leave in seqno order whoever sends them; it
+	// is taken before t.mu, never while holding it.
+	tx    sync.Mutex
 	addr  *net.UDPAddr
 	txSeq uint64
 	rxMax uint64
@@ -391,10 +395,11 @@ func (t *Transport) SendControl(group uint32, to seq.NodeID, flags uint8) error 
 // larger than the budget is dropped and counted (the protocol's token
 // compaction caps the table, and so every message, far below it).
 //
-// The lock covers only peer lookup, sequence reservation, and stats;
-// encoding and the write syscalls run outside it so inbound dispatch
-// (receive also needs the lock per datagram) is never stalled behind a
-// burst of sends.
+// t.mu covers only peer lookup, sequence reservation, and stats; encoding
+// and the write syscalls run outside it so inbound dispatch (receive also
+// needs the lock per datagram) is never stalled behind a burst of sends.
+// The peer's tx lock spans reservation and writes, so concurrent senders
+// to one peer cannot put its datagrams on the wire out of seqno order.
 func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	// Plan datagram boundaries first: they depend only on the immutable
 	// budget, so this runs outside the lock. Each message is sized once —
@@ -466,12 +471,18 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	}
 
 	t.mu.Lock()
+	p := t.peers[to]
+	t.mu.Unlock()
+	if p != nil {
+		p.tx.Lock()
+		defer p.tx.Unlock()
+	}
+	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return net.ErrClosed
 	}
-	p, ok := t.peers[to]
-	if !ok {
+	if p == nil || t.peers[to] != p {
 		t.mu.Unlock()
 		return fmt.Errorf("wire: unknown peer %v", to)
 	}
