@@ -66,6 +66,13 @@ type Telemetry struct {
 	NacksServed    *telemetry.Counter
 	ReallyLost     *telemetry.Counter
 
+	// Hop retransmissions of the reliable streams by cause: the timer,
+	// or a receiver's gap report (transport.Sender.Repair); and the token
+	// courier's current timeout, in sim.Time units (µs).
+	HopTimeoutRetransmits *telemetry.Counter
+	HopGapRetransmits     *telemetry.Counter
+	TokenRTO              *telemetry.Gauge
+
 	// Events receives slow-path protocol transitions (regens, parks,
 	// really-lost verdicts); nil outside the wire daemon.
 	Events *telemetry.Ring

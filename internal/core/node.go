@@ -230,9 +230,9 @@ func (n *NE) reset() {
 		s.Close()
 	}
 	n.mhSenders = make(map[seq.HostID]*transport.Sender)
-	n.tokenCourier.Confirm()
-	n.regenCourier.Confirm()
-	n.joinCourier.Confirm()
+	n.tokenCourier.Cancel()
+	n.regenCourier.Cancel()
+	n.joinCourier.Cancel()
 	n.tokenExpect, n.regenExpect = ackExpect{}, ackExpect{}
 	n.tokenSent, n.txBase, n.rxBase = nil, nil, nil
 	n.ack.timer.Stop()
@@ -410,7 +410,7 @@ func (n *NE) DiscardTokenBelow(epoch uint64) bool {
 	n.holding = false
 	n.countTokenDestroy()
 	if n.tokenCourier.Busy() {
-		n.tokenCourier.Confirm()
+		n.tokenCourier.Cancel()
 	}
 	n.tokenExpect = ackExpect{}
 	return true
@@ -533,7 +533,7 @@ func (n *NE) DropPeer(dead seq.NodeID) {
 	// the Token-Loss signal/watchdog regenerates it at a bumped epoch,
 	// which supersedes any surviving copy (paper §4.2.1).
 	if n.tokenCourier.Busy() && n.tokenCourier.To() == dead {
-		n.tokenCourier.Confirm()
+		n.tokenCourier.Cancel()
 		n.tokenExpect = ackExpect{}
 		if n.held != nil && !n.holding {
 			n.held = nil
@@ -545,7 +545,7 @@ func (n *NE) DropPeer(dead seq.NodeID) {
 	// ordering stays silent), or two concurrent traversals restart two
 	// same-epoch tokens and assignments diverge.
 	if n.regenCourier.Busy() && n.regenCourier.To() == dead {
-		n.regenCourier.Confirm()
+		n.regenCourier.Cancel()
 		n.regenExpect = ackExpect{}
 	}
 	// Reconfiguration invalidates the regen-traversal dedup stamp: the
@@ -555,7 +555,7 @@ func (n *NE) DropPeer(dead seq.NodeID) {
 	// slips through dies at its origin's OrdersWell gate.
 	n.lastRegen = regenStamp{}
 	if n.joinCourier.Busy() && n.joinCourier.To() == dead {
-		n.joinCourier.Confirm()
+		n.joinCourier.Cancel()
 		n.awaitingJoin = false
 		n.joinedParent = seq.None
 	}
@@ -696,20 +696,27 @@ func (n *NE) wireGiveUp(s *transport.Sender) {
 		g := seq.GlobalSeq(sn)
 		s.Send(sn, &msg.Skip{Group: n.e.Group, From: n.id, Range: seq.Range{Min: uint64(g), Max: uint64(g)}})
 	}
-	n.traceRetransmits(s)
+	n.instrumentSender(s)
 }
 
-// traceRetransmits places the sender's per-message retransmissions on
-// the trace timeline, so a slow sampled delivery can be attributed to
-// loss recovery instead of an anonymous gap. Only installed when a
-// trace plane is attached — the simulator path keeps a nil callback.
-func (n *NE) traceRetransmits(s *transport.Sender) {
-	tr := n.e.Tel.Trace
-	if !tr.Active() {
+// instrumentSender counts the sender's retransmissions by cause on the
+// live plane and places each on the trace timeline, so a slow sampled
+// delivery can be attributed to loss recovery instead of an anonymous
+// gap. Only installed when an instrument is attached — the simulator
+// path keeps a nil callback.
+func (n *NE) instrumentSender(s *transport.Sender) {
+	tel := &n.e.Tel
+	tr := tel.Trace
+	if !tr.Active() && tel.HopTimeoutRetransmits == nil && tel.HopGapRetransmits == nil {
 		return
 	}
-	s.OnRetransmit = func(m msg.Message) {
-		if d, ok := m.(*msg.Data); ok {
+	s.OnRetransmit = func(m msg.Message, gap bool) {
+		if gap {
+			tel.HopGapRetransmits.Inc()
+		} else {
+			tel.HopTimeoutRetransmits.Inc()
+		}
+		if d, ok := m.(*msg.Data); ok && tr.Active() {
 			tr.Span(telemetry.StageRetransmit, uint32(n.e.Group), uint32(d.SourceNode), uint64(d.LocalSeq), uint64(d.GlobalSeq), uint32(s.To()))
 		}
 	}
@@ -749,9 +756,9 @@ func (n *NE) closeAll() {
 	for _, s := range n.mhSenders {
 		s.Close()
 	}
-	n.tokenCourier.Confirm()
-	n.regenCourier.Confirm()
-	n.joinCourier.Confirm()
+	n.tokenCourier.Cancel()
+	n.regenCourier.Cancel()
+	n.joinCourier.Cancel()
 }
 
 // --- source intake (top ring) ---
@@ -808,8 +815,10 @@ func (n *NE) handleWQData(from seq.NodeID, d *msg.Data) {
 	if !fresh || sq.CumReceived() < d.LocalSeq {
 		// Duplicate (our ack was lost — the sender is retransmitting) or
 		// an out-of-order arrival (a gap upstream): flush immediately so
-		// the sender releases what arrived and retransmits only what is
-		// missing. Coalescing must not add retransmission latency.
+		// the sender releases what arrived and, told by the Ack's gap
+		// report what lies past the hole, resends what is missing now
+		// instead of at its timeout. Coalescing must not add
+		// retransmission latency.
 		n.flushAcks()
 	}
 	n.forwardWQ(d.SourceNode)
@@ -833,7 +842,7 @@ func (n *NE) forwardWQ(src seq.NodeID) {
 	if s == nil {
 		n.e.EnsureLink(n.id, nx)
 		s = transport.NewSender(n.e.Net, n.id, nx, n.e.Cfg.Hop)
-		n.traceRetransmits(s)
+		n.instrumentSender(s)
 		n.wqSenders[src] = s
 	}
 	for l := n.wqFwd[src] + 1; l <= cum; l++ {
@@ -1058,7 +1067,9 @@ func (n *NE) flushAcks() {
 // buildAck materializes the register's coalesced Ack and clears it. The
 // global cum is always included — receivers apply it only when the
 // sender is a tracked downstream, and cumulative acks are monotone, so
-// over-reporting is harmless.
+// over-reporting is harmless. A source whose queue holds messages past
+// its cumulative mark is also named in the gap report, with the highest
+// local held, so the sender repairs the hole in one round trip.
 func (n *NE) buildAck() *msg.Ack {
 	a := &n.ack
 	m := &msg.Ack{Group: n.e.Group, From: n.id, CumGlobal: n.mq.Front()}
@@ -1073,7 +1084,12 @@ func (n *NE) buildAck() *msg.Ack {
 		}
 		m.Batch = make([]msg.SourceCum, 0, len(srcs))
 		for _, src := range srcs {
-			m.Batch = append(m.Batch, msg.SourceCum{Source: src, Cum: n.wq.ForSource(src).CumReceived()})
+			sq := n.wq.ForSource(src)
+			cum := sq.CumReceived()
+			m.Batch = append(m.Batch, msg.SourceCum{Source: src, Cum: cum})
+			if hi := sq.MaxReceived(); hi > cum {
+				m.Gaps = append(m.Gaps, msg.SourceGap{Source: src, Above: hi})
+			}
 		}
 	}
 	a.sentCum = m.CumGlobal
@@ -1289,11 +1305,17 @@ func (n *NE) handleAck(from seq.NodeID, a *msg.Ack) { n.applyAck(from, a) }
 // applyAck processes a coalesced acknowledgement, whether it arrived as
 // a standalone Ack or piggybacked on a TokenAck.
 func (n *NE) applyAck(from seq.NodeID, a *msg.Ack) {
-	// Batched per-source WQ acks from the next ring node.
+	// Batched per-source WQ acks from the next ring node, then its gap
+	// reports: what it holds past each hole is resent below at once.
 	if len(a.Batch) > 0 && from == n.view.Next {
 		for _, sc := range a.Batch {
 			if s := n.wqSenders[sc.Source]; s != nil {
 				s.Ack(uint64(sc.Cum))
+			}
+		}
+		for _, g := range a.Gaps {
+			if s := n.wqSenders[g.Source]; s != nil {
+				s.Repair(uint64(g.Above))
 			}
 		}
 	}
@@ -1474,7 +1496,7 @@ func (n *NE) maybeDeactivate() {
 	n.active = false
 	n.awaitingJoin = false
 	n.joinedParent = seq.None
-	n.joinCourier.Confirm()
+	n.joinCourier.Cancel()
 	n.e.Net.Send(n.id, n.view.Parent, &msg.Leave{Group: n.e.Group, Node: n.id})
 }
 
@@ -1642,7 +1664,7 @@ func (n *NE) retransmissions() uint64 {
 		total += n.ringSender.Retransmissions
 	}
 	for _, s := range n.wqSenders {
-		total += s.Retransmissions
+		total += s.Retransmissions + s.Repairs
 	}
 	for _, s := range n.childSenders {
 		total += s.Retransmissions

@@ -251,6 +251,7 @@ func (n *NE) handleTokenAck(from seq.NodeID, a *msg.TokenAck) {
 	if n.tokenExpect.active && a.Epoch == n.tokenExpect.epoch &&
 		a.Hops == n.tokenExpect.hops && a.Next == n.tokenExpect.next {
 		n.tokenCourier.Confirm()
+		n.e.Tel.TokenRTO.Set(int64(n.tokenCourier.RTO()))
 		n.tokenExpect = ackExpect{}
 		if n.tokenSent != nil {
 			n.txBase, n.tokenSent = n.tokenSent, nil

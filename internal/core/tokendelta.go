@@ -12,7 +12,9 @@ import (
 // sender's base — and the version it last accepted from its predecessor —
 // the receiver's base. Any hop the two ends cannot agree on travels
 // whole: the first hop to a new successor, the first of a new epoch, a
-// token that does not extend the base, and every courier retransmission.
+// token that does not extend the base, and every courier retransmission
+// after the first (which repeats the delta: a receiver that lost it
+// still holds the base, and one that took it swallows the copy).
 // A member that lacks the history (healed, resumed, joined) therefore
 // still receives it. Both bases live on the node's one driver goroutine.
 
@@ -37,7 +39,8 @@ const (
 	// same-epoch twin), or the receiver's copy of the base differs from
 	// the sender's.
 	ResyncDigest
-	// ResyncRetransmit: a courier retransmission, always whole.
+	// ResyncRetransmit: a courier retransmission after the first, always
+	// whole.
 	ResyncRetransmit
 	// NumTokenResyncs sizes arrays indexed by TokenResync.
 	NumTokenResyncs
@@ -96,8 +99,9 @@ func (n *NE) tokenMsg(nx seq.NodeID, send *seq.Token) *msg.TokenMsg {
 	return m
 }
 
-// resendWholeToken is the token courier's retransmission: the whole
-// table, since a receiver that refused the first copy lacks its base.
+// resendWholeToken is the token courier's second and later
+// retransmission: the whole table, since a receiver that refused the
+// delta twice lacks its base.
 func (n *NE) resendWholeToken(m msg.Message) msg.Message {
 	tm, ok := m.(*msg.TokenMsg)
 	if !ok {
@@ -122,8 +126,9 @@ func (n *NE) countWholeToken(r TokenResync, to seq.NodeID) {
 // object — any hop), or a delta rebuilt against the version this node
 // accepted from the sender. nil means there is nothing to process: a
 // refused delta, dropped unacknowledged so the sender's courier resends
-// the whole table, or a duplicate the header alone let this node
-// acknowledge and swallow.
+// it and then the whole table, or a duplicate — a resend after a lost
+// acknowledgement — the header alone let this node acknowledge and
+// swallow.
 func (n *NE) tokenOf(from seq.NodeID, m *msg.TokenMsg) *seq.Token {
 	d := m.Delta
 	if m.Token != nil || d == nil {

@@ -310,7 +310,11 @@ func token(w *walker, t **seq.Token, base *seq.Token, d **seq.Delta) {
 }
 
 // ackFields is an Ack's layout after its kind byte; a TokenAck carries
-// the same fields as its piggybacked Cum.
+// the same fields as its piggybacked Cum, last in both. The gap list is
+// a trailing optional field: absent — no bytes at all — when empty, so
+// a gap-free Ack pays nothing for it, and present exactly when bytes
+// follow the batch. Present, it must be non-empty and every gap must lie
+// above its source's Batch cum.
 func ackFields(w *walker, a *Ack) {
 	uv(w, &a.Group)
 	uv(w, &a.From)
@@ -322,6 +326,40 @@ func ackFields(w *walker, a *Ack) {
 		uv(w, &a.Batch[i].Source)
 		uv(w, &a.Batch[i].Cum)
 	}
+	if w.pass == decoding {
+		if w.err != nil || w.off == len(w.buf) {
+			return
+		}
+	} else if len(a.Gaps) == 0 {
+		return
+	}
+	list(w, &a.Gaps, 2)
+	for i := range a.Gaps {
+		uv(w, &a.Gaps[i].Source)
+		uv(w, &a.Gaps[i].Above)
+	}
+	if w.pass == decoding && w.err == nil {
+		if len(a.Gaps) == 0 {
+			w.fail(fmt.Errorf("%w: empty gap list present", errNonCanonical))
+		}
+		for _, g := range a.Gaps {
+			if !gapAboveCum(a.Batch, g) {
+				w.fail(fmt.Errorf("%w: gap %d above %d not past its source's cum", errNonCanonical, g.Source, g.Above))
+				return
+			}
+		}
+	}
+}
+
+// gapAboveCum reports whether g's source has a Batch entry whose cum
+// lies below g.Above.
+func gapAboveCum(batch []SourceCum, g SourceGap) bool {
+	for _, sc := range batch {
+		if sc.Source == g.Source {
+			return g.Above > sc.Cum
+		}
+	}
+	return false
 }
 
 // layout walks m's fields in wire order, after the kind byte. It is the

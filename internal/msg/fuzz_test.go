@@ -69,6 +69,19 @@ func (t *taker) token() *seq.Token {
 	return tok
 }
 
+// gaps builds a gap report over batch the canonical decoder accepts:
+// nil for none, else gaps above their sources' cums.
+func (t *taker) gaps(batch []SourceCum) []SourceGap {
+	var gs []SourceGap
+	for _, sc := range batch {
+		g := SourceGap{Source: sc.Source, Above: sc.Cum + 1 + seq.LocalSeq(t.u8()%4)}
+		if t.u8()%2 == 1 && gapAboveCum(batch, g) {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
 // addr builds a short printable address string from fuzz bytes.
 func (t *taker) addr() string {
 	n := int(t.u8()) % 24
@@ -106,6 +119,7 @@ func build(data []byte) Message {
 		for j := int(t.u8()) % 8; j > 0; j-- { // nil when 0, matching Decode
 			a.Batch = append(a.Batch, SourceCum{Source: seq.NodeID(t.u32()), Cum: seq.LocalSeq(t.u64())})
 		}
+		a.Gaps = t.gaps(a.Batch)
 		return a
 	case KindNack:
 		return &Nack{Group: seq.GroupID(t.u32()), From: seq.NodeID(t.u32()), Range: t.rng()}
@@ -135,6 +149,7 @@ func build(data []byte) Message {
 			for j := int(t.u8()) % 4; j > 0; j-- { // nil when 0, matching Decode
 				ta.Cum.Batch = append(ta.Cum.Batch, SourceCum{Source: seq.NodeID(t.u32()), Cum: seq.LocalSeq(t.u64())})
 			}
+			ta.Cum.Gaps = t.gaps(ta.Cum.Batch)
 		}
 		return ta
 	case KindTokenRegen:
@@ -272,6 +287,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(Encode(&TokenMsg{From: 1, Token: later, Base: base}))
 	f.Add(Encode(&TokenAck{From: 3, Epoch: 2, Hops: 1 << 20, Next: 5000,
 		Cum: &Ack{From: 3, CumGlobal: 4999, Batch: []SourceCum{{Source: 1, Cum: 70}, {Source: 2, Cum: 300}}}}))
+	f.Add(Encode(&Ack{From: 2, CumGlobal: 40, Batch: []SourceCum{{Source: 1, Cum: 70}, {Source: 3, Cum: 9}},
+		Gaps: []SourceGap{{Source: 1, Above: 74}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode must never panic on arbitrary bytes, and what it accepts
 		// must be what an honest encoder would have sent.

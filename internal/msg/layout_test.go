@@ -60,6 +60,8 @@ func pinnedMessages(tb testing.TB) []Message {
 		&QuorumVote{Group: 1, Epoch: 5, Base: 4, Proposer: 2, Voter: 3, Granted: true},
 		&RingSummary{Group: 1, From: 2, Epoch: 3, Front: 4, OrderHash: 0xdeadbeef, TokenEpoch: 5, TokenHops: 6},
 		&MergeReq{Group: 1, Node: 2, Addr: "10.0.0.2:99", Epoch: 3, Front: 4, OrderHash: 5, TokenEpoch: 6, TokenHops: 7},
+		&Ack{Group: 1, From: 2, CumGlobal: 77, Batch: []SourceCum{{Source: 3, Cum: 9}, {Source: 4, Cum: 200}},
+			Gaps: []SourceGap{{Source: 4, Above: 203}}},
 	}
 }
 
@@ -96,6 +98,7 @@ var pinnedHex = []string{
 	"16010504020301",
 	"1701020304efbeadde000000000506",
 	"1801020b31302e302e302e323a3939030405000000000000000607",
+	"02010200004d02030904c8010104cb01",
 }
 
 // TestLayoutBytesPinned pins every kind's encoding byte for byte: peers of

@@ -174,12 +174,23 @@ type SourceCum struct {
 	Cum    seq.LocalSeq
 }
 
+// SourceGap is a gap report inside an Ack: the receiver holds Above of
+// Source's stream but not everything between the stream's cumulative
+// mark (its Batch entry) and Above, so the sender may resend the
+// outstanding messages below Above without waiting for its timer.
+type SourceGap struct {
+	Source seq.NodeID
+	Above  seq.LocalSeq
+}
+
 // Ack acknowledges, on one hop, cumulative receipt of a stream.
 // For top-ring WQ forwarding the stream is (Source, CumLocal) — or, when
 // several source streams share the hop, the multi-source Batch; for MQ
 // forwarding and delivering the stream is the global order (CumGlobal).
 // One Ack may carry both aspects (a coalesced flush acknowledges all
-// streams owed to one neighbor at once).
+// streams owed to one neighbor at once). Gaps names the Batch sources
+// whose receiver holds messages past a hole; it is empty on a gap-free
+// hop and then costs no bytes.
 type Ack struct {
 	Group     seq.GroupID
 	From      seq.NodeID
@@ -187,6 +198,7 @@ type Ack struct {
 	CumLocal  seq.LocalSeq
 	CumGlobal seq.GlobalSeq
 	Batch     []SourceCum
+	Gaps      []SourceGap
 }
 
 func (*Ack) Kind() Kind      { return KindAck }

@@ -327,6 +327,10 @@ func TestDecodeErrors(t *testing.T) {
 		"heartbeat trailing byte":         append(Encode(&Heartbeat{From: 1}), 0),
 		"token trailing byte":             append(Encode(&TokenMsg{From: 1, Token: tok}), 0),
 		"ack trailing byte":               append(Encode(&Ack{From: 1}), 0),
+		"ack gap list present but empty":  append(Encode(&Ack{Batch: []SourceCum{{Source: 1, Cum: 4}}}), 0),
+		"ack gap at its source's cum":     Encode(&Ack{Batch: []SourceCum{{Source: 1, Cum: 4}}, Gaps: []SourceGap{{Source: 1, Above: 4}}}),
+		"ack gap below its source's cum":  Encode(&Ack{Batch: []SourceCum{{Source: 1, Cum: 4}}, Gaps: []SourceGap{{Source: 1, Above: 2}}}),
+		"ack gap without a batch entry":   Encode(&Ack{Batch: []SourceCum{{Source: 1, Cum: 4}}, Gaps: []SourceGap{{Source: 2, Above: 9}}}),
 	} {
 		if m, err := Decode(b); !errors.Is(err, errNonCanonical) {
 			t.Errorf("%s: decoded as %v, err %v; want a non-canonical refusal", name, m, err)

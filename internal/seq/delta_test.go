@@ -141,7 +141,7 @@ func (d *deltaRing) hop() {
 			}
 		}
 	}
-	if got == nil { // lost or refused: the courier resends the whole table
+	if got == nil { // lost or refused: a resend (the delta, then the whole table) delivers it
 		tok, _, err := DecodeToken(want)
 		if err != nil {
 			d.t.Fatal(err)

@@ -2,14 +2,18 @@
 // retransmission scheme (§4.2.3): every network entity reliably transmits
 // within its immediate-neighbor scope only — to its next node, its
 // children, or its attached MHs — using per-hop cumulative
-// acknowledgements, timeout retransmission, and bounded retries. After
+// acknowledgements, timeout retransmission, and bounded retries; a
+// receiver's gap report (Sender.Repair) brings a resend forward to one
+// hop round trip after the loss instead of one timeout. After
 // the retry budget is exhausted a message is "really lost" and, per
 // §4.1, is considered delivered (best-effort reliability in the sense of
 // Bimodal Multicast [5]).
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/seq"
@@ -43,6 +47,13 @@ type Config struct {
 	// since the first copy is already queued. 0 keeps the paper's
 	// fixed-RTO scheme (the simulator default).
 	BackoffCap sim.Time
+	// MinRTO, when non-zero, times a Courier from its own round trips
+	// (RFC 6298): RTO = SRTT + 4·RTTVAR, sampled from acknowledged
+	// deliveries that were never retransmitted (Karn's rule) and clamped
+	// to [MinRTO, RTO]; until the first sample the courier uses RTO.
+	// Senders keep the fixed RTO whatever this holds. 0 keeps the paper's
+	// fixed RTO (the simulator default).
+	MinRTO sim.Time
 }
 
 // DefaultConfig suits wired backbone hops.
@@ -57,6 +68,7 @@ type pending struct {
 	m       msg.Message
 	seqno   uint64
 	retries int
+	sent    uint64 // the Sender's transmission count at p's last (re)send
 	timer   sim.Timer
 }
 
@@ -82,7 +94,7 @@ func pendingTimeout(v any) {
 	p.retries++
 	s.Retransmissions++
 	if s.OnRetransmit != nil {
-		s.OnRetransmit(p.m)
+		s.OnRetransmit(p.m, false)
 	}
 	s.transmit(p)
 }
@@ -92,8 +104,9 @@ func pendingTimeout(v any) {
 // cumulative-acked: Ack(n) releases every message with seqno ≤ n.
 //
 // The sender never reorders: it transmits immediately on Send and
-// retransmits on timeout. OnGiveUp fires when a message exhausts its
-// retries — the caller then applies the really-lost rule.
+// retransmits on timeout, or sooner on a receiver's gap report (Repair).
+// OnGiveUp fires when a message exhausts its retries — the caller then
+// applies the really-lost rule.
 type Sender struct {
 	net   Network
 	cfg   Config
@@ -104,15 +117,21 @@ type Sender struct {
 	acked uint64
 	// OnGiveUp is invoked with the seqno abandoned after MaxRetries.
 	OnGiveUp func(seqno uint64)
-	// OnRetransmit, when set, observes every timeout-triggered resend
-	// with the message being resent (trace-plane annotation hook; nil —
-	// the simulator default — costs one branch per retransmission).
-	OnRetransmit func(m msg.Message)
+	// OnRetransmit, when set, observes every resend with the message
+	// being resent and its cause: a gap report (Repair) or the timer
+	// (telemetry and trace-plane hook; nil — the simulator default —
+	// costs one branch per retransmission).
+	OnRetransmit func(m msg.Message, gap bool)
 
-	// Retransmissions counts timeout-triggered resends (overhead
-	// metric).
+	// Retransmissions counts timeout-triggered resends and Repairs the
+	// gap-triggered ones (overhead metrics).
 	Retransmissions uint64
+	Repairs         uint64
 	closed          bool
+	// sent counts transmissions, first sends and resends alike; each
+	// pending slot keeps the count of its last one, which orders the
+	// hop's transmissions for Repair.
+	sent uint64
 
 	// scratch buffers for SendRun (per-call burst assembly).
 	burstMsgs []msg.Message
@@ -175,6 +194,8 @@ func (s *Sender) track(seqno uint64, m msg.Message) *pending {
 	p.seqno = seqno
 	p.retries = 0
 	s.out[seqno] = p
+	s.sent++
+	p.sent = s.sent
 	return p
 }
 
@@ -236,6 +257,8 @@ func (s *Sender) release(p *pending) {
 
 func (s *Sender) transmit(p *pending) {
 	s.net.Send(s.from, s.to, p.m)
+	s.sent++
+	p.sent = s.sent
 	p.timer.Stop()
 	s.arm(p)
 }
@@ -286,6 +309,49 @@ func (s *Sender) Ack(cum uint64) {
 	}
 }
 
+// Repair acts on a receiver's gap report: it holds seqno above but not
+// every seqno between the cumulative ack and it. Each outstanding seqno
+// below above is resent at once — unless it was last sent after above
+// was, since then the report cannot tell whether that copy arrived. So a
+// message is repaired at most once per hop round trip however many
+// reports name its hole: the next repair needs a report triggered by
+// something sent after this one. Retries and the backoff are left alone
+// (a repair is not a timeout), and the resend restarts the message's
+// timer, which stays the fallback for a loss no later arrival reveals.
+// It returns the number of messages resent. Like Ack, it walks the
+// shorter of the seqno range and the window, resending in seqno order.
+func (s *Sender) Repair(above uint64) int {
+	top, ok := s.out[above]
+	if s.closed || !ok {
+		return 0
+	}
+	due := s.burstPend[:0]
+	if above-s.acked <= uint64(len(s.out)) {
+		for sn := s.acked + 1; sn < above; sn++ {
+			if p, ok := s.out[sn]; ok && p.sent < top.sent {
+				due = append(due, p)
+			}
+		}
+	} else {
+		for sn, p := range s.out {
+			if sn < above && p.sent < top.sent {
+				due = append(due, p)
+			}
+		}
+		slices.SortFunc(due, func(a, b *pending) int { return cmp.Compare(a.seqno, b.seqno) })
+	}
+	for i, p := range due {
+		s.Repairs++
+		if s.OnRetransmit != nil {
+			s.OnRetransmit(p.m, true)
+		}
+		s.transmit(p)
+		due[i] = nil
+	}
+	s.burstPend = due[:0]
+	return len(due)
+}
+
 // Acked returns the cumulative acknowledgement received.
 func (s *Sender) Acked() uint64 { return s.acked }
 
@@ -304,6 +370,8 @@ func (s *Sender) Close() {
 // "some retransmission scheme", §4.2.1). Deliver sends m and retransmits
 // until Confirm is called or retries are exhausted, at which point OnFail
 // fires (the basis of the Token-Loss case when the next node is dead).
+// With Config.MinRTO set, the courier times itself from its confirmed
+// round trips instead of the fixed RTO.
 type Courier struct {
 	net  Network
 	cfg  Config
@@ -313,14 +381,19 @@ type Courier struct {
 	to      seq.NodeID
 	m       msg.Message
 	retries int
+	sentAt  sim.Time // when the current delivery was first sent
 	timer   sim.Timer
+	// srtt and rttvar are the RFC 6298 estimator (MinRTO set, once
+	// sampled); rto is the timeout a fresh delivery starts from.
+	srtt, rttvar, rto sim.Time
 	// OnFail is invoked when delivery of the current message is
 	// abandoned.
 	OnFail func(to seq.NodeID, m msg.Message)
-	// Resend, when set, maps the in-flight message to what a timeout
-	// retransmission sends instead. The token hop uses it to resend its
-	// whole table: a receiver that refused the first copy's delta lacks
-	// the base the delta was cut from.
+	// Resend, when set, maps the in-flight message to what the second and
+	// later retransmissions send instead; the first resends it unchanged.
+	// The token hop uses it to resend its whole table: a receiver that
+	// refused the first copy's delta lacks the base it was cut from,
+	// while one that merely lost it still holds that base.
 	Resend func(m msg.Message) msg.Message
 
 	Retransmissions uint64
@@ -331,7 +404,7 @@ func NewCourier(net Network, from seq.NodeID, cfg Config) *Courier {
 	if cfg.RTO <= 0 {
 		cfg.RTO = DefaultConfig.RTO
 	}
-	return &Courier{net: net, cfg: cfg, from: from}
+	return &Courier{net: net, cfg: cfg, from: from, rto: cfg.RTO}
 }
 
 // Busy reports whether a delivery is in flight.
@@ -341,20 +414,27 @@ func (c *Courier) Busy() bool { return c.m != nil }
 // membership reconfiguration to find couriers stuck on a removed member.
 func (c *Courier) To() seq.NodeID { return c.to }
 
+// RTO is the timeout a fresh delivery starts from: Config.RTO, or the
+// measured one under Config.MinRTO.
+func (c *Courier) RTO() sim.Time { return c.rto }
+
 // Deliver starts reliable delivery of m to to, cancelling any previous
 // in-flight delivery.
 func (c *Courier) Deliver(to seq.NodeID, m msg.Message) {
-	c.cancel()
+	c.Cancel()
 	c.seqno++
 	c.to = to
 	c.m = m
 	c.retries = 0
+	c.sentAt = c.net.Scheduler().Now()
 	c.net.Send(c.from, to, m)
 	c.armCourier(c.seqno)
 }
 
 func (c *Courier) armCourier(sn uint64) {
-	c.timer = c.net.Scheduler().After(retryDelay(c.cfg, c.retries), func() {
+	cfg := c.cfg
+	cfg.RTO = c.rto
+	c.timer = c.net.Scheduler().After(retryDelay(cfg, c.retries), func() {
 		if c.m == nil || c.seqno != sn {
 			return
 		}
@@ -368,7 +448,7 @@ func (c *Courier) armCourier(sn uint64) {
 		}
 		c.retries++
 		c.Retransmissions++
-		if c.Resend != nil {
+		if c.Resend != nil && c.retries > 1 {
 			c.m = c.Resend(c.m)
 		}
 		c.net.Send(c.from, c.to, c.m)
@@ -377,13 +457,38 @@ func (c *Courier) armCourier(sn uint64) {
 }
 
 // Confirm acknowledges the in-flight delivery, stopping retransmission.
-func (c *Courier) Confirm() { c.cancel() }
+// Under Config.MinRTO a delivery confirmed without a retransmission is
+// a round-trip sample; a retransmitted one is not, since the ack may
+// answer either copy (Karn's rule).
+func (c *Courier) Confirm() {
+	if c.cfg.MinRTO > 0 && c.m != nil && c.retries == 0 {
+		c.sample(c.net.Scheduler().Now() - c.sentAt)
+	}
+	c.Cancel()
+}
 
-func (c *Courier) cancel() {
+// sample folds one round trip r into the estimator (RFC 6298 §2).
+func (c *Courier) sample(r sim.Time) {
+	if c.srtt == 0 {
+		c.srtt, c.rttvar = r, r/2
+	} else {
+		d := c.srtt - r
+		if d < 0 {
+			d = -d
+		}
+		c.rttvar += (d - c.rttvar) / 4
+		c.srtt += (r - c.srtt) / 8
+	}
+	c.rto = min(max(c.srtt+4*c.rttvar, c.cfg.MinRTO), c.cfg.RTO)
+}
+
+// Cancel abandons the in-flight delivery, stopping retransmission,
+// without treating it as acknowledged.
+func (c *Courier) Cancel() {
 	c.timer.Stop()
 	c.m = nil
 }
 
 func (c *Courier) String() string {
-	return fmt.Sprintf("courier{from=%v to=%v busy=%v retries=%d}", c.from, c.to, c.Busy(), c.retries)
+	return fmt.Sprintf("courier{from=%v to=%v busy=%v retries=%d rto=%v}", c.from, c.to, c.Busy(), c.retries, c.rto)
 }

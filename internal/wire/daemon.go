@@ -69,10 +69,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// outboxWindow is how long data frames from every group wait in the
-	// shared outbox, so contiguous delivery runs produced by different
-	// scheduler events — and by different groups — share datagrams.
-	const outboxWindow = 1 * sim.Millisecond
 	nd := &Node{
 		cfg:       cfg,
 		self:      self,

@@ -296,6 +296,38 @@ func TestDaemonTrioUnderInjectedLoss(t *testing.T) {
 	}
 }
 
+// TestDaemonHopGapRepair: four members at 2% injected datagram loss.
+// A body lost on a forwarding hop leaves a hole its successor reports in
+// its next ack, and the sender repairs it without waiting for the timer:
+// the ring converges to one order and some member counted a gap-caused
+// retransmission. The token courier's measured timeout stays inside its
+// clamp. No latency is asserted.
+func TestDaemonHopGapRepair(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node loss cluster in -short")
+	}
+	nodes := newCluster(t, 4, func(i int, cfg *Config) {
+		cfg.Loss = 0.02
+		cfg.Count = 400
+	})
+	reports := runNodes(t, nodes)
+	assertIdenticalOrder(t, reports)
+	var gaps, timeouts float64
+	for _, nd := range nodes {
+		g, _ := nd.tel.reg.Value("ringnet_hop_retransmits_total", "group", "1", "cause", "gap")
+		to, _ := nd.tel.reg.Value("ringnet_hop_retransmits_total", "group", "1", "cause", "timeout")
+		gaps, timeouts = gaps+g, timeouts+to
+		rto, ok := nd.tel.reg.Value("ringnet_token_rto_seconds", "group", "1")
+		if hop := protocolConfig().Hop; !ok || rto < hop.MinRTO.Seconds() || rto > hop.RTO.Seconds() {
+			t.Errorf("node %d: token RTO %vs (registered %v), want within [%v, %v]", nd.cfg.Node, rto, ok, hop.MinRTO, hop.RTO)
+		}
+	}
+	t.Logf("hop retransmissions: %v on a gap report, %v on the timer", gaps, timeouts)
+	if gaps == 0 {
+		t.Fatal("no hop retransmission was caused by a gap report at 2% loss")
+	}
+}
+
 // TestDaemonMultiGroupFederation: the tentpole in one process — three
 // members each hosting three independent ordering groups over one shared
 // socket, with different per-group workloads. Every group must converge

@@ -36,6 +36,10 @@ func protocolConfig() core.Config {
 	// federated daemon is only buried deeper by fixed-20ms duplicates.
 	cfg.Hop.BackoffCap = 500 * sim.Millisecond
 	cfg.Wireless.BackoffCap = 500 * sim.Millisecond
+	// The token courier times itself from its TokenAcks. Its floor is two
+	// outbox windows: an ack can wait one window at each end of the hop,
+	// so a shorter timeout would resend tokens that are merely batched.
+	cfg.Hop.MinRTO = 2 * outboxWindow
 	cfg.CompactAbove = 256
 	cfg.CompactKeep = 1024
 	cfg.RetainExtra = 4096
@@ -147,6 +151,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	g.net = newOutboxNet(g.sched, nd.ob, g.gid, g.self)
 	g.e = core.NewEngine(seq.GroupID(gc.ID), protocolConfig(), g.net, h)
 	g.e.Tel = g.tel.coreTel(nd.tel.reg)
+	g.e.Tel.TokenRTO.Set(int64(g.e.Cfg.Hop.RTO)) // until the first TokenAck is sampled
 
 	g.e.OnDeliver = g.sink.deliver
 	if g.sink.dlq != nil {

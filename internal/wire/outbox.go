@@ -14,6 +14,12 @@ import (
 // waiting for its window: comfortably one datagram's worth.
 const batchFlushBytes = 48_000
 
+// outboxWindow is how long data frames from every group wait in a
+// daemon's shared outbox, so contiguous delivery runs produced by
+// different scheduler events — and by different groups — share
+// datagrams.
+const outboxWindow = 1 * sim.Millisecond
+
 // SharedOutbox batches outbound traffic from every group a daemon hosts
 // into per-peer, multi-section datagrams. Every group sends for a given
 // peer into one box here, so one socket write carries many groups'
@@ -91,13 +97,15 @@ func NewSharedOutbox(tr *Transport, window sim.Time) *SharedOutbox {
 	return &SharedOutbox{tr: tr, window: window, boxes: make(map[seq.NodeID]*peerBox)}
 }
 
-// urgentKind reports whether a message must not wait for the batch
-// window: everything except bulk data-plane and coalescable control.
-func urgentKind(k msg.Kind) bool {
-	switch k {
-	case msg.KindData, msg.KindSkip, msg.KindAck,
-		msg.KindProgress, msg.KindHeartbeat:
+// urgent reports whether a message must not wait for the batch window:
+// everything except bulk data-plane and coalescable control. An Ack that
+// reports a gap is urgent too: its sender repairs the hole on arrival.
+func urgent(m msg.Message) bool {
+	switch m.Kind() {
+	case msg.KindData, msg.KindSkip, msg.KindProgress, msg.KindHeartbeat:
 		return false
+	case msg.KindAck:
+		return len(m.(*msg.Ack).Gaps) > 0
 	}
 	return true
 }
@@ -128,7 +136,7 @@ func (o *SharedOutbox) enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID
 	s.Msgs = append(s.Msgs, m)
 	s.sizes = append(s.sizes, size)
 	b.bytes += framedSize(size)
-	asap := o.window <= 0 || urgentKind(m.Kind()) || b.bytes >= batchFlushBytes
+	asap := o.window <= 0 || urgent(m) || b.bytes >= batchFlushBytes
 	switch {
 	case !b.armed:
 		b.armed, b.asap = true, asap

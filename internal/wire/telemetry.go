@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seq"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -166,15 +167,24 @@ func (gt *groupTelemetry) coreTel(reg *telemetry.Registry) core.Telemetry {
 			"Slots condemned by the really-lost rule.", "group", g),
 		TokenHopBytes: reg.Counter("ringnet_token_hop_bytes_total",
 			"Encoded bytes of ordering-token hops (first transmissions).", "group", g),
-		Events: gt.events,
-		Node:   gt.node,
-		Group:  gt.gid,
-		Trace:  gt.tracer,
+		HopTimeoutRetransmits: reg.Counter("ringnet_hop_retransmits_total",
+			"Reliable-hop retransmissions by cause (timeout: the timer fired; gap: a receiver reported a hole).", "group", g, "cause", "timeout"),
+		HopGapRetransmits: reg.Counter("ringnet_hop_retransmits_total",
+			"Reliable-hop retransmissions by cause (timeout: the timer fired; gap: a receiver reported a hole).", "group", g, "cause", "gap"),
+		TokenRTO: &telemetry.Gauge{},
+		Events:   gt.events,
+		Node:     gt.node,
+		Group:    gt.gid,
+		Trace:    gt.tracer,
 	}
 	for _, r := range core.SenderResyncs {
 		t.TokenFullSends[r] = reg.Counter("ringnet_token_full_sends_total",
-			"Token transmissions that carried the whole table instead of a delta, by reason (retransmit: every courier resend).", "group", g, "reason", r.String())
+			"Token transmissions that carried the whole table instead of a delta, by reason (retransmit: a courier resend after the first, which repeats the delta).", "group", g, "reason", r.String())
 	}
+	rto := t.TokenRTO
+	reg.GaugeFunc("ringnet_token_rto_seconds",
+		"The token courier's retransmission timeout, measured from its TokenAck round trips.",
+		func() float64 { return float64(rto.Value()) / float64(sim.Second) }, "group", g)
 	for _, r := range core.ReceiverResyncs {
 		t.TokenDeltaRefused[r] = reg.Counter("ringnet_token_delta_refused_total",
 			"Token deltas this member could not rebuild and dropped, by reason.", "group", g, "reason", r.String())

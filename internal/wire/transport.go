@@ -51,8 +51,13 @@ type Faults struct {
 	Seed uint64
 	// Loss is the probability an inbound datagram is dropped.
 	Loss float64
-	// Jitter delays each inbound datagram uniformly in [0, Jitter),
-	// reordering datagrams that arrive close together.
+	// Jitter delays each inbound datagram by a draw uniform in
+	// [0, Jitter), reordering datagrams that arrive close together. The
+	// delayed dispatch rides a Go timer, which the runtime's netpoller
+	// fires at a granularity of about 1 ms, so the delay a datagram
+	// really sees is the draw rounded up to that quantum: a 500 µs
+	// Jitter delays nearly every datagram by ~1.1 ms, not 250 µs on
+	// average.
 	Jitter time.Duration
 }
 
