@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/msg"
@@ -430,13 +431,7 @@ func (n *NE) Readmit(baseline seq.GlobalSeq) {
 	if baseline > 0 && n.mq.Rear() == 0 {
 		n.mq.ForceRelease(baseline)
 	}
-	n.stallSince = make(map[seq.NodeID]sim.Time)
-	n.stallRounds = make(map[seq.NodeID]int)
-	n.frontStall, n.frontRounds, n.frontG = 0, 0, 0
-	if n.tokenSeen {
-		n.lastToken = n.now()
-	}
-	n.SetDeliveryHold(false)
+	n.restartRepairClocks()
 }
 
 // RejoinFresh abandons the node's position in the stream and re-enters
@@ -459,6 +454,15 @@ func (n *NE) RejoinFresh(baseline seq.GlobalSeq) (lo, hi seq.GlobalSeq) {
 	} else {
 		lo, hi = 1, 0
 	}
+	n.restartRepairClocks()
+	n.deliverLoop()
+	return lo, hi
+}
+
+// restartRepairClocks is the common tail of Readmit and RejoinFresh:
+// clear the stall state accumulated against unreachable peers, restart
+// the token watchdog from now, and lift any delivery hold.
+func (n *NE) restartRepairClocks() {
 	n.stallSince = make(map[seq.NodeID]sim.Time)
 	n.stallRounds = make(map[seq.NodeID]int)
 	n.frontStall, n.frontRounds, n.frontG = 0, 0, 0
@@ -466,8 +470,6 @@ func (n *NE) RejoinFresh(baseline seq.GlobalSeq) (lo, hi seq.GlobalSeq) {
 		n.lastToken = n.now()
 	}
 	n.SetDeliveryHold(false)
-	n.deliverLoop()
-	return lo, hi
 }
 
 // noteLost reports a really-lost verdict to the engine's OnLost hook.
@@ -1254,11 +1256,7 @@ func (n *NE) sortedChildSenders() []*transport.Sender {
 				extra = append(extra, c)
 			}
 		}
-		for i := 1; i < len(extra); i++ {
-			for j := i; j > 0 && extra[j] < extra[j-1]; j-- {
-				extra[j], extra[j-1] = extra[j-1], extra[j]
-			}
-		}
+		slices.Sort(extra)
 		for _, c := range extra {
 			out = append(out, n.childSenders[c])
 		}
@@ -1282,12 +1280,7 @@ func (n *NE) sortedMHSenders() []*transport.Sender {
 	for h := range n.mhSenders {
 		hosts = append(hosts, h)
 	}
-	// Deterministic order.
-	for i := 1; i < len(hosts); i++ {
-		for j := i; j > 0 && hosts[j] < hosts[j-1]; j-- {
-			hosts[j], hosts[j-1] = hosts[j-1], hosts[j]
-		}
-	}
+	slices.Sort(hosts) // deterministic order
 	n.hostScratch = hosts
 	out := n.mhList[:0]
 	for _, h := range hosts {

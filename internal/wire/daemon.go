@@ -19,10 +19,12 @@ import (
 // (socket, peer table, clock sync), one shared per-peer batching outbox,
 // and one event loop: a scheduler and the driver that paces it against
 // the wall clock. Every group's engine, substrate, membership plane,
-// sink, workload and timers run on that loop, so all protocol state in
-// the process is touched from one goroutine. Inbound datagrams
-// demultiplex by the group id in each frame section; outbound traffic
-// from all groups coalesces in the outbox. Build with NewNode,
+// sink, workload and timers run on that loop, and so does each inbound
+// datagram's dispatch, one call per datagram: all protocol state in the
+// process is touched from one goroutine, and it is the only one that
+// sends. Inbound datagrams demultiplex by the group id in each frame
+// section; outbound traffic from all groups coalesces in the outbox.
+// Build with NewNode,
 // optionally patch late-bound peer addresses, then Run.
 type Node struct {
 	cfg  Config
@@ -227,19 +229,20 @@ func (nd *Node) Run() (Report, error) {
 
 	// One reader, one driver, one clock calibration — shared by every
 	// group.
-	nd.tr.Start()
+	nd.tr.startOn(nd.drv)
 	nd.drv.Start()
 	nd.drv.CallWait(func() {
+		// Clock-offset calibration against the spawn-time peers; pongs
+		// are folded in at the transport layer while the rings warm up.
+		peers := make([]seq.NodeID, len(cfg.Peers))
+		for i, p := range cfg.Peers {
+			peers[i] = seq.NodeID(p.Node)
+		}
+		nd.tr.calibrate(nd.drv.sched, peers)
 		for _, g := range groups {
 			g.start()
 		}
 	})
-	if len(cfg.Peers) > 0 {
-		// Clock-offset calibration against the spawn-time peers; pongs
-		// are folded in at the transport layer while the rings warm up.
-		const clockSyncRounds = 4
-		go nd.tr.SyncClocks(clockSyncRounds, 25*time.Millisecond)
-	}
 
 	// The deadline is shared: a broadcast channel, not time.After, so
 	// every group observes it.

@@ -464,9 +464,7 @@ func TestDaemonGoroutinesIndependentOfGroups(t *testing.T) {
 		finished := make(chan struct{})
 		go func() { wg.Wait(); close(finished) }()
 
-		// Mid-stream: every group on both daemons has delivered. The
-		// workload starts at 300 ms, well after the start-up clock
-		// calibration (one goroutine per daemon, ~100 ms) is over.
+		// Mid-stream: every group on both daemons has delivered.
 		streaming := func() bool {
 			for _, nd := range nodes {
 				rep := nd.Snapshot()

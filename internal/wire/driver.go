@@ -12,9 +12,10 @@ import (
 // runs exactly one, over the scheduler every hosted group shares. Virtual
 // microseconds are anchored at Start: an event scheduled for virtual
 // time T runs once the wall clock passes Start+T. All protocol state is
-// touched only from the driver goroutine; external goroutines (socket
-// readers, control planes) enter via Call/CallWait, which serialize
-// injected work between events.
+// touched only from the driver goroutine, which is also the daemon's
+// only sender; other goroutines (the socket reader, one call per
+// datagram, and control planes) enter via Call/CallWait, which
+// serialize injected work between events.
 //
 // The protocol core is unchanged: its RTO retransmission timers, τ
 // ordering ticks, and ack-delay timers are ordinary scheduler events
@@ -74,7 +75,7 @@ func (d *Driver) wallNow() sim.Time {
 // Call enqueues fn to run on the driver goroutine, between events, with
 // the virtual clock synced to the wall clock. It reports false (without
 // running fn) once the driver is stopped. It may block briefly when the
-// injection queue is full — backpressure on socket readers.
+// injection queue is full — backpressure on the socket reader.
 func (d *Driver) Call(fn func()) bool {
 	select {
 	case <-d.quit:
@@ -155,7 +156,7 @@ func (d *Driver) loop() {
 			fn()
 			// Drain a bounded batch of the injection queue before going
 			// back to event processing: under overload the socket
-			// readers keep this queue full, and servicing one call per
+			// reader keeps this queue full, and servicing one call per
 			// run cycle would make a waiter (a deadline report
 			// collection, a membership proposal) queue behind thousands
 			// of datagram deliveries — each paying a full catch-up Run.

@@ -31,11 +31,9 @@ import (
 func protocolConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Hop.MaxRetries = 0
-	cfg.Wireless.MaxRetries = 0
 	// Unbounded retries need backoff: a peer seconds behind on a loaded
 	// federated daemon is only buried deeper by fixed-20ms duplicates.
 	cfg.Hop.BackoffCap = 500 * sim.Millisecond
-	cfg.Wireless.BackoffCap = 500 * sim.Millisecond
 	// The token courier times itself from its TokenAcks. Its floor is two
 	// outbox windows: an ack can wait one window at each end of the hop,
 	// so a shorter timeout would resend tokens that are merely batched.
@@ -122,7 +120,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 			g.sink.close()
 		}
 	}()
-	g.sink.offsetOf = g.port.OffsetOf
+	g.sink.offsetOf = nd.tr.OffsetOf
 
 	// Identical hierarchy in every process: one top ring of all members.
 	// A joiner starts ringless; its first RingUpdate splices it in.
@@ -241,37 +239,30 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 			inner(from, m)
 		}
 	}
-	// The transport's reader goroutine hands each section to the driver,
-	// which dispatches it to the NE as one more event between its own.
+	// The hooks run on the driver, each datagram's as one more event
+	// between the scheduler's own.
 	hooks := GroupHooks{Handler: func(from seq.NodeID, msgs []msg.Message) {
-		nd.drv.Call(func() {
-			for _, m := range msgs {
-				recv(from, m)
-			}
-		})
+		for _, m := range msgs {
+			recv(from, m)
+		}
 	}}
 	hooks.OnControl = func(from seq.NodeID, flags uint8) {
 		if flags&FlagDone == 0 {
 			return
 		}
-		nd.drv.Call(func() {
-			// A converged member answers Done with Done (rate-limited):
-			// beacons ride the same lossy socket they gossip about, so
-			// a straggler that missed our periodic beacons re-learns we
-			// are done the moment its own beacons start flowing, even
-			// if we are already lingering on the way out.
-			if g.localDone && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
-				g.lastReply[from] = g.sched.Now()
-				g.port.SendControl(from, FlagDone)
-			}
-			g.doneFrom[from] = true
-		})
+		// A converged member answers Done with Done (rate-limited):
+		// beacons ride the same lossy socket they gossip about, so a
+		// straggler that missed our periodic beacons re-learns we are
+		// done the moment its own beacons start flowing, even if we are
+		// already lingering on the way out.
+		if g.localDone && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
+			g.lastReply[from] = g.sched.Now()
+			g.port.SendControl(from, FlagDone)
+		}
+		g.doneFrom[from] = true
 	}
 	if g.ms != nil {
-		ms := g.ms
-		hooks.OnUnknown = func(from seq.NodeID, msgs []msg.Message) {
-			nd.drv.Call(func() { ms.HandleUnknown(from, msgs) })
-		}
+		hooks.OnUnknown = g.ms.HandleUnknown
 	}
 	if err := nd.tr.Register(g.gid, hooks); err != nil {
 		return nil, err

@@ -1301,22 +1301,13 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 	if !wasJoined {
 		// A joiner's spawn-time clock pings died as unknown-sender frames
 		// at the seeds; now that membership is mutual, calibrate against
-		// every member so cross-process latency samples materialize.
-		for _, p := range m.order {
-			if p != m.self {
-				m.calibrate(p)
-			}
-		}
+		// every member (applyLocal just reset every failure-detector
+		// window, so all are live) so cross-process latency samples
+		// materialize.
+		m.tr.Calibrate(m.e.Scheduler(), m.LivePeers()...)
 		if m.OnJoined != nil {
 			m.OnJoined(u.Baseline, resumed)
 		}
-	}
-}
-
-// calibrate schedules a short burst of clock-offset pings toward peer.
-func (m *Membership) calibrate(peer seq.NodeID) {
-	for i := sim.Time(1); i <= 3; i++ {
-		m.e.Scheduler().After(i*50*sim.Millisecond, func() { m.tr.SendTimePing(peer) })
 	}
 }
 
@@ -1330,6 +1321,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 	h := m.e.H
 	now := m.e.Scheduler().Now()
 	wasVirgin := m.ringID == 0 || h.Ring(m.ringID) == nil
+	var met []seq.NodeID
 	for _, id := range m.order {
 		if id == m.self {
 			delete(m.graves, id)
@@ -1340,10 +1332,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		}
 		if addr := m.members[id]; addr != "" {
 			if fresh := !m.tr.HasPeer(id); m.tr.AddPeer(id, addr) == nil && fresh {
-				// Calibrate the clock offset toward a member met after
-				// spawn (a joiner granted mid-run), so cross-process
-				// latency samples stay offset-corrected.
-				m.calibrate(id)
+				met = append(met, id)
 			}
 		}
 		m.net.expose(id)
@@ -1351,6 +1340,10 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		m.det.Watch(id, now)
 		delete(m.graves, id)
 	}
+	// Calibrate the clock offset toward members met after spawn (a joiner
+	// granted mid-run), so cross-process latency samples stay
+	// offset-corrected.
+	m.tr.Calibrate(m.e.Scheduler(), met...)
 	if wasVirgin {
 		// Joiner's first epoch: its hierarchy has no top ring yet.
 		if r, err := h.NewRing(topology.TierBR, m.order...); err == nil {

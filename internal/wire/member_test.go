@@ -269,6 +269,48 @@ func TestLiveJoinInProcess(t *testing.T) {
 		len(joiner), reports[2].Single().FirstGlobal, reports[2].Single().Epoch)
 }
 
+// TestDaemonSingleSenderInOrder: a daemon's driver is the only goroutine
+// that sends, so on a fault-free loopback ring every peer's datagrams
+// arrive in seqno order — no reorders, no gaps — even while clock
+// calibration overlaps the data stream: a member joins mid-stream, and
+// it and the members it meets ping each other's clocks then.
+func TestDaemonSingleSenderInOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second live cluster in -short")
+	}
+	reports, errs := launchLive(t, 3, func(i int, cfg *Config) {
+		if i == 2 {
+			cfg.Groups[0].Join = true
+			cfg.Count = 40
+			cfg.StartMS = 0
+			cfg.Peers = []PeerAddr{{Node: 1}, {Node: 2}}
+		} else {
+			cfg.Count = 400
+			cfg.RateHz = 400 // still sourcing when the joiner lands
+			cfg.Peers = []PeerAddr{{Node: uint32(2 - i)}}
+		}
+	}, map[int]time.Duration{2: 400 * time.Millisecond}, nil)
+	for i, r := range reports {
+		if errs[i] != nil || !r.Converged || r.Single().Members != 3 {
+			t.Fatalf("node %d: %v (report %+v)", i+1, errs[i], r)
+		}
+		for id, st := range r.Transport.Peers {
+			if st.OutOfOrder != 0 || st.GapsSeen != 0 {
+				t.Errorf("node %d read %d datagrams from peer %d out of order and %d gaps",
+					i+1, st.OutOfOrder, id, st.GapsSeen)
+			}
+		}
+	}
+	j := reports[2].Single()
+	if j.CrossLatN == 0 {
+		t.Fatal("the joiner measured no offset-corrected latency: its calibration never ran")
+	}
+	if total := reports[0].Single().Delivered; j.FirstGlobal <= 1 || j.FirstGlobal >= total-40 {
+		t.Fatalf("joiner started at global %d of %d — not a mid-stream join", j.FirstGlobal, total)
+	}
+	t.Logf("joiner spliced in at global %d of %d", j.FirstGlobal, reports[0].Single().Delivered)
+}
+
 // TestLiveJoinerLeaves covers the full join→leave lifecycle: a process
 // joins mid-stream, sources traffic, then departs gracefully. The gate
 // that protects a joiner's virgin MQ must not re-engage after eviction

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,15 +15,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Handler consumes the messages of one received section. It is invoked
-// from the transport's reader goroutine (or a delay-injection timer
-// goroutine); serializing onto the group's protocol thread is the
-// caller's job (see newRingGroup).
+// Handler consumes the messages of one received section. It runs on the
+// transport's executor (see Start).
 type Handler func(from seq.NodeID, msgs []msg.Message)
 
 // GroupHooks is one hosted group's receive surface, installed with
-// Register. All three callbacks run on the reader (or a delay timer)
-// goroutine.
+// Register. All three callbacks run on the transport's executor: a
+// datagram's hooks run one after another, in frame order, in one call.
 type GroupHooks struct {
 	// Handler receives the protocol messages of sections addressed to
 	// this group from senders the group knows (has refcounted into the
@@ -51,8 +50,9 @@ type Faults struct {
 	Seed uint64
 	// Loss is the probability an inbound datagram is dropped.
 	Loss float64
-	// Jitter delays each inbound datagram by a draw uniform in
-	// [0, Jitter), reordering datagrams that arrive close together. The
+	// Jitter delays each inbound datagram that carries group traffic by a
+	// draw uniform in [0, Jitter), reordering datagrams that arrive close
+	// together; the transport's own clock probes are never delayed. The
 	// delayed dispatch rides a Go timer, which the runtime's netpoller
 	// fires at a granularity of about 1 ms, so the delay a datagram
 	// really sees is the draw rounded up to that quantum: a 500 µs
@@ -157,10 +157,6 @@ type Stats struct {
 }
 
 type peer struct {
-	// tx holds a sender from its seqno reservation through its last
-	// write, so datagrams leave in seqno order whoever sends them; it
-	// is taken before t.mu, never while holding it.
-	tx    sync.Mutex
 	addr  *net.UDPAddr
 	txSeq uint64
 	rxMax uint64
@@ -177,13 +173,23 @@ type peer struct {
 // per-group demultiplexing of inbound sections, and an optional fault
 // injector. Send batches messages into framed datagrams; received
 // datagrams are decoded and their sections handed to the GroupHooks
-// installed by Register. Close shuts the socket and joins the reader and
-// every pending delay-injection timer, so no hook call is in flight
-// after Close returns.
+// installed by Register.
+//
+// Datagrams to a peer leave in seqno order as long as one goroutine
+// sends. In a daemon that is its driver: the transport's executor, which
+// also answers clock probes. t.mu guards the peer table, the handlers
+// and the counters against the readers of Stats and against a
+// standalone transport's reader and delay timers.
 type Transport struct {
 	self seq.NodeID
 	conn *net.UDPConn
 	max  int
+
+	// drv, when set by startOn, is the executor every received
+	// datagram's dispatch runs on; nil runs it on the reader.
+	drv *Driver
+	// jitter draws the injected delays. Reader goroutine only.
+	jitter *sim.RNG
 
 	mu                sync.Mutex
 	peers             map[seq.NodeID]*peer
@@ -270,6 +276,7 @@ func Listen(cfg TransportConfig) (*Transport, error) {
 		groupStats: make(map[uint32]*GroupStats),
 		offsets:    make(map[seq.NodeID]offsetSample),
 		rng:        sim.NewRNG(cfg.Faults.Seed),
+		jitter:     sim.NewRNG(cfg.Faults.Seed ^ 0x9e3779b97f4a7c15),
 		faults:     cfg.Faults,
 		drops:      cfg.Drops,
 		started:    time.Now(),
@@ -367,12 +374,21 @@ func (s *PeerStats) merge(o PeerStats) {
 	s.InjectedDelays += o.InjectedDelays
 }
 
-// Start launches the reader goroutine. Groups may Register before or
-// after Start; sections for groups registered later are dropped and
-// counted until the registration lands.
+// Start launches the reader goroutine, which also runs each datagram's
+// dispatch (or, when jittered, its delay timer does). Groups may
+// Register before or after Start; sections for groups registered later
+// are dropped and counted until the registration lands.
 func (t *Transport) Start() {
 	t.wg.Add(1)
 	go t.readLoop()
+}
+
+// startOn is Start for a daemon: each received datagram's dispatch runs
+// as one call on d, the daemon's event loop, so the reader only reads,
+// copies and decodes. Stop d before Close.
+func (t *Transport) startOn(d *Driver) {
+	t.drv = d
+	t.Start()
 }
 
 // Send frames msgs into a single-section datagram stream for group and
@@ -401,10 +417,8 @@ func (t *Transport) SendControl(group uint32, to seq.NodeID, flags uint8) error 
 // compaction caps the table, and so every message, far below it).
 //
 // t.mu covers only peer lookup, sequence reservation, and stats; encoding
-// and the write syscalls run outside it so inbound dispatch (receive also
-// needs the lock per datagram) is never stalled behind a burst of sends.
-// The peer's tx lock spans reservation and writes, so concurrent senders
-// to one peer cannot put its datagrams on the wire out of seqno order.
+// and the write syscalls run outside it, so a scrape of Stats never
+// waits behind a burst of sends.
 func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	// Plan datagram boundaries first: they depend only on the immutable
 	// budget, so this runs outside the lock. Each message is sized once —
@@ -476,18 +490,12 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 	}
 
 	t.mu.Lock()
-	p := t.peers[to]
-	t.mu.Unlock()
-	if p != nil {
-		p.tx.Lock()
-		defer p.tx.Unlock()
-	}
-	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return net.ErrClosed
 	}
-	if p == nil || t.peers[to] != p {
+	p := t.peers[to]
+	if p == nil {
 		t.mu.Unlock()
 		return fmt.Errorf("wire: unknown peer %v", to)
 	}
@@ -573,30 +581,31 @@ func (t *Transport) Stats() Stats {
 
 // --- clock-offset estimation (NTP-lite) ---
 
-// SendTimePing probes one peer's clock: the pong handler records the
-// classic offset estimate T2 − (T1+T4)/2 and keeps the sample with the
-// smallest round trip (least asymmetric queueing error). Clock traffic
-// rides group 0, the transport's own channel, so one daemon-level sync
-// serves every hosted group.
-func (t *Transport) SendTimePing(to seq.NodeID) error {
-	return t.Send(GroupControl, to, &msg.TimeSync{Phase: 0, T1: time.Now().UnixNano()})
-}
+// Clock calibration: clockSyncRounds ping rounds, clockSyncGap apart.
+const (
+	clockSyncRounds = 4
+	clockSyncGap    = 25 * sim.Millisecond
+)
 
-// SyncClocks runs `rounds` ping exchanges against every current peer,
-// spaced by gap, blocking between rounds. Call it after Start (pongs
-// arrive through the reader) and before latency measurement begins.
-func (t *Transport) SyncClocks(rounds int, gap time.Duration) {
-	t.mu.Lock()
-	ids := make([]seq.NodeID, 0, len(t.peers))
-	for id := range t.peers {
-		ids = append(ids, id)
+// calibrate probes the clocks of peers in clockSyncRounds rounds on s,
+// the first at once: each pong records the classic offset estimate
+// T2 − (T1+T4)/2, and the sample with the smallest round trip (least
+// asymmetric queueing error) is kept. Clock traffic rides group 0, the
+// transport's own channel, so one daemon-level calibration serves every
+// hosted group. Runs on s's goroutine, the transport's one sender.
+func (t *Transport) calibrate(s *sim.Scheduler, peers []seq.NodeID) {
+	if len(peers) == 0 {
+		return
 	}
-	t.mu.Unlock()
-	for r := 0; r < rounds; r++ {
-		for _, id := range ids {
-			t.SendTimePing(id) // best-effort; lossy sockets drop some
+	ping := func() {
+		for _, id := range peers {
+			// Best-effort: lossy sockets drop some.
+			t.Send(GroupControl, id, &msg.TimeSync{Phase: 0, T1: time.Now().UnixNano()})
 		}
-		time.Sleep(gap)
+	}
+	ping()
+	for r := sim.Time(1); r < clockSyncRounds; r++ {
+		s.After(r*clockSyncGap, ping)
 	}
 }
 
@@ -621,9 +630,10 @@ func (t *Transport) PeerOffsets() map[seq.NodeID]PeerOffset {
 	return out
 }
 
-// handleTimeSync consumes one TimeSync at the transport layer: pings are
-// answered immediately (minimizing the asymmetric processing delay the
-// offset formula cannot cancel), pongs fold into the per-peer estimate.
+// handleTimeSync consumes one TimeSync at the transport layer, before the
+// datagram's group hooks run: pings are answered at once (minimizing the
+// asymmetric processing delay the offset formula cannot cancel), pongs
+// fold into the per-peer estimate.
 func (t *Transport) handleTimeSync(from seq.NodeID, v *msg.TimeSync) {
 	if v.Phase == 0 {
 		t.Send(GroupControl, from, &msg.TimeSync{Phase: 1, T1: v.T1, T2: time.Now().UnixNano()})
@@ -642,8 +652,10 @@ func (t *Transport) handleTimeSync(from seq.NodeID, v *msg.TimeSync) {
 	t.mu.Unlock()
 }
 
-// Close shuts the socket and joins the reader and all pending delayed
-// deliveries. After Close returns no hook invocation is in flight.
+// Close shuts the socket and joins the reader and all pending delay
+// timers; a datagram handed to the executor afterwards is dropped. On a
+// standalone transport no hook invocation is in flight after Close
+// returns; a daemon stops its driver first.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -704,11 +716,8 @@ func (p *Port) RemovePeer(id seq.NodeID) { p.tr.RemovePeer(p.group, id) }
 // HasPeer reports whether this group references peer id.
 func (p *Port) HasPeer(id seq.NodeID) bool { return p.tr.HasPeer(p.group, id) }
 
-// SendTimePing probes a peer's clock (daemon-wide, group 0).
-func (p *Port) SendTimePing(to seq.NodeID) error { return p.tr.SendTimePing(to) }
-
-// OffsetOf returns the daemon-wide clock-offset estimate for peer id.
-func (p *Port) OffsetOf(id seq.NodeID) (time.Duration, bool) { return p.tr.OffsetOf(id) }
+// Calibrate probes the clocks of peers from s (daemon-wide, group 0).
+func (p *Port) Calibrate(s *sim.Scheduler, peers ...seq.NodeID) { p.tr.calibrate(s, peers) }
 
 // delivery is one section routed to a group's hooks, resolved under the
 // lock and executed outside it.
@@ -718,44 +727,55 @@ type delivery struct {
 	unknown bool // sender unknown to this group: route to OnUnknown
 }
 
-// receive decodes one datagram, applies fault injection, updates stats,
-// and demultiplexes each section to its group's hooks (possibly after an
-// injected delay). Sections for unregistered groups are dropped and
-// counted — a late-starting group loses its early traffic to UDP
-// semantics but never wedges the reader.
-// stripBodies applies the body-targeted drop rules to one section's
-// messages: every msg.Data sourced by a rule's DataSource is removed
-// with the rule's probability, whoever relayed it. Caller holds t.mu.
-func (t *Transport) stripBodies(rules []DropRule, msgs []msg.Message) []msg.Message {
-	kept := msgs[:0]
-	for _, m := range msgs {
-		dropped := false
-		if d, ok := m.(*msg.Data); ok {
-			for _, r := range rules {
-				if seq.NodeID(r.DataSource) == d.SourceNode && (r.Prob >= 1 || t.rng.Bool(r.Prob)) {
-					dropped = true
-					break
-				}
-			}
-		}
-		if dropped {
-			t.matrixDrops++
-			continue
-		}
-		kept = append(kept, m)
-	}
-	return kept
-}
-
+// receive decodes one datagram on the reader and hands the rest of its
+// handling to the executor as one call: the daemon's driver (startOn),
+// or the reader itself. A datagram carrying group traffic first waits
+// out its injected jitter on a timer of its own, drawn here so the
+// hand-off stays one call. Undecodable datagrams are counted and dropped.
 func (t *Transport) receive(pkt []byte) {
 	f, err := DecodeFrame(pkt)
-	t.mu.Lock()
-	if t.closed {
+	if err != nil {
+		t.mu.Lock()
+		t.decodeErrors++
 		t.mu.Unlock()
 		return
 	}
-	if err != nil {
-		t.decodeErrors++
+	run := func() { t.deliver(f, len(pkt)) }
+	if t.faults.Jitter > 0 && slices.ContainsFunc(f.Sections, groupTraffic) {
+		if delay := time.Duration(t.jitter.Int63n(int64(t.faults.Jitter))); delay > 0 {
+			t.wg.Add(1)
+			time.AfterFunc(delay, func() {
+				defer t.wg.Done()
+				t.exec(run)
+			})
+			return
+		}
+	}
+	t.exec(run)
+}
+
+func groupTraffic(s Section) bool { return s.Group != GroupControl }
+
+// exec runs fn on the transport's executor.
+func (t *Transport) exec(fn func()) {
+	if t.drv != nil {
+		t.drv.Call(fn)
+		return
+	}
+	fn()
+}
+
+// deliver runs one decoded datagram through the drop matrix, the loss
+// injector, sequencing and stats, then answers or records its clock
+// probes and runs its sections' hooks in frame order. A sender the
+// transport does not know gets no fault injection or sequencing: its
+// sections route to OnUnknown (join solicitations, partition probes)
+// and its clock probes are ignored. Sections for unregistered groups are
+// dropped and counted — a late-starting group loses its early traffic
+// to UDP semantics but never wedges the transport.
+func (t *Transport) deliver(f Frame, size int) {
+	t.mu.Lock()
+	if t.closed {
 		t.mu.Unlock()
 		return
 	}
@@ -785,65 +805,48 @@ func (t *Transport) receive(pkt []byte) {
 		}
 	}
 	p, known := t.peers[f.From]
-	if !known {
-		// Fully unknown sender: no fault injection, no sequencing — but
-		// each section still routes to its group's OnUnknown hook (join
-		// solicitations, partition probes). Transport-internal sections
-		// from strangers are ignored.
-		var dispatches []delivery
-		for _, sec := range f.Sections {
-			if sec.Group == GroupControl {
-				continue
-			}
-			hooks, reg := t.handlers[sec.Group]
-			if !reg {
-				t.unknownGroupDrops++
-				continue
-			}
-			t.recvUnknown++
-			if len(sec.Msgs) > 0 && hooks.OnUnknown != nil {
-				dispatches = append(dispatches, delivery{hooks: hooks, sec: sec, unknown: true})
-			}
+	if known {
+		if t.faults.Loss > 0 && t.rng.Bool(t.faults.Loss) {
+			p.st.InjectedDrops++
+			t.mu.Unlock()
+			return
 		}
-		t.mu.Unlock()
-		for _, d := range dispatches {
-			d.hooks.OnUnknown(f.From, d.sec.Msgs)
+		p.st.RecvDatagrams++
+		p.st.RecvBytes += uint64(size)
+		if f.Seqno <= p.rxMax && p.rxMax != 0 {
+			p.st.OutOfOrder++
+		} else {
+			if f.Seqno > p.rxMax+1 && p.rxMax != 0 {
+				p.st.GapsSeen += f.Seqno - p.rxMax - 1
+			}
+			p.rxMax = f.Seqno
 		}
-		return
-	}
-	if t.faults.Loss > 0 && t.rng.Bool(t.faults.Loss) {
-		p.st.InjectedDrops++
-		t.mu.Unlock()
-		return
-	}
-	p.st.RecvDatagrams++
-	p.st.RecvBytes += uint64(len(pkt))
-	if f.Seqno <= p.rxMax && p.rxMax != 0 {
-		p.st.OutOfOrder++
-	} else {
-		if f.Seqno > p.rxMax+1 && p.rxMax != 0 {
-			p.st.GapsSeen += f.Seqno - p.rxMax - 1
-		}
-		p.rxMax = f.Seqno
 	}
 	var dispatches []delivery
 	var syncs []*msg.TimeSync
 	for _, sec := range f.Sections {
 		if sec.Group == GroupControl {
-			// Clock probes are transport business: answer/record them
-			// outside the lock, timestamped as close to the socket as
-			// possible, and keep them out of protocol dispatch.
-			for _, m := range sec.Msgs {
-				if ts, ok := m.(*msg.TimeSync); ok {
-					syncs = append(syncs, ts)
+			// Clock probes are transport business: answered or recorded
+			// below, before any hook runs, and kept out of protocol
+			// dispatch.
+			if known {
+				for _, m := range sec.Msgs {
+					if ts, ok := m.(*msg.TimeSync); ok {
+						syncs = append(syncs, ts)
+					}
 				}
+				p.st.RecvMsgs += uint64(len(sec.Msgs))
 			}
-			p.st.RecvMsgs += uint64(len(sec.Msgs))
 			continue
 		}
 		hooks, reg := t.handlers[sec.Group]
 		if !reg {
 			t.unknownGroupDrops++
+			continue
+		}
+		if !known {
+			t.recvUnknown++
+			dispatches = append(dispatches, delivery{hooks: hooks, sec: sec, unknown: true})
 			continue
 		}
 		if len(strips) > 0 {
@@ -868,21 +871,15 @@ func (t *Transport) receive(pkt []byte) {
 		}
 		dispatches = append(dispatches, delivery{hooks: hooks, sec: sec, unknown: !reffed})
 	}
-	var delay time.Duration
-	if t.faults.Jitter > 0 && len(dispatches) > 0 {
-		delay = time.Duration(t.rng.Int63n(int64(t.faults.Jitter)))
+	if known && t.faults.Jitter > 0 && len(dispatches) > 0 {
 		p.st.InjectedDelays++
 	}
 	t.mu.Unlock()
 	for _, ts := range syncs {
 		t.handleTimeSync(f.From, ts)
 	}
-	if len(dispatches) == 0 {
-		return
-	}
-	from := f.From
-	// RX spans stamp at decode, not at (possibly jitter-delayed)
-	// dispatch — the honest socket-arrival time.
+	// RX spans stamp when the protocol takes the datagram: after any
+	// injected jitter, which stands in for the network.
 	if t.tracer.Active() {
 		for _, d := range dispatches {
 			if d.unknown {
@@ -890,39 +887,47 @@ func (t *Transport) receive(pkt []byte) {
 			}
 			for _, m := range d.sec.Msgs {
 				if src, local, global, ok := traceKeyOf(m); ok {
-					t.tracer.Span(telemetry.StageRX, d.sec.Group, src, local, global, uint32(from))
+					t.tracer.Span(telemetry.StageRX, d.sec.Group, src, local, global, uint32(f.From))
 				}
 			}
 		}
 	}
-	dispatch := func() {
-		for _, d := range dispatches {
-			if d.unknown {
-				if d.hooks.OnUnknown != nil && len(d.sec.Msgs) > 0 {
-					d.hooks.OnUnknown(from, d.sec.Msgs)
+	for _, d := range dispatches {
+		if d.unknown {
+			if d.hooks.OnUnknown != nil && len(d.sec.Msgs) > 0 {
+				d.hooks.OnUnknown(f.From, d.sec.Msgs)
+			}
+			continue
+		}
+		if d.sec.Flags != 0 && d.hooks.OnControl != nil {
+			d.hooks.OnControl(f.From, d.sec.Flags)
+		}
+		if len(d.sec.Msgs) > 0 && d.hooks.Handler != nil {
+			d.hooks.Handler(f.From, d.sec.Msgs)
+		}
+	}
+}
+
+// stripBodies applies the body-targeted drop rules to one section's
+// messages: every msg.Data sourced by a rule's DataSource is removed
+// with the rule's probability, whoever relayed it. Caller holds t.mu.
+func (t *Transport) stripBodies(rules []DropRule, msgs []msg.Message) []msg.Message {
+	kept := msgs[:0]
+	for _, m := range msgs {
+		dropped := false
+		if d, ok := m.(*msg.Data); ok {
+			for _, r := range rules {
+				if seq.NodeID(r.DataSource) == d.SourceNode && (r.Prob >= 1 || t.rng.Bool(r.Prob)) {
+					dropped = true
+					break
 				}
-				continue
-			}
-			if d.sec.Flags != 0 && d.hooks.OnControl != nil {
-				d.hooks.OnControl(from, d.sec.Flags)
-			}
-			if len(d.sec.Msgs) > 0 && d.hooks.Handler != nil {
-				d.hooks.Handler(from, d.sec.Msgs)
 			}
 		}
-	}
-	if delay <= 0 {
-		dispatch()
-		return
-	}
-	t.wg.Add(1)
-	time.AfterFunc(delay, func() {
-		defer t.wg.Done()
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if !closed {
-			dispatch()
+		if dropped {
+			t.matrixDrops++
+			continue
 		}
-	})
+		kept = append(kept, m)
+	}
+	return kept
 }

@@ -1,12 +1,16 @@
 package wire
 
 import (
+	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/msg"
 	"repro/internal/seq"
+	"repro/internal/sim"
 )
 
 // pairUp binds two transports on loopback and introduces them to each
@@ -430,53 +434,93 @@ func TestTransportSequencingStats(t *testing.T) {
 	}
 }
 
-// TestTransportConcurrentSendersInOrder: several goroutines sending to
-// one peer at once — the driver's outbox flushes, the reader's clock-sync
-// pongs, SyncClocks' pings — put their datagrams on the wire in seqno
-// order, so a fault-free loopback receiver counts no reorders and no
-// gaps, and every message arrives.
-func TestTransportConcurrentSendersInOrder(t *testing.T) {
-	const senders, each = 4, 300
+// TestTransportOneCallPerDatagram: a daemon's transport hands each
+// datagram to its driver as one call, however many sections it carries.
+// One datagram carries sections for three groups plus a FlagDone control
+// section. With the driver held, exactly one call queues for it; once
+// released, all four hooks run before a call group 1's handler posts,
+// i.e. inside that one call.
+func TestTransportOneCallPerDatagram(t *testing.T) {
 	a, b := pairUp(t, Faults{}, Faults{})
-	var mu sync.Mutex
-	got := 0
-	register(t, b, 1, GroupHooks{Handler: func(_ seq.NodeID, ms []msg.Message) {
-		mu.Lock()
-		got += len(ms)
-		mu.Unlock()
-	}})
-	b.Start()
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= each; i++ {
-				sec := []Section{{Group: 1, Msgs: []msg.Message{dataMsg(seq.LocalSeq(i))}}}
-				if err := a.SendSections(2, sec); err != nil {
-					t.Error(err)
-					return
-				}
-				time.Sleep(100 * time.Microsecond) // paced: no socket-buffer overflow
-			}
-		}()
-	}
-	wg.Wait()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := got
-		mu.Unlock()
-		if n == senders*each {
-			break
+	for g := uint32(2); g <= 3; g++ {
+		if err := b.AddPeer(g, 1, a.LocalAddr().String()); err != nil {
+			t.Fatal(err)
 		}
+	}
+	d := NewDriver(sim.NewScheduler())
+	d.Start()
+	defer d.Stop()
+	var ran []string // driver goroutine only
+	marked := make(chan struct{})
+	note := func(name string) Handler {
+		return func(seq.NodeID, []msg.Message) { ran = append(ran, name) }
+	}
+	register(t, b, 1, GroupHooks{Handler: func(seq.NodeID, []msg.Message) {
+		ran = append(ran, "g1")
+		d.Call(func() {
+			ran = append(ran, "marker")
+			close(marked)
+		})
+	}})
+	register(t, b, 2, GroupHooks{
+		Handler:   note("g2"),
+		OnControl: func(seq.NodeID, uint8) { ran = append(ran, "done") },
+	})
+	register(t, b, 3, GroupHooks{Handler: note("g3")})
+	b.startOn(d)
+
+	// Hold the driver so the datagram's calls queue where they can be
+	// counted.
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(release) }) }
+	defer unhold() // runs before d.Stop, which waits for the held call
+	d.Call(func() {
+		close(held)
+		<-release
+	})
+	<-held
+	secs := []Section{
+		{Group: 1, Msgs: []msg.Message{dataMsg(1)}},
+		{Group: 2, Msgs: []msg.Message{dataMsg(2)}},
+		{Group: 3, Msgs: []msg.Message{dataMsg(3)}},
+		{Group: 2, Flags: FlagDone},
+	}
+	if err := a.SendSections(2, secs); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Stats().Peers[2].SentDatagrams; n != 1 {
+		t.Fatalf("four sections left in %d datagrams, want 1", n)
+	}
+	// The reader counts a datagram it cannot decode itself, so once it
+	// has counted one sent next, it is done handing over the one before.
+	junk, err := net.DialUDP("udp", nil, b.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk.Write([]byte{0})
+	junk.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Stats().DecodeErrors == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/%d", n, senders*each)
+			t.Fatal("the reader never got past the datagram")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := b.Stats().Peers[1]; st.OutOfOrder != 0 || st.GapsSeen != 0 {
-		t.Fatalf("fault-free stream read %d out of order, %d gaps", st.OutOfOrder, st.GapsSeen)
+	queued := len(d.calls)
+	unhold()
+	select {
+	case <-marked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("group 1's handler never ran")
+	}
+	var got []string
+	d.CallWait(func() { got = append(got, ran...) })
+	if queued != 1 {
+		t.Fatalf("one datagram queued %d driver calls, want 1", queued)
+	}
+	if want := []string{"g1", "g2", "g3", "done", "marker"}; !slices.Equal(got, want) {
+		t.Fatalf("hooks ran as %v, want %v", got, want)
 	}
 }
 
@@ -536,41 +580,43 @@ func TestTransportUnknownPeer(t *testing.T) {
 }
 
 // TestTimeSyncOffset: two loopback transports share a clock, so the
-// NTP-lite estimate must come out near zero (bounded by the measured
-// round trip), and pings — group 0 traffic — must never reach a group
+// NTP-lite estimate the scheduler-driven calibration collects must come
+// out near zero (bounded by the measured round trip), every round must
+// be answered, and pings — group 0 traffic — must never reach a group
 // handler.
 func TestTimeSyncOffset(t *testing.T) {
 	a, b := pairUp(t, Faults{}, Faults{})
-	var mu sync.Mutex
-	leaked := 0
-	sink := GroupHooks{Handler: func(seq.NodeID, []msg.Message) {
-		mu.Lock()
-		leaked++
-		mu.Unlock()
-	}}
+	da, db := NewDriver(sim.NewScheduler()), NewDriver(sim.NewScheduler())
+	da.Start()
+	db.Start()
+	defer da.Stop()
+	defer db.Stop()
+	var leaked atomic.Int32
+	sink := GroupHooks{Handler: func(seq.NodeID, []msg.Message) { leaked.Add(1) }}
 	register(t, a, 1, sink)
 	register(t, b, 1, sink)
-	a.Start()
-	b.Start()
-	a.SyncClocks(5, 5*time.Millisecond)
+	a.startOn(da)
+	b.startOn(db)
+	da.Call(func() { a.calibrate(da.sched, []seq.NodeID{2}) })
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := a.OffsetOf(2); ok {
-			break
-		}
+	for a.Stats().Peers[2].RecvDatagrams < clockSyncRounds {
 		if time.Now().After(deadline) {
-			t.Fatal("no clock-offset sample collected")
+			t.Fatalf("%d of %d pongs came back", a.Stats().Peers[2].RecvDatagrams, clockSyncRounds)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	off, _ := a.OffsetOf(2)
+	off, ok := a.OffsetOf(2)
+	if !ok {
+		t.Fatal("no clock-offset sample collected")
+	}
 	if off < -50*time.Millisecond || off > 50*time.Millisecond {
 		t.Fatalf("same-host offset estimate %v implausibly large", off)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("%d TimeSync frames leaked into a group handler", leaked)
+	if n := b.Stats().Peers[1].RecvDatagrams; n != clockSyncRounds {
+		t.Fatalf("%d pings arrived, want %d", n, clockSyncRounds)
+	}
+	if n := leaked.Load(); n != 0 {
+		t.Fatalf("%d TimeSync frames leaked into a group handler", n)
 	}
 }
 
