@@ -26,13 +26,6 @@ type GroupConfig struct {
 	// within the daemon.
 	ID uint32 `json:"id"`
 
-	// Leader optionally asserts which member injects this group's
-	// ordering token. Ring leadership is positional — the lowest member
-	// id leads — so a Leader naming anyone else is a config error
-	// caught at load, not a silent divergence at runtime. 0 = don't
-	// assert.
-	Leader uint32 `json:"leader,omitempty"`
-
 	// Join starts this daemon outside the group's ring: the daemon's
 	// Peers are the seeds to solicit. Requires Live.
 	Join bool `json:"join,omitempty"`
@@ -188,18 +181,12 @@ func (c *Config) Normalize() error {
 	}
 
 	seen := make(map[uint32]int, len(c.Groups))
-	memberLow := uint32(c.Node)
-	memberSet := map[uint32]bool{c.Node: true}
 	peerSeen := map[uint32]bool{c.Node: true}
 	for _, p := range c.Peers {
 		if p.Node == 0 || peerSeen[p.Node] {
 			return fmt.Errorf("wire: bad or duplicate peer id %d", p.Node)
 		}
 		peerSeen[p.Node] = true
-		memberSet[p.Node] = true
-		if p.Node < memberLow {
-			memberLow = p.Node
-		}
 	}
 	for i := range c.Groups {
 		g := &c.Groups[i]
@@ -212,16 +199,6 @@ func (c *Config) Normalize() error {
 		seen[g.ID] = i
 		if g.Join && !c.Live {
 			return fmt.Errorf("wire: group %d: join requires live membership (set \"live\": true)", g.ID)
-		}
-		if g.Leader != 0 {
-			switch {
-			case g.Join:
-				return fmt.Errorf("wire: group %d: leader cannot be asserted on a joining member — leadership is settled by the ring it joins", g.ID)
-			case !memberSet[g.Leader]:
-				return fmt.Errorf("wire: group %d: leader %d is not a configured member (self %d, peers %v)", g.ID, g.Leader, c.Node, peerIDs(c.Peers))
-			case g.Leader != memberLow:
-				return fmt.Errorf("wire: group %d: leader %d conflicts with ring election — the lowest member id (%d) leads", g.ID, g.Leader, memberLow)
-			}
 		}
 		// Stream fields: inherit the daemon defaults.
 		if g.Count == 0 {
@@ -241,14 +218,6 @@ func (c *Config) Normalize() error {
 		}
 	}
 	return nil
-}
-
-func peerIDs(peers []PeerAddr) []uint32 {
-	ids := make([]uint32, len(peers))
-	for i, p := range peers {
-		ids[i] = p.Node
-	}
-	return ids
 }
 
 // LoadConfig reads a JSON config file (Normalize runs at NewNode). A key

@@ -98,30 +98,6 @@ func TestConfigValidation(t *testing.T) {
 			},
 			wantSub: "join requires live",
 		},
-		{
-			name: "leader conflicts with ring election",
-			mutate: func(c *Config) {
-				// Lowest member id is 1 (self); asserting 2 contradicts
-				// positional leadership.
-				c.Groups = []GroupConfig{{ID: 1, Leader: 2}}
-			},
-			wantSub: "conflicts with ring election",
-		},
-		{
-			name: "leader not a member",
-			mutate: func(c *Config) {
-				c.Groups = []GroupConfig{{ID: 1, Leader: 9}}
-			},
-			wantSub: "not a configured member",
-		},
-		{
-			name: "leader asserted on a joiner",
-			mutate: func(c *Config) {
-				c.Live = true
-				c.Groups = []GroupConfig{{ID: 1, Join: true, Leader: 1}}
-			},
-			wantSub: "joining member",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,20 +111,6 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
-	}
-}
-
-// TestConfigLeaderAssertionAccepted: asserting the leader that ring
-// election would pick anyway is fine — the field documents intent.
-func TestConfigLeaderAssertionAccepted(t *testing.T) {
-	c := Config{
-		Node:   2,
-		Listen: "127.0.0.1:0",
-		Peers:  []PeerAddr{{Node: 1}, {Node: 3}},
-		Groups: []GroupConfig{{ID: 1, Leader: 1}},
-	}
-	if err := c.Normalize(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -195,6 +157,7 @@ func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
 		{"quiesce_ms", valid + `,"quiesce_ms":100`},
 		{"linger_ms", valid + `,"linger_ms":100`},
 		{"token_watch_ms", valid + `,"token_watch_ms":900`},
+		{"leader", flat + `,"groups":[{"id":4,"leader":1}]`},
 		{"groups", flat},
 	}
 	for _, r := range rows {

@@ -22,9 +22,12 @@ import (
 // sink, workload and timers run on that loop, and so does each inbound
 // datagram's dispatch, one call per datagram: all protocol state in the
 // process is touched from one goroutine, and it is the only one that
-// sends. Inbound datagrams demultiplex by the group id in each frame
-// section; outbound traffic from all groups coalesces in the outbox.
-// Build with NewNode,
+// sends. So does the daemon's own life: one housekeeping tick steps
+// every group's lifecycle, one tick fsyncs every durable log, and the
+// deadline and the exit linger are scheduler events; the event that ends
+// the run collects every group's report and closes done. Inbound
+// datagrams demultiplex by the group id in each frame section; outbound
+// traffic from all groups coalesces in the outbox. Build with NewNode,
 // optionally patch late-bound peer addresses, then Run.
 type Node struct {
 	cfg  Config
@@ -38,10 +41,17 @@ type Node struct {
 	// counters from it. admin is nil without -admin/admin_fd.
 	tel       *nodeTelemetry
 	admin     *adminServer
-	wallStart time.Time
+	wallStart time.Time // wall_ms counts from here, in every report
 
 	killed   chan struct{}
 	killOnce sync.Once
+
+	// done closes once the driver has ended the run; the event that ends
+	// it writes every group's exit report and the first error among them
+	// just before, so Run reads them after done without a lock.
+	done    chan struct{}
+	exit    []GroupReport
+	exitErr error
 
 	// filled by Run; mu guards them against Shutdown/Kill from other
 	// goroutines (signal handlers, tests).
@@ -80,6 +90,7 @@ func NewNode(cfg Config) (*Node, error) {
 		tel:       newNodeTelemetry(cfg.Node, cfg.TraceSampleMod),
 		wallStart: time.Now(),
 		killed:    make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	nd.ob.SetFlushHistogram(nd.tel.outboxFlushBytes)
 	nd.ob.SetTracer(nd.tel.tracer)
@@ -113,25 +124,34 @@ func (nd *Node) Snapshot() Report {
 	nd.mu.Lock()
 	groups := nd.groups
 	nd.mu.Unlock()
+	var reps []GroupReport
+	for _, g := range groups {
+		reps = append(reps, GroupReport{Group: g.gid}) // kept once the driver stops
+	}
+	if len(groups) > 0 {
+		nd.drv.CallWait(func() {
+			for i, g := range groups {
+				reps[i] = g.snapshot()
+			}
+		})
+	}
+	return nd.report(reps)
+}
+
+// report wraps the groups' reports in the daemon's: the aggregates over
+// them, the shared transport's stats, and wall_ms since NewNode. The
+// live snapshot and the exit report are both built here.
+func (nd *Node) report(groups []GroupReport) Report {
 	rep := Report{
 		Node:      nd.cfg.Node,
+		Groups:    groups,
 		Converged: len(groups) > 0,
 		Transport: nd.tr.Stats(),
 		SendErrs:  nd.ob.SendErrs(),
 		Spans:     nd.tel.tracer.Emitted(),
 		WallMS:    time.Since(nd.wallStart).Milliseconds(),
 	}
-	for _, g := range groups {
-		rep.Groups = append(rep.Groups, GroupReport{Group: g.gid}) // kept once the driver stops
-	}
-	if len(groups) > 0 {
-		nd.drv.CallWait(func() {
-			for i, g := range groups {
-				rep.Groups[i] = g.snapshot()
-			}
-		})
-	}
-	for _, gr := range rep.Groups {
+	for _, gr := range groups {
 		rep.Converged = rep.Converged && gr.Converged
 		rep.Delivered += gr.Delivered
 		rep.ThroughputPS += gr.ThroughputPS
@@ -200,12 +220,11 @@ func (nd *Node) Shutdown() {
 }
 
 // Run assembles every hosted group, drives their workloads concurrently
-// on the one driver, waits for each to converge (or for the shared
-// deadline), drains, and reports. It blocks for the life of
+// on the one driver until the run ends there (every group done and the
+// linger over, or the deadline), and reports. It blocks for the life of
 // the process's membership in its rings.
 func (nd *Node) Run() (Report, error) {
 	cfg := nd.cfg
-	wallStart := time.Now()
 
 	groups := make([]*ringGroup, 0, len(cfg.Groups))
 	fail := func(err error) (Report, error) {
@@ -242,13 +261,8 @@ func (nd *Node) Run() (Report, error) {
 		for _, g := range groups {
 			g.start()
 		}
+		nd.lifecycle(groups)
 	})
-
-	// The deadline is shared: a broadcast channel, not time.After, so
-	// every group observes it.
-	deadlineCh := make(chan struct{})
-	dt := time.AfterFunc(time.Duration(cfg.DeadlineMS)*time.Millisecond, func() { close(deadlineCh) })
-	defer dt.Stop()
 
 	// Periodic live report: the /status snapshot path, one JSON line to
 	// stderr per interval (operators tail it; the harness parses it).
@@ -275,32 +289,9 @@ func (nd *Node) Run() (Report, error) {
 		}()
 	}
 
-	// Wait for every group in turn: the daemon leaves only when all are
-	// done, so the order does not matter. A finished group keeps running
-	// meanwhile, serving straggler repairs and answering Done beacons.
-	// Then linger, cut short by the deadline: a floor during which
-	// beacons (and Done replies) keep flowing, so a peer that lost our
-	// earlier beacons to the same faults we gossip about still hears one
-	// before the daemon exits.
-	const lingerFor = 300 * time.Millisecond
-	reps := make([]GroupReport, len(groups))
-	errs := make([]error, len(groups))
-	killed := false
-	for _, g := range groups {
-		if killed = !g.wait(deadlineCh); killed {
-			break
-		}
-	}
-	if !killed {
-		select {
-		case <-time.After(lingerFor):
-		case <-deadlineCh:
-		}
-		nd.drv.CallWait(func() {
-			for i, g := range groups {
-				reps[i], errs[i] = g.collect()
-			}
-		})
+	select {
+	case <-nd.done:
+	case <-nd.killed:
 	}
 	close(reportDone)
 	reporter.Wait() // no report line is written after Run returns
@@ -318,29 +309,68 @@ func (nd *Node) Run() (Report, error) {
 		return Report{Node: cfg.Node}, fmt.Errorf("wire: node %d killed", cfg.Node)
 	default:
 	}
+	return nd.report(nd.exit), nd.exitErr
+}
 
-	rep := Report{
-		Node:      cfg.Node,
-		Groups:    reps,
-		Converged: true,
-		Transport: nd.tr.Stats(),
-		SendErrs:  nd.ob.SendErrs(),
-		Spans:     nd.tel.tracer.Emitted(),
-		WallMS:    time.Since(wallStart).Milliseconds(),
-	}
-	for i := range reps {
-		rep.Converged = rep.Converged && reps[i].Converged
-		rep.Delivered += reps[i].Delivered
-		rep.ThroughputPS += reps[i].ThroughputPS
-	}
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
+// lifecycle arms the daemon's life on its scheduler. One housekeeping tick
+// steps every group; one tick fsyncs every durable log; and the run
+// ends at the deadline, or lingerFor after every group is done,
+// whichever comes first. A finished group keeps running through the
+// linger, serving straggler repairs and answering Done beacons: the
+// linger is a floor during which a peer that lost our earlier beacons to
+// the same faults we gossip about still hears one before the daemon
+// exits. The event that ends the run collects every group and closes
+// done. Driver goroutine only.
+func (nd *Node) lifecycle(groups []*ringGroup) {
+	const lingerFor = 300 * sim.Millisecond
+	s := nd.drv.sched
+
+	var durable []*ringGroup
+	for _, g := range groups {
+		if g.sink.dlog != nil {
+			durable = append(durable, g)
 		}
 	}
-	return rep, firstErr
+	if len(durable) > 0 {
+		// Batched durability: dirty appends ride one fsync per flush
+		// window instead of one per delivery. 25 ms bounds the
+		// crash-loss window; BenchmarkFileLogAppend (internal/store)
+		// measures what other cadences would cost.
+		const fsyncWindow = 25 * sim.Millisecond
+		s.Every(fsyncWindow, func() {
+			for _, g := range durable {
+				g.sync()
+			}
+		})
+	}
+
+	var house *sim.Ticker
+	var deadline, linger sim.Timer
+	end := func() {
+		house.Stop()
+		deadline.Stop()
+		linger.Stop()
+		nd.exit = make([]GroupReport, len(groups))
+		for i, g := range groups {
+			var err error
+			if nd.exit[i], err = g.collect(); err != nil && nd.exitErr == nil {
+				nd.exitErr = err
+			}
+		}
+		close(nd.done)
+	}
+	deadline = s.After(sim.Time(nd.cfg.DeadlineMS)*sim.Millisecond, end)
+	house = s.Every(stepEvery, func() {
+		now := s.Now()
+		done := true
+		for _, g := range groups {
+			g.step(now)
+			done = done && g.done()
+		}
+		if done && !linger.Pending() {
+			linger = s.After(lingerFor, end)
+		}
+	})
 }
 
 // writeSpanDump writes the /trace NDJSON document to cfg.SpanPath at

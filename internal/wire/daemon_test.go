@@ -3,6 +3,7 @@ package wire
 import (
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,33 @@ func TestDaemonPairLossless(t *testing.T) {
 	if ctl.DataBytes == 0 || ctl.ControlBytes == 0 {
 		t.Fatalf("control/data byte split not measured: %+v", ctl)
 	}
+}
+
+// TestDaemonDeadlineEndsUnconvergedRun: a static pair whose second
+// member never runs cannot converge, so the deadline — an event on the
+// daemon's scheduler — ends the run: Run returns soon after it with a
+// "did not converge" error and a report whose group neither converged
+// nor left.
+func TestDaemonDeadlineEndsUnconvergedRun(t *testing.T) {
+	const deadline = 1500 * time.Millisecond
+	nodes := newCluster(t, 2, func(_ int, cfg *Config) {
+		cfg.DeadlineMS = deadline.Milliseconds()
+	})
+	defer nodes[1].tr.Close() // bound, never run
+	start := time.Now()
+	rep, err := nodes[0].Run()
+	took := time.Since(start)
+	if took > deadline+time.Second {
+		t.Fatalf("Run took %v, over the %v deadline by more than 1s", took, deadline)
+	}
+	if err == nil || !strings.Contains(err.Error(), "did not converge") {
+		t.Fatalf("Run error = %v, want a did-not-converge error", err)
+	}
+	g := rep.Single()
+	if rep.Converged || g.Group != 1 || g.Converged || g.Left {
+		t.Fatalf("report claims an outcome the run did not reach: %+v", rep)
+	}
+	t.Logf("Run returned after %v: %v", took, err)
 }
 
 // TestDaemonRetainedBytesPerDelivery: what a member still holds once its
@@ -493,8 +521,10 @@ func TestDaemonGoroutinesIndependentOfGroups(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 			n = min(n, runtime.NumGoroutine())
 		}
-		if chanClosed(finished) {
+		select {
+		case <-finished:
 			t.Fatalf("groups=%d: the run ended before the goroutines were counted", groups)
+		default:
 		}
 		<-finished
 		for i, err := range errs {

@@ -19,7 +19,11 @@ import (
 //
 // The protocol core is unchanged: its RTO retransmission timers, τ
 // ordering ticks, and ack-delay timers are ordinary scheduler events
-// that now fire in real time.
+// that now fire in real time. So is the daemon's own life (Node.lifecycle):
+// the housekeeping tick that steps every group, the fsync tick, the
+// deadline and the exit linger. Apart from the transport's injected
+// jitter, the driver is the one place that turns wall-clock time into
+// protocol or lifecycle work.
 //
 // Real time has a quantum. The driver sleeps on a Go timer, and Go's
 // Linux netpoller waits in whole milliseconds, so an event due less

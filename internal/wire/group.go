@@ -56,9 +56,13 @@ func protocolConfig() core.Config {
 
 // ringGroup is one hosted ring group: its own engine, substrate over the
 // shared outbox, membership plane, delivery sink (sink.go), workload, and
-// convergence barrier, all running on the daemon's one scheduler and
-// driver. The federation (daemon.go) owns what is shared: the transport,
-// the outbox, the scheduler and the driver.
+// lifecycle, all running on the daemon's one scheduler and driver. The
+// federation (daemon.go) owns what is shared: the transport, the outbox,
+// the scheduler and driver, and the ticks that step every group's
+// lifecycle and flush every durable log. A group keeps no timer and no
+// channel of its own for its lifecycle: the daemon's housekeeping tick
+// calls step, and the phase it leaves behind is plain state that
+// snapshot, ready and collect read on the driver.
 type ringGroup struct {
 	nd      *Node
 	gc      GroupConfig
@@ -80,17 +84,36 @@ type ringGroup struct {
 	resumedAt      seq.GlobalSeq
 	discLo, discHi seq.GlobalSeq
 
+	// Lifecycle, advanced by step. Driver goroutine only.
+	src       *workload.Source // nil until the workload starts, or when sourcing nothing
+	converged bool             // locally converged: Done beacons flow until drained
+	drained   bool             // past the Done barrier and its bounded drain
+	left      bool             // evicted or left, and its couriers drained
+	evictedAt sim.Time         // when step first saw the eviction
+	barrierAt sim.Time         // when the barrier last started to hold; 0 while it does not
+	beaconAt  sim.Time         // the last Done beacon
+	signalAt  sim.Time         // the static watchdog's last Token-Loss signal
+
 	// Done-barrier state. Driver goroutine only.
 	doneFrom  map[seq.NodeID]bool
 	lastReply map[seq.NodeID]sim.Time
-	localDone bool
-
-	converged chan struct{}
-	drained   chan struct{}
-	left      chan struct{}
+	peerBuf   []seq.NodeID // livePeers' buffer
 
 	expected uint64
 }
+
+// Lifecycle timings. The daemon's housekeeping tick steps every group
+// each stepEvery; the rest are thresholds step checks by elapsed time.
+const (
+	stepEvery   = 10 * sim.Millisecond
+	beaconEvery = 100 * sim.Millisecond // Done gossip while the barrier is open
+	// quiesce bounds the post-barrier (and post-eviction) drain of
+	// outstanding retransmissions and the token transfer.
+	quiesce = 500 * sim.Millisecond
+	// staticTokenWatch is the static ring's token watchdog: a Token-Loss
+	// signal after this much token silence, at most one per interval.
+	staticTokenWatch = sim.Second
+)
 
 // newRingGroup assembles one group against the daemon's shared transport,
 // outbox and scheduler: topology, engine, substrate peers, membership
@@ -106,9 +129,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		port:      NewPort(nd.tr, gc.ID),
 		doneFrom:  make(map[seq.NodeID]bool),
 		lastReply: make(map[seq.NodeID]sim.Time),
-		converged: make(chan struct{}),
-		drained:   make(chan struct{}),
-		left:      make(chan struct{}),
 		tel:       nd.tel.group(gc.ID),
 		sched:     nd.drv.sched,
 	}
@@ -194,8 +214,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 				initial[seq.NodeID(p.Node)] = p.Addr
 			}
 		}
-		g.ms = NewMembership(g.e, g.port, g.net, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
-		g.ms.SetTelemetry(g.tel.memberTel())
+		g.ms = NewMembership(g.e, g.port, g.net, g.tel, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
 		g.sink.lame = g.ms.Lame
 		g.ms.OrderHash = g.sink.oh.Sum64 // RingSummary/MergeReq carry the live order fingerprint
 		// Ask the coordinator to resume at the recovered durable front
@@ -255,7 +274,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		// straggler that missed our periodic beacons re-learns we are
 		// done the moment its own beacons start flowing, even if we are
 		// already lingering on the way out.
-		if g.localDone && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
+		if g.converged && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
 			g.lastReply[from] = g.sched.Now()
 			g.port.SendControl(from, FlagDone)
 		}
@@ -270,8 +289,8 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	return g, nil
 }
 
-// start installs the workload and the convergence/termination state
-// machine on the scheduler. Driver goroutine only.
+// start installs the workload and the membership hooks. Driver goroutine
+// only.
 //
 // Termination barrier: local convergence is NOT exit-safe — gap repair
 // (Nack) is pull-based, so this member may be the only reachable holder
@@ -281,11 +300,10 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 // peer and leaves the ring only after hearing Done from all of them,
 // i.e. when its retransmission state is provably unneeded. With live
 // membership the barrier audience is the current live peer set, so a
-// crashed member cannot wedge everyone else's exit.
+// crashed member cannot wedge everyone else's exit. step walks that
+// state machine.
 func (g *ringGroup) start() {
-	cfg := g.nd.cfg
 	gc := g.gc
-	var src *workload.Source
 	startWorkload := func() {
 		// Post-Normalize, Count <= 0 means this member sources
 		// nothing for the group (inheritance already resolved) —
@@ -298,7 +316,7 @@ func (g *ringGroup) start() {
 		// Stamp each payload with the send wall clock (fresh buffer
 		// per message: payload slices are shared by reference all the
 		// way to retransmission buffers).
-		src = workload.NewSource(g.sched, func(corr seq.NodeID, payload []byte) error {
+		g.src = workload.NewSource(g.sched, func(corr seq.NodeID, payload []byte) error {
 			if len(payload) >= 8 {
 				buf := make([]byte, len(payload))
 				copy(buf, payload)
@@ -315,7 +333,7 @@ func (g *ringGroup) start() {
 		if gap < 1 {
 			gap = 1
 		}
-		src.CBR(g.sched.Now()+sim.Time(gc.StartMS)*sim.Millisecond, gap, gc.Count)
+		g.src.CBR(g.sched.Now()+sim.Time(gc.StartMS)*sim.Millisecond, gap, gc.Count)
 	}
 	if g.ms != nil {
 		g.ms.OnJoined = func(baseline, resumed seq.GlobalSeq) {
@@ -325,8 +343,8 @@ func (g *ringGroup) start() {
 			startWorkload()
 		}
 		g.ms.OnEvicted = func() {
-			if src != nil {
-				src.Stop()
+			if g.src != nil {
+				g.src.Stop()
 			}
 		}
 		g.ms.Start()
@@ -334,88 +352,18 @@ func (g *ringGroup) start() {
 	if !gc.Join {
 		startWorkload()
 	}
+}
 
-	// Batched durability: dirty appends ride one fsync per flush
-	// window instead of one per delivery. Sync is a no-op while the
-	// log is clean, so idle groups cost nothing.
-	if g.sink.dlog != nil {
-		// 25 ms bounds the crash-loss window; BenchmarkFileLogAppend
-		// (internal/store) measures what other cadences would cost.
-		const fsyncWindow = 25 * sim.Millisecond
-		g.sched.Every(fsyncWindow, func() {
-			tr := g.tel.tracer
-			var t0 time.Time
-			if tr.Active() {
-				t0 = time.Now()
-			}
-			g.sink.sync()
-			if tr.Active() {
-				tr.Annotate(telemetry.StageFsync, g.gid, 0, time.Since(t0).Nanoseconds(), "flush-window")
-			}
-		})
+// step advances the group's lifecycle by one housekeeping tick: converge,
+// then the Done barrier and its bounded drain — or, once evicted, the
+// leave-drain — beside the Done beacons and the static token watchdog.
+// A step costs O(ring size), whatever the traffic, and allocates only to
+// beacon. Driver goroutine only.
+func (g *ringGroup) step(now sim.Time) {
+	if g.converged && !g.drained && now-g.beaconAt >= beaconEvery {
+		g.beacon(now)
 	}
-
-	livePeers := func() []seq.NodeID {
-		if g.ms != nil {
-			return g.ms.LivePeers()
-		}
-		return g.peers
-	}
-	beacon := func() {
-		// Gossip only toward peers we have not heard Done from: a
-		// peer that missed our beacons but has itself converged will
-		// keep beaconing us, and the rate-limited Done reply above
-		// closes that asymmetry. Once the barrier holds everywhere
-		// the beacons stop entirely — a federated daemon hosting
-		// hundreds of converged groups must not keep flooding its
-		// shared socket with Done chatter while stragglers finish.
-		for _, p := range livePeers() {
-			if !g.doneFrom[p] {
-				g.port.SendControl(p, FlagDone) // best-effort; repeated
-			}
-		}
-	}
-	sent := func() bool {
-		if gc.Count <= 0 {
-			return true // nothing to source, nothing to drain
-		}
-		return src != nil && src.Sent+src.Errors >= uint64(gc.Count)
-	}
-	locallyConverged := func() bool {
-		if cfg.Live {
-			// Dynamic membership: the exact delivery count is
-			// unknowable, so converge on quiescence — everything
-			// sent, no undelivered slot in the MQ (an open gap means
-			// repair is still running), senders drained, and the
-			// delivery stream idle.
-			if !g.ms.Joined() || g.ms.Lame() || !sent() || !g.e.Quiesced() {
-				return false
-			}
-			// A token-dead ring is never converged, however idle:
-			// a pending regeneration may order messages this node
-			// has not yet seen, so leaving now could strand a
-			// divergent delivery prefix.
-			if !g.ne.OrdersWell() {
-				return false
-			}
-			if q := g.ne.MQ(); q.Front() != q.Rear() {
-				return false
-			}
-			// lastAt is 0 until the first delivery: idle since start.
-			return g.sched.Now()-g.sink.lastAt >= sim.Time(cfg.IdleMS)*sim.Millisecond
-		}
-		return g.sink.delivered() >= g.expected && sent()
-	}
-	barrier := func() bool {
-		for _, p := range livePeers() {
-			if !g.doneFrom[p] {
-				return false
-			}
-		}
-		return true
-	}
-	var watchTick *sim.Ticker
-	if g.ms == nil {
+	if g.ms == nil && !g.drained {
 		// Static membership has no failure detector, but the token
 		// can still die under extreme overload (an assign conflict
 		// destroys the only copy after its sender was already
@@ -427,112 +375,152 @@ func (g *ringGroup) start() {
 		// concurrent regeneration. A second dwarfs the worst idle-
 		// backoff rotation (ring size × 50 ms), so a merely slow
 		// ring never trips it.
-		var lastSignal sim.Time
-		watchTick = g.sched.Every(250*sim.Millisecond, func() {
-			last, seen := g.ne.TokenActivity()
-			now := g.sched.Now()
-			if seen && now-last > sim.Second && now-lastSignal > sim.Second {
-				lastSignal = now
-				g.e.OnTokenLoss(g.self)
-			}
-		})
+		last, seen := g.ne.TokenActivity()
+		if seen && now-last > staticTokenWatch && now-g.signalAt > staticTokenWatch {
+			g.signalAt = now
+			g.e.OnTokenLoss(g.self)
+		}
 	}
-	leftClosed := false
-	evictedAt := sim.Time(0)
-	phase := 0 // 0 = converging, 1 = draining
-	var barrierAt sim.Time
-	// quiesce bounds the post-barrier (and post-eviction) drain of
-	// outstanding retransmissions and the token transfer.
-	const quiesce = 500 * sim.Millisecond
-	var tick, beaconTick *sim.Ticker
-	lastDelivered := uint64(0)
-	// The convergence check backs off to 100ms while nothing is
-	// happening: a daemon hosting hundreds of groups cannot afford a
-	// 10ms poll per group while most of them sit quietly waiting for
-	// their workload to start or for a sibling's barrier. Delivery
-	// progress or a phase transition snaps it back to 10ms, so the
-	// convergence timestamp a report records stays sharp.
-	tick = g.sched.EveryBackoff(10*sim.Millisecond, 100*sim.Millisecond, func() bool {
-		delivered := g.sink.delivered()
-		active := delivered != lastDelivered
-		lastDelivered = delivered
-		if g.ms != nil && g.ms.Evicted() {
-			// Graceful leave (or eviction): serve retransmissions
-			// until our couriers drain — bounded by quiesce, so a
-			// transfer stuck on an unreachable peer cannot pin the
-			// process to its deadline.
-			if evictedAt == 0 {
-				evictedAt = g.sched.Now()
-				active = true
-			}
-			drainedOut := g.e.Quiesced() && g.ne.TokenIdle()
-			if !leftClosed && (drainedOut || g.sched.Now()-evictedAt >= quiesce) {
-				leftClosed = true
-				tick.Stop()
-				close(g.left)
-			}
-			return active
+	switch {
+	case g.left || g.drained:
+	case g.ms != nil && g.ms.Evicted():
+		// Graceful leave (or eviction): serve retransmissions until
+		// our couriers drain — bounded by quiesce, so a transfer
+		// stuck on an unreachable peer cannot pin the process to its
+		// deadline.
+		if g.evictedAt == 0 {
+			g.evictedAt = now
 		}
-		switch phase {
-		case 0:
-			if locallyConverged() {
-				phase = 1
-				g.localDone = true
-				close(g.converged)
-				beacon()
-				beaconTick = g.sched.Every(100*sim.Millisecond, beacon)
-				active = true
-			}
-		case 1:
-			if !barrier() {
-				barrierAt = 0
-				return active
-			}
-			if barrierAt == 0 {
-				barrierAt = g.sched.Now()
-				active = true
-			}
-			// Post-barrier drain (trailing retransmissions, the token
-			// settling between rotations), bounded by quiesce.
-			if (g.e.Quiesced() && g.ne.TokenIdle()) ||
-				g.sched.Now()-barrierAt >= quiesce {
-				tick.Stop() // no further ticks fire after Stop
-				beaconTick.Stop()
-				if g.ms == nil {
-					// The static group is done everywhere: retire the
-					// ring so a daemon hosting hundreds of finished
-					// groups stops paying for their idle circulation.
-					// (Live groups leave the token to the membership
-					// plane, which owns its liveness until Stop.)
-					watchTick.Stop()
-					g.ne.ParkToken()
-				}
-				close(g.drained)
+		g.left = g.e.Quiesced() && g.ne.TokenIdle() || now-g.evictedAt >= quiesce
+	case !g.converged:
+		if g.locallyConverged(now) {
+			g.converged = true
+			g.beacon(now)
+		}
+	case !g.quorate():
+		// Idle because cut off, not because the stream ended: a member
+		// partitioned into a minority stops hearing data and heartbeats
+		// at once, so it can converge on quiescence just before it
+		// suspects everyone — and then an empty live set would pass the
+		// barrier vacuously. It converges again after the heal.
+		g.converged = false
+		g.barrierAt = 0
+	case !g.barrier():
+		g.barrierAt = 0
+	default:
+		if g.barrierAt == 0 {
+			g.barrierAt = now
+		}
+		// Post-barrier drain (trailing retransmissions, the token
+		// settling between rotations), bounded by quiesce.
+		if g.e.Quiesced() && g.ne.TokenIdle() || now-g.barrierAt >= quiesce {
+			g.drained = true
+			if g.ms == nil {
+				// The static group is done everywhere: retire the
+				// ring so a daemon hosting hundreds of finished
+				// groups stops paying for their idle circulation.
+				// (Live groups leave the token to the membership
+				// plane, which owns its liveness until Stop.)
+				g.ne.ParkToken()
 			}
 		}
-		return active
-	})
+	}
 }
 
-// wait blocks until this group is done with the daemon — converged and
-// past the group-wide barrier and its bounded drain, or left — or the
-// shared deadline passes. It reports false if the node is killed first.
-func (g *ringGroup) wait(deadline <-chan struct{}) bool {
-	select {
-	case <-g.converged:
-		select {
-		case <-g.drained:
-		case <-g.left:
-		case <-g.nd.killed:
-			return false
-		case <-deadline:
+// done reports whether the group is finished with the daemon: converged
+// and past the barrier and its bounded drain, or left.
+func (g *ringGroup) done() bool { return g.drained || g.left }
+
+// livePeers is the barrier's audience: the live peer set, or the static
+// ring's peers. The live set is rebuilt in a buffer the group keeps, so
+// a step allocates nothing to read it.
+func (g *ringGroup) livePeers() []seq.NodeID {
+	if g.ms == nil {
+		return g.peers
+	}
+	g.peerBuf = g.ms.AppendLivePeers(g.peerBuf[:0])
+	return g.peerBuf
+}
+
+// beacon gossips Done only toward peers we have not heard Done from: a
+// peer that missed our beacons but has itself converged will keep
+// beaconing us, and the rate-limited Done reply closes that asymmetry.
+// Once the barrier holds everywhere the beacons stop entirely — a
+// federated daemon hosting hundreds of converged groups must not keep
+// flooding its shared socket with Done chatter while stragglers finish.
+func (g *ringGroup) beacon(now sim.Time) {
+	g.beaconAt = now
+	for _, p := range g.livePeers() {
+		if !g.doneFrom[p] {
+			g.port.SendControl(p, FlagDone) // best-effort; repeated
 		}
-	case <-g.left:
-	case <-g.nd.killed:
-		return false
-	case <-deadline:
+	}
+}
+
+// quorate reports whether this member, its live peers and the peers
+// that said Done are a majority of the ring, as the detector reads now
+// (Lame follows the heartbeat tick). Done peers count, so the last
+// members out are not stranded by the first ones' exit.
+func (g *ringGroup) quorate() bool {
+	return g.ms == nil || 2*g.ms.countLive(g.doneFrom) > len(g.ms.order)
+}
+
+// barrier reports whether every live peer has said Done.
+func (g *ringGroup) barrier() bool {
+	for _, p := range g.livePeers() {
+		if !g.doneFrom[p] {
+			return false
+		}
 	}
 	return true
+}
+
+// sent reports whether the workload has offered everything it will.
+func (g *ringGroup) sent() bool {
+	if g.gc.Count <= 0 {
+		return true // nothing to source, nothing to drain
+	}
+	return g.src != nil && g.src.Sent+g.src.Errors >= uint64(g.gc.Count)
+}
+
+// locallyConverged reports whether this member has delivered all it will:
+// the static ring's symmetric target, or quiescence under live membership.
+func (g *ringGroup) locallyConverged(now sim.Time) bool {
+	if g.ms == nil {
+		return g.sink.delivered() >= g.expected && g.sent()
+	}
+	// Dynamic membership: the exact delivery count is unknowable, so
+	// converge on quiescence — everything sent, no undelivered slot in
+	// the MQ (an open gap means repair is still running), senders
+	// drained, and the delivery stream idle.
+	if !g.ms.Joined() || g.ms.Lame() || !g.quorate() || !g.sent() || !g.e.Quiesced() {
+		return false
+	}
+	// A token-dead ring is never converged, however idle: a pending
+	// regeneration may order messages this node has not yet seen, so
+	// leaving now could strand a divergent delivery prefix.
+	if !g.ne.OrdersWell() {
+		return false
+	}
+	if q := g.ne.MQ(); q.Front() != q.Rear() {
+		return false
+	}
+	// lastAt is 0 until the first delivery: idle since start.
+	return now-g.sink.lastAt >= sim.Time(g.nd.cfg.IdleMS)*sim.Millisecond
+}
+
+// sync fsyncs the group's durable log and dead-letter queue, and traces
+// how long it took. It costs nothing while both are clean.
+func (g *ringGroup) sync() {
+	tr := g.tel.tracer
+	var t0 time.Time
+	if tr.Active() {
+		t0 = time.Now()
+	}
+	g.sink.sync()
+	if tr.Active() {
+		tr.Annotate(telemetry.StageFsync, g.gid, 0, time.Since(t0).Nanoseconds(), "flush-window")
+	}
 }
 
 // collect ends the group's live phase and builds its exit report, with
@@ -541,7 +529,7 @@ func (g *ringGroup) wait(deadline <-chan struct{}) bool {
 func (g *ringGroup) collect() (GroupReport, error) {
 	cfg := g.nd.cfg
 	var debugState string
-	if !chanClosed(g.converged) && !chanClosed(g.left) {
+	if !g.converged && !g.left {
 		debugState = g.ne.DebugState()
 	}
 	g.finish()
@@ -555,16 +543,6 @@ func (g *ringGroup) collect() (GroupReport, error) {
 	fmt.Fprintln(os.Stderr, debugState)
 	return rep, fmt.Errorf("wire: node %d group %d did not converge: delivered %d/%d within %dms",
 		cfg.Node, g.gid, rep.Delivered, g.expected, cfg.DeadlineMS)
-}
-
-// chanClosed reports whether ch has been closed, without blocking.
-func chanClosed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
 }
 
 // snapshot builds the group's v2 report from live state — the same
@@ -586,11 +564,11 @@ func (g *ringGroup) snapshot() GroupReport {
 		Group:   g.gid,
 		Members: memberCount,
 		Leader:  leader,
-		// Converged/Left mirror the barrier channels, so a mid-run
+		// Converged/Left are the lifecycle's phase, so a mid-run
 		// snapshot reports the live phase and the exit snapshot the
 		// outcome collect() judges.
-		Converged: chanClosed(g.converged),
-		Left:      chanClosed(g.left),
+		Converged: g.converged,
+		Left:      g.left,
 		Expected:  g.expected,
 		Epoch:     epoch,
 		Control:   g.e.ControlReport(),
@@ -632,5 +610,5 @@ func (g *ringGroup) ready() bool {
 			return false
 		}
 	}
-	return chanClosed(g.converged) || g.ne.OrdersWell()
+	return g.converged || g.ne.OrdersWell()
 }

@@ -228,9 +228,9 @@ type Membership struct {
 	// RingSummary/MergeReq exchanges (wired to the daemon's tracker).
 	OrderHash func() uint64
 
-	// tel counts membership transitions in the daemon's live registry and
-	// event ring. The zero value is fully inert (sim and unit tests).
-	tel memberTelemetry
+	// tel is the group's instrument bundle: membership transitions count
+	// in the daemon's live registry and event ring.
+	tel *groupTelemetry
 	// prevSuspect is the failure detector's verdict at the last tick,
 	// kept to emit suspect/unsuspect transition events.
 	prevSuspect map[seq.NodeID]bool
@@ -240,10 +240,10 @@ type Membership struct {
 // is already started. For an initial ring member, members lists the
 // configured ring (epoch 1, already in topology); for a joiner, members
 // is nil and seeds names the processes to solicit.
-func NewMembership(e *core.Engine, tr *Port, net *outboxNet, self seq.NodeID, selfAddr string,
+func NewMembership(e *core.Engine, tr *Port, net *outboxNet, tel *groupTelemetry, self seq.NodeID, selfAddr string,
 	cfg MemberTunables, members map[seq.NodeID]string, ringID topology.RingID, seeds []PeerAddr) *Membership {
 	m := &Membership{
-		e: e, ne: e.NE(self), tr: tr, net: net, self: self, addr: selfAddr, cfg: cfg,
+		e: e, ne: e.NE(self), tr: tr, net: net, tel: tel, self: self, addr: selfAddr, cfg: cfg,
 		members:          make(map[seq.NodeID]string),
 		det:              membership.NewDetector(cfg.Suspect),
 		peerEpoch:        make(map[seq.NodeID]uint64),
@@ -267,6 +267,7 @@ func NewMembership(e *core.Engine, tr *Port, net *outboxNet, self seq.NodeID, se
 		}
 		m.reorder()
 	}
+	m.tel.epoch.Set(int64(m.epoch))
 	return m
 }
 
@@ -281,13 +282,6 @@ func (m *Membership) Start() {
 		}
 	}
 	m.ticker = m.e.Scheduler().Every(m.cfg.Heartbeat, m.tick)
-}
-
-// SetTelemetry attaches the live instrument bundle. Call before Start;
-// without it every tap below is a no-op.
-func (m *Membership) SetTelemetry(t memberTelemetry) {
-	m.tel = t
-	m.tel.epoch.Set(int64(m.epoch))
 }
 
 // Stop disarms the ticker.
@@ -335,16 +329,16 @@ func (m *Membership) HealLatency() sim.Time {
 	return 0
 }
 
-// LivePeers returns the members this node currently believes alive,
-// excluding itself — the done-barrier and beacon audience.
-func (m *Membership) LivePeers() []seq.NodeID {
-	out := make([]seq.NodeID, 0, len(m.order))
+// AppendLivePeers appends to dst the members this node currently
+// believes alive, excluding itself — the done-barrier and beacon
+// audience — and returns the extended slice.
+func (m *Membership) AppendLivePeers(dst []seq.NodeID) []seq.NodeID {
 	for _, p := range m.order {
 		if p != m.self && !m.det.Suspected(p) {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // Leave starts a graceful departure: announce to the coordinator (and
@@ -538,12 +532,7 @@ func (m *Membership) noteSuspects() {
 // Losing a strict majority parks the node in the lame ring; regaining
 // it (a suspect heartbeats again before any eviction) releases it.
 func (m *Membership) updateLame(now sim.Time) {
-	live := 1
-	for _, p := range m.order {
-		if p != m.self && !m.det.Suspected(p) {
-			live++
-		}
-	}
+	live := m.countLive(nil)
 	quorate := live*2 > len(m.order)
 	switch {
 	case m.lame && quorate:
@@ -557,6 +546,18 @@ func (m *Membership) updateLame(now sim.Time) {
 		m.prop = nil
 		m.ne.SetDeliveryHold(true)
 	}
+}
+
+// countLive counts self and the ring members the failure detector does
+// not suspect now, or that vouched names.
+func (m *Membership) countLive(vouched map[seq.NodeID]bool) int {
+	live := 1
+	for _, p := range m.order {
+		if p != m.self && (vouched[p] || !m.det.Suspected(p)) {
+			live++
+		}
+	}
+	return live
 }
 
 // exitLame releases the read-only park and resumes delivery. When the
@@ -1058,19 +1059,26 @@ func (m *Membership) sendUpdate(to seq.NodeID) {
 	m.sendUpdateTo(to, m.members[to], m.currentUpdate())
 }
 
-// sendUpdateTo delivers one RingUpdate, establishing the transport peer
-// and substrate peer first (the recipient may be a brand-new joiner).
+// sendUpdateTo delivers one RingUpdate, admitting the recipient first
+// (it may be a brand-new joiner).
 func (m *Membership) sendUpdateTo(to seq.NodeID, addr string, u *msg.RingUpdate) {
-	if !m.tr.HasPeer(to) {
-		if addr == "" {
-			return
-		}
-		if err := m.tr.AddPeer(to, addr); err != nil {
-			return
-		}
+	if _, ok := m.admit(to, addr); ok {
+		m.e.Net.Send(m.self, to, u)
 	}
-	m.net.expose(to)
-	m.e.Net.Send(m.self, to, u)
+}
+
+// admit makes peer id reachable from this group before a send to it:
+// the transport references it at addr, which also refreshes a known
+// peer's address, and the substrate routes to it. fresh reports whether
+// the transport did not know id before; ok is false, and nothing is
+// routed, when an unknown peer has no usable address.
+func (m *Membership) admit(id seq.NodeID, addr string) (fresh, ok bool) {
+	fresh = !m.tr.HasPeer(id)
+	if (addr == "" || m.tr.AddPeer(id, addr) != nil) && fresh {
+		return true, false
+	}
+	m.net.expose(id)
+	return fresh, true
 }
 
 // handleProbe reacts to a heartbeat from a NON-member: an evicted node
@@ -1093,12 +1101,9 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 		return
 	}
 	m.lastSummary[from] = now
-	if !m.tr.HasPeer(from) {
-		if m.tr.AddPeer(from, addr) != nil {
-			return
-		}
+	if _, ok := m.admit(from, addr); !ok {
+		return
 	}
-	m.net.expose(from)
 	m.markHealStart(now)
 	rs := &msg.RingSummary{Group: m.e.Group, From: m.self, Epoch: m.epoch, Front: m.ne.MQ().Front()}
 	if m.OrderHash != nil {
@@ -1304,7 +1309,7 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 		// every member (applyLocal just reset every failure-detector
 		// window, so all are live) so cross-process latency samples
 		// materialize.
-		m.tr.Calibrate(m.e.Scheduler(), m.LivePeers()...)
+		m.tr.Calibrate(m.e.Scheduler(), m.AppendLivePeers(nil)...)
 		if m.OnJoined != nil {
 			m.OnJoined(u.Baseline, resumed)
 		}
@@ -1330,12 +1335,9 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		if h.Node(id) == nil {
 			h.AddNode(id, topology.TierBR)
 		}
-		if addr := m.members[id]; addr != "" {
-			if fresh := !m.tr.HasPeer(id); m.tr.AddPeer(id, addr) == nil && fresh {
-				met = append(met, id)
-			}
+		if fresh, ok := m.admit(id, m.members[id]); fresh && ok {
+			met = append(met, id)
 		}
-		m.net.expose(id)
 		m.det.Forget(id)
 		m.det.Watch(id, now)
 		delete(m.graves, id)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // launchLive assembles n in-process live-membership nodes (joiners
@@ -427,6 +429,51 @@ func TestLiveCoordinatorSuccession(t *testing.T) {
 		if reports[i].Single().OrderHash != reports[1].Single().OrderHash {
 			t.Fatalf("survivors diverged: node %d %s vs node 2 %s",
 				i+1, reports[i].Single().OrderHash, reports[1].Single().OrderHash)
+		}
+	}
+}
+
+// TestLiveMinorityStaysUnconverged: a live member cut off from every peer
+// goes idle just as one whose stream ended does, and once it suspects
+// them all its live-peer set is empty. Having converged just before the
+// cut showed, it must fall back to converging, not pass an empty Done
+// barrier and leave mid-partition. Peers that already said Done still
+// count toward its quorum, so the last member out of a finished ring is
+// not stranded when the others exit first.
+func TestLiveMinorityStaysUnconverged(t *testing.T) {
+	for _, peersDone := range []bool{false, true} {
+		nd, err := NewNode(Config{
+			Node:        1,
+			Listen:      "127.0.0.1:0",
+			Live:        true,
+			Peers:       []PeerAddr{{Node: 2, Addr: "127.0.0.1:9"}, {Node: 3, Addr: "127.0.0.1:9"}},
+			Groups:      []GroupConfig{{ID: 1, Count: -1}},
+			HeartbeatMS: 100,
+			SuspectMS:   300,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := newRingGroup(nd, nd.cfg.Groups[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := nd.drv.sched // never started: this test is its only driver
+		g.start()
+		g.converged = true
+		if peersDone {
+			g.doneFrom[2], g.doneFrom[3] = true, true
+		}
+		for now := stepEvery; now <= 1500*sim.Millisecond; now += stepEvery {
+			s.Run(now)
+			g.step(now)
+		}
+		g.finish()
+		g.sink.close()
+		nd.tr.Close()
+		if g.converged != peersDone || g.drained != peersDone {
+			t.Fatalf("peers said Done: %v; after 1.5 s alone the member reads converged=%v drained=%v, want both %v",
+				peersDone, g.converged, g.drained, peersDone)
 		}
 	}
 }

@@ -192,52 +192,12 @@ func (gt *groupTelemetry) coreTel(reg *telemetry.Registry) core.Telemetry {
 	return t
 }
 
-// memberTel builds the membership-plane instrumentation bundle.
-func (gt *groupTelemetry) memberTel() memberTelemetry {
-	return memberTelemetry{
-		events:        gt.events,
-		node:          gt.node,
-		gid:           gt.gid,
-		lame:          gt.lame,
-		lameEntries:   gt.lameEntries,
-		suspects:      gt.suspects,
-		epoch:         gt.epoch,
-		epochsApplied: gt.epochsApplied,
-		quorumRetries: gt.quorumRetries,
-		evictions:     gt.evictions,
-		merges:        gt.merges,
-		tokenSignals:  gt.tokenSignals,
-	}
-}
-
 // emit records one group-scoped protocol event.
 func (gt *groupTelemetry) emit(typ string, value uint64, detail string) {
 	if gt == nil {
 		return
 	}
 	gt.events.Emit(telemetry.Event{Node: gt.node, Group: gt.gid, Type: typ, Value: value, Detail: detail})
-}
-
-// memberTelemetry is the membership plane's slice of the group bundle.
-// A zero value (sim membership tests, no registry) is fully inert.
-type memberTelemetry struct {
-	events *telemetry.Ring
-	node   uint32
-	gid    uint32
-
-	lame          *telemetry.Gauge
-	lameEntries   *telemetry.Counter
-	suspects      *telemetry.Gauge
-	epoch         *telemetry.Gauge
-	epochsApplied *telemetry.Counter
-	quorumRetries *telemetry.Counter
-	evictions     *telemetry.Counter
-	merges        *telemetry.Counter
-	tokenSignals  *telemetry.Counter
-}
-
-func (t *memberTelemetry) emit(typ string, value uint64, detail string) {
-	t.events.Emit(telemetry.Event{Node: t.node, Group: t.gid, Type: typ, Value: value, Detail: detail})
 }
 
 // writeDerivedMetrics renders the scrape-time families computed from the
