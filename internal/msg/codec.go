@@ -489,6 +489,7 @@ func layout(w *walker, m Message) {
 		uv(w, &v.Range.Max)
 		flag(w, &v.Jump)
 		opt(w, &v.AckCum)
+	case *Done:
 	default:
 		panic(fmt.Sprintf("msg: no layout for %T", m))
 	}

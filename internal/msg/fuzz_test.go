@@ -97,7 +97,7 @@ func (t *taker) addr() string {
 // kinds (6, 8, 12, 16) build nothing.
 func build(data []byte) Message {
 	t := &taker{b: data}
-	switch Kind(t.u8()%uint8(KindMergeReq) + 1) {
+	switch Kind(t.u8()%uint8(KindDone) + 1) {
 	case KindData:
 		return &Data{
 			Group:        seq.GroupID(t.u32()),
@@ -253,6 +253,8 @@ func build(data []byte) Message {
 			TokenEpoch: t.u64(),
 			TokenHops:  t.u64(),
 		}
+	case KindDone:
+		return &Done{}
 	}
 	return nil
 }
@@ -267,7 +269,7 @@ func build(data []byte) Message {
 // Decode, which must reject garbage with an error, never a panic; whatever
 // it accepts, of any kind, must re-encode to exactly the bytes it read.
 func FuzzCodecRoundTrip(f *testing.F) {
-	for k := 1; k <= int(KindMergeReq); k++ {
+	for k := 1; k <= int(KindDone); k++ {
 		seed := append([]byte{byte(k - 1)}, bytes.Repeat([]byte{0x5a, 3, 0xc1, 7}, 40)...)
 		f.Add(seed)
 		f.Add(append([]byte{byte(k - 1)}, bytes.Repeat([]byte{0xff}, 150)...))
@@ -308,7 +310,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if m == nil {
 			// A retired kind byte: no struct to build, and Decode must
 			// refuse it whatever follows.
-			k := data[0]%uint8(KindMergeReq) + 1
+			k := data[0]%uint8(KindDone) + 1
 			if kinds[k].name != "" {
 				t.Fatalf("builder covered no kind for %v", data[0])
 			}

@@ -70,8 +70,9 @@ const (
 	// carries the stream baseline it resumes from).
 	KindRingUpdate
 	// KindTimeSync is the NTP-lite ping/pong the wire transport answers
-	// directly from its reader, used for cross-process clock-offset
-	// estimation. It never reaches the protocol core.
+	// itself, on the daemon's event loop before any group sees the
+	// datagram, for cross-process clock-offset estimation. It never
+	// reaches the protocol core.
 	KindTimeSync
 	// KindQuorumVote carries one round of the wire membership plane's
 	// epoch quorum: a coordinator proposes the next epoch number and each
@@ -88,6 +89,10 @@ const (
 	// own epoch/front/hash/token summary plus its transport address,
 	// asking the quorum coordinator to splice it back in.
 	KindMergeReq
+	// KindDone is the wire daemon's termination gossip: its sender has
+	// delivered everything it expects in the group whose frame section
+	// carries it.
+	KindDone
 )
 
 // kinds is indexed by the kind byte: each kind's name and the
@@ -118,6 +123,7 @@ var kinds = [...]struct {
 	KindQuorumVote:    {"quorum-vote", func() Message { return new(QuorumVote) }},
 	KindRingSummary:   {"ring-summary", func() Message { return new(RingSummary) }},
 	KindMergeReq:      {"merge-req", func() Message { return new(MergeReq) }},
+	KindDone:          {"done", func() Message { return new(Done) }},
 }
 
 func (k Kind) String() string {
@@ -510,3 +516,14 @@ type MergeReq struct {
 
 func (*MergeReq) Kind() Kind      { return KindMergeReq }
 func (m *MergeReq) WireSize() int { return wireSize(m) }
+
+// Done tells a peer that its sender has delivered everything it expects
+// in one group. Exiting a ring is safe only once every member is done:
+// gap repair (Nack) is pull-based, so a converged member may still be the
+// only reachable holder of a body a straggler is missing. It has no
+// fields: the frame section that carries it names the group, and the
+// datagram its sender.
+type Done struct{}
+
+func (*Done) Kind() Kind      { return KindDone }
+func (d *Done) WireSize() int { return wireSize(d) }

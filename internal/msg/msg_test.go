@@ -63,7 +63,7 @@ func TestKindBytes(t *testing.T) {
 		KindTokenRegen: 7, KindJoin: 9, KindLeave: 10, KindHandoffNotify: 11,
 		KindReserve: 13, KindProgress: 14, KindHeartbeat: 15, KindSkip: 17,
 		KindJoinReq: 18, KindLeaveReq: 19, KindRingUpdate: 20, KindTimeSync: 21,
-		KindQuorumVote: 22, KindRingSummary: 23, KindMergeReq: 24,
+		KindQuorumVote: 22, KindRingSummary: 23, KindMergeReq: 24, KindDone: 25,
 	}
 	for k, b := range want {
 		if uint8(k) != b {
@@ -494,7 +494,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 		&Data{Group: 1, SourceNode: 2, LocalSeq: 3, Payload: make([]byte, 100)},
 		&Ack{}, &Nack{}, &Heartbeat{}, &Join{}, &Leave{},
 		&HandoffNotify{}, &Reserve{}, &Progress{}, &TokenAck{},
-		&JoinReq{Addr: "127.0.0.1:4242"}, &LeaveReq{}, &TimeSync{},
+		&JoinReq{Addr: "127.0.0.1:4242"}, &LeaveReq{}, &TimeSync{}, &Done{},
 		&RingUpdate{Members: []MemberAddr{{Node: 1, Addr: "127.0.0.1:1"}, {Node: 2, Addr: "10.0.0.2:99"}}},
 	}
 	for _, m := range msgs {

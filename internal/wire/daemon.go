@@ -264,39 +264,11 @@ func (nd *Node) Run() (Report, error) {
 		nd.lifecycle(groups)
 	})
 
-	// Periodic live report: the /status snapshot path, one JSON line to
-	// stderr per interval (operators tail it; the harness parses it).
-	reportDone := make(chan struct{})
-	var reporter sync.WaitGroup
-	if cfg.ReportIntervalMS > 0 {
-		reporter.Add(1)
-		go func() {
-			defer reporter.Done()
-			t := time.NewTicker(time.Duration(cfg.ReportIntervalMS) * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if b, err := json.Marshal(nd.Snapshot()); err == nil {
-						fmt.Fprintf(os.Stderr, "ringnetd report: %s\n", b)
-					}
-				case <-reportDone:
-					return
-				case <-nd.killed:
-					return
-				}
-			}
-		}()
-	}
-
 	select {
 	case <-nd.done:
 	case <-nd.killed:
 	}
-	close(reportDone)
-	reporter.Wait() // no report line is written after Run returns
-
-	nd.drv.Stop()
+	nd.drv.Stop() // no report line is written after Run returns
 	nd.admin.close()
 	nd.tr.Close()
 	for _, g := range groups {
@@ -313,8 +285,9 @@ func (nd *Node) Run() (Report, error) {
 }
 
 // lifecycle arms the daemon's life on its scheduler. One housekeeping tick
-// steps every group; one tick fsyncs every durable log; and the run
-// ends at the deadline, or lingerFor after every group is done,
+// steps every group; one tick fsyncs every durable log; with
+// -report-interval, one tick writes the live report to stderr; and the
+// run ends at the deadline, or lingerFor after every group is done,
 // whichever comes first. A finished group keeps running through the
 // linger, serving straggler repairs and answering Done beacons: the
 // linger is a floor during which a peer that lost our earlier beacons to
@@ -340,6 +313,20 @@ func (nd *Node) lifecycle(groups []*ringGroup) {
 		s.Every(fsyncWindow, func() {
 			for _, g := range durable {
 				g.sync()
+			}
+		})
+	}
+
+	// Periodic live report: the /status snapshot, one JSON line to
+	// stderr per interval (operators tail it; the harness parses it).
+	if ms := nd.cfg.ReportIntervalMS; ms > 0 {
+		s.Every(sim.Time(ms)*sim.Millisecond, func() {
+			reps := make([]GroupReport, len(groups))
+			for i, g := range groups {
+				reps[i] = g.snapshot()
+			}
+			if b, err := json.Marshal(nd.report(reps)); err == nil {
+				fmt.Fprintf(os.Stderr, "ringnetd report: %s\n", b)
 			}
 		})
 	}

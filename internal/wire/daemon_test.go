@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msg"
+	"repro/internal/sim"
 )
 
 // launchCluster assembles n in-process daemon nodes over real loopback
@@ -154,6 +156,56 @@ func TestDaemonDeadlineEndsUnconvergedRun(t *testing.T) {
 		t.Fatalf("report claims an outcome the run did not reach: %+v", rep)
 	}
 	t.Logf("Run returned after %v: %v", took, err)
+}
+
+// TestDaemonDoneReplyRateLimited: a Done from a peer marks the peer done.
+// Only a converged member answers it, with one Done of its own, and at
+// most once per 50 ms per peer. The group is driven step by step on a
+// scheduler no driver runs.
+func TestDaemonDoneReplyRateLimited(t *testing.T) {
+	nd, err := NewNode(Config{
+		Node:   1,
+		Listen: "127.0.0.1:0",
+		Peers:  []PeerAddr{{Node: 2, Addr: "127.0.0.1:9"}},
+		Groups: []GroupConfig{{ID: 1, Count: -1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.tr.Close()
+	g, err := newRingGroup(nd, nd.cfg.Groups[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.sink.close()
+	s := nd.drv.sched // never started: this test is its only driver
+	handler := nd.tr.handlers[1].Handler
+	// hear runs the scheduler to at, which flushes what earlier steps
+	// queued, hands the group a Done from peer 2, and counts the Dones
+	// then waiting in peer 2's box.
+	hear := func(at sim.Time) int {
+		s.Run(at)
+		handler(2, []msg.Message{&msg.Done{}})
+		n := 0
+		for _, m := range pending(nd.ob, 1, 2) {
+			if _, done := m.(*msg.Done); done {
+				n++
+			}
+		}
+		return n
+	}
+	if n := hear(100 * sim.Millisecond); !g.doneFrom[2] || n != 0 {
+		t.Fatalf("unconverged: peer 2 marked done %v, %d Done replies queued; want true, 0", g.doneFrom[2], n)
+	}
+	g.converged = true
+	for _, step := range []struct {
+		at   sim.Time
+		want int
+	}{{100 * sim.Millisecond, 1}, {149 * sim.Millisecond, 0}, {150 * sim.Millisecond, 1}} {
+		if n := hear(step.at); n != step.want {
+			t.Fatalf("converged, Done heard at %v: %d replies queued, want %d", step.at, n, step.want)
+		}
+	}
 }
 
 // TestDaemonRetainedBytesPerDelivery: what a member still holds once its

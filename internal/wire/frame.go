@@ -19,9 +19,11 @@
 //     traffic from every hosted group coalesces into shared
 //     multi-section datagrams, so N groups do not mean N×
 //     the datagrams; driver-goroutine-only, no locks;
-//   - substrate.go: one group's core.Network over the shared outbox — a
-//     send from the local node to a ring member is an enqueue
-//     in the same call stack;
+//   - substrate.go: one group's core.Network over the shared outbox and
+//     its only way to the network — a send from the local
+//     node to a peer is an enqueue in the same call stack,
+//     and admitting or retiring a peer updates the
+//     transport's references in the same call;
 //   - config.go:    the groups-first daemon config;
 //   - report.go:    the per-group + daemon-aggregate status report
 //     (schema v2);
@@ -52,7 +54,7 @@ import (
 	"repro/internal/seq"
 )
 
-// Datagram framing, version 5: a short header followed by group-tagged
+// Datagram framing, version 6: a short header followed by group-tagged
 // sections, each carrying length-prefixed encoded messages. Putting the
 // group id in a per-section tag rather than the frame header is what
 // lets one datagram carry traffic for many groups at once — the shared
@@ -61,14 +63,13 @@ import (
 // fixed magic, version and count bytes.
 //
 //	magic    u16  0x524E ("RN"), little-endian
-//	version  u8   5
+//	version  u8   6
 //	sections u8   section count (≥ 1)
 //	from     uv   sender NodeID (≤ 32 bits)
 //	seqno    uv   per-(sender→receiver) datagram sequence number
 //	sections × {
 //	    group  uv   destination group id (≤ 32 bits; 0 = transport-internal)
-//	    flags  u8   group-level control bits (FlagDone, ...)
-//	    count  u8   messages in this section (0 allowed only when flags≠0)
+//	    count  u8   messages in this section (≥ 1)
 //	    count × { len uv, len bytes of msg.Encode output }
 //	}
 //
@@ -80,10 +81,11 @@ import (
 // to the run-chained varint layout (internal/seq wire.go), 4 added the
 // token delta (internal/seq delta.go) and varint Ack/TokenAck, 5 made
 // every message's integers and the frame's own header, tags and length
-// prefixes varints.
+// prefixes varints, and 6 dropped the per-section flags byte when the
+// Done barrier's gossip became a message (msg.Done).
 const (
 	frameMagic   = 0x524E
-	frameVersion = 5
+	frameVersion = 6
 
 	// fixedHeader is the magic, version and section-count bytes;
 	// maxHeader adds the longest from and seqno varints. SendSections
@@ -92,8 +94,8 @@ const (
 	fixedHeader = 2 + 1 + 1
 	maxHeader   = fixedHeader + 5 + 10
 
-	// MaxDatagram is the default frame-size budget: safely under the
-	// 65507-byte UDP payload ceiling, with headroom for the header.
+	// MaxDatagram is the frame-size budget: safely under the 65507-byte
+	// UDP payload ceiling, with headroom for the header.
 	MaxDatagram = 60000
 
 	// maxFrameMsgs is the per-section message cap imposed by the u8
@@ -108,19 +110,6 @@ const (
 // instance.
 const GroupControl uint32 = 0
 
-// Frame-level control flags: daemon-to-daemon signals that ride the
-// transport without entering the protocol core. Flags are per-section,
-// so they are scoped to one group.
-const (
-	// FlagDone gossips "this member has delivered everything it
-	// expects in this group". Exiting a ring is only safe once every
-	// member is done: gap repair (Nack) is pull-based, so a
-	// locally-converged member may still be the only reachable holder
-	// of a body some straggler is missing. Members repeat the beacon
-	// until they exit, so it survives the lossy socket it travels on.
-	FlagDone uint8 = 1 << 0
-)
-
 // Framing errors.
 var (
 	ErrBadMagic        = errors.New("wire: bad frame magic")
@@ -134,11 +123,10 @@ var (
 	ErrNonCanonical    = errors.New("wire: non-canonical frame encoding")
 )
 
-// Section is one group's slice of a datagram: its messages and control
-// flags, tagged with the destination group id.
+// Section is one group's slice of a datagram: its messages, tagged with
+// the destination group id.
 type Section struct {
 	Group uint32
-	Flags uint8
 	Msgs  []msg.Message
 
 	// sizes, when set, holds each message's encoded size as its sender
@@ -164,7 +152,7 @@ func headerSize(from seq.NodeID, seqno uint64) int {
 }
 
 // tagSize is the encoded size of a section tag for group.
-func tagSize(group uint32) int { return msg.UvarintLen(uint64(group)) + 1 + 1 }
+func tagSize(group uint32) int { return msg.UvarintLen(uint64(group)) + 1 }
 
 // framedSize is the bytes a message of n encoded bytes occupies in a
 // section: its length prefix and itself.
@@ -194,10 +182,9 @@ func frameSize(from seq.NodeID, seqno uint64, secs []Section) int {
 }
 
 // EncodeFrame serializes one datagram carrying secs from from. A frame
-// needs at least one section; a message-less section is valid only when
-// it carries flags. The caller is responsible for keeping the result
-// under the transport's datagram budget; EncodeFrame only enforces the
-// structural count limits.
+// needs at least one section, and a section at least one message. The
+// caller is responsible for keeping the result under the transport's
+// datagram budget; EncodeFrame only enforces the structural count limits.
 func EncodeFrame(from seq.NodeID, seqno uint64, secs []Section) ([]byte, error) {
 	return encodeFrame(from, seqno, secs, frameSize(from, seqno, secs))
 }
@@ -214,7 +201,7 @@ func encodeFrame(from seq.NodeID, seqno uint64, secs []Section, size int) ([]byt
 		return nil, ErrTooManySections
 	}
 	for _, s := range secs {
-		if len(s.Msgs) == 0 && s.Flags == 0 {
+		if len(s.Msgs) == 0 {
 			return nil, ErrEmptySection
 		}
 		if len(s.Msgs) > maxFrameMsgs {
@@ -228,7 +215,7 @@ func encodeFrame(from seq.NodeID, seqno uint64, secs []Section, size int) ([]byt
 	buf = binary.AppendUvarint(buf, seqno)
 	for _, s := range secs {
 		buf = binary.AppendUvarint(buf, uint64(s.Group))
-		buf = append(buf, s.Flags, byte(len(s.Msgs)))
+		buf = append(buf, byte(len(s.Msgs)))
 		for _, m := range s.Msgs {
 			// Encode in place behind a one-byte length prefix — enough
 			// below 128 bytes — and widen the prefix for a longer message.
@@ -315,17 +302,15 @@ func DecodeFrame(buf []byte) (Frame, error) {
 	f.Sections = make([]Section, 0, sections)
 	for si := 0; si < sections; si++ {
 		start := r.off
-		s := Section{Group: uint32(r.uv(32)), Flags: r.u8()}
+		s := Section{Group: uint32(r.uv(32))}
 		count := int(r.u8())
 		if r.err != nil {
 			return f, r.err
 		}
-		if count == 0 && s.Flags == 0 {
+		if count == 0 {
 			return f, ErrEmptySection
 		}
-		if count > 0 {
-			s.Msgs = make([]msg.Message, 0, count)
-		}
+		s.Msgs = make([]msg.Message, 0, count)
 		for i := 0; i < count; i++ {
 			n := r.uv(64)
 			if r.err == nil && n > uint64(len(buf)-r.off) {

@@ -49,7 +49,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("decoded header mismatch: %+v", f)
 	}
 	got := f.Sections[0]
-	if got.Group != 1 || got.Flags != 0 || len(got.Msgs) != len(secs[0].Msgs) {
+	if got.Group != 1 || len(got.Msgs) != len(secs[0].Msgs) {
 		t.Fatalf("decoded section mismatch: %+v", got)
 	}
 	for i, m := range got.Msgs {
@@ -73,8 +73,8 @@ func TestFrameMixedGroups(t *testing.T) {
 			&msg.Data{Group: 7, SourceNode: 1, LocalSeq: 1, OrderingNode: 1, GlobalSeq: 1, Payload: []byte("a")},
 			&msg.Ack{Group: 7, From: 2, Source: 1, CumLocal: 1, CumGlobal: 1},
 		}},
-		{Group: 9, Flags: FlagDone, Msgs: []msg.Message{
-			&msg.Heartbeat{From: 3, Epoch: 4},
+		{Group: 9, Msgs: []msg.Message{
+			&msg.Heartbeat{From: 3, Epoch: 4}, &msg.Done{},
 		}},
 		{Group: 2, Msgs: []msg.Message{
 			&msg.Skip{Group: 2, From: 1, Range: seq.Range{Min: 1, Max: 2}},
@@ -109,9 +109,9 @@ func TestFrameMixedGroups(t *testing.T) {
 		if got.wireLen != sectionBytes(want) {
 			t.Fatalf("section %d: decoder walked %d bytes, sectionBytes says %d", i, got.wireLen, sectionBytes(want))
 		}
-		if got.Group != want.Group || got.Flags != want.Flags || len(got.Msgs) != len(want.Msgs) {
-			t.Fatalf("section %d: got {group %d flags %d, %d msgs}, want {group %d flags %d, %d msgs}",
-				i, got.Group, got.Flags, len(got.Msgs), want.Group, want.Flags, len(want.Msgs))
+		if got.Group != want.Group || len(got.Msgs) != len(want.Msgs) {
+			t.Fatalf("section %d: got {group %d, %d msgs}, want {group %d, %d msgs}",
+				i, got.Group, len(got.Msgs), want.Group, len(want.Msgs))
 		}
 		for j, m := range got.Msgs {
 			if !bytes.Equal(msg.Encode(m), msg.Encode(want.Msgs[j])) {
@@ -121,36 +121,32 @@ func TestFrameMixedGroups(t *testing.T) {
 	}
 }
 
-// TestFrameControl: message-less control sections (the Done barrier
-// gossip) round-trip; flags coexist with messages in one section.
+// TestFrameControl: the Done barrier's gossip is an ordinary one-byte
+// message in its group's section, and a section with no message is
+// refused on both sides of the wire.
 func TestFrameControl(t *testing.T) {
-	buf, err := EncodeFrame(4, 9, []Section{{Group: 6, Flags: FlagDone}})
+	done := []Section{{Group: 6, Msgs: []msg.Message{&msg.Done{}}}}
+	buf, err := EncodeFrame(4, 9, done)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != headerSize(4, 9)+tagSize(6) {
-		t.Fatalf("control frame is %d bytes, want %d", len(buf), headerSize(4, 9)+tagSize(6))
+	if want := headerSize(4, 9) + tagSize(6) + framedSize(1); len(buf) != want {
+		t.Fatalf("Done frame is %d bytes, want %d", len(buf), want)
 	}
 	f, err := DecodeFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.From != 4 || f.Seqno != 9 || len(f.Sections) != 1 {
-		t.Fatalf("control frame decoded as %+v", f)
+	if s := f.Sections[0]; f.From != 4 || s.Group != 6 || len(s.Msgs) != 1 || s.Msgs[0].Kind() != msg.KindDone {
+		t.Fatalf("Done frame decoded as %+v", f)
 	}
-	if s := f.Sections[0]; s.Group != 6 || s.Flags != FlagDone || len(s.Msgs) != 0 {
-		t.Fatalf("control section decoded as %+v", s)
+	if _, err := EncodeFrame(4, 9, []Section{{Group: 6}}); !errors.Is(err, ErrEmptySection) {
+		t.Fatalf("encoding a message-less section: %v, want ErrEmptySection", err)
 	}
-	both, err := EncodeFrame(4, 10, []Section{{Group: 6, Flags: FlagDone, Msgs: sampleMsgs()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err = DecodeFrame(both)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := f.Sections[0]; s.Flags != FlagDone || len(s.Msgs) != len(sampleMsgs()) {
-		t.Fatalf("flags+msgs section decoded as %+v", s)
+	hdr := headerSize(4, 9)
+	empty := append(buf[:hdr:hdr], 6, 0) // group 6, no messages
+	if _, err := DecodeFrame(empty); !errors.Is(err, ErrEmptySection) {
+		t.Fatalf("decoding a message-less section: %v, want ErrEmptySection", err)
 	}
 }
 
@@ -174,15 +170,16 @@ func TestFrameErrors(t *testing.T) {
 		"v2 header":     append([]byte{good[0], good[1], 2}, good[3:]...),
 		"v3 header":     append([]byte{good[0], good[1], 3}, good[3:]...),
 		"v4 header":     append([]byte{good[0], good[1], 4}, good[3:]...),
+		"v5 header":     append([]byte{good[0], good[1], 5}, good[3:]...),
 		"truncated":     good[:len(good)-3],
 		"trailing":      append(append([]byte(nil), good...), 1, 2, 3),
 		"zero sections": func() []byte { b := append([]byte(nil), good...); b[3] = 0; return b }(),
 		"empty section": func() []byte {
-			// Section count says 2 but the second section (group 5, flags
-			// 0, count 0) is structurally empty.
+			// Section count says 2 but the second section (group 5,
+			// count 0) is structurally empty.
 			b := append([]byte(nil), good...)
 			b[3] = 2
-			return append(b, 5, 0, 0)
+			return append(b, 5, 0)
 		}(),
 		"section overflows buffer": func() []byte {
 			b := append([]byte(nil), good...)
@@ -195,16 +192,19 @@ func TestFrameErrors(t *testing.T) {
 			t.Errorf("%s: decode accepted corrupt frame", name)
 		}
 	}
+	if _, err := DecodeFrame(cases["empty section"]); !errors.Is(err, ErrEmptySection) {
+		t.Errorf("empty section: %v, want ErrEmptySection", err)
+	}
 	// A version error must say which versions disagree — in particular
-	// for v2 through v4, whose frames a v5 reader would otherwise misread.
-	for _, name := range []string{"version", "v1 header", "v2 header", "v3 header", "v4 header"} {
+	// for v2 through v5, whose frames a v6 reader would otherwise misread.
+	for _, name := range []string{"version", "v1 header", "v2 header", "v3 header", "v4 header", "v5 header"} {
 		if _, err := DecodeFrame(cases[name]); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("%s: version mismatch not classified: %v", name, err)
 		}
 	}
 	// A frame of garbage message bytes must error, not panic.
 	bad := append([]byte(nil), good[:hdr]...)
-	bad = append(bad, 1, 0, 1)                      // section: group 1, flags 0, count 1
+	bad = append(bad, 1, 1)                         // section: group 1, count 1
 	bad = append(bad, 4, 4, 0xff, 0xff, 0xff, 0xff) // garbage message
 	bad[3] = 1
 	if _, err := DecodeFrame(bad); err == nil {
@@ -212,16 +212,22 @@ func TestFrameErrors(t *testing.T) {
 	}
 }
 
-// TestFrameV4Refused: a datagram a version-4 daemon sent — captured from
-// that encoder, one section around one Data — is refused by version, not
-// misread as a v5 frame.
+// TestFrameV4Refused: datagrams older daemons sent — captured from their
+// encoders: a version-4 one around one Data, and the version-5 datagram
+// TestFrameBytesPinned pinned, a flags-only section then a Data and a
+// Heartbeat — are refused by version, not misread as v6 frames.
 func TestFrameV4Refused(t *testing.T) {
-	v4, err := hex.DecodeString("4e520401030000000700000000000000010000000001290000000101000000030000000700000000000000020000000b0000000000000000070000007061796c6f6164")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeFrame(v4); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v4 datagram: %v, want ErrBadVersion", err)
+	for _, old := range []string{
+		"4e520401030000000700000000000000010000000001290000000101000000030000000700000000000000020000000b0000000000000000070000007061796c6f6164",
+		"4e52050203f0a204020100ac0200020d01ac0203c80101e80700026869030f0309",
+	} {
+		buf, err := hex.DecodeString(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeFrame(buf); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("v%d datagram: %v, want ErrBadVersion", buf[2], err)
+		}
 	}
 }
 
@@ -234,7 +240,7 @@ func TestFrameCanonical(t *testing.T) {
 	frame := func(from, seqno, group []byte, length []byte) []byte {
 		b := []byte{0x4e, 0x52, frameVersion, 1}
 		b = append(append(append(b, from...), seqno...), group...)
-		b = append(append(b, 0, 1), length...)
+		b = append(append(b, 1), length...)
 		return append(b, body...)
 	}
 	one, n := []byte{1}, []byte{byte(len(body))}
@@ -257,13 +263,13 @@ func TestFrameCanonical(t *testing.T) {
 	}
 }
 
-// TestFrameBytesPinned pins a two-section v5 datagram byte for byte: a
-// control-flag section for one group, then a Data and a Heartbeat for a
-// group whose id takes two varint bytes. Peers of one frame version must
+// TestFrameBytesPinned pins a two-section v6 datagram byte for byte: a
+// Done for one group, then a Data and a Heartbeat for a group whose id
+// takes two varint bytes. Peers of one frame version must
 // agree on it; if this fails the change altered the wire.
 func TestFrameBytesPinned(t *testing.T) {
 	secs := []Section{
-		{Group: 2, Flags: FlagDone},
+		{Group: 2, Msgs: []msg.Message{&msg.Done{}}},
 		{Group: 300, Msgs: []msg.Message{
 			&msg.Data{Group: 300, SourceNode: 3, LocalSeq: 200, OrderingNode: 1, GlobalSeq: 1000, Payload: []byte("hi")},
 			&msg.Heartbeat{From: 3, Epoch: 9},
@@ -273,9 +279,10 @@ func TestFrameBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "4e52" + "05" + "02" + "03" + "f0a204" + // magic, version, 2 sections, from 3, seqno 70000
-		"02" + "01" + "00" + // group 2, FlagDone, no messages
-		"ac02" + "00" + "02" + // group 300, no flags, 2 messages
+	const want = "4e52" + "06" + "02" + "03" + "f0a204" + // magic, version, 2 sections, from 3, seqno 70000
+		"02" + "01" + // group 2, 1 message
+		"01" + "19" + // 1-byte Done
+		"ac02" + "02" + // group 300, 2 messages
 		"0d" + "01ac0203c80101e807000268" + "69" + // 13-byte Data
 		"03" + "0f0309" // 3-byte Heartbeat
 	if got := hex.EncodeToString(buf); got != want {
@@ -296,9 +303,9 @@ func TestFrameBytesPinned(t *testing.T) {
 
 // TestDataPlaneOverheadBound: one datagram holding one 64 B-payload Data
 // on a work-queue hop (source and ordering node small ids, LocalSeq and
-// the datagram seqno below 2^21, not yet ordered) costs at most 90 bytes
-// on the wire — 26 bytes of framing and fields around the payload. At
-// frame version 4 the same datagram was 124 bytes.
+// the datagram seqno below 2^21, not yet ordered) costs at most 89 bytes
+// on the wire — 25 bytes of framing and fields around the payload. At
+// frame version 4 the same datagram was 124 bytes, at version 5 90.
 func TestDataPlaneOverheadBound(t *testing.T) {
 	d := &msg.Data{Group: 1, SourceNode: 4, LocalSeq: 1<<21 - 1, Payload: make([]byte, 64)}
 	buf, err := EncodeFrame(4, 1<<21-1, []Section{{Group: 1, Msgs: []msg.Message{d}}})
@@ -306,8 +313,8 @@ func TestDataPlaneOverheadBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("one 64 B-payload WQ Data: %d-byte datagram, %d-byte message", len(buf), d.WireSize())
-	if len(buf) > 90 {
-		t.Fatalf("datagram is %d bytes, bound 90", len(buf))
+	if len(buf) > 89 {
+		t.Fatalf("datagram is %d bytes, bound 89", len(buf))
 	}
 }
 
@@ -320,7 +327,7 @@ func FuzzFrameDecode(f *testing.F) {
 	if seed, err := EncodeFrame(3, 7, []Section{{Group: 1, Msgs: sampleMsgs()}}); err == nil {
 		f.Add(seed)
 	}
-	if seed, err := EncodeFrame(1, 1, []Section{{Group: 2, Flags: FlagDone}, {Group: 3, Msgs: sampleMsgs()[:1]}}); err == nil {
+	if seed, err := EncodeFrame(1, 1, []Section{{Group: 2, Msgs: []msg.Message{&msg.Done{}}}, {Group: 3, Msgs: sampleMsgs()[:1]}}); err == nil {
 		f.Add(seed)
 	}
 	f.Add([]byte{0x4e, 0x52, frameVersion, 1})

@@ -69,7 +69,6 @@ type ringGroup struct {
 	gid     uint32
 	self    seq.NodeID
 	members []seq.NodeID
-	port    *Port
 
 	sched *sim.Scheduler // the daemon's, shared by every group
 	net   *outboxNet
@@ -126,7 +125,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		gc:        gc,
 		gid:       gc.ID,
 		self:      nd.self,
-		port:      NewPort(nd.tr, gc.ID),
 		doneFrom:  make(map[seq.NodeID]bool),
 		lastReply: make(map[seq.NodeID]sim.Time),
 		tel:       nd.tel.group(gc.ID),
@@ -176,21 +174,18 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		g.e.OnLost = g.sink.lost
 	}
 
-	g.peers = make([]seq.NodeID, 0, len(g.members)-1)
-	for _, id := range g.members {
-		if id != g.self {
-			g.peers = append(g.peers, id)
-			g.net.expose(id)
-		}
-	}
+	// Every configured peer is reachable from the start: the ring's
+	// members, or a joiner's seeds, which until its first splice hear
+	// nothing from it but JoinReqs (its NE has no ring to send on).
 	for _, p := range cfg.Peers {
 		if p.Addr == "" {
 			return nil, fmt.Errorf("wire: peer %d has no address", p.Node)
 		}
-		if err := g.port.AddPeer(seq.NodeID(p.Node), p.Addr); err != nil {
-			return nil, err
+		if _, ok := g.net.admit(seq.NodeID(p.Node), p.Addr); !ok {
+			return nil, fmt.Errorf("wire: peer %d address %q does not resolve", p.Node, p.Addr)
 		}
 	}
+	g.peers = slices.DeleteFunc(slices.Clone(g.members), func(id seq.NodeID) bool { return id == g.self })
 	if err := g.e.StartLocal(g.self); err != nil {
 		return nil, err
 	}
@@ -214,7 +209,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 				initial[seq.NodeID(p.Node)] = p.Addr
 			}
 		}
-		g.ms = NewMembership(g.e, g.port, g.net, g.tel, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
+		g.ms = NewMembership(g.e, g.net, g.tel, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
 		g.sink.lame = g.ms.Lame
 		g.ms.OrderHash = g.sink.oh.Sum64 // RingSummary/MergeReq carry the live order fingerprint
 		// Ask the coordinator to resume at the recovered durable front
@@ -259,27 +254,26 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		}
 	}
 	// The hooks run on the driver, each datagram's as one more event
-	// between the scheduler's own.
+	// between the scheduler's own. Done gossip is the group's own
+	// business, so it leaves the stream before the splice gate and the NE.
 	hooks := GroupHooks{Handler: func(from seq.NodeID, msgs []msg.Message) {
 		for _, m := range msgs {
-			recv(from, m)
+			if _, done := m.(*msg.Done); !done {
+				recv(from, m)
+				continue
+			}
+			// A converged member answers Done with Done (rate-limited):
+			// beacons ride the same lossy socket they gossip about, so a
+			// straggler that missed our periodic beacons re-learns we are
+			// done the moment its own beacons start flowing, even if we
+			// are already lingering on the way out.
+			if g.converged && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
+				g.lastReply[from] = g.sched.Now()
+				g.net.Send(g.self, from, &msg.Done{})
+			}
+			g.doneFrom[from] = true
 		}
 	}}
-	hooks.OnControl = func(from seq.NodeID, flags uint8) {
-		if flags&FlagDone == 0 {
-			return
-		}
-		// A converged member answers Done with Done (rate-limited):
-		// beacons ride the same lossy socket they gossip about, so a
-		// straggler that missed our periodic beacons re-learns we are
-		// done the moment its own beacons start flowing, even if we are
-		// already lingering on the way out.
-		if g.converged && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
-			g.lastReply[from] = g.sched.Now()
-			g.port.SendControl(from, FlagDone)
-		}
-		g.doneFrom[from] = true
-	}
 	if g.ms != nil {
 		hooks.OnUnknown = g.ms.HandleUnknown
 	}
@@ -296,7 +290,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 // (Nack) is pull-based, so this member may be the only reachable holder
 // of a body a straggler is still missing, and the holder of the only
 // copy of the circulating token. Once locally converged each member
-// gossips a FlagDone beacon (scoped to this group's sections) to every
+// gossips a Done message (msg.Done, in this group's sections) to every
 // peer and leaves the ring only after hearing Done from all of them,
 // i.e. when its retransmission state is provably unneeded. With live
 // membership the barrier audience is the current live peer set, so a
@@ -452,7 +446,7 @@ func (g *ringGroup) beacon(now sim.Time) {
 	g.beaconAt = now
 	for _, p := range g.livePeers() {
 		if !g.doneFrom[p] {
-			g.port.SendControl(p, FlagDone) // best-effort; repeated
+			g.net.Send(g.self, p, &msg.Done{}) // best-effort; repeated
 		}
 	}
 }

@@ -39,7 +39,7 @@ import (
 // by exponential backoff with jitter and a per-epoch attempt cap, so a
 // dead peer stops costing datagrams (a heartbeat from a written-off
 // peer revives its resends). Members apply an update by reforming the
-// topology ring in place, splicing transport and substrate peers,
+// topology ring in place, admitting new peers to the substrate,
 // refreshing the local NE's neighbor view, and severing
 // reliable-delivery state aimed at removed members. A token watchdog
 // re-emits the paper's Token-Loss signal whenever token circulation
@@ -77,8 +77,8 @@ import (
 // the leaver at the next quorum epoch; the leaver keeps serving
 // retransmissions (and forwards any held token through the normal
 // courier path) until its couriers drain, then exits. Members removed
-// from the ring stay reachable as transport/substrate "lame ducks" for a
-// grace period so exactly that drain traffic can complete.
+// from the ring stay reachable through the substrate as "lame ducks" for
+// a grace period so exactly that drain traffic can complete.
 
 const (
 	// probeEvery throttles a lame member's heartbeats toward suspects to
@@ -106,9 +106,9 @@ type MemberTunables struct {
 	Heartbeat sim.Time
 	// Suspect declares a member failed after this much heartbeat silence.
 	Suspect sim.Time
-	// Lame is how long a removed member stays in the transport/substrate
-	// peer set so in-flight drains (token handoff acks, Nack service)
-	// complete before the endpoint vanishes.
+	// Lame is how long a removed member stays in the substrate's peer set
+	// so in-flight drains (token handoff acks, Nack service) complete
+	// before the endpoint vanishes.
 	Lame sim.Time
 }
 
@@ -151,9 +151,8 @@ type resendState struct {
 // External goroutines use Driver.Call to enter (see Node.Shutdown).
 type Membership struct {
 	e    *core.Engine
-	ne   *core.NE // the local node; every per-node operation goes through it
-	tr   *Port
-	net  *outboxNet
+	ne   *core.NE   // the local node; every per-node operation goes through it
+	net  *outboxNet // the group's substrate: its sends, peers and clock probes
 	self seq.NodeID
 	addr string
 	cfg  MemberTunables
@@ -240,10 +239,10 @@ type Membership struct {
 // is already started. For an initial ring member, members lists the
 // configured ring (epoch 1, already in topology); for a joiner, members
 // is nil and seeds names the processes to solicit.
-func NewMembership(e *core.Engine, tr *Port, net *outboxNet, tel *groupTelemetry, self seq.NodeID, selfAddr string,
+func NewMembership(e *core.Engine, net *outboxNet, tel *groupTelemetry, self seq.NodeID, selfAddr string,
 	cfg MemberTunables, members map[seq.NodeID]string, ringID topology.RingID, seeds []PeerAddr) *Membership {
 	m := &Membership{
-		e: e, ne: e.NE(self), tr: tr, net: net, tel: tel, self: self, addr: selfAddr, cfg: cfg,
+		e: e, ne: e.NE(self), net: net, tel: tel, self: self, addr: selfAddr, cfg: cfg,
 		members:          make(map[seq.NodeID]string),
 		det:              membership.NewDetector(cfg.Suspect),
 		peerEpoch:        make(map[seq.NodeID]uint64),
@@ -460,7 +459,7 @@ func (m *Membership) tick() {
 		// durable front so the coordinator can grant a resume.
 		jr := &msg.JoinReq{Group: m.e.Group, Node: m.self, Addr: m.addr, Front: m.ResumeFront}
 		for _, s := range m.seeds {
-			m.tr.Send(seq.NodeID(s.Node), jr) // direct: no member exposes us yet
+			m.e.Net.Send(m.self, seq.NodeID(s.Node), jr)
 		}
 		return
 	}
@@ -1062,23 +1061,9 @@ func (m *Membership) sendUpdate(to seq.NodeID) {
 // sendUpdateTo delivers one RingUpdate, admitting the recipient first
 // (it may be a brand-new joiner).
 func (m *Membership) sendUpdateTo(to seq.NodeID, addr string, u *msg.RingUpdate) {
-	if _, ok := m.admit(to, addr); ok {
+	if _, ok := m.net.admit(to, addr); ok {
 		m.e.Net.Send(m.self, to, u)
 	}
-}
-
-// admit makes peer id reachable from this group before a send to it:
-// the transport references it at addr, which also refreshes a known
-// peer's address, and the substrate routes to it. fresh reports whether
-// the transport did not know id before; ok is false, and nothing is
-// routed, when an unknown peer has no usable address.
-func (m *Membership) admit(id seq.NodeID, addr string) (fresh, ok bool) {
-	fresh = !m.tr.HasPeer(id)
-	if (addr == "" || m.tr.AddPeer(id, addr) != nil) && fresh {
-		return true, false
-	}
-	m.net.expose(id)
-	return fresh, true
 }
 
 // handleProbe reacts to a heartbeat from a NON-member: an evicted node
@@ -1101,7 +1086,7 @@ func (m *Membership) handleProbe(from seq.NodeID, epoch uint64) {
 		return
 	}
 	m.lastSummary[from] = now
-	if _, ok := m.admit(from, addr); !ok {
+	if _, ok := m.net.admit(from, addr); !ok {
 		return
 	}
 	m.markHealStart(now)
@@ -1200,8 +1185,7 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 	if _, ok := m.members[lr.Node]; !ok {
 		// Already evicted: the farewell may have been lost — answer the
 		// retry with the excluding epoch so the leaver can stand down.
-		if m.tr.HasPeer(lr.Node) {
-			m.net.expose(lr.Node)
+		if m.net.peers[lr.Node] {
 			m.e.Net.Send(m.self, lr.Node, m.currentUpdate())
 		}
 		return
@@ -1309,19 +1293,18 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 		// every member (applyLocal just reset every failure-detector
 		// window, so all are live) so cross-process latency samples
 		// materialize.
-		m.tr.Calibrate(m.e.Scheduler(), m.AppendLivePeers(nil)...)
+		m.net.calibrate(m.AppendLivePeers(nil))
 		if m.OnJoined != nil {
 			m.OnJoined(u.Baseline, resumed)
 		}
 	}
 }
 
-// applyLocal makes the current member set real: topology ring, transport
-// and substrate peers, neighbor refresh, and severed state toward
-// removed members (who linger as lame ducks before retirement). Every
-// member's failure detector restarts with a fresh window — without
-// this, a merged-back member would be instantly re-suspected off its
-// pre-partition lastHeard.
+// applyLocal makes the current member set real: topology ring, substrate
+// peers, neighbor refresh, and severed state toward removed members (who
+// linger as lame ducks before retirement). Every member's failure
+// detector restarts with a fresh window — without this, a merged-back
+// member would be instantly re-suspected off its pre-partition lastHeard.
 func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 	h := m.e.H
 	now := m.e.Scheduler().Now()
@@ -1335,7 +1318,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		if h.Node(id) == nil {
 			h.AddNode(id, topology.TierBR)
 		}
-		if fresh, ok := m.admit(id, m.members[id]); fresh && ok {
+		if fresh, ok := m.net.admit(id, m.members[id]); fresh && ok {
 			met = append(met, id)
 		}
 		m.det.Forget(id)
@@ -1345,7 +1328,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 	// Calibrate the clock offset toward members met after spawn (a joiner
 	// granted mid-run), so cross-process latency samples stay
 	// offset-corrected.
-	m.tr.Calibrate(m.e.Scheduler(), met...)
+	m.net.calibrate(met)
 	if wasVirgin {
 		// Joiner's first epoch: its hierarchy has no top ring yet.
 		if r, err := h.NewRing(topology.TierBR, m.order...); err == nil {
@@ -1375,7 +1358,6 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 				return // rejoined meanwhile
 			}
 			m.net.retire(dead)
-			m.tr.RemovePeer(dead)
 		})
 	}
 	m.tel.epochsApplied.Inc()

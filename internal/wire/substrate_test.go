@@ -16,7 +16,7 @@ import (
 )
 
 // substrateRig is node 1's outbox substrate for group 1 over a loopback
-// transport pair, with peer 2 exposed and recording what it receives. The
+// transport pair, with peer 2 admitted and recording what it receives. The
 // test goroutine plays the driver: it steps the scheduler itself.
 type substrateRig struct {
 	a, b  *Transport
@@ -37,7 +37,9 @@ func newSubstrateRig(t *testing.T, window sim.Time) *substrateRig {
 	a.Start()
 	r.ob = NewSharedOutbox(a, window)
 	r.net = newOutboxNet(r.sched, r.ob, 1, 1)
-	r.net.expose(2)
+	if _, ok := r.net.admit(2, b.LocalAddr().String()); !ok {
+		t.Fatal("admitting peer 2 failed")
+	}
 	return r
 }
 
@@ -160,8 +162,9 @@ func TestSubstrateSendIsAnEnqueue(t *testing.T) {
 }
 
 // TestSubstrateRetireDropsBacklog: retiring a peer discards the group's
-// unflushed messages for it, and later sends to it are dropped before the
-// outbox — nothing reaches the transport, nothing counts as a send error.
+// unflushed messages for it and the transport's reference to it, and
+// later sends to it are dropped before the outbox — nothing reaches the
+// transport, nothing counts as a send error.
 func TestSubstrateRetireDropsBacklog(t *testing.T) {
 	r := newSubstrateRig(t, sim.Millisecond)
 	for l := seq.LocalSeq(1); l <= 3; l++ {
@@ -174,6 +177,9 @@ func TestSubstrateRetireDropsBacklog(t *testing.T) {
 	if n, b := len(r.shard()), r.ob.boxes[2].bytes; n != 0 || b != 0 {
 		t.Fatalf("retire left %d messages / %d bytes in the box", n, b)
 	}
+	if hasPeer(r.a, 1, 2) {
+		t.Fatal("retire left the transport's reference to the peer")
+	}
 	pending := r.sched.Len()
 	if r.net.Send(1, 2, dataMsg(4)) {
 		t.Fatal("send to a retired peer reported entered")
@@ -184,8 +190,8 @@ func TestSubstrateRetireDropsBacklog(t *testing.T) {
 	if _, err := r.sched.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.a.Stats().Peers[2]; st.SentDatagrams != 0 || r.ob.SendErrs() != 0 {
-		t.Fatalf("retired peer got %d datagrams, outbox counted %d send errors", st.SentDatagrams, r.ob.SendErrs())
+	if n := sentDatagrams(r.a.Stats()); n != 0 || r.ob.SendErrs() != 0 {
+		t.Fatalf("retired peer got %d datagrams, outbox counted %d send errors", n, r.ob.SendErrs())
 	}
 	if st := r.net.Stats(); st.Sent != 4 || st.DataMsgs != 3 {
 		t.Fatalf("accounting: %+v, want 4 sent of which 3 entered", st)

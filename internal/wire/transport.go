@@ -20,15 +20,12 @@ import (
 type Handler func(from seq.NodeID, msgs []msg.Message)
 
 // GroupHooks is one hosted group's receive surface, installed with
-// Register. All three callbacks run on the transport's executor: a
-// datagram's hooks run one after another, in frame order, in one call.
+// Register. Both callbacks run on the transport's executor: a datagram's
+// hooks run one after another, in frame order, in one call.
 type GroupHooks struct {
-	// Handler receives the protocol messages of sections addressed to
-	// this group from senders the group knows (has refcounted into the
-	// peer table).
+	// Handler receives the messages of sections addressed to this group
+	// from senders the group knows (has refcounted into the peer table).
 	Handler Handler
-	// OnControl receives section-level control flags (FlagDone gossip).
-	OnControl func(from seq.NodeID, flags uint8)
 	// OnUnknown receives this group's sections from senders the group
 	// does not (yet) know — either not in the peer table at all, or in
 	// it only on behalf of other groups. Live membership uses it for
@@ -96,9 +93,6 @@ type TransportConfig struct {
 	// descriptor (the multi-process harness binds every member's socket
 	// before spawning, eliminating port races).
 	ListenFD int
-	// MaxDatagram bounds encoded frame size; 0 means the package
-	// default.
-	MaxDatagram int
 	// Faults optionally injects loss/jitter on receive.
 	Faults Faults
 	// Drops is the programmable per-peer, time-windowed drop matrix
@@ -171,9 +165,12 @@ type peer struct {
 // Transport is one UDP endpoint shared by every group a daemon hosts: a
 // socket, a group-refcounted peer table, per-peer sequencing and stats,
 // per-group demultiplexing of inbound sections, and an optional fault
-// injector. Send batches messages into framed datagrams; received
+// injector. SendSections batches messages into framed datagrams; received
 // datagrams are decoded and their sections handed to the GroupHooks
-// installed by Register.
+// installed by Register. In a daemon a group reaches it only through its
+// substrate (substrate.go), which sends through the shared outbox and
+// keeps the group's peer references; the transport itself sends only its
+// clock probes.
 //
 // Datagrams to a peer leave in seqno order as long as one goroutine
 // sends. In a daemon that is its driver: the transport's executor, which
@@ -263,14 +260,10 @@ func Listen(cfg TransportConfig) (*Transport, error) {
 			return nil, fmt.Errorf("wire: bind: %w", err)
 		}
 	}
-	max := cfg.MaxDatagram
-	if max <= 0 {
-		max = MaxDatagram
-	}
 	return &Transport{
 		self:       cfg.Self,
 		conn:       conn,
-		max:        max,
+		max:        MaxDatagram,
 		peers:      make(map[seq.NodeID]*peer),
 		handlers:   make(map[uint32]GroupHooks),
 		groupStats: make(map[uint32]*GroupStats),
@@ -349,18 +342,6 @@ func (t *Transport) RemovePeer(group uint32, id seq.NodeID) {
 	}
 }
 
-// HasPeer reports whether group references peer id.
-func (t *Transport) HasPeer(group uint32, id seq.NodeID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.peers[id]
-	if !ok {
-		return false
-	}
-	_, ok = p.refs[group]
-	return ok
-}
-
 func (s *PeerStats) merge(o PeerStats) {
 	s.SentDatagrams += o.SentDatagrams
 	s.SentMsgs += o.SentMsgs
@@ -400,21 +381,12 @@ func (t *Transport) Send(group uint32, to seq.NodeID, msgs ...msg.Message) error
 	return t.SendSections(to, []Section{{Group: group, Msgs: msgs}})
 }
 
-// SendControl transmits one message-less control section carrying flags
-// for group.
-func (t *Transport) SendControl(group uint32, to seq.NodeID, flags uint8) error {
-	if flags == 0 {
-		return nil
-	}
-	return t.SendSections(to, []Section{{Group: group, Flags: flags}})
-}
-
 // SendSections packs the given sections into as few datagrams as fit the
 // budget and transmits them to peer to — the multi-group path the shared
 // outbox flushes through. A section whose messages overflow one datagram
-// is split across several (its flags ride the first); a single message
-// larger than the budget is dropped and counted (the protocol's token
-// compaction caps the table, and so every message, far below it).
+// is split across several; a single message larger than the budget is
+// dropped and counted (the protocol's token compaction caps the table,
+// and so every message, far below it).
 //
 // t.mu covers only peer lookup, sequence reservation, and stats; encoding
 // and the write syscalls run outside it, so a scrape of Stats never
@@ -434,27 +406,18 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 			cur = plannedFrame{size: maxHeader}
 		}
 	}
-	openSection := func(group uint32, flags uint8, tag int) {
-		if cur.size+tag > t.max || len(cur.secs) >= maxFrameSections {
-			flush()
-		}
-		cur.secs = append(cur.secs, Section{Group: group, Flags: flags})
-		cur.secBytes = append(cur.secBytes, tag)
-		cur.size += tag
-	}
 	var firstErr error
 	oversize := 0
 	for _, s := range secs {
 		sizes := s.sizes
-		if sizes == nil && len(s.Msgs) > 0 {
+		if sizes == nil {
 			sizes = make([]int, len(s.Msgs))
 			for i, m := range s.Msgs {
 				sizes[i] = m.WireSize()
 			}
 		}
 		tag := tagSize(s.Group)
-		flags := s.Flags // rides the section's first chunk
-		chunk := -1      // index in s.Msgs where the open chunk starts
+		chunk := -1 // index in s.Msgs where the open chunk starts
 		for i, m := range s.Msgs {
 			need := framedSize(sizes[i])
 			if need > t.max-maxHeader-tag {
@@ -466,22 +429,19 @@ func (t *Transport) SendSections(to seq.NodeID, secs []Section) error {
 				continue
 			}
 			if chunk < 0 || cur.size+need > t.max || i-chunk >= maxFrameMsgs {
-				if cur.size+tag+need > t.max {
+				if cur.size+tag+need > t.max || len(cur.secs) >= maxFrameSections {
 					flush()
 				}
-				openSection(s.Group, flags, tag)
-				flags, chunk = 0, i
+				cur.secs = append(cur.secs, Section{Group: s.Group})
+				cur.secBytes = append(cur.secBytes, tag)
+				cur.size += tag
+				chunk = i
 			}
 			last := len(cur.secs) - 1
 			cur.secs[last].Msgs = s.Msgs[chunk : i+1]
 			cur.secs[last].sizes = sizes[chunk : i+1]
 			cur.secBytes[last] += need
 			cur.size += need
-		}
-		if flags != 0 {
-			// A message-less section, or every message was oversize: the
-			// flags still must travel.
-			openSection(s.Group, flags, tag)
 		}
 	}
 	flush()
@@ -687,38 +647,6 @@ func (t *Transport) readLoop() {
 	}
 }
 
-// Port is one group's view of the shared transport: every call carries
-// the group's id, so group-local code (the membership plane, the done
-// barrier) keeps single-group signatures while the socket, peer table,
-// and clock sync stay daemon-wide.
-type Port struct {
-	tr    *Transport
-	group uint32
-}
-
-// NewPort scopes tr to group.
-func NewPort(tr *Transport, group uint32) *Port { return &Port{tr: tr, group: group} }
-
-// Send transmits msgs to peer to in this group's section stream.
-func (p *Port) Send(to seq.NodeID, msgs ...msg.Message) error { return p.tr.Send(p.group, to, msgs...) }
-
-// SendControl transmits control flags to peer to, scoped to this group.
-func (p *Port) SendControl(to seq.NodeID, flags uint8) error {
-	return p.tr.SendControl(p.group, to, flags)
-}
-
-// AddPeer references peer id for this group.
-func (p *Port) AddPeer(id seq.NodeID, addr string) error { return p.tr.AddPeer(p.group, id, addr) }
-
-// RemovePeer drops this group's reference to peer id.
-func (p *Port) RemovePeer(id seq.NodeID) { p.tr.RemovePeer(p.group, id) }
-
-// HasPeer reports whether this group references peer id.
-func (p *Port) HasPeer(id seq.NodeID) bool { return p.tr.HasPeer(p.group, id) }
-
-// Calibrate probes the clocks of peers from s (daemon-wide, group 0).
-func (p *Port) Calibrate(s *sim.Scheduler, peers ...seq.NodeID) { p.tr.calibrate(s, peers) }
-
 // delivery is one section routed to a group's hooks, resolved under the
 // lock and executed outside it.
 type delivery struct {
@@ -851,7 +779,7 @@ func (t *Transport) deliver(f Frame, size int) {
 		}
 		if len(strips) > 0 {
 			sec.Msgs = t.stripBodies(strips, sec.Msgs)
-			if len(sec.Msgs) == 0 && sec.Flags == 0 {
+			if len(sec.Msgs) == 0 {
 				continue
 			}
 		}
@@ -894,15 +822,12 @@ func (t *Transport) deliver(f Frame, size int) {
 	}
 	for _, d := range dispatches {
 		if d.unknown {
-			if d.hooks.OnUnknown != nil && len(d.sec.Msgs) > 0 {
+			if d.hooks.OnUnknown != nil {
 				d.hooks.OnUnknown(f.From, d.sec.Msgs)
 			}
 			continue
 		}
-		if d.sec.Flags != 0 && d.hooks.OnControl != nil {
-			d.hooks.OnControl(f.From, d.sec.Flags)
-		}
-		if len(d.sec.Msgs) > 0 && d.hooks.Handler != nil {
+		if d.hooks.Handler != nil {
 			d.hooks.Handler(f.From, d.sec.Msgs)
 		}
 	}

@@ -36,6 +36,18 @@ func pairUp(t *testing.T, fa, fb Faults) (*Transport, *Transport) {
 	return a, b
 }
 
+// hasPeer reports whether group references peer id on tr.
+func hasPeer(tr *Transport, group uint32, id seq.NodeID) bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	p := tr.peers[id]
+	if p == nil {
+		return false
+	}
+	_, ok := p.refs[group]
+	return ok
+}
+
 // register installs hooks for group on tr, failing the test on error.
 func register(t *testing.T, tr *Transport, group uint32, hooks GroupHooks) {
 	t.Helper()
@@ -302,10 +314,11 @@ func TestTransportUnknownGroupDrops(t *testing.T) {
 // TestTransportChunking: a burst larger than the datagram budget splits
 // into several datagrams, none oversize, nothing lost.
 func TestTransportChunking(t *testing.T) {
-	a, err := Listen(TransportConfig{Self: 1, Listen: "127.0.0.1:0", MaxDatagram: 600})
+	a, err := Listen(TransportConfig{Self: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.max = 600
 	b, err := Listen(TransportConfig{Self: 2, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -436,10 +449,10 @@ func TestTransportSequencingStats(t *testing.T) {
 
 // TestTransportOneCallPerDatagram: a daemon's transport hands each
 // datagram to its driver as one call, however many sections it carries.
-// One datagram carries sections for three groups plus a FlagDone control
-// section. With the driver held, exactly one call queues for it; once
-// released, all four hooks run before a call group 1's handler posts,
-// i.e. inside that one call.
+// One datagram carries sections for three groups plus a second section
+// for group 2 holding a Done. With the driver held, exactly one call
+// queues for it; once released, all four hooks run before a call group
+// 1's handler posts, i.e. inside that one call.
 func TestTransportOneCallPerDatagram(t *testing.T) {
 	a, b := pairUp(t, Faults{}, Faults{})
 	for g := uint32(2); g <= 3; g++ {
@@ -462,10 +475,13 @@ func TestTransportOneCallPerDatagram(t *testing.T) {
 			close(marked)
 		})
 	}})
-	register(t, b, 2, GroupHooks{
-		Handler:   note("g2"),
-		OnControl: func(seq.NodeID, uint8) { ran = append(ran, "done") },
-	})
+	register(t, b, 2, GroupHooks{Handler: func(_ seq.NodeID, ms []msg.Message) {
+		if _, done := ms[0].(*msg.Done); done {
+			ran = append(ran, "done")
+		} else {
+			ran = append(ran, "g2")
+		}
+	}})
 	register(t, b, 3, GroupHooks{Handler: note("g3")})
 	b.startOn(d)
 
@@ -484,7 +500,7 @@ func TestTransportOneCallPerDatagram(t *testing.T) {
 		{Group: 1, Msgs: []msg.Message{dataMsg(1)}},
 		{Group: 2, Msgs: []msg.Message{dataMsg(2)}},
 		{Group: 3, Msgs: []msg.Message{dataMsg(3)}},
-		{Group: 2, Flags: FlagDone},
+		{Group: 2, Msgs: []msg.Message{&msg.Done{}}},
 	}
 	if err := a.SendSections(2, secs); err != nil {
 		t.Fatal(err)
@@ -521,36 +537,6 @@ func TestTransportOneCallPerDatagram(t *testing.T) {
 	}
 	if want := []string{"g1", "g2", "g3", "done", "marker"}; !slices.Equal(got, want) {
 		t.Fatalf("hooks ran as %v, want %v", got, want)
-	}
-}
-
-// TestTransportControlFrames: SendControl reaches the group's OnControl
-// hook and never its message handler.
-func TestTransportControlFrames(t *testing.T) {
-	a, b := pairUp(t, Faults{}, Faults{})
-	ctl := make(chan uint8, 8)
-	register(t, b, 1, GroupHooks{
-		Handler: func(seq.NodeID, []msg.Message) { t.Error("control frame hit the message handler") },
-		OnControl: func(from seq.NodeID, flags uint8) {
-			if from == 1 {
-				ctl <- flags
-			}
-		},
-	})
-	b.Start()
-	if err := a.SendControl(1, 2, FlagDone); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case flags := <-ctl:
-		if flags != FlagDone {
-			t.Fatalf("flags = %#x, want FlagDone", flags)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("control frame never delivered")
-	}
-	if st := b.Stats().Peers[1]; st.RecvDatagrams != 1 || st.RecvMsgs != 0 {
-		t.Fatalf("control frame stats: %+v", st)
 	}
 }
 
@@ -650,10 +636,10 @@ func TestRemovePeer(t *testing.T) {
 	// Group 1 drops its reference; group 2 still holds one, so the peer
 	// entry survives and group-1 sections from it route to OnUnknown.
 	a.RemovePeer(1, 2)
-	if a.HasPeer(1, 2) {
-		t.Fatal("HasPeer(1) after RemovePeer(1)")
+	if hasPeer(a, 1, 2) {
+		t.Fatal("reference for group 1 kept after RemovePeer(1)")
 	}
-	if !a.HasPeer(2, 2) {
+	if !hasPeer(a, 2, 2) {
 		t.Fatal("sibling group's reference lost by another group's RemovePeer")
 	}
 	if err := a.Send(1, 2, &msg.Heartbeat{From: 1}); err != nil {
@@ -670,8 +656,8 @@ func TestRemovePeer(t *testing.T) {
 
 	// The last reference goes: entry dies, stats fold into node 0.
 	a.RemovePeer(2, 2)
-	if a.HasPeer(2, 2) {
-		t.Fatal("HasPeer(2) after RemovePeer(2)")
+	if hasPeer(a, 2, 2) {
+		t.Fatal("reference for group 2 kept after RemovePeer(2)")
 	}
 	if err := a.Send(1, 2, &msg.Heartbeat{From: 1}); err == nil {
 		t.Fatal("send to fully removed peer succeeded")
