@@ -208,6 +208,85 @@ func TestDaemonDoneReplyRateLimited(t *testing.T) {
 	}
 }
 
+// TestDaemonStaticTokenLossFromLeaderOnly: in a static ring whose token
+// has fallen silent, only the top-ring leader, which injected the token,
+// raises Token-Loss: within tokenWatch + stepEvery of the silence, once,
+// counted in ringnet_token_signals_total and as one token-loss-signal
+// event. A member that has seen the token but is not the leader never
+// raises it, so regeneration has one origin. Each member runs on a
+// scheduler no driver runs, with peer addresses that answer nothing.
+func TestDaemonStaticTokenLossFromLeaderOnly(t *testing.T) {
+	groups := make([]*ringGroup, 3)
+	for i := range groups {
+		self := uint32(i + 1)
+		var peers []PeerAddr
+		for p := uint32(1); p <= 3; p++ {
+			if p != self {
+				peers = append(peers, PeerAddr{Node: p, Addr: "127.0.0.1:9"})
+			}
+		}
+		nd, err := NewNode(Config{Node: self, Listen: "127.0.0.1:0", Peers: peers, Groups: []GroupConfig{{ID: 1, Count: -1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.tr.Close()
+		g, err := newRingGroup(nd, nd.cfg.Groups[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.sink.close()
+		g.start()
+		groups[i] = g
+	}
+	leader := groups[0]
+	// The leader takes the token it injected and forwards it to member 2:
+	// run its events one at a time until the token waits in member 2's
+	// box, and hand member 2 that message. Member 2's ack is never
+	// delivered, and member 3 hears nothing.
+	var tok msg.Message
+	for tok == nil && leader.sched.Now() < 200*sim.Millisecond && leader.sched.Step() {
+		for _, m := range pending(leader.nd.ob, 1, 2) {
+			if _, ok := m.(*msg.TokenMsg); ok {
+				tok = m
+			}
+		}
+	}
+	if tok == nil {
+		t.Fatal("the leader forwarded no token to member 2")
+	}
+	groups[1].nd.tr.handlers[1].Handler(1, []msg.Message{tok})
+	if _, seen := groups[1].ne.TokenActivity(); !seen {
+		t.Fatal("member 2 did not take the leader's token")
+	}
+	signals := func(g *ringGroup) (count uint64, events int) {
+		for _, ev := range g.nd.tel.events.Snapshot() {
+			if ev.Type == "token-loss-signal" {
+				events++
+			}
+		}
+		return g.tel.tokenSignals.Value(), events
+	}
+	for i, g := range groups {
+		for now := stepEvery; now <= 1500*sim.Millisecond; now += stepEvery {
+			g.sched.Run(now)
+			g.step(now)
+			if g != leader || now > tokenWatch+stepEvery {
+				continue
+			}
+			want := 0
+			if now == tokenWatch+stepEvery {
+				want = 1
+			}
+			if n, evs := signals(g); n != uint64(want) || evs != want {
+				t.Fatalf("leader at %v: %d signals counted, %d events; want %d of each", now, n, evs, want)
+			}
+		}
+		if n, evs := signals(g); g != leader && (n != 0 || evs != 0) {
+			t.Fatalf("member %d raised Token-Loss: %d signals counted, %d events", i+1, n, evs)
+		}
+	}
+}
+
 // TestDaemonRetainedBytesPerDelivery: what a member still holds once its
 // ring is quiescent must not grow with the number of messages it
 // delivered. A pair runs N messages per member, then a fresh pair runs

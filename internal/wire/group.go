@@ -91,7 +91,8 @@ type ringGroup struct {
 	evictedAt sim.Time         // when step first saw the eviction
 	barrierAt sim.Time         // when the barrier last started to hold; 0 while it does not
 	beaconAt  sim.Time         // the last Done beacon
-	signalAt  sim.Time         // the static watchdog's last Token-Loss signal
+	beatAt    sim.Time         // the membership plane's last heartbeat round
+	lossAt    sim.Time         // the token watchdog's last Token-Loss signal
 
 	// Done-barrier state. Driver goroutine only.
 	doneFrom  map[seq.NodeID]bool
@@ -109,9 +110,12 @@ const (
 	// quiesce bounds the post-barrier (and post-eviction) drain of
 	// outstanding retransmissions and the token transfer.
 	quiesce = 500 * sim.Millisecond
-	// staticTokenWatch is the static ring's token watchdog: a Token-Loss
-	// signal after this much token silence, at most one per interval.
-	staticTokenWatch = sim.Second
+	// tokenWatch is every group's token watchdog: a Token-Loss signal
+	// after this much token silence at the group's one origin, at most
+	// one per interval. It must be at least the core's TokenLossThreshold,
+	// or the signal is ignored, and it dwarfs the worst idle-backoff
+	// rotation (ring size × 50 ms), so a merely slow ring never trips it.
+	tokenWatch = 500 * sim.Millisecond
 )
 
 // newRingGroup assembles one group against the daemon's shared transport,
@@ -342,38 +346,40 @@ func (g *ringGroup) start() {
 			}
 		}
 		g.ms.Start()
+		g.beatAt = g.sched.Now()
 	}
 	if !gc.Join {
 		startWorkload()
 	}
 }
 
-// step advances the group's lifecycle by one housekeeping tick: converge,
-// then the Done barrier and its bounded drain — or, once evicted, the
-// leave-drain — beside the Done beacons and the static token watchdog.
-// A step costs O(ring size), whatever the traffic, and allocates only to
-// beacon. Driver goroutine only.
+// step advances the group by one housekeeping tick: the membership
+// plane's heartbeat round once per heartbeat, the token watchdog, the
+// Done beacons, and the lifecycle: converge, then the Done barrier and
+// its bounded drain — or, once evicted, the leave-drain. A step costs
+// O(ring size), whatever the traffic, and allocates only to send or to
+// signal. Driver goroutine only.
 func (g *ringGroup) step(now sim.Time) {
+	if g.ms != nil && now-g.beatAt >= g.ms.cfg.Heartbeat {
+		g.beatAt = now
+		g.ms.tick(now)
+	}
+	// The token watchdog. Topology maintenance cannot see a token that
+	// died with its holder while every survivor remembers recent
+	// activity, nor one an assign conflict destroyed under overload, so
+	// token silence re-raises the paper's Token-Loss signal. Only the
+	// group's one origin raises it: Token-Regeneration traversals from
+	// two origins can both complete and restart two tokens at the same
+	// epoch. The core's TokenLossThreshold filters the signal whenever
+	// circulation is demonstrably healthy.
+	if last, seen := g.ne.TokenActivity(); seen && now-last > tokenWatch && now-g.lossAt > tokenWatch && g.tokenOrigin() {
+		g.lossAt = now
+		g.tel.tokenSignals.Inc()
+		g.tel.emit("token-loss-signal", g.epoch(), (now - last).String())
+		g.e.OnTokenLoss(g.self)
+	}
 	if g.converged && !g.drained && now-g.beaconAt >= beaconEvery {
 		g.beacon(now)
-	}
-	if g.ms == nil && !g.drained {
-		// Static membership has no failure detector, but the token
-		// can still die under extreme overload (an assign conflict
-		// destroys the only copy after its sender was already
-		// acked), and with nobody watching, the ring stays dead
-		// forever. Re-emit the paper's Token-Loss signal after a
-		// second of token silence; the core's TokenLossThreshold
-		// filters the signal whenever circulation is demonstrably
-		// healthy, and Multiple-Token filtering resolves the rare
-		// concurrent regeneration. A second dwarfs the worst idle-
-		// backoff rotation (ring size × 50 ms), so a merely slow
-		// ring never trips it.
-		last, seen := g.ne.TokenActivity()
-		if seen && now-last > staticTokenWatch && now-g.signalAt > staticTokenWatch {
-			g.signalAt = now
-			g.e.OnTokenLoss(g.self)
-		}
 	}
 	switch {
 	case g.left || g.drained:
@@ -413,12 +419,33 @@ func (g *ringGroup) step(now sim.Time) {
 				// The static group is done everywhere: retire the
 				// ring so a daemon hosting hundreds of finished
 				// groups stops paying for their idle circulation.
-				// (Live groups leave the token to the membership
-				// plane, which owns its liveness until Stop.)
+				// (A live group keeps its token, and its coordinator
+				// keeps watching it, until the run ends.)
 				g.ne.ParkToken()
 			}
 		}
 	}
+}
+
+// tokenOrigin reports whether this member is its group's one Token-Loss
+// origin: the live coordinator while joined and not lame (if it dies, its
+// successor takes over with the eviction epoch), or the static ring's
+// top-ring leader, which injected the token, until the group is drained
+// and its token parked.
+func (g *ringGroup) tokenOrigin() bool {
+	if g.ms != nil {
+		return g.ms.Joined() && !g.ms.Lame() && g.ms.coordinator() == g.self
+	}
+	top := g.e.H.TopRing()
+	return !g.drained && top != nil && top.Leader() == g.self
+}
+
+// epoch is the group's membership epoch; a static ring has none (0).
+func (g *ringGroup) epoch() uint64 {
+	if g.ms == nil {
+		return 0
+	}
+	return g.ms.Epoch()
 }
 
 // done reports whether the group is finished with the daemon: converged
@@ -526,7 +553,7 @@ func (g *ringGroup) collect() (GroupReport, error) {
 	if !g.converged && !g.left {
 		debugState = g.ne.DebugState()
 	}
-	g.finish()
+	g.sink.finish()
 	rep := g.snapshot()
 	switch {
 	case rep.OrderErr != "":
@@ -545,10 +572,8 @@ func (g *ringGroup) collect() (GroupReport, error) {
 // side-effect-free, so it is safe to call mid-run.
 func (g *ringGroup) snapshot() GroupReport {
 	memberCount := len(g.members)
-	var epoch uint64
 	if g.ms != nil {
 		memberCount = len(g.ms.order)
-		epoch = g.ms.Epoch()
 	}
 	var leader uint32
 	if top := g.e.H.TopRing(); top != nil {
@@ -564,7 +589,7 @@ func (g *ringGroup) snapshot() GroupReport {
 		Converged: g.converged,
 		Left:      g.left,
 		Expected:  g.expected,
-		Epoch:     epoch,
+		Epoch:     g.epoch(),
 		Control:   g.e.ControlReport(),
 	}
 	g.sink.fill(&rep)
@@ -580,15 +605,6 @@ func (g *ringGroup) snapshot() GroupReport {
 		rep.DiscardedRange = &SeqRange{Lo: uint64(g.discLo), Hi: uint64(g.discHi)}
 	}
 	return rep
-}
-
-// finish ends the group's live phase before the exit snapshot: stop the
-// membership ticker and settle the sink's files. Driver goroutine only.
-func (g *ringGroup) finish() {
-	if g.ms != nil {
-		g.ms.Stop()
-	}
-	g.sink.finish()
 }
 
 // ready reports whether this group is serving its part of /readyz:

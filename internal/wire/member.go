@@ -41,9 +41,10 @@ import (
 // peer revives its resends). Members apply an update by reforming the
 // topology ring in place, admitting new peers to the substrate,
 // refreshing the local NE's neighbor view, and severing
-// reliable-delivery state aimed at removed members. A token watchdog
-// re-emits the paper's Token-Loss signal whenever token circulation
-// stays silent past the threshold — raised only at the coordinator, so
+// reliable-delivery state aimed at removed members. The coordinator
+// commits an epoch by disseminating it and then applying it as every
+// other member does. The group's token watchdog (ringGroup.step) raises
+// the paper's Token-Loss signal at the coordinator only, so
 // Token-Regeneration always runs from a single origin.
 //
 // Partitions: the side that cannot count a strict majority of the
@@ -112,11 +113,6 @@ type MemberTunables struct {
 	Lame sim.Time
 }
 
-// tokenWatch is how much token silence, at a member that has seen the
-// token before, re-emits the Token-Loss signal. It must be at least the
-// core's TokenLossThreshold or the signal is ignored.
-const tokenWatch = 500 * sim.Millisecond
-
 // proposal is a staged next-epoch reconfiguration awaiting quorum. The
 // voter set is the membership of the PREVIOUS epoch (the one being
 // superseded), so any two proposals for the same epoch number share a
@@ -146,9 +142,10 @@ type resendState struct {
 }
 
 // Membership runs the live-membership state machine for one wire node.
-// All state is confined to the driver goroutine: messages arrive through
-// the local NE's aux handler, timers through the scheduler ticker.
-// External goroutines use Driver.Call to enter (see Node.Shutdown).
+// It keeps no clock of its own: messages arrive through the local NE's
+// aux handler, and the group's housekeeping step calls tick once per
+// heartbeat. All state is confined to the driver goroutine; external
+// goroutines use Driver.Call to enter (see Node.Shutdown).
 type Membership struct {
 	e    *core.Engine
 	ne   *core.NE   // the local node; every per-node operation goes through it
@@ -158,7 +155,7 @@ type Membership struct {
 	cfg  MemberTunables
 
 	epoch   uint64
-	members map[seq.NodeID]string // id → transport address ("" for self)
+	members map[seq.NodeID]string // id → transport address
 	order   []seq.NodeID          // sorted member ids
 	ringID  topology.RingID
 
@@ -197,11 +194,8 @@ type Membership struct {
 
 	// Bounded dissemination state.
 	resend     map[seq.NodeID]*resendState
-	lastUpdate *msg.RingUpdate // last committed/applied update (keeps Merge flag on resends)
+	lastUpdate *msg.RingUpdate // the current epoch's update (nil only before a joiner's splice)
 	rng        *sim.RNG        // resend jitter
-
-	lastTokenSignal sim.Time
-	ticker          *sim.Ticker
 
 	// ResumeFront, when non-zero, is the durable delivery front this
 	// node recovered from its on-disk log. Joiners offer it in their
@@ -265,13 +259,14 @@ func NewMembership(e *core.Engine, net *outboxNet, tel *groupTelemetry, self seq
 			m.members[id] = a
 		}
 		m.reorder()
+		m.lastUpdate = m.buildUpdateFor(1, m.members)
 	}
 	m.tel.epoch.Set(int64(m.epoch))
 	return m
 }
 
-// Start installs the aux handler on the local NE and arms the ticker.
-// Must run on the driver goroutine.
+// Start installs the aux handler on the local NE and starts watching
+// every peer. Must run on the driver goroutine.
 func (m *Membership) Start() {
 	m.ne.SetAux(m)
 	now := m.e.Scheduler().Now()
@@ -279,15 +274,6 @@ func (m *Membership) Start() {
 		if p != m.self {
 			m.det.Watch(p, now)
 		}
-	}
-	m.ticker = m.e.Scheduler().Every(m.cfg.Heartbeat, m.tick)
-}
-
-// Stop disarms the ticker.
-func (m *Membership) Stop() {
-	if m.ticker != nil {
-		m.ticker.Stop()
-		m.ticker = nil
 	}
 }
 
@@ -425,35 +411,31 @@ func (m *Membership) Recv(from seq.NodeID, message msg.Message) {
 	}
 }
 
-// HandleUnknown consumes membership messages from senders this group
-// does not know in the transport peer table: a JoinReq from a fresh
-// process, a RingUpdate from a coordinator this (joining) node has not
-// met yet, or a probe heartbeat / MergeReq from an evicted member whose
-// endpoint was already retired. Driver goroutine.
+// HandleUnknown passes Recv the membership messages that may come from
+// senders this group does not know in the transport peer table: a
+// JoinReq from a fresh process, a RingUpdate from a coordinator this
+// (joining) node has not met yet, or a probe heartbeat / MergeReq from an
+// evicted member whose endpoint was already retired. Every member is an
+// admitted peer, so an unknown sender's heartbeat is a probe. Driver
+// goroutine.
 func (m *Membership) HandleUnknown(from seq.NodeID, msgs []msg.Message) {
 	for _, mm := range msgs {
-		switch v := mm.(type) {
-		case *msg.JoinReq:
-			m.handleJoinReq(v)
-		case *msg.RingUpdate:
-			m.applyUpdate(v)
-		case *msg.Heartbeat:
-			m.handleProbe(v.From, v.Epoch)
-		case *msg.MergeReq:
-			m.handleMergeReq(v)
+		switch mm.(type) {
+		case *msg.JoinReq, *msg.RingUpdate, *msg.Heartbeat, *msg.MergeReq:
+			m.Recv(from, mm)
 		}
 	}
 }
 
 // tick is one heartbeat round: beacon, detect, re-evaluate quorum,
-// coordinate, watch the token. The order is load-bearing: suspicion is
-// swept and the lame decision taken BEFORE any coordination, so a node
-// that just lost quorum parks without ever proposing. Driver goroutine.
-func (m *Membership) tick() {
+// coordinate. The order is load-bearing: suspicion is swept and the lame
+// decision taken BEFORE any coordination, so a node that just lost
+// quorum parks without ever proposing. The group's step calls it once
+// per heartbeat. Driver goroutine.
+func (m *Membership) tick(now sim.Time) {
 	if m.evicted {
 		return
 	}
-	now := m.e.Scheduler().Now()
 	if !m.joined {
 		// Joiner: solicit membership from every seed, offering our
 		// durable front so the coordinator can grant a resume.
@@ -479,7 +461,7 @@ func (m *Membership) tick() {
 	m.noteSuspects()
 	m.updateLame(now)
 	if m.lame {
-		return // read-only: no proposals, no joins, no token watchdog
+		return // read-only: no proposals, no joins
 	}
 	if m.leaving {
 		m.announceLeave()
@@ -490,7 +472,6 @@ func (m *Membership) tick() {
 	if m.coordinator() == m.self {
 		m.coordinate(now)
 	}
-	m.tokenWatchdog(now)
 }
 
 // noteSuspects diffs the failure detector's verdict against the last
@@ -593,30 +574,6 @@ func (m *Membership) markHealStart(now sim.Time) {
 	}
 	if m.healStartAt == 0 {
 		m.healStartAt = now
-	}
-}
-
-// tokenWatchdog re-raises Token-Loss when circulation stays silent: the
-// one failure topology maintenance cannot see is a token that died with
-// its holder while every survivor still remembers recent activity. Only
-// the coordinator signals: Token-Regeneration traversals from multiple
-// concurrent origins can complete independently and restart two tokens
-// at the same bumped epoch — divergent duplicate assignments. One
-// deterministic origin serializes regeneration; if the coordinator
-// itself dies, its successor takes over with the next eviction epoch.
-func (m *Membership) tokenWatchdog(now sim.Time) {
-	if m.coordinator() != m.self {
-		return
-	}
-	last, seen := m.ne.TokenActivity()
-	if !seen {
-		return
-	}
-	if now-last > tokenWatch && now-m.lastTokenSignal > tokenWatch {
-		m.lastTokenSignal = now
-		m.tel.tokenSignals.Inc()
-		m.tel.emit("token-loss-signal", uint64(m.epoch), (now - last).String())
-		m.e.OnTokenLoss(m.self)
 	}
 }
 
@@ -848,7 +805,7 @@ func (m *Membership) handleVoteReq(v *msg.QuorumVote) {
 		// is out of date): catch it up instead of granting.
 		if m.joined && !m.evicted {
 			if _, ok := m.members[v.Proposer]; ok {
-				m.sendUpdateTo(v.Proposer, m.members[v.Proposer], m.currentUpdate())
+				m.sendUpdate(v.Proposer)
 			}
 		}
 		return
@@ -899,44 +856,13 @@ func (m *Membership) checkQuorum() bool {
 	return true
 }
 
-// commit makes a quorum-approved epoch real: adopt the member list,
-// remember evicted addresses in the graves map (the heal path needs
-// them), disseminate, and apply locally.
+// commit makes a quorum-approved epoch real: disseminate it, then adopt
+// it through applyUpdate, as every other member does. What stays here is
+// the coordinator's own: the merge count and the heal's end, the farewell
+// resends when the epoch excludes this node, and the Token-Loss signal
+// when the epoch evicted a suspect.
 func (m *Membership) commit(p *proposal) {
 	u := p.update
-	selfLeave := false
-	for _, d := range p.removed {
-		if d == m.self {
-			selfLeave = true
-			continue
-		}
-		// Remember evicted addresses for the heal path — but NOT
-		// graceful leavers: their pre-farewell heartbeats must not read
-		// as partition probes and resurrect them.
-		if a := m.members[d]; a != "" && !m.pendingLeave[d] {
-			m.graves[d] = a
-		}
-	}
-	m.members = make(map[seq.NodeID]string, len(u.Members))
-	for _, ma := range u.Members {
-		addr := ma.Addr
-		if ma.Node == m.self {
-			addr = ""
-		}
-		m.members[ma.Node] = addr
-	}
-	m.epoch = u.Epoch
-	m.skew = 0
-	m.reorder()
-	m.lastUpdate = u
-	for _, d := range p.removed {
-		delete(m.pendingLeave, d)
-	}
-	for n := range p.added {
-		delete(m.pendingJoin, n)
-		delete(m.pendingMerge, n)
-		delete(m.pendingJoinFront, n)
-	}
 	if p.isMerge {
 		m.tel.merges.Inc()
 		if m.healStartAt != 0 && m.healDoneAt == 0 {
@@ -945,28 +871,15 @@ func (m *Membership) commit(p *proposal) {
 		}
 	}
 	m.sendAll(u)
-	if selfLeave {
-		// Coordinator leaving: don't reform our own topology (the old
-		// view serves the drain); resend the farewell epoch a few times
-		// against loss, then the survivors' new coordinator takes over.
+	m.applyUpdate(u)
+	if m.evicted {
+		// Coordinator leaving: our own topology keeps the old view to
+		// serve the drain. Resend the farewell epoch a few times against
+		// loss; then the survivors' new coordinator takes over.
 		for i := sim.Time(1); i <= 3; i++ {
 			m.e.Scheduler().After(i*m.cfg.Heartbeat, func() { m.sendAll(u) })
 		}
-		m.evicted = true
-		if m.OnEvicted != nil {
-			m.OnEvicted()
-		}
 		return
-	}
-	m.applyLocal(u, p.removed)
-	if u.Merge {
-		// Multiple-Token resolution (§4.2.1): our token survives — it is
-		// AT the stamped epoch, DiscardTokenBelow is strictly below — and
-		// the filter window arms against the minority's stale token.
-		if u.MergeTokenEpoch != 0 {
-			m.ne.DiscardTokenBelow(u.MergeTokenEpoch)
-		}
-		m.e.OnMultipleToken(m.self)
 	}
 	if p.hadDead {
 		// The departed may have held the token; OrdersWell filters the
@@ -979,7 +892,6 @@ func (m *Membership) commit(p *proposal) {
 // heartbeats echo an older epoch), bounded by exponential backoff with
 // jitter and a per-epoch attempt cap.
 func (m *Membership) resendUpdates(now sim.Time) {
-	var u *msg.RingUpdate
 	for _, p := range m.order {
 		if p == m.self || m.peerEpoch[p] >= m.epoch {
 			continue
@@ -999,10 +911,7 @@ func (m *Membership) resendUpdates(now sim.Time) {
 			}
 			continue
 		}
-		if u == nil {
-			u = m.currentUpdate()
-		}
-		m.sendUpdateTo(p, m.members[p], u)
+		m.sendUpdate(p)
 		rs.attempts++
 		jitter := sim.Time(m.rng.Int63n(int64(rs.interval/2) + 1))
 		rs.next = now + rs.interval + jitter
@@ -1013,20 +922,6 @@ func (m *Membership) resendUpdates(now sim.Time) {
 			}
 		}
 	}
-}
-
-// buildUpdate renders the CURRENT epoch as a RingUpdate.
-func (m *Membership) buildUpdate() *msg.RingUpdate {
-	return m.buildUpdateFor(m.epoch, m.members)
-}
-
-// currentUpdate prefers the cached committed update (it carries the
-// Merge flag and baseline of the commit moment) over a rebuild.
-func (m *Membership) currentUpdate() *msg.RingUpdate {
-	if m.lastUpdate != nil && m.lastUpdate.Epoch == m.epoch {
-		return m.lastUpdate
-	}
-	return m.buildUpdate()
 }
 
 func (m *Membership) buildUpdateFor(epoch uint64, members map[seq.NodeID]string) *msg.RingUpdate {
@@ -1055,7 +950,7 @@ func (m *Membership) sendAll(u *msg.RingUpdate) {
 }
 
 func (m *Membership) sendUpdate(to seq.NodeID) {
-	m.sendUpdateTo(to, m.members[to], m.currentUpdate())
+	m.sendUpdateTo(to, m.members[to], m.lastUpdate)
 }
 
 // sendUpdateTo delivers one RingUpdate, admitting the recipient first
@@ -1186,7 +1081,7 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 		// Already evicted: the farewell may have been lost — answer the
 		// retry with the excluding epoch so the leaver can stand down.
 		if m.net.peers[lr.Node] {
-			m.e.Net.Send(m.self, lr.Node, m.currentUpdate())
+			m.e.Net.Send(m.self, lr.Node, m.lastUpdate)
 		}
 		return
 	}
@@ -1194,7 +1089,8 @@ func (m *Membership) handleLeaveReq(lr *msg.LeaveReq) {
 	m.coordinate(m.e.Scheduler().Now())
 }
 
-// applyUpdate applies a received epoch if it is newer than ours.
+// applyUpdate adopts an epoch if it is newer than ours: one received, or
+// one this node just committed as coordinator.
 func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 	if m.evicted || u.Epoch <= m.epoch {
 		return
@@ -1229,7 +1125,10 @@ func (m *Membership) applyUpdate(u *msg.RingUpdate) {
 	for id := range old {
 		if _, ok := m.members[id]; !ok && id != m.self {
 			removed = append(removed, id)
-			if a := old[id]; a != "" {
+			// Remember evicted addresses for the heal path, but not
+			// graceful leavers': their pre-farewell heartbeats must not
+			// read as partition probes and resurrect them.
+			if a := old[id]; a != "" && !m.pendingLeave[id] {
 				m.graves[id] = a
 			}
 		}
@@ -1363,10 +1262,4 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 	m.tel.epochsApplied.Inc()
 	m.tel.epoch.Set(int64(u.Epoch))
 	m.tel.emit("epoch-commit", u.Epoch, fmt.Sprintf("%d members, %d removed", len(m.order), len(removed)))
-}
-
-// String renders the membership state for logs.
-func (m *Membership) String() string {
-	return fmt.Sprintf("membership{self=%v epoch=%d members=%v joined=%v evicted=%v lame=%v}",
-		m.self, m.epoch, m.order, m.joined, m.evicted, m.lame)
 }

@@ -433,6 +433,70 @@ func TestLiveCoordinatorSuccession(t *testing.T) {
 	}
 }
 
+// TestLiveMembershipAddsNoSchedulerEvents: a live group's heartbeat
+// rounds ride the daemon's housekeeping tick, so its membership plane
+// keeps no ticker of its own, and a live daemon's pending scheduler events
+// grow with its group count exactly as a static daemon's do (each group's
+// NE keeps its own Order-Assignment tick). Each live group still sends
+// one Heartbeat per peer per heartbeat interval. The daemon runs on a
+// scheduler no driver runs; it is not its ring's leader, and its peers
+// answer nothing but are not yet suspected, so it holds no token and
+// proposes nothing.
+func TestLiveMembershipAddsNoSchedulerEvents(t *testing.T) {
+	const run = 1200 * sim.Millisecond
+	mostPending := func(groups int, live bool, heartbeatMS int64) int {
+		t.Helper()
+		cfg := Config{
+			Node:        3,
+			Listen:      "127.0.0.1:0",
+			Live:        live,
+			Peers:       []PeerAddr{{Node: 1, Addr: "127.0.0.1:9"}, {Node: 2, Addr: "127.0.0.1:9"}},
+			HeartbeatMS: heartbeatMS,
+			SuspectMS:   int64(10 * run / sim.Millisecond),
+			DeadlineMS:  60000,
+		}
+		for i := 1; i <= groups; i++ {
+			cfg.Groups = append(cfg.Groups, GroupConfig{ID: uint32(i), Count: -1})
+		}
+		nd, err := NewNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.tr.Close()
+		gs := make([]*ringGroup, groups)
+		for i, gc := range nd.cfg.Groups {
+			if gs[i], err = newRingGroup(nd, gc); err != nil {
+				t.Fatal(err)
+			}
+			defer gs[i].sink.close()
+			gs[i].start()
+		}
+		s := nd.drv.sched
+		nd.lifecycle(gs)
+		most := 0
+		for now := stepEvery; now <= run; now += stepEvery {
+			s.Run(now)
+			most = max(most, s.Len())
+		}
+		want := 2 * uint64(run/(sim.Time(heartbeatMS)*sim.Millisecond))
+		for _, g := range gs {
+			if hb := g.e.ControlReport().Heartbeats; live && hb != want {
+				t.Fatalf("%d groups, %d ms heartbeat: group %d sent %d heartbeats in %v, want %d",
+					groups, heartbeatMS, g.gid, hb, run, want)
+			}
+		}
+		return most
+	}
+	for _, hb := range []int64{100, 150} {
+		live := mostPending(8, true, hb) - mostPending(1, true, hb)
+		static := mostPending(8, false, hb) - mostPending(1, false, hb)
+		t.Logf("%d ms heartbeat: 7 more groups add at most %d pending events live, %d static", hb, live, static)
+		if live > static {
+			t.Fatalf("%d ms heartbeat: 7 more live groups add %d pending events, 7 more static groups %d", hb, live, static)
+		}
+	}
+}
+
 // TestLiveMinorityStaysUnconverged: a live member cut off from every peer
 // goes idle just as one whose stream ended does, and once it suspects
 // them all its live-peer set is empty. Having converged just before the
@@ -468,7 +532,6 @@ func TestLiveMinorityStaysUnconverged(t *testing.T) {
 			s.Run(now)
 			g.step(now)
 		}
-		g.finish()
 		g.sink.close()
 		nd.tr.Close()
 		if g.converged != peersDone || g.drained != peersDone {
