@@ -490,6 +490,7 @@ func layout(w *walker, m Message) {
 		flag(w, &v.Jump)
 		opt(w, &v.AckCum)
 	case *Done:
+		flag(w, &v.Drained)
 	default:
 		panic(fmt.Sprintf("msg: no layout for %T", m))
 	}

@@ -254,7 +254,7 @@ func build(data []byte) Message {
 			TokenHops:  t.u64(),
 		}
 	case KindDone:
-		return &Done{}
+		return &Done{Drained: t.u8()%2 == 1}
 	}
 	return nil
 }
@@ -289,6 +289,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(Encode(&TokenMsg{From: 1, Token: later, Base: base}))
 	f.Add(Encode(&TokenAck{From: 3, Epoch: 2, Hops: 1 << 20, Next: 5000,
 		Cum: &Ack{From: 3, CumGlobal: 4999, Batch: []SourceCum{{Source: 1, Cum: 70}, {Source: 2, Cum: 300}}}}))
+	f.Add(Encode(&Done{Drained: true}))
 	f.Add(Encode(&Ack{From: 2, CumGlobal: 40, Batch: []SourceCum{{Source: 1, Cum: 70}, {Source: 3, Cum: 9}},
 		Gaps: []SourceGap{{Source: 1, Above: 74}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {

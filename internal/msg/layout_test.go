@@ -63,10 +63,11 @@ func pinnedMessages(tb testing.TB) []Message {
 		&Ack{Group: 1, From: 2, CumGlobal: 77, Batch: []SourceCum{{Source: 3, Cum: 9}, {Source: 4, Cum: 200}},
 			Gaps: []SourceGap{{Source: 4, Above: 203}}},
 		&Done{},
+		&Done{Drained: true},
 	}
 }
 
-// pinnedHex is what frame version 6 puts on the wire for pinnedMessages,
+// pinnedHex is what frame version 7 puts on the wire for pinnedMessages,
 // in order.
 var pinnedHex = []string{
 	"0107032a09e80700026869",
@@ -100,7 +101,8 @@ var pinnedHex = []string{
 	"1701020304efbeadde000000000506",
 	"1801020b31302e302e302e323a3939030405000000000000000607",
 	"02010200004d02030904c8010104cb01",
-	"19",
+	"1900",
+	"1901",
 }
 
 // TestLayoutBytesPinned pins every kind's encoding byte for byte: peers of

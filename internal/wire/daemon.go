@@ -23,12 +23,13 @@ import (
 // datagram's dispatch, one call per datagram: all protocol state in the
 // process is touched from one goroutine, and it is the only one that
 // sends. So does the daemon's own life: one housekeeping tick steps
-// every group's lifecycle, one tick fsyncs every durable log, and the
-// deadline and the exit linger are scheduler events; the event that ends
-// the run collects every group's report and closes done. Inbound
-// datagrams demultiplex by the group id in each frame section; outbound
-// traffic from all groups coalesces in the outbox. Build with NewNode,
-// optionally patch late-bound peer addresses, then Run.
+// every group's lifecycle and ends the run once every peer of every
+// group has said it is drained, one tick fsyncs every durable log, and
+// the deadline and the fallback exit linger are scheduler events; the
+// event that ends the run collects every group's report and closes done.
+// Inbound datagrams demultiplex by the group id in each frame section;
+// outbound traffic from all groups coalesces in the outbox. Build with
+// NewNode, optionally patch late-bound peer addresses, then Run.
 type Node struct {
 	cfg  Config
 	self seq.NodeID
@@ -220,9 +221,9 @@ func (nd *Node) Shutdown() {
 }
 
 // Run assembles every hosted group, drives their workloads concurrently
-// on the one driver until the run ends there (every group done and the
-// linger over, or the deadline), and reports. It blocks for the life of
-// the process's membership in its rings.
+// on the one driver until the run ends there (every group finished, or
+// done and the linger over, or the deadline), and reports. It blocks for
+// the life of the process's membership in its rings.
 func (nd *Node) Run() (Report, error) {
 	cfg := nd.cfg
 
@@ -284,18 +285,24 @@ func (nd *Node) Run() (Report, error) {
 	return nd.report(nd.exit), nd.exitErr
 }
 
+// lingerFor is how long a daemon whose groups are all done keeps running
+// while one of them is not finished: the ceiling for a lost Drained
+// notice, and the grace a group that left its ring gives stragglers.
+const lingerFor = 300 * sim.Millisecond
+
 // lifecycle arms the daemon's life on its scheduler. One housekeeping tick
 // steps every group; one tick fsyncs every durable log; with
-// -report-interval, one tick writes the live report to stderr; and the
-// run ends at the deadline, or lingerFor after every group is done,
-// whichever comes first. A finished group keeps running through the
-// linger, serving straggler repairs and answering Done beacons: the
-// linger is a floor during which a peer that lost our earlier beacons to
-// the same faults we gossip about still hears one before the daemon
-// exits. The event that ends the run collects every group and closes
-// done. Driver goroutine only.
+// -report-interval, one tick writes the live report to stderr. The run
+// ends at the first step at which every group is finished (drained, and
+// every live peer has said Drained), once that step's sends are flushed;
+// or lingerFor after every group is done; or at the deadline, whichever
+// comes first. The linger is the ceiling for when a Drained notice was
+// lost, and what a group that left the ring gets: a done group keeps
+// running through it, serving straggler repairs and answering Done
+// beacons, so a peer that lost our notices to the same faults we gossip
+// about still hears one before the daemon exits. The event that ends the
+// run collects every group and closes done. Driver goroutine only.
 func (nd *Node) lifecycle(groups []*ringGroup) {
-	const lingerFor = 300 * sim.Millisecond
 	s := nd.drv.sched
 
 	var durable []*ringGroup
@@ -349,12 +356,19 @@ func (nd *Node) lifecycle(groups []*ringGroup) {
 	deadline = s.After(sim.Time(nd.cfg.DeadlineMS)*sim.Millisecond, end)
 	house = s.Every(stepEvery, func() {
 		now := s.Now()
-		done := true
+		done, finished := true, true
 		for _, g := range groups {
 			g.step(now)
 			done = done && g.done()
+			finished = finished && g.finished()
 		}
-		if done && !linger.Pending() {
+		switch {
+		case finished:
+			// Nobody needs us: end after the flushes this step queued
+			// (its Drained notices among them), which run first.
+			linger.Stop()
+			linger = s.After(0, end)
+		case done && !linger.Pending():
 			linger = s.After(lingerFor, end)
 		}
 	})

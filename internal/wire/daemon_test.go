@@ -3,6 +3,7 @@ package wire
 import (
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/seq"
 	"repro/internal/sim"
 )
 
@@ -158,52 +160,298 @@ func TestDaemonDeadlineEndsUnconvergedRun(t *testing.T) {
 	t.Logf("Run returned after %v: %v", took, err)
 }
 
-// TestDaemonDoneReplyRateLimited: a Done from a peer marks the peer done.
-// Only a converged member answers it, with one Done of its own, and at
+// handRing is a static ring of daemons, each on a scheduler no driver
+// runs, whose traffic the test carries by hand: every message leaves its
+// sender's outbox right after the event that queued it, passes through
+// the codec, and reaches the receiver's group handler at the instant it
+// was sent — unless withhold says to drop it. A member whose run has
+// ended sends and receives nothing more, and loses what it queued in the
+// event that ended it.
+type handRing struct {
+	nodes    []*Node
+	groups   [][]*ringGroup // by member, then in configured order
+	ended    []sim.Time     // when each member's run ended; 0 while it runs
+	inflight []handMsg
+	withhold func(from, to seq.NodeID, group uint32, m msg.Message) bool
+	carried  func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) // sees each message handed over
+}
+
+type handMsg struct {
+	from, to seq.NodeID
+	group    uint32
+	m        msg.Message
+	at       sim.Time
+}
+
+// newHandRing builds and starts members 1..n, each hosting gcs, with
+// peer addresses that answer nothing: until run carries it, no traffic
+// moves.
+func newHandRing(t *testing.T, n int, gcs []GroupConfig) *handRing {
+	t.Helper()
+	r := &handRing{ended: make([]sim.Time, n)}
+	for i := 0; i < n; i++ {
+		self := uint32(i + 1)
+		var peers []PeerAddr
+		for p := uint32(1); p <= uint32(n); p++ {
+			if p != self {
+				peers = append(peers, PeerAddr{Node: p, Addr: "127.0.0.1:9"})
+			}
+		}
+		nd, err := NewNode(Config{Node: self, Listen: "127.0.0.1:0", Peers: peers, Groups: slices.Clone(gcs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nd.tr.Close() })
+		var gs []*ringGroup
+		for _, gc := range nd.cfg.Groups {
+			g, err := newRingGroup(nd, gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(g.sink.close)
+			g.start()
+			gs = append(gs, g)
+		}
+		r.nodes, r.groups = append(r.nodes, nd), append(r.groups, gs)
+	}
+	return r
+}
+
+// collect moves what member i has queued into flight, stamped with its
+// clock.
+func (r *handRing) collect(i int) {
+	nd := r.nodes[i]
+	for _, g := range r.groups[i] {
+		for _, to := range r.nodes {
+			msgs := pending(nd.ob, g.gid, to.self)
+			if len(msgs) == 0 {
+				continue
+			}
+			nd.ob.Drop(g.gid, to.self)
+			for _, m := range msgs {
+				if r.ended[i] == 0 && (r.withhold == nil || !r.withhold(nd.self, to.self, g.gid, m)) {
+					r.inflight = append(r.inflight, handMsg{nd.self, to.self, g.gid, m, nd.drv.sched.Now()})
+				}
+			}
+		}
+	}
+}
+
+// run executes the running members' events and the messages in flight in
+// time order up to until (a member's events before a message sent at the
+// same instant), notes when a member's run ends, and leaves every running
+// member's clock at until.
+func (r *handRing) run(t *testing.T, until sim.Time) {
+	for i := range r.nodes {
+		r.collect(i) // what a test queued outside any event
+	}
+	for {
+		next, at := -1, until+1
+		for i, nd := range r.nodes {
+			if when, ok := nd.drv.sched.NextAt(); ok && r.ended[i] == 0 && when < at {
+				next, at = i, when
+			}
+		}
+		first := -1
+		for k, h := range r.inflight {
+			if h.at < at {
+				first, at = k, h.at
+			}
+		}
+		switch {
+		case first >= 0:
+			h := r.inflight[first]
+			r.inflight = slices.Delete(r.inflight, first, first+1)
+			to := int(h.to) - 1
+			if r.ended[to] != 0 {
+				continue
+			}
+			dec, err := msg.Decode(msg.Encode(h.m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.nodes[to].drv.sched.Run(h.at) // no event of its own is due before
+			if r.carried != nil {
+				r.carried(h.from, h.to, h.group, dec, h.at)
+			}
+			r.nodes[to].tr.handlers[h.group].Handler(h.from, []msg.Message{dec})
+			r.collect(to)
+		case next >= 0:
+			nd := r.nodes[next]
+			nd.drv.sched.Step()
+			select {
+			case <-nd.done:
+				r.ended[next] = nd.drv.sched.Now()
+			default:
+			}
+			r.collect(next)
+		default:
+			for i, nd := range r.nodes {
+				if r.ended[i] == 0 {
+					nd.drv.sched.Run(until) // nothing is due: only the clock moves
+				}
+			}
+			return
+		}
+	}
+}
+
+// TestDaemonDoneReplyRateLimited: a Done from a peer marks the peer done,
+// and a Drained one marks it drained too. Only a converged member answers
+// it, with one Done of its own that says whether it has drained, and at
 // most once per 50 ms per peer. The group is driven step by step on a
 // scheduler no driver runs.
 func TestDaemonDoneReplyRateLimited(t *testing.T) {
-	nd, err := NewNode(Config{
-		Node:   1,
-		Listen: "127.0.0.1:0",
-		Peers:  []PeerAddr{{Node: 2, Addr: "127.0.0.1:9"}},
-		Groups: []GroupConfig{{ID: 1, Count: -1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.tr.Close()
-	g, err := newRingGroup(nd, nd.cfg.Groups[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.sink.close()
+	r := newHandRing(t, 2, []GroupConfig{{ID: 1, Count: -1}}) // member 2 is only an address
+	nd, g := r.nodes[0], r.groups[0][0]
 	s := nd.drv.sched // never started: this test is its only driver
 	handler := nd.tr.handlers[1].Handler
 	// hear runs the scheduler to at, which flushes what earlier steps
-	// queued, hands the group a Done from peer 2, and counts the Dones
+	// queued, hands the group a Done from peer 2, and returns the Dones
 	// then waiting in peer 2's box.
-	hear := func(at sim.Time) int {
+	hear := func(at sim.Time, drained bool) (replies []*msg.Done) {
 		s.Run(at)
-		handler(2, []msg.Message{&msg.Done{}})
-		n := 0
+		handler(2, []msg.Message{&msg.Done{Drained: drained}})
 		for _, m := range pending(nd.ob, 1, 2) {
-			if _, done := m.(*msg.Done); done {
-				n++
+			if d, done := m.(*msg.Done); done {
+				replies = append(replies, d)
 			}
 		}
-		return n
+		return replies
 	}
-	if n := hear(100 * sim.Millisecond); !g.doneFrom[2] || n != 0 {
-		t.Fatalf("unconverged: peer 2 marked done %v, %d Done replies queued; want true, 0", g.doneFrom[2], n)
+	if replies := hear(100*sim.Millisecond, false); !g.doneFrom[2] || g.drainedFrom[2] || len(replies) != 0 {
+		t.Fatalf("unconverged: peer 2 marked done %v, drained %v, %d Done replies queued; want true, false, 0",
+			g.doneFrom[2], g.drainedFrom[2], len(replies))
 	}
 	g.converged = true
 	for _, step := range []struct {
-		at   sim.Time
-		want int
-	}{{100 * sim.Millisecond, 1}, {149 * sim.Millisecond, 0}, {150 * sim.Millisecond, 1}} {
-		if n := hear(step.at); n != step.want {
-			t.Fatalf("converged, Done heard at %v: %d replies queued, want %d", step.at, n, step.want)
+		at      sim.Time
+		drained bool // ours, when the peer's Done arrives
+		want    int
+	}{{100 * sim.Millisecond, false, 1}, {149 * sim.Millisecond, false, 0}, {150 * sim.Millisecond, true, 1}} {
+		g.drained = step.drained
+		replies := hear(step.at, false)
+		if len(replies) != step.want {
+			t.Fatalf("converged, Done heard at %v: %d replies queued, want %d", step.at, len(replies), step.want)
+		}
+		if len(replies) > 0 && replies[0].Drained != step.drained {
+			t.Fatalf("Done heard at %v: reply says Drained=%v, want %v", step.at, replies[0].Drained, step.drained)
+		}
+	}
+	if hear(200*sim.Millisecond, true); !g.drainedFrom[2] || !g.finished() {
+		t.Fatalf("peer 2 said Drained: marked drained %v, group finished %v; want both", g.drainedFrom[2], g.finished())
+	}
+}
+
+// TestDaemonBarrierHoldsOneRoundAfterLastConverges: three static members
+// converge in turn, 30 ms apart, their traffic carried by hand. The last
+// one announces Done to every peer when it converges, even to those it
+// heard Done from before, so every member's barrier holds within two
+// steps of that — not when an earlier member's next beacon, up to
+// beaconEvery later, draws its reply.
+func TestDaemonBarrierHoldsOneRoundAfterLastConverges(t *testing.T) {
+	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}})
+	// Member i's lifecycle steps from converges[i] on; having nothing to
+	// deliver, it converges at its first step.
+	converges := []sim.Time{10 * sim.Millisecond, 40 * sim.Millisecond, 70 * sim.Millisecond}
+	last := converges[len(converges)-1]
+	held := make([]sim.Time, len(converges))
+	for now := stepEvery; now <= last+2*beaconEvery; now += stepEvery {
+		r.run(t, now)
+		for i, gs := range r.groups {
+			g := gs[0]
+			if now < converges[i] {
+				continue
+			}
+			g.step(now)
+			if !g.converged {
+				t.Fatalf("member %d unconverged at %v", i+1, now)
+			}
+			if held[i] == 0 && g.barrierAt != 0 {
+				held[i] = now
+			}
+		}
+	}
+	for i, at := range held {
+		t.Logf("member %d: converged at %v, barrier held at %v", i+1, converges[i], at)
+		if at <= last || at > last+2*stepEvery {
+			t.Errorf("member %d: barrier held at %v; want within (%v, %v], two steps after the last member converged",
+				i+1, at, last, last+2*stepEvery)
+		}
+	}
+}
+
+// TestDaemonEndsOnceEveryPeerDrained: three static members hosting two
+// groups each run their whole lifecycle, their traffic carried by hand. A
+// daemon ends its run at the first housekeeping step at which each of its
+// groups is drained and has heard Drained from every peer, never before.
+// With member 3's Drained notices to member 1 in group 2 withheld —
+// replies as well — member 1 ends exactly lingerFor after its groups were
+// done, while the others still end on the notices.
+func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
+	for _, withheld := range []bool{false, true} {
+		r := newHandRing(t, 3, []GroupConfig{
+			{ID: 1, Count: 4, RateHz: 200, StartMS: 20},
+			{ID: 2, Count: 3, RateHz: 100, StartMS: 60},
+		})
+		if withheld {
+			r.withhold = func(from, to seq.NodeID, group uint32, m msg.Message) bool {
+				d, ok := m.(*msg.Done)
+				return ok && d.Drained && from == 3 && to == 1 && group == 2
+			}
+		}
+		// drainedAt[i][gi] is when member i's group drained (it announces
+		// Drained then); heard[i][gi][p] when it was handed peer p's.
+		drainedAt := make([][]sim.Time, 3)
+		heard := make([][]map[seq.NodeID]sim.Time, 3)
+		for i := range r.nodes {
+			drainedAt[i] = make([]sim.Time, 2)
+			heard[i] = []map[seq.NodeID]sim.Time{{}, {}}
+		}
+		r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
+			if d, ok := m.(*msg.Done); ok && d.Drained {
+				sender := r.nodes[from-1].drv.sched.Now()
+				if drainedAt[from-1][group-1] == 0 {
+					drainedAt[from-1][group-1] = sender
+				}
+				if _, seen := heard[to-1][group-1][from]; !seen {
+					heard[to-1][group-1][from] = at
+				}
+			}
+		}
+		for _, nd := range r.nodes {
+			nd.lifecycle(r.groups[nd.self-1])
+		}
+		r.run(t, 2*sim.Second)
+		for i, nd := range r.nodes {
+			// done: when every group had drained; finished: when, besides,
+			// every peer's notice was in; all: whether every notice came.
+			var done, finished sim.Time
+			all := true
+			for gi, g := range r.groups[i] {
+				done = max(done, drainedAt[i][gi])
+				finished = max(finished, drainedAt[i][gi])
+				for _, p := range g.peers {
+					at, ok := heard[i][gi][p]
+					all = all && ok
+					finished = max(finished, at)
+				}
+			}
+			end := r.ended[i]
+			t.Logf("withheld %v, member %d: done at %v, every notice in at %v (%v), run ended at %v", withheld, i+1, done, finished, all, end)
+			if nd.exitErr != nil || done == 0 {
+				t.Fatalf("member %d: run error %v, done at %v", i+1, nd.exitErr, done)
+			}
+			if withheld && i == 0 {
+				if all || end != done+lingerFor {
+					t.Fatalf("member 1, a Drained notice withheld: every notice in %v, ended at %v; want not, and the end lingerFor after done (%v)",
+						all, end, done+lingerFor)
+				}
+				continue
+			}
+			if !all || end < finished || end > finished+stepEvery {
+				t.Fatalf("member %d: every Drained notice in %v at %v, ended at %v; want the first step from then on", i+1, all, finished, end)
+			}
 		}
 	}
 }
@@ -216,28 +464,8 @@ func TestDaemonDoneReplyRateLimited(t *testing.T) {
 // raises it, so regeneration has one origin. Each member runs on a
 // scheduler no driver runs, with peer addresses that answer nothing.
 func TestDaemonStaticTokenLossFromLeaderOnly(t *testing.T) {
-	groups := make([]*ringGroup, 3)
-	for i := range groups {
-		self := uint32(i + 1)
-		var peers []PeerAddr
-		for p := uint32(1); p <= 3; p++ {
-			if p != self {
-				peers = append(peers, PeerAddr{Node: p, Addr: "127.0.0.1:9"})
-			}
-		}
-		nd, err := NewNode(Config{Node: self, Listen: "127.0.0.1:0", Peers: peers, Groups: []GroupConfig{{ID: 1, Count: -1}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.tr.Close()
-		g, err := newRingGroup(nd, nd.cfg.Groups[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer g.sink.close()
-		g.start()
-		groups[i] = g
-	}
+	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}}) // its traffic is handed over below, not carried
+	groups := []*ringGroup{r.groups[0][0], r.groups[1][0], r.groups[2][0]}
 	leader := groups[0]
 	// The leader takes the token it injected and forwards it to member 2:
 	// run its events one at a time until the token waits in member 2's

@@ -54,7 +54,7 @@ import (
 	"repro/internal/seq"
 )
 
-// Datagram framing, version 6: a short header followed by group-tagged
+// Datagram framing, version 7: a short header followed by group-tagged
 // sections, each carrying length-prefixed encoded messages. Putting the
 // group id in a per-section tag rather than the frame header is what
 // lets one datagram carry traffic for many groups at once — the shared
@@ -63,7 +63,7 @@ import (
 // fixed magic, version and count bytes.
 //
 //	magic    u16  0x524E ("RN"), little-endian
-//	version  u8   6
+//	version  u8   7
 //	sections u8   section count (≥ 1)
 //	from     uv   sender NodeID (≤ 32 bits)
 //	seqno    uv   per-(sender→receiver) datagram sequence number
@@ -81,11 +81,12 @@ import (
 // to the run-chained varint layout (internal/seq wire.go), 4 added the
 // token delta (internal/seq delta.go) and varint Ack/TokenAck, 5 made
 // every message's integers and the frame's own header, tags and length
-// prefixes varints, and 6 dropped the per-section flags byte when the
-// Done barrier's gossip became a message (msg.Done).
+// prefixes varints, 6 dropped the per-section flags byte when the Done
+// barrier's gossip became a message (msg.Done), and 7 gave msg.Done its
+// Drained flag, so a finished ring exits on a message rather than a timer.
 const (
 	frameMagic   = 0x524E
-	frameVersion = 6
+	frameVersion = 7
 
 	// fixedHeader is the magic, version and section-count bytes;
 	// maxHeader adds the longest from and seqno varints. SendSections

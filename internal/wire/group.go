@@ -95,9 +95,10 @@ type ringGroup struct {
 	lossAt    sim.Time         // the token watchdog's last Token-Loss signal
 
 	// Done-barrier state. Driver goroutine only.
-	doneFrom  map[seq.NodeID]bool
-	lastReply map[seq.NodeID]sim.Time
-	peerBuf   []seq.NodeID // livePeers' buffer
+	doneFrom    map[seq.NodeID]bool
+	drainedFrom map[seq.NodeID]bool // peers that said Drained
+	lastReply   map[seq.NodeID]sim.Time
+	peerBuf     []seq.NodeID // livePeers' buffer
 
 	expected uint64
 }
@@ -125,14 +126,15 @@ const (
 func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	cfg := nd.cfg
 	g := &ringGroup{
-		nd:        nd,
-		gc:        gc,
-		gid:       gc.ID,
-		self:      nd.self,
-		doneFrom:  make(map[seq.NodeID]bool),
-		lastReply: make(map[seq.NodeID]sim.Time),
-		tel:       nd.tel.group(gc.ID),
-		sched:     nd.drv.sched,
+		nd:          nd,
+		gc:          gc,
+		gid:         gc.ID,
+		self:        nd.self,
+		doneFrom:    make(map[seq.NodeID]bool),
+		drainedFrom: make(map[seq.NodeID]bool),
+		lastReply:   make(map[seq.NodeID]sim.Time),
+		tel:         nd.tel.group(gc.ID),
+		sched:       nd.drv.sched,
 	}
 	if g.sink, err = newDeliverySink(gc.ID, g.self, g.sched, g.tel, gc.TracePath, gc.DataDir); err != nil {
 		return nil, err
@@ -262,20 +264,25 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	// business, so it leaves the stream before the splice gate and the NE.
 	hooks := GroupHooks{Handler: func(from seq.NodeID, msgs []msg.Message) {
 		for _, m := range msgs {
-			if _, done := m.(*msg.Done); !done {
+			d, isDone := m.(*msg.Done)
+			if !isDone {
 				recv(from, m)
 				continue
 			}
-			// A converged member answers Done with Done (rate-limited):
-			// beacons ride the same lossy socket they gossip about, so a
-			// straggler that missed our periodic beacons re-learns we are
-			// done the moment its own beacons start flowing, even if we
-			// are already lingering on the way out.
+			// A converged member answers Done with Done (rate-limited),
+			// saying whether it has drained: beacons ride the same lossy
+			// socket they gossip about, so a straggler that missed our
+			// beacons or our Drained notice re-learns them the moment its
+			// own Done reaches us, even if we are already lingering on the
+			// way out.
 			if g.converged && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
 				g.lastReply[from] = g.sched.Now()
-				g.net.Send(g.self, from, &msg.Done{})
+				g.net.Send(g.self, from, &msg.Done{Drained: g.drained})
 			}
 			g.doneFrom[from] = true
+			if d.Drained {
+				g.drainedFrom[from] = true
+			}
 		}
 	}}
 	if g.ms != nil {
@@ -294,10 +301,14 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 // (Nack) is pull-based, so this member may be the only reachable holder
 // of a body a straggler is still missing, and the holder of the only
 // copy of the circulating token. Once locally converged each member
-// gossips a Done message (msg.Done, in this group's sections) to every
-// peer and leaves the ring only after hearing Done from all of them,
-// i.e. when its retransmission state is provably unneeded. With live
-// membership the barrier audience is the current live peer set, so a
+// announces Done (msg.Done, in this group's sections) to every peer, and
+// drains only after hearing Done from all of them, i.e. when its
+// retransmission state is provably unneeded. The announcement goes to
+// every peer, even those already heard from, so when the last member
+// converges every barrier holds one message later. Once drained, a
+// member announces Done again with Drained set, and the group is finished
+// when every peer has said Drained: the daemon may then exit at once.
+// With live membership the audience is the current live peer set, so a
 // crashed member cannot wedge everyone else's exit. step walks that
 // state machine.
 func (g *ringGroup) start() {
@@ -395,7 +406,11 @@ func (g *ringGroup) step(now sim.Time) {
 	case !g.converged:
 		if g.locallyConverged(now) {
 			g.converged = true
-			g.beacon(now)
+			g.beaconAt = now
+			// Every peer hears it, including those whose Done we heard
+			// before we converged and so never answered: otherwise they
+			// would learn of us only at their next beacon.
+			g.announce(&msg.Done{})
 		}
 	case !g.quorate():
 		// Idle because cut off, not because the stream ended: a member
@@ -415,6 +430,7 @@ func (g *ringGroup) step(now sim.Time) {
 		// settling between rotations), bounded by quiesce.
 		if g.e.Quiesced() && g.ne.TokenIdle() || now-g.barrierAt >= quiesce {
 			g.drained = true
+			g.announce(&msg.Done{Drained: true}) // best-effort; the Done reply repeats it
 			if g.ms == nil {
 				// The static group is done everywhere: retire the
 				// ring so a daemon hosting hundreds of finished
@@ -452,6 +468,13 @@ func (g *ringGroup) epoch() uint64 {
 // and past the barrier and its bounded drain, or left.
 func (g *ringGroup) done() bool { return g.drained || g.left }
 
+// finished reports whether the group is drained and every live peer has
+// said Drained. Each of them has delivered everything, heard every
+// peer's Done and passed its bounded drain, so nobody in the ring needs
+// anything more from this member. A group that left is never finished:
+// stragglers of the ring it left may still Nack it.
+func (g *ringGroup) finished() bool { return g.drained && g.heardFromAll(g.drainedFrom) }
+
 // livePeers is the barrier's audience: the live peer set, or the static
 // ring's peers. The live set is rebuilt in a buffer the group keeps, so
 // a step allocates nothing to read it.
@@ -463,18 +486,26 @@ func (g *ringGroup) livePeers() []seq.NodeID {
 	return g.peerBuf
 }
 
-// beacon gossips Done only toward peers we have not heard Done from: a
-// peer that missed our beacons but has itself converged will keep
-// beaconing us, and the rate-limited Done reply closes that asymmetry.
-// Once the barrier holds everywhere the beacons stop entirely — a
-// federated daemon hosting hundreds of converged groups must not keep
-// flooding its shared socket with Done chatter while stragglers finish.
+// beacon repeats Done each beaconEvery after converging announced it,
+// but only toward peers we have not heard Done from: a peer that missed
+// our beacons but has itself converged will keep beaconing us, and the
+// rate-limited Done reply closes that asymmetry. Once the barrier holds
+// everywhere the beacons stop entirely — a federated daemon hosting
+// hundreds of converged groups must not keep flooding its shared socket
+// with Done chatter while stragglers finish.
 func (g *ringGroup) beacon(now sim.Time) {
 	g.beaconAt = now
 	for _, p := range g.livePeers() {
 		if !g.doneFrom[p] {
 			g.net.Send(g.self, p, &msg.Done{}) // best-effort; repeated
 		}
+	}
+}
+
+// announce sends d to every live peer, whatever they have said.
+func (g *ringGroup) announce(d *msg.Done) {
+	for _, p := range g.livePeers() {
+		g.net.Send(g.self, p, d)
 	}
 }
 
@@ -487,9 +518,12 @@ func (g *ringGroup) quorate() bool {
 }
 
 // barrier reports whether every live peer has said Done.
-func (g *ringGroup) barrier() bool {
+func (g *ringGroup) barrier() bool { return g.heardFromAll(g.doneFrom) }
+
+// heardFromAll reports whether every live peer is in said.
+func (g *ringGroup) heardFromAll(said map[seq.NodeID]bool) bool {
 	for _, p := range g.livePeers() {
-		if !g.doneFrom[p] {
+		if !said[p] {
 			return false
 		}
 	}
