@@ -20,7 +20,9 @@ import (
 type Config struct {
 	// Tau is the Order-Assignment timer cycle τ (paper §4.2.1): how
 	// often each top-ring node matches WQ messages against its stored
-	// ordering tokens.
+	// ordering tokens. Engine.Start arms it on every top-ring node; an
+	// engine started with StartLocal (the wire daemon) arms no τ timer,
+	// and its host runs the pass on its own clock instead.
 	Tau sim.Time
 	// TokenHold is how long a holder keeps the token before forwarding
 	// (processing time; the paper treats it as negligible).
@@ -28,14 +30,11 @@ type Config struct {
 	// TokenIdleBackoff, when non-zero, lets an idle ring slow down: every
 	// token rotation that arrives with nothing newly assigned doubles the
 	// holding time, up to this cap, and any advance of the global
-	// sequence snaps it back to TokenHold. The τ Order-Assignment tick
-	// stretches toward the same cap while the node has no queued, held,
-	// or undelivered work (it is a fallback path under
-	// OpportunisticAssign). Real deployments
-	// hosting many federated rings need quiet groups to stop burning
-	// CPU and sockets on full-rate circulation; keep it well under the
-	// membership plane's token watchdog. 0 disables (the simulator
-	// default — constant-rate circulation, the paper's model).
+	// sequence snaps it back to TokenHold. Real deployments hosting many
+	// federated rings need quiet groups to stop burning CPU and sockets
+	// on full-rate circulation; keep it well under the membership
+	// plane's token watchdog. 0 disables (the simulator default —
+	// constant-rate circulation, the paper's model).
 	TokenIdleBackoff sim.Time
 	// MQSize is the MaxNo of every NE's message queue, in slots: the
 	// cap the queue's ring grows to as its window needs, not an

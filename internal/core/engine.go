@@ -152,6 +152,9 @@ type Engine struct {
 	Tel Telemetry
 
 	started bool
+	// stepped is set by StartLocal: its NE arms no τ ticker, and the
+	// host runs the Order-Assignment pass itself (NE.OrderAssign).
+	stepped bool
 }
 
 // NewEngine builds an engine over an existing hierarchy and network.
@@ -255,7 +258,11 @@ func (e *Engine) Start() error {
 // config and spawns just its own node; the engine's Network carries sends
 // to the other members, which live in other processes. The ordering token
 // is injected only in the top-ring leader's process, so exactly one token
-// is born cluster-wide.
+// is born cluster-wide. The node arms no τ Order-Assignment ticker: a
+// token or a TokenAck already runs the pass (OpportunisticAssign) and a
+// WQ body stamps its own source, so the caller runs the pass on its own
+// clock (NE.OrderAssign) only for what time alone settles: Nack
+// timeouts, give-up rounds, resuming after a full MQ.
 func (e *Engine) StartLocal(id seq.NodeID) error {
 	if e.started {
 		return fmt.Errorf("core: engine already started")
@@ -263,7 +270,7 @@ func (e *Engine) StartLocal(id seq.NodeID) error {
 	if e.H.Node(id) == nil {
 		return fmt.Errorf("core: unknown node %v", id)
 	}
-	e.started = true
+	e.started, e.stepped = true, true
 	e.Log = nil
 	if err := e.spawnNE(id); err != nil {
 		return err

@@ -42,7 +42,6 @@ type NE struct {
 	newToken    *seq.Token
 	held        *seq.Token // token currently held (pre-forward) or awaiting forward ack
 	holding     bool
-	tokenParked bool          // retired ring: swallow the token, never regenerate
 	idleNext    seq.GlobalSeq // NextGlobalSeq when the idle streak began
 	idleStreak  int           // consecutive rotations with no new assignment
 	safeHorizon seq.GlobalSeq
@@ -208,7 +207,6 @@ func (n *NE) reset() {
 	n.assign, n.assignFloor = nil, nil
 	n.oldToken, n.newToken, n.held = nil, nil, nil
 	n.holding = false
-	n.tokenParked = false
 	n.safeHorizon = 0
 	n.tokenSeen = false
 	n.stampSet = false
@@ -352,26 +350,6 @@ func (n *NE) TokenStamp() (epoch, hops uint64, ok bool) {
 func (n *NE) JumpTo(g seq.GlobalSeq) {
 	if n.mq.Rear() == 0 && g > 0 {
 		n.mq.ForceRelease(g)
-	}
-}
-
-// ParkToken retires the node from token circulation: the next token (or
-// regeneration traversal) it sees is acknowledged — stopping the
-// sender's courier — and swallowed, and the node never signals or
-// answers Token-Loss again. A group whose run is complete (every member
-// delivered everything, group-wide barrier passed, couriers quiesced)
-// calls this so a federated daemon hosting hundreds of finished rings
-// stops burning CPU and sockets on circulation that can never order
-// another message. MQ retransmission service is untouched — only the
-// token dies. Irreversible for the node; callers park only rings they
-// know are done.
-func (n *NE) ParkToken() {
-	n.tokenParked = true
-	n.e.Tel.Emit("token-park", uint64(n.id), "")
-	if n.held != nil {
-		n.held = nil
-		n.holding = false
-		n.countTokenDestroy()
 	}
 }
 
@@ -584,25 +562,8 @@ func (n *NE) refreshNeighbors() {
 			n.wq = queue.NewWQ()
 			n.assign, n.assignFloor = seq.NewWTSNP(), nil
 		}
-		if n.tauTicker == nil {
-			if max := n.e.Cfg.TokenIdleBackoff; max > n.e.Cfg.Tau {
-				// Idle backoff (federated wire deployments): a quiet
-				// engine stretches its Order-Assignment tick toward the
-				// same cap as the token hold, and snaps back the moment
-				// there is queued, held, or undelivered work. With
-				// OpportunisticAssign the tick is a fallback path, so
-				// the stretch costs one cap interval of latency at most.
-				n.tauTicker = n.e.Scheduler().EveryBackoff(n.e.Cfg.Tau, max, func() bool {
-					n.orderAssign()
-					if n.failed || n.wq == nil {
-						return false
-					}
-					return n.wq.Len() > 0 || n.held != nil ||
-						n.mq.Front() != n.mq.Rear()
-				})
-			} else {
-				n.tauTicker = n.e.Scheduler().Every(n.e.Cfg.Tau, n.orderAssign)
-			}
+		if n.tauTicker == nil && !n.e.stepped {
+			n.tauTicker = n.e.Scheduler().Every(n.e.Cfg.Tau, n.OrderAssign)
 		}
 	} else if n.tauTicker != nil {
 		n.tauTicker.Stop()

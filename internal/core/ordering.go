@@ -130,17 +130,18 @@ func (n *NE) handleToken(from seq.NodeID, tok *seq.Token) {
 	// Order opportunistically before the next τ tick (optimization
 	// over the paper's purely periodic Order-Assignment).
 	if n.e.Cfg.OpportunisticAssign {
-		n.orderAssign()
+		n.OrderAssign()
 	}
 
 	// Forward after the (small) holding time — stretched exponentially
 	// on an idle ring when TokenIdleBackoff is enabled, so a quiet
 	// group's token does not spin the CPU and the sockets at full rate.
 	// Nothing is assigned to a held token: the holder assigns its own
-	// messages only on arrival (above), and τ ticks only stamp
-	// already-assigned messages from WQ into MQ. A holder's streak
-	// therefore resets only when the token's NextGlobalSeq, after this
-	// arrival's own assignment, differs from the one it saw on its
+	// messages only on arrival (above), and the Order-Assignment passes
+	// between arrivals (τ ticks, or the host's step under StartLocal)
+	// only stamp already-assigned messages from WQ into MQ. A holder's
+	// streak therefore resets only when the token's NextGlobalSeq, after
+	// this arrival's own assignment, differs from the one it saw on its
 	// previous visit — some holder assigned since. A message submitted
 	// during a stretched hold waits the hold out and gets its global
 	// number when the token next reaches its top-ring node: the "one
@@ -177,27 +178,15 @@ func (n *NE) ackToken(to seq.NodeID, epoch, hops uint64, next seq.GlobalSeq) {
 
 // swallowsToken reports whether an arriving token of this (epoch, hops)
 // dies here without further processing — which its header alone decides.
-// A parked node retires the ring: the group is done — every member
-// delivered everything and quiesced — so circulation serves nothing; the
-// acknowledgement already stopped the sender's courier, so swallowing the
-// copy ends rotation at the first parked receiver (stragglers still get
-// MQ retransmissions; only the token dies). And Hops strictly increases
-// within an epoch, so anything not strictly newer than the last token
-// processed is a courier retransmit or a stale copy.
+// Hops strictly increases within an epoch, so anything not strictly newer
+// than the last token processed is a courier retransmit or a stale copy.
 func (n *NE) swallowsToken(epoch, hops uint64) bool {
-	return n.tokenParked || n.stampSet && (epoch < n.stampEpoch || epoch == n.stampEpoch && hops <= n.stampHops)
+	return n.stampSet && (epoch < n.stampEpoch || epoch == n.stampEpoch && hops <= n.stampHops)
 }
 
 // forwardHeldToken sends the held token to the current ring successor.
 func (n *NE) forwardHeldToken() {
 	if n.failed || n.held == nil {
-		return
-	}
-	if n.tokenParked {
-		// Parked while a hold timer was pending: drop the copy here.
-		n.holding = false
-		n.held = nil
-		n.countTokenDestroy()
 		return
 	}
 	tok := n.held
@@ -270,7 +259,7 @@ func (n *NE) handleTokenAck(from seq.NodeID, a *msg.TokenAck) {
 		}
 		n.lastToken = n.now()
 		if n.e.Cfg.OpportunisticAssign {
-			n.orderAssign()
+			n.OrderAssign()
 		}
 		return
 	}
@@ -281,10 +270,13 @@ func (n *NE) handleTokenAck(from seq.NodeID, a *msg.TokenAck) {
 	}
 }
 
-// orderAssign is the Order-Assignment algorithm (paper §4.2.1): match
+// OrderAssign is the Order-Assignment algorithm (paper §4.2.1): match
 // ready-to-be-ordered WQ messages against the stored ordering tokens,
-// stamp global sequence numbers, and copy them to MQ.
-func (n *NE) orderAssign() {
+// stamp global sequence numbers, and copy them to MQ. The pass is also
+// where time-driven repair happens: front-gap and WQ-stall Nacks and
+// their give-up rounds. Engine.Start runs it every τ; an engine started
+// with StartLocal leaves the clock to its host.
+func (n *NE) OrderAssign() {
 	if n.failed || n.wq == nil {
 		return
 	}
@@ -664,7 +656,7 @@ func (n *NE) giveUpSource(src seq.NodeID) {
 // ignored; otherwise a Token-Regeneration message encapsulating this
 // node's NewOrderingToken starts traversing the ring.
 func (n *NE) onTokenLoss() {
-	if n.failed || !n.view.IsTop || n.tokenParked {
+	if n.failed || !n.view.IsTop {
 		return
 	}
 	if n.OrdersWell() {
@@ -738,12 +730,6 @@ func (n *NE) handleTokenRegen(from seq.NodeID, rg *msg.TokenRegen) {
 	// identical in (origin, next, epoch) and must traverse, or token
 	// recovery deadlocks the moment one traversal is abandoned on a
 	// removed member.
-	// A parked node absorbs regeneration traversals: the ack above
-	// stopped the courier, and a retired ring must not be resurrected.
-	if n.tokenParked {
-		n.countTokenDestroy()
-		return
-	}
 	stamp := regenStamp{origin: rg.Origin, next: rg.Token.NextGlobalSeq, epoch: rg.Token.Epoch, set: true}
 	if n.lastRegen == stamp && n.now()-n.lastRegenAt < 2*n.e.Cfg.Hop.RTO {
 		return

@@ -473,54 +473,21 @@ func (s *Scheduler) Every(period Time, fn func()) *Ticker {
 	return t
 }
 
-// EveryBackoff schedules fn like Every, but lets an idle ticker slow
-// itself down: every fire where fn reports no activity doubles the next
-// period, up to max, and an active fire snaps back to the base period.
-// max <= period degenerates to a plain fixed-period ticker.
-func (s *Scheduler) EveryBackoff(period, max Time, fn func() bool) *Ticker {
-	if period <= 0 {
-		panic("sim: non-positive ticker period")
-	}
-	if max < period {
-		max = period
-	}
-	t := &Ticker{s: s, period: period, max: max, fnb: fn}
-	t.arm()
-	return t
-}
-
 // Ticker repeatedly schedules a callback until stopped.
 type Ticker struct {
 	s       *Scheduler
 	period  Time
-	cur     Time // next period for backoff tickers; 0 = base period
-	max     Time
 	fn      func()
-	fnb     func() bool // backoff variant: reports activity
 	timer   Timer
 	stopped bool
 }
 
 func (t *Ticker) arm() {
-	d := t.period
-	if t.cur > 0 {
-		d = t.cur
-	}
-	t.timer = t.s.After(d, func() {
+	t.timer = t.s.After(t.period, func() {
 		if t.stopped {
 			return
 		}
-		if t.fnb != nil {
-			if t.fnb() {
-				t.cur = t.period
-			} else if next := d * 2; next < t.max {
-				t.cur = next
-			} else {
-				t.cur = t.max
-			}
-		} else {
-			t.fn()
-		}
+		t.fn()
 		if !t.stopped {
 			t.arm()
 		}

@@ -456,6 +456,85 @@ func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 	}
 }
 
+// TestDaemonStepRunsRepairBackstop: three static members, their traffic
+// carried by hand. None of their nodes has a τ ticker (StartLocal arms
+// none), so only tokens, TokenAcks, WQ bodies and the housekeeping step
+// run the Order-Assignment pass. Every copy of source 1's tenth body
+// toward member 3 is withheld for 200 ms, and the workload ends soon
+// after, so the idle token stretches its hold and runs the pass ever more
+// rarely. Member 3's first repair Nack still leaves within NackTimeout +
+// 2·stepEvery of its delivery front stalling on the missing body, each
+// later round within as long of the one before, and so the round that
+// repairs the body within as long of its release. All three members end
+// on one order hash.
+func TestDaemonStepRunsRepairBackstop(t *testing.T) {
+	const count, withheldLocal, withheldFor = 20, 10, 200 * sim.Millisecond
+	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: count, RateHz: 200, StartMS: 20}})
+	var firstWithheld, stalled, repaired sim.Time
+	var stuck seq.GlobalSeq // member 3's first undeliverable global
+	var nacks []sim.Time    // instants member 3 sent a Nack
+	r.withhold = func(from, to seq.NodeID, group uint32, m msg.Message) bool {
+		d, ok := m.(*msg.Data)
+		if !ok || to != 3 || d.SourceNode != 1 || d.LocalSeq != withheldLocal {
+			return false
+		}
+		now := r.nodes[from-1].drv.sched.Now()
+		if firstWithheld == 0 {
+			firstWithheld = now
+		}
+		return now < firstWithheld+withheldFor
+	}
+	r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
+		if _, ok := m.(*msg.Nack); ok && from == 3 && (len(nacks) == 0 || nacks[len(nacks)-1] != at) {
+			nacks = append(nacks, at)
+		}
+	}
+	for _, nd := range r.nodes {
+		nd.lifecycle(r.groups[nd.self-1])
+	}
+	q := r.groups[2][0].ne.MQ()
+	for now := sim.Millisecond; now <= 2*sim.Second; now += sim.Millisecond {
+		r.run(t, now)
+		switch {
+		case stalled == 0 && q.Front() < q.Rear() && !q.Has(q.Front()+1):
+			stalled, stuck = now, q.Front()+1
+		case stalled != 0 && repaired == 0 && q.Front() >= stuck:
+			repaired = now
+		}
+	}
+	bound := r.groups[2][0].e.Cfg.NackTimeout + 2*stepEvery
+	released := firstWithheld + withheldFor
+	t.Logf("body withheld from %v to %v; member 3 stalled at %v, repaired at %v; its Nacks at %v", firstWithheld, released, stalled, repaired, nacks)
+	if firstWithheld == 0 || stalled == 0 || repaired == 0 || len(nacks) == 0 {
+		t.Fatalf("body withheld at %v, member 3 stalled at %v and repaired at %v, %d Nacks: want all four", firstWithheld, stalled, repaired, len(nacks))
+	}
+	last := stalled
+	for _, at := range nacks {
+		if at > repaired {
+			break
+		}
+		if at-last > bound {
+			t.Fatalf("member 3 sent a Nack at %v, %v after the stall or the Nack before; want at most %v", at, at-last, bound)
+		}
+		last = at
+	}
+	if repaired-released > bound {
+		t.Fatalf("member 3 repaired the body at %v, %v after its release; want at most %v", repaired, repaired-released, bound)
+	}
+	var hash string
+	for i, nd := range r.nodes {
+		if r.ended[i] == 0 || nd.exitErr != nil {
+			t.Fatalf("member %d: run ended at %v, error %v", i+1, r.ended[i], nd.exitErr)
+		}
+		rep := nd.exit[0]
+		if !rep.Converged || rep.Delivered != 3*count || i > 0 && rep.OrderHash != hash {
+			t.Fatalf("member %d: converged %v, delivered %d, order hash %s; want true, %d, %s",
+				i+1, rep.Converged, rep.Delivered, rep.OrderHash, 3*count, hash)
+		}
+		hash = rep.OrderHash
+	}
+}
+
 // TestDaemonStaticTokenLossFromLeaderOnly: in a static ring whose token
 // has fallen silent, only the top-ring leader, which injected the token,
 // raises Token-Loss: within tokenWatch + stepEvery of the silence, once,

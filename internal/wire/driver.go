@@ -17,13 +17,14 @@ import (
 // datagram, and control planes) enter via Call/CallWait, which
 // serialize injected work between events.
 //
-// The protocol core is unchanged: its RTO retransmission timers, τ
-// ordering ticks, and ack-delay timers are ordinary scheduler events
-// that now fire in real time. So is the daemon's own life (Node.lifecycle):
-// the housekeeping tick that steps every group, the fsync tick, the
-// deadline and the exit linger. Apart from the transport's injected
-// jitter, the driver is the one place that turns wall-clock time into
-// protocol or lifecycle work.
+// The protocol core is unchanged: its RTO retransmission timers, token
+// holds and ack-delay timers are ordinary scheduler events that now fire
+// in real time. So is the daemon's own life (Node.lifecycle): the
+// housekeeping tick that steps every group and runs its Order-Assignment
+// pass (a wire node arms no τ ticker), the fsync tick, the deadline and
+// the exit linger. Apart from the transport's injected jitter, the driver
+// is the one place that turns wall-clock time into protocol or lifecycle
+// work.
 //
 // Real time has a quantum. The driver sleeps on a Go timer, and Go's
 // Linux netpoller waits in whole milliseconds, so an event due less

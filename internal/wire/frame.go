@@ -13,8 +13,8 @@
 //     at the socket layer, clean shutdown;
 //   - driver.go:    a real-time executor for the deterministic sim
 //     scheduler, so the unmodified protocol core (its RTO
-//     timers, τ ticks, ack-delay timers) runs against the
-//     wall clock;
+//     timers, token holds, ack-delay timers) runs against
+//     the wall clock;
 //   - outbox.go:    the daemon-wide per-peer batching outbox: outbound
 //     traffic from every hosted group coalesces into shared
 //     multi-section datagrams, so N groups do not mean N×

@@ -49,7 +49,10 @@ func protocolConfig() core.Config {
 	// and constant-rate circulation would burn the whole CPU budget on
 	// idle rotations. Worst-case re-wake cost is one stretched rotation
 	// (ring size × 50 ms); the 500 ms token watchdog still sees the
-	// token several times per window.
+	// token several times per window. A finished group's token idles
+	// the same way until its daemon exits. Tau arms nothing here: the
+	// node StartLocal spawns has no τ ticker, and the group's
+	// housekeeping step runs its Order-Assignment pass.
 	cfg.TokenIdleBackoff = 50 * sim.Millisecond
 	return cfg
 }
@@ -364,13 +367,19 @@ func (g *ringGroup) start() {
 	}
 }
 
-// step advances the group by one housekeeping tick: the membership
-// plane's heartbeat round once per heartbeat, the token watchdog, the
-// Done beacons, and the lifecycle: converge, then the Done barrier and
-// its bounded drain — or, once evicted, the leave-drain. A step costs
-// O(ring size), whatever the traffic, and allocates only to send or to
-// signal. Driver goroutine only.
+// step advances the group by one housekeeping tick: the local node's
+// Order-Assignment pass, the membership plane's heartbeat round once per
+// heartbeat, the token watchdog, the Done beacons, and the lifecycle:
+// converge, then the Done barrier and its bounded drain — or, once
+// evicted, the leave-drain. Tokens, TokenAcks and WQ bodies already run
+// the pass as they arrive, so here it is the backstop for what only time
+// settles: front-gap and WQ-stall Nacks, their give-up rounds, and
+// stamping resumed after a full MQ. On a quiet group the pass walks the
+// WQ's sources, at most one per ring member, and finds nothing to do, so
+// a step still costs O(ring size), whatever the traffic, and allocates
+// only to send or to signal. Driver goroutine only.
 func (g *ringGroup) step(now sim.Time) {
+	g.ne.OrderAssign()
 	if g.ms != nil && now-g.beatAt >= g.ms.cfg.Heartbeat {
 		g.beatAt = now
 		g.ms.tick(now)
@@ -431,14 +440,6 @@ func (g *ringGroup) step(now sim.Time) {
 		if g.e.Quiesced() && g.ne.TokenIdle() || now-g.barrierAt >= quiesce {
 			g.drained = true
 			g.announce(&msg.Done{Drained: true}) // best-effort; the Done reply repeats it
-			if g.ms == nil {
-				// The static group is done everywhere: retire the
-				// ring so a daemon hosting hundreds of finished
-				// groups stops paying for their idle circulation.
-				// (A live group keeps its token, and its coordinator
-				// keeps watching it, until the run ends.)
-				g.ne.ParkToken()
-			}
 		}
 	}
 }
@@ -446,8 +447,9 @@ func (g *ringGroup) step(now sim.Time) {
 // tokenOrigin reports whether this member is its group's one Token-Loss
 // origin: the live coordinator while joined and not lame (if it dies, its
 // successor takes over with the eviction epoch), or the static ring's
-// top-ring leader, which injected the token, until the group is drained
-// and its token parked.
+// top-ring leader, which injected the token, until the group is drained:
+// its peers then exit as they finish and take the token with them, and
+// a regenerated token would order nothing.
 func (g *ringGroup) tokenOrigin() bool {
 	if g.ms != nil {
 		return g.ms.Joined() && !g.ms.Lame() && g.ms.coordinator() == g.self

@@ -433,15 +433,14 @@ func TestLiveCoordinatorSuccession(t *testing.T) {
 	}
 }
 
-// TestLiveMembershipAddsNoSchedulerEvents: a live group's heartbeat
-// rounds ride the daemon's housekeeping tick, so its membership plane
-// keeps no ticker of its own, and a live daemon's pending scheduler events
-// grow with its group count exactly as a static daemon's do (each group's
-// NE keeps its own Order-Assignment tick). Each live group still sends
-// one Heartbeat per peer per heartbeat interval. The daemon runs on a
-// scheduler no driver runs; it is not its ring's leader, and its peers
-// answer nothing but are not yet suspected, so it holds no token and
-// proposes nothing.
+// TestLiveMembershipAddsNoSchedulerEvents: a hosted group keeps no
+// scheduler event of its own. Its heartbeat rounds and its
+// Order-Assignment pass ride the daemon's housekeeping tick, so a
+// daemon's peak pending scheduler events are the same at 1, 8 and 100
+// groups, static or live. Each live group still sends one Heartbeat per
+// peer per heartbeat interval. The daemon runs on a scheduler no driver
+// runs; it is not its ring's leader, and its peers answer nothing but are
+// not yet suspected, so it holds no token and proposes nothing.
 func TestLiveMembershipAddsNoSchedulerEvents(t *testing.T) {
 	const run = 1200 * sim.Millisecond
 	mostPending := func(groups int, live bool, heartbeatMS int64) int {
@@ -487,13 +486,18 @@ func TestLiveMembershipAddsNoSchedulerEvents(t *testing.T) {
 		}
 		return most
 	}
-	for _, hb := range []int64{100, 150} {
-		live := mostPending(8, true, hb) - mostPending(1, true, hb)
-		static := mostPending(8, false, hb) - mostPending(1, false, hb)
-		t.Logf("%d ms heartbeat: 7 more groups add at most %d pending events live, %d static", hb, live, static)
-		if live > static {
-			t.Fatalf("%d ms heartbeat: 7 more live groups add %d pending events, 7 more static groups %d", hb, live, static)
+	for _, c := range []struct {
+		live        bool
+		heartbeatMS int64
+	}{{false, 100}, {true, 100}, {true, 150}} {
+		one := mostPending(1, c.live, c.heartbeatMS)
+		for _, groups := range []int{8, 100} {
+			if most := mostPending(groups, c.live, c.heartbeatMS); most != one {
+				t.Fatalf("live %v, %d ms heartbeat: at most %d pending events with %d groups, %d with one",
+					c.live, c.heartbeatMS, most, groups, one)
+			}
 		}
+		t.Logf("live %v, %d ms heartbeat: at most %d pending events at 1, 8 and 100 groups", c.live, c.heartbeatMS, one)
 	}
 }
 
