@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,12 +60,15 @@ func TestDaemonAdminEndpoints(t *testing.T) {
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{
-			Groups:     []GroupConfig{{ID: 1}},
-			Node:       uint32(i + 1),
-			Listen:     "127.0.0.1:0",
-			Seed:       uint64(2000 + i),
+			Groups: []GroupConfig{{ID: 1}},
+			Node:   uint32(i + 1),
+			Listen: "127.0.0.1:0",
+			Seed:   uint64(2000 + i),
+			// A 400 ms stream keeps the daemon serving through the
+			// scrapes below: it opens as soon as both members answer a
+			// clock probe, well before the start_ms ceiling.
 			Count:      80,
-			RateHz:     400,
+			RateHz:     200,
 			Payload:    48,
 			StartMS:    250,
 			DeadlineMS: 45000,
@@ -226,12 +230,14 @@ func TestDaemonAdminEndpoints(t *testing.T) {
 
 	// /trace: the span dump — clock-offset header line first, then the
 	// sampled lifecycle spans (everything, at trace_sample_mod 1).
-	// Readiness flips before the 250ms stream start, so poll until the
-	// first sampled messages produce spans.
+	// Readiness can flip before the stream opens, and a scrape just
+	// after it opens sees the first publishes before any is stamped or
+	// delivered, so poll until a span of every stage checked below is in.
 	var (
 		hdr   TraceHeader
 		spans []telemetry.Span
 	)
+	wantStages := []string{"publish", "stamp", "deliver"}
 	traceAt := time.Now()
 	for {
 		code, body = adminGet(t, addr, "/trace")
@@ -243,11 +249,15 @@ func TestDaemonAdminEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("/trace: %v\n%s", err, body)
 		}
-		if len(spans) > 0 {
+		stages := map[string]bool{}
+		for _, sp := range spans {
+			stages[sp.Stage] = true
+		}
+		if !slices.ContainsFunc(wantStages, func(s string) bool { return !stages[s] }) {
 			break
 		}
 		if time.Since(traceAt) > 30*time.Second {
-			t.Fatal("/trace never served spans at trace_sample_mod 1")
+			t.Fatalf("/trace never served a span of every stage in %v at trace_sample_mod 1", wantStages)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -258,7 +268,7 @@ func TestDaemonAdminEndpoints(t *testing.T) {
 	for _, sp := range spans {
 		stages[sp.Stage] = true
 	}
-	for _, want := range []string{"publish", "stamp", "deliver"} {
+	for _, want := range wantStages {
 		if !stages[want] {
 			t.Fatalf("/trace has no %q span; stages seen: %v", want, stages)
 		}

@@ -31,7 +31,11 @@ type GroupConfig struct {
 	Join bool `json:"join,omitempty"`
 
 	// Stream: this group sources Count messages of Payload bytes at
-	// RateHz, starting StartMS after launch. Zero values inherit the
+	// RateHz, starting once every configured peer has answered a live
+	// clock probe, and StartMS after launch at the latest: StartMS is a
+	// ceiling. Groups that start on readiness keep their StartMS
+	// differences as offsets from one another. A joiner starts StartMS
+	// after it joins. Zero values inherit the
 	// daemon-level defaults (Config.Count etc.); Count < 0 means
 	// "source nothing" explicitly, and stays negative through Normalize
 	// so a second Normalize cannot mistake it for "inherit".
@@ -104,7 +108,9 @@ type Config struct {
 	DropRules []DropRule `json:"drop_rules,omitempty"`
 
 	// Daemon-level stream defaults, inherited by groups that leave the
-	// matching field zero.
+	// matching field zero. StartMS (default 250) is when a group's stream
+	// starts at the latest, counted from launch; it starts sooner once
+	// every peer answers a live clock probe (GroupConfig.StartMS).
 	Count   int     `json:"count"`
 	RateHz  float64 `json:"rate_hz"`
 	Payload int     `json:"payload"`

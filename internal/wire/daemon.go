@@ -253,12 +253,9 @@ func (nd *Node) Run() (Report, error) {
 	nd.drv.Start()
 	nd.drv.CallWait(func() {
 		// Clock-offset calibration against the spawn-time peers; pongs
-		// are folded in at the transport layer while the rings warm up.
-		peers := make([]seq.NodeID, len(cfg.Peers))
-		for i, p := range cfg.Peers {
-			peers[i] = seq.NodeID(p.Node)
-		}
-		nd.tr.calibrate(nd.drv.sched, peers)
+		// are folded in at the transport layer, and the first live one
+		// from every peer opens the streams (lifecycle).
+		nd.tr.calibrate(nd.drv.sched, nd.peerIDs())
 		for _, g := range groups {
 			g.start()
 		}
@@ -290,9 +287,25 @@ func (nd *Node) Run() (Report, error) {
 // notice, and the grace a group that left its ring gives stragglers.
 const lingerFor = 300 * sim.Millisecond
 
-// lifecycle arms the daemon's life on its scheduler. One housekeeping tick
-// steps every group; one tick fsyncs every durable log; with
-// -report-interval, one tick writes the live report to stderr. The run
+// peerIDs lists the configured peers: the spawn-time ring.
+func (nd *Node) peerIDs() []seq.NodeID {
+	ids := make([]seq.NodeID, len(nd.cfg.Peers))
+	for i, p := range nd.cfg.Peers {
+		ids[i] = seq.NodeID(p.Node)
+	}
+	return ids
+}
+
+// lifecycle arms the daemon's life on its scheduler. The streams start
+// on messages: once every configured peer has answered a live clock
+// probe (Transport.awaitLive), every bootstrap group's source opens at
+// once, each later by as much as its StartMS exceeds the smallest among
+// them, so a configured stagger between groups survives. The StartMS
+// timer each group armed at start is the ceiling: whichever comes first
+// opens the stream, so a peer that never answers costs StartMS, and a
+// joiner opens StartMS after it joins. One housekeeping tick steps every
+// group; one tick fsyncs every durable log; with -report-interval, one
+// tick writes the live report to stderr. The run
 // ends at the first step at which every group is finished (drained, and
 // every live peer has said Drained), once that step's sends are flushed;
 // or lingerFor after every group is done; or at the deadline, whichever
@@ -304,6 +317,24 @@ const lingerFor = 300 * sim.Millisecond
 // run collects every group and closes done. Driver goroutine only.
 func (nd *Node) lifecycle(groups []*ringGroup) {
 	s := nd.drv.sched
+
+	var boot []*ringGroup
+	var first int64
+	for _, g := range groups {
+		if !g.gc.Join && g.gc.Count > 0 {
+			if len(boot) == 0 || g.gc.StartMS < first {
+				first = g.gc.StartMS
+			}
+			boot = append(boot, g)
+		}
+	}
+	if len(boot) > 0 {
+		nd.tr.awaitLive(nd.peerIDs(), func() {
+			for _, g := range boot {
+				g.openBy(s.Now() + sim.Time(g.gc.StartMS-first)*sim.Millisecond)
+			}
+		})
+	}
 
 	var durable []*ringGroup
 	for _, g := range groups {

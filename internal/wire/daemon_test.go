@@ -13,6 +13,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/seq"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // launchCluster assembles n in-process daemon nodes over real loopback
@@ -158,6 +159,111 @@ func TestDaemonDeadlineEndsUnconvergedRun(t *testing.T) {
 		t.Fatalf("report claims an outcome the run did not reach: %+v", rep)
 	}
 	t.Logf("Run returned after %v: %v", took, err)
+}
+
+// streamStarts returns nd's stream-start events by group.
+func streamStarts(nd *Node) map[uint32]telemetry.Event {
+	starts := make(map[uint32]telemetry.Event)
+	for _, ev := range nd.tel.events.Snapshot() {
+		if ev.Type == "stream-start" {
+			starts[ev.Group] = ev
+		}
+	}
+	return starts
+}
+
+// TestDaemonStreamStartsOnReady: three daemons over loopback with a
+// start_ms of 5 s open their streams once every peer has answered a live
+// clock probe, not at the 5 s ceiling, so every run ends well before it.
+// Each member's first submit in each group comes after it holds a live
+// sample from every peer, and its second group, whose start_ms is 40 ms
+// larger, opens about 40 ms after its first: both are due from one
+// instant, and the first may fire a little after it is due.
+func TestDaemonStreamStartsOnReady(t *testing.T) {
+	const ceiling, stagger = 5000, 40
+	nodes := newCluster(t, 3, func(_ int, cfg *Config) {
+		cfg.StartMS = ceiling
+		cfg.Groups = []GroupConfig{{ID: 1}, {ID: 2, StartMS: ceiling + stagger}}
+		cfg.TraceSampleMod = 1 // a publish span for every submit
+	})
+	reports := make([]Report, len(nodes))
+	errs := make([]error, len(nodes))
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i, nd := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reports[i], errs[i] = nd.Run()
+		}()
+	}
+	wg.Wait()
+	took := time.Since(start)
+	t.Logf("three members ran to the end in %v", took)
+	if took >= ceiling/2*time.Millisecond {
+		t.Fatalf("the runs took %v; with streams opened on readiness they end well before the %d ms ceiling", took, ceiling)
+	}
+	for i, nd := range nodes {
+		if errs[i] != nil || !reports[i].Converged {
+			t.Fatalf("member %d: %v (report %+v)", i+1, errs[i], reports[i])
+		}
+		// The instant the last peer went live, on the trace plane's clock.
+		var live int64
+		for _, p := range nd.cfg.Peers {
+			nd.tr.mu.Lock()
+			at := nd.tr.live[seq.NodeID(p.Node)]
+			nd.tr.mu.Unlock()
+			if at.IsZero() {
+				t.Fatalf("member %d holds no live clock sample from peer %d", i+1, p.Node)
+			}
+			live = max(live, nd.tel.clock.Now()-int64(time.Since(at)))
+		}
+		firstSubmit := make(map[uint32]int64)
+		for _, sp := range nd.tel.tracer.Snapshot() {
+			if sp.Stage == "publish" && sp.Source == nd.cfg.Node && sp.Local == 1 {
+				firstSubmit[sp.Group] = sp.WallNS
+			}
+		}
+		starts := streamStarts(nd)
+		for _, gid := range []uint32{1, 2} {
+			ev, sub := starts[gid], firstSubmit[gid]
+			t.Logf("member %d group %d: stream-start %q, first submit %v after the last live sample",
+				i+1, gid, ev.Detail, time.Duration(sub-live))
+			if !strings.HasPrefix(ev.Detail, "ready ") {
+				t.Fatalf("member %d group %d: stream-start event %+v, want one opened on readiness", i+1, gid, ev)
+			}
+			if sub == 0 || sub < live {
+				t.Fatalf("member %d group %d: first submit at %d, before the last peer went live at %d", i+1, gid, sub, live)
+			}
+		}
+		if gap := time.Duration(starts[2].WallNS - starts[1].WallNS); gap < stagger/2*time.Millisecond {
+			t.Fatalf("member %d: group 2 opened %v after group 1, want about the %d ms start_ms difference", i+1, gap, stagger)
+		}
+	}
+}
+
+// TestDaemonStreamStartCeiling: a peer whose socket is bound but never
+// served answers no clock probe, so its partner opens its stream at the
+// start_ms ceiling, as it did before streams opened on readiness, and
+// says so in its stream-start event.
+func TestDaemonStreamStartCeiling(t *testing.T) {
+	const ceiling = 300
+	nodes := newCluster(t, 2, func(_ int, cfg *Config) {
+		cfg.StartMS = ceiling
+		cfg.DeadlineMS = 800
+	})
+	defer nodes[1].tr.Close() // bound, never run
+	if _, err := nodes[0].Run(); err == nil || !strings.Contains(err.Error(), "did not converge") {
+		t.Fatalf("Run error = %v, want a did-not-converge error", err)
+	}
+	ev, ok := streamStarts(nodes[0])[1]
+	t.Logf("stream-start: %+v", ev)
+	if !ok || !strings.HasPrefix(ev.Detail, "ceiling ") {
+		t.Fatalf("stream-start event %+v (found %v), want one opened at the ceiling", ev, ok)
+	}
+	if ev.Value < ceiling || ev.Value >= ceiling+300 {
+		t.Fatalf("the stream opened %d ms after launch, want at the %d ms ceiling", ev.Value, ceiling)
+	}
 }
 
 // handRing is a static ring of daemons, each on a scheduler no driver

@@ -86,6 +86,11 @@ type ringGroup struct {
 	resumedAt      seq.GlobalSeq
 	discLo, discHi seq.GlobalSeq
 
+	// The stream's opening, armed by start (or on joining) and brought
+	// forward by openBy. Driver goroutine only.
+	opening   sim.Timer // opens the stream; pending until it has
+	ceilingAt sim.Time  // when opening fires unless brought forward
+
 	// Lifecycle, advanced by step. Driver goroutine only.
 	src       *workload.Source // nil until the workload starts, or when sourcing nothing
 	converged bool             // locally converged: Done beacons flow until drained
@@ -297,8 +302,11 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	return g, nil
 }
 
-// start installs the workload and the membership hooks. Driver goroutine
-// only.
+// start arms the workload and installs the membership hooks. Driver
+// goroutine only. A bootstrap group's stream opens StartMS from now at
+// the latest: the daemon brings it forward once every peer answers a
+// live clock probe (Node.lifecycle, openBy). A joiner's opens StartMS
+// after it joins.
 //
 // Termination barrier: local convergence is NOT exit-safe — gap repair
 // (Nack) is pull-based, so this member may be the only reachable holder
@@ -315,46 +323,15 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 // crashed member cannot wedge everyone else's exit. step walks that
 // state machine.
 func (g *ringGroup) start() {
-	gc := g.gc
-	startWorkload := func() {
-		// Post-Normalize, Count <= 0 means this member sources
-		// nothing for the group (inheritance already resolved) —
-		// don't build a source at all: CBR's count == 0 contract is
-		// "unbounded until Stop", which would turn a silent member
-		// into an infinite sender with no convergence criterion.
-		if gc.Count <= 0 {
-			return
-		}
-		// Stamp each payload with the send wall clock (fresh buffer
-		// per message: payload slices are shared by reference all the
-		// way to retransmission buffers).
-		g.src = workload.NewSource(g.sched, func(corr seq.NodeID, payload []byte) error {
-			if len(payload) >= 8 {
-				buf := make([]byte, len(payload))
-				copy(buf, payload)
-				binary.LittleEndian.PutUint64(buf, uint64(time.Now().UnixNano()))
-				payload = buf
-			}
-			local, err := g.e.Submit(corr, payload)
-			if err == nil {
-				g.sink.submitted(local)
-			}
-			return err
-		}, g.self, gc.Payload)
-		gap := sim.Time(float64(sim.Second) / gc.RateHz)
-		if gap < 1 {
-			gap = 1
-		}
-		g.src.CBR(g.sched.Now()+sim.Time(gc.StartMS)*sim.Millisecond, gap, gc.Count)
-	}
 	if g.ms != nil {
 		g.ms.OnJoined = func(baseline, resumed seq.GlobalSeq) {
 			if resumed > 0 {
 				g.resumedAt = resumed
 			}
-			startWorkload()
+			g.arm("joined")
 		}
 		g.ms.OnEvicted = func() {
+			g.opening.Stop()
 			if g.src != nil {
 				g.src.Stop()
 			}
@@ -362,9 +339,61 @@ func (g *ringGroup) start() {
 		g.ms.Start()
 		g.beatAt = g.sched.Now()
 	}
-	if !gc.Join {
-		startWorkload()
+	if !g.gc.Join {
+		g.arm("ceiling")
 	}
+}
+
+// arm schedules the stream to open StartMS from now; cause names what
+// opened it in the stream-start event. Post-Normalize, Count <= 0 means
+// this member sources nothing for the group (inheritance already
+// resolved), so nothing is armed: CBR's count == 0 contract is
+// "unbounded until Stop", which would turn a silent member into an
+// infinite sender with no convergence criterion.
+func (g *ringGroup) arm(cause string) {
+	if g.gc.Count <= 0 {
+		return
+	}
+	g.ceilingAt = g.sched.Now() + sim.Time(g.gc.StartMS)*sim.Millisecond
+	g.opening = g.sched.At(g.ceilingAt, func() { g.open(cause) })
+}
+
+// openBy brings the stream's opening forward to at, if it is still to
+// come and due later than that.
+func (g *ringGroup) openBy(at sim.Time) {
+	if !g.opening.Pending() || at >= g.ceilingAt {
+		return
+	}
+	g.opening.Stop()
+	g.opening = g.sched.At(at, func() { g.open("ready") })
+}
+
+// open starts the workload now and records a stream-start event: what
+// opened it, and when, in milliseconds since the daemon launched.
+func (g *ringGroup) open(cause string) {
+	ms := time.Since(g.nd.wallStart).Milliseconds()
+	g.tel.emit("stream-start", uint64(ms), fmt.Sprintf("%s at %d ms", cause, ms))
+	// Stamp each payload with the send wall clock (fresh buffer per
+	// message: payload slices are shared by reference all the way to
+	// retransmission buffers).
+	g.src = workload.NewSource(g.sched, func(corr seq.NodeID, payload []byte) error {
+		if len(payload) >= 8 {
+			buf := make([]byte, len(payload))
+			copy(buf, payload)
+			binary.LittleEndian.PutUint64(buf, uint64(time.Now().UnixNano()))
+			payload = buf
+		}
+		local, err := g.e.Submit(corr, payload)
+		if err == nil {
+			g.sink.submitted(local)
+		}
+		return err
+	}, g.self, g.gc.Payload)
+	gap := sim.Time(float64(sim.Second) / g.gc.RateHz)
+	if gap < 1 {
+		gap = 1
+	}
+	g.src.CBR(g.sched.Now(), gap, g.gc.Count)
 }
 
 // step advances the group by one housekeeping tick: the local node's

@@ -277,7 +277,10 @@ func TestClusterSurvivesCrash(t *testing.T) {
 		SuspectMS:   2500, // must exceed worst-case process spawn stagger under CI load
 		IdleMS:      1500,
 		Specs: map[int]Spec{
-			4: {KillAfterMS: 700}, // mid-sending: the window spans 300–967ms
+			// Mid-sending: member 5's 100 messages go out over 660 ms
+			// from its stream's opening, once every peer answers a clock
+			// probe and 300 ms after launch at the latest.
+			4: {KillAfterMS: 450},
 		},
 		Dir:     t.TempDir(),
 		Command: selfExec(t),
@@ -346,7 +349,9 @@ func TestClusterLateJoin(t *testing.T) {
 		IdleMS:      1500,
 		Trace:       true,
 		Specs: map[int]Spec{
-			4: {Join: true, StartAfterMS: 900, Count: 40},
+			// The bootstrap stream runs ~1 s from its opening, which is
+			// 300 ms after launch at the latest: the join lands inside it.
+			4: {Join: true, StartAfterMS: 600, Count: 40},
 		},
 		Dir:     t.TempDir(),
 		Command: selfExec(t),
@@ -422,7 +427,10 @@ func TestClusterGracefulLeaveSIGTERM(t *testing.T) {
 		IdleMS:      1500,
 		Trace:       true,
 		Specs: map[int]Spec{
-			2: {TermAfterMS: 800, Count: 50}, // SIGTERM lands just after its 50 msgs went out
+			// SIGTERM lands after its 50 msgs went out (327 ms from the
+			// stream's opening, which is 300 ms after launch at the
+			// latest) and while the others still send (793 ms from it).
+			2: {TermAfterMS: 700, Count: 50},
 		},
 		Dir:     t.TempDir(),
 		Command: selfExec(t),

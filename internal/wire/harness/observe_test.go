@@ -160,9 +160,11 @@ func TestClusterObservabilityUnderChaos(t *testing.T) {
 	scrapeDone := make(chan struct{})
 	var scrapers sync.WaitGroup
 
-	// Sizing: majors source 250 @ 18/s (~0.5s–14.4s), so the stream is
-	// still flowing across the restart join (~8s) and the heal (13.5s) —
-	// nobody latches Done before the last member is back. The minority
+	// Sizing: majors source 250 @ 18/s for 13.8 s from the stream's
+	// opening (once every peer answers a clock probe, 0.5 s after launch
+	// at the latest), so the stream is still flowing across the restart
+	// join (~8s) and the heal (13.5s) — nobody latches Done before the
+	// last member is back. The minority
 	// and the doomed member source 25 each, finished long before their
 	// faults. 3×250 + 2×25 = 800 globals, inside the token's 1024-slot
 	// CompactKeep window, so the healed minority and the resumed member

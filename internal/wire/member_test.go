@@ -79,6 +79,19 @@ func launchLive(t *testing.T, n int, mutate func(i int, cfg *Config), delays map
 	return reports, errs
 }
 
+// awaitStreamStart blocks until nd has opened group 1's stream, which
+// happens once its peers answer a clock probe, or at start_ms at the
+// latest: a mid-stream fault is timed from here, not from launch.
+func awaitStreamStart(t *testing.T, nd *Node) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if _, ok := streamStarts(nd)[1]; ok {
+			return
+		}
+	}
+	t.Errorf("node %d never opened its stream", nd.cfg.Node)
+}
+
 // readTrace loads a delivery-trace file's lines.
 func readTrace(t *testing.T, path string) []string {
 	t.Helper()
@@ -103,8 +116,10 @@ func TestLiveTrioSurvivesCrash(t *testing.T) {
 		t.Skip("multi-second live cluster in -short")
 	}
 	reports, errs := launchLive(t, 3, nil, nil, func(nodes []*Node) {
-		// Mid-run: workload spans 200–400ms; the kill lands inside it.
-		time.Sleep(320 * time.Millisecond)
+		// Mid-run: the workload spans 200 ms from the stream's opening;
+		// the kill lands inside it.
+		awaitStreamStart(t, nodes[2])
+		time.Sleep(120 * time.Millisecond)
 		nodes[2].Kill()
 	})
 	if errs[2] == nil {
@@ -220,11 +235,11 @@ func TestLiveJoinInProcess(t *testing.T) {
 			cfg.Peers = []PeerAddr{{Node: 1}, {Node: 2}}
 		} else {
 			cfg.Count = 150
-			cfg.RateHz = 250 // members still sourcing when the joiner lands
+			cfg.RateHz = 250 // members still sourcing when the joiner lands: 600 ms from readiness, by 200 ms at the latest
 			// The joiner is NOT part of the bootstrap ring: only 1↔2.
 			cfg.Peers = []PeerAddr{{Node: uint32(2 - i)}}
 		}
-	}, map[int]time.Duration{2: 800 * time.Millisecond}, nil)
+	}, map[int]time.Duration{2: 400 * time.Millisecond}, nil)
 	for i := 0; i < 3; i++ {
 		if errs[i] != nil {
 			t.Fatalf("node %d: %v (report %+v)", i+1, errs[i], reports[i])
@@ -384,9 +399,11 @@ func TestLiveCoordinatorSuccession(t *testing.T) {
 		t.Skip("multi-second live cluster in -short")
 	}
 	reports, errs := launchLive(t, 5, nil, nil, func(nodes []*Node) {
-		// Node 5's heartbeats stop at ~320ms; with SuspectMS 600 the
-		// eviction epoch is in flight at coordinator 1 around ~920ms+.
-		time.Sleep(320 * time.Millisecond)
+		// Node 5's heartbeats stop 120 ms into its stream; with
+		// SuspectMS 600 the eviction epoch is in flight at coordinator 1
+		// some 600 ms+ later.
+		awaitStreamStart(t, nodes[4])
+		time.Sleep(120 * time.Millisecond)
 		nodes[4].Kill()
 		time.Sleep(660 * time.Millisecond)
 		nodes[0].Kill()

@@ -160,6 +160,10 @@ type peer struct {
 	// holds a reference; sections for a group without a reference are
 	// routed to that group's OnUnknown hook.
 	refs map[uint32]struct{}
+	// heardAt is the wall clock (Unix ns) at which the first datagram
+	// from the peer was taken; 0 until then. A clock probe sent before
+	// it may have waited in the socket of a process not yet started.
+	heardAt int64
 }
 
 // Transport is one UDP endpoint shared by every group a daemon hosts: a
@@ -210,8 +214,16 @@ type Transport struct {
 	removedStats PeerStats
 
 	// offsets holds the best (lowest-RTT) clock-offset sample per peer,
-	// collected from TimeSync pongs.
+	// collected from TimeSync pongs. live holds, per peer, when its first
+	// live sample came in: a pong to a ping sent after the peer was first
+	// heard from, so the peer was running when the ping left.
 	offsets map[seq.NodeID]offsetSample
+	live    map[seq.NodeID]time.Time
+
+	// await and onLive are the peers awaitLive waits for and what runs
+	// once every one of them holds a live sample. Executor only.
+	await  []seq.NodeID
+	onLive func()
 
 	// tracer, when attached and active, records datagram tx/rx spans
 	// for sampled Data messages. Set before Start; read without the
@@ -268,6 +280,7 @@ func Listen(cfg TransportConfig) (*Transport, error) {
 		handlers:   make(map[uint32]GroupHooks),
 		groupStats: make(map[uint32]*GroupStats),
 		offsets:    make(map[seq.NodeID]offsetSample),
+		live:       make(map[seq.NodeID]time.Time),
 		rng:        sim.NewRNG(cfg.Faults.Seed),
 		jitter:     sim.NewRNG(cfg.Faults.Seed ^ 0x9e3779b97f4a7c15),
 		faults:     cfg.Faults,
@@ -559,14 +572,46 @@ func (t *Transport) calibrate(s *sim.Scheduler, peers []seq.NodeID) {
 	}
 	ping := func() {
 		for _, id := range peers {
-			// Best-effort: lossy sockets drop some.
-			t.Send(GroupControl, id, &msg.TimeSync{Phase: 0, T1: time.Now().UnixNano()})
+			t.ping(id)
 		}
 	}
 	ping()
 	for r := sim.Time(1); r < clockSyncRounds; r++ {
 		s.After(r*clockSyncGap, ping)
 	}
+}
+
+// ping sends one clock probe to id. Best-effort: lossy sockets drop some.
+func (t *Transport) ping(id seq.NodeID) {
+	t.Send(GroupControl, id, &msg.TimeSync{Phase: 0, T1: time.Now().UnixNano()})
+}
+
+// awaitLive runs fn once every peer in peers holds a live clock sample:
+// at once if they all do already (or peers is empty), else on the
+// executor, from the pong that completes the set. Until then the first
+// datagram taken from a peer that holds no live sample draws a ping of
+// its own at once, so a peer that starts after the calibration rounds
+// still yields a live sample within a round trip of being heard.
+// Executor only.
+func (t *Transport) awaitLive(peers []seq.NodeID, fn func()) {
+	t.await, t.onLive = peers, fn
+	t.checkLive()
+}
+
+// checkLive runs the awaitLive callback if its peers are all live.
+// Executor only, which is also the only writer of t.live.
+func (t *Transport) checkLive() {
+	if t.onLive == nil {
+		return
+	}
+	for _, id := range t.await {
+		if t.live[id].IsZero() {
+			return
+		}
+	}
+	fn := t.onLive
+	t.await, t.onLive = nil, nil
+	fn()
 }
 
 // OffsetOf returns the estimated clock offset of peer id relative to the
@@ -593,7 +638,9 @@ func (t *Transport) PeerOffsets() map[seq.NodeID]PeerOffset {
 // handleTimeSync consumes one TimeSync at the transport layer, before the
 // datagram's group hooks run: pings are answered at once (minimizing the
 // asymmetric processing delay the offset formula cannot cancel), pongs
-// fold into the per-peer estimate.
+// fold into the per-peer estimate. A pong whose ping left after the peer
+// was first heard from is the peer's live sample, which may complete the
+// set awaitLive waits for.
 func (t *Transport) handleTimeSync(from seq.NodeID, v *msg.TimeSync) {
 	if v.Phase == 0 {
 		t.Send(GroupControl, from, &msg.TimeSync{Phase: 1, T1: v.T1, T2: time.Now().UnixNano()})
@@ -609,7 +656,15 @@ func (t *Transport) handleTimeSync(from seq.NodeID, v *msg.TimeSync) {
 	if old, ok := t.offsets[from]; !ok || rtt < old.rtt {
 		t.offsets[from] = offsetSample{offset: off, rtt: rtt}
 	}
+	p := t.peers[from]
+	fresh := t.live[from].IsZero() && p != nil && p.heardAt != 0 && v.T1 >= p.heardAt
+	if fresh {
+		t.live[from] = time.Now()
+	}
 	t.mu.Unlock()
+	if fresh {
+		t.checkLive()
+	}
 }
 
 // Close shuts the socket and joins the reader and all pending delay
@@ -695,7 +750,9 @@ func (t *Transport) exec(fn func()) {
 
 // deliver runs one decoded datagram through the drop matrix, the loss
 // injector, sequencing and stats, then answers or records its clock
-// probes and runs its sections' hooks in frame order. A sender the
+// probes and runs its sections' hooks in frame order. While awaitLive
+// waits, the first datagram from a peer with no live clock sample also
+// sends that peer a probe of our own. A sender the
 // transport does not know gets no fault injection or sequencing: its
 // sections route to OnUnknown (join solicitations, partition probes)
 // and its clock probes are ignored. Sections for unregistered groups are
@@ -733,6 +790,7 @@ func (t *Transport) deliver(f Frame, size int) {
 		}
 	}
 	p, known := t.peers[f.From]
+	reping := false // first heard from, with no live clock sample yet
 	if known {
 		if t.faults.Loss > 0 && t.rng.Bool(t.faults.Loss) {
 			p.st.InjectedDrops++
@@ -741,6 +799,10 @@ func (t *Transport) deliver(f Frame, size int) {
 		}
 		p.st.RecvDatagrams++
 		p.st.RecvBytes += uint64(size)
+		if p.heardAt == 0 {
+			p.heardAt = time.Now().UnixNano()
+			reping = t.onLive != nil && t.live[f.From].IsZero()
+		}
 		if f.Seqno <= p.rxMax && p.rxMax != 0 {
 			p.st.OutOfOrder++
 		} else {
@@ -803,6 +865,9 @@ func (t *Transport) deliver(f Frame, size int) {
 		p.st.InjectedDelays++
 	}
 	t.mu.Unlock()
+	if reping {
+		t.ping(f.From)
+	}
 	for _, ts := range syncs {
 		t.handleTimeSync(f.From, ts)
 	}

@@ -606,6 +606,47 @@ func TestTimeSyncOffset(t *testing.T) {
 	}
 }
 
+// TestTimeSyncLiveSample: a ping that waited in the socket of a peer not
+// yet started is answered late, so its pong is not a live sample. The
+// first datagram heard from the peer draws a ping of its own at once, and
+// that ping's pong is. The calibration rounds after the first never run
+// here, so the re-ping is the only way to a live sample.
+func TestTimeSyncLiveSample(t *testing.T) {
+	a, b := pairUp(t, Faults{}, Faults{})
+	da, db := NewDriver(sim.NewScheduler()), NewDriver(sim.NewScheduler())
+	da.Start()
+	defer da.Stop()
+	defer db.Stop()
+	a.startOn(da)
+	live := make(chan uint64, 1) // pongs a had taken from b when b went live
+	da.CallWait(func() {
+		// Round 0 leaves at once and waits in b's socket: b has no reader.
+		a.calibrate(sim.NewScheduler(), []seq.NodeID{2})
+		a.awaitLive([]seq.NodeID{2}, func() {
+			a.mu.Lock()
+			live <- a.peers[2].st.RecvDatagrams
+			a.mu.Unlock()
+		})
+	})
+	db.Start()
+	b.startOn(db)
+	var pongs uint64
+	select {
+	case pongs = <-live:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("b never became live; a took %d datagrams from it", a.Stats().Peers[2].RecvDatagrams)
+	}
+	if pongs != 2 {
+		t.Fatalf("b became live on the pong of datagram %d from it, want 2: the stale ping's pong must not count, the re-ping's must", pongs)
+	}
+	if n := b.Stats().Peers[1].RecvDatagrams; n != 2 {
+		t.Fatalf("b took %d pings, want 2: the stale one and the re-ping", n)
+	}
+	if _, ok := a.OffsetOf(2); !ok {
+		t.Fatal("no clock-offset sample collected")
+	}
+}
+
 // TestRemovePeer: when the last group's reference to a peer goes, its
 // frames count as unknown, sends to it fail, and its traffic history
 // survives in the dead-peer aggregate. While another group still holds a
