@@ -9,9 +9,8 @@ import (
 
 // TestDetectorFlapReset drives the detector through suspect→alive→suspect
 // races and checks that a heartbeat from a suspect fully resets its
-// detector state: the suspicion flag, the strike count, and the silence
-// clock. A flapping peer must re-earn every strike from scratch each
-// episode instead of inheriting the previous episode's tally.
+// detector state: the suspicion flag and the silence clock. A flapping
+// peer must stay silent a whole threshold again before it is suspected.
 func TestDetectorFlapReset(t *testing.T) {
 	const threshold = 100 * sim.Millisecond
 	const peer = seq.NodeID(7)
@@ -22,7 +21,6 @@ func TestDetectorFlapReset(t *testing.T) {
 		// expectations after a sweep step:
 		wantSilent    bool
 		wantSuspected bool
-		wantStrikes   int
 	}
 	cases := []struct {
 		name  string
@@ -32,9 +30,9 @@ func TestDetectorFlapReset(t *testing.T) {
 			name: "silence accumulates strikes",
 			steps: []step{
 				{at: 50 * sim.Millisecond, wantSilent: false},
-				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 1},
-				{at: 250 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 2},
-				{at: 350 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 3},
+				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true},
+				{at: 250 * sim.Millisecond, wantSilent: true, wantSuspected: true},
+				{at: 350 * sim.Millisecond, wantSilent: true, wantSuspected: true},
 			},
 		},
 		{
@@ -48,30 +46,30 @@ func TestDetectorFlapReset(t *testing.T) {
 		{
 			name: "flap resets strikes to zero",
 			steps: []step{
-				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 1},
-				{at: 250 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 2},
+				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true},
+				{at: 250 * sim.Millisecond, wantSilent: true, wantSuspected: true},
 				{at: 300 * sim.Millisecond, heard: true}, // suspect speaks again
 				{at: 350 * sim.Millisecond, wantSilent: false},
-				// Second episode: strikes restart at 1, not 3.
-				{at: 450 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 1},
+				// Second episode: suspected again only a threshold after it spoke.
+				{at: 450 * sim.Millisecond, wantSilent: true, wantSuspected: true},
 			},
 		},
 		{
 			name: "rapid suspect-alive-suspect race",
 			steps: []step{
-				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 1},
+				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true},
 				{at: 151 * sim.Millisecond, heard: true},
 				{at: 152 * sim.Millisecond, wantSilent: false},
-				{at: 260 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 1},
+				{at: 260 * sim.Millisecond, wantSilent: true, wantSuspected: true},
 				{at: 261 * sim.Millisecond, heard: true},
 				{at: 262 * sim.Millisecond, wantSilent: false},
-				{at: 370 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 1},
+				{at: 370 * sim.Millisecond, wantSilent: true, wantSuspected: true},
 			},
 		},
 		{
 			name: "heartbeat between sweeps clears suspicion immediately",
 			steps: []step{
-				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true, wantStrikes: 1},
+				{at: 150 * sim.Millisecond, wantSilent: true, wantSuspected: true},
 				{at: 200 * sim.Millisecond, heard: true},
 				// No sweep ran yet, but Heard alone must already have
 				// cleared the flag (step checks below run after every step).
@@ -89,9 +87,6 @@ func TestDetectorFlapReset(t *testing.T) {
 					if d.Suspected(peer) {
 						t.Fatalf("step %d: still suspected right after Heard", i)
 					}
-					if got := d.Strikes(peer); got != 0 {
-						t.Fatalf("step %d: strikes = %d after Heard, want 0", i, got)
-					}
 					continue
 				}
 				silent := d.Silent(s.at)
@@ -102,16 +97,14 @@ func TestDetectorFlapReset(t *testing.T) {
 				if got := d.Suspected(peer); got != s.wantSuspected {
 					t.Fatalf("step %d (t=%v): suspected = %v, want %v", i, s.at, got, s.wantSuspected)
 				}
-				if got := d.Strikes(peer); got != s.wantStrikes {
-					t.Fatalf("step %d (t=%v): strikes = %d, want %d", i, s.at, got, s.wantStrikes)
-				}
 			}
 		})
 	}
 }
 
-// TestDetectorForgetClearsSuspicion checks Forget drops all three pieces
-// of per-peer state, so a re-watched peer starts a brand-new episode.
+// TestDetectorForgetClearsSuspicion checks Forget drops the peer's
+// suspicion and its silence clock, so a re-watched peer starts a
+// brand-new episode.
 func TestDetectorForgetClearsSuspicion(t *testing.T) {
 	const threshold = 100 * sim.Millisecond
 	const peer = seq.NodeID(3)
@@ -121,9 +114,8 @@ func TestDetectorForgetClearsSuspicion(t *testing.T) {
 		t.Fatalf("silent = %v, want [%d]", got, peer)
 	}
 	d.Forget(peer)
-	if d.Watching(peer) || d.Suspected(peer) || d.Strikes(peer) != 0 {
-		t.Fatalf("state survived Forget: watching=%v suspected=%v strikes=%d",
-			d.Watching(peer), d.Suspected(peer), d.Strikes(peer))
+	if silent := d.Silent(190 * sim.Millisecond); len(silent) != 0 || d.Suspected(peer) {
+		t.Fatalf("state survived Forget: silent=%v suspected=%v", silent, d.Suspected(peer))
 	}
 	// Re-watch at a later time: full fresh window before suspicion.
 	d.Watch(peer, 200*sim.Millisecond)

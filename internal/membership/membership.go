@@ -53,13 +53,10 @@ func DefaultConfig() Config {
 type Detector struct {
 	suspect   sim.Time
 	lastHeard map[seq.NodeID]sim.Time
-	// suspected and strikes are first-class suspicion state maintained by
-	// Silent: a peer past the threshold is suspected with one strike per
-	// sweep it stays silent, and a heartbeat fully resets both — a flap
-	// (suspect → alive → suspect) restarts from a clean slate instead of
-	// inheriting the previous episode's accumulated strikes.
+	// suspected is the suspicion state maintained by Silent: a peer past
+	// the threshold is suspected, and a heartbeat clears it — a flap
+	// (suspect → alive → suspect) restarts from a clean slate.
 	suspected map[seq.NodeID]bool
-	strikes   map[seq.NodeID]int
 }
 
 // NewDetector builds a detector with the given silence threshold.
@@ -68,18 +65,15 @@ func NewDetector(suspect sim.Time) *Detector {
 		suspect:   suspect,
 		lastHeard: make(map[seq.NodeID]sim.Time),
 		suspected: make(map[seq.NodeID]bool),
-		strikes:   make(map[seq.NodeID]int),
 	}
 }
 
 // Heard records a liveness proof (heartbeat or any traffic) from p and
-// fully resets any suspicion state: a suspect that speaks again before
-// eviction is a healthy peer with a fresh window, not a peer one strike
-// from the gallows.
+// clears any suspicion: a suspect that speaks again before eviction is
+// a healthy peer with a fresh window.
 func (d *Detector) Heard(p seq.NodeID, now sim.Time) {
 	d.lastHeard[p] = now
 	delete(d.suspected, p)
-	delete(d.strikes, p)
 }
 
 // Watch starts p's silence clock if it is not already running — a peer
@@ -90,31 +84,19 @@ func (d *Detector) Watch(p seq.NodeID, now sim.Time) {
 	}
 }
 
-// Watching reports whether p's clock is running.
-func (d *Detector) Watching(p seq.NodeID) bool {
-	_, ok := d.lastHeard[p]
-	return ok
-}
-
 // Forget drops p (removed from the ring, or handed to repair — a
 // recovering peer restarts with a fresh window).
 func (d *Detector) Forget(p seq.NodeID) {
 	delete(d.lastHeard, p)
 	delete(d.suspected, p)
-	delete(d.strikes, p)
 }
 
 // Suspected reports whether p is currently past the silence threshold
 // (as of the last Silent sweep).
 func (d *Detector) Suspected(p seq.NodeID) bool { return d.suspected[p] }
 
-// Strikes returns how many consecutive Silent sweeps have reported p
-// since it last spoke. Zero for a live or unwatched peer.
-func (d *Detector) Strikes(p seq.NodeID) int { return d.strikes[p] }
-
 // Silent returns the watched peers whose silence exceeds the threshold,
-// in ascending order (deterministic sweep), marking each as suspected
-// and charging it one strike.
+// in ascending order (deterministic sweep), marking each as suspected.
 func (d *Detector) Silent(now sim.Time) []seq.NodeID {
 	var out []seq.NodeID
 	for p, last := range d.lastHeard {
@@ -125,7 +107,6 @@ func (d *Detector) Silent(now sim.Time) []seq.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	for _, p := range out {
 		d.suspected[p] = true
-		d.strikes[p]++
 	}
 	return out
 }

@@ -268,9 +268,6 @@ func TestDetector(t *testing.T) {
 		t.Fatalf("want sorted [2 3], got %v", s)
 	}
 	d.Forget(2)
-	if d.Watching(2) {
-		t.Fatal("forgotten peer still watched")
-	}
 	if s := d.Silent(200 * sim.Millisecond); len(s) != 1 || s[0] != 3 {
 		t.Fatalf("want [3] after Forget, got %v", s)
 	}

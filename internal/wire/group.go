@@ -475,16 +475,12 @@ func (g *ringGroup) step(now sim.Time) {
 
 // tokenOrigin reports whether this member is its group's one Token-Loss
 // origin: the live coordinator while joined and not lame (if it dies, its
-// successor takes over with the eviction epoch), or the static ring's
-// top-ring leader, which injected the token, until the group is drained:
-// its peers then exit as they finish and take the token with them, and
-// a regenerated token would order nothing.
+// successor takes over with the eviction epoch). A static ring has none:
+// its one token's courier retries without bound and no member is ever
+// evicted, so silence there is a slow token or a dead member, and a
+// regenerated token cannot mend either.
 func (g *ringGroup) tokenOrigin() bool {
-	if g.ms != nil {
-		return g.ms.Joined() && !g.ms.Lame() && g.ms.coordinator() == g.self
-	}
-	top := g.e.H.TopRing()
-	return !g.drained && top != nil && top.Leader() == g.self
+	return g.ms != nil && g.ms.Joined() && !g.ms.Lame() && g.ms.coordinator() == g.self
 }
 
 // epoch is the group's membership epoch; a static ring has none (0).

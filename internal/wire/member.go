@@ -34,13 +34,15 @@ import (
 // partition merge) flows through one staged proposal per epoch.
 //
 // The committed RingUpdate carries the full member list (with
-// transport addresses) to every member. Heartbeats echo the sender's
-// epoch, so dissemination is reliable by retry-until-echoed — bounded
-// by exponential backoff with jitter and a per-epoch attempt cap, so a
-// dead peer stops costing datagrams (a heartbeat from a written-off
-// peer revives its resends). Members apply an update by reforming the
-// topology ring in place, admitting new peers to the substrate,
-// refreshing the local NE's neighbor view, and severing
+// transport addresses) to every member, once. Heartbeats echo the
+// sender's epoch, so a member that missed an epoch says so on its next
+// heartbeat, and whichever member hears it answers with the current
+// epoch: one reply per stale heartbeat, so the laggard's own beacon rate
+// bounds the catch-up traffic, and a dead peer costs nothing. An evicted
+// leaver still draining answers too, which is how survivors that missed
+// a leaving coordinator's farewell learn of it. Members apply an update
+// by reforming the topology ring in place, admitting new peers to the
+// substrate, refreshing the local NE's neighbor view, and severing
 // reliable-delivery state aimed at removed members. The coordinator
 // commits an epoch by disseminating it and then applying it as every
 // other member does. The group's token watchdog (ringGroup.step) raises
@@ -85,11 +87,6 @@ const (
 	// probeEvery throttles a lame member's heartbeats toward suspects to
 	// one in this many ticks — these are the heal probes.
 	probeEvery = 4
-	// maxResendAttempts caps per-epoch RingUpdate retransmissions toward
-	// one laggard before it is written off.
-	maxResendAttempts = 12
-	// maxResendInterval caps the exponential resend backoff.
-	maxResendInterval = 5 * sim.Second
 	// proposalTimeoutTicks (× Heartbeat) bounds how long a proposal may
 	// sit at one epoch number without reaching quorum before the
 	// proposer retries at a higher number. This is what un-wedges
@@ -132,15 +129,6 @@ type proposal struct {
 	need     int
 }
 
-// resendState bounds RingUpdate retransmission toward one laggard.
-type resendState struct {
-	epoch    uint64
-	next     sim.Time
-	interval sim.Time
-	attempts int
-	written  bool // written off (one-shot log fired)
-}
-
 // Membership runs the live-membership state machine for one wire node.
 // It keeps no clock of its own: messages arrive through the local NE's
 // aux handler, and the group's housekeeping step calls tick once per
@@ -159,8 +147,7 @@ type Membership struct {
 	order   []seq.NodeID          // sorted member ids
 	ringID  topology.RingID
 
-	det       *membership.Detector // shared with the sim membership manager
-	peerEpoch map[seq.NodeID]uint64
+	det *membership.Detector // shared with the sim membership manager
 
 	joined  bool
 	leaving bool
@@ -192,10 +179,7 @@ type Membership struct {
 	healDoneAt  sim.Time
 	probeTick   uint64
 
-	// Bounded dissemination state.
-	resend     map[seq.NodeID]*resendState
 	lastUpdate *msg.RingUpdate // the current epoch's update (nil only before a joiner's splice)
-	rng        *sim.RNG        // resend jitter
 
 	// ResumeFront, when non-zero, is the durable delivery front this
 	// node recovered from its on-disk log. Joiners offer it in their
@@ -239,7 +223,6 @@ func NewMembership(e *core.Engine, net *outboxNet, tel *groupTelemetry, self seq
 		e: e, ne: e.NE(self), net: net, tel: tel, self: self, addr: selfAddr, cfg: cfg,
 		members:          make(map[seq.NodeID]string),
 		det:              membership.NewDetector(cfg.Suspect),
-		peerEpoch:        make(map[seq.NodeID]uint64),
 		pendingLeave:     make(map[seq.NodeID]bool),
 		pendingJoin:      make(map[seq.NodeID]string),
 		pendingMerge:     make(map[seq.NodeID]string),
@@ -247,8 +230,6 @@ func NewMembership(e *core.Engine, net *outboxNet, tel *groupTelemetry, self seq
 		graves:           make(map[seq.NodeID]string),
 		lastSummary:      make(map[seq.NodeID]sim.Time),
 		prevSuspect:      make(map[seq.NodeID]bool),
-		resend:           make(map[seq.NodeID]*resendState),
-		rng:              sim.NewRNG(uint64(self)),
 		ringID:           ringID,
 		seeds:            seeds,
 	}
@@ -385,11 +366,11 @@ func (m *Membership) Recv(from seq.NodeID, message msg.Message) {
 	case *msg.Heartbeat:
 		if _, ok := m.members[v.From]; ok {
 			m.det.Heard(v.From, m.e.Scheduler().Now())
-			m.peerEpoch[v.From] = v.Epoch
-			// A heartbeat from a written-off laggard proves it is alive:
-			// revive its resends with a fresh attempt budget.
-			if rs := m.resend[v.From]; rs != nil && rs.written && v.Epoch < m.epoch {
-				delete(m.resend, v.From)
+			// A member of the current epoch that echoes an older one
+			// missed the update: catch it up now. An evicted leaver
+			// answers too, so survivors that lost its farewell learn of it.
+			if v.Epoch < m.epoch {
+				m.sendUpdate(v.From)
 			}
 		} else {
 			// Non-member heartbeat: a previously-evicted node probing
@@ -578,8 +559,8 @@ func (m *Membership) markHealStart(now sim.Time) {
 }
 
 // coordinate runs one coordinator round: build or refresh the staged
-// proposal, push vote requests, or — with nothing staged — resend the
-// current epoch to laggards.
+// proposal and push vote requests. With nothing staged it sends nothing:
+// laggards are caught up when their heartbeats arrive (Recv).
 func (m *Membership) coordinate(now sim.Time) {
 	if m.prop != nil && m.prop.epoch <= m.epoch {
 		m.prop = nil // superseded by a committed/applied epoch
@@ -602,11 +583,9 @@ func (m *Membership) coordinate(now sim.Time) {
 	} else {
 		m.refreshProposal(now)
 	}
-	if m.prop == nil {
-		m.resendUpdates(now)
-		return
+	if m.prop != nil {
+		m.pushVotes()
 	}
-	m.pushVotes()
 }
 
 // buildProposal stages the next epoch from current suspicion and the
@@ -811,8 +790,8 @@ func (m *Membership) handleVoteReq(v *msg.QuorumVote) {
 		return
 	}
 	if v.Base > m.epoch || v.Epoch <= v.Base {
-		// We are the laggard — the proposer's committed epoch will reach
-		// us through normal dissemination — or the number is malformed.
+		// We are the laggard — our next heartbeat draws the committed
+		// epoch — or the number is malformed.
 		return
 	}
 	if v.Epoch < m.granted.epoch {
@@ -858,9 +837,10 @@ func (m *Membership) checkQuorum() bool {
 
 // commit makes a quorum-approved epoch real: disseminate it, then adopt
 // it through applyUpdate, as every other member does. What stays here is
-// the coordinator's own: the merge count and the heal's end, the farewell
-// resends when the epoch excludes this node, and the Token-Loss signal
-// when the epoch evicted a suspect.
+// the coordinator's own: the merge count and the heal's end, and the
+// Token-Loss signal when the epoch evicted a suspect. A leaving
+// coordinator sends its farewell once, like any epoch: a survivor that
+// missed it keeps heartbeating the leaver, which answers from Recv.
 func (m *Membership) commit(p *proposal) {
 	u := p.update
 	if p.isMerge {
@@ -872,55 +852,10 @@ func (m *Membership) commit(p *proposal) {
 	}
 	m.sendAll(u)
 	m.applyUpdate(u)
-	if m.evicted {
-		// Coordinator leaving: our own topology keeps the old view to
-		// serve the drain. Resend the farewell epoch a few times against
-		// loss; then the survivors' new coordinator takes over.
-		for i := sim.Time(1); i <= 3; i++ {
-			m.e.Scheduler().After(i*m.cfg.Heartbeat, func() { m.sendAll(u) })
-		}
-		return
-	}
-	if p.hadDead {
+	if p.hadDead && !m.evicted {
 		// The departed may have held the token; OrdersWell filters the
 		// signal when circulation is demonstrably healthy.
 		m.e.OnTokenLoss(m.self)
-	}
-}
-
-// resendUpdates pushes the current epoch at laggards (members whose
-// heartbeats echo an older epoch), bounded by exponential backoff with
-// jitter and a per-epoch attempt cap.
-func (m *Membership) resendUpdates(now sim.Time) {
-	for _, p := range m.order {
-		if p == m.self || m.peerEpoch[p] >= m.epoch {
-			continue
-		}
-		rs := m.resend[p]
-		if rs == nil || rs.epoch != m.epoch {
-			rs = &resendState{epoch: m.epoch, next: now, interval: m.cfg.Heartbeat}
-			m.resend[p] = rs
-		}
-		if now < rs.next {
-			continue
-		}
-		if rs.attempts >= maxResendAttempts {
-			if !rs.written {
-				rs.written = true
-				m.tel.emit("resend-write-off", uint64(p), fmt.Sprintf("epoch %d after %d resends", m.epoch, rs.attempts))
-			}
-			continue
-		}
-		m.sendUpdate(p)
-		rs.attempts++
-		jitter := sim.Time(m.rng.Int63n(int64(rs.interval/2) + 1))
-		rs.next = now + rs.interval + jitter
-		if rs.interval < maxResendInterval {
-			rs.interval *= 2
-			if rs.interval > maxResendInterval {
-				rs.interval = maxResendInterval
-			}
-		}
 	}
 }
 
@@ -1247,8 +1182,6 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		m.tel.emit("evict", uint64(dead), fmt.Sprintf("epoch %d", u.Epoch))
 		m.ne.DropPeer(dead)
 		m.det.Forget(dead)
-		delete(m.peerEpoch, dead)
-		delete(m.resend, dead)
 		dead := dead
 		// Lame-duck retirement: keep the corpse addressable while drains
 		// (a leaver's token-handoff ack, straggler Nack service) finish.

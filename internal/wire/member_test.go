@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
+	"repro/internal/seq"
 	"repro/internal/sim"
 )
 
@@ -515,6 +517,173 @@ func TestLiveMembershipAddsNoSchedulerEvents(t *testing.T) {
 			}
 		}
 		t.Logf("live %v, %d ms heartbeat: at most %d pending events at 1, 8 and 100 groups", c.live, c.heartbeatMS, one)
+	}
+}
+
+// undrivenLive builds member self of a live ring of members 1..n, hosting
+// group 1 with nothing to source, on a scheduler no driver runs. Its
+// peers are addresses that answer nothing, and its suspect timeout
+// outlasts every test that steps it, so it suspects no one.
+func undrivenLive(t *testing.T, self uint32, n int) (*Node, *ringGroup) {
+	t.Helper()
+	var peers []PeerAddr
+	for p := uint32(1); p <= uint32(n); p++ {
+		if p != self {
+			peers = append(peers, PeerAddr{Node: p, Addr: "127.0.0.1:9"})
+		}
+	}
+	nd, err := NewNode(Config{
+		Node:        self,
+		Listen:      "127.0.0.1:0",
+		Live:        true,
+		Peers:       peers,
+		Groups:      []GroupConfig{{ID: 1, Count: -1}},
+		HeartbeatMS: 100,
+		SuspectMS:   60000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nd.tr.Close() })
+	g, err := newRingGroup(nd, nd.cfg.Groups[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.sink.close)
+	g.start()
+	return nd, g
+}
+
+// updatesTo returns the RingUpdates waiting in nd's box for peer to, and
+// empties the box.
+func updatesTo(nd *Node, to seq.NodeID) []*msg.RingUpdate {
+	var us []*msg.RingUpdate
+	for _, m := range pending(nd.ob, 1, to) {
+		if u, ok := m.(*msg.RingUpdate); ok {
+			us = append(us, u)
+		}
+	}
+	nd.ob.Drop(1, to)
+	return us
+}
+
+// commitLeave makes coordinator g commit the epoch that evicts leaver:
+// the leaver asks (or, when it is g itself, g stages its own departure),
+// and member 2 grants the vote.
+func commitLeave(t *testing.T, g *ringGroup, leaver seq.NodeID) {
+	t.Helper()
+	if leaver == g.self {
+		g.ms.Leave()
+	} else {
+		g.nd.tr.handlers[1].Handler(leaver, []msg.Message{&msg.LeaveReq{Group: 1, Node: leaver}})
+	}
+	g.nd.tr.handlers[1].Handler(2, []msg.Message{&msg.QuorumVote{Group: 1, Epoch: 2, Base: 1, Proposer: g.self, Voter: 2, Granted: true}})
+	if g.ms.Epoch() != 2 {
+		t.Fatalf("coordinator at epoch %d after member %d's leave was granted, want 2", g.ms.Epoch(), leaver)
+	}
+}
+
+// TestLiveStaleHeartbeatDrawsCurrentEpoch: a member that is not the
+// coordinator answers a heartbeat echoing an older epoch with one copy of
+// the current epoch's RingUpdate, at once, and a heartbeat echoing the
+// current epoch with nothing.
+func TestLiveStaleHeartbeatDrawsCurrentEpoch(t *testing.T) {
+	nd, g := undrivenLive(t, 3, 3)
+	handler := nd.tr.handlers[1].Handler
+	handler(1, []msg.Message{&msg.RingUpdate{Group: 1, Epoch: 2, Coord: 1, Members: []msg.MemberAddr{
+		{Node: 1, Addr: "127.0.0.1:9"}, {Node: 2, Addr: "127.0.0.1:9"}, {Node: 3, Addr: nd.LocalAddr()},
+	}}})
+	if g.ms.Epoch() != 2 || g.ms.coordinator() == g.self {
+		t.Fatalf("member 3 at epoch %d, coordinator %d; want epoch 2, not itself", g.ms.Epoch(), g.ms.coordinator())
+	}
+	updatesTo(nd, 2)
+	handler(2, []msg.Message{&msg.Heartbeat{From: 2, Epoch: 1}})
+	if us := updatesTo(nd, 2); len(us) != 1 || us[0].Epoch != 2 {
+		t.Fatalf("a heartbeat echoing epoch 1 drew %d RingUpdates (%v), want one for epoch 2", len(us), us)
+	}
+	handler(2, []msg.Message{&msg.Heartbeat{From: 2, Epoch: 2}})
+	if us := updatesTo(nd, 2); len(us) != 0 {
+		t.Fatalf("a heartbeat echoing the current epoch drew %d RingUpdates", len(us))
+	}
+}
+
+// TestLiveCoordinatorSendsNoTimedResends: a coordinator disseminates an
+// epoch once, when it commits it. A peer that never heartbeats (dead, or
+// cut off) costs no further RingUpdate, however long the coordinator
+// steps: laggards are answered on their heartbeats, not on a timer.
+func TestLiveCoordinatorSendsNoTimedResends(t *testing.T) {
+	nd, g := undrivenLive(t, 1, 3)
+	commitLeave(t, g, 3)
+	if us := updatesTo(nd, 2); len(us) != 1 || us[0].Epoch != 2 {
+		t.Fatalf("commit queued %d RingUpdates to member 2 (%v), want one for epoch 2", len(us), us)
+	}
+	sent := g.net.stats.ByKind[msg.KindRingUpdate]
+	for now := stepEvery; now <= 5*sim.Second; now += stepEvery {
+		nd.drv.sched.Run(now)
+		g.step(now)
+	}
+	if n := g.net.stats.ByKind[msg.KindRingUpdate] - sent; n != 0 || g.ms.Lame() || g.ms.coordinator() != g.self {
+		t.Fatalf("5 s of silent peers: %d RingUpdates sent, lame %v, coordinator %d; want 0, false, 1",
+			n, g.ms.Lame(), g.ms.coordinator())
+	}
+}
+
+// TestLiveLeaverAnswersMissedFarewell: a leaving coordinator sends the
+// epoch that excludes it once. When that farewell is lost, a survivor
+// still heartbeats the leaver at the old epoch, and the leaver, evicted
+// but still draining, answers with the excluding epoch at once, before
+// any scheduler event runs.
+func TestLiveLeaverAnswersMissedFarewell(t *testing.T) {
+	nd, g := undrivenLive(t, 1, 3)
+	commitLeave(t, g, 1)
+	if !g.ms.Evicted() {
+		t.Fatal("the leaving coordinator is not evicted by its own epoch")
+	}
+	updatesTo(nd, 2) // the farewell is lost
+	updatesTo(nd, 3)
+	nd.tr.handlers[1].Handler(2, []msg.Message{&msg.Heartbeat{From: 2, Epoch: 1}})
+	us := updatesTo(nd, 2)
+	if len(us) != 1 || us[0].Epoch != 2 {
+		t.Fatalf("the survivor's stale heartbeat drew %d RingUpdates (%v), want one for epoch 2", len(us), us)
+	}
+	for _, ma := range us[0].Members {
+		if ma.Node == g.self {
+			t.Fatalf("the answer %v still lists the leaver", us[0])
+		}
+	}
+}
+
+// TestLiveTokenLossFromCoordinatorOnly: in a live ring whose token has
+// fallen silent, only the coordinator raises Token-Loss: first within
+// tokenWatch + stepEvery of the silence, then at most once per
+// tokenWatch. Members that have held the token but do not coordinate
+// never raise it, so regeneration has one origin. The token goes from
+// member 1 to 2 to 3 and no further; no ack is delivered.
+func TestLiveTokenLossFromCoordinatorOnly(t *testing.T) {
+	var groups []*ringGroup
+	for self := uint32(1); self <= 3; self++ {
+		_, g := undrivenLive(t, self, 3)
+		groups = append(groups, g)
+	}
+	passToken(t, groups[0], groups[1])
+	passToken(t, groups[1], groups[2])
+	for i, g := range groups {
+		at := tokenLossSignals(t, g, 1500*sim.Millisecond)
+		if i > 0 {
+			if len(at) != 0 || g.e.Tel.TokenRegens.Value() != 0 {
+				t.Fatalf("member %d, not the coordinator, raised Token-Loss at %v and started %d regenerations",
+					i+1, at, g.e.Tel.TokenRegens.Value())
+			}
+			continue
+		}
+		if len(at) == 0 || at[0] != tokenWatch+stepEvery {
+			t.Fatalf("coordinator raised Token-Loss at %v, want first at %v", at, tokenWatch+stepEvery)
+		}
+		for k := 1; k < len(at); k++ {
+			if at[k]-at[k-1] <= tokenWatch {
+				t.Fatalf("coordinator raised Token-Loss at %v: twice within %v", at, tokenWatch)
+			}
+		}
 	}
 }
 
