@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/seq"
 	"repro/internal/sim"
 )
@@ -22,11 +23,12 @@ import (
 // sink, workload and timers run on that loop, and so does each inbound
 // datagram's dispatch, one call per datagram: all protocol state in the
 // process is touched from one goroutine, and it is the only one that
-// sends. So does the daemon's own life: one housekeeping tick steps
-// every group's lifecycle and ends the run once every peer of every
-// group has said it is drained, one tick fsyncs every durable log, and
-// the deadline and the fallback exit linger are scheduler events; the
-// event that ends the run collects every group's report and closes done.
+// sends. So does the daemon's own life: the run ends on the event that
+// finishes its last group (every peer of every group has said it is
+// drained), one housekeeping tick steps every group as the backstop for
+// what only time decides, one tick fsyncs every durable log, and the
+// deadline and the fallback exit linger are scheduler events; the event
+// that ends the run collects every group's report and closes done.
 // Inbound datagrams demultiplex by the group id in each frame section;
 // outbound traffic from all groups coalesces in the outbox. Build with
 // NewNode, optionally patch late-bound peer addresses, then Run.
@@ -46,6 +48,12 @@ type Node struct {
 
 	killed   chan struct{}
 	killOnce sync.Once
+
+	// settled is how a group tells the daemon it drained, left or
+	// finished, on the event that did it: lifecycle arms it to end the
+	// run once every group is finished, and to start the linger once
+	// every group is done. A no-op until then. Driver goroutine only.
+	settled func()
 
 	// done closes once the driver has ended the run; the event that ends
 	// it writes every group's exit report and the first error among them
@@ -91,6 +99,7 @@ func NewNode(cfg Config) (*Node, error) {
 		tel:       newNodeTelemetry(cfg.Node, cfg.TraceSampleMod),
 		wallStart: time.Now(),
 		killed:    make(chan struct{}),
+		settled:   func() {},
 		done:      make(chan struct{}),
 	}
 	nd.ob.SetFlushHistogram(nd.tel.outboxFlushBytes)
@@ -283,8 +292,9 @@ func (nd *Node) Run() (Report, error) {
 }
 
 // lingerFor is how long a daemon whose groups are all done keeps running
-// while one of them is not finished: the ceiling for a lost Drained
-// notice, and the grace a group that left its ring gives stragglers.
+// while one of them is not finished: the ceiling for a Drained notice
+// whose every copy was lost, and the grace a group that left its ring
+// gives stragglers.
 const lingerFor = 300 * sim.Millisecond
 
 // peerIDs lists the configured peers: the spawn-time ring.
@@ -303,18 +313,29 @@ func (nd *Node) peerIDs() []seq.NodeID {
 // them, so a configured stagger between groups survives. The StartMS
 // timer each group armed at start is the ceiling: whichever comes first
 // opens the stream, so a peer that never answers costs StartMS, and a
-// joiner opens StartMS after it joins. One housekeeping tick steps every
-// group; one tick fsyncs every durable log; with -report-interval, one
-// tick writes the live report to stderr. The run
-// ends at the first step at which every group is finished (drained, and
-// every live peer has said Drained), once that step's sends are flushed;
-// or lingerFor after every group is done; or at the deadline, whichever
-// comes first. The linger is the ceiling for when a Drained notice was
-// lost, and what a group that left the ring gets: a done group keeps
-// running through it, serving straggler repairs and answering Done
-// beacons, so a peer that lost our notices to the same faults we gossip
-// about still hears one before the daemon exits. The event that ends the
-// run collects every group and closes done. Driver goroutine only.
+// joiner opens StartMS after it joins.
+//
+// The end of the run moves on messages too. Each group settles its own
+// lifecycle on the event that moves it (ringGroup.settle) and calls
+// settled when it drains, leaves or finishes. The run ends on the event
+// that leaves every group finished (drained, and every live peer has said
+// Drained) — the last Drained notice in, or the last group's own drain —
+// once that event's sends are flushed; or lingerFor after every group is
+// done; or at the deadline, whichever comes first. Ending repeats every
+// drained group's Drained notice in a flush of its own, so a peer that
+// lost the first copy ends on the repeat. The linger is the ceiling for
+// when every copy was lost, and what a group that left the ring gets: a
+// done group keeps running through it, serving straggler repairs and
+// answering Done beacons, so a peer that lost our notices to the same
+// faults we gossip about still hears one before the daemon exits. The
+// event that ends the run collects every group and closes done.
+//
+// One housekeeping tick steps every group (ringGroup.step), the backstop
+// for what only time decides: live convergence on IdleMS of quiet, the
+// quiesce bound on a drain, heartbeats, the token watchdog and the
+// Order-Assignment pass. One tick fsyncs every durable log; with
+// -report-interval, one tick writes the live report to stderr. Driver
+// goroutine only.
 func (nd *Node) lifecycle(groups []*ringGroup) {
 	s := nd.drv.sched
 
@@ -371,10 +392,8 @@ func (nd *Node) lifecycle(groups []*ringGroup) {
 
 	var house *sim.Ticker
 	var deadline, linger sim.Timer
+	ending := false
 	end := func() {
-		house.Stop()
-		deadline.Stop()
-		linger.Stop()
 		nd.exit = make([]GroupReport, len(groups))
 		for i, g := range groups {
 			var err error
@@ -384,24 +403,50 @@ func (nd *Node) lifecycle(groups []*ringGroup) {
 		}
 		close(nd.done)
 	}
-	deadline = s.After(sim.Time(nd.cfg.DeadlineMS)*sim.Millisecond, end)
-	house = s.Every(stepEvery, func() {
-		now := s.Now()
+	// wrapUp ends the run in two zero-delay events, each after the
+	// flushes queued before it. The first repeats every drained group's
+	// Drained notice, so the repeat leaves in a datagram of its own: a
+	// peer that lost our first copy could otherwise only wait out its
+	// lingerFor, since once we have ended nothing it sends reaches us.
+	// The second ends the run once the repeat has gone out.
+	wrapUp := func() {
+		if ending {
+			return
+		}
+		ending = true
+		house.Stop()
+		deadline.Stop()
+		linger.Stop()
+		s.After(0, func() {
+			for _, g := range groups {
+				if g.drained {
+					g.announce(&msg.Done{Drained: true})
+				}
+			}
+			s.After(0, end)
+		})
+	}
+	nd.settled = func() {
 		done, finished := true, true
 		for _, g := range groups {
-			g.step(now)
 			done = done && g.done()
 			finished = finished && g.finished()
 		}
 		switch {
+		case ending:
 		case finished:
-			// Nobody needs us: end after the flushes this step queued
-			// (its Drained notices among them), which run first.
-			linger.Stop()
-			linger = s.After(0, end)
+			wrapUp() // nobody needs us
 		case done && !linger.Pending():
-			linger = s.After(lingerFor, end)
+			linger = s.After(lingerFor, wrapUp)
 		}
+	}
+	deadline = s.After(sim.Time(nd.cfg.DeadlineMS)*sim.Millisecond, wrapUp)
+	house = s.Every(stepEvery, func() {
+		now := s.Now()
+		for _, g := range groups {
+			g.step(now)
+		}
+		nd.settled() // a live peer set that shrank can finish a group
 	})
 }
 

@@ -452,9 +452,10 @@ func TestDaemonDoneReplyRateLimited(t *testing.T) {
 // TestDaemonBarrierHoldsOneRoundAfterLastConverges: three static members
 // converge in turn, 30 ms apart, their traffic carried by hand. The last
 // one announces Done to every peer when it converges, even to those it
-// heard Done from before, so every member's barrier holds within two
-// steps of that — not when an earlier member's next beacon, up to
-// beaconEvery later, draws its reply.
+// heard Done from before, so every member's barrier holds at that
+// instant: the last member's as it converges, the others' as its Done is
+// handed to them — not at their next step, nor when an earlier member's
+// next beacon, up to beaconEvery later, draws its reply.
 func TestDaemonBarrierHoldsOneRoundAfterLastConverges(t *testing.T) {
 	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}})
 	// Member i's lifecycle steps from converges[i] on; having nothing to
@@ -474,37 +475,117 @@ func TestDaemonBarrierHoldsOneRoundAfterLastConverges(t *testing.T) {
 				t.Fatalf("member %d unconverged at %v", i+1, now)
 			}
 			if held[i] == 0 && g.barrierAt != 0 {
-				held[i] = now
+				held[i] = g.barrierAt
 			}
 		}
 	}
 	for i, at := range held {
 		t.Logf("member %d: converged at %v, barrier held at %v", i+1, converges[i], at)
-		if at <= last || at > last+2*stepEvery {
-			t.Errorf("member %d: barrier held at %v; want within (%v, %v], two steps after the last member converged",
-				i+1, at, last, last+2*stepEvery)
+		if at != last {
+			t.Errorf("member %d: barrier held at %v; want at %v, when the last member converged", i+1, at, last)
+		}
+	}
+}
+
+// endOfRun runs three static members hosting two groups through their
+// whole lifecycle on a handRing and returns, by member and group, the
+// instant each member first sent Done (it converged then: nothing sends
+// Done before converging) and the instant it had been handed the first
+// Done of every peer.
+func endOfRun(t *testing.T) (r *handRing, converged, lastDone [][]sim.Time) {
+	t.Helper()
+	r = newHandRing(t, 3, []GroupConfig{
+		{ID: 1, Count: 6, RateHz: 200, StartMS: 20},
+		{ID: 2, Count: 3, RateHz: 100, StartMS: 60},
+	})
+	converged, lastDone = make([][]sim.Time, 3), make([][]sim.Time, 3)
+	heard := make([][]map[seq.NodeID]bool, 3)
+	for i := range r.nodes {
+		converged[i], lastDone[i] = make([]sim.Time, 2), make([]sim.Time, 2)
+		heard[i] = []map[seq.NodeID]bool{{}, {}}
+	}
+	r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
+		if _, ok := m.(*msg.Done); !ok {
+			return
+		}
+		if converged[from-1][group-1] == 0 {
+			converged[from-1][group-1] = at
+		}
+		if !heard[to-1][group-1][from] {
+			heard[to-1][group-1][from] = true
+			lastDone[to-1][group-1] = max(lastDone[to-1][group-1], at)
+		}
+	}
+	for _, nd := range r.nodes {
+		nd.lifecycle(r.groups[nd.self-1])
+	}
+	r.run(t, 2*sim.Second)
+	for i, nd := range r.nodes {
+		if r.ended[i] == 0 || nd.exitErr != nil {
+			t.Fatalf("member %d: run ended at %v, error %v", i+1, r.ended[i], nd.exitErr)
+		}
+	}
+	return r, converged, lastDone
+}
+
+// TestDaemonDoneAnnouncedOnLastDelivery: a static group converges, and
+// announces Done, at the instant its last expected delivery lands — not
+// at the next housekeeping step.
+func TestDaemonDoneAnnouncedOnLastDelivery(t *testing.T) {
+	r, converged, _ := endOfRun(t)
+	for i, gs := range r.groups {
+		for gi, g := range gs {
+			t.Logf("member %d group %d: last delivery at %v, Done announced at %v", i+1, g.gid, g.sink.lastAt, converged[i][gi])
+			if g.sink.delivered() != g.expected || converged[i][gi] != g.sink.lastAt {
+				t.Errorf("member %d group %d: delivered %d of %d, the last at %v; Done announced at %v; want all, and Done then",
+					i+1, g.gid, g.sink.delivered(), g.expected, g.sink.lastAt, converged[i][gi])
+			}
+		}
+	}
+}
+
+// TestDaemonBarrierHoldsOnLastDone: every member's barrier holds at the
+// instant it has both converged and been handed every peer's Done: on
+// the Done that completes it, or on its own convergence if that comes
+// last — not at the next housekeeping step.
+func TestDaemonBarrierHoldsOnLastDone(t *testing.T) {
+	r, converged, lastDone := endOfRun(t)
+	for i, gs := range r.groups {
+		for gi, g := range gs {
+			want := max(converged[i][gi], lastDone[i][gi])
+			t.Logf("member %d group %d: converged at %v, last Done handed at %v, barrier held at %v", i+1, g.gid, converged[i][gi], lastDone[i][gi], g.barrierAt)
+			if g.barrierAt != want {
+				t.Errorf("member %d group %d: barrier held at %v; want %v", i+1, g.gid, g.barrierAt, want)
+			}
 		}
 	}
 }
 
 // TestDaemonEndsOnceEveryPeerDrained: three static members hosting two
 // groups each run their whole lifecycle, their traffic carried by hand. A
-// daemon ends its run at the first housekeeping step at which each of its
-// groups is drained and has heard Drained from every peer, never before.
-// With member 3's Drained notices to member 1 in group 2 withheld —
-// replies as well — member 1 ends exactly lingerFor after its groups were
-// done, while the others still end on the notices.
+// daemon ends its run at the instant each of its groups is drained and
+// has heard Drained from every peer, never before: on the notice that
+// completes it, or on its own drain, after only the zero-delay events
+// that flush what that event queued and repeat its Drained notices.
+// Member 3's Drained notices to member 1 in group 2 are withheld in two
+// ways. With only the first copy withheld, member 1 ends on the repeat
+// member 3 sends as its own run ends, not lingerFor after its groups were
+// done. With every copy withheld — replies and the repeat as well —
+// member 1 ends exactly lingerFor after its groups were done, while the
+// others still end on the notices.
 func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
-	for _, withheld := range []bool{false, true} {
+	for _, withheld := range []string{"none", "first", "all"} {
 		r := newHandRing(t, 3, []GroupConfig{
 			{ID: 1, Count: 4, RateHz: 200, StartMS: 20},
 			{ID: 2, Count: 3, RateHz: 100, StartMS: 60},
 		})
-		if withheld {
-			r.withhold = func(from, to seq.NodeID, group uint32, m msg.Message) bool {
-				d, ok := m.(*msg.Done)
-				return ok && d.Drained && from == 3 && to == 1 && group == 2
+		copies := 0 // member 3's Drained notices to member 1 in group 2
+		r.withhold = func(from, to seq.NodeID, group uint32, m msg.Message) bool {
+			if d, ok := m.(*msg.Done); !ok || !d.Drained || from != 3 || to != 1 || group != 2 {
+				return false
 			}
+			copies++
+			return withheld == "all" || withheld == "first" && copies == 1
 		}
 		// drainedAt[i][gi] is when member i's group drained (it announces
 		// Drained then); heard[i][gi][p] when it was handed peer p's.
@@ -544,20 +625,23 @@ func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 				}
 			}
 			end := r.ended[i]
-			t.Logf("withheld %v, member %d: done at %v, every notice in at %v (%v), run ended at %v", withheld, i+1, done, finished, all, end)
+			t.Logf("withheld %s, member %d: done at %v, every notice in at %v (%v), run ended at %v", withheld, i+1, done, finished, all, end)
 			if nd.exitErr != nil || done == 0 {
 				t.Fatalf("member %d: run error %v, done at %v", i+1, nd.exitErr, done)
 			}
-			if withheld && i == 0 {
+			if withheld == "all" && i == 0 {
 				if all || end != done+lingerFor {
-					t.Fatalf("member 1, a Drained notice withheld: every notice in %v, ended at %v; want not, and the end lingerFor after done (%v)",
+					t.Fatalf("member 1, every copy of a Drained notice withheld: every notice in %v, ended at %v; want not, and the end lingerFor after done (%v)",
 						all, end, done+lingerFor)
 				}
 				continue
 			}
-			if !all || end < finished || end > finished+stepEvery {
-				t.Fatalf("member %d: every Drained notice in %v at %v, ended at %v; want the first step from then on", i+1, all, finished, end)
+			if !all || end != finished {
+				t.Fatalf("withheld %s, member %d: every Drained notice in %v at %v, ended at %v; want the end then", withheld, i+1, all, finished, end)
 			}
+		}
+		if withheld == "first" && (copies < 2 || r.ended[0] >= lingerFor) {
+			t.Fatalf("first copy withheld: member 3 sent member 1 %d Drained notices, member 1 ended at %v; want a repeat, and the end long before lingerFor", copies, r.ended[0])
 		}
 	}
 }
@@ -721,22 +805,29 @@ func TestDaemonStaticRingRaisesNoTokenLoss(t *testing.T) {
 // deliveries (its latency samples are fixed-memory histograms), so the
 // bound of 4 B is measurement noise: exact latency samples kept 9, and
 // the simulator's delivery oracle, which this path once fed, about 46.
+// Each reading collects twice: the first collection only queues the
+// finalizers of sockets and files that earlier tests closed and moves
+// sync.Pool contents to the pools' victim caches, and the second frees
+// both, so neither counts as retained.
 func TestDaemonRetainedBytesPerDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two multi-second clusters in -short")
 	}
 	const n = 3000
+	readLive := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+	}
 	retained := func(count int) (live uint64, delivered uint64) {
 		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+		readLive(&before)
 		nodes, reports := runCluster(t, 2, func(i int, cfg *Config) {
 			cfg.Count = count
 			cfg.RateHz = 3000
 		})
 		assertIdenticalOrder(t, reports)
-		runtime.GC()
-		runtime.ReadMemStats(&after)
+		readLive(&after)
 		for _, nd := range nodes {
 			s := nd.groups[0].sink
 			if pending := len(s.own) - s.ownHead; pending != 0 || s.ownDropped != 0 {

@@ -63,9 +63,10 @@ func protocolConfig() core.Config {
 // federation (daemon.go) owns what is shared: the transport, the outbox,
 // the scheduler and driver, and the ticks that step every group's
 // lifecycle and flush every durable log. A group keeps no timer and no
-// channel of its own for its lifecycle: the daemon's housekeeping tick
-// calls step, and the phase it leaves behind is plain state that
-// snapshot, ready and collect read on the driver.
+// channel of its own for its lifecycle: the events that move it (a
+// delivery, an inbound section) and the daemon's housekeeping tick call
+// settle, and the phase it leaves behind is plain state that snapshot,
+// ready and collect read on the driver.
 type ringGroup struct {
 	nd      *Node
 	gc      GroupConfig
@@ -91,12 +92,12 @@ type ringGroup struct {
 	opening   sim.Timer // opens the stream; pending until it has
 	ceilingAt sim.Time  // when opening fires unless brought forward
 
-	// Lifecycle, advanced by step. Driver goroutine only.
+	// Lifecycle, advanced by settle. Driver goroutine only.
 	src       *workload.Source // nil until the workload starts, or when sourcing nothing
 	converged bool             // locally converged: Done beacons flow until drained
 	drained   bool             // past the Done barrier and its bounded drain
 	left      bool             // evicted or left, and its couriers drained
-	evictedAt sim.Time         // when step first saw the eviction
+	evictedAt sim.Time         // when settle first saw the eviction
 	barrierAt sim.Time         // when the barrier last started to hold; 0 while it does not
 	beaconAt  sim.Time         // the last Done beacon
 	beatAt    sim.Time         // the membership plane's last heartbeat round
@@ -112,7 +113,8 @@ type ringGroup struct {
 }
 
 // Lifecycle timings. The daemon's housekeeping tick steps every group
-// each stepEvery; the rest are thresholds step checks by elapsed time.
+// each stepEvery; the rest are thresholds step and settle check by
+// elapsed time.
 const (
 	stepEvery   = 10 * sim.Millisecond
 	beaconEvery = 100 * sim.Millisecond // Done gossip while the barrier is open
@@ -183,7 +185,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	g.e.Tel = g.tel.coreTel(nd.tel.reg)
 	g.e.Tel.TokenRTO.Set(int64(g.e.Cfg.Hop.RTO)) // until the first TokenAck is sampled
 
-	g.e.OnDeliver = g.sink.deliver
+	g.e.OnDeliver = g.deliver
 	if g.sink.dlq != nil {
 		g.e.OnLost = g.sink.lost
 	}
@@ -270,27 +272,19 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	// The hooks run on the driver, each datagram's as one more event
 	// between the scheduler's own. Done gossip is the group's own
 	// business, so it leaves the stream before the splice gate and the NE.
+	// Past converging, the lifecycle moves on what arrives: the Done that
+	// completes the barrier, and the Ack or TokenAck that completes the
+	// drain, so it is settled again after every section until drained.
 	hooks := GroupHooks{Handler: func(from seq.NodeID, msgs []msg.Message) {
 		for _, m := range msgs {
-			d, isDone := m.(*msg.Done)
-			if !isDone {
+			if d, isDone := m.(*msg.Done); isDone {
+				g.hearDone(from, d)
+			} else {
 				recv(from, m)
-				continue
 			}
-			// A converged member answers Done with Done (rate-limited),
-			// saying whether it has drained: beacons ride the same lossy
-			// socket they gossip about, so a straggler that missed our
-			// beacons or our Drained notice re-learns them the moment its
-			// own Done reaches us, even if we are already lingering on the
-			// way out.
-			if g.converged && g.sched.Now()-g.lastReply[from] >= 50*sim.Millisecond {
-				g.lastReply[from] = g.sched.Now()
-				g.net.Send(g.self, from, &msg.Done{Drained: g.drained})
-			}
-			g.doneFrom[from] = true
-			if d.Drained {
-				g.drainedFrom[from] = true
-			}
+		}
+		if g.converged && !g.done() {
+			g.settle(g.sched.Now())
 		}
 	}}
 	if g.ms != nil {
@@ -320,8 +314,14 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 // member announces Done again with Drained set, and the group is finished
 // when every peer has said Drained: the daemon may then exit at once.
 // With live membership the audience is the current live peer set, so a
-// crashed member cannot wedge everyone else's exit. step walks that
-// state machine.
+// crashed member cannot wedge everyone else's exit. settle walks that
+// state machine, on the event that moves it: a static group converges at
+// the delivery that completes its target, the barrier holds on the Done
+// that completes it, the drain ends on the Ack or TokenAck that empties
+// the senders and the courier, and the group is finished on the last
+// Drained notice. The housekeeping step settles it too, for what only
+// time decides: live convergence on IdleMS of quiet, the quiesce bound
+// on the drain and the leave-drain, and the live peer set changing.
 func (g *ringGroup) start() {
 	if g.ms != nil {
 		g.ms.OnJoined = func(baseline, resumed seq.GlobalSeq) {
@@ -371,8 +371,7 @@ func (g *ringGroup) openBy(at sim.Time) {
 // open starts the workload now and records a stream-start event: what
 // opened it, and when, in milliseconds since the daemon launched.
 func (g *ringGroup) open(cause string) {
-	ms := time.Since(g.nd.wallStart).Milliseconds()
-	g.tel.emit("stream-start", uint64(ms), fmt.Sprintf("%s at %d ms", cause, ms))
+	g.mark("stream-start", cause)
 	// Stamp each payload with the send wall clock (fresh buffer per
 	// message: payload slices are shared by reference all the way to
 	// retransmission buffers).
@@ -398,15 +397,18 @@ func (g *ringGroup) open(cause string) {
 
 // step advances the group by one housekeeping tick: the local node's
 // Order-Assignment pass, the membership plane's heartbeat round once per
-// heartbeat, the token watchdog, the Done beacons, and the lifecycle:
-// converge, then the Done barrier and its bounded drain — or, once
-// evicted, the leave-drain. Tokens, TokenAcks and WQ bodies already run
-// the pass as they arrive, so here it is the backstop for what only time
-// settles: front-gap and WQ-stall Nacks, their give-up rounds, and
-// stamping resumed after a full MQ. On a quiet group the pass walks the
-// WQ's sources, at most one per ring member, and finds nothing to do, so
-// a step still costs O(ring size), whatever the traffic, and allocates
-// only to send or to signal. Driver goroutine only.
+// heartbeat, the token watchdog, the Done beacons, and settle. Each is
+// the backstop for what only time decides. Tokens, TokenAcks and WQ
+// bodies already run the pass as they arrive, so here it catches
+// front-gap and WQ-stall Nacks, their give-up rounds, and stamping
+// resumed after a full MQ. Deliveries, Dones, Acks and TokenAcks already
+// settle the lifecycle as they arrive, so here it catches live
+// convergence after IdleMS of quiet, the quiesce bound on the drain and
+// on the leave-drain, and a live peer set that changed. On a quiet group
+// the pass walks the WQ's sources, at most one per ring member, and finds
+// nothing to do, so a step still costs O(ring size), whatever the
+// traffic, and allocates only to send or to signal. Driver goroutine
+// only.
 func (g *ringGroup) step(now sim.Time) {
 	g.ne.OrderAssign()
 	if g.ms != nil && now-g.beatAt >= g.ms.cfg.Heartbeat {
@@ -430,8 +432,18 @@ func (g *ringGroup) step(now sim.Time) {
 	if g.converged && !g.drained && now-g.beaconAt >= beaconEvery {
 		g.beacon(now)
 	}
+	g.settle(now)
+}
+
+// settle takes the lifecycle as far as the group's state allows now:
+// converge, then the Done barrier and its bounded drain — or, once
+// evicted, the leave-drain. It tells the daemon when the group drains or
+// leaves (Node.settled), and records each step on /events. Driver
+// goroutine only.
+func (g *ringGroup) settle(now sim.Time) {
 	switch {
 	case g.left || g.drained:
+		return
 	case g.ms != nil && g.ms.Evicted():
 		// Graceful leave (or eviction): serve retransmissions until
 		// our couriers drain — bounded by quiesce, so a transfer
@@ -440,16 +452,22 @@ func (g *ringGroup) step(now sim.Time) {
 		if g.evictedAt == 0 {
 			g.evictedAt = now
 		}
-		g.left = g.e.Quiesced() && g.ne.TokenIdle() || now-g.evictedAt >= quiesce
-	case !g.converged:
-		if g.locallyConverged(now) {
-			g.converged = true
-			g.beaconAt = now
-			// Every peer hears it, including those whose Done we heard
-			// before we converged and so never answered: otherwise they
-			// would learn of us only at their next beacon.
-			g.announce(&msg.Done{})
+		if g.e.Quiesced() && g.ne.TokenIdle() || now-g.evictedAt >= quiesce {
+			g.left = true
+			g.nd.settled()
 		}
+		return
+	case !g.converged:
+		if !g.locallyConverged(now) {
+			return
+		}
+		why := "delivered"
+		if g.ms != nil {
+			why = "idle"
+		}
+		g.converge(now, why)
+	}
+	switch {
 	case !g.quorate():
 		// Idle because cut off, not because the stream ended: a member
 		// partitioned into a minority stops hearing data and heartbeats
@@ -458,19 +476,86 @@ func (g *ringGroup) step(now sim.Time) {
 		// barrier vacuously. It converges again after the heal.
 		g.converged = false
 		g.barrierAt = 0
+		return
 	case !g.barrier():
 		g.barrierAt = 0
-	default:
-		if g.barrierAt == 0 {
-			g.barrierAt = now
+		return
+	case g.barrierAt == 0:
+		g.barrierAt = now
+		g.mark("barrier-held", "")
+	}
+	// Post-barrier drain (trailing retransmissions, the token settling
+	// between rotations), bounded by quiesce.
+	why := "quiesced"
+	if !g.e.Quiesced() || !g.ne.TokenIdle() {
+		if now-g.barrierAt < quiesce {
+			return
 		}
-		// Post-barrier drain (trailing retransmissions, the token
-		// settling between rotations), bounded by quiesce.
-		if g.e.Quiesced() && g.ne.TokenIdle() || now-g.barrierAt >= quiesce {
-			g.drained = true
-			g.announce(&msg.Done{Drained: true}) // best-effort; the Done reply repeats it
+		why = "bounded"
+	}
+	g.drained = true
+	g.announce(&msg.Done{Drained: true}) // best-effort; the Done reply and the daemon's exit repeat it
+	g.mark("drained", why)
+	if g.finished() {
+		g.mark("finished", "")
+	}
+	g.nd.settled()
+}
+
+// deliver accounts one delivery, and converges a static group at the one
+// that completes its symmetric target. A member's own messages deliver
+// after it submits them, so on that workload the completing delivery
+// always comes after the last submit, and the submit needs no check.
+func (g *ringGroup) deliver(at seq.NodeID, d *msg.Data) {
+	g.sink.deliver(at, d)
+	if g.ms == nil && !g.converged && g.sink.delivered() >= g.expected && g.sent() {
+		g.converge(g.sched.Now(), "delivered")
+	}
+}
+
+// converge marks the group locally converged and announces Done to every
+// peer, including those whose Done we heard before we converged and so
+// never answered: otherwise they would learn of us only at their next
+// beacon. why says what settled it, in the converged event.
+func (g *ringGroup) converge(now sim.Time, why string) {
+	g.converged = true
+	g.beaconAt = now
+	g.announce(&msg.Done{})
+	g.mark("converged", why)
+}
+
+// hearDone takes a peer's Done: the peer has converged, and with Drained
+// set it has drained too. A converged member answers Done with Done
+// (rate-limited), saying whether it has drained: beacons ride the same
+// lossy socket they gossip about, so a straggler that missed our beacons
+// or our Drained notice re-learns them the moment its own Done reaches
+// us, even if we are already lingering on the way out. The Drained notice
+// that finishes a drained group tells the daemon at once.
+func (g *ringGroup) hearDone(from seq.NodeID, d *msg.Done) {
+	now := g.sched.Now()
+	if g.converged && now-g.lastReply[from] >= 50*sim.Millisecond {
+		g.lastReply[from] = now
+		g.net.Send(g.self, from, &msg.Done{Drained: g.drained})
+	}
+	g.doneFrom[from] = true
+	if d.Drained && !g.drainedFrom[from] {
+		g.drainedFrom[from] = true
+		if g.finished() {
+			g.mark("finished", "")
+			g.nd.settled()
 		}
 	}
+}
+
+// mark records a lifecycle event on /events: typ, when in milliseconds
+// since the daemon launched, and why, if anything says.
+func (g *ringGroup) mark(typ, why string) {
+	ms := time.Since(g.nd.wallStart).Milliseconds()
+	detail := fmt.Sprintf("at %d ms", ms)
+	if why != "" {
+		detail = why + " " + detail
+	}
+	g.tel.emit(typ, uint64(ms), detail)
 }
 
 // tokenOrigin reports whether this member is its group's one Token-Loss
