@@ -91,7 +91,8 @@ const (
 	KindMergeReq
 	// KindDone is the wire daemon's termination gossip: its sender has
 	// delivered everything it expects in the group whose frame section
-	// carries it, and with Drained set, needs nothing more from anyone.
+	// carries it, and with Drained set, has heard Done from every live
+	// peer, so it needs nothing more from anyone.
 	KindDone
 )
 
@@ -521,9 +522,10 @@ func (m *MergeReq) WireSize() int { return wireSize(m) }
 // in one group. Exiting a ring is safe only once every member is done:
 // gap repair (Nack) is pull-based, so a converged member may still be the
 // only reachable holder of a body a straggler is missing. Drained says
-// more: the sender has also heard Done from every live peer and passed
-// its bounded drain, so it needs nothing further from anyone, and a
-// member that has heard Drained from every peer may exit at once. The
+// more: the sender has also heard Done from every live peer, so every
+// member has delivered everything and it needs nothing further from
+// anyone, and a member that has heard Drained from every peer may exit
+// at once. The
 // frame section that carries it names the group, and the datagram its
 // sender.
 type Done struct {

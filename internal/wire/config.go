@@ -93,11 +93,9 @@ type Config struct {
 	// ring repair, join/leave) for every group.
 	Live bool `json:"live,omitempty"`
 
-	// Membership timers (defaults: 150/900/3000 ms), shared by all
-	// groups.
+	// Membership timers (defaults: 150/900 ms), shared by all groups.
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
 	SuspectMS   int64 `json:"suspect_ms,omitempty"`
-	LameMS      int64 `json:"lame_ms,omitempty"`
 
 	// Fault injection on inbound datagrams (socket layer). DropRules is
 	// the programmable per-peer, time-windowed drop matrix the partition
@@ -122,8 +120,9 @@ type Config struct {
 	// IdleMS is the live-mode convergence criterion: with dynamic
 	// membership the exact delivery count is unknowable (a crashed
 	// member sourced an unknowable prefix), so a group declares itself
-	// done once it sent everything, its MQ has no undelivered slots, its
-	// senders drained, and no delivery arrived for IdleMS.
+	// done once it has caught up to its epoch's baseline, sent
+	// everything, its MQ has no undelivered slots, its senders drained,
+	// and no delivery arrived for IdleMS.
 	IdleMS int64 `json:"idle_ms,omitempty"`
 
 	// DataDir is the daemon-level durability root: groups that leave
@@ -163,9 +162,6 @@ func (c *Config) defaults() {
 	}
 	if c.SuspectMS <= 0 {
 		c.SuspectMS = 900
-	}
-	if c.LameMS <= 0 {
-		c.LameMS = 3000
 	}
 	if c.IdleMS <= 0 {
 		c.IdleMS = 1500

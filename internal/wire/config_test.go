@@ -157,6 +157,7 @@ func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
 		{"quiesce_ms", valid + `,"quiesce_ms":100`},
 		{"linger_ms", valid + `,"linger_ms":100`},
 		{"token_watch_ms", valid + `,"token_watch_ms":900`},
+		{"lame_ms", valid + `,"live":true,"lame_ms":3000`},
 		{"leader", flat + `,"groups":[{"id":4,"leader":1}]`},
 		{"groups", flat},
 	}

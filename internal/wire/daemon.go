@@ -317,10 +317,11 @@ func (nd *Node) peerIDs() []seq.NodeID {
 //
 // The end of the run moves on messages too. Each group settles its own
 // lifecycle on the event that moves it (ringGroup.settle) and calls
-// settled when it drains, leaves or finishes. The run ends on the event
-// that leaves every group finished (drained, and every live peer has said
-// Drained) — the last Drained notice in, or the last group's own drain —
-// once that event's sends are flushed; or lingerFor after every group is
+// settled when it drains, leaves or finishes. A group drains on the event
+// that completes its Done barrier. The run ends on the event that leaves
+// every group finished (drained, and every live peer has said Drained) —
+// the last Drained notice in, or the last group's own drain — once that
+// event's sends are flushed; or lingerFor after every group is
 // done; or at the deadline, whichever comes first. Ending repeats every
 // drained group's Drained notice in a flush of its own, so a peer that
 // lost the first copy ends on the repeat. The linger is the ceiling for
@@ -331,9 +332,9 @@ func (nd *Node) peerIDs() []seq.NodeID {
 // event that ends the run collects every group and closes done.
 //
 // One housekeeping tick steps every group (ringGroup.step), the backstop
-// for what only time decides: live convergence on IdleMS of quiet, the
-// quiesce bound on a drain, heartbeats, the token watchdog and the
-// Order-Assignment pass. One tick fsyncs every durable log; with
+// for what only time decides: live convergence on IdleMS of quiet, an
+// evicted group's leave-drain and its quiesce bound, heartbeats, the
+// token watchdog and the Order-Assignment pass. One tick fsyncs every durable log; with
 // -report-interval, one tick writes the live report to stderr. Driver
 // goroutine only.
 func (nd *Node) lifecycle(groups []*ringGroup) {

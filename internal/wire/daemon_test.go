@@ -405,27 +405,30 @@ func (r *handRing) run(t *testing.T, until sim.Time) {
 // TestDaemonDoneReplyRateLimited: a Done from a peer marks the peer done,
 // and a Drained one marks it drained too. Only a converged member answers
 // it, with one Done of its own that says whether it has drained, and at
-// most once per 50 ms per peer. The group is driven step by step on a
+// most once per 50 ms per peer — the first Done from a peer is answered
+// whenever it comes, even in the run's first 50 ms. Peer 3 stays silent
+// until the end, so the barrier stays open and the member sends no
+// Drained notice of its own. The group is driven step by step on a
 // scheduler no driver runs.
 func TestDaemonDoneReplyRateLimited(t *testing.T) {
-	r := newHandRing(t, 2, []GroupConfig{{ID: 1, Count: -1}}) // member 2 is only an address
+	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}}) // members 2 and 3 are only addresses
 	nd, g := r.nodes[0], r.groups[0][0]
 	s := nd.drv.sched // never started: this test is its only driver
 	handler := nd.tr.handlers[1].Handler
 	// hear runs the scheduler to at, which flushes what earlier steps
-	// queued, hands the group a Done from peer 2, and returns the Dones
-	// then waiting in peer 2's box.
-	hear := func(at sim.Time, drained bool) (replies []*msg.Done) {
+	// queued, hands the group a Done from peer from, and returns the
+	// Dones then waiting in that peer's box.
+	hear := func(from seq.NodeID, at sim.Time, drained bool) (replies []*msg.Done) {
 		s.Run(at)
-		handler(2, []msg.Message{&msg.Done{Drained: drained}})
-		for _, m := range pending(nd.ob, 1, 2) {
+		handler(from, []msg.Message{&msg.Done{Drained: drained}})
+		for _, m := range pending(nd.ob, 1, from) {
 			if d, done := m.(*msg.Done); done {
 				replies = append(replies, d)
 			}
 		}
 		return replies
 	}
-	if replies := hear(100*sim.Millisecond, false); !g.doneFrom[2] || g.drainedFrom[2] || len(replies) != 0 {
+	if replies := hear(2, 5*sim.Millisecond, false); !g.doneFrom[2] || g.drainedFrom[2] || len(replies) != 0 {
 		t.Fatalf("unconverged: peer 2 marked done %v, drained %v, %d Done replies queued; want true, false, 0",
 			g.doneFrom[2], g.drainedFrom[2], len(replies))
 	}
@@ -434,9 +437,9 @@ func TestDaemonDoneReplyRateLimited(t *testing.T) {
 		at      sim.Time
 		drained bool // ours, when the peer's Done arrives
 		want    int
-	}{{100 * sim.Millisecond, false, 1}, {149 * sim.Millisecond, false, 0}, {150 * sim.Millisecond, true, 1}} {
+	}{{10 * sim.Millisecond, false, 1}, {100 * sim.Millisecond, false, 1}, {149 * sim.Millisecond, false, 0}, {150 * sim.Millisecond, true, 1}} {
 		g.drained = step.drained
-		replies := hear(step.at, false)
+		replies := hear(2, step.at, false)
 		if len(replies) != step.want {
 			t.Fatalf("converged, Done heard at %v: %d replies queued, want %d", step.at, len(replies), step.want)
 		}
@@ -444,25 +447,35 @@ func TestDaemonDoneReplyRateLimited(t *testing.T) {
 			t.Fatalf("Done heard at %v: reply says Drained=%v, want %v", step.at, replies[0].Drained, step.drained)
 		}
 	}
-	if hear(200*sim.Millisecond, true); !g.drainedFrom[2] || !g.finished() {
-		t.Fatalf("peer 2 said Drained: marked drained %v, group finished %v; want both", g.drainedFrom[2], g.finished())
+	if hear(2, 200*sim.Millisecond, true); !g.drainedFrom[2] || g.finished() {
+		t.Fatalf("peer 2 said Drained: marked drained %v, group finished %v; want true, false while peer 3 has not",
+			g.drainedFrom[2], g.finished())
+	}
+	if hear(3, 200*sim.Millisecond, true); !g.drainedFrom[3] || !g.finished() {
+		t.Fatalf("peer 3 said Drained too: marked drained %v, group finished %v; want both", g.drainedFrom[3], g.finished())
 	}
 }
 
 // TestDaemonBarrierHoldsOneRoundAfterLastConverges: three static members
 // converge in turn, 30 ms apart, their traffic carried by hand. The last
 // one announces Done to every peer when it converges, even to those it
-// heard Done from before, so every member's barrier holds at that
-// instant: the last member's as it converges, the others' as its Done is
-// handed to them — not at their next step, nor when an earlier member's
-// next beacon, up to beaconEvery later, draws its reply.
+// heard Done from before, so every member's barrier holds, and it says
+// Drained, at that instant: the last member's as it converges, the
+// others' as its Done is handed to them — not at their next step, nor
+// when an earlier member's next beacon, up to beaconEvery later, draws
+// its reply.
 func TestDaemonBarrierHoldsOneRoundAfterLastConverges(t *testing.T) {
 	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}})
 	// Member i's lifecycle steps from converges[i] on; having nothing to
 	// deliver, it converges at its first step.
 	converges := []sim.Time{10 * sim.Millisecond, 40 * sim.Millisecond, 70 * sim.Millisecond}
 	last := converges[len(converges)-1]
-	held := make([]sim.Time, len(converges))
+	drained := make([]sim.Time, len(converges))
+	r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
+		if d, ok := m.(*msg.Done); ok && d.Drained && drained[from-1] == 0 {
+			drained[from-1] = at
+		}
+	}
 	for now := stepEvery; now <= last+2*beaconEvery; now += stepEvery {
 		r.run(t, now)
 		for i, gs := range r.groups {
@@ -474,42 +487,47 @@ func TestDaemonBarrierHoldsOneRoundAfterLastConverges(t *testing.T) {
 			if !g.converged {
 				t.Fatalf("member %d unconverged at %v", i+1, now)
 			}
-			if held[i] == 0 && g.barrierAt != 0 {
-				held[i] = g.barrierAt
-			}
 		}
 	}
-	for i, at := range held {
-		t.Logf("member %d: converged at %v, barrier held at %v", i+1, converges[i], at)
+	for i, at := range drained {
+		t.Logf("member %d: converged at %v, said Drained at %v", i+1, converges[i], at)
 		if at != last {
-			t.Errorf("member %d: barrier held at %v; want at %v, when the last member converged", i+1, at, last)
+			t.Errorf("member %d: said Drained at %v; want at %v, when the last member converged", i+1, at, last)
 		}
 	}
 }
 
 // endOfRun runs three static members hosting two groups through their
-// whole lifecycle on a handRing and returns, by member and group, the
-// instant each member first sent Done (it converged then: nothing sends
-// Done before converging) and the instant it had been handed the first
-// Done of every peer.
-func endOfRun(t *testing.T) (r *handRing, converged, lastDone [][]sim.Time) {
+// whole lifecycle on a handRing, dropping what withhold says (nil drops
+// nothing), and returns, by member and group, the instant each member
+// first sent Done (it converged then: nothing sends Done before
+// converging), the instant it had been handed the first Done of every
+// peer, and the instant it first sent Done{Drained: true}.
+func endOfRun(t *testing.T, withhold func(r *handRing, from, to seq.NodeID, group uint32, m msg.Message) bool) (r *handRing, converged, lastDone, drained [][]sim.Time) {
 	t.Helper()
 	r = newHandRing(t, 3, []GroupConfig{
 		{ID: 1, Count: 6, RateHz: 200, StartMS: 20},
 		{ID: 2, Count: 3, RateHz: 100, StartMS: 60},
 	})
-	converged, lastDone = make([][]sim.Time, 3), make([][]sim.Time, 3)
+	if withhold != nil {
+		r.withhold = func(from, to seq.NodeID, group uint32, m msg.Message) bool { return withhold(r, from, to, group, m) }
+	}
+	converged, lastDone, drained = make([][]sim.Time, 3), make([][]sim.Time, 3), make([][]sim.Time, 3)
 	heard := make([][]map[seq.NodeID]bool, 3)
 	for i := range r.nodes {
-		converged[i], lastDone[i] = make([]sim.Time, 2), make([]sim.Time, 2)
+		converged[i], lastDone[i], drained[i] = make([]sim.Time, 2), make([]sim.Time, 2), make([]sim.Time, 2)
 		heard[i] = []map[seq.NodeID]bool{{}, {}}
 	}
 	r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
-		if _, ok := m.(*msg.Done); !ok {
+		d, ok := m.(*msg.Done)
+		if !ok {
 			return
 		}
 		if converged[from-1][group-1] == 0 {
 			converged[from-1][group-1] = at
+		}
+		if d.Drained && drained[from-1][group-1] == 0 {
+			drained[from-1][group-1] = at
 		}
 		if !heard[to-1][group-1][from] {
 			heard[to-1][group-1][from] = true
@@ -525,14 +543,14 @@ func endOfRun(t *testing.T) (r *handRing, converged, lastDone [][]sim.Time) {
 			t.Fatalf("member %d: run ended at %v, error %v", i+1, r.ended[i], nd.exitErr)
 		}
 	}
-	return r, converged, lastDone
+	return r, converged, lastDone, drained
 }
 
 // TestDaemonDoneAnnouncedOnLastDelivery: a static group converges, and
 // announces Done, at the instant its last expected delivery lands — not
 // at the next housekeeping step.
 func TestDaemonDoneAnnouncedOnLastDelivery(t *testing.T) {
-	r, converged, _ := endOfRun(t)
+	r, converged, _, _ := endOfRun(t, nil)
 	for i, gs := range r.groups {
 		for gi, g := range gs {
 			t.Logf("member %d group %d: last delivery at %v, Done announced at %v", i+1, g.gid, g.sink.lastAt, converged[i][gi])
@@ -544,19 +562,64 @@ func TestDaemonDoneAnnouncedOnLastDelivery(t *testing.T) {
 	}
 }
 
-// TestDaemonBarrierHoldsOnLastDone: every member's barrier holds at the
-// instant it has both converged and been handed every peer's Done: on
-// the Done that completes it, or on its own convergence if that comes
-// last — not at the next housekeeping step.
+// TestDaemonBarrierHoldsOnLastDone: every member's barrier holds, and it
+// says Drained, at the instant it has both converged and been handed
+// every peer's Done: on the Done that completes it, or on its own
+// convergence if that comes last — not at the next housekeeping step.
 func TestDaemonBarrierHoldsOnLastDone(t *testing.T) {
-	r, converged, lastDone := endOfRun(t)
+	r, converged, lastDone, drained := endOfRun(t, nil)
 	for i, gs := range r.groups {
 		for gi, g := range gs {
 			want := max(converged[i][gi], lastDone[i][gi])
-			t.Logf("member %d group %d: converged at %v, last Done handed at %v, barrier held at %v", i+1, g.gid, converged[i][gi], lastDone[i][gi], g.barrierAt)
-			if g.barrierAt != want {
-				t.Errorf("member %d group %d: barrier held at %v; want %v", i+1, g.gid, g.barrierAt, want)
+			t.Logf("member %d group %d: converged at %v, last Done handed at %v, said Drained at %v", i+1, g.gid, converged[i][gi], lastDone[i][gi], drained[i][gi])
+			if drained[i][gi] != want {
+				t.Errorf("member %d group %d: said Drained at %v; want %v", i+1, g.gid, drained[i][gi], want)
 			}
+		}
+	}
+}
+
+// TestDaemonDrainedWithAcksWithheld: every Ack and TokenAck to member 1
+// is withheld once it has converged, so when its barrier holds it still
+// has unacknowledged sends or a token transfer in flight. Every member
+// of the ring has delivered everything by then, so member 1 says Drained
+// at that instant all the same, as every other member does, and every
+// run ends on the last Drained notice, not on a timer.
+func TestDaemonDrainedWithAcksWithheld(t *testing.T) {
+	busy := make([]bool, 2) // by group: member 1 was not idle as it drained
+	r, converged, lastDone, drained := endOfRun(t, func(r *handRing, from, to seq.NodeID, group uint32, m msg.Message) bool {
+		g := r.groups[0][group-1]
+		switch m := m.(type) {
+		case *msg.Ack, *msg.TokenAck:
+			return to == 1 && g.converged
+		case *msg.Done:
+			// Queued by the event that drained member 1, before anything
+			// else could run.
+			if from == 1 && m.Drained && g.drained && !busy[group-1] {
+				busy[group-1] = !g.e.Quiesced() || !g.ne.TokenIdle()
+			}
+		}
+		return false
+	})
+	var last sim.Time
+	for i, gs := range r.groups {
+		for gi, g := range gs {
+			want := max(converged[i][gi], lastDone[i][gi])
+			t.Logf("member %d group %d: barrier held at %v, said Drained at %v", i+1, g.gid, want, drained[i][gi])
+			if drained[i][gi] != want {
+				t.Errorf("member %d group %d: said Drained at %v; want %v, when its barrier held", i+1, g.gid, drained[i][gi], want)
+			}
+			last = max(last, drained[i][gi])
+		}
+	}
+	for gi, b := range busy {
+		if !b {
+			t.Errorf("group %d: member 1 was quiesced and token-idle as it drained; the withheld acks tested nothing", gi+1)
+		}
+	}
+	for i, end := range r.ended {
+		if end != last {
+			t.Errorf("member %d: run ended at %v; want %v, on the last Drained notice", i+1, end, last)
 		}
 	}
 }

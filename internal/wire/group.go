@@ -64,7 +64,7 @@ func protocolConfig() core.Config {
 // the scheduler and driver, and the ticks that step every group's
 // lifecycle and flush every durable log. A group keeps no timer and no
 // channel of its own for its lifecycle: the events that move it (a
-// delivery, an inbound section) and the daemon's housekeeping tick call
+// delivery, a Done from a peer) and the daemon's housekeeping tick call
 // settle, and the phase it leaves behind is plain state that snapshot,
 // ready and collect read on the driver.
 type ringGroup struct {
@@ -95,10 +95,9 @@ type ringGroup struct {
 	// Lifecycle, advanced by settle. Driver goroutine only.
 	src       *workload.Source // nil until the workload starts, or when sourcing nothing
 	converged bool             // locally converged: Done beacons flow until drained
-	drained   bool             // past the Done barrier and its bounded drain
+	drained   bool             // past the Done barrier: every live peer said Done
 	left      bool             // evicted or left, and its couriers drained
 	evictedAt sim.Time         // when settle first saw the eviction
-	barrierAt sim.Time         // when the barrier last started to hold; 0 while it does not
 	beaconAt  sim.Time         // the last Done beacon
 	beatAt    sim.Time         // the membership plane's last heartbeat round
 	lossAt    sim.Time         // the token watchdog's last Token-Loss signal
@@ -118,8 +117,9 @@ type ringGroup struct {
 const (
 	stepEvery   = 10 * sim.Millisecond
 	beaconEvery = 100 * sim.Millisecond // Done gossip while the barrier is open
-	// quiesce bounds the post-barrier (and post-eviction) drain of
-	// outstanding retransmissions and the token transfer.
+	// quiesce bounds an evicted member's leave-drain, the only wait for
+	// outstanding retransmissions and the token transfer: its couriers
+	// hand the token off to the ring it leaves.
 	quiesce = 500 * sim.Millisecond
 	// tokenWatch is every group's token watchdog: a Token-Loss signal
 	// after this much token silence at the group's one origin, at most
@@ -212,7 +212,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		tun := MemberTunables{
 			Heartbeat: sim.Time(cfg.HeartbeatMS) * sim.Millisecond,
 			Suspect:   sim.Time(cfg.SuspectMS) * sim.Millisecond,
-			Lame:      sim.Time(cfg.LameMS) * sim.Millisecond,
 		}
 		var initial map[seq.NodeID]string
 		var seeds []PeerAddr
@@ -272,9 +271,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	// The hooks run on the driver, each datagram's as one more event
 	// between the scheduler's own. Done gossip is the group's own
 	// business, so it leaves the stream before the splice gate and the NE.
-	// Past converging, the lifecycle moves on what arrives: the Done that
-	// completes the barrier, and the Ack or TokenAck that completes the
-	// drain, so it is settled again after every section until drained.
 	hooks := GroupHooks{Handler: func(from seq.NodeID, msgs []msg.Message) {
 		for _, m := range msgs {
 			if d, isDone := m.(*msg.Done); isDone {
@@ -282,9 +278,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 			} else {
 				recv(from, m)
 			}
-		}
-		if g.converged && !g.done() {
-			g.settle(g.sched.Now())
 		}
 	}}
 	if g.ms != nil {
@@ -307,21 +300,21 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 // of a body a straggler is still missing, and the holder of the only
 // copy of the circulating token. Once locally converged each member
 // announces Done (msg.Done, in this group's sections) to every peer, and
-// drains only after hearing Done from all of them, i.e. when its
-// retransmission state is provably unneeded. The announcement goes to
-// every peer, even those already heard from, so when the last member
-// converges every barrier holds one message later. Once drained, a
-// member announces Done again with Drained set, and the group is finished
-// when every peer has said Drained: the daemon may then exit at once.
-// With live membership the audience is the current live peer set, so a
-// crashed member cannot wedge everyone else's exit. settle walks that
-// state machine, on the event that moves it: a static group converges at
-// the delivery that completes its target, the barrier holds on the Done
-// that completes it, the drain ends on the Ack or TokenAck that empties
-// the senders and the courier, and the group is finished on the last
-// Drained notice. The housekeeping step settles it too, for what only
-// time decides: live convergence on IdleMS of quiet, the quiesce bound
-// on the drain and the leave-drain, and the live peer set changing.
+// is drained once it has heard Done from all of them: every peer has
+// then delivered everything, so its retransmission state and its token
+// are provably unneeded. The announcement goes to every peer, even those
+// already heard from, so when the last member converges every barrier
+// holds one message later. A drained member announces Done again with
+// Drained set, and the group is finished when every peer has said
+// Drained: the daemon may then exit at once. With live membership the
+// audience is the current live peer set, so a crashed member cannot wedge
+// everyone else's exit. settle walks that state machine, on the event
+// that moves it: a static group converges at the delivery that completes
+// its target, the barrier holds, and the group drains, on the Done that
+// completes it, and the group is finished on the last Drained notice.
+// The housekeeping step settles it too, for what only time decides: live
+// convergence on IdleMS of quiet, the quiesce bound on the leave-drain,
+// and the live peer set changing.
 func (g *ringGroup) start() {
 	if g.ms != nil {
 		g.ms.OnJoined = func(baseline, resumed seq.GlobalSeq) {
@@ -401,14 +394,13 @@ func (g *ringGroup) open(cause string) {
 // the backstop for what only time decides. Tokens, TokenAcks and WQ
 // bodies already run the pass as they arrive, so here it catches
 // front-gap and WQ-stall Nacks, their give-up rounds, and stamping
-// resumed after a full MQ. Deliveries, Dones, Acks and TokenAcks already
-// settle the lifecycle as they arrive, so here it catches live
-// convergence after IdleMS of quiet, the quiesce bound on the drain and
-// on the leave-drain, and a live peer set that changed. On a quiet group
-// the pass walks the WQ's sources, at most one per ring member, and finds
-// nothing to do, so a step still costs O(ring size), whatever the
-// traffic, and allocates only to send or to signal. Driver goroutine
-// only.
+// resumed after a full MQ. Deliveries and Dones already settle the
+// lifecycle as they arrive, so here it catches live convergence after
+// IdleMS of quiet, the leave-drain and its quiesce bound, and a live peer
+// set that changed. On a quiet group the pass walks the WQ's sources, at
+// most one per ring member, and finds nothing to do, so a step still
+// costs O(ring size), whatever the traffic, and allocates only to send or
+// to signal. Driver goroutine only.
 func (g *ringGroup) step(now sim.Time) {
 	g.ne.OrderAssign()
 	if g.ms != nil && now-g.beatAt >= g.ms.cfg.Heartbeat {
@@ -436,10 +428,10 @@ func (g *ringGroup) step(now sim.Time) {
 }
 
 // settle takes the lifecycle as far as the group's state allows now:
-// converge, then the Done barrier and its bounded drain — or, once
-// evicted, the leave-drain. It tells the daemon when the group drains or
-// leaves (Node.settled), and records each step on /events. Driver
-// goroutine only.
+// converge, then drain once the Done barrier holds — or, once evicted,
+// the leave-drain. It tells the daemon when the group drains or leaves
+// (Node.settled), and records each step on /events. Driver goroutine
+// only.
 func (g *ringGroup) settle(now sim.Time) {
 	switch {
 	case g.left || g.drained:
@@ -475,41 +467,27 @@ func (g *ringGroup) settle(now sim.Time) {
 		// suspects everyone — and then an empty live set would pass the
 		// barrier vacuously. It converges again after the heal.
 		g.converged = false
-		g.barrierAt = 0
 		return
 	case !g.barrier():
-		g.barrierAt = 0
 		return
-	case g.barrierAt == 0:
-		g.barrierAt = now
-		g.mark("barrier-held", "")
-	}
-	// Post-barrier drain (trailing retransmissions, the token settling
-	// between rotations), bounded by quiesce.
-	why := "quiesced"
-	if !g.e.Quiesced() || !g.ne.TokenIdle() {
-		if now-g.barrierAt < quiesce {
-			return
-		}
-		why = "bounded"
 	}
 	g.drained = true
 	g.announce(&msg.Done{Drained: true}) // best-effort; the Done reply and the daemon's exit repeat it
-	g.mark("drained", why)
+	g.mark("drained", "")
 	if g.finished() {
 		g.mark("finished", "")
 	}
 	g.nd.settled()
 }
 
-// deliver accounts one delivery, and converges a static group at the one
-// that completes its symmetric target. A member's own messages deliver
-// after it submits them, so on that workload the completing delivery
-// always comes after the last submit, and the submit needs no check.
+// deliver accounts one delivery, and settles a static group, which
+// converges at the delivery that completes its symmetric target. A
+// member's own messages deliver after it submits them, so on that
+// workload the completing delivery always comes after the last submit.
 func (g *ringGroup) deliver(at seq.NodeID, d *msg.Data) {
 	g.sink.deliver(at, d)
-	if g.ms == nil && !g.converged && g.sink.delivered() >= g.expected && g.sent() {
-		g.converge(g.sched.Now(), "delivered")
+	if g.ms == nil {
+		g.settle(g.sched.Now())
 	}
 }
 
@@ -525,15 +503,17 @@ func (g *ringGroup) converge(now sim.Time, why string) {
 }
 
 // hearDone takes a peer's Done: the peer has converged, and with Drained
-// set it has drained too. A converged member answers Done with Done
-// (rate-limited), saying whether it has drained: beacons ride the same
-// lossy socket they gossip about, so a straggler that missed our beacons
-// or our Drained notice re-learns them the moment its own Done reaches
-// us, even if we are already lingering on the way out. The Drained notice
-// that finishes a drained group tells the daemon at once.
+// set it has heard Done from every live peer too. A converged member
+// answers Done with Done (at most once per 50 ms per peer), saying
+// whether it has drained: beacons ride the same lossy socket they gossip
+// about, so a straggler that missed our beacons or our Drained notice
+// re-learns them the moment its own Done reaches us, even if we are
+// already lingering on the way out. The Drained notice that finishes a
+// drained group tells the daemon at once, and the Done that completes a
+// converged group's barrier drains it.
 func (g *ringGroup) hearDone(from seq.NodeID, d *msg.Done) {
 	now := g.sched.Now()
-	if g.converged && now-g.lastReply[from] >= 50*sim.Millisecond {
+	if at, ok := g.lastReply[from]; g.converged && (!ok || now-at >= 50*sim.Millisecond) {
 		g.lastReply[from] = now
 		g.net.Send(g.self, from, &msg.Done{Drained: g.drained})
 	}
@@ -544,6 +524,9 @@ func (g *ringGroup) hearDone(from seq.NodeID, d *msg.Done) {
 			g.mark("finished", "")
 			g.nd.settled()
 		}
+	}
+	if g.converged {
+		g.settle(now)
 	}
 }
 
@@ -576,15 +559,15 @@ func (g *ringGroup) epoch() uint64 {
 	return g.ms.Epoch()
 }
 
-// done reports whether the group is finished with the daemon: converged
-// and past the barrier and its bounded drain, or left.
+// done reports whether the group is finished with the daemon: drained
+// (converged, and past the barrier), or left.
 func (g *ringGroup) done() bool { return g.drained || g.left }
 
 // finished reports whether the group is drained and every live peer has
-// said Drained. Each of them has delivered everything, heard every
-// peer's Done and passed its bounded drain, so nobody in the ring needs
-// anything more from this member. A group that left is never finished:
-// stragglers of the ring it left may still Nack it.
+// said Drained. Each of them has delivered everything and heard every
+// peer's Done, so nobody in the ring needs anything more from this
+// member. A group that left is never finished: stragglers of the ring it
+// left may still Nack it.
 func (g *ringGroup) finished() bool { return g.drained && g.heardFromAll(g.drainedFrom) }
 
 // livePeers is the barrier's audience: the live peer set, or the static
@@ -657,10 +640,11 @@ func (g *ringGroup) locallyConverged(now sim.Time) bool {
 		return g.sink.delivered() >= g.expected && g.sent()
 	}
 	// Dynamic membership: the exact delivery count is unknowable, so
-	// converge on quiescence — everything sent, no undelivered slot in
-	// the MQ (an open gap means repair is still running), senders
-	// drained, and the delivery stream idle.
-	if !g.ms.Joined() || g.ms.Lame() || !g.quorate() || !g.sent() || !g.e.Quiesced() {
+	// converge on quiescence — caught up to the epoch's baseline,
+	// everything sent, no undelivered slot in the MQ (an open gap means
+	// repair is still running), senders drained, and the delivery stream
+	// idle.
+	if !g.ms.Joined() || g.ms.Lame() || g.ms.Behind() || !g.quorate() || !g.sent() || !g.e.Quiesced() {
 		return false
 	}
 	// A token-dead ring is never converged, however idle: a pending

@@ -523,7 +523,6 @@ func TestClusterPartitionHeal(t *testing.T) {
 		Live:        true,
 		HeartbeatMS: 100,
 		SuspectMS:   2500, // must exceed worst-case process spawn stagger under CI load
-		LameMS:      1500,
 		IdleMS:      2500, // heal at 6.5s must land before the majority latches Done
 		Trace:       true,
 		Splits: []SplitWindow{

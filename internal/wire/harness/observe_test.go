@@ -180,7 +180,6 @@ func TestClusterObservabilityUnderChaos(t *testing.T) {
 		Live:             true,
 		HeartbeatMS:      100,
 		SuspectMS:        2500,
-		LameMS:           1500,
 		IdleMS:           2500,
 		Trace:            true,
 		SpanSample:       8,

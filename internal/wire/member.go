@@ -104,10 +104,6 @@ type MemberTunables struct {
 	Heartbeat sim.Time
 	// Suspect declares a member failed after this much heartbeat silence.
 	Suspect sim.Time
-	// Lame is how long a removed member stays in the substrate's peer set
-	// so in-flight drains (token handoff acks, Nack service) complete
-	// before the endpoint vanishes.
-	Lame sim.Time
 }
 
 // proposal is a staged next-epoch reconfiguration awaiting quorum. The
@@ -275,6 +271,15 @@ func (m *Membership) Epoch() uint64 { return m.epoch }
 // Lame reports whether this node is parked in the read-only lame ring
 // (lost quorum; holding state, delivering nothing new).
 func (m *Membership) Lame() bool { return m.lame }
+
+// Behind reports whether this node's delivery front is below the current
+// epoch's stream baseline. The coordinator had delivered that far when it
+// proposed the epoch, so a member behind it (merged back from the lame
+// ring, or resumed at its durable front) still has globals to catch up
+// on, even while its MQ shows no gap yet.
+func (m *Membership) Behind() bool {
+	return m.lastUpdate != nil && m.ne.MQ().Front() < m.lastUpdate.Baseline
+}
 
 // LameTime returns cumulative time spent parked in the lame ring.
 func (m *Membership) LameTime() sim.Time {
@@ -1177,6 +1182,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		}
 	}
 	m.e.OnTopologyChanged(m.self)
+	const lameDuck = 3 * sim.Second // how long a removed member stays in the substrate's peer set
 	for _, dead := range removed {
 		m.tel.evictions.Inc()
 		m.tel.emit("evict", uint64(dead), fmt.Sprintf("epoch %d", u.Epoch))
@@ -1185,7 +1191,7 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		dead := dead
 		// Lame-duck retirement: keep the corpse addressable while drains
 		// (a leaver's token-handoff ack, straggler Nack service) finish.
-		m.e.Scheduler().After(m.cfg.Lame, func() {
+		m.e.Scheduler().After(lameDuck, func() {
 			if _, back := m.members[dead]; back {
 				return // rejoined meanwhile
 			}

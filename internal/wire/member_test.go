@@ -36,7 +36,6 @@ func launchLive(t *testing.T, n int, mutate func(i int, cfg *Config), delays map
 			// Brisk failure detection for test wall-clock budgets.
 			HeartbeatMS: 100,
 			SuspectMS:   600,
-			LameMS:      2000,
 			IdleMS:      1200,
 		}
 		for j := 0; j < n; j++ {
@@ -728,5 +727,33 @@ func TestLiveMinorityStaysUnconverged(t *testing.T) {
 			t.Fatalf("peers said Done: %v; after 1.5 s alone the member reads converged=%v drained=%v, want both %v",
 				peersDone, g.converged, g.drained, peersDone)
 		}
+	}
+}
+
+// TestLiveBehindBaselineStaysUnconverged: a live member whose delivery
+// front is below its epoch's stream baseline, as one merged back from the
+// lame ring is until Nack repair catches it up, still has globals to
+// deliver. Its stream has been quiet for longer than IdleMS and its MQ
+// shows no gap, but it must not converge: if it did, its Done could
+// complete everyone's barrier and end the run before it caught up. Once
+// its front reaches the baseline, the same quiet converges it.
+func TestLiveBehindBaselineStaysUnconverged(t *testing.T) {
+	nd, g := undrivenLive(t, 1, 3)
+	u := *g.ms.lastUpdate
+	u.Baseline = g.ne.MQ().Front() + 10
+	g.ms.lastUpdate = &u
+	quiet := 2 * sim.Time(nd.cfg.IdleMS) * sim.Millisecond
+	for now := stepEvery; now <= quiet; now += stepEvery {
+		g.sched.Run(now)
+		g.step(now)
+	}
+	if g.converged {
+		t.Fatalf("front %d, epoch baseline %d: converged after %v of quiet; want not until it catches up",
+			g.ne.MQ().Front(), u.Baseline, quiet)
+	}
+	u.Baseline = g.ne.MQ().Front()
+	g.step(quiet)
+	if !g.converged {
+		t.Fatalf("front %d at the epoch baseline after %v of quiet: unconverged, want converged", g.ne.MQ().Front(), quiet)
 	}
 }
