@@ -64,10 +64,12 @@ func pinnedMessages(tb testing.TB) []Message {
 			Gaps: []SourceGap{{Source: 4, Above: 203}}},
 		&Done{},
 		&Done{Drained: true},
+		&Done{Final: 300},
+		&Done{Final: 30, Drained: true},
 	}
 }
 
-// pinnedHex is what frame version 7 puts on the wire for pinnedMessages,
+// pinnedHex is what frame version 8 puts on the wire for pinnedMessages,
 // in order.
 var pinnedHex = []string{
 	"0107032a09e80700026869",
@@ -101,8 +103,10 @@ var pinnedHex = []string{
 	"1701020304efbeadde000000000506",
 	"1801020b31302e302e302e323a3939030405000000000000000607",
 	"02010200004d02030904c8010104cb01",
-	"1900",
-	"1901",
+	"190000",
+	"190001",
+	"19ac0200",
+	"191e01",
 }
 
 // TestLayoutBytesPinned pins every kind's encoding byte for byte: peers of

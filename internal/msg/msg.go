@@ -89,10 +89,10 @@ const (
 	// own epoch/front/hash/token summary plus its transport address,
 	// asking the quorum coordinator to splice it back in.
 	KindMergeReq
-	// KindDone is the wire daemon's termination gossip: its sender has
-	// delivered everything it expects in the group whose frame section
-	// carries it, and with Drained set, has heard Done from every live
-	// peer, so it needs nothing more from anyone.
+	// KindDone is the wire daemon's termination gossip: its sender's
+	// stream in the group whose frame section carries it ends at Final,
+	// and with Drained set, the sender has delivered every live member's
+	// stream to its end, so it needs nothing more from anyone.
 	KindDone
 )
 
@@ -518,17 +518,20 @@ type MergeReq struct {
 func (*MergeReq) Kind() Kind      { return KindMergeReq }
 func (m *MergeReq) WireSize() int { return wireSize(m) }
 
-// Done tells a peer that its sender has delivered everything it expects
-// in one group. Exiting a ring is safe only once every member is done:
-// gap repair (Nack) is pull-based, so a converged member may still be the
-// only reachable holder of a body a straggler is missing. Drained says
-// more: the sender has also heard Done from every live peer, so every
-// member has delivered everything and it needs nothing further from
-// anyone, and a member that has heard Drained from every peer may exit
-// at once. The
-// frame section that carries it names the group, and the datagram its
-// sender.
+// Done tells a peer where its sender's stream ends in one group: Final
+// is the global sequence number of the last message the sender's source
+// submitted there, sent once the sender has delivered it, or 0 if it
+// sources nothing. A member has delivered everything once it knows every
+// live member's Final and has delivered (or recorded as really lost)
+// every global up to the largest. Exiting a ring is safe
+// only once every member has: gap repair (Nack) is pull-based, so a
+// member may still be the only reachable holder of a body a straggler is
+// missing. Drained says the sender has: it needs nothing further from
+// anyone, and a member that has delivered everything and heard Drained
+// from every live peer may exit at once. The frame section that carries
+// it names the group, and the datagram its sender.
 type Done struct {
+	Final   seq.GlobalSeq
 	Drained bool
 }
 

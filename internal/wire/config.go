@@ -38,7 +38,8 @@ type GroupConfig struct {
 	// after it joins. Zero values inherit the
 	// daemon-level defaults (Config.Count etc.); Count < 0 means
 	// "source nothing" explicitly, and stays negative through Normalize
-	// so a second Normalize cannot mistake it for "inherit".
+	// so a second Normalize cannot mistake it for "inherit". Members may
+	// source different counts: each announces where its stream ends.
 	Count   int     `json:"count,omitempty"`
 	RateHz  float64 `json:"rate_hz,omitempty"`
 	Payload int     `json:"payload,omitempty"`
@@ -117,14 +118,6 @@ type Config struct {
 	// DeadlineMS bounds the whole run in wall-clock time.
 	DeadlineMS int64 `json:"deadline_ms"`
 
-	// IdleMS is the live-mode convergence criterion: with dynamic
-	// membership the exact delivery count is unknowable (a crashed
-	// member sourced an unknowable prefix), so a group declares itself
-	// done once it has caught up to its epoch's baseline, sent
-	// everything, its MQ has no undelivered slots, its senders drained,
-	// and no delivery arrived for IdleMS.
-	IdleMS int64 `json:"idle_ms,omitempty"`
-
 	// DataDir is the daemon-level durability root: groups that leave
 	// their own data_dir empty inherit "<DataDir>/g<ID>". Empty disables
 	// persistence for groups that do not set their own.
@@ -162,9 +155,6 @@ func (c *Config) defaults() {
 	}
 	if c.SuspectMS <= 0 {
 		c.SuspectMS = 900
-	}
-	if c.IdleMS <= 0 {
-		c.IdleMS = 1500
 	}
 }
 

@@ -158,6 +158,7 @@ func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
 		{"linger_ms", valid + `,"linger_ms":100`},
 		{"token_watch_ms", valid + `,"token_watch_ms":900`},
 		{"lame_ms", valid + `,"live":true,"lame_ms":3000`},
+		{"idle_ms", valid + `,"live":true,"idle_ms":1500`},
 		{"leader", flat + `,"groups":[{"id":4,"leader":1}]`},
 		{"groups", flat},
 	}

@@ -10,7 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/msg"
 	"repro/internal/seq"
 	"repro/internal/sim"
 )
@@ -24,8 +23,8 @@ import (
 // datagram's dispatch, one call per datagram: all protocol state in the
 // process is touched from one goroutine, and it is the only one that
 // sends. So does the daemon's own life: the run ends on the event that
-// finishes its last group (every peer of every group has said it is
-// drained), one housekeeping tick steps every group as the backstop for
+// finishes its last group (every peer of every group has said it has
+// delivered everything), one housekeeping tick steps every group as the backstop for
 // what only time decides, one tick fsyncs every durable log, and the
 // deadline and the fallback exit linger are scheduler events; the event
 // that ends the run collects every group's report and closes done.
@@ -49,10 +48,10 @@ type Node struct {
 	killed   chan struct{}
 	killOnce sync.Once
 
-	// settled is how a group tells the daemon it drained, left or
-	// finished, on the event that did it: lifecycle arms it to end the
-	// run once every group is finished, and to start the linger once
-	// every group is done. A no-op until then. Driver goroutine only.
+	// settled is how a group tells the daemon it left or finished, on
+	// the event that did it: lifecycle arms it to end the run once every
+	// group is finished, and to start the linger once every group is
+	// done. A no-op until then. Driver goroutine only.
 	settled func()
 
 	// done closes once the driver has ended the run; the event that ends
@@ -292,9 +291,10 @@ func (nd *Node) Run() (Report, error) {
 }
 
 // lingerFor is how long a daemon whose groups are all done keeps running
-// while one of them is not finished: the ceiling for a Drained notice
-// whose every copy was lost, and the grace a group that left its ring
-// gives stragglers.
+// while one of them is not finished: the grace a group that left its ring
+// gives stragglers. It is also how long a converged group of a static
+// ring waits on a peer that has not said Drained and answers none of its
+// beacons before it takes that peer as gone (ringGroup.released).
 const lingerFor = 300 * sim.Millisecond
 
 // peerIDs lists the configured peers: the spawn-time ring.
@@ -317,24 +317,24 @@ func (nd *Node) peerIDs() []seq.NodeID {
 //
 // The end of the run moves on messages too. Each group settles its own
 // lifecycle on the event that moves it (ringGroup.settle) and calls
-// settled when it drains, leaves or finishes. A group drains on the event
-// that completes its Done barrier. The run ends on the event that leaves
-// every group finished (drained, and every live peer has said Drained) —
-// the last Drained notice in, or the last group's own drain — once that
-// event's sends are flushed; or lingerFor after every group is
-// done; or at the deadline, whichever comes first. Ending repeats every
-// drained group's Drained notice in a flush of its own, so a peer that
-// lost the first copy ends on the repeat. The linger is the ceiling for
-// when every copy was lost, and what a group that left the ring gets: a
-// done group keeps running through it, serving straggler repairs and
-// answering Done beacons, so a peer that lost our notices to the same
-// faults we gossip about still hears one before the daemon exits. The
-// event that ends the run collects every group and closes done.
+// settled when it leaves or finishes. The run ends on the event that
+// leaves every group finished (converged, and every live peer has said
+// Drained) — the last Drained notice in, or the last group's own
+// convergence — once that event's sends are flushed; or lingerFor after
+// every group is finished or has left, if one left; or at the deadline,
+// whichever comes first. A converged group waits for a live peer that
+// has not said Drained, as it may still be repairing from us: on a live
+// ring until the failure detector suspects it, on a static ring while it
+// answers our beacons. Ending repeats every converged group's Drained
+// notice in a flush of its own, so a peer that lost the first copy ends
+// on the repeat. The linger is the grace a group that left the ring
+// gives stragglers. The event that ends the run collects every group and
+// closes done.
 //
 // One housekeeping tick steps every group (ringGroup.step), the backstop
-// for what only time decides: live convergence on IdleMS of quiet, an
-// evicted group's leave-drain and its quiesce bound, heartbeats, the
-// token watchdog and the Order-Assignment pass. One tick fsyncs every durable log; with
+// for what only time decides: an evicted group's leave-drain and its
+// quiesce bound, heartbeats, the token watchdog, Done beacons and the
+// Order-Assignment pass. One tick fsyncs every durable log; with
 // -report-interval, one tick writes the live report to stderr. Driver
 // goroutine only.
 func (nd *Node) lifecycle(groups []*ringGroup) {
@@ -405,11 +405,11 @@ func (nd *Node) lifecycle(groups []*ringGroup) {
 		close(nd.done)
 	}
 	// wrapUp ends the run in two zero-delay events, each after the
-	// flushes queued before it. The first repeats every drained group's
+	// flushes queued before it. The first repeats every converged group's
 	// Drained notice, so the repeat leaves in a datagram of its own: a
-	// peer that lost our first copy could otherwise only wait out its
-	// lingerFor, since once we have ended nothing it sends reaches us.
-	// The second ends the run once the repeat has gone out.
+	// peer that lost our first copy would otherwise wait for its deadline,
+	// since once we have ended nothing answers its beacons. The second
+	// ends the run once the repeat has gone out.
 	wrapUp := func() {
 		if ending {
 			return
@@ -420,8 +420,8 @@ func (nd *Node) lifecycle(groups []*ringGroup) {
 		linger.Stop()
 		s.After(0, func() {
 			for _, g := range groups {
-				if g.drained {
-					g.announce(&msg.Done{Drained: true})
+				if g.converged {
+					g.announce(g.notice())
 				}
 			}
 			s.After(0, end)
@@ -431,7 +431,7 @@ func (nd *Node) lifecycle(groups []*ringGroup) {
 		done, finished := true, true
 		for _, g := range groups {
 			done = done && g.done()
-			finished = finished && g.finished()
+			finished = finished && g.finished
 		}
 		switch {
 		case ending:

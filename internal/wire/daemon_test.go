@@ -291,8 +291,9 @@ type handMsg struct {
 
 // newHandRing builds and starts members 1..n, each hosting gcs, with
 // peer addresses that answer nothing: until run carries it, no traffic
-// moves.
-func newHandRing(t *testing.T, n int, gcs []GroupConfig) *handRing {
+// moves. mutate, when set, edits member i's config (i counts from 0)
+// before its node is built.
+func newHandRing(t *testing.T, n int, gcs []GroupConfig, mutate func(i int, cfg *Config)) *handRing {
 	t.Helper()
 	r := &handRing{ended: make([]sim.Time, n)}
 	for i := 0; i < n; i++ {
@@ -303,7 +304,11 @@ func newHandRing(t *testing.T, n int, gcs []GroupConfig) *handRing {
 				peers = append(peers, PeerAddr{Node: p, Addr: "127.0.0.1:9"})
 			}
 		}
-		nd, err := NewNode(Config{Node: self, Listen: "127.0.0.1:0", Peers: peers, Groups: slices.Clone(gcs)})
+		cfg := Config{Node: self, Listen: "127.0.0.1:0", Peers: peers, Groups: slices.Clone(gcs)}
+		if mutate != nil {
+			mutate(i, &cfg)
+		}
+		nd, err := NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,136 +407,111 @@ func (r *handRing) run(t *testing.T, until sim.Time) {
 	}
 }
 
-// TestDaemonDoneReplyRateLimited: a Done from a peer marks the peer done,
-// and a Drained one marks it drained too. Only a converged member answers
-// it, with one Done of its own that says whether it has drained, and at
-// most once per 50 ms per peer — the first Done from a peer is answered
-// whenever it comes, even in the run's first 50 ms. Peer 3 stays silent
-// until the end, so the barrier stays open and the member sends no
-// Drained notice of its own. The group is driven step by step on a
-// scheduler no driver runs.
+// TestDaemonDoneReplyRateLimited: a Done from a peer records where the
+// peer's stream ends, and a Drained one marks the peer drained too. A
+// member answers only once its own stream has ended, with one Done of its
+// own that says where that stream ends and whether it has converged, and
+// at most once per 50 ms per peer — the first Done from a peer is
+// answered whenever it comes, even in the run's first 50 ms. Peer 3 stays
+// silent until 60 ms, so the member converges only on its Done, and the
+// group is finished only once peer 3 says Drained too. Each group is
+// driven step by step on a scheduler no driver runs.
 func TestDaemonDoneReplyRateLimited(t *testing.T) {
-	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}}) // members 2 and 3 are only addresses
-	nd, g := r.nodes[0], r.groups[0][0]
-	s := nd.drv.sched // never started: this test is its only driver
-	handler := nd.tr.handlers[1].Handler
 	// hear runs the scheduler to at, which flushes what earlier steps
 	// queued, hands the group a Done from peer from, and returns the
 	// Dones then waiting in that peer's box.
-	hear := func(from seq.NodeID, at sim.Time, drained bool) (replies []*msg.Done) {
-		s.Run(at)
-		handler(from, []msg.Message{&msg.Done{Drained: drained}})
+	hear := func(r *handRing, from seq.NodeID, at sim.Time, d msg.Done) (replies []msg.Done) {
+		nd := r.nodes[0]
+		nd.drv.sched.Run(at)
+		nd.tr.handlers[1].Handler(from, []msg.Message{&d})
 		for _, m := range pending(nd.ob, 1, from) {
 			if d, done := m.(*msg.Done); done {
-				replies = append(replies, d)
+				replies = append(replies, *d)
 			}
 		}
 		return replies
 	}
-	if replies := hear(2, 5*sim.Millisecond, false); !g.doneFrom[2] || g.drainedFrom[2] || len(replies) != 0 {
-		t.Fatalf("unconverged: peer 2 marked done %v, drained %v, %d Done replies queued; want true, false, 0",
-			g.doneFrom[2], g.drainedFrom[2], len(replies))
+	// Member 1 of this ring has a stream still to send (it opens at the
+	// default 250 ms ceiling), so it answers nothing. Members 2 and 3 are
+	// only addresses.
+	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: 5}}, nil)
+	if replies := hear(r, 2, 5*sim.Millisecond, msg.Done{Final: 4}); len(replies) != 0 || r.groups[0][0].ends[2] != 4 {
+		t.Fatalf("stream not ended: %d Done replies queued, peer 2's end recorded as %d; want 0, 4",
+			len(replies), r.groups[0][0].ends[2])
 	}
-	g.converged = true
+	// Member 1 of this one sources nothing, so its stream ended at start.
+	r = newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}}, nil)
+	g := r.groups[0][0]
 	for _, step := range []struct {
-		at      sim.Time
-		drained bool // ours, when the peer's Done arrives
-		want    int
-	}{{10 * sim.Millisecond, false, 1}, {100 * sim.Millisecond, false, 1}, {149 * sim.Millisecond, false, 0}, {150 * sim.Millisecond, true, 1}} {
-		g.drained = step.drained
-		replies := hear(2, step.at, false)
-		if len(replies) != step.want {
-			t.Fatalf("converged, Done heard at %v: %d replies queued, want %d", step.at, len(replies), step.want)
-		}
-		if len(replies) > 0 && replies[0].Drained != step.drained {
-			t.Fatalf("Done heard at %v: reply says Drained=%v, want %v", step.at, replies[0].Drained, step.drained)
+		from seq.NodeID
+		at   sim.Time
+		want []msg.Done
+	}{
+		{2, 5 * sim.Millisecond, []msg.Done{{}}},
+		{2, 30 * sim.Millisecond, nil},
+		{2, 55 * sim.Millisecond, []msg.Done{{}}},
+		// Peer 3's end is the last one member 1 lacked: it answers, then
+		// converges and says Drained.
+		{3, 60 * sim.Millisecond, []msg.Done{{}, {Drained: true}}},
+		{2, 104 * sim.Millisecond, nil},
+		{2, 105 * sim.Millisecond, []msg.Done{{Drained: true}}},
+	} {
+		replies := hear(r, step.from, step.at, msg.Done{})
+		if !slices.Equal(replies, step.want) {
+			t.Fatalf("Done from peer %d heard at %v: %+v queued, want %+v", step.from, step.at, replies, step.want)
 		}
 	}
-	if hear(2, 200*sim.Millisecond, true); !g.drainedFrom[2] || g.finished() {
+	if !g.converged {
+		t.Fatal("every peer's end heard, nothing to deliver: the member has not converged")
+	}
+	if hear(r, 2, 200*sim.Millisecond, msg.Done{Drained: true}); !g.drainedFrom[2] || g.finished {
 		t.Fatalf("peer 2 said Drained: marked drained %v, group finished %v; want true, false while peer 3 has not",
-			g.drainedFrom[2], g.finished())
+			g.drainedFrom[2], g.finished)
 	}
-	if hear(3, 200*sim.Millisecond, true); !g.drainedFrom[3] || !g.finished() {
-		t.Fatalf("peer 3 said Drained too: marked drained %v, group finished %v; want both", g.drainedFrom[3], g.finished())
-	}
-}
-
-// TestDaemonBarrierHoldsOneRoundAfterLastConverges: three static members
-// converge in turn, 30 ms apart, their traffic carried by hand. The last
-// one announces Done to every peer when it converges, even to those it
-// heard Done from before, so every member's barrier holds, and it says
-// Drained, at that instant: the last member's as it converges, the
-// others' as its Done is handed to them — not at their next step, nor
-// when an earlier member's next beacon, up to beaconEvery later, draws
-// its reply.
-func TestDaemonBarrierHoldsOneRoundAfterLastConverges(t *testing.T) {
-	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}})
-	// Member i's lifecycle steps from converges[i] on; having nothing to
-	// deliver, it converges at its first step.
-	converges := []sim.Time{10 * sim.Millisecond, 40 * sim.Millisecond, 70 * sim.Millisecond}
-	last := converges[len(converges)-1]
-	drained := make([]sim.Time, len(converges))
-	r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
-		if d, ok := m.(*msg.Done); ok && d.Drained && drained[from-1] == 0 {
-			drained[from-1] = at
-		}
-	}
-	for now := stepEvery; now <= last+2*beaconEvery; now += stepEvery {
-		r.run(t, now)
-		for i, gs := range r.groups {
-			g := gs[0]
-			if now < converges[i] {
-				continue
-			}
-			g.step(now)
-			if !g.converged {
-				t.Fatalf("member %d unconverged at %v", i+1, now)
-			}
-		}
-	}
-	for i, at := range drained {
-		t.Logf("member %d: converged at %v, said Drained at %v", i+1, converges[i], at)
-		if at != last {
-			t.Errorf("member %d: said Drained at %v; want at %v, when the last member converged", i+1, at, last)
-		}
+	if hear(r, 3, 200*sim.Millisecond, msg.Done{Drained: true}); !g.drainedFrom[3] || !g.finished {
+		t.Fatalf("peer 3 said Drained too: marked drained %v, group finished %v; want both", g.drainedFrom[3], g.finished)
 	}
 }
 
-// endOfRun runs three static members hosting two groups through their
-// whole lifecycle on a handRing, dropping what withhold says (nil drops
-// nothing), and returns, by member and group, the instant each member
-// first sent Done (it converged then: nothing sends Done before
-// converging), the instant it had been handed the first Done of every
-// peer, and the instant it first sent Done{Drained: true}.
-func endOfRun(t *testing.T, withhold func(r *handRing, from, to seq.NodeID, group uint32, m msg.Message) bool) (r *handRing, converged, lastDone, drained [][]sim.Time) {
+// endOfRun runs three static members hosting gcs through their whole
+// lifecycle on a handRing, with member i's config edited by mutate (nil
+// edits nothing) and dropping what withhold says (nil drops nothing). It
+// returns, by member and group, the instant each member first sent Done
+// (its stream ended then: nothing sends Done before), the instant it had
+// been handed the first Done of every peer, and the instant it first sent
+// Done{Drained: true}.
+func endOfRun(t *testing.T, gcs []GroupConfig, mutate func(i int, cfg *Config), withhold func(r *handRing, from, to seq.NodeID, group uint32, m msg.Message) bool) (r *handRing, ended, lastDone, drained [][]sim.Time) {
 	t.Helper()
-	r = newHandRing(t, 3, []GroupConfig{
-		{ID: 1, Count: 6, RateHz: 200, StartMS: 20},
-		{ID: 2, Count: 3, RateHz: 100, StartMS: 60},
-	})
+	r = newHandRing(t, 3, gcs, mutate)
 	if withhold != nil {
 		r.withhold = func(from, to seq.NodeID, group uint32, m msg.Message) bool { return withhold(r, from, to, group, m) }
 	}
-	converged, lastDone, drained = make([][]sim.Time, 3), make([][]sim.Time, 3), make([][]sim.Time, 3)
-	heard := make([][]map[seq.NodeID]bool, 3)
+	ended, lastDone, drained = make([][]sim.Time, 3), make([][]sim.Time, 3), make([][]sim.Time, 3)
+	// Whether each member sent Done and Drained yet, and which peers' Done
+	// it was handed: a member that sources nothing sends Done at 0.
+	sent, said, heard := make([][]bool, 3), make([][]bool, 3), make([][]map[seq.NodeID]bool, 3)
 	for i := range r.nodes {
-		converged[i], lastDone[i], drained[i] = make([]sim.Time, 2), make([]sim.Time, 2), make([]sim.Time, 2)
-		heard[i] = []map[seq.NodeID]bool{{}, {}}
+		ended[i], lastDone[i], drained[i] = make([]sim.Time, len(gcs)), make([]sim.Time, len(gcs)), make([]sim.Time, len(gcs))
+		sent[i], said[i] = make([]bool, len(gcs)), make([]bool, len(gcs))
+		for range gcs {
+			heard[i] = append(heard[i], map[seq.NodeID]bool{})
+		}
 	}
 	r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
 		d, ok := m.(*msg.Done)
 		if !ok {
 			return
 		}
-		if converged[from-1][group-1] == 0 {
-			converged[from-1][group-1] = at
+		i, gi := from-1, group-1
+		if !sent[i][gi] {
+			sent[i][gi], ended[i][gi] = true, at
 		}
-		if d.Drained && drained[from-1][group-1] == 0 {
-			drained[from-1][group-1] = at
+		if d.Drained && !said[i][gi] {
+			said[i][gi], drained[i][gi] = true, at
 		}
-		if !heard[to-1][group-1][from] {
-			heard[to-1][group-1][from] = true
-			lastDone[to-1][group-1] = max(lastDone[to-1][group-1], at)
+		if !heard[to-1][gi][from] {
+			heard[to-1][gi][from] = true
+			lastDone[to-1][gi] = max(lastDone[to-1][gi], at)
 		}
 	}
 	for _, nd := range r.nodes {
@@ -543,59 +523,236 @@ func endOfRun(t *testing.T, withhold func(r *handRing, from, to seq.NodeID, grou
 			t.Fatalf("member %d: run ended at %v, error %v", i+1, r.ended[i], nd.exitErr)
 		}
 	}
-	return r, converged, lastDone, drained
+	return r, ended, lastDone, drained
 }
 
-// TestDaemonDoneAnnouncedOnLastDelivery: a static group converges, and
-// announces Done, at the instant its last expected delivery lands — not
-// at the next housekeeping step.
+// twoGroups is the workload the end-of-run tests share: in group 2
+// member 2 sources nothing, so its stream ends at start.
+var twoGroups = []GroupConfig{
+	{ID: 1, Count: 6, RateHz: 200, StartMS: 20},
+	{ID: 2, Count: 3, RateHz: 100, StartMS: 60},
+}
+
+func member2SourcesNothingInGroup2(i int, cfg *Config) {
+	if i == 1 {
+		cfg.Groups[1].Count = -1
+	}
+}
+
+// TestDaemonDoneAnnouncedOnLastDelivery: a member announces where its
+// stream ends at the instant it delivers its own last message — not at
+// the next housekeeping step — and Final is that message's global. A
+// member that sources nothing announces Final 0 at start.
 func TestDaemonDoneAnnouncedOnLastDelivery(t *testing.T) {
-	r, converged, _, _ := endOfRun(t, nil)
+	r := newHandRing(t, 3, twoGroups, member2SourcesNothingInGroup2)
+	// When each member delivered its last message, at which global, and
+	// when it first sent Done, with which Final.
+	var lastAt, doneAt [3][2]sim.Time
+	var lastG, finals [3][2]seq.GlobalSeq
+	sent := [3][2]bool{}
 	for i, gs := range r.groups {
 		for gi, g := range gs {
-			t.Logf("member %d group %d: last delivery at %v, Done announced at %v", i+1, g.gid, g.sink.lastAt, converged[i][gi])
-			if g.sink.delivered() != g.expected || converged[i][gi] != g.sink.lastAt {
-				t.Errorf("member %d group %d: delivered %d of %d, the last at %v; Done announced at %v; want all, and Done then",
-					i+1, g.gid, g.sink.delivered(), g.expected, g.sink.lastAt, converged[i][gi])
+			inner := g.e.OnDeliver
+			g.e.OnDeliver = func(at seq.NodeID, d *msg.Data) {
+				if d.SourceNode == g.self && int(d.LocalSeq) == g.gc.Count {
+					lastAt[i][gi], lastG[i][gi] = g.sched.Now(), d.GlobalSeq
+				}
+				inner(at, d)
+			}
+		}
+	}
+	r.carried = func(from, _ seq.NodeID, group uint32, m msg.Message, at sim.Time) {
+		if d, ok := m.(*msg.Done); ok && !sent[from-1][group-1] {
+			sent[from-1][group-1] = true
+			doneAt[from-1][group-1], finals[from-1][group-1] = at, d.Final
+		}
+	}
+	for _, nd := range r.nodes {
+		nd.lifecycle(r.groups[nd.self-1])
+	}
+	r.run(t, 2*sim.Second)
+	for i, gs := range r.groups {
+		for gi, g := range gs {
+			t.Logf("member %d group %d: last message delivered at %v as global %d, Done announced at %v with Final %d",
+				i+1, g.gid, lastAt[i][gi], lastG[i][gi], doneAt[i][gi], finals[i][gi])
+			if !sent[i][gi] || finals[i][gi] != lastG[i][gi] || doneAt[i][gi] != lastAt[i][gi] {
+				t.Errorf("member %d group %d: Done announced (%v) Final %d at %v; want %d at %v",
+					i+1, g.gid, sent[i][gi], finals[i][gi], doneAt[i][gi], lastG[i][gi], lastAt[i][gi])
+			}
+		}
+	}
+	if !sent[1][1] || finals[1][1] != 0 || doneAt[1][1] != 0 {
+		t.Errorf("member 2 sources nothing in group 2: Done announced (%v) with Final %d at %v; want 0 at 0", sent[1][1], finals[1][1], doneAt[1][1])
+	}
+}
+
+// convergedEvents returns the instants, in ms, of nd's converged events by
+// group.
+func convergedEvents(nd *Node) map[uint32][]uint64 {
+	at := make(map[uint32][]uint64)
+	for _, ev := range nd.tel.events.Snapshot() {
+		if ev.Type == "converged" {
+			at[ev.Group] = append(at[ev.Group], ev.Value)
+		}
+	}
+	return at
+}
+
+// TestDaemonConvergesOnLastDeliveryOrFinal: every member converges, and
+// says Drained, at the instant it has both delivered every stream to its
+// end and been handed every peer's Done: on its last delivery, or on the
+// Done that brings the last Final if that comes later — not at the next
+// housekeeping step, nor a beacon later. The members source unequal
+// counts, and in group 2 member 2 sources nothing. Each member records
+// its convergence once on /events, at that instant in milliseconds of its
+// scheduler's clock.
+func TestDaemonConvergesOnLastDeliveryOrFinal(t *testing.T) {
+	r, _, lastDone, drained := endOfRun(t, twoGroups, func(i int, cfg *Config) {
+		member2SourcesNothingInGroup2(i, cfg)
+		if i == 2 {
+			cfg.Groups[0].Count = 2
+		}
+	}, nil)
+	for i, gs := range r.groups {
+		events := convergedEvents(r.nodes[i])
+		for gi, g := range gs {
+			want := max(g.sink.lastAt, lastDone[i][gi])
+			t.Logf("member %d group %d: last delivery at %v, last Done handed at %v, said Drained at %v, converged events %v ms",
+				i+1, g.gid, g.sink.lastAt, lastDone[i][gi], drained[i][gi], events[g.gid])
+			if drained[i][gi] != want {
+				t.Errorf("member %d group %d: said Drained at %v; want %v", i+1, g.gid, drained[i][gi], want)
+			}
+			if ev := events[g.gid]; len(ev) != 1 || ev[0] != uint64(want/sim.Millisecond) {
+				t.Errorf("member %d group %d: converged events at %v ms; want one at %d ms", i+1, g.gid, ev, want/sim.Millisecond)
 			}
 		}
 	}
 }
 
-// TestDaemonBarrierHoldsOnLastDone: every member's barrier holds, and it
-// says Drained, at the instant it has both converged and been handed
-// every peer's Done: on the Done that completes it, or on its own
-// convergence if that comes last — not at the next housekeeping step.
-func TestDaemonBarrierHoldsOnLastDone(t *testing.T) {
-	r, converged, lastDone, drained := endOfRun(t, nil)
-	for i, gs := range r.groups {
-		for gi, g := range gs {
-			want := max(converged[i][gi], lastDone[i][gi])
-			t.Logf("member %d group %d: converged at %v, last Done handed at %v, said Drained at %v", i+1, g.gid, converged[i][gi], lastDone[i][gi], drained[i][gi])
-			if drained[i][gi] != want {
-				t.Errorf("member %d group %d: said Drained at %v; want %v", i+1, g.gid, drained[i][gi], want)
+// TestDaemonUnequalCountsEndOnMessages: members may source different
+// counts, or nothing. Three static members sourcing 30, 10 and 30
+// messages, or 30, none and 30, learn where one another's streams end
+// from their Dones: every member delivers 70 (or 60) messages, on one
+// order hash, reports the largest Final, the last global, as expected,
+// and ends its run on the last Drained notice.
+func TestDaemonUnequalCountsEndOnMessages(t *testing.T) {
+	for _, mid := range []int{10, -1} {
+		r, _, _, drained := endOfRun(t, []GroupConfig{{ID: 1, Count: 30, RateHz: 200, StartMS: 20}}, func(i int, cfg *Config) {
+			if i == 1 {
+				cfg.Groups[0].Count = mid
+			}
+		}, nil)
+		want := uint64(60 + max(mid, 0))
+		var last sim.Time
+		for i := range r.nodes {
+			last = max(last, drained[i][0])
+		}
+		for i, nd := range r.nodes {
+			rep := nd.exit[0]
+			t.Logf("counts 30/%d/30, member %d: delivered %d, expected %d, hash %s, run ended at %v", mid, i+1, rep.Delivered, rep.Expected, rep.OrderHash, r.ended[i])
+			if !rep.Converged || rep.Delivered != want || rep.Expected != want || rep.OrderHash != r.nodes[0].exit[0].OrderHash {
+				t.Errorf("counts 30/%d/30, member %d: converged %v, delivered %d, expected %d, hash %s; want true, %d, %d, %s",
+					mid, i+1, rep.Converged, rep.Delivered, rep.Expected, rep.OrderHash, want, want, r.nodes[0].exit[0].OrderHash)
+			}
+			if r.ended[i] != last {
+				t.Errorf("counts 30/%d/30, member %d: run ended at %v; want %v, on the last Drained notice", mid, i+1, r.ended[i], last)
+			}
+		}
+	}
+}
+
+// TestDaemonWithheldFinalRecovered: a Done whose copy is lost is
+// recovered by a message, and every run still ends on the last Drained
+// notice. Member 1's stream ends first, at 32 ms, and the others' at
+// 78 ms. When member 1's announcement to member 3 is withheld, member 1
+// answers member 3's own announcement with its Done, so member 3 learns
+// member 1's end the instant its own stream ends. When every Done member
+// 3 sends member 1 before 100 ms is withheld, its Drained notice too,
+// member 1 learns member 3's end from member 3's reply to member 1's next
+// beacon, within beaconEvery + stepEvery of the last withheld copy, and
+// converges on that reply.
+func TestDaemonWithheldFinalRecovered(t *testing.T) {
+	gcs := []GroupConfig{{ID: 1, Count: 12, RateHz: 200, StartMS: 20}}
+	member1EndsFirst := func(i int, cfg *Config) {
+		if i == 0 {
+			cfg.Groups[0].Count = 3
+		}
+	}
+	for _, lost := range []string{"announcement", "every early copy"} {
+		from, to := seq.NodeID(1), seq.NodeID(3)
+		if lost != "announcement" {
+			from, to = 3, 1
+		}
+		// The last copy withheld, the first one handed over, and the
+		// instants member 1 sent member 3 a Done.
+		var dropped, handed sim.Time
+		var toMember3 []sim.Time
+		r, ended, _, drained := endOfRun(t, gcs, member1EndsFirst, func(r *handRing, f, tt seq.NodeID, _ uint32, m msg.Message) bool {
+			if _, ok := m.(*msg.Done); !ok {
+				return false
+			}
+			now := r.nodes[f-1].drv.sched.Now()
+			if f == 1 && tt == 3 {
+				toMember3 = append(toMember3, now)
+			}
+			switch {
+			case f != from || tt != to || handed != 0:
+				return false
+			case lost == "announcement" && dropped == 0 || lost != "announcement" && now < 100*sim.Millisecond:
+				dropped = now
+				return true
+			}
+			handed = now
+			return false
+		})
+		t.Logf("%s withheld: last copy dropped at %v, first handed at %v; streams ended at %v; said Drained at %v; runs ended at %v",
+			lost, dropped, handed, ended, drained, r.ended)
+		if dropped == 0 || handed == 0 {
+			t.Fatalf("%s withheld: dropped at %v, handed at %v; want both", lost, dropped, handed)
+		}
+		if lost == "announcement" {
+			if handed != ended[2][0] {
+				t.Errorf("member 1's end reached member 3 at %v; want at %v, in the reply to member 3's announcement", handed, ended[2][0])
+			}
+		} else {
+			if !slices.Contains(toMember3, handed) || handed-dropped > beaconEvery+stepEvery {
+				t.Errorf("member 3's end reached member 1 at %v, %v after the last withheld copy; want in the reply to a beacon (member 1 sent member 3 Dones at %v), within %v",
+					handed, handed-dropped, toMember3, beaconEvery+stepEvery)
+			}
+			if drained[0][0] != handed {
+				t.Errorf("member 1 said Drained at %v; want at %v, on the reply", drained[0][0], handed)
+			}
+		}
+		var last sim.Time
+		for i := range r.nodes {
+			last = max(last, drained[i][0])
+		}
+		for i, end := range r.ended {
+			if end != last || !r.nodes[i].exit[0].Converged {
+				t.Errorf("%s withheld, member %d: converged %v, run ended at %v; want the end on the last Drained notice, %v",
+					lost, i+1, r.nodes[i].exit[0].Converged, end, last)
 			}
 		}
 	}
 }
 
 // TestDaemonDrainedWithAcksWithheld: every Ack and TokenAck to member 1
-// is withheld once it has converged, so when its barrier holds it still
-// has unacknowledged sends or a token transfer in flight. Every member
-// of the ring has delivered everything by then, so member 1 says Drained
-// at that instant all the same, as every other member does, and every
-// run ends on the last Drained notice, not on a timer.
+// is withheld once its stream has ended, so when it converges it still
+// has unacknowledged sends or a token transfer in flight. It has
+// delivered everything all the same, so it says Drained at that instant,
+// as every other member does, and every run ends on the last Drained
+// notice, not on a timer.
 func TestDaemonDrainedWithAcksWithheld(t *testing.T) {
-	busy := make([]bool, 2) // by group: member 1 was not idle as it drained
-	r, converged, lastDone, drained := endOfRun(t, func(r *handRing, from, to seq.NodeID, group uint32, m msg.Message) bool {
+	busy := make([]bool, 2) // by group: member 1 was not idle as it converged
+	r, _, lastDone, drained := endOfRun(t, twoGroups, nil, func(r *handRing, from, to seq.NodeID, group uint32, m msg.Message) bool {
 		g := r.groups[0][group-1]
 		switch m := m.(type) {
 		case *msg.Ack, *msg.TokenAck:
-			return to == 1 && g.converged
+			return to == 1 && g.ended()
 		case *msg.Done:
-			// Queued by the event that drained member 1, before anything
-			// else could run.
-			if from == 1 && m.Drained && g.drained && !busy[group-1] {
+			// Queued by the event that converged member 1, before
+			// anything else could run.
+			if from == 1 && m.Drained && g.converged && !busy[group-1] {
 				busy[group-1] = !g.e.Quiesced() || !g.ne.TokenIdle()
 			}
 		}
@@ -604,17 +761,17 @@ func TestDaemonDrainedWithAcksWithheld(t *testing.T) {
 	var last sim.Time
 	for i, gs := range r.groups {
 		for gi, g := range gs {
-			want := max(converged[i][gi], lastDone[i][gi])
-			t.Logf("member %d group %d: barrier held at %v, said Drained at %v", i+1, g.gid, want, drained[i][gi])
+			want := max(g.sink.lastAt, lastDone[i][gi])
+			t.Logf("member %d group %d: delivered everything at %v, said Drained at %v", i+1, g.gid, want, drained[i][gi])
 			if drained[i][gi] != want {
-				t.Errorf("member %d group %d: said Drained at %v; want %v, when its barrier held", i+1, g.gid, drained[i][gi], want)
+				t.Errorf("member %d group %d: said Drained at %v; want %v, when it had delivered everything", i+1, g.gid, drained[i][gi], want)
 			}
 			last = max(last, drained[i][gi])
 		}
 	}
 	for gi, b := range busy {
 		if !b {
-			t.Errorf("group %d: member 1 was quiesced and token-idle as it drained; the withheld acks tested nothing", gi+1)
+			t.Errorf("group %d: member 1 was quiesced and token-idle as it converged; the withheld acks tested nothing", gi+1)
 		}
 	}
 	for i, end := range r.ended {
@@ -624,25 +781,69 @@ func TestDaemonDrainedWithAcksWithheld(t *testing.T) {
 	}
 }
 
+// TestDaemonConvergedWaitsForRepairingPeer: member 3 sources 3 messages
+// and the others 10, and every copy of source 1's last body toward member
+// 3 is withheld for 600 ms. Member 3's own stream is ordered before that
+// body, so it announces its end early, and members 1 and 2 converge long
+// before member 3 can. They keep running, beaconing member 3, until it
+// has repaired the body from them and says Drained: member 3 answers
+// every beacon, so however long the repair takes, it is never taken as
+// gone. Every run ends on the last Drained notice, every member converged
+// on one order hash.
+func TestDaemonConvergedWaitsForRepairingPeer(t *testing.T) {
+	const withheldFor = 600 * sim.Millisecond
+	var first sim.Time
+	r, _, _, drained := endOfRun(t, []GroupConfig{{ID: 1, Count: 10, RateHz: 200, StartMS: 20}}, func(i int, cfg *Config) {
+		if i == 2 {
+			cfg.Groups[0].Count = 3
+		}
+	},
+		func(r *handRing, from, to seq.NodeID, _ uint32, m msg.Message) bool {
+			d, ok := m.(*msg.Data)
+			if !ok || to != 3 || d.SourceNode != 1 || d.LocalSeq != 10 {
+				return false
+			}
+			now := r.nodes[from-1].drv.sched.Now()
+			if first == 0 {
+				first = now
+			}
+			return now < first+withheldFor
+		})
+	t.Logf("body withheld from %v; said Drained at %v; runs ended at %v", first, drained, r.ended)
+	if drained[2][0] < first+withheldFor || max(drained[0][0], drained[1][0]) >= first+withheldFor {
+		t.Fatalf("members said Drained at %v; want members 1 and 2 before the body's release at %v, member 3 after", drained, first+withheldFor)
+	}
+	for i, nd := range r.nodes {
+		if rep := nd.exit[0]; !rep.Converged || rep.Delivered != 23 || rep.OrderHash != r.nodes[0].exit[0].OrderHash || r.ended[i] != drained[2][0] {
+			t.Errorf("member %d: converged %v, delivered %d, hash %s, run ended at %v; want true, 23, %s, at member 3's Drained notice (%v)",
+				i+1, rep.Converged, rep.Delivered, rep.OrderHash, r.ended[i], r.nodes[0].exit[0].OrderHash, drained[2][0])
+		}
+	}
+}
+
 // TestDaemonEndsOnceEveryPeerDrained: three static members hosting two
 // groups each run their whole lifecycle, their traffic carried by hand. A
-// daemon ends its run at the instant each of its groups is drained and
+// daemon ends its run at the instant each of its groups has converged and
 // has heard Drained from every peer, never before: on the notice that
-// completes it, or on its own drain, after only the zero-delay events
+// completes it, or on its own convergence, after only the zero-delay events
 // that flush what that event queued and repeat its Drained notices.
 // Member 3's Drained notices to member 1 in group 2 are withheld in two
 // ways. With only the first copy withheld, member 1 ends on the repeat
-// member 3 sends as its own run ends, not lingerFor after its groups were
-// done. With every copy withheld — replies and the repeat as well —
-// member 1 ends exactly lingerFor after its groups were done, while the
+// member 3 sends as its own run ends, not on a timer. With every copy
+// withheld — replies and the repeat as well — member 1 hears nothing from
+// member 3 once member 3 has ended, though it beacons it: a static ring
+// has no failure detector, so it takes member 3 as gone lingerFor after
+// the later of its own convergence and member 3's last Done, at the first
+// step from then on, and reports converged without an error, while the
 // others still end on the notices.
 func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 	for _, withheld := range []string{"none", "first", "all"} {
 		r := newHandRing(t, 3, []GroupConfig{
 			{ID: 1, Count: 4, RateHz: 200, StartMS: 20},
 			{ID: 2, Count: 3, RateHz: 100, StartMS: 60},
-		})
-		copies := 0 // member 3's Drained notices to member 1 in group 2
+		}, nil)
+		copies := 0            // member 3's Drained notices to member 1 in group 2
+		var lastFrom3 sim.Time // when member 1 was last handed a Done from member 3 in group 2
 		r.withhold = func(from, to seq.NodeID, group uint32, m msg.Message) bool {
 			if d, ok := m.(*msg.Done); !ok || !d.Drained || from != 3 || to != 1 || group != 2 {
 				return false
@@ -650,8 +851,9 @@ func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 			copies++
 			return withheld == "all" || withheld == "first" && copies == 1
 		}
-		// drainedAt[i][gi] is when member i's group drained (it announces
-		// Drained then); heard[i][gi][p] when it was handed peer p's.
+		// drainedAt[i][gi] is when member i's group converged (it
+		// announces Drained then); heard[i][gi][p] when it was handed peer
+		// p's.
 		drainedAt := make([][]sim.Time, 3)
 		heard := make([][]map[seq.NodeID]sim.Time, 3)
 		for i := range r.nodes {
@@ -659,6 +861,9 @@ func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 			heard[i] = []map[seq.NodeID]sim.Time{{}, {}}
 		}
 		r.carried = func(from, to seq.NodeID, group uint32, m msg.Message, at sim.Time) {
+			if _, ok := m.(*msg.Done); ok && from == 3 && to == 1 && group == 2 {
+				lastFrom3 = at
+			}
 			if d, ok := m.(*msg.Done); ok && d.Drained {
 				sender := r.nodes[from-1].drv.sched.Now()
 				if drainedAt[from-1][group-1] == 0 {
@@ -693,9 +898,10 @@ func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 				t.Fatalf("member %d: run error %v, done at %v", i+1, nd.exitErr, done)
 			}
 			if withheld == "all" && i == 0 {
-				if all || end != done+lingerFor {
-					t.Fatalf("member 1, every copy of a Drained notice withheld: every notice in %v, ended at %v; want not, and the end lingerFor after done (%v)",
-						all, end, done+lingerFor)
+				gone := max(drainedAt[0][1], lastFrom3) + lingerFor
+				if all || end < gone || end >= gone+stepEvery || !nd.exit[1].Converged {
+					t.Fatalf("member 1, every copy of a Drained notice withheld: every notice in %v, ended at %v, group 2 converged %v; want not, the end at the first step from %v, and converged",
+						all, end, nd.exit[1].Converged, gone)
 				}
 				continue
 			}
@@ -703,8 +909,8 @@ func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 				t.Fatalf("withheld %s, member %d: every Drained notice in %v at %v, ended at %v; want the end then", withheld, i+1, all, finished, end)
 			}
 		}
-		if withheld == "first" && (copies < 2 || r.ended[0] >= lingerFor) {
-			t.Fatalf("first copy withheld: member 3 sent member 1 %d Drained notices, member 1 ended at %v; want a repeat, and the end long before lingerFor", copies, r.ended[0])
+		if withheld == "first" && (copies < 2 || r.ended[0] >= beaconEvery) {
+			t.Fatalf("first copy withheld: member 3 sent member 1 %d Drained notices, member 1 ended at %v; want a repeat, and the end before any beacon", copies, r.ended[0])
 		}
 	}
 }
@@ -722,7 +928,7 @@ func TestDaemonEndsOnceEveryPeerDrained(t *testing.T) {
 // on one order hash.
 func TestDaemonStepRunsRepairBackstop(t *testing.T) {
 	const count, withheldLocal, withheldFor = 20, 10, 200 * sim.Millisecond
-	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: count, RateHz: 200, StartMS: 20}})
+	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: count, RateHz: 200, StartMS: 20}}, nil)
 	var firstWithheld, stalled, repaired sim.Time
 	var stuck seq.GlobalSeq // member 3's first undeliverable global
 	var nacks []sim.Time    // instants member 3 sent a Nack
@@ -846,7 +1052,7 @@ func tokenLossSignals(t *testing.T, g *ringGroup, until sim.Time) []sim.Time {
 // starts a regeneration traversal. Each member runs on a scheduler no
 // driver runs, with peer addresses that answer nothing.
 func TestDaemonStaticRingRaisesNoTokenLoss(t *testing.T) {
-	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}}) // its traffic is handed over below, not carried
+	r := newHandRing(t, 3, []GroupConfig{{ID: 1, Count: -1}}, nil) // its traffic is handed over below, not carried
 	passToken(t, r.groups[0][0], r.groups[1][0])
 	for i, gs := range r.groups {
 		g := gs[0]

@@ -121,23 +121,24 @@ func TestFrameMixedGroups(t *testing.T) {
 	}
 }
 
-// TestFrameControl: the Done barrier's gossip is an ordinary two-byte
-// message (kind and Drained flag) in its group's section, and a section
-// with no message is refused on both sides of the wire.
+// TestFrameControl: the end-of-run gossip is an ordinary three-byte
+// message (kind, a one-byte Final and the Drained flag) in its group's
+// section, and a section with no message is refused on both sides of the
+// wire.
 func TestFrameControl(t *testing.T) {
-	done := []Section{{Group: 6, Msgs: []msg.Message{&msg.Done{Drained: true}}}}
+	done := []Section{{Group: 6, Msgs: []msg.Message{&msg.Done{Final: 60, Drained: true}}}}
 	buf, err := EncodeFrame(4, 9, done)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := headerSize(4, 9) + tagSize(6) + framedSize(2); len(buf) != want || want != 11 {
+	if want := headerSize(4, 9) + tagSize(6) + framedSize(3); len(buf) != want || want != 12 {
 		t.Fatalf("Done frame is %d bytes, want %d", len(buf), want)
 	}
 	f, err := DecodeFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := f.Sections[0]; f.From != 4 || s.Group != 6 || len(s.Msgs) != 1 || !s.Msgs[0].(*msg.Done).Drained {
+	if s := f.Sections[0]; f.From != 4 || s.Group != 6 || len(s.Msgs) != 1 || *s.Msgs[0].(*msg.Done) != (msg.Done{Final: 60, Drained: true}) {
 		t.Fatalf("Done frame decoded as %+v", f)
 	}
 	if _, err := EncodeFrame(4, 9, []Section{{Group: 6}}); !errors.Is(err, ErrEmptySection) {
@@ -172,6 +173,7 @@ func TestFrameErrors(t *testing.T) {
 		"v4 header":     append([]byte{good[0], good[1], 4}, good[3:]...),
 		"v5 header":     append([]byte{good[0], good[1], 5}, good[3:]...),
 		"v6 header":     append([]byte{good[0], good[1], 6}, good[3:]...),
+		"v7 header":     append([]byte{good[0], good[1], 7}, good[3:]...),
 		"truncated":     good[:len(good)-3],
 		"trailing":      append(append([]byte(nil), good...), 1, 2, 3),
 		"zero sections": func() []byte { b := append([]byte(nil), good...); b[3] = 0; return b }(),
@@ -197,8 +199,8 @@ func TestFrameErrors(t *testing.T) {
 		t.Errorf("empty section: %v, want ErrEmptySection", err)
 	}
 	// A version error must say which versions disagree — in particular
-	// for v2 through v6, whose frames a v7 reader would otherwise misread.
-	for _, name := range []string{"version", "v1 header", "v2 header", "v3 header", "v4 header", "v5 header", "v6 header"} {
+	// for v2 through v7, whose frames a v8 reader would otherwise misread.
+	for _, name := range []string{"version", "v1 header", "v2 header", "v3 header", "v4 header", "v5 header", "v6 header", "v7 header"} {
 		if _, err := DecodeFrame(cases[name]); !errors.Is(err, ErrBadVersion) {
 			t.Errorf("%s: version mismatch not classified: %v", name, err)
 		}
@@ -214,15 +216,17 @@ func TestFrameErrors(t *testing.T) {
 }
 
 // TestFrameV4Refused: datagrams older daemons sent — captured from their
-// encoders: a version-4 one around one Data, and the version-5 and
-// version-6 datagrams TestFrameBytesPinned pinned, a flags-only section
-// (v5) or a field-less Done (v6) then a Data and a Heartbeat — are
-// refused by version, not misread as v7 frames.
+// encoders: a version-4 one around one Data, and the version-5 to
+// version-7 datagrams TestFrameBytesPinned pinned, a flags-only section
+// (v5), a field-less Done (v6) or a Done with only its Drained flag (v7)
+// then a Data and a Heartbeat — are refused by version, not misread as v8
+// frames.
 func TestFrameV4Refused(t *testing.T) {
 	for _, old := range []string{
 		"4e520401030000000700000000000000010000000001290000000101000000030000000700000000000000020000000b0000000000000000070000007061796c6f6164",
 		"4e52050203f0a204020100ac0200020d01ac0203c80101e80700026869030f0309",
 		"4e52060203f0a20402010119ac02020d01ac0203c80101e80700026869030f0309",
+		"4e52070203f0a2040201021901ac02020d01ac0203c80101e80700026869030f0309",
 	} {
 		buf, err := hex.DecodeString(old)
 		if err != nil {
@@ -266,13 +270,13 @@ func TestFrameCanonical(t *testing.T) {
 	}
 }
 
-// TestFrameBytesPinned pins a two-section v7 datagram byte for byte: a
-// Drained Done for one group, then a Data and a Heartbeat for a group whose id
+// TestFrameBytesPinned pins a two-section v8 datagram byte for byte: a
+// Drained Done with its Final for one group, then a Data and a Heartbeat for a group whose id
 // takes two varint bytes. Peers of one frame version must
 // agree on it; if this fails the change altered the wire.
 func TestFrameBytesPinned(t *testing.T) {
 	secs := []Section{
-		{Group: 2, Msgs: []msg.Message{&msg.Done{Drained: true}}},
+		{Group: 2, Msgs: []msg.Message{&msg.Done{Final: 200, Drained: true}}},
 		{Group: 300, Msgs: []msg.Message{
 			&msg.Data{Group: 300, SourceNode: 3, LocalSeq: 200, OrderingNode: 1, GlobalSeq: 1000, Payload: []byte("hi")},
 			&msg.Heartbeat{From: 3, Epoch: 9},
@@ -282,9 +286,9 @@ func TestFrameBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "4e52" + "07" + "02" + "03" + "f0a204" + // magic, version, 2 sections, from 3, seqno 70000
+	const want = "4e52" + "08" + "02" + "03" + "f0a204" + // magic, version, 2 sections, from 3, seqno 70000
 		"02" + "01" + // group 2, 1 message
-		"02" + "1901" + // 2-byte Done, Drained
+		"04" + "19c80101" + // 4-byte Done, Final 200, Drained
 		"ac02" + "02" + // group 300, 2 messages
 		"0d" + "01ac0203c80101e807000268" + "69" + // 13-byte Data
 		"03" + "0f0309" // 3-byte Heartbeat
@@ -330,7 +334,7 @@ func FuzzFrameDecode(f *testing.F) {
 	if seed, err := EncodeFrame(3, 7, []Section{{Group: 1, Msgs: sampleMsgs()}}); err == nil {
 		f.Add(seed)
 	}
-	if seed, err := EncodeFrame(1, 1, []Section{{Group: 2, Msgs: []msg.Message{&msg.Done{Drained: true}}}, {Group: 3, Msgs: sampleMsgs()[:1]}}); err == nil {
+	if seed, err := EncodeFrame(1, 1, []Section{{Group: 2, Msgs: []msg.Message{&msg.Done{Final: 1 << 20, Drained: true}}}, {Group: 3, Msgs: sampleMsgs()[:1]}}); err == nil {
 		f.Add(seed)
 	}
 	f.Add([]byte{0x4e, 0x52, frameVersion, 1})

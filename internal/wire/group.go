@@ -63,10 +63,11 @@ func protocolConfig() core.Config {
 // federation (daemon.go) owns what is shared: the transport, the outbox,
 // the scheduler and driver, and the ticks that step every group's
 // lifecycle and flush every durable log. A group keeps no timer and no
-// channel of its own for its lifecycle: the events that move it (a
-// delivery, a Done from a peer) and the daemon's housekeeping tick call
-// settle, and the phase it leaves behind is plain state that snapshot,
-// ready and collect read on the driver.
+// channel of its own for its lifecycle: the events that move it (the
+// delivery that completes a stream, a Done from a peer) and the daemon's
+// housekeeping tick call settle, and the phase it leaves behind is plain
+// state that snapshot, ready and collect read on the driver. Static and
+// live rings end by the same rule (locallyConverged).
 type ringGroup struct {
 	nd      *Node
 	gc      GroupConfig
@@ -93,22 +94,24 @@ type ringGroup struct {
 	ceilingAt sim.Time  // when opening fires unless brought forward
 
 	// Lifecycle, advanced by settle. Driver goroutine only.
-	src       *workload.Source // nil until the workload starts, or when sourcing nothing
-	converged bool             // locally converged: Done beacons flow until drained
-	drained   bool             // past the Done barrier: every live peer said Done
-	left      bool             // evicted or left, and its couriers drained
-	evictedAt sim.Time         // when settle first saw the eviction
-	beaconAt  sim.Time         // the last Done beacon
-	beatAt    sim.Time         // the membership plane's last heartbeat round
-	lossAt    sim.Time         // the token watchdog's last Token-Loss signal
+	src         *workload.Source // nil until the workload starts, or when sourcing nothing
+	last        seq.LocalSeq     // the workload's last message, once submitted
+	converged   bool             // delivered every live member's stream to its end; said Drained
+	finished    bool             // converged, and no live peer needs this member any more
+	left        bool             // evicted or left, and its couriers drained
+	convergedAt sim.Time         // when it converged
+	evictedAt   sim.Time         // when settle first saw the eviction
+	beaconAt    sim.Time         // the last Done beacon
+	beatAt      sim.Time         // the membership plane's last heartbeat round
+	lossAt      sim.Time         // the token watchdog's last Token-Loss signal
 
-	// Done-barrier state. Driver goroutine only.
-	doneFrom    map[seq.NodeID]bool
-	drainedFrom map[seq.NodeID]bool // peers that said Drained
+	// End-of-run gossip. Driver goroutine only.
+	ends        map[seq.NodeID]seq.GlobalSeq // where each member's stream ends (msg.Done), this one's too
+	until       seq.GlobalSeq                // the largest of ends
+	drainedFrom map[seq.NodeID]bool          // peers that said Drained
+	heardAt     map[seq.NodeID]sim.Time      // each peer's last Done
 	lastReply   map[seq.NodeID]sim.Time
 	peerBuf     []seq.NodeID // livePeers' buffer
-
-	expected uint64
 }
 
 // Lifecycle timings. The daemon's housekeeping tick steps every group
@@ -116,7 +119,7 @@ type ringGroup struct {
 // elapsed time.
 const (
 	stepEvery   = 10 * sim.Millisecond
-	beaconEvery = 100 * sim.Millisecond // Done gossip while the barrier is open
+	beaconEvery = 100 * sim.Millisecond // Done gossip while a peer's end or Drained notice is missing
 	// quiesce bounds an evicted member's leave-drain, the only wait for
 	// outstanding retransmissions and the token transfer: its couriers
 	// hand the token off to the ring it leaves.
@@ -140,8 +143,9 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 		gc:          gc,
 		gid:         gc.ID,
 		self:        nd.self,
-		doneFrom:    make(map[seq.NodeID]bool),
+		ends:        make(map[seq.NodeID]seq.GlobalSeq),
 		drainedFrom: make(map[seq.NodeID]bool),
+		heardAt:     make(map[seq.NodeID]sim.Time),
 		lastReply:   make(map[seq.NodeID]sim.Time),
 		tel:         nd.tel.group(gc.ID),
 		sched:       nd.drv.sched,
@@ -185,9 +189,15 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	g.e.Tel = g.tel.coreTel(nd.tel.reg)
 	g.e.Tel.TokenRTO.Set(int64(g.e.Cfg.Hop.RTO)) // until the first TokenAck is sampled
 
-	g.e.OnDeliver = g.deliver
-	if g.sink.dlq != nil {
-		g.e.OnLost = g.sink.lost
+	g.e.OnDeliver = func(at seq.NodeID, d *msg.Data) {
+		g.sink.deliver(at, d)
+		g.passed(d.GlobalSeq, d.SourceNode, d.LocalSeq)
+	}
+	g.e.OnLost = func(at seq.NodeID, gs seq.GlobalSeq, src seq.NodeID, local seq.LocalSeq, reason string) {
+		if g.sink.dlq != nil {
+			g.sink.lost(at, gs, src, local, reason)
+		}
+		g.passed(gs, src, local)
 	}
 
 	// Every configured peer is reachable from the start: the ring's
@@ -236,12 +246,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 			fmt.Fprintf(os.Stderr, "wire: node %d group %d discarded globals [%d, %d]: durable front below the resume horizon, rejoining fresh at the baseline\n",
 				cfg.Node, g.gid, lo, hi)
 		}
-	}
-
-	// The symmetric-workload delivery target; with live membership the
-	// count is unknowable and convergence is by quiescence instead.
-	if !cfg.Live && gc.Count > 0 {
-		g.expected = uint64(gc.Count) * uint64(len(g.members))
 	}
 
 	// Receive surface. Inbound sections feed the local NE; a joiner
@@ -295,26 +299,27 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 // live clock probe (Node.lifecycle, openBy). A joiner's opens StartMS
 // after it joins.
 //
-// Termination barrier: local convergence is NOT exit-safe — gap repair
-// (Nack) is pull-based, so this member may be the only reachable holder
-// of a body a straggler is still missing, and the holder of the only
-// copy of the circulating token. Once locally converged each member
-// announces Done (msg.Done, in this group's sections) to every peer, and
-// is drained once it has heard Done from all of them: every peer has
-// then delivered everything, so its retransmission state and its token
-// are provably unneeded. The announcement goes to every peer, even those
-// already heard from, so when the last member converges every barrier
-// holds one message later. A drained member announces Done again with
-// Drained set, and the group is finished when every peer has said
-// Drained: the daemon may then exit at once. With live membership the
-// audience is the current live peer set, so a crashed member cannot wedge
-// everyone else's exit. settle walks that state machine, on the event
-// that moves it: a static group converges at the delivery that completes
-// its target, the barrier holds, and the group drains, on the Done that
-// completes it, and the group is finished on the last Drained notice.
-// The housekeeping step settles it too, for what only time decides: live
-// convergence on IdleMS of quiet, the quiesce bound on the leave-drain,
-// and the live peer set changing.
+// Termination: each member announces where its stream ends (msg.Done,
+// in this group's sections) to every live peer: the global of its last
+// message, from the event that delivers it — 0 at once if it sources
+// nothing, or on joining if it joins. A member converges once it knows
+// every live member's end and its delivery front has passed the largest
+// with no slot left undelivered, and announces Done again with Drained
+// set. Delivering everything is not exit-safe on its own:
+// gap repair (Nack) is pull-based, so this member may be the only
+// reachable holder of a body a straggler is still missing, and the
+// holder of the only copy of the circulating token. So the group is
+// finished only when every live peer has said Drained too, or is gone:
+// nobody in the ring then needs anything from this member, and the
+// daemon may exit at once. With live membership the audience is the
+// current live peer set, so a crashed member cannot wedge everyone
+// else's exit, and an evicted member owes only what the ring ordered.
+// settle walks that state machine, on the event that moves it: a group
+// converges on the delivery or the Done that completes what it waits
+// for, and is finished on the last Drained notice. The housekeeping step
+// settles it too, for what only time decides: the quiesce bound on the
+// leave-drain, the live peer set changing, a static peer gone silent,
+// and the membership guards clearing.
 func (g *ringGroup) start() {
 	if g.ms != nil {
 		g.ms.OnJoined = func(baseline, resumed seq.GlobalSeq) {
@@ -329,6 +334,11 @@ func (g *ringGroup) start() {
 				g.src.Stop()
 			}
 		}
+		// An evicted peer owes only what the ring ordered.
+		g.ms.OnRemoved = func(id seq.NodeID) {
+			delete(g.ends, id)
+			g.endsChanged()
+		}
 		g.ms.Start()
 		g.beatAt = g.sched.Now()
 	}
@@ -340,11 +350,12 @@ func (g *ringGroup) start() {
 // arm schedules the stream to open StartMS from now; cause names what
 // opened it in the stream-start event. Post-Normalize, Count <= 0 means
 // this member sources nothing for the group (inheritance already
-// resolved), so nothing is armed: CBR's count == 0 contract is
-// "unbounded until Stop", which would turn a silent member into an
-// infinite sender with no convergence criterion.
+// resolved), so nothing is armed and its empty stream ends now: CBR's
+// count == 0 contract is "unbounded until Stop", which would turn a
+// silent member into an infinite sender whose stream never ends.
 func (g *ringGroup) arm(cause string) {
 	if g.gc.Count <= 0 {
+		g.endStream(0)
 		return
 	}
 	g.ceilingAt = g.sched.Now() + sim.Time(g.gc.StartMS)*sim.Millisecond
@@ -365,6 +376,7 @@ func (g *ringGroup) openBy(at sim.Time) {
 // opened it, and when, in milliseconds since the daemon launched.
 func (g *ringGroup) open(cause string) {
 	g.mark("stream-start", cause)
+	n := 0 // submits so far
 	// Stamp each payload with the send wall clock (fresh buffer per
 	// message: payload slices are shared by reference all the way to
 	// retransmission buffers).
@@ -378,6 +390,9 @@ func (g *ringGroup) open(cause string) {
 		local, err := g.e.Submit(corr, payload)
 		if err == nil {
 			g.sink.submitted(local)
+		}
+		if n++; n == g.gc.Count {
+			g.last = local // the stream ends where it is delivered
 		}
 		return err
 	}, g.self, g.gc.Payload)
@@ -394,13 +409,14 @@ func (g *ringGroup) open(cause string) {
 // the backstop for what only time decides. Tokens, TokenAcks and WQ
 // bodies already run the pass as they arrive, so here it catches
 // front-gap and WQ-stall Nacks, their give-up rounds, and stamping
-// resumed after a full MQ. Deliveries and Dones already settle the
-// lifecycle as they arrive, so here it catches live convergence after
-// IdleMS of quiet, the leave-drain and its quiesce bound, and a live peer
-// set that changed. On a quiet group the pass walks the WQ's sources, at
-// most one per ring member, and finds nothing to do, so a step still
-// costs O(ring size), whatever the traffic, and allocates only to send or
-// to signal. Driver goroutine only.
+// resumed after a full MQ. Completing deliveries and Dones already
+// settle the lifecycle as they arrive, so here it catches the
+// leave-drain and its quiesce bound, a live peer set that changed, and
+// convergence held back by a guard that has since cleared (an MQ gap,
+// the epoch baseline, the lame ring). On a quiet group the pass walks
+// the WQ's sources, at most one per ring member, and finds nothing to
+// do, so a step still costs O(ring size), whatever the traffic, and
+// allocates only to send or to signal. Driver goroutine only.
 func (g *ringGroup) step(now sim.Time) {
 	g.ne.OrderAssign()
 	if g.ms != nil && now-g.beatAt >= g.ms.cfg.Heartbeat {
@@ -421,20 +437,27 @@ func (g *ringGroup) step(now sim.Time) {
 		g.tel.emit("token-loss-signal", g.epoch(), (now - last).String())
 		g.e.OnTokenLoss(g.self)
 	}
-	if g.converged && !g.drained && now-g.beaconAt >= beaconEvery {
+	if g.ended() && !g.finished && now-g.beaconAt >= beaconEvery {
 		g.beacon(now)
 	}
 	g.settle(now)
 }
 
 // settle takes the lifecycle as far as the group's state allows now:
-// converge, then drain once the Done barrier holds — or, once evicted,
-// the leave-drain. It tells the daemon when the group drains or leaves
-// (Node.settled), and records each step on /events. Driver goroutine
-// only.
+// converge once this member has delivered everything, then finish once no
+// live peer needs it, or, once evicted, the leave-drain. It tells the
+// daemon when the group finishes or leaves (Node.settled), and records
+// each step on /events. Driver goroutine only.
 func (g *ringGroup) settle(now sim.Time) {
 	switch {
-	case g.left || g.drained:
+	case g.left || g.finished:
+		return
+	case g.converged:
+		if g.released(now) {
+			g.finished = true
+			g.mark("finished", "")
+			g.nd.settled()
+		}
 		return
 	case g.ms != nil && g.ms.Evicted():
 		// Graceful leave (or eviction): serve retransmissions until
@@ -449,91 +472,86 @@ func (g *ringGroup) settle(now sim.Time) {
 			g.nd.settled()
 		}
 		return
-	case !g.converged:
-		if !g.locallyConverged(now) {
-			return
-		}
-		why := "delivered"
-		if g.ms != nil {
-			why = "idle"
-		}
-		g.converge(now, why)
-	}
-	switch {
-	case !g.quorate():
-		// Idle because cut off, not because the stream ended: a member
-		// partitioned into a minority stops hearing data and heartbeats
-		// at once, so it can converge on quiescence just before it
-		// suspects everyone — and then an empty live set would pass the
-		// barrier vacuously. It converges again after the heal.
-		g.converged = false
-		return
-	case !g.barrier():
+	case !g.locallyConverged():
 		return
 	}
-	g.drained = true
-	g.announce(&msg.Done{Drained: true}) // best-effort; the Done reply and the daemon's exit repeat it
-	g.mark("drained", "")
-	if g.finished() {
-		g.mark("finished", "")
-	}
-	g.nd.settled()
+	g.converged, g.convergedAt, g.beaconAt = true, now, now
+	g.announce(g.notice()) // best-effort; beacons, the Done reply and the daemon's exit repeat it
+	g.mark("converged", "")
+	g.settle(now) // every live peer may have said Drained already
 }
 
-// deliver accounts one delivery, and settles a static group, which
-// converges at the delivery that completes its symmetric target. A
-// member's own messages deliver after it submits them, so on that
-// workload the completing delivery always comes after the last submit.
-func (g *ringGroup) deliver(at seq.NodeID, d *msg.Data) {
-	g.sink.deliver(at, d)
-	if g.ms == nil {
+// passed takes the total order past global at, delivered or recorded as
+// really lost: this member's stream ends there if it is the last message
+// it submitted, and the group can converge there if it is the largest
+// known end. Any other position costs O(1).
+func (g *ringGroup) passed(at seq.GlobalSeq, src seq.NodeID, local seq.LocalSeq) {
+	switch {
+	case src == g.self && local == g.last && !g.ended():
+		g.endStream(at)
+	case at == g.until:
 		g.settle(g.sched.Now())
 	}
 }
 
-// converge marks the group locally converged and announces Done to every
-// peer, including those whose Done we heard before we converged and so
-// never answered: otherwise they would learn of us only at their next
-// beacon. why says what settled it, in the converged event.
-func (g *ringGroup) converge(now sim.Time, why string) {
-	g.converged = true
-	g.beaconAt = now
-	g.announce(&msg.Done{})
-	g.mark("converged", why)
+// endStream records that this member's stream ends at global end (0:
+// it sourced nothing) and announces that to every live peer. Peers that
+// miss it learn it from the beacons, or from the reply to their own Done.
+func (g *ringGroup) endStream(end seq.GlobalSeq) {
+	g.ends[g.self] = end
+	g.endsChanged()
+	g.beaconAt = g.sched.Now()
+	g.announce(g.notice())
+	g.settle(g.sched.Now())
 }
 
-// hearDone takes a peer's Done: the peer has converged, and with Drained
-// set it has heard Done from every live peer too. A converged member
-// answers Done with Done (at most once per 50 ms per peer), saying
-// whether it has drained: beacons ride the same lossy socket they gossip
-// about, so a straggler that missed our beacons or our Drained notice
-// re-learns them the moment its own Done reaches us, even if we are
-// already lingering on the way out. The Drained notice that finishes a
-// drained group tells the daemon at once, and the Done that completes a
-// converged group's barrier drains it.
+// endsChanged recomputes until, the largest known end.
+func (g *ringGroup) endsChanged() {
+	g.until = 0
+	for _, end := range g.ends {
+		g.until = max(g.until, end)
+	}
+}
+
+// ended reports whether this member's stream has ended.
+func (g *ringGroup) ended() bool {
+	_, ok := g.ends[g.self]
+	return ok
+}
+
+// notice is this member's Done: where its stream ends, and whether it
+// has delivered everything.
+func (g *ringGroup) notice() *msg.Done { return &msg.Done{Final: g.ends[g.self], Drained: g.converged} }
+
+// hearDone takes a peer's Done: where its stream ends, and with Drained
+// set, that it has delivered everything. A member whose own stream has
+// ended answers Done with its own (at most once per 50 ms per peer):
+// beacons ride the same lossy socket they gossip about, so a peer that
+// missed our announcement or our Drained notice re-learns it the moment
+// its own Done reaches us. Only a ring member's end is kept: an evicted
+// peer owes only what the ring ordered. Each Done settles the group.
 func (g *ringGroup) hearDone(from seq.NodeID, d *msg.Done) {
 	now := g.sched.Now()
-	if at, ok := g.lastReply[from]; g.converged && (!ok || now-at >= 50*sim.Millisecond) {
+	if at, ok := g.lastReply[from]; g.ended() && (!ok || now-at >= 50*sim.Millisecond) {
 		g.lastReply[from] = now
-		g.net.Send(g.self, from, &msg.Done{Drained: g.drained})
+		g.net.Send(g.self, from, g.notice())
 	}
-	g.doneFrom[from] = true
-	if d.Drained && !g.drainedFrom[from] {
+	if g.ms == nil || slices.Contains(g.ms.order, from) {
+		g.ends[from] = d.Final
+		g.endsChanged()
+	}
+	g.heardAt[from] = now
+	if d.Drained {
 		g.drainedFrom[from] = true
-		if g.finished() {
-			g.mark("finished", "")
-			g.nd.settled()
-		}
 	}
-	if g.converged {
-		g.settle(now)
-	}
+	g.settle(now)
 }
 
 // mark records a lifecycle event on /events: typ, when in milliseconds
-// since the daemon launched, and why, if anything says.
+// on the daemon's scheduler (since its event loop started; the driver
+// paces it against the wall clock), and why, if anything says.
 func (g *ringGroup) mark(typ, why string) {
-	ms := time.Since(g.nd.wallStart).Milliseconds()
+	ms := int64(g.sched.Now() / sim.Millisecond)
 	detail := fmt.Sprintf("at %d ms", ms)
 	if why != "" {
 		detail = why + " " + detail
@@ -559,20 +577,29 @@ func (g *ringGroup) epoch() uint64 {
 	return g.ms.Epoch()
 }
 
-// done reports whether the group is finished with the daemon: drained
-// (converged, and past the barrier), or left.
-func (g *ringGroup) done() bool { return g.drained || g.left }
+// done reports whether the group is through with the daemon: finished,
+// or left. Converged is not enough: until a live peer has said Drained, it
+// may still be repairing from this member. A group that left is never
+// finished: stragglers of the ring it left may still Nack it.
+func (g *ringGroup) done() bool { return g.finished || g.left }
 
-// finished reports whether the group is drained and every live peer has
-// said Drained. Each of them has delivered everything and heard every
-// peer's Done, so nobody in the ring needs anything more from this
-// member. A group that left is never finished: stragglers of the ring it
-// left may still Nack it.
-func (g *ringGroup) finished() bool { return g.drained && g.heardFromAll(g.drainedFrom) }
+// released reports whether no live peer needs this converged member any
+// more: each has said Drained or is gone. On a live ring the failure
+// detector takes a gone peer out of the live set. A static ring has none,
+// so there a peer that has sent no Done for lingerFor since this member
+// converged is gone: one still repairing from it answers every beacon.
+func (g *ringGroup) released(now sim.Time) bool {
+	for _, p := range g.livePeers() {
+		if !g.drainedFrom[p] && (g.ms != nil || now-max(g.heardAt[p], g.convergedAt) < lingerFor) {
+			return false
+		}
+	}
+	return true
+}
 
-// livePeers is the barrier's audience: the live peer set, or the static
-// ring's peers. The live set is rebuilt in a buffer the group keeps, so
-// a step allocates nothing to read it.
+// livePeers is the end-of-run gossip's audience: the live peer set, or
+// the static ring's peers. The live set is rebuilt in a buffer the group
+// keeps, so a step allocates nothing to read it.
 func (g *ringGroup) livePeers() []seq.NodeID {
 	if g.ms == nil {
 		return g.peers
@@ -581,18 +608,19 @@ func (g *ringGroup) livePeers() []seq.NodeID {
 	return g.peerBuf
 }
 
-// beacon repeats Done each beaconEvery after converging announced it,
-// but only toward peers we have not heard Done from: a peer that missed
-// our beacons but has itself converged will keep beaconing us, and the
-// rate-limited Done reply closes that asymmetry. Once the barrier holds
-// everywhere the beacons stop entirely — a federated daemon hosting
-// hundreds of converged groups must not keep flooding its shared socket
-// with Done chatter while stragglers finish.
+// beacon repeats this member's Done each beaconEvery after its stream
+// ended, toward the live peers whose end it does not know, and once it has
+// converged, toward those that have not said Drained: a peer that missed
+// our notice but knows its own end keeps beaconing us, and the
+// rate-limited reply closes that asymmetry. Once every live peer has said
+// Drained the beacons stop — a federated daemon hosting hundreds of
+// finished groups must not keep flooding its shared socket with Done
+// chatter while stragglers finish.
 func (g *ringGroup) beacon(now sim.Time) {
 	g.beaconAt = now
 	for _, p := range g.livePeers() {
-		if !g.doneFrom[p] {
-			g.net.Send(g.self, p, &msg.Done{}) // best-effort; repeated
+		if _, ok := g.ends[p]; !ok || g.converged && !g.drainedFrom[p] {
+			g.net.Send(g.self, p, g.notice()) // best-effort; repeated
 		}
 	}
 }
@@ -604,60 +632,31 @@ func (g *ringGroup) announce(d *msg.Done) {
 	}
 }
 
-// quorate reports whether this member, its live peers and the peers
-// that said Done are a majority of the ring, as the detector reads now
-// (Lame follows the heartbeat tick). Done peers count, so the last
-// members out are not stranded by the first ones' exit.
-func (g *ringGroup) quorate() bool {
-	return g.ms == nil || 2*g.ms.countLive(g.doneFrom) > len(g.ms.order)
-}
-
-// barrier reports whether every live peer has said Done.
-func (g *ringGroup) barrier() bool { return g.heardFromAll(g.doneFrom) }
-
-// heardFromAll reports whether every live peer is in said.
-func (g *ringGroup) heardFromAll(said map[seq.NodeID]bool) bool {
+// locallyConverged reports whether this member has delivered everything:
+// it knows where its own stream and every live peer's ends, its delivery
+// front (the MQ's: delivered or recorded as really lost) has reached the
+// largest end, and it holds no undelivered slot (an open gap means repair
+// is still running). A member that joined or resumed past an end starts
+// its front there. A peer an epoch evicted owes only what the ring
+// ordered: its end is forgotten, and the MQ bounds its stream. With live
+// membership the member must also be joined, not parked lame (a member
+// cut into a minority suspects its peers and would otherwise pass an
+// empty live set), caught up to its epoch's baseline, and on a ring whose
+// token is alive: a pending regeneration may order messages this node has
+// not yet seen.
+func (g *ringGroup) locallyConverged() bool {
+	if !g.ended() {
+		return false
+	}
 	for _, p := range g.livePeers() {
-		if !said[p] {
+		if _, ok := g.ends[p]; !ok {
 			return false
 		}
 	}
-	return true
-}
-
-// sent reports whether the workload has offered everything it will.
-func (g *ringGroup) sent() bool {
-	if g.gc.Count <= 0 {
-		return true // nothing to source, nothing to drain
-	}
-	return g.src != nil && g.src.Sent+g.src.Errors >= uint64(g.gc.Count)
-}
-
-// locallyConverged reports whether this member has delivered all it will:
-// the static ring's symmetric target, or quiescence under live membership.
-func (g *ringGroup) locallyConverged(now sim.Time) bool {
-	if g.ms == nil {
-		return g.sink.delivered() >= g.expected && g.sent()
-	}
-	// Dynamic membership: the exact delivery count is unknowable, so
-	// converge on quiescence — caught up to the epoch's baseline,
-	// everything sent, no undelivered slot in the MQ (an open gap means
-	// repair is still running), senders drained, and the delivery stream
-	// idle.
-	if !g.ms.Joined() || g.ms.Lame() || g.ms.Behind() || !g.quorate() || !g.sent() || !g.e.Quiesced() {
+	if q := g.ne.MQ(); q.Front() < g.until || q.Front() != q.Rear() {
 		return false
 	}
-	// A token-dead ring is never converged, however idle: a pending
-	// regeneration may order messages this node has not yet seen, so
-	// leaving now could strand a divergent delivery prefix.
-	if !g.ne.OrdersWell() {
-		return false
-	}
-	if q := g.ne.MQ(); q.Front() != q.Rear() {
-		return false
-	}
-	// lastAt is 0 until the first delivery: idle since start.
-	return now-g.sink.lastAt >= sim.Time(g.nd.cfg.IdleMS)*sim.Millisecond
+	return g.ms == nil || g.ms.Joined() && !g.ms.Lame() && !g.ms.Behind() && g.ne.OrdersWell()
 }
 
 // sync fsyncs the group's durable log and dead-letter queue, and traces
@@ -693,7 +692,7 @@ func (g *ringGroup) collect() (GroupReport, error) {
 	}
 	fmt.Fprintln(os.Stderr, debugState)
 	return rep, fmt.Errorf("wire: node %d group %d did not converge: delivered %d/%d within %dms",
-		cfg.Node, g.gid, rep.Delivered, g.expected, cfg.DeadlineMS)
+		cfg.Node, g.gid, rep.Delivered, rep.Expected, cfg.DeadlineMS)
 }
 
 // snapshot builds the group's v2 report from live state — the same
@@ -718,7 +717,7 @@ func (g *ringGroup) snapshot() GroupReport {
 		// outcome collect() judges.
 		Converged: g.converged,
 		Left:      g.left,
-		Expected:  g.expected,
+		Expected:  uint64(g.until),
 		Epoch:     g.epoch(),
 		Control:   g.e.ControlReport(),
 	}

@@ -275,7 +275,6 @@ func TestClusterSurvivesCrash(t *testing.T) {
 		Live:        true,
 		HeartbeatMS: 150,
 		SuspectMS:   2500, // must exceed worst-case process spawn stagger under CI load
-		IdleMS:      1500,
 		Specs: map[int]Spec{
 			// Mid-sending: member 5's 100 messages go out over 660 ms
 			// from its stream's opening, once every peer answers a clock
@@ -346,7 +345,6 @@ func TestClusterLateJoin(t *testing.T) {
 		Live:        true,
 		HeartbeatMS: 150,
 		SuspectMS:   2500, // must exceed worst-case process spawn stagger under CI load
-		IdleMS:      1500,
 		Trace:       true,
 		Specs: map[int]Spec{
 			// The bootstrap stream runs ~1 s from its opening, which is
@@ -424,7 +422,6 @@ func TestClusterGracefulLeaveSIGTERM(t *testing.T) {
 		Live:        true,
 		HeartbeatMS: 150,
 		SuspectMS:   2500, // must exceed worst-case process spawn stagger under CI load
-		IdleMS:      1500,
 		Trace:       true,
 		Specs: map[int]Spec{
 			// SIGTERM lands after its 50 msgs went out (327 ms from the
@@ -507,15 +504,20 @@ func TestClusterPartitionHeal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5-process partition cluster in -short")
 	}
-	// Sizing matters: the whole run must stay under the token's
-	// CompactKeep window (1024 globals) so the post-heal token still
-	// carries every assignment the minority missed — that is what lets
-	// the rejoined pair discover the full gap and Nack-repair it into
-	// a complete, identical trace. 3×200 + 2×50 = 700 globals.
+	// Sizing matters. The majority sources 140 @ 18/s for 7.8 s from the
+	// stream's opening (0.5 s after launch at the latest), so its stream
+	// still flows across the heal at 6.5 s and the merge after it: once
+	// the cut pair is evicted, a majority whose streams had ended would
+	// have delivered everything and finish without it. And the whole run
+	// must stay under the token's CompactKeep window (1024 globals) so
+	// the post-heal token still carries every assignment the minority
+	// missed — that is what lets the rejoined pair discover the full gap
+	// and Nack-repair it into a complete, identical trace. 3×140 + 2×25 =
+	// 470 globals.
 	members, err := Run(Options{
 		Nodes:       5,
-		Count:       200,
-		RateHz:      60,
+		Count:       140,
+		RateHz:      18,
 		Payload:     48,
 		Seed:        41,
 		StartMS:     500,
@@ -523,7 +525,6 @@ func TestClusterPartitionHeal(t *testing.T) {
 		Live:        true,
 		HeartbeatMS: 100,
 		SuspectMS:   2500, // must exceed worst-case process spawn stagger under CI load
-		IdleMS:      2500, // heal at 6.5s must land before the majority latches Done
 		Trace:       true,
 		Splits: []SplitWindow{
 			{A: []int{0, 1, 2}, B: []int{3, 4}, FromMS: 2000, UntilMS: 6500},
@@ -531,8 +532,8 @@ func TestClusterPartitionHeal(t *testing.T) {
 		Specs: map[int]Spec{
 			// The minority pair finishes sourcing before the cut so the
 			// lame ring holds a committed prefix, not in-flight traffic.
-			3: {Count: 50},
-			4: {Count: 50},
+			3: {Count: 25},
+			4: {Count: 25},
 		},
 		Dir:     t.TempDir(),
 		Command: selfExec(t),
@@ -632,7 +633,7 @@ func TestClusterRestartResumesAtDurableFront(t *testing.T) {
 	dataDir := filepath.Join(dir, "node4-data")
 	members, err := Run(Options{
 		Nodes:       4,
-		Count:       1300,
+		Count:       1100, // 11 s from the stream's opening: still flowing when the restarted member rejoins
 		RateHz:      100,
 		Payload:     48,
 		Loss:        0.01,
@@ -643,7 +644,6 @@ func TestClusterRestartResumesAtDurableFront(t *testing.T) {
 		Live:        true,
 		HeartbeatMS: 150,
 		SuspectMS:   2500, // must exceed worst-case process spawn stagger under CI load
-		IdleMS:      1500,
 		Trace:       true,
 		Specs: map[int]Spec{
 			// Killed mid-stream at 2.5s, respawned at 8s: the eviction
@@ -770,7 +770,6 @@ func TestClusterReallyLostLandsInDLQ(t *testing.T) {
 		Live:        true,
 		HeartbeatMS: 150,
 		SuspectMS:   3000,
-		IdleMS:      1500,
 		Specs:       specs,
 		Dir:         dir,
 		Command:     selfExec(t),

@@ -119,7 +119,6 @@ type Options struct {
 	Live        bool
 	HeartbeatMS int64
 	SuspectMS   int64
-	IdleMS      int64
 
 	// Splits cuts the cluster along time-windowed partition lines via
 	// each member's inbound drop matrix. Requires Live (a static ring
@@ -511,7 +510,6 @@ func memberConfig(opts Options, i int, initial []int, addrs []string, m *Member)
 		Live:             opts.Live,
 		HeartbeatMS:      opts.HeartbeatMS,
 		SuspectMS:        opts.SuspectMS,
-		IdleMS:           opts.IdleMS,
 		Seed:             opts.Seed + uint64(i)*7919,
 		Loss:             opts.Loss,
 		JitterUS:         opts.JitterUS,

@@ -64,7 +64,7 @@ func TestHarnessSingleGroupConfig(t *testing.T) {
 		group := wire.GroupConfig{ID: 1, Count: 40, RateHz: 300, Payload: 48, StartMS: 100, TracePath: trace}
 		want := wire.Config{
 			Node: uint32(i + 1), ListenFD: 3, Peers: peersOf[i],
-			Live: true, HeartbeatMS: 150, SuspectMS: 900, IdleMS: 1500,
+			Live: true, HeartbeatMS: 150, SuspectMS: 900,
 			Seed:  5 + uint64(i)*7919,
 			Count: 40, RateHz: 300, Payload: 48, StartMS: 100, DeadlineMS: 9000,
 		}

@@ -160,18 +160,19 @@ func TestClusterObservabilityUnderChaos(t *testing.T) {
 	scrapeDone := make(chan struct{})
 	var scrapers sync.WaitGroup
 
-	// Sizing: majors source 250 @ 18/s for 13.8 s from the stream's
+	// Sizing: majors source 280 @ 18/s for 15.6 s from the stream's
 	// opening (once every peer answers a clock probe, 0.5 s after launch
 	// at the latest), so the stream is still flowing across the restart
-	// join (~8s) and the heal (13.5s) — nobody latches Done before the
-	// last member is back. The minority
+	// join (~8s) and the heal (13.5s) — nobody has delivered everything
+	// before the last member is back — and for long enough after the heal
+	// that the scrapers see the minority leave the lame ring. The minority
 	// and the doomed member source 25 each, finished long before their
-	// faults. 3×250 + 2×25 = 800 globals, inside the token's 1024-slot
+	// faults. 3×280 + 2×25 = 890 globals, inside the token's 1024-slot
 	// CompactKeep window, so the healed minority and the resumed member
 	// can still repair everything they missed.
 	members, err := Run(Options{
 		Nodes:            5,
-		Count:            250,
+		Count:            280,
 		RateHz:           18,
 		Payload:          48,
 		Seed:             47,
@@ -180,7 +181,6 @@ func TestClusterObservabilityUnderChaos(t *testing.T) {
 		Live:             true,
 		HeartbeatMS:      100,
 		SuspectMS:        2500,
-		IdleMS:           2500,
 		Trace:            true,
 		SpanSample:       8,
 		Admin:            true,

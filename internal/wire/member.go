@@ -197,6 +197,7 @@ type Membership struct {
 	// OnEvicted fires when an update excludes this node (graceful leave
 	// or eviction) — time to drain and exit.
 	OnEvicted func()
+	OnRemoved func(seq.NodeID) // fires for each peer an applied update removes
 	// OrderHash, when set, supplies the local delivery-order hash for
 	// RingSummary/MergeReq exchanges (wired to the daemon's tracker).
 	OrderHash func() uint64
@@ -301,8 +302,8 @@ func (m *Membership) HealLatency() sim.Time {
 }
 
 // AppendLivePeers appends to dst the members this node currently
-// believes alive, excluding itself — the done-barrier and beacon
-// audience — and returns the extended slice.
+// believes alive, excluding itself — the end-of-run gossip's audience —
+// and returns the extended slice.
 func (m *Membership) AppendLivePeers(dst []seq.NodeID) []seq.NodeID {
 	for _, p := range m.order {
 		if p != m.self && !m.det.Suspected(p) {
@@ -498,7 +499,7 @@ func (m *Membership) noteSuspects() {
 // Losing a strict majority parks the node in the lame ring; regaining
 // it (a suspect heartbeats again before any eviction) releases it.
 func (m *Membership) updateLame(now sim.Time) {
-	live := m.countLive(nil)
+	live := m.countLive()
 	quorate := live*2 > len(m.order)
 	switch {
 	case m.lame && quorate:
@@ -515,11 +516,11 @@ func (m *Membership) updateLame(now sim.Time) {
 }
 
 // countLive counts self and the ring members the failure detector does
-// not suspect now, or that vouched names.
-func (m *Membership) countLive(vouched map[seq.NodeID]bool) int {
+// not suspect now.
+func (m *Membership) countLive() int {
 	live := 1
 	for _, p := range m.order {
-		if p != m.self && (vouched[p] || !m.det.Suspected(p)) {
+		if p != m.self && !m.det.Suspected(p) {
 			live++
 		}
 	}
@@ -856,6 +857,11 @@ func (m *Membership) commit(p *proposal) {
 		}
 	}
 	m.sendAll(u)
+	for _, id := range p.removed { // a leaver may go now, not on its next LeaveReq
+		if id != m.self && m.pendingLeave[id] {
+			m.sendUpdateTo(id, m.members[id], u)
+		}
+	}
 	m.applyUpdate(u)
 	if p.hadDead && !m.evicted {
 		// The departed may have held the token; OrdersWell filters the
@@ -1188,6 +1194,9 @@ func (m *Membership) applyLocal(u *msg.RingUpdate, removed []seq.NodeID) {
 		m.tel.emit("evict", uint64(dead), fmt.Sprintf("epoch %d", u.Epoch))
 		m.ne.DropPeer(dead)
 		m.det.Forget(dead)
+		if m.OnRemoved != nil {
+			m.OnRemoved(dead)
+		}
 		dead := dead
 		// Lame-duck retirement: keep the corpse addressable while drains
 		// (a leaver's token-handoff ack, straggler Nack service) finish.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,6 @@ func launchLive(t *testing.T, n int, mutate func(i int, cfg *Config), delays map
 			// Brisk failure detection for test wall-clock budgets.
 			HeartbeatMS: 100,
 			SuspectMS:   600,
-			IdleMS:      1200,
 		}
 		for j := 0; j < n; j++ {
 			if j != i {
@@ -166,11 +166,13 @@ func TestLiveGracefulLeave(t *testing.T) {
 	dir := t.TempDir()
 	reports, errs := launchLive(t, 3, func(i int, cfg *Config) {
 		cfg.Groups[0].TracePath = filepath.Join(dir, fmt.Sprintf("trace%d", i+1))
+		cfg.Count = 300 // 1 s from the stream's opening: the others still send as the leaver departs
 		if i == 2 {
-			cfg.Count = 30 // the leaver sources less, then departs
+			cfg.Count = 30 // the leaver sources less (100 ms), then departs
 		}
 	}, nil, func(nodes []*Node) {
-		time.Sleep(500 * time.Millisecond)
+		awaitStreamStart(t, nodes[2])
+		time.Sleep(300 * time.Millisecond)
 		nodes[2].Shutdown()
 	})
 	for i := 0; i < 2; i++ {
@@ -287,6 +289,72 @@ func TestLiveJoinInProcess(t *testing.T) {
 		len(joiner), reports[2].Single().FirstGlobal, reports[2].Single().Epoch)
 }
 
+// TestLiveJoinAfterPeerStreamEnded: member 2 sources 10 messages, over
+// by some 30 ms after its stream opens, and a fresh node joins while
+// member 1 still sources. The joiner starts delivering at its granted
+// baseline, past member 2's whole stream, so it never delivers the end
+// member 2 announced: it converges all the same, since its delivery front
+// starts at the baseline, and every member ends on messages, well inside
+// the deadline, on one order.
+func TestLiveJoinAfterPeerStreamEnded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second live cluster in -short")
+	}
+	dir := t.TempDir()
+	start := time.Now()
+	reports, errs := launchLive(t, 3, func(i int, cfg *Config) {
+		cfg.Groups[0].TracePath = filepath.Join(dir, fmt.Sprintf("trace%d", i+1))
+		cfg.DeadlineMS = 20000
+		switch i {
+		case 0:
+			cfg.Count = 300 // 1 s from readiness: still sourcing when the joiner lands
+		case 1:
+			cfg.Count = 10
+		case 2:
+			cfg.Groups[0].Join = true
+			cfg.Count = 20
+			cfg.StartMS = 100
+			cfg.Peers = []PeerAddr{{Node: 1}, {Node: 2}}
+		}
+		if i < 2 {
+			cfg.Peers = []PeerAddr{{Node: uint32(2 - i)}}
+		}
+	}, map[int]time.Duration{2: 400 * time.Millisecond}, nil)
+	wall := time.Since(start)
+	for i := 0; i < 3; i++ {
+		if errs[i] != nil {
+			t.Fatalf("node %d: %v (report %+v)", i+1, errs[i], reports[i])
+		}
+		if r := reports[i].Single(); !reports[i].Converged || r.OrderErr != "" || r.Members != 3 {
+			t.Fatalf("node %d: %+v", i+1, reports[i])
+		}
+	}
+	if reports[0].Single().OrderHash != reports[1].Single().OrderHash {
+		t.Fatalf("members diverged: %s vs %s", reports[0].Single().OrderHash, reports[1].Single().OrderHash)
+	}
+	// Member 2's last message is ordered below the joiner's first global.
+	ref := readTrace(t, filepath.Join(dir, "trace1"))
+	var end2 uint64
+	for _, l := range ref {
+		var g, src, local uint64
+		if _, err := fmt.Sscan(l, &g, &src, &local); err == nil && src == 2 && local == 10 {
+			end2 = g
+		}
+	}
+	first := reports[2].Single().FirstGlobal
+	if end2 == 0 || first <= end2 {
+		t.Fatalf("member 2's stream ended at global %d, the joiner's first delivery is global %d: not a join after that stream ended", end2, first)
+	}
+	joiner := readTrace(t, filepath.Join(dir, "trace3"))
+	if tail := ref[len(ref)-len(joiner):]; !slices.Equal(joiner, tail) {
+		t.Fatalf("the joiner's %d deliveries are not the tail of member 1's %d", len(joiner), len(ref))
+	}
+	if wall > 10*time.Second {
+		t.Fatalf("the run took %v: not ended on messages", wall)
+	}
+	t.Logf("member 2 ended at global %d; the joiner delivered %d from global %d; run took %v", end2, len(joiner), first, wall)
+}
+
 // TestDaemonSingleSenderInOrder: a daemon's driver is the only goroutine
 // that sends, so on a fault-free loopback ring every peer's datagrams
 // arrive in seqno order — no reorders, no gaps — even while clock
@@ -345,12 +413,14 @@ func TestLiveJoinerLeaves(t *testing.T) {
 			cfg.StartMS = 100
 			cfg.Peers = []PeerAddr{{Node: 1}, {Node: 2}}
 		} else {
-			cfg.Count = 200
-			cfg.RateHz = 150 // members still sourcing through join AND leave
+			cfg.Count = 300
+			cfg.RateHz = 150 // members still sourcing through join AND leave: 2 s from their stream's opening
 			cfg.Peers = []PeerAddr{{Node: uint32(2 - i)}}
 		}
 	}, map[int]time.Duration{2: 700 * time.Millisecond}, func(nodes []*Node) {
-		time.Sleep(2200 * time.Millisecond) // joined ~0.8s, sourced by ~1s
+		time.Sleep(700 * time.Millisecond)
+		awaitStreamStart(t, nodes[2])      // 100 ms after it joined
+		time.Sleep(300 * time.Millisecond) // its 15 messages went out in the first 100
 		nodes[2].Shutdown()
 	})
 	for i := 0; i < 2; i++ {
@@ -399,7 +469,9 @@ func TestLiveCoordinatorSuccession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live cluster in -short")
 	}
-	reports, errs := launchLive(t, 5, nil, nil, func(nodes []*Node) {
+	reports, errs := launchLive(t, 5, func(_ int, cfg *Config) {
+		cfg.Count = 450 // 1.5 s: the survivors still send when coordinator 1 dies
+	}, nil, func(nodes []*Node) {
 		// Node 5's heartbeats stop 120 ms into its stream; with
 		// SuspectMS 600 the eviction epoch is in flight at coordinator 1
 		// some 600 ms+ later.
@@ -431,10 +503,10 @@ func TestLiveCoordinatorSuccession(t *testing.T) {
 		if r.Single().Epoch < 2 {
 			t.Fatalf("survivor %d never applied an eviction epoch (epoch=%d)", i+1, r.Single().Epoch)
 		}
-		// Survivors sourced 3×60 = 180; a handful of slots ordered in
+		// Survivors sourced 3×450 = 1350; a handful of slots ordered in
 		// the dying epochs may be written off by the really-lost rule
 		// (identically at every survivor), so assert the bulk arrived.
-		if r.Delivered < 150 {
+		if r.Delivered < 1200 {
 			t.Fatalf("survivor %d delivered only %d", i+1, r.Delivered)
 		}
 		t.Logf("survivor %d: delivered=%d order=%s epoch=%d", i+1, r.Delivered, r.Single().OrderHash, r.Single().Epoch)
@@ -607,14 +679,18 @@ func TestLiveStaleHeartbeatDrawsCurrentEpoch(t *testing.T) {
 }
 
 // TestLiveCoordinatorSendsNoTimedResends: a coordinator disseminates an
-// epoch once, when it commits it. A peer that never heartbeats (dead, or
+// epoch once, when it commits it, to its members and to the leaver it
+// lets go, which would otherwise learn it only by retrying its LeaveReq
+// while someone is left to answer. A peer that never heartbeats (dead, or
 // cut off) costs no further RingUpdate, however long the coordinator
 // steps: laggards are answered on their heartbeats, not on a timer.
 func TestLiveCoordinatorSendsNoTimedResends(t *testing.T) {
 	nd, g := undrivenLive(t, 1, 3)
 	commitLeave(t, g, 3)
-	if us := updatesTo(nd, 2); len(us) != 1 || us[0].Epoch != 2 {
-		t.Fatalf("commit queued %d RingUpdates to member 2 (%v), want one for epoch 2", len(us), us)
+	for _, to := range []seq.NodeID{2, 3} {
+		if us := updatesTo(nd, to); len(us) != 1 || us[0].Epoch != 2 {
+			t.Fatalf("commit queued %d RingUpdates to member %d (%v), want one for epoch 2", len(us), to, us)
+		}
 	}
 	sent := g.net.stats.ByKind[msg.KindRingUpdate]
 	for now := stepEvery; now <= 5*sim.Second; now += stepEvery {
@@ -686,13 +762,14 @@ func TestLiveTokenLossFromCoordinatorOnly(t *testing.T) {
 	}
 }
 
-// TestLiveMinorityStaysUnconverged: a live member cut off from every peer
-// goes idle just as one whose stream ended does, and once it suspects
-// them all its live-peer set is empty. Having converged just before the
-// cut showed, it must fall back to converging, not pass an empty Done
-// barrier and leave mid-partition. Peers that already said Done still
-// count toward its quorum, so the last member out of a finished ring is
-// not stranded when the others exit first.
+// TestLiveMinorityStaysUnconverged: a live member cut off from every
+// peer before their streams ended suspects them all, so its live-peer set
+// empties and it knows no end it still waits for. It must not converge on
+// that empty set and leave mid-partition: it parks lame, a minority of
+// its ring. A member whose peers said Drained, their streams ending where
+// they began, has delivered everything: it converges on their notices,
+// before the cut shows, so the last member out of a finished ring is not
+// stranded when the others exit first.
 func TestLiveMinorityStaysUnconverged(t *testing.T) {
 	for _, peersDone := range []bool{false, true} {
 		nd, err := NewNode(Config{
@@ -713,9 +790,10 @@ func TestLiveMinorityStaysUnconverged(t *testing.T) {
 		}
 		s := nd.drv.sched // never started: this test is its only driver
 		g.start()
-		g.converged = true
-		if peersDone {
-			g.doneFrom[2], g.doneFrom[3] = true, true
+		for _, p := range []seq.NodeID{2, 3} {
+			if peersDone {
+				nd.tr.handlers[1].Handler(p, []msg.Message{&msg.Done{Drained: true}})
+			}
 		}
 		for now := stepEvery; now <= 1500*sim.Millisecond; now += stepEvery {
 			s.Run(now)
@@ -723,9 +801,12 @@ func TestLiveMinorityStaysUnconverged(t *testing.T) {
 		}
 		g.sink.close()
 		nd.tr.Close()
-		if g.converged != peersDone || g.drained != peersDone {
-			t.Fatalf("peers said Done: %v; after 1.5 s alone the member reads converged=%v drained=%v, want both %v",
-				peersDone, g.converged, g.drained, peersDone)
+		if g.converged != peersDone || g.finished != peersDone || len(g.livePeers()) != 0 {
+			t.Fatalf("peers said Drained: %v; after 1.5 s alone the member reads converged=%v finished=%v with %d live peers, want %v, %v, 0",
+				peersDone, g.converged, g.finished, len(g.livePeers()), peersDone, peersDone)
+		}
+		if !peersDone && !g.ms.Lame() {
+			t.Fatal("cut off from every peer, the member is not parked lame")
 		}
 	}
 }
@@ -733,27 +814,29 @@ func TestLiveMinorityStaysUnconverged(t *testing.T) {
 // TestLiveBehindBaselineStaysUnconverged: a live member whose delivery
 // front is below its epoch's stream baseline, as one merged back from the
 // lame ring is until Nack repair catches it up, still has globals to
-// deliver. Its stream has been quiet for longer than IdleMS and its MQ
-// shows no gap, but it must not converge: if it did, its Done could
-// complete everyone's barrier and end the run before it caught up. Once
-// its front reaches the baseline, the same quiet converges it.
+// deliver. It knows where every stream ends, has delivered every
+// announced one, and its MQ shows no gap, but it must not converge: if it
+// did, its Drained notice could end the run before it caught up. Once its
+// front reaches the baseline, it converges at the next step.
 func TestLiveBehindBaselineStaysUnconverged(t *testing.T) {
-	nd, g := undrivenLive(t, 1, 3)
+	_, g := undrivenLive(t, 1, 3)
 	u := *g.ms.lastUpdate
 	u.Baseline = g.ne.MQ().Front() + 10
 	g.ms.lastUpdate = &u
-	quiet := 2 * sim.Time(nd.cfg.IdleMS) * sim.Millisecond
-	for now := stepEvery; now <= quiet; now += stepEvery {
+	g.sched.Run(stepEvery)
+	for _, p := range []seq.NodeID{2, 3} {
+		g.nd.tr.handlers[1].Handler(p, []msg.Message{&msg.Done{}})
+	}
+	for now := 2 * stepEvery; now <= 2*sim.Second; now += stepEvery {
 		g.sched.Run(now)
 		g.step(now)
 	}
 	if g.converged {
-		t.Fatalf("front %d, epoch baseline %d: converged after %v of quiet; want not until it catches up",
-			g.ne.MQ().Front(), u.Baseline, quiet)
+		t.Fatalf("front %d, epoch baseline %d: converged; want not until it catches up", g.ne.MQ().Front(), u.Baseline)
 	}
 	u.Baseline = g.ne.MQ().Front()
-	g.step(quiet)
+	g.step(2 * sim.Second)
 	if !g.converged {
-		t.Fatalf("front %d at the epoch baseline after %v of quiet: unconverged, want converged", g.ne.MQ().Front(), quiet)
+		t.Fatalf("front %d at the epoch baseline, every stream delivered to its end: unconverged, want converged", g.ne.MQ().Front())
 	}
 }

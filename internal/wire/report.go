@@ -12,7 +12,7 @@ type GroupReport struct {
 	Leader    uint32 `json:"leader"`
 	Converged bool   `json:"converged"`
 	Delivered uint64 `json:"delivered"`
-	Expected  uint64 `json:"expected"`
+	Expected  uint64 `json:"expected"` // the largest announced stream end (msg.Done.Final)
 
 	// Epoch is the group's final membership epoch (1 = the bootstrap
 	// ring; static runs stay at 0). Left marks a graceful leave (SIGTERM
