@@ -139,13 +139,16 @@ func (e *Engine) Start() {
 	e.Net.Scheduler().After(0, func() { first.handleToken(first.id, tok) })
 }
 
-// AddMH attaches a host to a station.
+// AddMH attaches a host to a station. Its stream starts at global 1, so
+// hosts attach before traffic: one added once the log's horizon has
+// passed 1 is reported by the log when it delivers below it.
 func (e *Engine) AddMH(h seq.HostID, bs seq.NodeID, wireless netsim.LinkParams) error {
 	b := e.bss[bs]
 	if b == nil {
 		return fmt.Errorf("flatring: unknown station %v", bs)
 	}
 	m := &mh{e: e, id: h, bs: bs, pending: make(map[seq.GlobalSeq]*msg.Data)}
+	e.Log.Join(uint32(h), 0)
 	e.mhs[h] = m
 	e.Net.Register(mhNodeID(h), m)
 	e.Net.Connect(mhNodeID(h), bs, wireless)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/seq"
 	"repro/internal/sim"
@@ -207,6 +208,56 @@ func TestJoinMidStream(t *testing.T) {
 	// The joiner's stream must end at the same final sequence.
 	if r.e.Log.LastAt(uint32(newHost)) != r.e.Log.LastAt(uint32(r.b.Hosts[0])) {
 		t.Fatal("late joiner did not converge with existing members")
+	}
+}
+
+// TestJoinFloorBelowEveryStart joins a fresh host at every AP, active
+// and virgin, at several instants mid-stream: each joiner's first
+// delivery lies above the joinFloor read at its join, so the oracle,
+// whose horizon is held there, still holds its content.
+func TestJoinFloorBelowEveryStart(t *testing.T) {
+	r := newRig(t, topology.Spec{BRs: 3, AGRings: 2, AGSize: 2, APsPerAG: 2, MHsPerAP: 0}, nil)
+	for i, ap := range r.b.APs {
+		if i%2 == 0 {
+			if err := r.e.AddMH(seq.HostID(i+1), ap); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r.pump(r.b.BRs, 400, 2*sim.Millisecond, 10*sim.Millisecond)
+	first := make(map[seq.HostID]seq.GlobalSeq)
+	floorAt := make(map[seq.HostID]seq.GlobalSeq)
+	next := seq.HostID(100)
+	for _, at := range []sim.Time{200, 450, 700} {
+		r.sched.At(at*sim.Millisecond, func() {
+			f := r.e.joinFloor()
+			for _, ap := range r.b.APs {
+				next++
+				h := next
+				if err := r.e.AddMH(h, ap); err != nil {
+					t.Error(err)
+					return
+				}
+				floorAt[h] = f
+				r.e.MHOf(h).OnDeliver = func(d *msg.Data) {
+					if first[h] == 0 {
+						first[h] = d.GlobalSeq
+					}
+				}
+			}
+		})
+	}
+	r.run(10 * sim.Second)
+	if err := r.e.Log.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(floorAt) != 3*len(r.b.APs) {
+		t.Fatalf("%d joiners, want %d", len(floorAt), 3*len(r.b.APs))
+	}
+	for h, f := range floorAt {
+		if first[h] <= f {
+			t.Fatalf("joiner %v first delivered global %d, at or below the floor %d read at its join", h, first[h], f)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/msg"
@@ -114,9 +115,10 @@ type Engine struct {
 	Net   Network
 	H     *topology.Hierarchy
 	// Log is the simulator's exact delivery oracle: every MH's stream
-	// cross-checked against every other's. StartLocal clears it — a
-	// single-process slice has no MHs to cross-check, and its delivery
-	// stream is accounted by whoever hooks OnDeliver.
+	// cross-checked against every other's. MHs join and leave it with
+	// the hierarchy, and its horizon is held at joinFloor. StartLocal
+	// clears it — a single-process slice has no MHs to cross-check, and
+	// its delivery stream is accounted by whoever hooks OnDeliver.
 	Log *metrics.DeliveryLog
 
 	nes   map[seq.NodeID]*NE
@@ -159,7 +161,7 @@ type Engine struct {
 
 // NewEngine builds an engine over an existing hierarchy and network.
 func NewEngine(group seq.GroupID, cfg Config, net Network, h *topology.Hierarchy) *Engine {
-	return &Engine{
+	e := &Engine{
 		Group:        group,
 		Cfg:          cfg,
 		Net:          net,
@@ -171,6 +173,8 @@ func NewEngine(group seq.GroupID, cfg Config, net Network, h *topology.Hierarchy
 		WiredLink:    netsim.DefaultWired,
 		WirelessLink: netsim.DefaultWireless,
 	}
+	e.Log.Floor = e.joinFloor
+	return e
 }
 
 // Scheduler returns the virtual-time scheduler.
@@ -306,6 +310,9 @@ func (e *Engine) spawnMH(h seq.HostID, ap seq.NodeID, start seq.GlobalSeq) error
 	}
 	m := newMH(e, h, ap)
 	m.last = start
+	if e.Log != nil {
+		e.Log.Join(uint32(h), start)
+	}
 	e.mhs[h] = m
 	e.Net.Register(MHNodeID(h), m)
 	e.Net.Connect(MHNodeID(h), ap, e.WirelessLink)
@@ -329,6 +336,12 @@ func (e *Engine) AddMH(h seq.HostID, ap seq.NodeID) error {
 			return fmt.Errorf("core: MH %v already exists", h)
 		}
 		m := newMH(e, h, ap)
+		if e.Log != nil {
+			// Its start is the Jump baseline still to come, at or
+			// above joinFloor; until then the log holds it at the
+			// horizon.
+			e.Log.Join(uint32(h), 0)
+		}
 		e.mhs[h] = m
 		e.Net.Register(MHNodeID(h), m)
 		e.Net.Connect(MHNodeID(h), ap, e.WirelessLink)
@@ -342,6 +355,30 @@ func (e *Engine) AddMH(h seq.HostID, ap seq.NodeID) error {
 	return e.spawnMH(h, ap, start)
 }
 
+// joinFloor is the lowest start AddMH can hand a fresh MH now: an
+// active AP's MQ front, or, at a virgin AP, its parent's front, which
+// answers the AP's Join with the Jump baseline. Log's horizon is held
+// at it, so a joiner's stream stays checkable. A lingered-out AP is
+// left out: a fresh MH there waits at global 0 below the AP's resumed
+// stream and delivers nothing.
+func (e *Engine) joinFloor() seq.GlobalSeq {
+	floor := seq.GlobalSeq(math.MaxUint64)
+	for _, n := range e.nes {
+		if !n.isAP || n.failed {
+			continue
+		}
+		switch {
+		case n.active:
+			floor = min(floor, n.mq.Front())
+		case n.mq.Rear() == 0:
+			if p := e.nes[n.view.Parent]; p != nil {
+				floor = min(floor, p.mq.Front())
+			}
+		}
+	}
+	return floor
+}
+
 // RemoveMH detaches a host (leave). Its receiver is unregistered.
 func (e *Engine) RemoveMH(h seq.HostID) {
 	ap := e.H.DetachMH(h)
@@ -350,6 +387,9 @@ func (e *Engine) RemoveMH(h seq.HostID) {
 	}
 	if m := e.mhs[h]; m != nil {
 		m.close()
+		if e.Log != nil {
+			e.Log.Leave(uint32(h))
+		}
 	}
 	delete(e.mhs, h)
 	e.Net.Unregister(MHNodeID(h))

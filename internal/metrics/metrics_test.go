@@ -116,6 +116,7 @@ func TestCounter(t *testing.T) {
 
 func TestDeliveryLogLatencyAndThroughput(t *testing.T) {
 	l := NewDeliveryLog()
+	l.Join(100, 0)
 	l.Sent(1, 1, 0)
 	l.Sent(1, 2, 1*sim.Second)
 	l.Deliver(100, 1, 1, 1, 2*sim.Second)
@@ -139,12 +140,14 @@ func TestDeliveryLogLatencyAndThroughput(t *testing.T) {
 
 func TestDeliveryLogOrderViolation(t *testing.T) {
 	l := NewDeliveryLog()
+	l.Join(1, 0)
 	l.Deliver(1, 5, 1, 1, 0)
 	l.Deliver(1, 5, 1, 1, 1) // duplicate
 	if l.Err() == nil {
 		t.Fatal("duplicate not detected")
 	}
 	l2 := NewDeliveryLog()
+	l2.Join(1, 0)
 	l2.Deliver(1, 5, 1, 1, 0)
 	l2.Deliver(1, 3, 1, 2, 1) // regression
 	if l2.Err() == nil {
@@ -154,6 +157,8 @@ func TestDeliveryLogOrderViolation(t *testing.T) {
 
 func TestDeliveryLogContentMismatch(t *testing.T) {
 	l := NewDeliveryLog()
+	l.Join(1, 0)
+	l.Join(2, 0)
 	l.Deliver(1, 7, 1, 1, 0)
 	l.Deliver(2, 7, 2, 9, 0) // same global seq, different content
 	if l.Err() == nil {
@@ -163,6 +168,9 @@ func TestDeliveryLogContentMismatch(t *testing.T) {
 
 func TestDeliveryLogAgreementAcrossReceivers(t *testing.T) {
 	l := NewDeliveryLog()
+	for r := uint32(1); r <= 3; r++ {
+		l.Join(r, 0)
+	}
 	for r := uint32(1); r <= 3; r++ {
 		for g := seq.GlobalSeq(1); g <= 10; g++ {
 			l.Deliver(r, g, seq.NodeID(g%3+1), seq.LocalSeq(g), sim.Time(g)*sim.Millisecond)
@@ -178,6 +186,7 @@ func TestDeliveryLogAgreementAcrossReceivers(t *testing.T) {
 
 func TestDeliveryLogMaxGap(t *testing.T) {
 	l := NewDeliveryLog()
+	l.Join(1, 0)
 	l.Deliver(1, 1, 1, 1, 0)
 	l.Deliver(1, 2, 1, 2, 100*sim.Millisecond)
 	l.Deliver(1, 3, 1, 3, 1*sim.Second)
@@ -200,6 +209,7 @@ func TestDeliveryLogMidStreamJoin(t *testing.T) {
 	l := NewDeliveryLog()
 	// A receiver that joins at global seq 50 is fine as long as its own
 	// stream increases.
+	l.Join(1, 49)
 	l.Deliver(1, 50, 1, 50, 0)
 	l.Deliver(1, 51, 1, 51, 1)
 	if l.Err() != nil {
@@ -210,6 +220,7 @@ func TestDeliveryLogMidStreamJoin(t *testing.T) {
 func TestQuickDeliveryLogAcceptsIncreasing(t *testing.T) {
 	f := func(deltas []uint8) bool {
 		l := NewDeliveryLog()
+		l.Join(1, 0)
 		g := seq.GlobalSeq(0)
 		for i, d := range deltas {
 			g += seq.GlobalSeq(d%7) + 1

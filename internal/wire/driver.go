@@ -32,8 +32,19 @@ import (
 // 1.1 ms late: a standalone 200 µs timer measured p50 1.1 ms and p99
 // 2.6–4.0 ms on a 2-core Linux host. The wire profile's TokenHold of
 // 200 µs therefore runs at roughly 0.8–0.9 ms on a steady ring, and
-// shorter whenever other traffic (a datagram, an injected Call) wakes
-// the loop first — which is why token-driven metrics drift with load.
+// shorter whenever a datagram or an injected Call wakes the loop first
+// — which is why token-driven metrics drift with load. Under load the
+// datagram that does so is mostly a peer's stray early outbox flush
+// (see SharedOutbox's timing model).
+//
+// A precise wait does not settle it alone. A timerfd-based wait (p50
+// 215 µs for a 200 µs wait, against 1.08 ms for a Go timer) traded the
+// end-to-end metrics against each other: at the 200 µs hold steady's
+// mean latency fell from 3.45 to 1.25 ms but its control bytes per
+// delivery rose from 3.2 to 9.7 B; at 750 µs, with departure-time
+// assignment, lossy's control bytes rose 22%; at 850 µs heavy's and
+// federated's latency rose 29% and 36%. The hold has to know about
+// demand (ROADMAP item 7).
 type Driver struct {
 	sched *sim.Scheduler
 	calls chan func()

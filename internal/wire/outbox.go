@@ -34,8 +34,20 @@ const outboxWindow = 1 * sim.Millisecond
 // coalescable data-plane traffic. A flush drains the whole box,
 // whichever groups filled it. An urgent enqueue into a box already armed
 // for its window arms a second, immediate flush and leaves the window
-// timer standing: it fires on time and drains whatever the box gathered
-// after the urgent flush.
+// timer standing. The urgent flush disarms the box, so the next
+// coalescable enqueue arms a second window timer while the overtaken
+// one still stands: that one fires early, part-way through the new
+// window, and flushes whatever the box gathered by then.
+//
+// That stray early flush is what ends a token hold short under load:
+// its datagram wakes the receiving daemon's driver before the
+// netpoller's ~1.1 ms quantum (see Driver), and the driver then runs
+// the next holder's 200 µs TokenHold event, already due. Stopping the
+// overtaken timer cut heavy's datagrams per delivery from 0.284 to
+// 0.125 (6 paired runs) and steady's by 36%, but raised heavy's mean
+// delivery latency from 2.77 to 3.28 ms, as every hold then ran its
+// full quantum. It waits for a hold that knows about demand (ROADMAP
+// item 7).
 type SharedOutbox struct {
 	tr *Transport
 
@@ -155,8 +167,10 @@ func (o *SharedOutbox) enqueue(sched *sim.Scheduler, group uint32, to seq.NodeID
 }
 
 // flush drains the box into one SendSections call and disarms it, so
-// the next enqueue arms afresh. A flush that finds the box empty (an
-// overtaken window timer with nothing new) does nothing.
+// the next enqueue arms afresh; a window timer it overtook still stands
+// and flushes early (see the timing model above). A flush that finds
+// the box empty (an overtaken window timer with nothing new) does
+// nothing.
 func (o *SharedOutbox) flush(b *peerBox) {
 	b.armed, b.asap = false, false
 	if len(b.secs) == 0 {

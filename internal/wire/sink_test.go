@@ -86,6 +86,7 @@ func TestSinkMatchesDeliveryLog(t *testing.T) {
 			s := newTestSink(t)
 			s.offsetOf = func(seq.NodeID) (time.Duration, bool) { return 0, true }
 			ref := metrics.NewDeliveryLog()
+			ref.Join(1, 0)
 			for _, op := range c.ops {
 				s.sched.At(op.at, func() {
 					if op.submit {

@@ -1,11 +1,14 @@
 package ringnet
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mobility"
+	"repro/internal/msg"
 )
 
 func TestNewSimAndRun(t *testing.T) {
@@ -56,11 +59,13 @@ func TestNewSimHeldHeapBounded(t *testing.T) {
 
 // TestOracleHeldHeapPerMessage guards what the simulator's delivery
 // oracle (Engine.Log) holds on the benchmark's sim_mobile workload. Run
-// at 1x and 4x virtual length, it must grow by less than 32 B per extra
-// message: it keeps a send time and a content entry per message, 24 B,
-// and nothing per delivery. An exact latency sample (8 B per delivery,
-// so 384 B per message to 48 hosts) and two maps keyed per message held
-// about 540 B per message here.
+// at 1x and 8x virtual length, it must grow by less than 4 B per extra
+// message: it keeps only the window above its horizon (the slowest
+// host, held at Engine.joinFloor), a page or two at quiescence, and
+// nothing per message or per delivery. Keeping a send time per message
+// costs 8 B, a content entry too 24 B, and an exact latency sample (8 B
+// per delivery, so 384 B per message to 48 hosts) with two maps keyed
+// per message about 540 B.
 func TestOracleHeldHeapPerMessage(t *testing.T) {
 	held := func(virtualS int) (oracle int64, msgs uint64) {
 		wireless := LinkParams{Latency: 2 * Millisecond}
@@ -93,11 +98,11 @@ func TestOracleHeldHeapPerMessage(t *testing.T) {
 		return int64(with.HeapAlloc) - int64(without.HeapAlloc), msgs
 	}
 	o1, m1 := held(1)
-	o4, m4 := held(4)
-	per := float64(o4-o1) / float64(m4-m1)
-	t.Logf("oracle holds %d B after %d messages, %d B after %d: %.1f B per extra message", o1, m1, o4, m4, per)
-	if per >= 32 {
-		t.Fatalf("the delivery oracle holds %.1f B per extra message, want < 32", per)
+	o8, m8 := held(8)
+	per := float64(o8-o1) / float64(m8-m1)
+	t.Logf("oracle holds %d B after %d messages, %d B after %d: %.1f B per extra message", o1, m1, o8, m8, per)
+	if per >= 4 {
+		t.Fatalf("the delivery oracle holds %.1f B per extra message, want < 4", per)
 	}
 }
 
@@ -157,6 +162,116 @@ func TestHandoffAndMembershipAPI(t *testing.T) {
 	x.Recover(x.Sources()[2])
 	if err := x.Run(1 * Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// plantDivergence relays one host's downlink and hands it its nth
+// distinct data message with another local, as a receiver that
+// delivered the wrong content would.
+type plantDivergence struct {
+	m    *core.MH
+	n    int
+	seen map[GlobalSeq]bool
+	at   GlobalSeq
+}
+
+func (p *plantDivergence) Recv(from NodeID, m msg.Message) {
+	if d, ok := m.(*msg.Data); ok {
+		if !p.seen[d.GlobalSeq] {
+			p.seen[d.GlobalSeq] = true
+			if len(p.seen) == p.n {
+				p.at = d.GlobalSeq
+			}
+		}
+		if d.GlobalSeq == p.at {
+			c := *d
+			c.LocalSeq += 1000
+			m = &c
+		}
+	}
+	p.m.Recv(from, m)
+}
+
+// TestJoinerDivergenceNamedAtItsGlobal plants a wrong delivery at a host
+// that joins mid-stream, at an active AP and at a virgin one (whose
+// stream starts at a Jump baseline), and requires the oracle to name
+// that global: the joiner holds the horizon at its start, so what it
+// delivers is still checked against every other host.
+func TestJoinerDivergenceNamedAtItsGlobal(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		perAP    int
+		joinAt   int
+		virginAP bool
+	}{
+		{name: "active AP", perAP: 1, joinAt: 0},
+		{name: "virgin AP", perAP: 0, joinAt: 3, virginAP: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			x, err := NewSim(Config{Topology: Spec{BRs: 3, AGRings: 1, AGSize: 2, APsPerAG: 2, MHsPerAP: c.perAP}, Seed: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.perAP == 0 {
+				for i, h := range []HostID{1, 2} {
+					if err := x.AddMember(h, x.APs()[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			g := x.NewTrafficGroup(x.Sources()[:2], 16)
+			g.CBR(10*Millisecond, 2*Millisecond, Millisecond, 1500)
+			joiner := HostID(999)
+			plant := &plantDivergence{n: 10, seen: make(map[GlobalSeq]bool)}
+			x.Sched.At(1500*Millisecond, func() {
+				if err := x.AddMember(joiner, x.APs()[c.joinAt]); err != nil {
+					t.Error(err)
+					return
+				}
+				plant.m = x.Engine.MHOf(joiner)
+				x.Engine.Net.Register(core.MHNodeID(joiner), plant)
+			})
+			if _, err := x.RunQuiet(100*Millisecond, 60*Second); err != nil {
+				t.Fatal(err)
+			}
+			if plant.at <= 1024 {
+				t.Fatalf("planted at global %d, want one past the first page", plant.at)
+			}
+			if m := x.Engine.MHOf(joiner); m.Jumped != c.virginAP {
+				t.Fatalf("joiner Jumped = %v, want %v", m.Jumped, c.virginAP)
+			}
+			err = x.CheckOrder()
+			if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("global seq %d ", plant.at)) {
+				t.Fatalf("divergence planted at global %d: got %v", plant.at, err)
+			}
+		})
+	}
+}
+
+// TestLeaverDoesNotPinOracle removes a host mid-stream: once the run has
+// quiesced the oracle holds nothing, where a leaver still counted would
+// pin every message after its last delivery.
+func TestLeaverDoesNotPinOracle(t *testing.T) {
+	x, err := NewSim(Config{Topology: Spec{BRs: 3, AGRings: 1, AGSize: 2, APsPerAG: 1, MHsPerAP: 2}, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := x.NewTrafficGroup(x.Sources(), 16)
+	g.CBR(10*Millisecond, 2*Millisecond, Millisecond, 1000)
+	gone := x.Hosts()[0]
+	x.Sched.At(500*Millisecond, func() { x.RemoveMember(gone) })
+	if _, err := x.RunQuiet(100*Millisecond, 60*Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
+	last := x.Engine.Log.LastAt(uint32(gone))
+	if after := 3000 - last; after < 2048 {
+		t.Fatalf("the leaver stopped at global %d: only %d messages follow it", last, after)
+	}
+	if n := x.Engine.Log.Settle(); n != 0 {
+		t.Fatalf("the quiesced oracle holds %d entries, want 0", n)
 	}
 }
 
