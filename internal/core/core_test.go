@@ -550,3 +550,52 @@ func TestFigure1EndToEnd(t *testing.T) {
 		t.Fatalf("Figure-1 hosts delivered %d/30", e.Log.MinDelivered())
 	}
 }
+
+// TestAddMHAtLingeredOutAP: a host added at an AP that lingered out of
+// the tree (inactive, its queue not virgin) gets the group's stream from
+// its join point on, like a host joining at an active or a virgin AP: the
+// AP rejoins at the group's current position and relays its parent's
+// Jump baseline. Resumed at its own stale position instead, the AP left
+// the host waiting at global 0 below its stream, delivering nothing.
+func TestAddMHAtLingeredOutAP(t *testing.T) {
+	spec := topology.Spec{BRs: 3, AGRings: 1, AGSize: 1, APsPerAG: 2, MHsPerAP: 1}
+	r := newRig(t, spec, func(c *Config) { c.Linger = 50 * sim.Millisecond })
+	ap, peer := r.b.APs[0], r.b.Hosts[1]
+	left := r.b.Hosts[0] // hosts attach in AP order, one per AP
+	joiner := seq.HostID(1000)
+	var floor, first seq.GlobalSeq
+	r.pump([]seq.NodeID{r.b.BRs[0]}, 300, 2*sim.Millisecond, 10*sim.Millisecond)
+	r.sched.At(100*sim.Millisecond, func() { r.e.RemoveMH(left) })
+	r.sched.At(400*sim.Millisecond, func() {
+		if r.e.NE(ap).active || r.e.NE(ap).mq.Rear() == 0 {
+			t.Error("the AP has not lingered out with a stream behind it")
+		}
+		floor = r.e.joinFloor()
+		if err := r.e.AddMH(joiner, ap); err != nil {
+			t.Error(err)
+			return
+		}
+		r.e.MHOf(joiner).OnDeliver = func(d *msg.Data) {
+			if first == 0 {
+				first = d.GlobalSeq
+			}
+		}
+	})
+	r.run(5 * sim.Second)
+	if err := r.e.Log.Err(); err != nil {
+		t.Fatal(err)
+	}
+	last := r.e.Log.LastAt(uint32(peer))
+	if last != 300 {
+		t.Fatalf("the peer delivered up to %d, want 300", last)
+	}
+	if got := r.e.Log.LastAt(uint32(joiner)); got != last {
+		t.Fatalf("the joiner delivered up to %d (%d messages), want %d", got, r.e.Log.DeliveredAt(uint32(joiner)), last)
+	}
+	if first <= floor {
+		t.Fatalf("the joiner first delivered global %d, at or below the floor %d read at its join", first, floor)
+	}
+	if !r.e.Quiesced() {
+		t.Fatal("not quiesced")
+	}
+}

@@ -331,7 +331,7 @@ func (e *Engine) AddMH(h seq.HostID, ap seq.NodeID) error {
 		return err
 	}
 	ne := e.nes[ap]
-	if ne != nil && !ne.active {
+	if ne != nil && (!ne.active || ne.rejoining) {
 		if _, dup := e.mhs[h]; dup {
 			return fmt.Errorf("core: MH %v already exists", h)
 		}
@@ -356,24 +356,20 @@ func (e *Engine) AddMH(h seq.HostID, ap seq.NodeID) error {
 }
 
 // joinFloor is the lowest start AddMH can hand a fresh MH now: an
-// active AP's MQ front, or, at a virgin AP, its parent's front, which
-// answers the AP's Join with the Jump baseline. Log's horizon is held
-// at it, so a joiner's stream stays checkable. A lingered-out AP is
-// left out: a fresh MH there waits at global 0 below the AP's resumed
-// stream and delivers nothing.
+// active AP's MQ front, or, at an inactive AP (virgin or lingered out)
+// or one rejoining for a fresh member, its parent's front, which answers
+// the AP's Join with the Jump baseline. Log's horizon is held at it, so
+// a joiner's stream stays checkable.
 func (e *Engine) joinFloor() seq.GlobalSeq {
 	floor := seq.GlobalSeq(math.MaxUint64)
 	for _, n := range e.nes {
 		if !n.isAP || n.failed {
 			continue
 		}
-		switch {
-		case n.active:
+		if n.active && !n.rejoining {
 			floor = min(floor, n.mq.Front())
-		case n.mq.Rear() == 0:
-			if p := e.nes[n.view.Parent]; p != nil {
-				floor = min(floor, p.mq.Front())
-			}
+		} else if p := e.nes[n.view.Parent]; p != nil {
+			floor = min(floor, p.mq.Front())
 		}
 	}
 	return floor

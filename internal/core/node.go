@@ -87,8 +87,12 @@ type NE struct {
 	active        bool
 	reservedUntil sim.Time
 	awaitingJoin  bool
-	joinedParent  seq.NodeID
-	lingerTimer   sim.Timer
+	// rejoining marks a lingered-out AP that rejoined for a fresh member
+	// and waits for its parent's Jump baseline: its own stale stream is
+	// abandoned there, as a virgin AP's empty one is.
+	rejoining    bool
+	joinedParent seq.NodeID
+	lingerTimer  sim.Timer
 
 	// Gap repair: per-source stall clocks for Nack-based body recovery,
 	// plus the count of fruitless repair rounds (escalation state), and
@@ -237,6 +241,7 @@ func (n *NE) reset() {
 	n.ack.timer.Stop()
 	n.ack = ackPending{}
 	n.active = false
+	n.rejoining = false
 	n.awaitingJoin = false
 	n.joinedParent = seq.None
 	n.stallSince = make(map[seq.NodeID]sim.Time)
@@ -594,8 +599,16 @@ func (n *NE) refreshNeighbors() {
 	// Top-ring WQ streams follow the next pointer.
 	if v.IsTop && v.Next != seq.None && v.Next != n.id {
 		n.e.EnsureLink(n.id, v.Next)
-		for _, s := range n.wqSenders {
-			s.Retarget(v.Next)
+		// In source order: each resend takes its scheduler position, so
+		// map order would make the run differ from one process to the
+		// next.
+		srcs := make([]seq.NodeID, 0, len(n.wqSenders))
+		for src := range n.wqSenders {
+			srcs = append(srcs, src)
+		}
+		slices.Sort(srcs)
+		for _, src := range srcs {
+			n.wqSenders[src].Retarget(v.Next)
 		}
 	}
 
@@ -903,16 +916,18 @@ func (n *NE) handleSkip(from seq.NodeID, s *msg.Skip) {
 	stale := false
 	max := seq.GlobalSeq(s.Range.Max)
 	switch {
+	case s.Jump && (n.mq.Rear() == 0 || n.rejoining):
+		// Stream-position baseline for a node that joined mid-stream,
+		// or for an AP that rejoined for a fresh member and abandons
+		// its own stale stream there: jump the whole window and tell
+		// our own downstream about the new baseline.
+		n.rejoining = false
+		n.mq.ForceRelease(max)
+		n.fanoutJump(n.mq.Front())
 	case max <= n.mq.Front():
 		// Entirely in the past: re-acknowledge immediately (the sender
 		// is retransmitting, so an earlier ack was lost or delayed).
 		stale = true
-	case s.Jump && n.mq.Rear() == 0:
-		// Stream-position baseline for a node that joined mid-stream:
-		// jump the whole window and tell our own downstream about the
-		// new baseline.
-		n.mq.ForceRelease(max)
-		n.fanoutJump(max)
 	default:
 		lo := s.Range.Min
 		if f := uint64(n.mq.Front()); lo <= f {
@@ -1367,19 +1382,41 @@ func (n *NE) handleNack(from seq.NodeID, nk *msg.Nack) {
 
 // attachHostFresh binds a brand-new member with join-point semantics:
 // the stream starts wherever the group currently is; the baseline Jump
-// propagates the exact position to the MH.
+// propagates the exact position to the MH. An inactive AP joins at the
+// group's current position whether it is virgin or lingered out: no
+// member is left to resume a lingered-out AP's own stale stream, and a
+// host started there would wait below it forever.
 func (n *NE) attachHostFresh(h seq.HostID) {
 	if !n.isAP {
 		return
 	}
 	if !n.active {
-		if n.mq.Rear() == 0 {
-			n.activate(joinAtCurrent)
-		} else {
-			n.activate(n.mq.Front())
-		}
+		n.rejoining = n.mq.Rear() != 0
+		n.activate(joinAtCurrent)
+	}
+	if n.rejoining {
+		// Nothing of the stale stream is sent or acked: the host's
+		// first message is the Jump baseline fanoutJump relays.
+		n.openHost(h)
+		n.wt.Reset(wtHost(h), n.mq.Front())
+		n.lingerTimer.Stop()
+		return
 	}
 	n.attachHost(h, n.mq.Front())
+}
+
+// openHost builds the AP's reliable stream to host h, replacing any
+// earlier one.
+func (n *NE) openHost(h seq.HostID) *transport.Sender {
+	n.e.EnsureLink(n.id, MHNodeID(h))
+	if old := n.mhSenders[h]; old != nil {
+		old.Close()
+	}
+	s := transport.NewSender(n.e.Net, n.id, MHNodeID(h), n.e.Cfg.Wireless)
+	n.wireGiveUp(s)
+	n.mhSenders[h] = s
+	n.mhListDirty = true
+	return s
 }
 
 // attachHost binds a mobile host to this AP and starts (or resumes) its
@@ -1391,14 +1428,7 @@ func (n *NE) attachHost(h seq.HostID, start seq.GlobalSeq) {
 	if !n.active {
 		n.activate(start)
 	}
-	n.e.EnsureLink(n.id, MHNodeID(h))
-	if old := n.mhSenders[h]; old != nil {
-		old.Close()
-	}
-	s := transport.NewSender(n.e.Net, n.id, MHNodeID(h), n.e.Cfg.Wireless)
-	n.wireGiveUp(s)
-	n.mhSenders[h] = s
-	n.mhListDirty = true
+	s := n.openHost(h)
 	s.Ack(uint64(start)) // nothing at or below the resume point is ever sent
 	eff := start
 	if vf := n.mq.ValidFront(); vf > eff {
@@ -1448,6 +1478,7 @@ func (n *NE) maybeDeactivate() {
 		return
 	}
 	n.active = false
+	n.rejoining = false
 	n.awaitingJoin = false
 	n.joinedParent = seq.None
 	n.joinCourier.Cancel()

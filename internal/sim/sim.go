@@ -35,10 +35,11 @@ func (t Time) Seconds() float64 { return float64(t) / 1e6 }
 // avoid allocating a closure per event).
 type event struct {
 	at   Time
-	seq  uint64 // tie-breaker: insertion order
+	seq  uint64 // tie-breaker: insertion order (or a reserved position)
 	fn   func()
 	fnc  func(any)
 	arg  any
+	next *event // chains a wheel bucket or the free list
 	gen  uint64 // incremented on recycle; detects stale Timer handles
 	dead bool   // cancelled
 }
@@ -141,8 +142,8 @@ func (h *fourHeap) pop() *event {
 // of the cursor. Events beyond that horizon wait in the 4-ary overflow
 // heap and are promoted into the wheel as the cursor advances. The hot
 // protocol delays (per-hop latency, token hold, τ ticks) all land inside
-// the wheel; only slow timers (heartbeats, failure windows) touch the
-// overflow heap.
+// the wheel; slow timers (a reliable hop's single retransmission timer,
+// heartbeats, failure windows) touch the overflow heap.
 const (
 	slotShift  = 6 // 64 µs per slot
 	wheelSlots = 256
@@ -156,9 +157,17 @@ const (
 // buckets indexed by (at>>slotShift) & wheelMask, an occupancy bitmap for
 // O(1) next-slot scans, a small 4-ary heap holding the slot currently
 // being drained (exact (time, seq) order within a slot), and a 4-ary
-// overflow heap for events past the wheel horizon. All structures order
-// events by (at, seq), so execution order is byte-identical to a single
-// global priority queue.
+// overflow heap for events past the wheel horizon. A bucket is an
+// unordered chain threaded through its events, so the wheel holds no
+// per-slot array sized by the worst burst a slot ever saw; order within
+// a slot comes from the slot heap. Fired and cancelled events wait on a
+// free chain for reuse. All structures order events by (at, seq), so
+// execution order is byte-identical to a single global priority queue.
+//
+// A caller that arms one timer on behalf of many would-be events (a
+// reliable hop's retransmission timer) reserves each one's position with
+// Reserve and arms the timer with AtCallKey at the earliest of them: it
+// fires exactly where the event it stands for would have.
 type Scheduler struct {
 	now     Time
 	seq     uint64
@@ -170,7 +179,7 @@ type Scheduler struct {
 	// the cursor trails the earliest pending event, and new events are
 	// clamped to >= now, whose slot the cursor never passes.
 	curSlot    int64
-	buckets    [wheelSlots][]*event
+	buckets    [wheelSlots]*event      // chains through event.next
 	occupied   [wheelSlots / 64]uint64 // bitmap: bucket i non-empty
 	wheelCount int                     // events stored in buckets
 	cur        fourHeap                // events of slot curSlot being drained
@@ -179,9 +188,9 @@ type Scheduler struct {
 	// live counts pending non-cancelled events so Len is O(1): it is
 	// incremented on schedule and decremented on fire or Stop.
 	live int
-	// free recycles fired/cancelled events; generations on the events
-	// keep outstanding Timer handles from resurrecting them.
-	free []*event
+	// free chains fired/cancelled events for reuse; generations on the
+	// events keep outstanding Timer handles from resurrecting them.
+	free *event
 	// Executed counts events that have run, for progress reporting and
 	// runaway detection.
 	Executed uint64
@@ -211,38 +220,38 @@ func (s *Scheduler) place(ev *event) {
 		return
 	}
 	i := int(abs & wheelMask)
-	s.buckets[i] = append(s.buckets[i], ev)
+	ev.next = s.buckets[i]
+	s.buckets[i] = ev
 	s.occupied[i>>6] |= 1 << uint(i&63)
 	s.wheelCount++
 }
 
-// alloc takes an event from the freelist or allocates a fresh one, stamps
-// it, and files it into the calendar queue.
-func (s *Scheduler) alloc(at Time) *event {
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+// alloc takes an event from the free chain or allocates a fresh one,
+// stamps it with (at, key), and files it into the calendar queue.
+func (s *Scheduler) alloc(at Time, key uint64) *event {
+	ev := s.free
+	if ev != nil {
+		s.free = ev.next
+		ev.next = nil
 		ev.dead = false
 	} else {
 		ev = &event{}
 	}
 	ev.at = at
-	ev.seq = s.seq
-	s.seq++
+	ev.seq = key
 	s.live++
 	s.place(ev)
 	return ev
 }
 
-// recycle returns a popped event to the freelist for reuse.
+// recycle returns a popped event to the free chain for reuse.
 func (s *Scheduler) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.fnc = nil
 	ev.arg = nil
-	s.free = append(s.free, ev)
+	ev.next = s.free
+	s.free = ev
 }
 
 // migrateCur moves the cursor slot's bucket into the current-slot heap,
@@ -254,17 +263,19 @@ func (s *Scheduler) migrateCur() {
 	if s.occupied[i>>6]&(1<<uint(i&63)) == 0 {
 		return
 	}
-	b := s.buckets[i]
-	for j, ev := range b {
-		b[j] = nil
+	ev := s.buckets[i]
+	s.buckets[i] = nil
+	for ev != nil {
+		next := ev.next
+		ev.next = nil
 		s.wheelCount--
 		if ev.dead {
 			s.recycle(ev)
-			continue
+		} else {
+			s.cur.push(ev)
 		}
-		s.cur.push(ev)
+		ev = next
 	}
-	s.buckets[i] = b[:0]
 	s.occupied[i>>6] &^= 1 << uint(i&63)
 }
 
@@ -346,7 +357,7 @@ func (s *Scheduler) pop() *event {
 func (s *Scheduler) bucketMin(i int) (Time, bool) {
 	var best Time
 	found := false
-	for _, ev := range s.buckets[i] {
+	for ev := s.buckets[i]; ev != nil; ev = ev.next {
 		if ev.dead {
 			continue
 		}
@@ -423,7 +434,7 @@ func (s *Scheduler) At(at Time, fn func()) Timer {
 	if at < s.now {
 		at = s.now
 	}
-	ev := s.alloc(at)
+	ev := s.alloc(at, s.Reserve())
 	ev.fn = fn
 	return Timer{ev: ev, s: s, gen: ev.gen}
 }
@@ -441,24 +452,40 @@ func (s *Scheduler) After(delay Time, fn func()) Timer {
 // is allocation-free (events themselves are recycled), which matters on
 // the per-message hot paths.
 func (s *Scheduler) AtCall(at Time, fn func(any), arg any) Timer {
+	return s.AtCallKey(at, s.Reserve(), fn, arg)
+}
+
+// Reserve takes the next tie-break position, exactly as scheduling an
+// event now would, without scheduling one. A later AtCallKey with the
+// returned key runs where that event would have: after every event at
+// the same instant scheduled before the Reserve, before every one
+// scheduled after it.
+func (s *Scheduler) Reserve() uint64 {
+	k := s.seq
+	s.seq++
+	return k
+}
+
+// AtCallKey schedules fn(arg) at absolute virtual time at in the
+// tie-break position key, which must come from Reserve. It takes no
+// position of its own, so arming, stopping and re-arming one timer under
+// the keys of many reserved events leaves every other event's order
+// untouched. The caller must arm it before the scheduler runs past
+// (at, key); scheduling in the past is clamped to the present.
+func (s *Scheduler) AtCallKey(at Time, key uint64, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("sim: nil event function")
+	}
+	if key >= s.seq {
+		panic("sim: AtCallKey with an unreserved key")
 	}
 	if at < s.now {
 		at = s.now
 	}
-	ev := s.alloc(at)
+	ev := s.alloc(at, key)
 	ev.fnc = fn
 	ev.arg = arg
 	return Timer{ev: ev, s: s, gen: ev.gen}
-}
-
-// AfterCall schedules fn(arg) delay from now. Negative delays are clamped.
-func (s *Scheduler) AfterCall(delay Time, fn func(any), arg any) Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.AtCall(s.now+delay, fn, arg)
 }
 
 // Every schedules fn to run periodically with the given period, starting

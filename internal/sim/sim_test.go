@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -448,7 +449,7 @@ func TestAtCallDispatch(t *testing.T) {
 	got := make([]int, 0, 3)
 	record := func(v any) { got = append(got, v.(int)) }
 	s.AtCall(5, record, 1)
-	s.AfterCall(10, record, 2)
+	s.AtCall(10, record, 2)
 	tm := s.AtCall(7, record, 99)
 	tm.Stop()
 	if _, err := s.RunAll(); err != nil {
@@ -485,5 +486,86 @@ func TestRecycledEventTimerSafety(t *testing.T) {
 	}
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
+	}
+}
+
+// TestKeyedEventRunsAtItsReservedPosition: an event armed with
+// AtCallKey runs where an event scheduled at the Reserve would have —
+// after same-instant events scheduled before the key was reserved and
+// before those scheduled after it — however late it is armed, whether it
+// lands in the slot being drained, a later slot or the overflow heap,
+// and after being stopped and re-armed under the same key.
+func TestKeyedEventRunsAtItsReservedPosition(t *testing.T) {
+	for _, at := range []Time{0, 40, 3 * wheelSlots << slotShift} {
+		s := NewScheduler()
+		var got []string
+		note := func(v any) { got = append(got, v.(string)) }
+		s.AtCall(at, note, "a")
+		k := s.Reserve()
+		s.AtCall(at, note, "b")
+		late := s.Reserve()
+		s.AtCall(at, func(any) {
+			// Armed while its instant is being drained, under a key
+			// reserved before this event was scheduled.
+			s.AtCallKey(at, late, note, "late")
+			note("c")
+		}, nil)
+		s.AtCall(at, note, "d")
+		tm := s.AtCallKey(at+5, k, note, "early")
+		tm.Stop()
+		s.AtCallKey(at, k, note, "k")
+		if _, err := s.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"a", "k", "b", "c", "late", "d"}
+		if len(got) != len(want) {
+			t.Fatalf("at %v: ran %v, want %v", at, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("at %v: ran %v, want %v", at, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtCallKey accepted a key that was never reserved")
+		}
+	}()
+	s := NewScheduler()
+	s.AtCallKey(1, 0, func(any) {}, nil)
+}
+
+// TestWheelHoldsOneBurst: a burst of 200 events into each of the 256
+// wheel slots in turn, drained each time, leaves the scheduler holding
+// about what one burst needs (its events, free for reuse, and the slot
+// heap). A bucket is a chain through its events, so no slot keeps a
+// backing array sized by the largest burst it ever saw; with per-slot
+// arrays the wheel held 256 × 200 pointers, 400 kB.
+func TestWheelHoldsOneBurst(t *testing.T) {
+	const burst = 200
+	held := func(slots int) uint64 {
+		var ms runtime.MemStats
+		s := NewScheduler()
+		nop := func(any) {}
+		for i := 0; i < slots; i++ {
+			at := s.Now() + Time(i+1)<<slotShift
+			for j := 0; j < burst; j++ {
+				s.AtCall(at, nop, nil)
+			}
+			if _, err := s.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(s)
+		return ms.HeapAlloc
+	}
+	one, all := held(1), held(wheelSlots)
+	grew := int64(all) - int64(one)
+	t.Logf("bursts into every slot hold %d B more than into one", grew)
+	if grew > 16<<10 {
+		t.Fatalf("bursts into all %d slots hold %d B more than a burst into one", wheelSlots, grew)
 	}
 }

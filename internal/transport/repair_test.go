@@ -76,8 +76,8 @@ func TestSenderRepairResendsOutstandingBelowAbove(t *testing.T) {
 		t.Fatalf("Repair(6) resent %v, want [5]", got)
 	}
 	for sn := uint64(3); sn <= 6; sn++ {
-		if p := s.out[sn]; p.retries != 0 {
-			t.Fatalf("seqno %d: retries %d after repairs, want 0", sn, p.retries)
+		if i, _ := s.find(sn); s.win.at(i).retries != 0 {
+			t.Fatalf("seqno %d: retries %d after repairs, want 0", sn, s.win.at(i).retries)
 		}
 	}
 	if s.Retransmissions != 0 || s.Repairs != 3 {

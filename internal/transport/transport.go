@@ -4,16 +4,16 @@
 // children, or its attached MHs — using per-hop cumulative
 // acknowledgements, timeout retransmission, and bounded retries; a
 // receiver's gap report (Sender.Repair) brings a resend forward to one
-// hop round trip after the loss instead of one timeout. After
+// hop round trip after the loss instead of one timeout. A hop (Sender)
+// keeps its unacked messages in a seqno-ordered ring and times them all
+// with one scheduler timer, so what it holds is what is in flight. After
 // the retry budget is exhausted a message is "really lost" and, per
 // §4.1, is considered delivered (best-effort reliability in the sense of
 // Bimodal Multicast [5]).
 package transport
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/seq"
@@ -63,40 +63,64 @@ var DefaultConfig = Config{RTO: 20 * sim.Millisecond, MaxRetries: 10}
 // budget.
 var WirelessConfig = Config{RTO: 30 * sim.Millisecond, MaxRetries: 15}
 
-type pending struct {
-	s       *Sender
-	m       msg.Message
+// slot is one message in a Sender's window.
+type slot struct {
+	m       msg.Message // nil once given up, until its seqno is sent again
 	seqno   uint64
+	sent    uint64 // the Sender's transmission count at the last (re)send
+	key     uint64 // scheduler position reserved by the last (re)send
 	retries int
-	sent    uint64 // the Sender's transmission count at p's last (re)send
-	timer   sim.Timer
 }
 
-// pendingTimeout is the static retransmission handler: scheduled with
-// AfterCall so arming a timer allocates no closure.
-func pendingTimeout(v any) {
-	p := v.(*pending)
-	s := p.s
-	if s.closed || p.seqno <= s.acked {
-		return
+// deadline is the timeout of one (re)transmission: due at due, in the
+// scheduler position key that the message's own timer event would have
+// taken. It is stale once its message is released, given up or sent
+// again, and is dropped when it comes up.
+type deadline struct {
+	due   sim.Time
+	key   uint64
+	seqno uint64
+}
+
+func (d deadline) before(o deadline) bool {
+	if d.due != o.due {
+		return d.due < o.due
 	}
-	if q, live := s.out[p.seqno]; !live || q != p {
-		return
-	}
-	if s.cfg.MaxRetries > 0 && p.retries >= s.cfg.MaxRetries {
-		seqno := p.seqno
-		s.release(p)
-		if s.OnGiveUp != nil {
-			s.OnGiveUp(seqno)
+	return d.key < o.key
+}
+
+// ring is a growable circular buffer, kept in order: O(1) at both ends.
+// It allocates on its first insert and when it doubles, never in steady
+// state.
+type ring[T any] struct {
+	buf  []T // power-of-two length
+	head int
+	n    int
+}
+
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// insert opens index i (n appends) and returns it.
+func (r *ring[T]) insert(i int) *T {
+	if r.n == len(r.buf) {
+		b := make([]T, max(8, 2*len(r.buf)))
+		for j := 0; j < r.n; j++ {
+			b[j] = *r.at(j)
 		}
-		return
+		r.buf, r.head = b, 0
 	}
-	p.retries++
-	s.Retransmissions++
-	if s.OnRetransmit != nil {
-		s.OnRetransmit(p.m, false)
+	for j := r.n; j > i; j-- {
+		*r.at(j) = *r.at(j - 1)
 	}
-	s.transmit(p)
+	r.n++
+	return r.at(i)
+}
+
+func (r *ring[T]) popFront() {
+	var zero T
+	*r.at(0) = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 }
 
 // Sender reliably pushes a sequence-numbered stream of messages across
@@ -107,20 +131,35 @@ func pendingTimeout(v any) {
 // retransmits on timeout, or sooner on a receiver's gap report (Repair).
 // OnGiveUp fires when a message exhausts its retries — the caller then
 // applies the really-lost rule.
+//
+// The window is a ring of slots in seqno order: an ack pops its head, a
+// repair walks it from the head, a send appends at its tail. The hop has
+// one retransmission timer, as a TCP connection does (RFC 6298 §5), not
+// one per message. Each (re)transmission files a deadline ordered by
+// (due, key), where key is the scheduler position reserved for it
+// (sim.Scheduler.Reserve), and the timer is armed at the earliest
+// deadline still live, in that deadline's position: a message times out
+// at exactly the instant, and in exactly the order among same-instant
+// events, that its own timer event would have. Under a fixed RTO
+// deadlines are filed in order and queue in a ring; one filed earlier
+// than the last (a backoff) goes to a small heap. A deadline whose
+// message was acked or resent since is skipped when it comes up, so the
+// timer may fire for one such and re-arm. The hop's state is its
+// in-flight window: no scheduler event, map entry or timer handle per
+// message.
 type Sender struct {
 	net   Network
 	cfg   Config
 	from  seq.NodeID
 	to    seq.NodeID
-	out   map[uint64]*pending
-	free  []*pending // recycled pending slots (their timers are stopped)
 	acked uint64
 	// OnGiveUp is invoked with the seqno abandoned after MaxRetries.
 	OnGiveUp func(seqno uint64)
 	// OnRetransmit, when set, observes every resend with the message
 	// being resent and its cause: a gap report (Repair) or the timer
 	// (telemetry and trace-plane hook; nil — the simulator default —
-	// costs one branch per retransmission).
+	// costs one branch per retransmission). It must not call back into
+	// the Sender.
 	OnRetransmit func(m msg.Message, gap bool)
 
 	// Retransmissions counts timeout-triggered resends and Repairs the
@@ -129,41 +168,87 @@ type Sender struct {
 	Repairs         uint64
 	closed          bool
 	// sent counts transmissions, first sends and resends alike; each
-	// pending slot keeps the count of its last one, which orders the
-	// hop's transmissions for Repair.
+	// slot keeps the count of its last one, which orders the hop's
+	// transmissions for Repair.
 	sent uint64
 
-	// scratch buffers for SendRun (per-call burst assembly).
-	burstMsgs []msg.Message
-	burstPend []*pending
+	// win is the window in seqno order; live counts its slots not given
+	// up.
+	win  ring[slot]
+	live int
+	// queued holds deadlines filed in order, late (a min-heap) those
+	// filed before the last queued one; both keep stale entries until
+	// they come up. timer is armed at armed, at or before the earliest
+	// live deadline.
+	queued ring[deadline]
+	late   []deadline
+	timer  sim.Timer
+	armed  deadline
+
+	// burst is SendRun's scratch.
+	burst []msg.Message
 }
 
-// NewSender builds a sender for one directed hop.
+// NewSender builds a sender for one directed hop. It allocates nothing
+// for the window until the first send.
 func NewSender(net Network, from, to seq.NodeID, cfg Config) *Sender {
 	if cfg.RTO <= 0 {
 		cfg.RTO = DefaultConfig.RTO
 	}
-	return &Sender{net: net, cfg: cfg, from: from, to: to, out: make(map[uint64]*pending)}
+	return &Sender{net: net, cfg: cfg, from: from, to: to}
 }
 
 // To returns the destination of this hop.
 func (s *Sender) To() seq.NodeID { return s.to }
 
+// find returns the window index of seqno, or the index it would be
+// inserted at. A dense window is indexed directly; a sparse one (skips,
+// jumps) is searched.
+func (s *Sender) find(seqno uint64) (int, bool) {
+	w := &s.win
+	if w.n == 0 {
+		return 0, false
+	}
+	lo, hi := w.at(0).seqno, w.at(w.n-1).seqno
+	switch {
+	case seqno < lo:
+		return 0, false
+	case seqno > hi:
+		return w.n, false
+	case hi-lo == uint64(w.n-1):
+		return int(seqno - lo), true
+	}
+	i, j := 0, w.n
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if w.at(h).seqno < seqno {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, w.at(i).seqno == seqno
+}
+
 // Retarget atomically redirects the hop to a new destination (ring
 // repair: the next node changed). Unacked messages are retransmitted to
-// the new destination immediately.
+// the new destination immediately, in seqno order.
 func (s *Sender) Retarget(to seq.NodeID) {
 	if s.to == to {
 		return
 	}
 	s.to = to
-	for _, p := range s.out {
+	for i := 0; i < s.win.n; i++ {
+		sl := s.win.at(i)
+		if sl.m == nil {
+			continue
+		}
 		if s.cfg.BackoffCap > 0 {
 			// A fresh destination deserves a fresh cadence: the old
 			// peer's unresponsiveness says nothing about the new one.
-			p.retries = 0
+			sl.retries = 0
 		}
-		s.transmit(p)
+		s.transmit(sl)
 	}
 }
 
@@ -175,28 +260,27 @@ func (s *Sender) Unsent(seqno uint64) bool {
 	if s.closed || seqno <= s.acked {
 		return false
 	}
-	_, dup := s.out[seqno]
-	return !dup
+	if s.win.n == 0 || seqno > s.win.at(s.win.n-1).seqno {
+		return true
+	}
+	i, ok := s.find(seqno)
+	return !ok || s.win.at(i).m == nil
 }
 
-// track acquires a pending slot for (seqno, m) and inserts it into the
-// outstanding window; the caller transmits and arms the timer.
-func (s *Sender) track(seqno uint64, m msg.Message) *pending {
-	var p *pending
-	if n := len(s.free); n > 0 {
-		p = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+// admit puts (seqno, m) into the window, which the caller has checked
+// with Unsent: a given-up slot of that seqno is reused, anything else is
+// inserted in seqno order (at the tail but for a resend below it).
+func (s *Sender) admit(seqno uint64, m msg.Message) *slot {
+	i, ok := s.find(seqno)
+	var sl *slot
+	if ok {
+		sl = s.win.at(i)
 	} else {
-		p = &pending{s: s}
+		sl = s.win.insert(i)
 	}
-	p.m = m
-	p.seqno = seqno
-	p.retries = 0
-	s.out[seqno] = p
-	s.sent++
-	p.sent = s.sent
-	return p
+	*sl = slot{m: m, seqno: seqno}
+	s.live++
+	return sl
 }
 
 // Send transmits m with the given stream seqno. Duplicate seqnos and
@@ -205,17 +289,15 @@ func (s *Sender) Send(seqno uint64, m msg.Message) {
 	if !s.Unsent(seqno) {
 		return
 	}
-	p := s.track(seqno, m)
-	s.net.Send(s.from, s.to, m)
-	s.arm(p)
+	s.transmit(s.admit(seqno, m))
 }
 
 // SendRun transmits msgs[i] with seqno start+i as one burst: every
-// message gets its own pending slot and retransmission timer exactly as
-// with Send, but the initial transmission goes through the network's
-// burst path, which schedules a single delivery event for the whole run
-// on jitter-free links instead of one event per frame. Duplicate seqnos
-// and seqnos at or below the cumulative ack are skipped, as in Send.
+// message is tracked and timed exactly as with Send, but the initial
+// transmission goes through the network's burst path, which schedules a
+// single delivery event for the whole run on jitter-free links instead
+// of one event per frame. Duplicate seqnos and seqnos at or below the
+// cumulative ack are skipped, as in Send.
 func (s *Sender) SendRun(start uint64, msgs []msg.Message) {
 	if s.closed || len(msgs) == 0 {
 		return
@@ -224,47 +306,160 @@ func (s *Sender) SendRun(start uint64, msgs []msg.Message) {
 		s.Send(start, msgs[0])
 		return
 	}
-	burst := s.burstMsgs[:0]
-	pend := s.burstPend[:0]
+	burst := s.burst[:0]
+	before := s.sent
 	for i, m := range msgs {
 		seqno := start + uint64(i)
 		if !s.Unsent(seqno) {
 			continue
 		}
 		burst = append(burst, m)
-		pend = append(pend, s.track(seqno, m))
+		s.sent++
+		s.admit(seqno, m).sent = s.sent
 	}
 	s.net.SendBurst(s.from, s.to, burst)
-	for i, p := range pend {
-		s.arm(p)
-		pend[i] = nil
+	// The run's slots are those sent since before, in seqno order from
+	// start's place on; their deadlines follow the burst's delivery
+	// event, as their timers did.
+	i, _ := s.find(start)
+	for left := len(burst); left > 0; i++ {
+		if sl := s.win.at(i); sl.m != nil && sl.sent > before {
+			s.clock(sl)
+			left--
+		}
 	}
-	for i := range burst {
-		burst[i] = nil // pendings hold the references; the scratch must not
-	}
-	s.burstMsgs = burst[:0]
-	s.burstPend = pend[:0]
+	clear(burst) // the window holds the references; the scratch must not
+	s.burst = burst[:0]
 }
 
-// release stops p's timer, drops it from the outstanding window, and
-// recycles the slot.
-func (s *Sender) release(p *pending) {
-	p.timer.Stop()
-	delete(s.out, p.seqno)
-	p.m = nil
-	s.free = append(s.free, p)
-}
-
-func (s *Sender) transmit(p *pending) {
-	s.net.Send(s.from, s.to, p.m)
+// transmit (re)sends sl's message and restarts its timeout.
+func (s *Sender) transmit(sl *slot) {
+	s.net.Send(s.from, s.to, sl.m)
 	s.sent++
-	p.sent = s.sent
-	p.timer.Stop()
-	s.arm(p)
+	sl.sent = s.sent
+	s.clock(sl)
 }
 
-func (s *Sender) arm(p *pending) {
-	p.timer = s.net.Scheduler().AfterCall(retryDelay(s.cfg, p.retries), pendingTimeout, p)
+// clock files the timeout of sl's latest transmission, in the scheduler
+// position its own timer event would take, and arms the hop's timer at
+// it if it is now the earliest.
+func (s *Sender) clock(sl *slot) {
+	sched := s.net.Scheduler()
+	d := deadline{due: sched.Now() + retryDelay(s.cfg, sl.retries), key: sched.Reserve(), seqno: sl.seqno}
+	sl.key = d.key
+	if q := &s.queued; q.n == 0 || !d.before(*q.at(q.n - 1)) {
+		*q.insert(q.n) = d
+	} else {
+		s.pushLate(d)
+	}
+	if !s.timer.Pending() || d.before(s.armed) {
+		s.arm(d)
+	}
+}
+
+// arm points the hop's timer at d.
+func (s *Sender) arm(d deadline) {
+	s.timer.Stop()
+	s.armed = d
+	s.timer = s.net.Scheduler().AtCallKey(d.due, d.key, hopTimeout, s)
+}
+
+// hopTimeout is the hop's timer: it times out the message whose deadline
+// it was armed at, unless that one was acked or resent since, then
+// re-arms at the earliest live deadline.
+func hopTimeout(v any) {
+	s := v.(*Sender)
+	if s.closed {
+		return
+	}
+	if d, ok := s.next(); ok && d.key == s.armed.key {
+		s.expire(d.seqno) // which makes d stale
+	}
+	if d, ok := s.next(); ok && (!s.timer.Pending() || d.before(s.armed)) {
+		s.arm(d)
+	}
+}
+
+// expire acts on the timeout of seqno's latest transmission: another
+// retry, or, past MaxRetries, give-up.
+func (s *Sender) expire(seqno uint64) {
+	i, _ := s.find(seqno)
+	sl := s.win.at(i)
+	if s.cfg.MaxRetries > 0 && sl.retries >= s.cfg.MaxRetries {
+		sl.m = nil
+		s.live--
+		if s.OnGiveUp != nil {
+			s.OnGiveUp(seqno)
+		}
+		return
+	}
+	sl.retries++
+	s.Retransmissions++
+	if s.OnRetransmit != nil {
+		s.OnRetransmit(sl.m, false)
+	}
+	s.transmit(sl)
+}
+
+// holds reports whether d is the latest deadline of an outstanding
+// message.
+func (s *Sender) holds(d deadline) bool {
+	i, ok := s.find(d.seqno)
+	return ok && s.win.at(i).m != nil && s.win.at(i).key == d.key
+}
+
+// next drops the stale deadlines that have come up and returns the
+// earliest live one.
+func (s *Sender) next() (deadline, bool) {
+	q := &s.queued
+	for q.n > 0 && !s.holds(*q.at(0)) {
+		q.popFront()
+	}
+	for len(s.late) > 0 && !s.holds(s.late[0]) {
+		s.popLate()
+	}
+	switch {
+	case len(s.late) > 0 && (q.n == 0 || s.late[0].before(*q.at(0))):
+		return s.late[0], true
+	case q.n > 0:
+		return *q.at(0), true
+	}
+	return deadline{}, false
+}
+
+func (s *Sender) pushLate(d deadline) {
+	s.late = append(s.late, d)
+	h := s.late
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (s *Sender) popLate() {
+	h := s.late
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	s.late = h
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // retryDelay is the rearm delay after the retries-th transmission:
@@ -283,30 +478,31 @@ func retryDelay(cfg Config, retries int) sim.Time {
 	return d
 }
 
-// Ack releases every outstanding message with seqno ≤ cum, walking
-// whichever is shorter: the newly acknowledged seqno range (streams are
-// dense, so each probe releases a message) or the window (a sparse
-// stream, or a cum that leapt far ahead). A cumulative ack behind a long
-// backlog costs what it releases, not the backlog.
+// Ack releases every outstanding message with seqno ≤ cum, popping them
+// off the head of the window: it costs what it releases, however long
+// the backlog behind them.
 func (s *Sender) Ack(cum uint64) {
 	if cum <= s.acked {
 		return
 	}
-	from := s.acked
 	s.acked = cum
-	if cum-from <= uint64(len(s.out)) {
-		for n := from + 1; n <= cum; n++ {
-			if p, ok := s.out[n]; ok {
-				s.release(p)
-			}
+	for s.win.n > 0 && s.win.at(0).seqno <= cum {
+		if s.win.at(0).m != nil {
+			s.live--
 		}
+		s.win.popFront()
+	}
+	if s.live > 0 {
+		s.next()
 		return
 	}
-	for n, p := range s.out {
-		if n <= cum {
-			s.release(p)
-		}
+	// Nothing outstanding: every deadline is stale. The timer stays
+	// armed and finds nothing to do.
+	for s.win.n > 0 {
+		s.win.popFront() // given-up slots
 	}
+	s.queued.head, s.queued.n = 0, 0
+	s.late = s.late[:0]
 }
 
 // Repair acts on a receiver's gap report: it holds seqno above but not
@@ -317,53 +513,42 @@ func (s *Sender) Ack(cum uint64) {
 // reports name its hole: the next repair needs a report triggered by
 // something sent after this one. Retries and the backoff are left alone
 // (a repair is not a timeout), and the resend restarts the message's
-// timer, which stays the fallback for a loss no later arrival reveals.
-// It returns the number of messages resent. Like Ack, it walks the
-// shorter of the seqno range and the window, resending in seqno order.
+// timeout, which stays the fallback for a loss no later arrival reveals.
+// It returns the number of messages resent, which it walks from the
+// head of the window, in seqno order.
 func (s *Sender) Repair(above uint64) int {
-	top, ok := s.out[above]
-	if s.closed || !ok {
+	i, ok := s.find(above)
+	if s.closed || !ok || s.win.at(i).m == nil {
 		return 0
 	}
-	due := s.burstPend[:0]
-	if above-s.acked <= uint64(len(s.out)) {
-		for sn := s.acked + 1; sn < above; sn++ {
-			if p, ok := s.out[sn]; ok && p.sent < top.sent {
-				due = append(due, p)
+	top := s.win.at(i).sent
+	n := 0
+	for j := 0; j < i; j++ {
+		if sl := s.win.at(j); sl.m != nil && sl.sent < top {
+			n++
+			s.Repairs++
+			if s.OnRetransmit != nil {
+				s.OnRetransmit(sl.m, true)
 			}
+			s.transmit(sl)
 		}
-	} else {
-		for sn, p := range s.out {
-			if sn < above && p.sent < top.sent {
-				due = append(due, p)
-			}
-		}
-		slices.SortFunc(due, func(a, b *pending) int { return cmp.Compare(a.seqno, b.seqno) })
 	}
-	for i, p := range due {
-		s.Repairs++
-		if s.OnRetransmit != nil {
-			s.OnRetransmit(p.m, true)
-		}
-		s.transmit(p)
-		due[i] = nil
-	}
-	s.burstPend = due[:0]
-	return len(due)
+	return n
 }
 
 // Acked returns the cumulative acknowledgement received.
 func (s *Sender) Acked() uint64 { return s.acked }
 
 // Outstanding returns the number of unacked messages.
-func (s *Sender) Outstanding() int { return len(s.out) }
+func (s *Sender) Outstanding() int { return s.live }
 
-// Close stops all timers; subsequent Sends are dropped.
+// Close stops the timer and drops the window; subsequent Sends are
+// dropped.
 func (s *Sender) Close() {
 	s.closed = true
-	for _, p := range s.out {
-		s.release(p)
-	}
+	s.timer.Stop()
+	s.win, s.queued, s.late = ring[slot]{}, ring[deadline]{}, nil
+	s.live = 0
 }
 
 // Courier reliably delivers one message at a time (the ordering token's

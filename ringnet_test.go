@@ -2,13 +2,16 @@ package ringnet
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/msg"
+	"repro/internal/netsim"
 )
 
 func TestNewSimAndRun(t *testing.T) {
@@ -162,6 +165,64 @@ func TestHandoffAndMembershipAPI(t *testing.T) {
 	x.Recover(x.Sources()[2])
 	if err := x.Run(1 * Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failRun is one run of a failure scenario: what it put on the network,
+// its control report and each host's delivery-order digest.
+type failRun struct {
+	net    netsim.Stats
+	ctrl   ControlReport
+	hashes map[HostID]uint64
+}
+
+// runFailScenario kills the fourth border router mid-stream under the
+// membership plane (the tokenloss example): the top ring is repaired,
+// every hop to the dead router is retargeted, and the token may be
+// regenerated.
+func runFailScenario(t *testing.T) failRun {
+	t.Helper()
+	x, err := NewSim(Config{Topology: Spec{BRs: 4, AGRings: 2, AGSize: 2, APsPerAG: 1, MHsPerAP: 2}, Seed: 99, Membership: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := make(map[HostID]*metrics.OrderHash)
+	for _, h := range x.Hosts() {
+		oh := metrics.NewOrderHash()
+		hashes[h] = oh
+		if err := x.OnDeliver(h, func(g GlobalSeq, src NodeID, _ []byte) { oh.Note(g, src, 0) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x.NewTrafficGroup(x.Sources()[:2], 64).CBR(50*Millisecond, 4*Millisecond, 2*Millisecond, 500)
+	x.Sched.At(300*Millisecond, func() { x.Fail(x.Sources()[3]) })
+	if _, err := x.RunQuiet(250*Millisecond, 120*Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
+	r := failRun{net: x.Net.Stats(), ctrl: x.ControlReport(), hashes: make(map[HostID]uint64)}
+	for h, oh := range hashes {
+		r.hashes[h] = oh.Sum64()
+	}
+	return r
+}
+
+// TestFailRunRepeatsForItsSeed: a run that fails a node, and so
+// retargets hops and repairs the ring, is as deterministic per seed as a
+// fault-free one. Two runs in one process must agree on every network
+// counter, the control report and every host's delivery order.
+func TestFailRunRepeatsForItsSeed(t *testing.T) {
+	a, b := runFailScenario(t), runFailScenario(t)
+	if !reflect.DeepEqual(a.net, b.net) {
+		t.Errorf("network stats differ between runs:\n%+v\n%+v", a.net, b.net)
+	}
+	if a.ctrl != b.ctrl {
+		t.Errorf("control reports differ between runs:\n%+v\n%+v", a.ctrl, b.ctrl)
+	}
+	if !reflect.DeepEqual(a.hashes, b.hashes) {
+		t.Errorf("delivery orders differ between runs:\n%v\n%v", a.hashes, b.hashes)
 	}
 }
 
