@@ -16,6 +16,20 @@ import (
 	"repro/internal/transport"
 )
 
+// Settings every deployment and test runs at one value.
+const (
+	// tokenHold is how long a holder keeps the token before forwarding
+	// (processing time; the paper treats it as negligible).
+	tokenHold = 200 * sim.Microsecond
+	// mqSize is the MaxNo of every NE's message queue, in slots: the cap
+	// the queue's ring grows to as its window needs, not an up-front
+	// allocation.
+	mqSize = 1 << 14
+	// filterWindow is how long Multiple-Token filtering stays active
+	// after a Multiple-Token signal.
+	filterWindow = 1 * sim.Second
+)
+
 // Config tunes one protocol instance.
 type Config struct {
 	// Tau is the Order-Assignment timer cycle τ (paper §4.2.1): how
@@ -24,22 +38,18 @@ type Config struct {
 	// engine started with StartLocal (the wire daemon) arms no τ timer,
 	// and its host runs the pass on its own clock instead.
 	Tau sim.Time
-	// TokenHold is how long a holder keeps the token before forwarding
-	// (processing time; the paper treats it as negligible).
-	TokenHold sim.Time
 	// TokenIdleBackoff, when non-zero, lets an idle ring slow down: every
 	// token rotation that arrives with nothing newly assigned doubles the
 	// holding time, up to this cap, and any advance of the global
-	// sequence snaps it back to TokenHold. Real deployments hosting many
+	// sequence snaps it back to tokenHold. Real deployments hosting many
 	// federated rings need quiet groups to stop burning CPU and sockets
-	// on full-rate circulation; keep it well under the membership
-	// plane's token watchdog. 0 disables (the simulator default —
-	// constant-rate circulation, the paper's model).
+	// on full-rate circulation. Keep the idle rotation (ring size × this
+	// cap) short beside TokenLossThreshold: a node that has not sighted
+	// the token for that long no longer orders well, so it neither
+	// filters a Token-Loss signal nor destroys a regeneration traversal,
+	// and the wire daemon holds back convergence. 0 disables (the
+	// simulator default — constant-rate circulation, the paper's model).
 	TokenIdleBackoff sim.Time
-	// MQSize is the MaxNo of every NE's message queue, in slots: the
-	// cap the queue's ring grows to as its window needs, not an
-	// up-front allocation.
-	MQSize int
 	// MHWindow is the reassembly window of a mobile host.
 	MHWindow int
 	// RetainExtra keeps this many delivered slots below the WT minimum
@@ -64,9 +74,6 @@ type Config struct {
 	// "running well" (§4.2.1) if it saw token activity within this
 	// window; Token-Loss signals inside the window are ignored.
 	TokenLossThreshold sim.Time
-	// FilterWindow is how long Multiple-Token filtering stays active
-	// after a Multiple-Token signal.
-	FilterWindow sim.Time
 	// CompactAbove/CompactKeep bound the circulating token's table. When
 	// it exceeds CompactAbove entries, the token's WTSNP drops below
 	// (NextGlobalSeq − CompactKeep) — or, when the global sequence has
@@ -130,15 +137,12 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Tau:                 5 * sim.Millisecond,
-		TokenHold:           200 * sim.Microsecond,
-		MQSize:              1 << 14,
 		MHWindow:            1 << 10,
 		RetainExtra:         64,
 		Hop:                 transport.DefaultConfig,
 		Wireless:            transport.WirelessConfig,
 		AckDelay:            transport.DefaultConfig.RTO / 4,
 		TokenLossThreshold:  500 * sim.Millisecond,
-		FilterWindow:        1 * sim.Second,
 		CompactAbove:        4096,
 		CompactKeep:         1 << 16,
 		ReserveFor:          2 * sim.Second,

@@ -177,7 +177,7 @@ func newNE(e *Engine, id seq.NodeID) *NE {
 	n := &NE{
 		e:            e,
 		id:           id,
-		mq:           queue.NewMQ(e.Cfg.MQSize),
+		mq:           queue.NewMQ(mqSize),
 		wt:           queue.NewWT(),
 		wqSenders:    make(map[seq.NodeID]*transport.Sender),
 		wqFwd:        make(map[seq.NodeID]seq.LocalSeq),
@@ -205,7 +205,7 @@ func newNE(e *Engine, id seq.NodeID) *NE {
 // reset clears all protocol state (crash recovery rejoin).
 func (n *NE) reset() {
 	n.failed = false
-	n.mq = queue.NewMQ(n.e.Cfg.MQSize)
+	n.mq = queue.NewMQ(mqSize)
 	n.wt = queue.NewWT()
 	n.wq = nil
 	n.assign, n.assignFloor = nil, nil
@@ -331,12 +331,6 @@ func (n *NE) TokenIdle() bool {
 	return !n.holding && n.held == nil && !n.tokenCourier.Busy() && !n.regenCourier.Busy()
 }
 
-// TokenActivity reports whether this node has ever sighted the ordering
-// token and when it last did (token arrival or acknowledged forward).
-// The wire membership manager's token watchdog uses it to detect a lost
-// token independently of topology-maintenance signals.
-func (n *NE) TokenActivity() (last sim.Time, seen bool) { return n.lastToken, n.tokenSeen }
-
 // TokenStamp reports the highest (epoch, hops) token stamp this node has
 // witnessed, and whether it has witnessed any token at all. The wire
 // membership plane embeds it in ring summaries so merging sides can run
@@ -404,8 +398,8 @@ func (n *NE) DiscardTokenBelow(epoch uint64) bool {
 // retained pre-partition state, and releases any delivery hold. Its
 // stall counters accumulated against unreachable peers and would
 // otherwise trigger spurious give-ups the moment repair resumes; the
-// token clock is refreshed so the watchdog measures from re-admission,
-// not from before the split. A virgin queue with a baseline
+// token clock is refreshed so OrdersWell measures from re-admission, not
+// from before the split. A virgin queue with a baseline
 // force-releases exactly like JumpTo.
 func (n *NE) Readmit(baseline seq.GlobalSeq) {
 	if n.failed {
@@ -444,7 +438,8 @@ func (n *NE) RejoinFresh(baseline seq.GlobalSeq) (lo, hi seq.GlobalSeq) {
 
 // restartRepairClocks is the common tail of Readmit and RejoinFresh:
 // clear the stall state accumulated against unreachable peers, restart
-// the token watchdog from now, and lift any delivery hold.
+// the token-activity clock OrdersWell reads from now, and lift any
+// delivery hold.
 func (n *NE) restartRepairClocks() {
 	n.stallSince = make(map[seq.NodeID]sim.Time)
 	n.stallRounds = make(map[seq.NodeID]int)
@@ -515,7 +510,7 @@ func (n *NE) DropPeer(dead seq.NodeID) {
 	// gracefully-leaving member is alive and forwards the token onward;
 	// a crashed one may have acked into the void) and a same-epoch twin
 	// causes divergent duplicate assignments. If the token really died,
-	// the Token-Loss signal/watchdog regenerates it at a bumped epoch,
+	// the Token-Loss signal of the removal regenerates it at a bumped epoch,
 	// which supersedes any surviving copy (paper §4.2.1).
 	if n.tokenCourier.Busy() && n.tokenCourier.To() == dead {
 		n.tokenCourier.Cancel()
@@ -526,18 +521,18 @@ func (n *NE) DropPeer(dead seq.NodeID) {
 	}
 	// A regeneration traversal stuck on the corpse is abandoned — NOT
 	// restarted from here: regeneration must keep a single origin (the
-	// membership plane's designated signaler re-raises Token-Loss while
-	// ordering stays silent), or two concurrent traversals restart two
-	// same-epoch tokens and assignments diverge.
+	// membership plane raises Token-Loss at the one node that commits the
+	// eviction), or two concurrent traversals restart two same-epoch
+	// tokens and assignments diverge.
 	if n.regenCourier.Busy() && n.regenCourier.To() == dead {
 		n.regenCourier.Cancel()
 		n.regenExpect = ackExpect{}
 	}
 	// Reconfiguration invalidates the regen-traversal dedup stamp: the
-	// membership plane legitimately re-raises Token-Loss right after a
-	// commit, and that fresh traversal must not be mistaken for a courier
-	// retransmit of one that died on the old ring. A true duplicate that
-	// slips through dies at its origin's OrdersWell gate.
+	// membership plane legitimately raises Token-Loss again at the commit
+	// of a later eviction, and that fresh traversal must not be mistaken
+	// for a courier retransmit of one that died on the old ring. A true
+	// duplicate that slips through dies at its origin's OrdersWell gate.
 	n.lastRegen = regenStamp{}
 	if n.joinCourier.Busy() && n.joinCourier.To() == dead {
 		n.joinCourier.Cancel()

@@ -146,7 +146,7 @@ func (n *NE) handleToken(from seq.NodeID, tok *seq.Token) {
 	// during a stretched hold waits the hold out and gets its global
 	// number when the token next reaches its top-ring node: the "one
 	// stretched rotation" wake-up cost protocolConfig states.
-	hold := n.e.Cfg.TokenHold
+	hold := tokenHold
 	if max := n.e.Cfg.TokenIdleBackoff; max > 0 && n.held != nil {
 		if next := n.held.NextGlobalSeq; next != n.idleNext {
 			n.idleNext, n.idleStreak = next, 0
@@ -725,11 +725,11 @@ func (n *NE) handleTokenRegen(from seq.NodeID, rg *msg.TokenRegen) {
 		n.ackToken(from, rg.Token.Epoch, rg.Token.Hops, rg.Token.NextGlobalSeq)
 	}
 	// Duplicate suppression for courier retransmits — time-bounded to
-	// the retransmission scale: a re-raised traversal (the coordinator
-	// signals again while ordering stays silent) is legitimately
-	// identical in (origin, next, epoch) and must traverse, or token
-	// recovery deadlocks the moment one traversal is abandoned on a
-	// removed member.
+	// the retransmission scale: a re-raised traversal (a later repair or
+	// eviction signals again while ordering stays silent) is
+	// legitimately identical in (origin, next, epoch) and must traverse,
+	// or token recovery deadlocks the moment one traversal is abandoned
+	// on a removed member.
 	stamp := regenStamp{origin: rg.Origin, next: rg.Token.NextGlobalSeq, epoch: rg.Token.Epoch, set: true}
 	if n.lastRegen == stamp && n.now()-n.lastRegenAt < 2*n.e.Cfg.Hop.RTO {
 		return
@@ -774,7 +774,7 @@ func (n *NE) onMultipleToken() {
 	if n.failed {
 		return
 	}
-	n.filterUntil = n.now() + n.e.Cfg.FilterWindow
+	n.filterUntil = n.now() + filterWindow
 	if n.newToken != nil {
 		n.bestToken = n.newToken.Clone()
 	} else {

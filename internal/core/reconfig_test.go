@@ -92,7 +92,7 @@ func TestDropPeerTokenRecovery(t *testing.T) {
 	if n1.held != nil || n1.tokenCourier.Busy() {
 		t.Fatal("DropPeer left the canceled transfer armed")
 	}
-	// The membership plane's Token-Loss signal (watchdog / repair hook)
+	// The membership plane's Token-Loss signal (its repair hook)
 	// triggers regeneration once ordering has been silent long enough.
 	sched.At(sched.Now()+600*sim.Millisecond, func() { e.OnTokenLoss(1) })
 	if _, err := sched.Run(sim.Second); err != nil {

@@ -94,7 +94,8 @@ type Config struct {
 	// ring repair, join/leave) for every group.
 	Live bool `json:"live,omitempty"`
 
-	// Membership timers (defaults: 150/900 ms), shared by all groups.
+	// Membership timers (defaults: 150/900 ms), shared by all groups;
+	// the suspect timeout must exceed the heartbeat.
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
 	SuspectMS   int64 `json:"suspect_ms,omitempty"`
 
@@ -170,6 +171,10 @@ func (c *Config) Normalize() error {
 	}
 	if len(c.Groups) == 0 {
 		return fmt.Errorf("wire: config hosts no groups: list them in a \"groups\" array, e.g. \"groups\": [{\"id\": 1}] — stream fields a group leaves out inherit the daemon-level count, rate_hz, payload and start_ms")
+	}
+
+	if c.SuspectMS <= c.HeartbeatMS {
+		return fmt.Errorf("wire: suspect_ms (%d) must exceed heartbeat_ms (%d): the failure detector would suspect a live peer between two of its heartbeats", c.SuspectMS, c.HeartbeatMS)
 	}
 
 	seen := make(map[uint32]int, len(c.Groups))

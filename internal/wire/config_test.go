@@ -98,6 +98,11 @@ func TestConfigValidation(t *testing.T) {
 			},
 			wantSub: "join requires live",
 		},
+		{
+			name:    "suspect timeout within one heartbeat",
+			mutate:  func(c *Config) { c.HeartbeatMS, c.SuspectMS = 300, 300 },
+			wantSub: "suspect_ms (300) must exceed heartbeat_ms (300)",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -333,10 +333,9 @@ func (nd *Node) peerIDs() []seq.NodeID {
 //
 // One housekeeping tick steps every group (ringGroup.step), the backstop
 // for what only time decides: an evicted group's leave-drain and its
-// quiesce bound, heartbeats, the token watchdog, Done beacons and the
-// Order-Assignment pass. One tick fsyncs every durable log; with
-// -report-interval, one tick writes the live report to stderr. Driver
-// goroutine only.
+// quiesce bound, heartbeats, Done beacons and the Order-Assignment pass.
+// One tick fsyncs every durable log; with -report-interval, one tick
+// writes the live report to stderr. Driver goroutine only.
 func (nd *Node) lifecycle(groups []*ringGroup) {
 	s := nd.drv.sched
 

@@ -16,20 +16,29 @@ import (
 	"repro/internal/workload"
 )
 
-// protocolConfig is the core tuning for a real-socket deployment:
-// unbounded per-hop retries (the acceptance criterion is exact total
-// order, not best-effort under give-up), a token-compaction cap of 256
-// entries over the last 1,024 globals — every hop re-encodes and rebuilds
-// the table, so the cap bounds that work; its bytes no longer matter much
-// (≤ 6 per entry, msg.TestTokenBytesBound: under 1.6 KB of a 60 KB
-// datagram budget) — and a deep retained window plus ranged Nacks so a
-// member that fell behind a reconfiguration (ring repair re-routed its WQ
-// feed, or it just joined) catches up from its predecessor's MQ in a few
-// round trips. The retained window holds bodies only: each member's
-// cumulative assignment table follows its delivery front, so it stays at
-// the undelivered window however deep RetainExtra is.
-func protocolConfig() core.Config {
+// protocolConfig is the core tuning for a real-socket deployment whose
+// live membership runs on tun's timers: unbounded per-hop retries (the
+// acceptance criterion is exact total order, not best-effort under
+// give-up), a token-compaction cap of 256 entries over the last 1,024
+// globals — every hop re-encodes and rebuilds the table, so the cap
+// bounds that work; its bytes no longer matter much (≤ 6 per entry,
+// msg.TestTokenBytesBound: under 1.6 KB of a 60 KB datagram budget) — and
+// a deep retained window plus ranged Nacks so a member that fell behind a
+// reconfiguration (ring repair re-routed its WQ feed, or it just joined)
+// catches up from its predecessor's MQ in a few round trips. The retained
+// window holds bodies only: each member's cumulative assignment table
+// follows its delivery front, so it stays at the undelivered window
+// however deep RetainExtra is.
+//
+// The Token-Loss threshold is at most suspect − heartbeat, so the one
+// signal a live ring raises, at an eviction's commit, is not filtered
+// when the token died with the evicted member: every survivor sighted it
+// last by that death, at most a heartbeat after the member's last
+// heartbeat, and the commit comes a suspect timeout after that. It stays
+// 500 ms at the defaults (150/900) and at 100/600.
+func protocolConfig(tun MemberTunables) core.Config {
 	cfg := core.DefaultConfig()
+	cfg.TokenLossThreshold = min(cfg.TokenLossThreshold, tun.Suspect-tun.Heartbeat)
 	cfg.Hop.MaxRetries = 0
 	// Unbounded retries need backoff: a peer seconds behind on a loaded
 	// federated daemon is only buried deeper by fixed-20ms duplicates.
@@ -48,11 +57,10 @@ func protocolConfig() core.Config {
 	// daemon hosts up to hundreds of groups, most quiet at any moment,
 	// and constant-rate circulation would burn the whole CPU budget on
 	// idle rotations. Worst-case re-wake cost is one stretched rotation
-	// (ring size × 50 ms); the 500 ms token watchdog still sees the
-	// token several times per window. A finished group's token idles
-	// the same way until its daemon exits. Tau arms nothing here: the
-	// node StartLocal spawns has no τ ticker, and the group's
-	// housekeeping step runs its Order-Assignment pass.
+	// (ring size × 50 ms). A finished group's token idles the same way
+	// until its daemon exits. Tau arms nothing here: the node StartLocal
+	// spawns has no τ ticker, and the group's housekeeping step runs its
+	// Order-Assignment pass.
 	cfg.TokenIdleBackoff = 50 * sim.Millisecond
 	return cfg
 }
@@ -103,7 +111,6 @@ type ringGroup struct {
 	evictedAt   sim.Time         // when settle first saw the eviction
 	beaconAt    sim.Time         // the last Done beacon
 	beatAt      sim.Time         // the membership plane's last heartbeat round
-	lossAt      sim.Time         // the token watchdog's last Token-Loss signal
 
 	// End-of-run gossip. Driver goroutine only.
 	ends        map[seq.NodeID]seq.GlobalSeq // where each member's stream ends (msg.Done), this one's too
@@ -124,12 +131,6 @@ const (
 	// outstanding retransmissions and the token transfer: its couriers
 	// hand the token off to the ring it leaves.
 	quiesce = 500 * sim.Millisecond
-	// tokenWatch is every group's token watchdog: a Token-Loss signal
-	// after this much token silence at the group's one origin, at most
-	// one per interval. It must be at least the core's TokenLossThreshold,
-	// or the signal is ignored, and it dwarfs the worst idle-backoff
-	// rotation (ring size × 50 ms), so a merely slow ring never trips it.
-	tokenWatch = 500 * sim.Millisecond
 )
 
 // newRingGroup assembles one group against the daemon's shared transport,
@@ -185,7 +186,11 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 	}
 
 	g.net = newOutboxNet(g.sched, nd.ob, g.gid, g.self)
-	g.e = core.NewEngine(seq.GroupID(gc.ID), protocolConfig(), g.net, h)
+	tun := MemberTunables{
+		Heartbeat: sim.Time(cfg.HeartbeatMS) * sim.Millisecond,
+		Suspect:   sim.Time(cfg.SuspectMS) * sim.Millisecond,
+	}
+	g.e = core.NewEngine(seq.GroupID(gc.ID), protocolConfig(tun), g.net, h)
 	g.e.Tel = g.tel.coreTel(nd.tel.reg)
 	g.e.Tel.TokenRTO.Set(int64(g.e.Cfg.Hop.RTO)) // until the first TokenAck is sampled
 
@@ -219,10 +224,6 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 
 	// Live membership plane.
 	if cfg.Live {
-		tun := MemberTunables{
-			Heartbeat: sim.Time(cfg.HeartbeatMS) * sim.Millisecond,
-			Suspect:   sim.Time(cfg.SuspectMS) * sim.Millisecond,
-		}
 		var initial map[seq.NodeID]string
 		var seeds []PeerAddr
 		if gc.Join {
@@ -235,6 +236,7 @@ func newRingGroup(nd *Node, gc GroupConfig) (_ *ringGroup, err error) {
 			}
 		}
 		g.ms = NewMembership(g.e, g.net, g.tel, g.self, nd.LocalAddr(), tun, initial, ringID, seeds)
+		g.net.epochTo = g.ms.sendUpdate
 		g.sink.lame = g.ms.Lame
 		g.ms.OrderHash = g.sink.oh.Sum64 // RingSummary/MergeReq carry the live order fingerprint
 		// Ask the coordinator to resume at the recovered durable front
@@ -405,7 +407,7 @@ func (g *ringGroup) open(cause string) {
 
 // step advances the group by one housekeeping tick: the local node's
 // Order-Assignment pass, the membership plane's heartbeat round once per
-// heartbeat, the token watchdog, the Done beacons, and settle. Each is
+// heartbeat, the Done beacons, and settle. Each is
 // the backstop for what only time decides. Tokens, TokenAcks and WQ
 // bodies already run the pass as they arrive, so here it catches
 // front-gap and WQ-stall Nacks, their give-up rounds, and stamping
@@ -416,26 +418,12 @@ func (g *ringGroup) open(cause string) {
 // the epoch baseline, the lame ring). On a quiet group the pass walks
 // the WQ's sources, at most one per ring member, and finds nothing to
 // do, so a step still costs O(ring size), whatever the traffic, and
-// allocates only to send or to signal. Driver goroutine only.
+// allocates only to send. Driver goroutine only.
 func (g *ringGroup) step(now sim.Time) {
 	g.ne.OrderAssign()
 	if g.ms != nil && now-g.beatAt >= g.ms.cfg.Heartbeat {
 		g.beatAt = now
 		g.ms.tick(now)
-	}
-	// The token watchdog. Topology maintenance cannot see a token that
-	// died with its holder while every survivor remembers recent
-	// activity, nor one an assign conflict destroyed under overload, so
-	// token silence re-raises the paper's Token-Loss signal. Only the
-	// group's one origin raises it: Token-Regeneration traversals from
-	// two origins can both complete and restart two tokens at the same
-	// epoch. The core's TokenLossThreshold filters the signal whenever
-	// circulation is demonstrably healthy.
-	if last, seen := g.ne.TokenActivity(); seen && now-last > tokenWatch && now-g.lossAt > tokenWatch && g.tokenOrigin() {
-		g.lossAt = now
-		g.tel.tokenSignals.Inc()
-		g.tel.emit("token-loss-signal", g.epoch(), (now - last).String())
-		g.e.OnTokenLoss(g.self)
 	}
 	if g.ended() && !g.finished && now-g.beaconAt >= beaconEvery {
 		g.beacon(now)
@@ -557,16 +545,6 @@ func (g *ringGroup) mark(typ, why string) {
 		detail = why + " " + detail
 	}
 	g.tel.emit(typ, uint64(ms), detail)
-}
-
-// tokenOrigin reports whether this member is its group's one Token-Loss
-// origin: the live coordinator while joined and not lame (if it dies, its
-// successor takes over with the eviction epoch). A static ring has none:
-// its one token's courier retries without bound and no member is ever
-// evicted, so silence there is a slow token or a dead member, and a
-// regenerated token cannot mend either.
-func (g *ringGroup) tokenOrigin() bool {
-	return g.ms != nil && g.ms.Joined() && !g.ms.Lame() && g.ms.coordinator() == g.self
 }
 
 // epoch is the group's membership epoch; a static ring has none (0).

@@ -45,9 +45,9 @@ import (
 // substrate, refreshing the local NE's neighbor view, and severing
 // reliable-delivery state aimed at removed members. The coordinator
 // commits an epoch by disseminating it and then applying it as every
-// other member does. The group's token watchdog (ringGroup.step) raises
-// the paper's Token-Loss signal at the coordinator only, so
-// Token-Regeneration always runs from a single origin.
+// other member does. The coordinator raises the paper's Token-Loss
+// signal when it commits an epoch that evicted a member, and nowhere
+// else, so Token-Regeneration always runs from a single origin.
 //
 // Partitions: the side that cannot count a strict majority of the
 // current membership as live (self + unsuspected peers) parks in a

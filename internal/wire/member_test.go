@@ -116,7 +116,9 @@ func TestLiveTrioSurvivesCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live cluster in -short")
 	}
+	var survivors []*Node
 	reports, errs := launchLive(t, 3, nil, nil, func(nodes []*Node) {
+		survivors = nodes[:2]
 		// Mid-run: the workload spans 200 ms from the stream's opening;
 		// the kill lands inside it.
 		awaitStreamStart(t, nodes[2])
@@ -148,6 +150,16 @@ func TestLiveTrioSurvivesCrash(t *testing.T) {
 	}
 	if reports[0].Single().OrderHash != reports[1].Single().OrderHash {
 		t.Fatalf("survivors diverged: %s vs %s", reports[0].Single().OrderHash, reports[1].Single().OrderHash)
+	}
+	// One eviction raises one Token-Loss signal, at the committing
+	// coordinator: at most one traversal, none if the token survived.
+	var regens float64
+	for _, nd := range survivors {
+		n, _ := nd.tel.reg.Value("ringnet_token_regens_total", "group", "1")
+		regens += n
+	}
+	if regens > 1 {
+		t.Fatalf("survivors started %v regeneration traversals for one eviction, want at most 1", regens)
 	}
 	// Both survivors delivered at least their own traffic.
 	if reports[0].Delivered < 120 {
@@ -597,6 +609,13 @@ func TestLiveMembershipAddsNoSchedulerEvents(t *testing.T) {
 // outlasts every test that steps it, so it suspects no one.
 func undrivenLive(t *testing.T, self uint32, n int) (*Node, *ringGroup) {
 	t.Helper()
+	return undrivenLiveAt(t, self, n, 100, 60000)
+}
+
+// undrivenLiveAt is undrivenLive with the given heartbeat and suspect
+// timeouts, in ms.
+func undrivenLiveAt(t *testing.T, self uint32, n int, heartbeatMS, suspectMS int64) (*Node, *ringGroup) {
+	t.Helper()
 	var peers []PeerAddr
 	for p := uint32(1); p <= uint32(n); p++ {
 		if p != self {
@@ -609,8 +628,8 @@ func undrivenLive(t *testing.T, self uint32, n int) (*Node, *ringGroup) {
 		Live:        true,
 		Peers:       peers,
 		Groups:      []GroupConfig{{ID: 1, Count: -1}},
-		HeartbeatMS: 100,
-		SuspectMS:   60000,
+		HeartbeatMS: heartbeatMS,
+		SuspectMS:   suspectMS,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -728,37 +747,137 @@ func TestLiveLeaverAnswersMissedFarewell(t *testing.T) {
 	}
 }
 
-// TestLiveTokenLossFromCoordinatorOnly: in a live ring whose token has
-// fallen silent, only the coordinator raises Token-Loss: first within
-// tokenWatch + stepEvery of the silence, then at most once per
-// tokenWatch. Members that have held the token but do not coordinate
-// never raise it, so regeneration has one origin. The token goes from
-// member 1 to 2 to 3 and no further; no ack is delivered.
-func TestLiveTokenLossFromCoordinatorOnly(t *testing.T) {
+// ackToken hands to the TokenAcks waiting in from's box for it.
+func ackToken(t *testing.T, from, to *ringGroup) {
+	t.Helper()
+	var acks []msg.Message
+	for _, m := range pending(from.nd.ob, from.gid, to.self) {
+		if _, ok := m.(*msg.TokenAck); ok {
+			acks = append(acks, m)
+		}
+	}
+	if len(acks) == 0 {
+		t.Fatalf("member %d did not acknowledge member %d's token", from.self, to.self)
+	}
+	to.nd.tr.handlers[to.gid].Handler(from.self, acks)
+}
+
+// TestLiveSlowTokenIsNotLost: a slow token is not a lost token. The token
+// goes from member 1 to 2 to 3, each hop acknowledged, and member 3's
+// forward to member 1 is never delivered. Members 1 and 2 then see no
+// token for 1.5 s, three times the core's Token-Loss threshold, and no
+// member is evicted: no member starts a regeneration traversal.
+func TestLiveSlowTokenIsNotLost(t *testing.T) {
 	var groups []*ringGroup
 	for self := uint32(1); self <= 3; self++ {
 		_, g := undrivenLive(t, self, 3)
 		groups = append(groups, g)
 	}
 	passToken(t, groups[0], groups[1])
+	ackToken(t, groups[1], groups[0])
 	passToken(t, groups[1], groups[2])
+	ackToken(t, groups[2], groups[1])
 	for i, g := range groups {
-		at := tokenLossSignals(t, g, 1500*sim.Millisecond)
-		if i > 0 {
-			if len(at) != 0 || g.e.Tel.TokenRegens.Value() != 0 {
-				t.Fatalf("member %d, not the coordinator, raised Token-Loss at %v and started %d regenerations",
-					i+1, at, g.e.Tel.TokenRegens.Value())
+		stepTo(g, 1500*sim.Millisecond)
+		if n := g.e.Tel.TokenRegens.Value(); n != 0 || g.ms.Epoch() != 1 {
+			t.Fatalf("member %d: %d regeneration traversals at epoch %d, want none at epoch 1", i+1, n, g.ms.Epoch())
+		}
+	}
+}
+
+// TestLiveEvictionCommitRegeneratesOnce: committing the eviction of the
+// member a token died with regenerates the token with one traversal,
+// even though the coordinator sighted the token less than 500 ms before
+// it commits. At heartbeat/suspect 100/300 the coordinator (member 1)
+// passes the token to member 2 and takes its ack at 100 ms, when member 3
+// heartbeats for the last time; the token dies with member 3. The
+// coordinator suspects member 3 at its 500 ms heartbeat round, and member
+// 2's vote commits the eviction there: 400 ms of token silence, past the
+// derived Token-Loss threshold (300 − 100 ms) and inside the core's
+// default 500 ms, which would filter the commit's signal. Nothing starts
+// another traversal in the second that follows.
+func TestLiveEvictionCommitRegeneratesOnce(t *testing.T) {
+	_, coord := undrivenLiveAt(t, 1, 3, 100, 300)
+	_, g2 := undrivenLiveAt(t, 2, 3, 100, 300)
+	passToken(t, coord, g2)
+	in := coord.nd.tr.handlers[1].Handler
+	ackAt, lastBeat3 := 100*sim.Millisecond, 100*sim.Millisecond
+	var committedAt sim.Time
+	for now := stepEvery; now <= 1500*sim.Millisecond; now += stepEvery {
+		coord.sched.Run(now)
+		if now == ackAt {
+			ackToken(t, g2, coord)
+		}
+		if now <= lastBeat3 {
+			in(3, []msg.Message{&msg.Heartbeat{From: 3, Epoch: 1}})
+		}
+		in(2, []msg.Message{&msg.Heartbeat{From: 2, Epoch: coord.ms.Epoch()}})
+		coord.step(now)
+		if committedAt == 0 && coord.ms.prop != nil {
+			in(2, []msg.Message{&msg.QuorumVote{Group: 1, Epoch: coord.ms.prop.epoch, Base: 1, Proposer: 1, Voter: 2, Granted: true}})
+			if coord.ms.Epoch() == 1 {
+				t.Fatalf("member 2's vote did not commit epoch %d at %v", coord.ms.prop.epoch, now)
 			}
-			continue
-		}
-		if len(at) == 0 || at[0] != tokenWatch+stepEvery {
-			t.Fatalf("coordinator raised Token-Loss at %v, want first at %v", at, tokenWatch+stepEvery)
-		}
-		for k := 1; k < len(at); k++ {
-			if at[k]-at[k-1] <= tokenWatch {
-				t.Fatalf("coordinator raised Token-Loss at %v: twice within %v", at, tokenWatch)
+			committedAt = now
+			if n := coord.e.Tel.TokenRegens.Value(); n != 1 {
+				t.Fatalf("committing member 3's eviction at %v, %v after the token's last ack, started %d traversals, want 1",
+					now, now-ackAt, n)
 			}
 		}
+	}
+	if want := lastBeat3 + 400*sim.Millisecond; committedAt != want {
+		t.Fatalf("member 3's eviction committed at %v, want %v", committedAt, want)
+	}
+	if n := coord.e.Tel.TokenRegens.Value(); n != 1 {
+		t.Fatalf("%d regeneration traversals by %v, want the commit's 1", n, 1500*sim.Millisecond)
+	}
+}
+
+// TestLiveTraversalCarriesItsEpoch: a member that missed the commit of an
+// eviction still passes the regeneration traversal the commit starts,
+// because each hop of a traversal arrives behind its sender's current
+// RingUpdate. On a live ring of four members (heartbeat/suspect 100/600),
+// member 4 dies at 450 ms with the token on its way to it, and the
+// RingUpdate that evicts it never reaches member 3, its predecessor, which
+// hears of the epoch only through the traversal's hop from member 2.
+// Without that, member 3 met the traversal on the old ring and destroyed
+// it (its copy of the token, unacknowledged by the corpse, read as
+// ordering well), then dropped that copy on catching up: no member ever
+// ordered again. The members run on schedulers no driver runs, their
+// traffic carried by hand.
+func TestLiveTraversalCarriesItsEpoch(t *testing.T) {
+	const died = 450 * sim.Millisecond
+	r := newHandRing(t, 4, []GroupConfig{{ID: 1, Count: 200, RateHz: 200}}, func(i int, cfg *Config) {
+		cfg.Live, cfg.HeartbeatMS, cfg.SuspectMS, cfg.DeadlineMS = true, 100, 600, 10000
+	})
+	lost := false
+	r.withhold = func(from, to seq.NodeID, _ uint32, m msg.Message) bool {
+		if _, ok := m.(*msg.RingUpdate); ok && from == 1 && to == 3 && !lost {
+			lost = true
+			return true
+		}
+		return false
+	}
+	for _, nd := range r.nodes {
+		nd.lifecycle(r.groups[nd.self-1])
+	}
+	r.run(t, died)
+	r.ended[3] = died // member 4 runs nothing more and hears nothing
+	r.run(t, 12*sim.Second)
+	if !lost {
+		t.Fatal("coordinator 1 sent member 3 no RingUpdate")
+	}
+	var regens uint64
+	for i := range 3 {
+		regens += r.groups[i][0].e.Tel.TokenRegens.Value()
+		rep := r.nodes[i].exit[0]
+		if !rep.Converged || rep.Epoch != 2 || rep.OrderHash != r.nodes[0].exit[0].OrderHash {
+			t.Fatalf("member %d: converged %v at epoch %d with order hash %s at %v; want converged at epoch 2 on member 1's %s",
+				i+1, rep.Converged, rep.Epoch, rep.OrderHash, r.ended[i], r.nodes[0].exit[0].OrderHash)
+		}
+	}
+	if regens != 1 {
+		t.Fatalf("survivors started %d regeneration traversals for one eviction, want 1", regens)
 	}
 }
 

@@ -29,6 +29,12 @@ type outboxNet struct {
 	local seq.NodeID
 	peers map[seq.NodeID]bool
 	stats netsim.Stats
+	// epochTo, on a live ring, sends a peer this member's current epoch
+	// (Membership.sendUpdate). Send calls it ahead of every TokenRegen,
+	// in the same box, so a hop that missed the commit meets the
+	// traversal on the new ring: on the old one, the dead member's
+	// predecessor destroys or strands it, then drops its token copy.
+	epochTo func(to seq.NodeID)
 }
 
 var _ core.Network = (*outboxNet)(nil)
@@ -73,6 +79,9 @@ func (n *outboxNet) Scheduler() *sim.Scheduler { return n.sched }
 // dropped, the sender learning nothing, like a simulated send with no
 // route.
 func (n *outboxNet) Send(from, to seq.NodeID, m msg.Message) bool {
+	if _, regen := m.(*msg.TokenRegen); regen && n.epochTo != nil {
+		n.epochTo(to)
+	}
 	ok := from == n.local && n.peers[to]
 	if size := n.stats.Count(m, ok); ok {
 		n.ob.enqueue(n.sched, n.group, to, m, size)

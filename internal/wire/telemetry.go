@@ -89,7 +89,6 @@ type groupTelemetry struct {
 	quorumRetries *telemetry.Counter
 	evictions     *telemetry.Counter
 	merges        *telemetry.Counter
-	tokenSignals  *telemetry.Counter
 
 	dlqDepth *telemetry.Gauge
 	storeTel store.Telemetry
@@ -129,8 +128,6 @@ func (nt *nodeTelemetry) group(gid uint32) *groupTelemetry {
 			"Members this node observed leaving the ring (evictions and leaves).", "group", g),
 		merges: reg.Counter("ringnet_merges_total",
 			"Partition-heal merge epochs this member coordinated.", "group", g),
-		tokenSignals: reg.Counter("ringnet_token_signals_total",
-			"Token-Loss signals raised by the watchdog.", "group", g),
 
 		dlqDepth: reg.Gauge("ringnet_dlq_depth",
 			"Dead-letter-queue tombstones on disk.", "group", g),
